@@ -1,14 +1,24 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python twins.
 
-Times the three hot loops (closure tables, coherence scans, pairwise
-closure checks) and one end-to-end sweep with each implementation.
+Times three kernels (closure tables, the group-table coherence scan and
+pairwise closure checks) and one end-to-end sweep with each
+implementation.  Sweeps decide coherence by orbit saturation, so the
+coherence scan is timed only as the brute-force oracle the tests use.
+
+Run it from anywhere, without an install: `python3 benchmarks/bench_kernels.py`.
 """
 
 import argparse
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 
 def _timeit(fn, repeat):
@@ -48,17 +58,14 @@ def bench_kernels(mod, n, systems, perms):
 
     return {
         "closure_table": _timeit(closure_tables, 3),
-        "coherent_block": _timeit(coherence, 3),
+        "coherent_block (oracle)": _timeit(coherence, 3),
         "pairwise_closed": _timeit(pairwise, 3),
     }
 
 
 def bench_sweep(impl_env):
-    import os
-    import subprocess
-    import sys
-
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     env.pop("HULLFLOW_PURE", None)
     if impl_env:
         env["HULLFLOW_PURE"] = "1"
@@ -71,6 +78,10 @@ def bench_sweep(impl_env):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
+    if out.returncode != 0:
+        raise RuntimeError(
+            f"sweep child exited with {out.returncode}:\n{out.stderr.strip()}"
+        )
     return float(out.stdout.strip())
 
 
@@ -94,22 +105,22 @@ def main():
 
     print(f"kernel microbenchmarks (n={args.n}, {args.systems} systems)")
     names = sorted(next(iter(rows.values())))
-    header = f"{'kernel':<18}" + "".join(f"{impl:>12}" for impl in rows)
+    header = f"{'kernel':<24}" + "".join(f"{impl:>12}" for impl in rows)
     if len(rows) == 2:
         header += f"{'speedup':>10}"
     print(header)
     for name in names:
-        line = f"{name:<18}" + "".join(f"{rows[impl][name] * 1e3:>10.2f}ms" for impl in rows)
+        line = f"{name:<24}" + "".join(f"{rows[impl][name] * 1e3:>10.2f}ms" for impl in rows)
         if len(rows) == 2:
             line += f"{rows['python'][name] / rows['cython'][name]:>9.1f}x"
         print(line)
 
     print("\nend-to-end sweep (L1_3 exhaustive, n=4)")
     pure = bench_sweep(True)
-    print(f"{'python':<18}{pure:>10.2f}s")
+    print(f"{'python':<24}{pure:>10.2f}s")
     if _kernels is not None:
         fast = bench_sweep(False)
-        print(f"{'cython':<18}{fast:>10.2f}s{pure / fast:>9.1f}x")
+        print(f"{'cython':<24}{fast:>10.2f}s{pure / fast:>9.1f}x")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import kernels
-from .dynsys import Autobolism, DiscreteFlow, compose, invert
+from .dynsys import Autobolism, DiscreteFlow, compose, invert, saturate
 from .setsys import (
     CapExceededError,
     ClosureConvention,
@@ -64,9 +64,7 @@ class AttractorQuery:
 
 def invariant_sets(flow: DiscreteFlow, cap: int = 1 << 20) -> SetSystem:
     """All nonempty unions of orbit blocks (the nonempty invariant sets)."""
-    from .dynsys import orbit_partition
-
-    blocks = orbit_partition(flow).masks
+    blocks = flow.orbit_blocks()
     if 1 << len(blocks) > cap:
         raise CapExceededError(f"2^{len(blocks)} invariant sets exceed cap {cap}")
     out = []
@@ -79,8 +77,16 @@ def invariant_sets(flow: DiscreteFlow, cap: int = 1 << 20) -> SetSystem:
     return SetSystem(flow.ground, tuple(out))
 
 
-def _group_tables(flow: DiscreteFlow) -> list[list[int]]:
-    return flow.phase_group().mask_tables()
+def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
+    """True when every ordered pair (a, b) of masks from the trace has b
+    meeting sat(a), the union of the orbit blocks meeting a.  That is the
+    same as some element of the group whose orbits are the blocks mapping
+    a onto a set meeting b, so the group itself is never listed."""
+    for a in trace:
+        sat = saturate(blocks, a)
+        if not all(b & sat for b in trace):
+            return False
+    return True
 
 
 def _trace(covering: SetSystem, theta: int) -> list[int]:
@@ -96,19 +102,19 @@ def is_free_attractor(q: AttractorQuery, theta: Subset) -> bool:
         raise NonInvariantError("the empty set is not an attractor candidate")
     if not is_invariant(q.flow.generators(), theta):
         raise NonInvariantError(f"{theta!r} is not flow-invariant")
-    return kernels.trace_coherent(_group_tables(q.flow), _trace(q.covering, theta.bits))
+    return saturation_coherent(q.flow.orbit_blocks(), _trace(q.covering, theta.bits))
 
 
 def free_attractors(q: AttractorQuery) -> SetSystem:
     """All nonempty invariant sets passing the coherence criterion of the
     query's variant."""
-    tables = _group_tables(q.flow)
     candidates = invariant_sets(q.flow)
     if q.variant is CoherenceVariant.CONVENTIONAL:
+        blocks = q.flow.orbit_blocks()
         keep = [
             theta
             for theta in candidates.masks
-            if kernels.trace_coherent(tables, _trace(q.covering, theta))
+            if saturation_coherent(blocks, _trace(q.covering, theta))
         ]
         return SetSystem(q.flow.ground, tuple(keep))
     return SetSystem(
@@ -133,14 +139,13 @@ def coherence_variant(q: AttractorQuery, chi: Subset) -> bool:
     if not is_invariant(q.flow.generators(), chi):
         raise NonInvariantError(f"{chi!r} is not flow-invariant")
     trace = _trace(q.covering, chi.bits)
-    if q.variant in (CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS):
-        if not q.flow.is_cyclic:
-            raise VariantUnsupportedError(
-                "monotone coherence needs integer time; use a cyclic flow"
-            )
-        return kernels.trace_coherent(_group_tables(q.flow), trace)
-    if q.variant is CoherenceVariant.CONVENTIONAL:
-        return kernels.trace_coherent(_group_tables(q.flow), trace)
+    monotone = q.variant in (CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS)
+    if monotone and not q.flow.is_cyclic:
+        raise VariantUnsupportedError(
+            "monotone coherence needs integer time; use a cyclic flow"
+        )
+    if q.variant is not CoherenceVariant.WEAK:
+        return saturation_coherent(q.flow.orbit_blocks(), trace)
     # weak: unions of the pre-room selections must meet
     rooms = pre_rooms(q.flow, q.covering, q.conv)[0]
     for a in trace:
@@ -198,12 +203,10 @@ def pre_rooms(
 ) -> tuple[SetSystem, bool]:
     """Closures of the orbits under the system's hull operator, plus a flag
     recording whether they partition the ground (then they are rooms)."""
-    from .dynsys import orbit_partition
-
     if relsys.ground != flow.ground:
         raise GroundMismatchError(f"{relsys.ground} vs {flow.ground}")
     cl = closure_map(relsys, conv)
-    blocks = orbit_partition(flow).masks
+    blocks = flow.orbit_blocks()
     rooms = sorted({cl[b] for b in blocks})
     covered = 0
     disjoint = True
@@ -268,8 +271,6 @@ def hull_rooms(
     commutation premise (every generator commutes with the operator on all
     subsets), and the partition verdict.  The family is returned even when
     the premise fails."""
-    from .dynsys import orbit_partition
-
     if spec.system.ground != flow.ground:
         raise GroundMismatchError(f"{spec.system.ground} vs {flow.ground}")
     if not spec.system.covers_ground():
@@ -279,7 +280,7 @@ def hull_rooms(
         kernels.commutes_with_closure(kernels.perm_table(list(g.image)), table)
         for g in flow.generators()
     )
-    blocks = orbit_partition(flow).masks
+    blocks = flow.orbit_blocks()
     rooms = sorted({table[b] for b in blocks})
     covered = 0
     disjoint = True

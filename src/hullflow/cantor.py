@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import kernels
-from .dynsys import Autobolism, generate_group
+from .dynsys import Autobolism, DiscreteFlow
 from .setsys import (
     ClosureConvention,
     GroundMismatchError,
@@ -205,16 +205,23 @@ def phase_chain_check(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> PhaseChainRecord:
     """Evaluate the continuity chain for the group generated by gens,
-    relative to a covering system."""
+    relative to a covering system.
+
+    Each statement quantifies over the group, but it is decided on the
+    distinct generators.  Commuting with the hull and both one-sided
+    memberships are closed under composition, the identity satisfies all
+    three, and in a finite group every element is a product of generators
+    (an inverse is a positive power).  So a statement holds for every
+    group element exactly when it holds for every generator."""
     if not system.covers_ground():
         raise ValueError("the system must cover the ground")
-    group = generate_group(list(gens))
+    distinct = dict.fromkeys(DiscreteFlow.of_group(gens).generators())
     compl = complement_system(system)
-    members = [EndoFunction(g.ground, g.image) for g in group.elements]
+    members = [EndoFunction(g.ground, g.image) for g in distinct]
     cl = closure_map(system, conv)
     commutes = all(
         kernels.commutes_with_closure(kernels.perm_table(list(g.image)), cl)
-        for g in group.elements
+        for g in distinct
     )
     return PhaseChainRecord(
         commutes=commutes,

@@ -94,7 +94,13 @@ def parse_instance(source: str) -> Instance:
 def _load_instance(path: Optional[str]) -> Instance:
     if path is None:
         raise UsageError("this command needs --instance FILE")
-    raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        return parse_instance(sys.stdin.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read instance {path!r}: {exc.strerror or exc}") from None
     return parse_instance(raw)
 
 

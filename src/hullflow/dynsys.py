@@ -2,13 +2,17 @@
 their invariant topologies, coherence witnesses, phasicity.
 
 A flow is either cyclic (one generator, integer time via powers) or a
-generated permutation group (group time).  Group generation and witness
-search run breadth-first in a fixed order, so results are reproducible.
+generated permutation group (group time).  Orbits, and the coherence
+questions that saturation by orbits answers, need only the generators;
+the group is listed only where an element is wanted.  Group generation and
+witness search run breadth-first in a fixed order, so results are
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
@@ -121,17 +125,22 @@ class PhaseGroup:
         return [kernels.perm_table(list(g.image)) for g in self.elements]
 
 
-def generate_group(
-    gens: Sequence[Autobolism], cap: int = DEFAULT_GROUP_CAP
-) -> PhaseGroup:
-    """Breadth-first closure of the generators and their inverses, seeded
-    with the identity."""
+def _common_ground(gens: Sequence[Autobolism]) -> GroundSet:
     if not gens:
         raise ValueError("need at least one generator")
     ground = gens[0].ground
     for g in gens[1:]:
         if g.ground != ground:
             raise GroundMismatchError(f"{g.ground} vs {ground}")
+    return ground
+
+
+def generate_group(
+    gens: Sequence[Autobolism], cap: int = DEFAULT_GROUP_CAP
+) -> PhaseGroup:
+    """Breadth-first closure of the generators and their inverses, seeded
+    with the identity."""
+    ground = _common_ground(gens)
     step: list[Autobolism] = []
     for g in gens:
         if g not in step:
@@ -162,51 +171,74 @@ def generate_group(
 
 @dataclass(frozen=True)
 class DiscreteFlow:
-    """Either the cyclic flow of one generator (integer time) or a
-    generated permutation group (group time)."""
+    """Either the cyclic flow of one generator (integer time) or the
+    permutation group generated by a list of generators (group time).
+
+    Only the generators are stored.  Orbits come from the generators
+    alone; the group itself is built on the first call of phase_group."""
 
     ground: GroundSet
-    generator: Optional[Autobolism] = None
-    group: Optional[PhaseGroup] = None
+    gens: tuple[Autobolism, ...]
+    is_cyclic: bool = False
 
     @classmethod
     def cyclic(cls, generator: Autobolism) -> "DiscreteFlow":
-        return cls(generator.ground, generator=generator)
+        return cls(generator.ground, (generator,), True)
 
     @classmethod
-    def of_group(cls, gens: Sequence[Autobolism], cap: int = DEFAULT_GROUP_CAP) -> "DiscreteFlow":
-        grp = generate_group(gens, cap)
-        return cls(grp.ground, group=grp)
+    def of_group(cls, gens: Sequence[Autobolism]) -> "DiscreteFlow":
+        return cls(_common_ground(gens), tuple(gens))
 
     @property
-    def is_cyclic(self) -> bool:
-        return self.generator is not None
+    def generator(self) -> Optional[Autobolism]:
+        """The generator of a cyclic flow; None for a group flow."""
+        return self.gens[0] if self.is_cyclic else None
 
     def generators(self) -> tuple[Autobolism, ...]:
-        if self.generator is not None:
-            return (self.generator,)
-        assert self.group is not None
-        return self.group.generators
+        return self.gens
+
+    def orbit_blocks(self) -> tuple[int, ...]:
+        """Orbit blocks as masks in ascending order, computed once from the
+        generators."""
+        return self._blocks
+
+    @cached_property
+    def _blocks(self) -> tuple[int, ...]:
+        perms = [list(g.image) for g in self.gens]
+        return tuple(kernels.orbit_blocks(self.ground.size, perms))
 
     def phase_group(self) -> PhaseGroup:
-        if self.group is not None:
-            return self.group
-        assert self.generator is not None
-        return generate_group([self.generator])
+        """The generated group, built on the first call and kept; raises
+        CapExceededError beyond DEFAULT_GROUP_CAP elements."""
+        return self._group
+
+    @cached_property
+    def _group(self) -> PhaseGroup:
+        return generate_group(self.gens)
 
     def period(self) -> int:
         """Order of the generator; only cyclic flows carry integer time."""
-        if self.generator is None:
+        if not self.is_cyclic:
             raise ValueError("group flows have no integer time")
-        return self.generator.order()
+        return self.gens[0].order()
+
+
+def saturate(blocks: Iterable[int], a: int) -> int:
+    """Union of the orbit blocks meeting the mask a.  This is the set of
+    all g(x) with g in the group and x in a, so a mask b meets it exactly
+    when some group element maps a onto a set meeting b."""
+    out = 0
+    for block in blocks:
+        if block & a:
+            out |= block
+    return out
 
 
 def orbit(flow: DiscreteFlow, z: int) -> Subset:
     """All states reachable from z under the flow's group."""
     if not 0 <= z < flow.ground.size:
         raise ValueError(f"state {z} outside ground of size {flow.ground.size}")
-    perms = [list(g.image) for g in flow.generators()]
-    for block in kernels.orbit_blocks(flow.ground.size, perms):
+    for block in flow.orbit_blocks():
         if block >> z & 1:
             return Subset(flow.ground, block)
     raise AssertionError("unreachable: orbits partition the ground")
@@ -214,8 +246,7 @@ def orbit(flow: DiscreteFlow, z: int) -> Subset:
 
 def orbit_partition(flow: DiscreteFlow) -> SetSystem:
     """The partition of the ground set into group orbits."""
-    perms = [list(g.image) for g in flow.generators()]
-    return SetSystem(flow.ground, tuple(kernels.orbit_blocks(flow.ground.size, perms)))
+    return SetSystem(flow.ground, flow.orbit_blocks())
 
 
 def invariant_basis(gens: Sequence[Autobolism]) -> SetSystem:

@@ -141,19 +141,14 @@ class Instance:
             if not isinstance(spec, Mapping) or len(spec) != 1:
                 raise InstanceError(path, 'must be {"cyclic": name} or {"group": [names]}')
             if "cyclic" in spec:
-                pname = spec["cyclic"]
-                if pname not in inst.permutations:
-                    raise InstanceError(path, f"unknown permutation {pname!r}")
-                inst.flows[name] = DiscreteFlow.cyclic(inst.permutations[pname])
+                inst.flows[name] = DiscreteFlow.cyclic(
+                    _named_permutation(inst, spec["cyclic"], path)
+                )
             elif "group" in spec:
                 pnames = spec["group"]
                 if not isinstance(pnames, list) or not pnames:
                     raise InstanceError(path, "group flow needs a nonempty generator list")
-                gens = []
-                for pname in pnames:
-                    if pname not in inst.permutations:
-                        raise InstanceError(path, f"unknown permutation {pname!r}")
-                    gens.append(inst.permutations[pname])
+                gens = [_named_permutation(inst, pname, path) for pname in pnames]
                 inst.flows[name] = DiscreteFlow.of_group(gens)
             else:
                 raise InstanceError(path, 'must be {"cyclic": name} or {"group": [names]}')
@@ -162,6 +157,15 @@ class Instance:
         if len(set(names)) != len(names):
             raise InstanceError("$", "object names must be unique across sections")
         return inst
+
+
+def _named_permutation(inst: Instance, pname: Any, path: str) -> Autobolism:
+    if not isinstance(pname, str):
+        raise InstanceError(path, f"permutation names must be strings, got {pname!r}")
+    try:
+        return inst.permutations[pname]
+    except KeyError:
+        raise InstanceError(path, f"unknown permutation {pname!r}") from None
 
 
 def Subset_indices(ground: GroundSet, mask: int) -> list[int]:

@@ -29,6 +29,7 @@ from .attract import (
     closure_commutation_report,
     free_attractors,
     invariant_sets,
+    saturation_coherent,
     transport,
 )
 from .cantor import (
@@ -39,7 +40,7 @@ from .cantor import (
     phase_chain_check,
     preserves_unfamily,
 )
-from .dynsys import Autobolism, DiscreteFlow, generate_group, orbit_partition
+from .dynsys import Autobolism, DiscreteFlow, orbit_partition
 from .instances import Instance, InstanceError, convention_name, parse_convention
 from .setsys import (
     ClosureConvention,
@@ -349,12 +350,10 @@ def _check_l1_3(inst: Instance, conv: ClosureConvention) -> Verdict:
     chi = _get_single(inst, "chi")
     if not chi:
         return _skip("empty chi")
-    gens = [inst.permutations[k] for k in sorted(inst.permutations)]
-    group = generate_group(gens)
-    tables = group.mask_tables()
-    coherent = kernels.coherent_block(tables, chi.bits, False)
-    singles = kernels.coherent_block(tables, chi.bits, True)
-    blocks = orbit_partition(DiscreteFlow.of_group(gens)).masks
+    blocks = _get_flow(inst).orbit_blocks()
+    subsets = [a for a in range(1, chi.bits + 1) if a & chi.bits == a]
+    coherent = saturation_coherent(blocks, subsets)
+    singles = saturation_coherent(blocks, [1 << x for x in chi.indices()])
     is_block = chi.bits in blocks
     note = "" if coherent == singles else "singleton and full-subset checks disagree"
     if coherent == is_block:

@@ -20,6 +20,7 @@ from hullflow.attract import (
     invariant_sets,
     is_free_attractor,
     pre_rooms,
+    saturation_coherent,
     topological_attractors,
     transport,
 )
@@ -189,6 +190,26 @@ def _mono_oracle(flow, covering, chi, increasing):
             if not hit:
                 return False
     return True
+
+
+class TestSaturationCoherence:
+    def test_trace_coherent_oracle(self):
+        # saturation by orbit blocks against the scan over all group tables
+        from hullflow import kernels
+        from hullflow.dynsys import generate_group
+
+        rnd = random.Random(5)
+        for _ in range(400):
+            n = rnd.choice((2, 3, 4))
+            ground = GroundSet(n)
+            perms = list(itertools.permutations(range(n)))
+            gens = [Autobolism.of(ground, p) for p in rnd.sample(perms, rnd.choice((1, 2)))]
+            tables = generate_group(gens).mask_tables()
+            blocks = DiscreteFlow.of_group(gens).orbit_blocks()
+            trace = rnd.sample(range(1, 1 << n), rnd.randint(1, min(5, (1 << n) - 1)))
+            assert saturation_coherent(blocks, trace) == (
+                kernels.trace_coherent(tables, trace)
+            ), (gens, trace)
 
 
 class TestCoherenceVariants:

@@ -15,12 +15,14 @@ from hullflow.cantor import (
     phase_chain_check,
     preserves_unfamily,
 )
-from hullflow.dynsys import Autobolism
+from hullflow import kernels
+from hullflow.dynsys import Autobolism, generate_group
 from hullflow.setsys import (
     ClosureConvention,
     GroundSet,
     SetSystem,
     Subset,
+    closure_map,
     complement_system,
     product_fibration,
 )
@@ -224,6 +226,55 @@ class TestPhaseChain:
         rec = phase_chain_check([swap01], sys)
         assert not rec.chain_holds
         assert rec.statements == (False, False, False, True, True)
+
+
+def _chain_over_group(gens, system, conv=ClosureConvention.FULL):
+    """The chain's five statements quantified over every group element."""
+    elements = generate_group(list(gens)).elements
+    members = [EndoFunction(g.ground, g.image) for g in elements]
+    cl = closure_map(system, conv)
+    compl = complement_system(system)
+    return (
+        all(
+            kernels.commutes_with_closure(kernels.perm_table(list(g.image)), cl)
+            for g in elements
+        ),
+        all(cantor_membership(f, system, True) for f in members),
+        all(cantor_membership(f, system, False) for f in members),
+        all(cantor_membership(f, compl, True) for f in members),
+        all(cantor_membership(f, compl, False) for f in members),
+    )
+
+
+class TestPhaseChainOverGenerators:
+    # the chain is decided on the generators; the oracle lists the group
+
+    def test_exhaustive_three_points(self):
+        from hullflow.verify import enum_systems
+
+        perms = [Autobolism.of(G3, p) for p in itertools.permutations(range(3))]
+        gensets = [(p,) for p in perms] + list(itertools.combinations(perms, 2))
+        for sys in enum_systems(3, covering_only=True):
+            for gens in gensets:
+                for conv in ClosureConvention:
+                    got = phase_chain_check(gens, sys, conv).statements
+                    assert got == _chain_over_group(gens, sys, conv), (gens, sys)
+
+    def test_randomized_four_points(self):
+        import random
+
+        rnd = random.Random(29)
+        g4 = GroundSet(4)
+        perms = list(itertools.permutations(range(4)))
+        for _ in range(500):
+            masks = [m for m in range(16) if rnd.random() < 0.5]
+            if 15 not in masks:
+                masks.append(15)
+            sys = SetSystem(g4, tuple(masks))
+            gens = [Autobolism.of(g4, p) for p in rnd.sample(perms, rnd.choice((1, 2)))]
+            conv = rnd.choice(list(ClosureConvention))
+            got = phase_chain_check(gens, sys, conv).statements
+            assert got == _chain_over_group(gens, sys, conv), (gens, sys)
 
 
 class TestRepresentation:

@@ -65,6 +65,13 @@ class TestParsing:
         with pytest.raises(InstanceError, match=r"systems.A\[1\]"):
             Instance.from_dict(doc)
 
+    def test_flow_names_must_be_strings(self):
+        for spec in ({"cyclic": ["p"]}, {"group": [["p"]]}, {"cyclic": 0}):
+            doc = {"ground": 2, "permutations": {"p": [1, 0]}, "flows": {"f": spec}}
+            with pytest.raises(InstanceError, match="flows.f") as exc:
+                Instance.from_dict(doc)
+            assert exc.value.path == "flows.f"
+
     def test_permutation_in_one_line_notation(self):
         inst = Instance.from_dict({"ground": 3, "permutations": {"s": [1, 0, 2]}})
         assert inst.permutations["s"].image == (1, 0, 2)
@@ -156,6 +163,35 @@ class TestCommands:
         code, _, err = run_cli(capsys, "classify", "nope", "-i", instance_file)
         assert code == 2
         assert "unknown system" in err
+
+    def test_missing_instance_file_exit_two(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        code, out, err = run_cli(capsys, "classify", "T", "-i", missing)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "absent.json" in err
+
+    def test_unhashable_flow_name_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"ground": 2, "permutations": {"p": [1, 0]}, "flows": {"f": {"cyclic": ["p"]}}}
+        ))
+        code, _, err = run_cli(capsys, "orbits", "--flow", "f", "-i", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and "flows.f" in err
+
+    def test_orbits_of_a_group_beyond_the_cap(self, capsys, tmp_path):
+        # S_12 from a 12-cycle and a transposition: orbits need only the
+        # generators, so the group-order cap does not apply
+        path = tmp_path / "s12.json"
+        path.write_text(json.dumps({
+            "ground": 12,
+            "permutations": {"c": list(range(1, 12)) + [0], "t": [1, 0] + list(range(2, 12))},
+            "flows": {"s12": {"group": ["c", "t"]}},
+        }))
+        code, out, _ = run_cli(capsys, "orbits", "--flow", "s12", "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == [list(range(12))]
 
     def test_text_format(self, capsys, instance_file):
         code, out, _ = run_cli(

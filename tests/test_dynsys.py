@@ -17,9 +17,11 @@ from hullflow.dynsys import (
     is_phasic,
     orbit,
     orbit_partition,
+    saturate,
 )
 from hullflow.setsys import (
     CapExceededError,
+    GroundMismatchError,
     GroundSet,
     SetSystem,
     Subset,
@@ -205,6 +207,77 @@ class TestCoherenceSingletonAgreement:
                 assert kernels.coherent_block(tables, chi, True) == (
                     kernels.coherent_block(tables, chi, False)
                 )
+
+
+def _gensets(ground):
+    """Every generator set of size one or two on the ground."""
+    perms = [Autobolism.of(ground, p) for p in itertools.permutations(range(ground.size))]
+    return [(p,) for p in perms] + list(itertools.combinations(perms, 2))
+
+
+class TestSaturationOracle:
+    # orbit saturation decides coherence without listing the group; the
+    # brute-force route over the group's mask tables is the oracle
+
+    def test_saturate_is_union_of_group_images(self):
+        for n in (2, 3, 4):
+            for gens in _gensets(GroundSet(n)):
+                blocks = DiscreteFlow.of_group(gens).orbit_blocks()
+                elements = generate_group(list(gens)).elements
+                for a in range(1 << n):
+                    images = 0
+                    for g in elements:
+                        images |= g.apply_mask(a)
+                    assert saturate(blocks, a) == images
+
+    def test_coherent_block_both_modes(self):
+        from hullflow import kernels
+        from hullflow.attract import saturation_coherent
+
+        for n in (1, 2, 3, 4):
+            ground = GroundSet(n)
+            for gens in _gensets(ground):
+                tables = generate_group(list(gens)).mask_tables()
+                blocks = DiscreteFlow.of_group(gens).orbit_blocks()
+                for chi in range(1, 1 << n):
+                    subsets = [a for a in range(1, chi + 1) if a & chi == a]
+                    points = [1 << x for x in range(n) if chi >> x & 1]
+                    assert saturation_coherent(blocks, subsets) == (
+                        kernels.coherent_block(tables, chi, False)
+                    ), (gens, chi)
+                    assert saturation_coherent(blocks, points) == (
+                        kernels.coherent_block(tables, chi, True)
+                    ), (gens, chi)
+
+
+class TestLazyFlow:
+    # generators of S_12: a 12-cycle and a transposition
+    G12 = GroundSet(12)
+    CYCLE = Autobolism.of(G12, list(range(1, 12)) + [0])
+    SWAP = Autobolism.of(G12, [1, 0] + list(range(2, 12)))
+
+    def test_orbits_need_no_group(self):
+        flow = DiscreteFlow.of_group([self.CYCLE, self.SWAP])
+        assert flow.orbit_blocks() == (self.G12.full_mask,)
+        assert orbit_partition(flow) == SetSystem(self.G12, (self.G12.full_mask,))
+        assert invariant_basis([self.CYCLE, self.SWAP]) == orbit_partition(flow)
+
+    def test_phase_group_keeps_the_cap(self):
+        flow = DiscreteFlow.of_group([self.CYCLE, self.SWAP])
+        with pytest.raises(CapExceededError):
+            flow.phase_group()
+
+    def test_phase_group_built_once(self, swap01, swap12):
+        flow = DiscreteFlow.of_group([swap01, swap12])
+        assert flow.phase_group() is flow.phase_group()
+        assert len(flow.phase_group()) == 6
+        assert len(DiscreteFlow.cyclic(swap01).phase_group()) == 2
+
+    def test_generators_validated_eagerly(self, swap01):
+        with pytest.raises(ValueError):
+            DiscreteFlow.of_group([])
+        with pytest.raises(GroundMismatchError):
+            DiscreteFlow.of_group([swap01, Autobolism.identity(G2)])
 
 
 class TestPhasicity:
