@@ -4,6 +4,4 @@ claim-sweeping harness."""
 
 __version__ = "0.1.0"
 
-from .kernels import HAVE_COMPILED, IMPLEMENTATION
-
-__all__ = ["HAVE_COMPILED", "IMPLEMENTATION", "__version__"]
+__all__ = ["__version__"]

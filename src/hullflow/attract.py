@@ -9,7 +9,7 @@ orbits, and the closure-commutation report ties the two together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from typing import Optional, Sequence
@@ -25,7 +25,7 @@ from .setsys import (
     Subset,
     closed_family,
     closure_map,
-    hull,
+    hull_map,
 )
 
 
@@ -54,12 +54,18 @@ class AttractorQuery:
     variant: CoherenceVariant = CoherenceVariant.CONVENTIONAL
     cadence: Optional[SetSystem] = None
     coherence: Optional[SetSystem] = None
+    #: The pre-room family, which the weak criterion reads for every
+    #: candidate set; computed once, for weak queries only.
+    rooms: Optional[SetSystem] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.covering.ground != self.flow.ground:
             raise GroundMismatchError(f"{self.covering.ground} vs {self.flow.ground}")
         if not self.covering.covers_ground():
             raise ValueError("relativizing system must cover the flow's ground")
+        if self.variant is CoherenceVariant.WEAK:
+            rooms = pre_rooms(self.flow, self.covering, self.conv)[0]
+            object.__setattr__(self, "rooms", rooms)
 
 
 def invariant_sets(flow: DiscreteFlow, cap: int = 1 << 20) -> SetSystem:
@@ -147,7 +153,8 @@ def coherence_variant(q: AttractorQuery, chi: Subset) -> bool:
     if q.variant is not CoherenceVariant.WEAK:
         return saturation_coherent(q.flow.orbit_blocks(), trace)
     # weak: unions of the pre-room selections must meet
-    rooms = pre_rooms(q.flow, q.covering, q.conv)[0]
+    assert q.rooms is not None
+    rooms = q.rooms
     for a in trace:
         ua = reduce(lambda x, y: x | y, (k for k in rooms.masks if k & a), 0)
         for b in trace:
@@ -257,11 +264,7 @@ class HullSpec:
     conv: ClosureConvention = ClosureConvention.FULL
 
     def table(self) -> list[int]:
-        ground = self.system.ground
-        return [
-            hull(self.system, self.kind, Subset(ground, z), self.conv).bits
-            for z in range(1 << ground.size)
-        ]
+        return hull_map(self.system, self.kind, self.conv)
 
 
 def hull_rooms(
@@ -277,7 +280,7 @@ def hull_rooms(
         raise ValueError("the hull system must cover the flow's ground")
     table = spec.table()
     premise = all(
-        kernels.commutes_with_closure(kernels.perm_table(list(g.image)), table)
+        kernels.commutes_with_closure(g.image, table)
         for g in flow.generators()
     )
     blocks = flow.orbit_blocks()
@@ -335,7 +338,7 @@ def closure_commutation_report(
         raise ValueError("the covering system must cover the flow's ground")
     cl = closure_map(system, conv)
     commutes = all(
-        kernels.commutes_with_closure(kernels.perm_table(list(g.image)), cl)
+        kernels.commutes_with_closure(g.image, cl)
         for g in flow.generators()
     )
     rooms, rooms_partition = pre_rooms(flow, system, conv)

@@ -94,8 +94,7 @@ def is_commutative_cantor(
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     cl = closure_map(system, conv)
-    ftab = kernels.perm_table(list(f.image))
-    return kernels.commutes_with_closure(ftab, cl)
+    return kernels.commutes_with_closure(f.image, cl)
 
 
 def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
@@ -220,7 +219,7 @@ def phase_chain_check(
     members = [EndoFunction(g.ground, g.image) for g in distinct]
     cl = closure_map(system, conv)
     commutes = all(
-        kernels.commutes_with_closure(kernels.perm_table(list(g.image)), cl)
+        kernels.commutes_with_closure(g.image, cl)
         for g in distinct
     )
     return PhaseChainRecord(

@@ -122,6 +122,8 @@ class PhaseGroup:
         return hash(self._member_set)
 
     def mask_tables(self) -> list[list[int]]:
+        """Mask-image table of every group element: the input of the
+        brute-force coherence oracles in kernels, used only by the tests."""
         return [kernels.perm_table(list(g.image)) for g in self.elements]
 
 

@@ -97,12 +97,9 @@ class Instance:
     def from_dict(cls, doc: Mapping[str, Any]) -> "Instance":
         if not isinstance(doc, Mapping):
             raise InstanceError("$", "instance must be a JSON object")
-        try:
-            size = int(doc["ground"])
-        except KeyError:
-            raise InstanceError("ground", "missing") from None
-        except (TypeError, ValueError):
-            raise InstanceError("ground", "must be an integer") from None
+        if "ground" not in doc:
+            raise InstanceError("ground", "missing")
+        size = _wire_int(doc["ground"], "ground")
         try:
             ground = GroundSet(size)
         except ValueError as exc:
@@ -111,7 +108,7 @@ class Instance:
         conv = parse_convention(str(doc.get("convention", "full")))
         inst = cls(ground, conv)
 
-        for name, rows in dict(doc.get("systems", {})).items():
+        for name, rows in _section(doc, "systems").items():
             path = f"systems.{name}"
             if not isinstance(rows, list):
                 raise InstanceError(path, "must be a list of subsets")
@@ -122,21 +119,23 @@ class Instance:
                 raise InstanceError(path, "duplicate subset in system")
             inst.systems[name] = SetSystem(ground, tuple(masks))
 
-        for name, img in dict(doc.get("permutations", {})).items():
+        for name, img in _section(doc, "permutations").items():
             path = f"permutations.{name}"
+            image = _parse_image(img, path)
             try:
-                inst.permutations[name] = Autobolism.of(ground, [int(v) for v in img])
-            except (TypeError, ValueError) as exc:
+                inst.permutations[name] = Autobolism.of(ground, image)
+            except ValueError as exc:
                 raise InstanceError(path, str(exc)) from None
 
-        for name, img in dict(doc.get("functions", {})).items():
+        for name, img in _section(doc, "functions").items():
             path = f"functions.{name}"
+            image = _parse_image(img, path)
             try:
-                inst.functions[name] = EndoFunction.of(ground, [int(v) for v in img])
-            except (TypeError, ValueError) as exc:
+                inst.functions[name] = EndoFunction.of(ground, image)
+            except ValueError as exc:
                 raise InstanceError(path, str(exc)) from None
 
-        for name, spec in dict(doc.get("flows", {})).items():
+        for name, spec in _section(doc, "flows").items():
             path = f"flows.{name}"
             if not isinstance(spec, Mapping) or len(spec) != 1:
                 raise InstanceError(path, 'must be {"cyclic": name} or {"group": [names]}')
@@ -172,15 +171,35 @@ def Subset_indices(ground: GroundSet, mask: int) -> list[int]:
     return [i for i in range(ground.size) if mask >> i & 1]
 
 
+def _wire_int(value: Any, path: str) -> int:
+    """A JSON integer, taken exactly: floats, strings and booleans (which
+    Python counts as ints) are rejected rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(path, f"must be an integer, got {value!r}")
+    return value
+
+
+def _section(doc: Mapping[str, Any], name: str) -> Mapping[str, Any]:
+    section = doc.get(name, {})
+    if not isinstance(section, Mapping):
+        raise InstanceError(name, "must be an object")
+    return section
+
+
+def _parse_image(img: Any, path: str) -> list[int]:
+    """A map in one-line notation; range and bijectivity are checked by
+    the constructor it is passed to."""
+    if not isinstance(img, list):
+        raise InstanceError(path, "must be an array of point images")
+    return [_wire_int(v, f"{path}[{i}]") for i, v in enumerate(img)]
+
+
 def _parse_subset(ground: GroundSet, row: Any, path: str) -> int:
     if not isinstance(row, list):
         raise InstanceError(path, "subset must be an index array")
     mask = 0
-    for v in row:
-        try:
-            idx = int(v)
-        except (TypeError, ValueError):
-            raise InstanceError(path, f"bad index {v!r}") from None
+    for i, v in enumerate(row):
+        idx = _wire_int(v, f"{path}[{i}]")
         if not 0 <= idx < ground.size:
             raise InstanceError(path, f"index {idx} outside ground of size {ground.size}")
         mask |= 1 << idx

@@ -1,32 +1,185 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
+"""Bitmask kernels.
 
-Set HULLFLOW_PURE=1 to force the pure-Python kernels (used by the tests and
-the benchmark to compare both implementations).
+Subsets of a ground set {0..n-1} are ints with bit i set for element i; a set
+system is a list of such masks.  These functions are the hot loops of the
+sweep engine, plus the brute-force coherence oracles that list a group
+(coherent_block, trace_coherent), which only the tests call.
+
+Empty intersections and empty unions are both 0 by convention.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Sequence
 
-from . import _kernels_py
 
-if os.environ.get("HULLFLOW_PURE"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernels_py
+def hull_table(n: int, sources: list[int], j: int, k: int) -> list[int]:
+    """hull_value(sources, z, j, k) for every subset z, indexed by mask.
 
-IMPLEMENTATION: str = _impl.IMPLEMENTATION
-HAVE_COMPILED: bool = IMPLEMENTATION == "cython"
+    One zeta-transform pass per bit (Yates 1937; Bjorklund, Husfeldt, Kaski
+    and Koivisto, STOC 2007) folds each cell into its neighbour across that
+    bit: k=1 gathers from supersets, k=0 from subsets.  That takes
+    O(n 2^n) steps where a scan of the sources per subset takes
+    O(|sources| 2^n).  -1, the identity of intersection, marks a subset that
+    gathered no source until the end."""
+    size = 1 << n
+    t = [-1 if j else 0] * size
+    for m in sources:
+        t[m] = m
+    for i in range(n):
+        bit = 1 << i
+        for z in range(size):
+            if z & bit:
+                continue
+            if k:
+                t[z] = t[z] & t[z | bit] if j else t[z] | t[z | bit]
+            else:
+                t[z | bit] = t[z | bit] & t[z] if j else t[z | bit] | t[z]
+    return [v if v >= 0 else 0 for v in t] if j else t
 
-closure_table = _impl.closure_table
-hull_value = _impl.hull_value
-perm_table = _impl.perm_table
-image = _impl.image
-pairwise_closed = _impl.pairwise_closed
-commutes_with_closure = _impl.commutes_with_closure
-orbit_blocks = _impl.orbit_blocks
-coherent_block = _impl.coherent_block
-trace_coherent = _impl.trace_coherent
+
+def hull_value(sources: list[int], q: int, j: int, k: int) -> int:
+    """One of the four hull combinations over a fixed source family:
+    k=1 gathers source masks containing q, k=0 those contained in q;
+    j=1 intersects the gathered family, j=0 unites it.  A scan of the
+    sources for one subset; the tests check hull_table against it."""
+    acc = -1 if j else 0
+    hit = False
+    for m in sources:
+        if (m & q == q) if k else (m & q == m):
+            hit = True
+            if j:
+                acc &= m
+            else:
+                acc |= m
+    if not hit:
+        return 0
+    return acc
+
+
+def perm_table(perm: Sequence[int]) -> list[int]:
+    """Mask-image table of a point map: table[mask] = {perm[i] : i in mask}.
+    One per group element gives the group tables that the brute-force
+    coherence oracles (coherent_block, trace_coherent) read."""
+    n = len(perm)
+    table = [0] * (1 << n)
+    for i in range(n):
+        bit = 1 << i
+        img = 1 << perm[i]
+        step = bit << 1
+        for base in range(0, 1 << n, step):
+            for z in range(base + bit, base + step):
+                table[z] |= img
+    return table
+
+
+def image(perm: list[int], mask: int) -> int:
+    """Forward image of a mask under a point map."""
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << perm[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
+def pairwise_closed(masks: list[int]) -> tuple[bool, bool]:
+    """(closed under pairwise union, closed under pairwise intersection)."""
+    s = set(masks)
+    uc = ic = True
+    k = len(masks)
+    for a in range(k):
+        ma = masks[a]
+        for b in range(a + 1, k):
+            mb = masks[b]
+            if ma | mb not in s:
+                uc = False
+            if ma & mb not in s:
+                ic = False
+            if not (uc or ic):
+                return False, False
+    return uc, ic
+
+
+def commutes_with_closure(perm: Sequence[int], cl: list[int]) -> bool:
+    """True when image(cl(z)) == cl(image(z)) for every subset z, where
+    image is the mask image under the point map perm."""
+    ptab = perm_table(perm)
+    for z in range(len(cl)):
+        if ptab[cl[z]] != cl[ptab[z]]:
+            return False
+    return True
+
+
+def orbit_blocks(n: int, perms: list[list[int]]) -> list[int]:
+    """Partition of the ground set into orbits of the listed point maps,
+    as masks in ascending order."""
+    seen = 0
+    out = []
+    for x in range(n):
+        if seen >> x & 1:
+            continue
+        block = 1 << x
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for p in perms:
+                z = p[y]
+                if not block >> z & 1:
+                    block |= 1 << z
+                    frontier.append(z)
+        seen |= block
+        out.append(block)
+    out.sort()
+    return out
+
+
+def coherent_block(group_tables: list[list[int]], chi: int, singletons_only: bool) -> bool:
+    """True when every pair of nonempty subsets a, b of chi admits a group
+    element with image(a) meeting b.  The singleton variant checks only
+    one-point pairs (equivalent on orbits).  Lists the group: the
+    brute-force oracle of orbit saturation, used only by the tests."""
+    if chi == 0:
+        return True
+    if singletons_only:
+        points = []
+        m = chi
+        i = 0
+        while m:
+            if m & 1:
+                points.append(i)
+            m >>= 1
+            i += 1
+        for x in points:
+            bx = 1 << x
+            for y in points:
+                by = 1 << y
+                if not any(t[bx] & by for t in group_tables):
+                    return False
+        return True
+    a = chi
+    while True:
+        b = chi
+        while True:
+            if not any(t[a] & b for t in group_tables):
+                return False
+            b = (b - 1) & chi
+            if b == 0:
+                break
+        a = (a - 1) & chi
+        if a == 0:
+            break
+    return True
+
+
+def trace_coherent(group_tables: list[list[int]], trace: list[int]) -> bool:
+    """True when every ordered pair from the trace family admits a group
+    element with image(a) meeting b.  Lists the group: the brute-force
+    oracle of attract.saturation_coherent, used only by the tests."""
+    for a in trace:
+        for b in trace:
+            if not any(t[a] & b for t in group_tables):
+                return False
+    return True

@@ -158,7 +158,7 @@ class SetSystem:
 
     def __contains__(self, item: Subset | int) -> bool:
         bits = item.bits if isinstance(item, Subset) else item
-        return bits in set(self.masks)
+        return bits in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -264,13 +264,23 @@ def interior(system: SetSystem, q: Subset) -> Subset:
     return hull(system, INTERIOR_KIND, q)
 
 
+def hull_map(
+    system: SetSystem,
+    kind: HullKind,
+    conv: ClosureConvention = ClosureConvention.FULL,
+) -> list[int]:
+    """The hull of the given kind of every subset of the ground, indexed by
+    mask; hull() gives the same value for one subset."""
+    _check_enum(system.ground)
+    sources = _hull_sources(system, kind.l, conv)
+    return kernels.hull_table(system.ground.size, sources, kind.j, kind.k)
+
+
 def closure_map(
     system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> list[int]:
     """Closure of every subset of the ground, indexed by mask."""
-    _check_enum(system.ground)
-    sources = _hull_sources(system, 1, conv)
-    return kernels.closure_table(system.ground.size, sources)
+    return hull_map(system, CLOSURE_KIND, conv)
 
 
 def closed_family(

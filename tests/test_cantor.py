@@ -235,10 +235,7 @@ def _chain_over_group(gens, system, conv=ClosureConvention.FULL):
     cl = closure_map(system, conv)
     compl = complement_system(system)
     return (
-        all(
-            kernels.commutes_with_closure(kernels.perm_table(list(g.image)), cl)
-            for g in elements
-        ),
+        all(kernels.commutes_with_closure(g.image, cl) for g in elements),
         all(cantor_membership(f, system, True) for f in members),
         all(cantor_membership(f, system, False) for f in members),
         all(cantor_membership(f, compl, True) for f in members),

@@ -180,6 +180,32 @@ class TestCommands:
         assert code == 2
         assert err.count("\n") == 1 and "flows.f" in err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"ground": 2.9}, "ground"),
+            ({"ground": True}, "ground"),
+            ({"ground": "2"}, "ground"),
+            ({"ground": 2, "systems": {"A": [[1.7], [True]]}}, "systems.A[0][0]"),
+            ({"ground": 2, "systems": {"A": [[0], [True]]}}, "systems.A[1][0]"),
+            ({"ground": 2, "systems": "x"}, "systems"),
+            ({"ground": 2, "permutations": [[1, 0]]}, "permutations"),
+            ({"ground": 2, "permutations": {"p": [1.0, 0]}}, "permutations.p[0]"),
+            ({"ground": 2, "permutations": {"p": "10"}}, "permutations.p"),
+            ({"ground": 2, "functions": {"f": [0, False]}}, "functions.f[1]"),
+            ({"ground": 2, "functions": 3}, "functions"),
+            ({"ground": 2, "flows": []}, "flows"),
+        ],
+    )
+    def test_malformed_wire_input_exit_two(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "A", "-i", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"error: {field}: " in err
+
     def test_orbits_of_a_group_beyond_the_cap(self, capsys, tmp_path):
         # S_12 from a 12-cycle and a transposition: orbits need only the
         # generators, so the group-order cap does not apply

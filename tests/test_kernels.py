@@ -1,116 +1,61 @@
-"""Kernel twins: the compiled extension must agree with the pure kernels."""
+"""Bitmask kernels: the hull transform against the per-subset scan."""
 
 import itertools
 import random
 
-import pytest
-
-from hullflow import _kernels_py
-
-try:
-    from hullflow import _kernels
-except ImportError:  # pragma: no cover - source-only install
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(_kernels is None, reason="extension not built")
+from hullflow import kernels
 
 
-def random_cases(seed, count):
+def random_families(seed, count):
     rnd = random.Random(seed)
     for _ in range(count):
-        n = rnd.choice((1, 2, 3, 4, 5))
-        masks = [m for m in range(1 << n) if rnd.random() < 0.5]
-        perm = list(range(n))
-        rnd.shuffle(perm)
-        yield n, masks, perm, rnd
+        n = rnd.randint(1, 6)
+        yield n, [m for m in range(1 << n) if rnd.random() < rnd.random()]
 
 
 class TestPureKernels:
     def test_closure_table_small(self):
         # sources {1}=0b01 and 0b11 over two points
-        table = _kernels_py.closure_table(2, [0b01, 0b11])
+        table = kernels.hull_table(2, [0b01, 0b11], 1, 1)
         assert table == [0b01, 0b01, 0b11, 0b11]
 
     def test_closure_table_empty_family(self):
-        assert _kernels_py.closure_table(1, []) == [0, 0]
+        assert kernels.hull_table(1, [], 1, 1) == [0, 0]
 
     def test_hull_value_union_vs_intersection(self):
         sources = [0b011, 0b101]
-        assert _kernels_py.hull_value(sources, 0b001, 1, 1) == 0b001
-        assert _kernels_py.hull_value(sources, 0b001, 0, 1) == 0b111
-        assert _kernels_py.hull_value(sources, 0b111, 1, 0) == 0b001
-        assert _kernels_py.hull_value(sources, 0b111, 0, 0) == 0b111
-        assert _kernels_py.hull_value(sources, 0b110, 1, 1) == 0
+        assert kernels.hull_value(sources, 0b001, 1, 1) == 0b001
+        assert kernels.hull_value(sources, 0b001, 0, 1) == 0b111
+        assert kernels.hull_value(sources, 0b111, 1, 0) == 0b001
+        assert kernels.hull_value(sources, 0b111, 0, 0) == 0b111
+        assert kernels.hull_value(sources, 0b110, 1, 1) == 0
 
     def test_perm_table_matches_pointwise(self):
         for perm in itertools.permutations(range(3)):
-            table = _kernels_py.perm_table(list(perm))
+            table = kernels.perm_table(list(perm))
             for mask in range(8):
-                assert table[mask] == _kernels_py.image(list(perm), mask)
+                assert table[mask] == kernels.image(list(perm), mask)
 
     def test_orbit_blocks(self):
-        assert _kernels_py.orbit_blocks(3, [[1, 0, 2]]) == [0b011, 0b100]
-        assert _kernels_py.orbit_blocks(3, [[1, 2, 0]]) == [0b111]
+        assert kernels.orbit_blocks(3, [[1, 0, 2]]) == [0b011, 0b100]
+        assert kernels.orbit_blocks(3, [[1, 2, 0]]) == [0b111]
 
 
-@needs_compiled
-class TestTwinAgreement:
-    def test_closure_table(self):
-        for n, masks, _, _ in random_cases(1, 200):
-            assert _kernels.closure_table(n, masks) == _kernels_py.closure_table(
-                n, masks
-            )
+class TestHullTable:
+    def test_matches_per_subset_scan(self):
+        families = list(random_families(3, 300))
+        families += [(n, []) for n in range(1, 7)]
+        for n, sources in families:
+            for j, k in itertools.product((0, 1), repeat=2):
+                expected = [kernels.hull_value(sources, z, j, k) for z in range(1 << n)]
+                assert kernels.hull_table(n, sources, j, k) == expected, (n, sources, j, k)
 
-    def test_hull_value(self):
-        for n, masks, _, rnd in random_cases(2, 200):
-            q = rnd.randrange(1 << n)
-            for j in (0, 1):
-                for k in (0, 1):
-                    assert _kernels.hull_value(masks, q, j, k) == (
-                        _kernels_py.hull_value(masks, q, j, k)
-                    )
-
-    def test_perm_table_and_image(self):
-        for n, _, perm, rnd in random_cases(3, 100):
-            assert _kernels.perm_table(perm) == _kernels_py.perm_table(perm)
-            mask = rnd.randrange(1 << n)
-            assert _kernels.image(perm, mask) == _kernels_py.image(perm, mask)
-
-    def test_pairwise_closed(self):
-        for n, masks, _, _ in random_cases(4, 200):
-            assert _kernels.pairwise_closed(masks) == _kernels_py.pairwise_closed(
-                masks
-            )
-
-    def test_commutes_with_closure(self):
-        for n, masks, perm, _ in random_cases(5, 200):
-            cl = _kernels_py.closure_table(n, masks)
-            ptab = _kernels_py.perm_table(perm)
-            assert _kernels.commutes_with_closure(
-                ptab, cl
-            ) == _kernels_py.commutes_with_closure(ptab, cl)
-
-    def test_orbit_blocks(self):
-        for n, _, perm, rnd in random_cases(6, 100):
-            other = list(range(n))
-            rnd.shuffle(other)
-            assert _kernels.orbit_blocks(n, [perm, other]) == (
-                _kernels_py.orbit_blocks(n, [perm, other])
-            )
-
-    def test_coherence(self):
-        for n, _, perm, rnd in random_cases(7, 100):
-            tables = [_kernels_py.perm_table(perm)]
-            chi = rnd.randrange(1 << n)
-            for single in (True, False):
-                assert _kernels.coherent_block(tables, chi, single) == (
-                    _kernels_py.coherent_block(tables, chi, single)
+    def test_commutes_with_closure_takes_the_point_map(self):
+        for n, sources in random_families(4, 100):
+            cl = kernels.hull_table(n, sources, 1, 1)
+            for perm in itertools.islice(itertools.permutations(range(n)), 6):
+                expected = all(
+                    kernels.image(perm, cl[z]) == cl[kernels.image(perm, z)]
+                    for z in range(1 << n)
                 )
-
-    def test_trace_coherent(self):
-        for n, masks, perm, _ in random_cases(8, 100):
-            tables = [_kernels_py.perm_table(perm)]
-            trace = [m for m in masks if m]
-            assert _kernels.trace_coherent(tables, trace) == (
-                _kernels_py.trace_coherent(tables, trace)
-            )
+                assert kernels.commutes_with_closure(perm, cl) == expected

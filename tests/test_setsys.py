@@ -1,5 +1,8 @@
 """Set-system algebra: hulls, elementarization, classification, fibration."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from hullflow.setsys import (
     complement_system,
     elementarize,
     hull,
+    hull_map,
     interior,
     is_basis_of,
     is_hybrid,
@@ -170,6 +174,35 @@ class TestHull:
                                 expect |= m
                         got = hull(t_selfdual, HullKind(j, k, l), Subset(G3, q))
                         assert got.bits == expect, (j, k, l, q)
+
+    def test_hull_map_matches_hull_per_subset(self):
+        # the table transform against the single-subset route: every
+        # system at n <= 2, seeded systems at n = 3..4
+        small = [
+            SetSystem(GroundSet(n), masks)
+            for n in (1, 2)
+            for r in range((1 << n) + 1)
+            for masks in itertools.combinations(range(1 << n), r)
+        ]
+        rnd = random.Random(5)
+        seeded = [
+            SetSystem(
+                GroundSet(n),
+                tuple(m for m in range(1 << n) if rnd.random() < rnd.random()),
+            )
+            for n in (3, 4)
+            for _ in range(60)
+        ]
+        for sys in small + seeded:
+            ground = sys.ground
+            for j, k, l in itertools.product((0, 1), repeat=3):
+                kind = HullKind(j, k, l)
+                for conv in (FULL, NONEMPTY):
+                    expect = [
+                        hull(sys, kind, Subset(ground, z), conv).bits
+                        for z in range(1 << ground.size)
+                    ]
+                    assert hull_map(sys, kind, conv) == expect, (sys, kind, conv)
 
 
 class TestClosedFamily:
