@@ -26,6 +26,7 @@ from .setsys import (
     closed_family,
     closure_map,
     hull_map,
+    is_partition,
 )
 
 
@@ -215,14 +216,7 @@ def pre_rooms(
     cl = closure_map(relsys, conv)
     blocks = flow.orbit_blocks()
     rooms = sorted({cl[b] for b in blocks})
-    covered = 0
-    disjoint = True
-    for r in rooms:
-        if r == 0 or covered & r:
-            disjoint = False
-        covered |= r
-    verdict = disjoint and covered == flow.ground.full_mask
-    return SetSystem(flow.ground, tuple(rooms)), verdict
+    return SetSystem(flow.ground, tuple(rooms)), is_partition(rooms, flow.ground.full_mask)
 
 
 def flows_equivalent(
@@ -285,14 +279,11 @@ def hull_rooms(
     )
     blocks = flow.orbit_blocks()
     rooms = sorted({table[b] for b in blocks})
-    covered = 0
-    disjoint = True
-    for r in rooms:
-        if r == 0 or covered & r:
-            disjoint = False
-        covered |= r
-    verdict = disjoint and covered == flow.ground.full_mask
-    return SetSystem(flow.ground, tuple(rooms)), premise, verdict
+    return (
+        SetSystem(flow.ground, tuple(rooms)),
+        premise,
+        is_partition(rooms, flow.ground.full_mask),
+    )
 
 
 @dataclass(frozen=True)

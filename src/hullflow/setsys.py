@@ -325,6 +325,17 @@ def is_basis_of(basis: SetSystem, topology: SetSystem) -> bool:
     return generated == set(topology.masks)
 
 
+def is_partition(masks: Iterable[int], full: int) -> bool:
+    """True when the masks are nonempty, pairwise disjoint and their union
+    is `full`."""
+    seen = 0
+    for m in masks:
+        if m == 0 or seen & m:
+            return False
+        seen |= m
+    return seen == full
+
+
 @dataclass(frozen=True)
 class SystemFlags:
     covers_ground: bool
@@ -360,13 +371,7 @@ def classify(
     complete = all((cl[z] == 0) == (z == 0) for z in range(1 << ground.size))
     quasitopology = complete and union_ok and inter_ok
 
-    nonempty = [m for m in masks if m]
-    disjoint = all(
-        not (nonempty[i] & nonempty[j])
-        for i in range(len(nonempty))
-        for j in range(i + 1, len(nonempty))
-    )
-    partition = covers and disjoint
+    partition = is_partition((m for m in masks if m), full)
 
     t0 = all(
         any((m >> x & 1) != (m >> y & 1) for m in masks)

@@ -15,11 +15,13 @@ README for the catalogue of known findings.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Optional
+from functools import partial
+from typing import Any, Callable, Iterator, Optional
 
 from . import kernels
 from .attract import (
@@ -41,7 +43,7 @@ from .cantor import (
     preserves_unfamily,
 )
 from .dynsys import Autobolism, DiscreteFlow, orbit_partition
-from .instances import Instance, InstanceError, convention_name, parse_convention
+from .instances import Instance, InstanceError, convention_name
 from .setsys import (
     ClosureConvention,
     GroundSet,
@@ -51,6 +53,7 @@ from .setsys import (
     closure_map,
     elementarize,
     is_basis_of,
+    is_partition,
     product_fibration,
 )
 
@@ -78,65 +81,6 @@ class TheoremId(Enum):
     COVAR = "COVAR"                  # attractors are covariant under relabeling
     CHAIN_karrenk = "CHAIN_karrenk"  # weak >= conventional >= monotone attractors
     IDEM_ydwed = "IDEM_ydwed"        # idempotence of the hull operator
-
-
-#: Standing annotations attached to sweep reports of claims with a known,
-#: deliberately documented failure mode.
-THEOREM_NOTES: dict[TheoremId, str] = {
-    TheoremId.S3_8_all: (
-        "documented open question: for non-bijective self-maps the two-sided "
-        "memberships and hull commutation can disagree"
-    ),
-    TheoremId.B2_3d: "discrete analog of the continuous coincidence statement",
-}
-
-#: Claims whose sweeps are expected to be failure-free; a nonzero failure
-#: count on these makes the CLI exit nonzero.  (The harness has mined
-#: counterexamples to several of the other registered claims.)
-PROVED_CLEAN = frozenset(
-    {
-        TheoremId.L1_3,
-        TheoremId.L3_1,
-        TheoremId.B3_2,
-        TheoremId.S3_3,
-        TheoremId.B3_4,
-        TheoremId.B3_6,
-        TheoremId.B3_7,
-        TheoremId.S1_1,
-        TheoremId.K1_2,
-        TheoremId.B3_10,
-        TheoremId.S2_2,
-    }
-)
-
-
-@dataclass(frozen=True)
-class Limits:
-    max_exhaustive_n: int
-    default_samples: int
-
-
-#: Per-theorem ceilings: data, not code.
-THEOREM_LIMITS: dict[TheoremId, Limits] = {
-    TheoremId.S1_1: Limits(4, 1000),
-    TheoremId.K1_2: Limits(4, 1000),
-    TheoremId.L1_3: Limits(4, 2000),
-    TheoremId.S2_2: Limits(3, 500),
-    TheoremId.B2_3d: Limits(4, 1000),
-    TheoremId.L3_1: Limits(3, 10000),
-    TheoremId.B3_2: Limits(3, 500),
-    TheoremId.S3_3: Limits(3, 1000),
-    TheoremId.B3_4: Limits(3, 1000),
-    TheoremId.B3_6: Limits(3, 1000),
-    TheoremId.B3_7: Limits(3, 1000),
-    TheoremId.S3_8_bij: Limits(3, 1000),
-    TheoremId.S3_8_all: Limits(3, 1000),
-    TheoremId.K3_9: Limits(3, 500),
-    TheoremId.B3_10: Limits(3, 1000),
-    TheoremId.COVAR: Limits(3, 1000),
-    TheoremId.CHAIN_karrenk: Limits(3, 1000),
-    TheoremId.IDEM_ydwed: Limits(4, 1000),
-}
 
 
 @dataclass(frozen=True)
@@ -257,26 +201,6 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
 # --------------------------------------------------------------------------
 # instance construction helpers
 
-def _mask_system(ground: GroundSet, masks: Iterable[int]) -> SetSystem:
-    return SetSystem(ground, tuple(masks))
-
-
-def _instance(
-    n: int,
-    conv: ClosureConvention,
-    systems: dict[str, SetSystem] | None = None,
-    perms: dict[str, Autobolism] | None = None,
-    functions: dict[str, EndoFunction] | None = None,
-    flows: dict[str, DiscreteFlow] | None = None,
-) -> Instance:
-    inst = Instance(GroundSet(n), conv)
-    inst.systems.update(systems or {})
-    inst.permutations.update(perms or {})
-    inst.functions.update(functions or {})
-    inst.flows.update(flows or {})
-    return inst
-
-
 def _genset_instance(
     n: int, conv: ClosureConvention, genset: tuple[tuple[int, ...], ...],
     systems: dict[str, SetSystem], cyclic: bool = False
@@ -284,11 +208,8 @@ def _genset_instance(
     ground = GroundSet(n)
     perms = {f"g{i}": Autobolism(ground, p) for i, p in enumerate(genset)}
     gens = list(perms.values())
-    if cyclic:
-        flow = DiscreteFlow.cyclic(gens[0])
-    else:
-        flow = DiscreteFlow.of_group(gens)
-    return _instance(n, conv, systems=systems, perms=perms, flows={"phi": flow})
+    flow = DiscreteFlow.cyclic(gens[0]) if cyclic else DiscreteFlow.of_group(gens)
+    return Instance(ground, conv, systems=systems, permutations=perms, flows={"phi": flow})
 
 
 # --------------------------------------------------------------------------
@@ -409,13 +330,29 @@ def _invariant_partitions(flow: DiscreteFlow) -> Iterator[list[int]]:
         yield sorted(part)
 
 
-def _is_partition_masks(masks: Iterable[int], full: int) -> bool:
-    seen = 0
-    for m in masks:
-        if m == 0 or seen & m:
-            return False
-        seen |= m
-    return seen == full
+def _closed_partitions(
+    inst: Instance, name: str, sys: SetSystem, flow: DiscreteFlow,
+    conv: ClosureConvention,
+) -> Verdict:
+    """Holds when the closure under `sys` of every invariant partition of
+    the flow is again an invariant partition; the failing witness keeps
+    `sys` under its own name and adds the partition as `P`."""
+    cl = closure_map(sys, conv)
+    invariant = set(invariant_sets(flow).masks) | {0}
+    for part in _invariant_partitions(flow):
+        closed = sorted({cl[p] for p in part})
+        if not is_partition(closed, inst.ground.full_mask) or not all(
+            c in invariant for c in closed
+        ):
+            witness = Instance(
+                inst.ground,
+                conv,
+                systems={name: sys, "P": SetSystem(inst.ground, tuple(part))},
+                permutations=dict(inst.permutations),
+                flows=dict(inst.flows),
+            )
+            return _fails(witness, f"closures {closed} are not an invariant partition")
+    return _holds()
 
 
 def _check_s2_2(inst: Instance, conv: ClosureConvention) -> Verdict:
@@ -425,26 +362,7 @@ def _check_s2_2(inst: Instance, conv: ClosureConvention) -> Verdict:
         return _skip("not a topology")
     if not _continuous(flow, t):
         return _holds("flow not continuous; premise not met")
-    cl = closure_map(t, conv)
-    full = inst.ground.full_mask
-    invariant = set(invariant_sets(flow).masks) | {0}
-    for part in _invariant_partitions(flow):
-        closed = sorted({cl[p] for p in part})
-        if not _is_partition_masks(closed, full) or not all(
-            c in invariant for c in closed
-        ):
-            witness = _instance(
-                inst.ground.size,
-                conv,
-                systems={
-                    "T": t,
-                    "P": _mask_system(inst.ground, part),
-                },
-                perms=dict(inst.permutations),
-                flows=dict(inst.flows),
-            )
-            return _fails(witness, f"closures {closed} are not an invariant partition")
-    return _holds()
+    return _closed_partitions(inst, "T", t, flow, conv)
 
 
 def _check_b3_2(inst: Instance, conv: ClosureConvention) -> Verdict:
@@ -455,23 +373,7 @@ def _check_b3_2(inst: Instance, conv: ClosureConvention) -> Verdict:
     report = closure_commutation_report(flow, sys, conv)
     if not report.commutes:
         return _holds("flow does not commute with the hull; premise not met")
-    cl = closure_map(sys, conv)
-    full = inst.ground.full_mask
-    invariant = set(invariant_sets(flow).masks) | {0}
-    for part in _invariant_partitions(flow):
-        closed = sorted({cl[p] for p in part})
-        if not _is_partition_masks(closed, full) or not all(
-            c in invariant for c in closed
-        ):
-            witness = _instance(
-                inst.ground.size,
-                conv,
-                systems={"A": sys, "P": _mask_system(inst.ground, part)},
-                perms=dict(inst.permutations),
-                flows=dict(inst.flows),
-            )
-            return _fails(witness, f"closures {closed} are not an invariant partition")
-    return _holds()
+    return _closed_partitions(inst, "A", sys, flow, conv)
 
 
 def _check_s3_3(inst: Instance, conv: ClosureConvention) -> Verdict:
@@ -651,109 +553,9 @@ def _check_covar(inst: Instance, conv: ClosureConvention) -> Verdict:
     )
 
 
-_CHECKERS: dict[TheoremId, Callable[[Instance, ClosureConvention], Verdict]] = {
-    TheoremId.S1_1: _check_s1_1,
-    TheoremId.K1_2: _check_k1_2,
-    TheoremId.L1_3: _check_l1_3,
-    TheoremId.S2_2: _check_s2_2,
-    TheoremId.B2_3d: _check_b2_3d,
-    TheoremId.L3_1: _check_l3_1,
-    TheoremId.B3_2: _check_b3_2,
-    TheoremId.S3_3: _check_s3_3,
-    TheoremId.B3_4: _check_b3_4,
-    TheoremId.B3_6: _check_b3_6,
-    TheoremId.B3_7: _check_b3_7,
-    TheoremId.S3_8_bij: lambda i, c: _check_s3_8(i, c, True),
-    TheoremId.S3_8_all: lambda i, c: _check_s3_8(i, c, False),
-    TheoremId.K3_9: _check_k3_9,
-    TheoremId.B3_10: _check_b3_10,
-    TheoremId.COVAR: _check_covar,
-    TheoremId.CHAIN_karrenk: _check_chain,
-    TheoremId.IDEM_ydwed: _check_idem,
-}
-
-
-def check_theorem(
-    theorem: TheoremId,
-    instance: Instance | dict[str, Any],
-    conv: ClosureConvention = ClosureConvention.FULL,
-) -> Verdict:
-    """Evaluate one registered claim on one instance."""
-    if isinstance(instance, dict):
-        instance = Instance.from_dict(instance)
-    return _CHECKERS[theorem](instance, conv)
-
-
 # --------------------------------------------------------------------------
-# instance spaces
-
-def _exhaustive_instances(
-    theorem: TheoremId, n: int, conv: ClosureConvention
-) -> Iterator[Instance]:
-    if theorem in (TheoremId.S1_1, TheoremId.K1_2):
-        for t in enum_topologies(n):
-            yield _instance(n, conv, systems={"T": t})
-    elif theorem is TheoremId.L1_3:
-        ground = GroundSet(n)
-        for genset in _gensets(n):
-            for chi in range(1, 1 << n):
-                inst = _genset_instance(
-                    n, conv, genset, {"chi": _mask_system(ground, (chi,))}
-                )
-                yield inst
-    elif theorem in (TheoremId.IDEM_ydwed, TheoremId.B3_6):
-        for sys in enum_systems(n, covering_only=True):
-            yield _instance(n, conv, systems={"A": sys})
-    elif theorem is TheoremId.L3_1:
-        ground = GroundSet(n)
-        for sys in enum_systems(n, covering_only=True):
-            for b in range(1 << n):
-                yield _instance(
-                    n, conv, systems={"A": sys, "B": _mask_system(ground, (b,))}
-                )
-    elif theorem is TheoremId.S2_2:
-        for t in enum_topologies(n):
-            for genset in _gensets(n):
-                yield _genset_instance(n, conv, genset, {"T": t})
-    elif theorem in (TheoremId.B3_2, TheoremId.S3_3, TheoremId.B3_4, TheoremId.K3_9):
-        for sys in enum_systems(n, covering_only=True):
-            for genset in _gensets(n):
-                yield _genset_instance(n, conv, genset, {"A": sys})
-    elif theorem in (TheoremId.B2_3d, TheoremId.CHAIN_karrenk):
-        ground = GroundSet(n)
-        if theorem is TheoremId.B2_3d:
-            coverings = [SetSystem.powerset(ground)]
-        else:
-            coverings = list(enum_systems(n, covering_only=True))
-        for p in _perms(n):
-            for covering in coverings:
-                yield _genset_instance(n, conv, (p,), {"Z": covering}, cyclic=True)
-    elif theorem in (TheoremId.B3_7, TheoremId.S3_8_all, TheoremId.S3_8_bij,
-                     TheoremId.B3_10):
-        bij = theorem in (TheoremId.S3_8_bij, TheoremId.B3_10)
-        functions = list(enum_functions(n, bijective_only=bij))
-        for sys in enum_systems(n, covering_only=True):
-            for f in functions:
-                yield _instance(n, conv, systems={"A": sys}, functions={"f": f})
-    elif theorem is TheoremId.COVAR:
-        ground = GroundSet(n)
-        for p in _perms(n):
-            for sys in enum_systems(n, covering_only=True):
-                for rel in _perms(n):
-                    inst = _instance(
-                        n,
-                        conv,
-                        systems={"A": sys},
-                        perms={
-                            "g0": Autobolism(ground, p),
-                            "f": Autobolism(ground, rel),
-                        },
-                    )
-                    inst.flows["phi"] = DiscreteFlow.cyclic(inst.permutations["g0"])
-                    yield inst
-    else:  # pragma: no cover
-        raise AssertionError(f"no exhaustive space for {theorem}")
-
+# instance spaces: a space `_xs(n, conv)` yields its instances in a fixed
+# order, and its sampler `_draw_x(n, conv, rnd)` draws one from `rnd`
 
 def _sample_system(rnd: random.Random, ground: GroundSet) -> SetSystem:
     """Each subset independently with probability 1/2; coverage forced by
@@ -779,75 +581,257 @@ def _sample_genset(rnd: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p) for p in rnd.sample(perms, k))
 
 
+def _sample_topology(rnd: random.Random, ground: GroundSet) -> SetSystem:
+    """The union-and-intersection closure of a random family."""
+    masks = set(_sample_system(rnd, ground).masks) | {0, ground.full_mask}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(masks):
+            for b in list(masks):
+                for c in (a | b, a & b):
+                    if c not in masks:
+                        masks.add(c)
+                        changed = True
+    return SetSystem(ground, tuple(masks))
+
+
+def _topologies(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    for t in enum_topologies(n):
+        yield Instance(ground, conv, systems={"T": t})
+
+
+def _draw_topology(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    ground = GroundSet(n)
+    return Instance(ground, conv, systems={"T": _sample_topology(rnd, ground)})
+
+
+def _systems(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    for sys in enum_systems(n, covering_only=True):
+        yield Instance(ground, conv, systems={"A": sys})
+
+
+def _draw_system(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    ground = GroundSet(n)
+    return Instance(ground, conv, systems={"A": _sample_system(rnd, ground)})
+
+
+def _systems_subsets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    for sys in enum_systems(n, covering_only=True):
+        for b in range(1 << n):
+            yield Instance(ground, conv, systems={"A": sys, "B": SetSystem(ground, (b,))})
+
+
+def _draw_system_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    ground = GroundSet(n)
+    sys = _sample_system(rnd, ground)
+    b = SetSystem(ground, (rnd.randrange(1 << n),))
+    return Instance(ground, conv, systems={"A": sys, "B": b})
+
+
+def _gensets_subsets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    for genset in _gensets(n):
+        for chi in range(1, 1 << n):
+            yield _genset_instance(n, conv, genset, {"chi": SetSystem(ground, (chi,))})
+
+
+def _draw_genset_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    chi = SetSystem(GroundSet(n), (rnd.randrange(1, 1 << n),))
+    return _genset_instance(n, conv, _sample_genset(rnd, n), {"chi": chi})
+
+
+def _topologies_gensets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    for t in enum_topologies(n):
+        for genset in _gensets(n):
+            yield _genset_instance(n, conv, genset, {"T": t})
+
+
+def _draw_topology_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    t = _sample_topology(rnd, GroundSet(n))
+    return _genset_instance(n, conv, _sample_genset(rnd, n), {"T": t})
+
+
+def _systems_gensets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    for sys in enum_systems(n, covering_only=True):
+        for genset in _gensets(n):
+            yield _genset_instance(n, conv, genset, {"A": sys})
+
+
+def _draw_system_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    genset = _sample_genset(rnd, n)
+    return _genset_instance(n, conv, genset, {"A": _sample_system(rnd, GroundSet(n))})
+
+
+def _cycles_coverings(
+    n: int, conv: ClosureConvention, powerset_only: bool = False
+) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    if powerset_only:
+        coverings = [SetSystem.powerset(ground)]
+    else:
+        coverings = list(enum_systems(n, covering_only=True))
+    for p in _perms(n):
+        for covering in coverings:
+            yield _genset_instance(n, conv, (p,), {"Z": covering}, cyclic=True)
+
+
+def _draw_cycle_covering(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    ground = GroundSet(n)
+    p = _sample_perm(rnd, ground).image
+    return _genset_instance(n, conv, (p,), {"Z": _sample_system(rnd, ground)}, cyclic=True)
+
+
+def _systems_functions(
+    n: int, conv: ClosureConvention, bijective: bool = False
+) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    functions = list(enum_functions(n, bijective_only=bijective))
+    for sys in enum_systems(n, covering_only=True):
+        for f in functions:
+            yield Instance(ground, conv, systems={"A": sys}, functions={"f": f})
+
+
+def _draw_system_function(
+    n: int, conv: ClosureConvention, rnd: random.Random, bijective: bool = False
+) -> Instance:
+    ground = GroundSet(n)
+    if bijective:
+        f = EndoFunction(ground, _sample_perm(rnd, ground).image)
+    else:
+        f = EndoFunction(ground, tuple(rnd.randrange(n) for _ in range(n)))
+    sys = _sample_system(rnd, ground)
+    return Instance(ground, conv, systems={"A": sys}, functions={"f": f})
+
+
+def _relabelings(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+    ground = GroundSet(n)
+    for p in _perms(n):
+        for sys in enum_systems(n, covering_only=True):
+            for rel in _perms(n):
+                inst = _genset_instance(n, conv, (p,), {"A": sys}, cyclic=True)
+                inst.permutations["f"] = Autobolism(ground, rel)
+                yield inst
+
+
+def _draw_relabeling(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
+    ground = GroundSet(n)
+    sys = _sample_system(rnd, ground)
+    p = _sample_perm(rnd, ground).image
+    inst = _genset_instance(n, conv, (p,), {"A": sys}, cyclic=True)
+    inst.permutations["f"] = _sample_perm(rnd, ground)
+    return inst
+
+
+# --------------------------------------------------------------------------
+# the claim registry
+
+@dataclass(frozen=True)
+class Claim:
+    """Everything the harness knows about one claim: the checker; the
+    exhaustive space `(n, conv) -> instances in a fixed order`, allowed up
+    to `max_exhaustive_n` points; the sampler `(n, conv, rnd) -> Instance`
+    and the number of random samples drawn by default; whether sweeps are
+    expected to be failure-free; and the note attached to sweep reports."""
+
+    checker: Callable[[Instance, ClosureConvention], Verdict]
+    space: Callable[[int, ClosureConvention], Iterator[Instance]]
+    sample: Callable[[int, ClosureConvention, random.Random], Instance]
+    max_exhaustive_n: int
+    default_samples: int
+    clean: bool = False
+    note: str = ""
+
+    def check(self, inst: Instance, conv: ClosureConvention) -> Verdict:
+        """Evaluate the claim on one instance.  Every sweep and
+        `check_theorem` call goes through here, which gives per-layer
+        tracing (sweepbench) one name to time all checker bodies by."""
+        return self.checker(inst, conv)
+
+
+_BIJECTIONS = partial(_systems_functions, bijective=True)
+_DRAW_BIJECTION = partial(_draw_system_function, bijective=True)
+
+#: Every claim, by id.  Columns: checker, exhaustive space, sampler,
+#: exhaustive ceiling on n, default number of random samples.
+CLAIMS: dict[TheoremId, Claim] = {
+    TheoremId.S1_1: Claim(_check_s1_1, _topologies, _draw_topology, 4, 1000, clean=True),
+    TheoremId.K1_2: Claim(_check_k1_2, _topologies, _draw_topology, 4, 1000, clean=True),
+    TheoremId.L1_3: Claim(
+        _check_l1_3, _gensets_subsets, _draw_genset_subset, 4, 2000, clean=True
+    ),
+    TheoremId.S2_2: Claim(
+        _check_s2_2, _topologies_gensets, _draw_topology_genset, 3, 500, clean=True
+    ),
+    TheoremId.B2_3d: Claim(
+        _check_b2_3d, partial(_cycles_coverings, powerset_only=True), _draw_cycle_covering,
+        4, 1000, note="discrete analog of the continuous coincidence statement",
+    ),
+    TheoremId.L3_1: Claim(
+        _check_l3_1, _systems_subsets, _draw_system_subset, 3, 10000, clean=True
+    ),
+    TheoremId.B3_2: Claim(
+        _check_b3_2, _systems_gensets, _draw_system_genset, 3, 500, clean=True
+    ),
+    TheoremId.S3_3: Claim(
+        _check_s3_3, _systems_gensets, _draw_system_genset, 3, 1000, clean=True
+    ),
+    TheoremId.B3_4: Claim(
+        _check_b3_4, _systems_gensets, _draw_system_genset, 3, 1000, clean=True
+    ),
+    TheoremId.B3_6: Claim(_check_b3_6, _systems, _draw_system, 3, 1000, clean=True),
+    TheoremId.B3_7: Claim(
+        _check_b3_7, _systems_functions, _draw_system_function, 3, 1000, clean=True
+    ),
+    TheoremId.S3_8_bij: Claim(
+        partial(_check_s3_8, bijective=True), _BIJECTIONS, _DRAW_BIJECTION, 3, 1000
+    ),
+    TheoremId.S3_8_all: Claim(
+        partial(_check_s3_8, bijective=False), _systems_functions, _draw_system_function,
+        3, 1000, note="documented open question: for non-bijective self-maps the "
+        "two-sided memberships and hull commutation can disagree",
+    ),
+    TheoremId.K3_9: Claim(_check_k3_9, _systems_gensets, _draw_system_genset, 3, 500),
+    TheoremId.B3_10: Claim(_check_b3_10, _BIJECTIONS, _DRAW_BIJECTION, 3, 1000, clean=True),
+    TheoremId.COVAR: Claim(_check_covar, _relabelings, _draw_relabeling, 3, 1000),
+    TheoremId.CHAIN_karrenk: Claim(
+        _check_chain, _cycles_coverings, _draw_cycle_covering, 3, 1000
+    ),
+    TheoremId.IDEM_ydwed: Claim(_check_idem, _systems, _draw_system, 4, 1000),
+}
+
+#: Claims whose sweeps are expected to be failure-free; a nonzero failure
+#: count on these makes the CLI exit nonzero.
+PROVED_CLEAN = frozenset(t for t, claim in CLAIMS.items() if claim.clean)
+
+
+def check_theorem(
+    theorem: TheoremId,
+    instance: Instance | dict[str, Any],
+    conv: ClosureConvention = ClosureConvention.FULL,
+) -> Verdict:
+    """Evaluate one registered claim on one instance."""
+    if isinstance(instance, dict):
+        instance = Instance.from_dict(instance)
+    return CLAIMS[theorem].check(instance, conv)
+
+
+# Sweeps draw every instance through these two names, which per-layer
+# tracing (sweepbench) times as instance generation.
+
+def _exhaustive_instances(
+    theorem: TheoremId, n: int, conv: ClosureConvention
+) -> Iterator[Instance]:
+    yield from CLAIMS[theorem].space(n, conv)
+
+
 def _random_instance(
     theorem: TheoremId, n: int, conv: ClosureConvention, rnd: random.Random
 ) -> Instance:
-    ground = GroundSet(n)
-    if theorem in (TheoremId.S1_1, TheoremId.K1_2):
-        # random topologies: union-and-intersection closure of a random family
-        sys = _sample_system(rnd, ground)
-        masks = set(sys.masks) | {0, ground.full_mask}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(masks):
-                for b in list(masks):
-                    for c in (a | b, a & b):
-                        if c not in masks:
-                            masks.add(c)
-                            changed = True
-        return _instance(n, conv, systems={"T": SetSystem(ground, tuple(masks))})
-    if theorem is TheoremId.L1_3:
-        chi = rnd.randrange(1, 1 << n)
-        return _genset_instance(
-            n, conv, _sample_genset(rnd, n), {"chi": _mask_system(ground, (chi,))}
-        )
-    if theorem in (TheoremId.IDEM_ydwed, TheoremId.B3_6):
-        return _instance(n, conv, systems={"A": _sample_system(rnd, ground)})
-    if theorem is TheoremId.L3_1:
-        return _instance(
-            n,
-            conv,
-            systems={
-                "A": _sample_system(rnd, ground),
-                "B": _mask_system(ground, (rnd.randrange(1 << n),)),
-            },
-        )
-    if theorem is TheoremId.S2_2:
-        topo = _random_instance(TheoremId.S1_1, n, conv, rnd).systems["T"]
-        return _genset_instance(n, conv, _sample_genset(rnd, n), {"T": topo})
-    if theorem in (TheoremId.B3_2, TheoremId.S3_3, TheoremId.B3_4, TheoremId.K3_9):
-        return _genset_instance(
-            n, conv, _sample_genset(rnd, n), {"A": _sample_system(rnd, ground)}
-        )
-    if theorem in (TheoremId.B2_3d, TheoremId.CHAIN_karrenk):
-        return _genset_instance(
-            n,
-            conv,
-            (tuple(_sample_perm(rnd, ground).image),),
-            {"Z": _sample_system(rnd, ground)},
-            cyclic=True,
-        )
-    if theorem in (TheoremId.B3_7, TheoremId.S3_8_all):
-        f = EndoFunction(ground, tuple(rnd.randrange(n) for _ in range(n)))
-        return _instance(
-            n, conv, systems={"A": _sample_system(rnd, ground)}, functions={"f": f}
-        )
-    if theorem in (TheoremId.S3_8_bij, TheoremId.B3_10):
-        f = EndoFunction(ground, _sample_perm(rnd, ground).image)
-        return _instance(
-            n, conv, systems={"A": _sample_system(rnd, ground)}, functions={"f": f}
-        )
-    if theorem is TheoremId.COVAR:
-        inst = _instance(
-            n,
-            conv,
-            systems={"A": _sample_system(rnd, ground)},
-            perms={"g0": _sample_perm(rnd, ground), "f": _sample_perm(rnd, ground)},
-        )
-        inst.flows["phi"] = DiscreteFlow.cyclic(inst.permutations["g0"])
-        return inst
-    raise AssertionError(f"no sampler for {theorem}")  # pragma: no cover
+    return CLAIMS[theorem].sample(n, conv, rnd)
 
 
 # --------------------------------------------------------------------------
@@ -883,21 +867,49 @@ class SweepReport:
             "fail_count": self.fail_count,
             "skip_count": self.skip_count,
             "counterexamples": list(self.counterexamples),
-            "note": THEOREM_NOTES.get(self.theorem, ""),
+            "note": CLAIMS[self.theorem].note,
         }
+
+
+#: A parallel sweep deals the ordinals of the instance stream to its
+#: workers in blocks of this many.
+SHARE_BLOCK = 64
 
 
 def _evaluate(
     theorem: TheoremId,
-    ordered: Iterable[tuple[int, Instance]],
+    n: int,
+    mode: str,
+    seed: Optional[int],
+    samples: Optional[int],
     conv: ClosureConvention,
     cap: int,
+    worker: int,
+    jobs: int,
 ) -> tuple[int, int, int, int, list[dict[str, Any]]]:
+    """Check one worker's share of the claim's instance stream: the ordinals
+    whose block `ordinal // SHARE_BLOCK` is `worker` modulo `jobs`.  In
+    exhaustive mode the ordinals number the claim's space; in random mode
+    ordinal k is drawn from `Random(f"{seed}:{k}")`, for k below `samples`.
+    Returns the share's counts and its first `cap` counterexamples."""
+
+    def mine(ordinal: int) -> bool:
+        return ordinal // SHARE_BLOCK % jobs == worker
+
+    if mode == "exhaustive":
+        stream = enumerate(_exhaustive_instances(theorem, n, conv))
+        share = ((o, inst) for o, inst in stream if mine(o))
+    else:
+        share = (
+            (o, _random_instance(theorem, n, conv, random.Random(f"{seed}:{o}")))
+            for o in range(samples or 0)
+            if mine(o)
+        )
+    claim = CLAIMS[theorem]
     total = holds = fails = skips = 0
     cexs: list[dict[str, Any]] = []
-    checker = _CHECKERS[theorem]
-    for ordinal, inst in ordered:
-        verdict = checker(inst, conv)
+    for ordinal, inst in share:
+        verdict = claim.check(inst, conv)
         total += 1
         if verdict.status == "holds":
             holds += 1
@@ -916,14 +928,6 @@ def _evaluate(
     return total, holds, fails, skips, cexs
 
 
-def _chunk_worker(args: tuple) -> tuple[int, int, int, int, list[dict[str, Any]]]:
-    theorem_value, chunk, conv_value, cap = args
-    theorem = TheoremId(theorem_value)
-    conv = parse_convention(conv_value)
-    ordered = [(ordinal, Instance.from_dict(doc)) for ordinal, doc in chunk]
-    return _evaluate(theorem, ordered, conv, cap)
-
-
 def sweep(
     theorem: TheoremId,
     n: int,
@@ -936,63 +940,44 @@ def sweep(
     jobs: int = 1,
 ) -> SweepReport:
     """Run one claim over its instance space.  Exhaustive mode enumerates
-    the full space (subject to the per-theorem ceiling); random mode draws
-    seeded samples.  Reports are deterministic for fixed parameters."""
-    limits = THEOREM_LIMITS[theorem]
+    the full space (subject to the per-claim ceiling); random mode draws
+    seeded samples.  With `jobs` > 1, up to that many worker processes (no
+    more than the CPU count) each check their own share of the ordinals.
+    Reports are deterministic for fixed parameters, whatever `jobs` is."""
+    claim = CLAIMS[theorem]
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    if max_counterexamples < 0:
+        raise ValueError(f"max_counterexamples must be at least 0, got {max_counterexamples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     if mode == "exhaustive":
-        if n > limits.max_exhaustive_n:
+        if n > claim.max_exhaustive_n:
             raise SizeLimitError(
                 f"{theorem.value}: exhaustive mode capped at "
-                f"n={limits.max_exhaustive_n}, got {n}"
+                f"n={claim.max_exhaustive_n}, got {n}"
             )
-        instances: Iterable[tuple[int, Instance]] = enumerate(
-            _exhaustive_instances(theorem, n, conv)
-        )
         used_seed: Optional[int] = None
         used_samples: Optional[int] = None
     elif mode == "random":
-        used_samples = samples if samples is not None else limits.default_samples
+        used_samples = samples if samples is not None else claim.default_samples
         used_seed = seed
-
-        def _gen() -> Iterator[tuple[int, Instance]]:
-            for ordinal in range(used_samples):
-                rnd = random.Random(f"{seed}:{ordinal}")
-                yield ordinal, _random_instance(theorem, n, conv, rnd)
-
-        instances = _gen()
     else:
         raise ValueError(f"mode must be exhaustive or random, got {mode!r}")
 
-    if jobs <= 1:
-        total, holds, fails, skips, cexs = _evaluate(
-            theorem, instances, conv, max_counterexamples
-        )
+    task = (theorem, n, mode, used_seed, used_samples, conv, max_counterexamples)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        parts = [_evaluate(*task, 0, 1)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        work = [(ordinal, inst.to_dict()) for ordinal, inst in instances]
-        chunk_size = max(1, len(work) // (jobs * 4) + 1)
-        chunks = [
-            work[i : i + chunk_size] for i in range(0, len(work), chunk_size)
-        ]
-        total = holds = fails = skips = 0
-        all_cexs: list[dict[str, Any]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for t, h, f, s, cexs_part in pool.map(
-                _chunk_worker,
-                [
-                    (theorem.value, chunk, convention_name(conv), max_counterexamples)
-                    for chunk in chunks
-                ],
-            ):
-                total += t
-                holds += h
-                fails += f
-                skips += s
-                all_cexs.extend(cexs_part)
-        all_cexs.sort(key=lambda c: c["ordinal"])
-        cexs = all_cexs[:max_counterexamples]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_evaluate, *task, w, workers) for w in range(workers)]
+            parts = [f.result() for f in futures]
+    total, holds, fails, skips = (sum(part[i] for part in parts) for i in range(4))
+    cexs = sorted((c for part in parts for c in part[4]), key=lambda c: c["ordinal"])
 
     return SweepReport(
         theorem=theorem,
@@ -1005,6 +990,6 @@ def sweep(
         hold_count=holds,
         fail_count=fails,
         skip_count=skips,
-        counterexamples=tuple(cexs),
+        counterexamples=tuple(cexs[:max_counterexamples]),
         elapsed=time.perf_counter() - start,
     )

@@ -267,6 +267,21 @@ class TestSweepCommand:
         assert report["seed"] == 3
         assert report["samples"] == 10
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--samples", "-5"], "samples"),
+            (["--jobs", "0"], "jobs"),
+            (["--jobs", "-4"], "jobs"),
+            (["--max-counterexamples", "-1"], "max_counterexamples"),
+        ],
+    )
+    def test_nonsense_sweep_arguments_exit_two(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, "sweep", "IDEM_ydwed", "--n", "2", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and f"error: {name} must be at least" in err
+
     def test_usage_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "B3_6", "--n", "4", "--exhaustive")
         assert code == 2

@@ -27,6 +27,7 @@ from hullflow.setsys import (
     interior,
     is_basis_of,
     is_hybrid,
+    is_partition,
     product_fibration,
     selection,
     sym_diff,
@@ -273,6 +274,24 @@ class TestClassify:
     def test_partition_flag(self):
         assert classify(system(G3, [0], [1, 2])).is_partition
         assert not classify(system(G3, [0], [0, 1], [2])).is_partition
+
+    def test_partition_flag_ignores_the_empty_member(self):
+        assert classify(system(G3, [], [0], [1, 2])).is_partition
+        assert not classify(system(G3, [], [0], [1])).is_partition
+
+    def test_is_partition_against_pairwise_definition(self):
+        # every family of subsets of a 3-set, in every member order
+        full = G3.full_mask
+        for bits in range(1 << 8):
+            masks = [m for m in range(8) if bits >> m & 1]
+            expected = (
+                all(masks)
+                and all(a & b == 0 for a, b in itertools.combinations(masks, 2))
+                and sum(masks) == full
+            )
+            assert is_partition(masks, full) == expected, masks
+            assert is_partition(reversed(masks), full) == expected, masks
+        assert not is_partition([1, 1, 6], full)  # a repeated block overlaps itself
 
     def test_completeness(self):
         assert classify(system(G2, [], [0], [0, 1])).is_complete

@@ -1,13 +1,18 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
+from hullflow import verify
 from hullflow.instances import Instance
 from hullflow.setsys import ClosureConvention
 from hullflow.verify import (
+    CLAIMS,
     PROVED_CLEAN,
+    Claim,
     SizeLimitError,
     TheoremId,
     check_theorem,
@@ -230,6 +235,100 @@ class TestSweep:
     def test_proved_clean_registry(self):
         assert TheoremId.B3_10 in PROVED_CLEAN
         assert TheoremId.CHAIN_karrenk not in PROVED_CLEAN
+
+    def test_every_claim_registered_once(self):
+        assert list(CLAIMS) == list(TheoremId)
+        assert all(isinstance(claim, Claim) for claim in CLAIMS.values())
+        assert PROVED_CLEAN == {t for t, claim in CLAIMS.items() if claim.clean}
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize(
+        "theorem, n, mode, samples",
+        [
+            (TheoremId.S3_3, 3, "exhaustive", None),
+            (TheoremId.S3_8_all, 3, "random", 300),
+        ],
+    )
+    def test_jobs_match_serial_past_the_cap(self, monkeypatch, theorem, n, mode, samples, jobs):
+        # more failures than the cap, and the first 40 spread over more than
+        # one block of ordinals, so the merge must sort the workers' witnesses
+        # by ordinal before cutting; `jobs` CPUs give `jobs` workers
+        kwargs = dict(samples=samples, seed=3, max_counterexamples=40)
+        serial = sweep(theorem, n, mode, **kwargs)
+        assert serial.fail_count > 40
+        assert serial.counterexamples[-1]["ordinal"] >= verify.SHARE_BLOCK
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+        parallel = sweep(theorem, n, mode, jobs=jobs, **kwargs)
+        assert parallel.to_payload() == serial.to_payload()
+
+    def test_parallel_parent_serializes_no_instance(self, monkeypatch):
+        calls = []
+        to_dict = Instance.to_dict
+
+        def counting(inst):
+            calls.append(1)
+            return to_dict(inst)
+
+        monkeypatch.setattr(Instance, "to_dict", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rep = sweep(TheoremId.L3_1, 3, "exhaustive", jobs=2)
+        assert rep.instance_count > 64 and rep.fail_count == 0
+        assert calls == []
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each task in this process and
+    records the worker count it was asked for."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+class TestWorkerShares:
+    @pytest.mark.parametrize(
+        "cpus, jobs, workers",
+        [(2, 5000, 2), (3, 5000, 3), (8, 3, 3), (None, 5000, None), (1, 4, None)],
+    )
+    def test_pool_bounded_by_cpu_count(self, monkeypatch, recording_pool, cpus, jobs, workers):
+        kwargs = dict(samples=300, max_counterexamples=3)
+        serial = sweep(TheoremId.S3_8_all, 3, "random", **kwargs)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = sweep(TheoremId.S3_8_all, 3, "random", jobs=jobs, **kwargs)
+        assert recording_pool.made == ([] if workers is None else [workers])
+        assert rep.to_payload() == serial.to_payload()
+
+    @pytest.mark.parametrize("jobs", [2, 3, 7])
+    def test_shares_match_serial_for_every_claim(self, monkeypatch, recording_pool, jobs):
+        # deal single ordinals, so that even the small n=2 spaces reach
+        # every worker
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for theorem in TheoremId:
+            for n, mode, samples in ((2, "exhaustive", None), (3, "random", 200)):
+                kwargs = dict(samples=samples, seed=5, max_counterexamples=4)
+                serial = sweep(theorem, n, mode, **kwargs).to_payload()
+                parallel = sweep(theorem, n, mode, jobs=jobs, **kwargs).to_payload()
+                assert parallel == serial, (theorem, mode)
 
 
 class TestInstanceRoundTrip:
