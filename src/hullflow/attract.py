@@ -2,9 +2,11 @@
 
 A free attractor is a nonempty flow-invariant set whose trace under the
 relativizing system satisfies the coherence criterion: any two nonempty
-trace sets can be brought to meet by some flow time.  Weak and monotone
-variants quantify the criterion differently; rooms are the closures of the
-orbits, and the closure-commutation report ties the two together.
+trace sets can be brought to meet by some flow time, which orbit saturation
+decides without listing the group.  Weak and monotone variants quantify the
+criterion differently; one per-set decision serves every variant, and every
+attractor family is built from it.  Rooms are the closures of the orbits,
+and the closure-commutation report ties the two together.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import kernels
-from .dynsys import Autobolism, DiscreteFlow, compose, invert, saturate
+from .dynsys import Autobolism, DiscreteFlow, compose, invert, is_invariant, saturate
 from .setsys import (
     CapExceededError,
     ClosureConvention,
@@ -100,52 +102,13 @@ def _trace(covering: SetSystem, theta: int) -> list[int]:
     return sorted({m & theta for m in covering.masks} - {0})
 
 
-def is_free_attractor(q: AttractorQuery, theta: Subset) -> bool:
-    """Coherence of the trace of the covering on theta, for nonempty
-    flow-invariant theta."""
-    from .dynsys import is_invariant
-
-    if not theta:
-        raise NonInvariantError("the empty set is not an attractor candidate")
-    if not is_invariant(q.flow.generators(), theta):
-        raise NonInvariantError(f"{theta!r} is not flow-invariant")
-    return saturation_coherent(q.flow.orbit_blocks(), _trace(q.covering, theta.bits))
-
-
-def free_attractors(q: AttractorQuery) -> SetSystem:
-    """All nonempty invariant sets passing the coherence criterion of the
-    query's variant."""
-    candidates = invariant_sets(q.flow)
-    if q.variant is CoherenceVariant.CONVENTIONAL:
-        blocks = q.flow.orbit_blocks()
-        keep = [
-            theta
-            for theta in candidates.masks
-            if saturation_coherent(blocks, _trace(q.covering, theta))
-        ]
-        return SetSystem(q.flow.ground, tuple(keep))
-    return SetSystem(
-        q.flow.ground,
-        tuple(
-            theta
-            for theta in candidates.masks
-            if coherence_variant(q, Subset(q.flow.ground, theta))
-        ),
-    )
-
-
-def coherence_variant(q: AttractorQuery, chi: Subset) -> bool:
-    """Evaluate the query's coherence criterion on one nonempty invariant
-    set.  Monotone variants are decided by periodicity on cyclic flows: a
-    witness within one generator period yields infinitely many strictly
-    increasing (or decreasing) witness times."""
-    from .dynsys import is_invariant
-
-    if not chi:
-        raise NonInvariantError("coherence criteria apply to nonempty sets")
-    if not is_invariant(q.flow.generators(), chi):
-        raise NonInvariantError(f"{chi!r} is not flow-invariant")
-    trace = _trace(q.covering, chi.bits)
+def _coherent(q: AttractorQuery, theta: int) -> bool:
+    """The query's coherence criterion on the trace of the covering on the
+    nonempty invariant set theta.  Monotone variants are decided by
+    periodicity on cyclic flows: a witness within one generator period
+    yields infinitely many strictly increasing (or decreasing) witness
+    times."""
+    trace = _trace(q.covering, theta)
     monotone = q.variant in (CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS)
     if monotone and not q.flow.is_cyclic:
         raise VariantUnsupportedError(
@@ -163,6 +126,25 @@ def coherence_variant(q: AttractorQuery, chi: Subset) -> bool:
             if not ua & ub:
                 return False
     return True
+
+
+def free_attractors(q: AttractorQuery) -> SetSystem:
+    """All nonempty invariant sets passing the coherence criterion of the
+    query's variant."""
+    return SetSystem(
+        q.flow.ground,
+        tuple(theta for theta in invariant_sets(q.flow).masks if _coherent(q, theta)),
+    )
+
+
+def coherence_variant(q: AttractorQuery, chi: Subset) -> bool:
+    """Evaluate the query's coherence criterion on one nonempty invariant
+    set."""
+    if not chi:
+        raise NonInvariantError("coherence criteria apply to nonempty sets")
+    if not is_invariant(q.flow.generators(), chi):
+        raise NonInvariantError(f"{chi!r} is not flow-invariant")
+    return _coherent(q, chi.bits)
 
 
 def topological_attractors(
@@ -323,8 +305,6 @@ def closure_commutation_report(
 ) -> FlowClosureReport:
     """Joint report of closure commutation, rooms, room invariance and the
     rooms-are-attractors test against the closed family."""
-    from .dynsys import is_invariant
-
     if not system.covers_ground():
         raise ValueError("the covering system must cover the flow's ground")
     cl = closure_map(system, conv)

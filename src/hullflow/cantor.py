@@ -61,13 +61,6 @@ class EndoFunction:
     def is_bijective(self) -> bool:
         return len(set(self.image)) == self.ground.size
 
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i, v in enumerate(self.image):
-            if mask >> v & 1:
-                out |= 1 << i
-        return out
-
 
 def op_commutator(
     f: EndoFunction,

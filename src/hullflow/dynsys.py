@@ -1,12 +1,10 @@
-"""Permutation dynamics: autobolisms, generated phase groups, orbits and
-their invariant topologies, coherence witnesses, phasicity.
+"""Permutation dynamics: autobolisms, flows, orbits and their invariant
+topologies.
 
 A flow is either cyclic (one generator, integer time via powers) or a
 generated permutation group (group time).  Orbits, and the coherence
-questions that saturation by orbits answers, need only the generators;
-the group is listed only where an element is wanted.  Group generation and
-witness search run breadth-first in a fixed order, so results are
-reproducible.
+questions that saturation by orbits answers, need only the generators, so
+no group is ever listed.
 """
 
 from __future__ import annotations
@@ -17,15 +15,12 @@ from typing import Iterable, Optional, Sequence
 
 from . import kernels
 from .setsys import (
-    CapExceededError,
     GroundMismatchError,
     GroundSet,
     SetSystem,
     Subset,
     union_closure,
 )
-
-DEFAULT_GROUP_CAP = 10080
 
 
 @dataclass(frozen=True, order=True)
@@ -57,9 +52,6 @@ class Autobolism:
         if subset.ground != self.ground:
             raise GroundMismatchError(f"{subset.ground} vs {self.ground}")
         return Subset(self.ground, self.apply_mask(subset.bits))
-
-    def is_identity(self) -> bool:
-        return all(self.image[i] == i for i in range(self.ground.size))
 
     def order(self) -> int:
         k, p = 1, self
@@ -93,40 +85,6 @@ def power(f: Autobolism, k: int) -> Autobolism:
     return acc
 
 
-class PhaseGroup:
-    """A composition- and inverse-closed set of autobolisms, kept in the
-    breadth-first discovery order of its generation."""
-
-    __slots__ = ("ground", "generators", "elements", "_member_set")
-
-    def __init__(self, ground: GroundSet, generators: tuple[Autobolism, ...],
-                 elements: tuple[Autobolism, ...]):
-        self.ground = ground
-        self.generators = generators
-        self.elements = elements
-        self._member_set = frozenset(g.image for g in elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, f: Autobolism) -> bool:
-        return f.image in self._member_set
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhaseGroup) and self._member_set == other._member_set
-
-    def __hash__(self) -> int:
-        return hash(self._member_set)
-
-    def mask_tables(self) -> list[list[int]]:
-        """Mask-image table of every group element: the input of the
-        brute-force coherence oracles in kernels, used only by the tests."""
-        return [kernels.perm_table(list(g.image)) for g in self.elements]
-
-
 def _common_ground(gens: Sequence[Autobolism]) -> GroundSet:
     if not gens:
         raise ValueError("need at least one generator")
@@ -137,47 +95,12 @@ def _common_ground(gens: Sequence[Autobolism]) -> GroundSet:
     return ground
 
 
-def generate_group(
-    gens: Sequence[Autobolism], cap: int = DEFAULT_GROUP_CAP
-) -> PhaseGroup:
-    """Breadth-first closure of the generators and their inverses, seeded
-    with the identity."""
-    ground = _common_ground(gens)
-    step: list[Autobolism] = []
-    for g in gens:
-        if g not in step:
-            step.append(g)
-        gi = invert(g)
-        if gi not in step:
-            step.append(gi)
-    ident = Autobolism.identity(ground)
-    discovered = [ident]
-    seen = {ident.image}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for h in step:
-                cand = compose(h, cur)
-                if cand.image not in seen:
-                    seen.add(cand.image)
-                    discovered.append(cand)
-                    nxt.append(cand)
-                    if len(discovered) > cap:
-                        raise CapExceededError(
-                            f"group order exceeds cap {cap}"
-                        )
-        frontier = nxt
-    return PhaseGroup(ground, tuple(gens), tuple(discovered))
-
-
 @dataclass(frozen=True)
 class DiscreteFlow:
     """Either the cyclic flow of one generator (integer time) or the
     permutation group generated by a list of generators (group time).
 
-    Only the generators are stored.  Orbits come from the generators
-    alone; the group itself is built on the first call of phase_group."""
+    Only the generators are stored; orbits come from them alone."""
 
     ground: GroundSet
     gens: tuple[Autobolism, ...]
@@ -208,15 +131,6 @@ class DiscreteFlow:
     def _blocks(self) -> tuple[int, ...]:
         perms = [list(g.image) for g in self.gens]
         return tuple(kernels.orbit_blocks(self.ground.size, perms))
-
-    def phase_group(self) -> PhaseGroup:
-        """The generated group, built on the first call and kept; raises
-        CapExceededError beyond DEFAULT_GROUP_CAP elements."""
-        return self._group
-
-    @cached_property
-    def _group(self) -> PhaseGroup:
-        return generate_group(self.gens)
 
     def period(self) -> int:
         """Order of the generator; only cyclic flows carry integer time."""
@@ -268,26 +182,3 @@ def is_invariant(gens: Iterable[Autobolism], x: Subset) -> bool:
     """True when every generator maps x onto itself (generators suffice for
     invariance under the generated group)."""
     return all(g.apply_mask(x.bits) == x.bits for g in gens)
-
-
-def coherence_witness(
-    gens: Sequence[Autobolism], a: Subset, b: Subset
-) -> Optional[Autobolism]:
-    """First group element (breadth-first discovery order) whose image of a
-    meets b, or None."""
-    if not a or not b:
-        raise ValueError("coherence witnesses are defined for nonempty sets")
-    group = generate_group(gens)
-    for g in group.elements:
-        if g.apply_mask(a.bits) & b.bits:
-            return g
-    return None
-
-
-def is_phasic(flows: Sequence[Autobolism]) -> bool:
-    """True when the listed family is already closed under composition
-    (hence equal to its generated group)."""
-    images = {f.image for f in flows}
-    return all(
-        compose(f, g).image in images for f in flows for g in flows
-    )

@@ -2,8 +2,7 @@
 
 Subsets of a ground set {0..n-1} are ints with bit i set for element i; a set
 system is a list of such masks.  These functions are the hot loops of the
-sweep engine, plus the brute-force coherence oracles that list a group
-(coherent_block, trace_coherent), which only the tests call.
+sweep engine.
 
 Empty intersections and empty unions are both 0 by convention.
 """
@@ -58,9 +57,7 @@ def hull_value(sources: list[int], q: int, j: int, k: int) -> int:
 
 
 def perm_table(perm: Sequence[int]) -> list[int]:
-    """Mask-image table of a point map: table[mask] = {perm[i] : i in mask}.
-    One per group element gives the group tables that the brute-force
-    coherence oracles (coherent_block, trace_coherent) read."""
+    """Mask-image table of a point map: table[mask] = {perm[i] : i in mask}."""
     n = len(perm)
     table = [0] * (1 << n)
     for i in range(n):
@@ -134,52 +131,3 @@ def orbit_blocks(n: int, perms: list[list[int]]) -> list[int]:
         out.append(block)
     out.sort()
     return out
-
-
-def coherent_block(group_tables: list[list[int]], chi: int, singletons_only: bool) -> bool:
-    """True when every pair of nonempty subsets a, b of chi admits a group
-    element with image(a) meeting b.  The singleton variant checks only
-    one-point pairs (equivalent on orbits).  Lists the group: the
-    brute-force oracle of orbit saturation, used only by the tests."""
-    if chi == 0:
-        return True
-    if singletons_only:
-        points = []
-        m = chi
-        i = 0
-        while m:
-            if m & 1:
-                points.append(i)
-            m >>= 1
-            i += 1
-        for x in points:
-            bx = 1 << x
-            for y in points:
-                by = 1 << y
-                if not any(t[bx] & by for t in group_tables):
-                    return False
-        return True
-    a = chi
-    while True:
-        b = chi
-        while True:
-            if not any(t[a] & b for t in group_tables):
-                return False
-            b = (b - 1) & chi
-            if b == 0:
-                break
-        a = (a - 1) & chi
-        if a == 0:
-            break
-    return True
-
-
-def trace_coherent(group_tables: list[list[int]], trace: list[int]) -> bool:
-    """True when every ordered pair from the trace family admits a group
-    element with image(a) meeting b.  Lists the group: the brute-force
-    oracle of attract.saturation_coherent, used only by the tests."""
-    for a in trace:
-        for b in trace:
-            if not any(t[a] & b for t in group_tables):
-                return False
-    return True

@@ -98,10 +98,6 @@ class Subset:
     def complement(self) -> "Subset":
         return Subset(self.ground, self.ground.full_mask ^ self.bits)
 
-    def issubset(self, other: "Subset") -> bool:
-        self._common(other)
-        return self.bits & ~other.bits == 0
-
     def _common(self, other: "Subset") -> GroundSet:
         if self.ground != other.ground:
             raise GroundMismatchError(f"{self.ground} vs {other.ground}")
@@ -135,10 +131,6 @@ class SetSystem:
     @classmethod
     def of(cls, ground: GroundSet, families: Iterable[Iterable[int]]) -> "SetSystem":
         masks = [Subset.of(ground, fam).bits for fam in families]
-        return cls(ground, tuple(masks))
-
-    @classmethod
-    def from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> "SetSystem":
         return cls(ground, tuple(masks))
 
     @classmethod

@@ -15,9 +15,11 @@ README for the catalogue of known findings.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -27,7 +29,6 @@ from . import kernels
 from .attract import (
     AttractorQuery,
     CoherenceVariant,
-    coherence_variant,
     closure_commutation_report,
     free_attractors,
     invariant_sets,
@@ -45,6 +46,7 @@ from .cantor import (
 from .dynsys import Autobolism, DiscreteFlow, orbit_partition
 from .instances import Instance, InstanceError, convention_name
 from .setsys import (
+    DEFAULT_ENUM_CAP,
     ClosureConvention,
     GroundSet,
     SetSystem,
@@ -59,7 +61,8 @@ from .setsys import (
 
 
 class SizeLimitError(ValueError):
-    """The requested ground size exceeds the per-theorem exhaustive limit."""
+    """The requested ground size exceeds the per-theorem exhaustive limit,
+    or the random-mode limit shared by every claim."""
 
 
 class TheoremId(Enum):
@@ -86,14 +89,20 @@ class TheoremId(Enum):
 @dataclass(frozen=True)
 class Verdict:
     status: str  # "holds" | "fails" | "skipped"
-    witness: Optional[dict[str, Any]] = None
+    instance: Optional[Instance] = None  # the failing instance
     note: str = ""
 
     def __post_init__(self) -> None:
         if self.status not in ("holds", "fails", "skipped"):
             raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fails" and self.witness is None:
+        if self.status == "fails" and self.instance is None:
             raise ValueError("failing verdicts must carry a witness")
+
+    @property
+    def witness(self) -> Optional[dict[str, Any]]:
+        """The failing instance as a replayable document, serialized on
+        read, so a sweep pays only for the witnesses it keeps."""
+        return None if self.instance is None else self.instance.to_dict()
 
 
 def _holds(note: str = "") -> Verdict:
@@ -101,7 +110,7 @@ def _holds(note: str = "") -> Verdict:
 
 
 def _fails(inst: Instance, note: str) -> Verdict:
-    return Verdict("fails", witness=inst.to_dict(), note=note)
+    return Verdict("fails", inst, note)
 
 
 def _skip(note: str) -> Verdict:
@@ -153,26 +162,6 @@ def enum_topologies(n: int) -> Iterator[SetSystem]:
         uc, ic = kernels.pairwise_closed(masks)
         if uc and ic:
             yield SetSystem(ground, tuple(masks))
-
-
-def count_preorders(n: int) -> int:
-    """Independent topology count: reflexive transitive relations on n
-    labeled points (these match labeled topologies one-to-one)."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    count = 0
-    for rel_bits in range(1 << len(pairs)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
-        for idx, (i, j) in enumerate(pairs):
-            if rel_bits >> idx & 1:
-                rel[i][j] = True
-        if all(
-            not (rel[i][j] and rel[j][k]) or rel[i][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ):
-            count += 1
-    return count
 
 
 def _perms(n: int) -> list[tuple[int, ...]]:
@@ -412,21 +401,6 @@ def _check_b3_4(inst: Instance, conv: ClosureConvention) -> Verdict:
     )
 
 
-def _variant_system(
-    flow: DiscreteFlow, covering: SetSystem, conv: ClosureConvention,
-    variant: CoherenceVariant,
-) -> SetSystem:
-    q = AttractorQuery(flow, covering, conv, variant)
-    return SetSystem(
-        flow.ground,
-        tuple(
-            theta
-            for theta in invariant_sets(flow).masks
-            if coherence_variant(q, Subset(flow.ground, theta))
-        ),
-    )
-
-
 def _check_b2_3d(inst: Instance, conv: ClosureConvention) -> Verdict:
     covering = _get_system(inst, "Z")
     flow = _get_flow(inst)
@@ -434,16 +408,18 @@ def _check_b2_3d(inst: Instance, conv: ClosureConvention) -> Verdict:
         return _skip("monotone variants need a cyclic flow")
     if not covering.covers_ground():
         return _skip("system does not cover the ground")
-    conventional = _variant_system(flow, covering, conv, CoherenceVariant.CONVENTIONAL)
-    plus = _variant_system(flow, covering, conv, CoherenceVariant.MONO_PLUS)
-    minus = _variant_system(flow, covering, conv, CoherenceVariant.MONO_MINUS)
+    conventional, plus, minus = (
+        free_attractors(AttractorQuery(flow, covering, conv, v))
+        for v in (CoherenceVariant.CONVENTIONAL, CoherenceVariant.MONO_PLUS,
+                  CoherenceVariant.MONO_MINUS)
+    )
     if not (conventional == plus == minus):
         return _fails(
             inst,
             f"conventional={conventional!r} mono+={plus!r} mono-={minus!r}",
         )
     if len(covering.masks) == 1 << inst.ground.size:
-        weak = _variant_system(flow, covering, conv, CoherenceVariant.WEAK)
+        weak = free_attractors(AttractorQuery(flow, covering, conv, CoherenceVariant.WEAK))
         blocks = orbit_partition(flow)
         if not (weak == conventional == blocks):
             return _fails(
@@ -461,12 +437,11 @@ def _check_chain(inst: Instance, conv: ClosureConvention) -> Verdict:
         return _skip("monotone variants need a cyclic flow")
     if not covering.covers_ground():
         return _skip("system does not cover the ground")
-    weak = set(_variant_system(flow, covering, conv, CoherenceVariant.WEAK).masks)
-    conventional = set(
-        _variant_system(flow, covering, conv, CoherenceVariant.CONVENTIONAL).masks
+    weak, conventional, plus, minus = (
+        set(free_attractors(AttractorQuery(flow, covering, conv, v)).masks)
+        for v in (CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
+                  CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS)
     )
-    plus = set(_variant_system(flow, covering, conv, CoherenceVariant.MONO_PLUS).masks)
-    minus = set(_variant_system(flow, covering, conv, CoherenceVariant.MONO_MINUS).masks)
     if weak >= conventional and conventional >= plus and conventional >= minus:
         return _holds()
     return _fails(
@@ -575,10 +550,33 @@ def _sample_perm(rnd: random.Random, ground: GroundSet) -> Autobolism:
     return Autobolism(ground, tuple(image))
 
 
+class _Permutations(Sequence):
+    """The permutations of range(n) in the lexicographic order of
+    itertools.permutations, each built on indexing by factorial-base
+    unranking, so random.sample draws from all n! of them without listing
+    them."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.size = math.factorial(n)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, rank: int) -> tuple[int, ...]:
+        if not 0 <= rank < self.size:
+            raise IndexError(rank)
+        rest = list(range(self.n))
+        out = []
+        for k in range(self.n - 1, -1, -1):
+            digit, rank = divmod(rank, math.factorial(k))
+            out.append(rest.pop(digit))
+        return tuple(out)
+
+
 def _sample_genset(rnd: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
-    perms = _perms(n)
     k = rnd.choice((1, 2))
-    return tuple(tuple(p) for p in rnd.sample(perms, k))
+    return tuple(rnd.sample(_Permutations(n), k))
 
 
 def _sample_topology(rnd: random.Random, ground: GroundSet) -> SetSystem:
@@ -941,8 +939,9 @@ def sweep(
 ) -> SweepReport:
     """Run one claim over its instance space.  Exhaustive mode enumerates
     the full space (subject to the per-claim ceiling); random mode draws
-    seeded samples.  With `jobs` > 1, up to that many worker processes (no
-    more than the CPU count) each check their own share of the ordinals.
+    seeded samples on at most `DEFAULT_ENUM_CAP` points.  With `jobs` > 1,
+    up to that many worker processes (no more than the CPU count) each
+    check their own share of the ordinals.
     Reports are deterministic for fixed parameters, whatever `jobs` is."""
     claim = CLAIMS[theorem]
     if samples is not None and samples < 0:
@@ -961,6 +960,10 @@ def sweep(
         used_seed: Optional[int] = None
         used_samples: Optional[int] = None
     elif mode == "random":
+        if n > DEFAULT_ENUM_CAP:
+            raise SizeLimitError(
+                f"{theorem.value}: random mode capped at n={DEFAULT_ENUM_CAP}, got {n}"
+            )
         used_samples = samples if samples is not None else claim.default_samples
         used_seed = seed
     else:

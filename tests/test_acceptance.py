@@ -13,17 +13,16 @@ import itertools
 import json
 import time
 
+import oracles
 from hullflow.attract import AttractorQuery, free_attractors
 from hullflow.cli import main as cli_main
-from hullflow.dynsys import Autobolism, DiscreteFlow, generate_group, orbit_partition
+from hullflow.dynsys import Autobolism, DiscreteFlow, orbit_partition
 from hullflow.setsys import ClosureConvention, GroundSet, SetSystem
 from hullflow.verify import (
     TheoremId,
-    count_preorders,
     enum_topologies,
     sweep,
 )
-from hullflow import kernels
 
 FULL = ClosureConvention.FULL
 NONEMPTY = ClosureConvention.NONEMPTY
@@ -51,7 +50,7 @@ def test_c01_partition_basis_of_self_dual_topologies():
     start = time.perf_counter()
     for n in (3, 4):
         enumerated = sum(1 for _ in enum_topologies(n))
-        oracle = count_preorders(n)
+        oracle = oracles.count_preorders(n)
         _criterion(
             "1",
             f"labeled topology count on {n} points matches the relation oracle",
@@ -107,11 +106,10 @@ def test_c03_companion_sound_restriction():
     perms = [Autobolism(ground, p) for p in itertools.permutations(range(4))]
     gensets = [(p,) for p in perms] + list(itertools.combinations(perms, 2))
     for gens in gensets:
-        group = generate_group(list(gens))
-        tables = group.mask_tables()
+        tables = oracles.mask_tables(oracles.group(gens))
         blocks = orbit_partition(DiscreteFlow.of_group(list(gens))).masks
         for chi in range(1, 16):
-            coherent = kernels.coherent_block(tables, chi, False)
+            coherent = oracles.coherent_block(tables, chi, False)
             inside_one = any(chi & ~b == 0 for b in blocks)
             if coherent != inside_one:
                 mismatches += 1

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from hullflow.attract import (
     AttractorQuery,
     CoherenceVariant,
@@ -18,7 +19,6 @@ from hullflow.attract import (
     free_attractors,
     hull_rooms,
     invariant_sets,
-    is_free_attractor,
     pre_rooms,
     saturation_coherent,
     topological_attractors,
@@ -64,22 +64,22 @@ class TestInvariantSets:
 class TestFreeAttractors:
     def test_orbit_is_attractive(self, swap01_flow):
         q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert is_free_attractor(q, Subset.of(G3, [0, 1]))
+        assert coherence_variant(q, Subset.of(G3, [0, 1]))
 
     def test_whole_space_fails(self, swap01_flow):
         q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert not is_free_attractor(q, Subset.of(G3, [0, 1, 2]))
+        assert not coherence_variant(q, Subset.of(G3, [0, 1, 2]))
 
     def test_fixed_singleton(self, swap01_flow):
         q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert is_free_attractor(q, Subset.of(G3, [2]))
+        assert coherence_variant(q, Subset.of(G3, [2]))
 
     def test_non_invariant_rejected(self, swap01_flow):
         q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
         with pytest.raises(NonInvariantError):
-            is_free_attractor(q, Subset.of(G3, [0]))
+            coherence_variant(q, Subset.of(G3, [0]))
         with pytest.raises(NonInvariantError):
-            is_free_attractor(q, Subset.of(G3, []))
+            coherence_variant(q, Subset.of(G3, []))
 
     def test_powerset_covering_yields_orbit_partition(self, swap01_flow):
         q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
@@ -143,6 +143,34 @@ class TestFreeAttractors:
         with pytest.raises(ValueError):
             AttractorQuery(swap01_flow, SetSystem.of(G3, [[0]]))
 
+    def test_family_against_group_oracle(self):
+        # every generator set of size one or two and every covering system
+        # on up to three points: the attractor family is the set of
+        # invariant sets whose trace coheres under the listed group
+        from hullflow.verify import enum_systems
+
+        for n in (1, 2, 3):
+            ground = GroundSet(n)
+            perms = [Autobolism.of(ground, p) for p in itertools.permutations(range(n))]
+            for gens in [(p,) for p in perms] + list(itertools.combinations(perms, 2)):
+                elements = oracles.group(gens)
+                tables = oracles.mask_tables(elements)
+                invariant = [
+                    m for m in range(1, 1 << n)
+                    if all(oracles.image(g.image, m) == m for g in gens)
+                ]
+                flow = DiscreteFlow.of_group(gens)
+                for covering in enum_systems(n, covering_only=True):
+                    expected = tuple(
+                        m for m in invariant
+                        if oracles.trace_coherent(
+                            tables, sorted({c & m for c in covering.masks} - {0})
+                        )
+                    )
+                    for conv in ClosureConvention:
+                        got = free_attractors(AttractorQuery(flow, covering, conv))
+                        assert got.masks == expected, (gens, covering, conv)
+
 
 class TestTopologicalAttractors:
     def test_single_topology_literal_reading(self):
@@ -195,20 +223,17 @@ def _mono_oracle(flow, covering, chi, increasing):
 class TestSaturationCoherence:
     def test_trace_coherent_oracle(self):
         # saturation by orbit blocks against the scan over all group tables
-        from hullflow import kernels
-        from hullflow.dynsys import generate_group
-
         rnd = random.Random(5)
         for _ in range(400):
             n = rnd.choice((2, 3, 4))
             ground = GroundSet(n)
             perms = list(itertools.permutations(range(n)))
             gens = [Autobolism.of(ground, p) for p in rnd.sample(perms, rnd.choice((1, 2)))]
-            tables = generate_group(gens).mask_tables()
+            tables = oracles.mask_tables(oracles.group(gens))
             blocks = DiscreteFlow.of_group(gens).orbit_blocks()
             trace = rnd.sample(range(1, 1 << n), rnd.randint(1, min(5, (1 << n) - 1)))
             assert saturation_coherent(blocks, trace) == (
-                kernels.trace_coherent(tables, trace)
+                oracles.trace_coherent(tables, trace)
             ), (gens, trace)
 
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import oracles
 from hullflow.cantor import (
     EndoFunction,
     cantor_membership,
@@ -15,8 +16,7 @@ from hullflow.cantor import (
     phase_chain_check,
     preserves_unfamily,
 )
-from hullflow import kernels
-from hullflow.dynsys import Autobolism, generate_group
+from hullflow.dynsys import Autobolism
 from hullflow.setsys import (
     ClosureConvention,
     GroundSet,
@@ -230,12 +230,16 @@ class TestPhaseChain:
 
 def _chain_over_group(gens, system, conv=ClosureConvention.FULL):
     """The chain's five statements quantified over every group element."""
-    elements = generate_group(list(gens)).elements
-    members = [EndoFunction(g.ground, g.image) for g in elements]
+    elements = oracles.group(gens)
+    members = [EndoFunction(system.ground, g) for g in elements]
     cl = closure_map(system, conv)
     compl = complement_system(system)
     return (
-        all(kernels.commutes_with_closure(g.image, cl) for g in elements),
+        all(
+            oracles.image(g, cl[z]) == cl[oracles.image(g, z)]
+            for g in elements
+            for z in range(len(cl))
+        ),
         all(cantor_membership(f, system, True) for f in members),
         all(cantor_membership(f, system, False) for f in members),
         all(cantor_membership(f, compl, True) for f in members),

@@ -1,11 +1,15 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
 import concurrent.futures
+import itertools
 import json
 import os
+import random
+import tracemalloc
 
 import pytest
 
+import oracles
 from hullflow import verify
 from hullflow.instances import Instance
 from hullflow.setsys import ClosureConvention
@@ -16,7 +20,6 @@ from hullflow.verify import (
     SizeLimitError,
     TheoremId,
     check_theorem,
-    count_preorders,
     enum_functions,
     enum_systems,
     enum_topologies,
@@ -77,7 +80,7 @@ class TestEnumeration:
 
     def test_topology_counts_against_preorder_oracle(self):
         for n in (1, 2, 3):
-            assert sum(1 for _ in enum_topologies(n)) == count_preorders(n)
+            assert sum(1 for _ in enum_topologies(n)) == oracles.count_preorders(n)
 
     def test_frozen_topology_counts(self):
         assert sum(1 for _ in enum_topologies(2)) == 4
@@ -274,6 +277,41 @@ class TestSweep:
         rep = sweep(TheoremId.L3_1, 3, "exhaustive", jobs=2)
         assert rep.instance_count > 64 and rep.fail_count == 0
         assert calls == []
+
+    def test_only_kept_witnesses_serialized(self, monkeypatch):
+        calls = []
+        to_dict = Instance.to_dict
+
+        def counting(inst):
+            calls.append(1)
+            return to_dict(inst)
+
+        monkeypatch.setattr(Instance, "to_dict", counting)
+        rep = sweep(TheoremId.S3_3, 3, "exhaustive", max_counterexamples=5)
+        assert rep.fail_count > 5 and len(rep.counterexamples) == 5
+        assert len(calls) <= 5
+
+    def test_random_size_limit(self):
+        # checked before any sampling, so no 2^n draw is attempted
+        with pytest.raises(SizeLimitError):
+            sweep(TheoremId.IDEM_ydwed, 21, "random", samples=0)
+
+
+class TestGeneratorSampler:
+    def test_lazy_permutations_in_lexicographic_order(self):
+        for n in range(7):
+            lazy = verify._Permutations(n)
+            assert len(lazy) == len(list(itertools.permutations(range(n))))
+            assert list(lazy) == list(itertools.permutations(range(n)))
+
+    def test_draw_lists_no_permutations(self):
+        tracemalloc.start()
+        try:
+            verify._sample_genset(random.Random(0), 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class RecordingPool:
