@@ -9,7 +9,29 @@ Empty intersections and empty unions are both 0 by convention.
 
 from __future__ import annotations
 
+from operator import and_, or_
 from typing import Sequence
+
+
+#: _BLOCK_PAIRS[k][m]: the (cell written, cell read) pairs of the passes
+#: over bits 0..m-1 of a 2^m-cell block, bit by bit, gathering from
+#: supersets (k=1) or subsets (k=0).  _BLOCK_PAIRS[k][4] holds the 32
+#: (z, z | bit) pairs of a 16-cell block; m < 4 serves tables under 16 cells.
+_BLOCK_PAIRS = tuple(
+    tuple(
+        tuple(
+            (z, z | bit) if k else (z | bit, z)
+            for bit in (1, 2, 4, 8)[:m]
+            for z in range(1 << m)
+            if not z & bit
+        )
+        for m in range(5)
+    )
+    for k in (0, 1)
+)
+
+#: The longest run of cells the passes over the higher bits fold at once.
+_MAX_RUN = 1024
 
 
 def hull_table(n: int, sources: list[int], j: int, k: int) -> list[int]:
@@ -20,20 +42,33 @@ def hull_table(n: int, sources: list[int], j: int, k: int) -> list[int]:
     bit: k=1 gathers from supersets, k=0 from subsets.  That takes
     O(n 2^n) steps where a scan of the sources per subset takes
     O(|sources| 2^n).  -1, the identity of intersection, marks a subset that
-    gathered no source until the end."""
+    gathered no source until the end.
+
+    The fold (& for j=1, | for j=0) and the direction are chosen once.  The
+    passes over bits 0-3 run block by block through the fixed pairs of a
+    16-cell block; each pass over a higher bit folds runs of 16 to
+    _MAX_RUN cells slice-wise.  Besides the table, a call holds at most one
+    run's slices, so its memory stays O(2^n)."""
     size = 1 << n
+    fold = and_ if j else or_
     t = [-1 if j else 0] * size
     for m in sources:
         t[m] = m
-    for i in range(n):
+    pairs = _BLOCK_PAIRS[k][min(n, 4)]
+    for base in range(0, size, 16):
+        block = t[base : base + 16]
+        for d, s in pairs:
+            block[d] = fold(block[d], block[s])
+        t[base : base + 16] = block
+    for i in range(4, n):
         bit = 1 << i
-        for z in range(size):
-            if z & bit:
-                continue
-            if k:
-                t[z] = t[z] & t[z | bit] if j else t[z] | t[z | bit]
-            else:
-                t[z | bit] = t[z | bit] & t[z] if j else t[z | bit] | t[z]
+        run = min(bit, _MAX_RUN)
+        # offsets of the cells written and read from a run's lower cell
+        dst, src = (0, bit) if k else (bit, 0)
+        for lo in range(0, size, 2 * bit):
+            for a in range(lo, lo + bit, run):
+                d, s = a + dst, a + src
+                t[d : d + run] = map(fold, t[d : d + run], t[s : s + run])
     return [v if v >= 0 else 0 for v in t] if j else t
 
 

@@ -14,12 +14,14 @@ README for the catalogue of known findings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import random
 import time
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -118,7 +120,98 @@ def _skip(note: str) -> Verdict:
 
 
 # --------------------------------------------------------------------------
-# enumeration of instance spaces
+# enumeration of instance spaces: indexed sequences of the factors they
+# are products of
+
+class _Product(Sequence):
+    """The tuples of a mixed-radix product, one entry from each factor, in
+    the order of itertools.product: the last factor varies fastest.  Item
+    `ordinal` is built on indexing from the ordinal's digits (Knuth, TAOCP
+    4A, 7.2.1.1), so a caller builds only the tuples it visits."""
+
+    def __init__(self, *factors: Sequence) -> None:
+        self.radices = tuple((f, len(f)) for f in reversed(factors))
+        self.size = math.prod(len(f) for f in factors)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, ordinal: int) -> tuple:
+        if not 0 <= ordinal < self.size:
+            raise IndexError(ordinal)
+        out = []
+        for factor, radix in self.radices:
+            ordinal, digit = divmod(ordinal, radix)
+            out.append(factor[digit])
+        out.reverse()
+        return tuple(out)
+
+
+class _Permutations(Sequence):
+    """The permutations of range(n) in the lexicographic order of
+    itertools.permutations, each built on indexing by factorial-base
+    unranking, so random.sample draws from all n! of them without listing
+    them."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.size = math.factorial(n)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, rank: int) -> tuple[int, ...]:
+        if not 0 <= rank < self.size:
+            raise IndexError(rank)
+        rest = list(range(self.n))
+        out = []
+        for k in range(self.n - 1, -1, -1):
+            digit, rank = divmod(rank, math.factorial(k))
+            out.append(rest.pop(digit))
+        return tuple(out)
+
+
+def _maps(n: int, bijective_only: bool = False) -> Sequence[tuple[int, ...]]:
+    """The self-maps (or bijections) of range(n) as image tuples, in
+    lexicographic order."""
+    return _Permutations(n) if bijective_only else _Product(*[range(n)] * n)
+
+
+@functools.cache
+def _covering_families(n: int) -> array:
+    """The covering families of an n-set (n <= 4) as family bitmasks, bit m
+    set when subset m is a member, ascending.  Built on first use for each
+    n and kept as one compact array of 16-bit ints: 64594 of them at n=4."""
+    if n > 4:
+        raise SizeLimitError(f"exhaustive system enumeration capped at n=4, got {n}")
+    # a family covers point x when its bitmask meets that of the subsets
+    # holding x
+    families: Iterable[int] = range(1 << (1 << n))
+    for x in range(n):
+        holders = sum(1 << m for m in range(1 << n) if m >> x & 1)
+        families = filter(holders.__and__, families)
+    return array("H", families)
+
+
+def _byte_members(low: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the set bits of b << low, ascending, for every byte b."""
+    out: list[tuple[int, ...]] = [()]
+    for m in range(low, low + 8):
+        out += [t + (m,) for t in out]
+    return tuple(out)
+
+
+#: The members marked by each value of the low and the high byte of a
+#: family bitmask.
+_BYTE_MEMBERS = (_byte_members(0), _byte_members(8))
+
+
+def _members(family: int) -> tuple[int, ...]:
+    """The member masks of a family bitmask of at most 16 bits (n <= 4),
+    ascending."""
+    low, high = _BYTE_MEMBERS
+    return low[family & 255] + high[family >> 8]
+
 
 def enum_systems(n: int, covering_only: bool = False) -> Iterator[SetSystem]:
     """All families of subsets of an n-set, ascending by family bitmask;
@@ -126,16 +219,8 @@ def enum_systems(n: int, covering_only: bool = False) -> Iterator[SetSystem]:
     if n > 4:
         raise SizeLimitError(f"exhaustive system enumeration capped at n=4, got {n}")
     ground = GroundSet(n)
-    full = ground.full_mask
-    for fam_bits in range(1 << (1 << n)):
-        masks = tuple(m for m in range(1 << n) if fam_bits >> m & 1)
-        if covering_only:
-            u = 0
-            for m in masks:
-                u |= m
-            if u != full:
-                continue
-        yield SetSystem(ground, masks)
+    for family in _covering_families(n) if covering_only else range(1 << (1 << n)):
+        yield SetSystem(ground, _members(family))
 
 
 def enum_functions(n: int, bijective_only: bool = False) -> Iterator[EndoFunction]:
@@ -143,12 +228,8 @@ def enum_functions(n: int, bijective_only: bool = False) -> Iterator[EndoFunctio
     if n > 5:
         raise SizeLimitError(f"exhaustive function enumeration capped at n=5, got {n}")
     ground = GroundSet(n)
-    if bijective_only:
-        for image in itertools.permutations(range(n)):
-            yield EndoFunction(ground, image)
-    else:
-        for image in itertools.product(range(n), repeat=n):
-            yield EndoFunction(ground, image)
+    for image in _maps(n, bijective_only):
+        yield EndoFunction(ground, image)
 
 
 def enum_topologies(n: int) -> Iterator[SetSystem]:
@@ -164,13 +245,15 @@ def enum_topologies(n: int) -> Iterator[SetSystem]:
             yield SetSystem(ground, tuple(masks))
 
 
-def _perms(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(n)))
+@functools.cache
+def _topology_list(n: int) -> tuple[SetSystem, ...]:
+    """enum_topologies(n), listed on first use for each n."""
+    return tuple(enum_topologies(n))
 
 
 def _gensets(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Generator sets of size one or two, lexicographic."""
-    perms = _perms(n)
+    perms = list(_Permutations(n))
     out: list[tuple[tuple[int, ...], ...]] = [(p,) for p in perms]
     out.extend(itertools.combinations(perms, 2))
     return out
@@ -529,8 +612,29 @@ def _check_covar(inst: Instance, conv: ClosureConvention) -> Verdict:
 
 
 # --------------------------------------------------------------------------
-# instance spaces: a space `_xs(n, conv)` yields its instances in a fixed
-# order, and its sampler `_draw_x(n, conv, rnd)` draws one from `rnd`
+# instance spaces: a space `_xs(n, conv)` is the indexed product of its
+# factors, and its sampler `_draw_x(n, conv, rnd)` draws one instance from
+# `rnd`
+
+class _Space(_Product):
+    """An exhaustive instance space: the instance of an ordinal is built
+    from that ordinal's tuple of the factors, so the space's order is that
+    of nested loops over the factors, the last one innermost."""
+
+    def __init__(self, build: Callable[..., Instance], *factors: Sequence) -> None:
+        super().__init__(*factors)
+        self.build = build
+
+    def at(self, ordinal: int) -> Instance:
+        return self.build(*self[ordinal])
+
+
+def _families(ground: GroundSet) -> Callable[[int], SetSystem]:
+    """Family bitmask -> set system on `ground`.  It keeps the last system
+    it built, which the next ordinals of a space mostly ask for again: the
+    family is an outer factor of most spaces."""
+    return functools.lru_cache(maxsize=1)(lambda family: SetSystem(ground, _members(family)))
+
 
 def _sample_system(rnd: random.Random, ground: GroundSet) -> SetSystem:
     """Each subset independently with probability 1/2; coverage forced by
@@ -550,33 +654,12 @@ def _sample_perm(rnd: random.Random, ground: GroundSet) -> Autobolism:
     return Autobolism(ground, tuple(image))
 
 
-class _Permutations(Sequence):
-    """The permutations of range(n) in the lexicographic order of
-    itertools.permutations, each built on indexing by factorial-base
-    unranking, so random.sample draws from all n! of them without listing
-    them."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.size = math.factorial(n)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, rank: int) -> tuple[int, ...]:
-        if not 0 <= rank < self.size:
-            raise IndexError(rank)
-        rest = list(range(self.n))
-        out = []
-        for k in range(self.n - 1, -1, -1):
-            digit, rank = divmod(rank, math.factorial(k))
-            out.append(rest.pop(digit))
-        return tuple(out)
-
-
 def _sample_genset(rnd: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
+    """One or two distinct permutations; one on a 1-point ground, which has
+    no second."""
     k = rnd.choice((1, 2))
-    return tuple(rnd.sample(_Permutations(n), k))
+    perms = _Permutations(n)
+    return tuple(rnd.sample(perms, min(k, len(perms))))
 
 
 def _sample_topology(rnd: random.Random, ground: GroundSet) -> SetSystem:
@@ -594,10 +677,9 @@ def _sample_topology(rnd: random.Random, ground: GroundSet) -> SetSystem:
     return SetSystem(ground, tuple(masks))
 
 
-def _topologies(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+def _topologies(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
-    for t in enum_topologies(n):
-        yield Instance(ground, conv, systems={"T": t})
+    return _Space(lambda t: Instance(ground, conv, systems={"T": t}), _topology_list(n))
 
 
 def _draw_topology(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -605,10 +687,14 @@ def _draw_topology(n: int, conv: ClosureConvention, rnd: random.Random) -> Insta
     return Instance(ground, conv, systems={"T": _sample_topology(rnd, ground)})
 
 
-def _systems(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+def _systems(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
-    for sys in enum_systems(n, covering_only=True):
-        yield Instance(ground, conv, systems={"A": sys})
+    system = _families(ground)
+
+    def build(family: int) -> Instance:
+        return Instance(ground, conv, systems={"A": system(family)})
+
+    return _Space(build, _covering_families(n))
 
 
 def _draw_system(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -616,11 +702,15 @@ def _draw_system(n: int, conv: ClosureConvention, rnd: random.Random) -> Instanc
     return Instance(ground, conv, systems={"A": _sample_system(rnd, ground)})
 
 
-def _systems_subsets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+def _systems_subsets(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
-    for sys in enum_systems(n, covering_only=True):
-        for b in range(1 << n):
-            yield Instance(ground, conv, systems={"A": sys, "B": SetSystem(ground, (b,))})
+    system = _families(ground)
+
+    def build(family: int, b: int) -> Instance:
+        systems = {"A": system(family), "B": SetSystem(ground, (b,))}
+        return Instance(ground, conv, systems=systems)
+
+    return _Space(build, _covering_families(n), range(1 << n))
 
 
 def _draw_system_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -630,11 +720,13 @@ def _draw_system_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> 
     return Instance(ground, conv, systems={"A": sys, "B": b})
 
 
-def _gensets_subsets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+def _gensets_subsets(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
-    for genset in _gensets(n):
-        for chi in range(1, 1 << n):
-            yield _genset_instance(n, conv, genset, {"chi": SetSystem(ground, (chi,))})
+
+    def build(genset: tuple[tuple[int, ...], ...], chi: int) -> Instance:
+        return _genset_instance(n, conv, genset, {"chi": SetSystem(ground, (chi,))})
+
+    return _Space(build, _gensets(n), range(1, 1 << n))
 
 
 def _draw_genset_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -642,10 +734,11 @@ def _draw_genset_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> 
     return _genset_instance(n, conv, _sample_genset(rnd, n), {"chi": chi})
 
 
-def _topologies_gensets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
-    for t in enum_topologies(n):
-        for genset in _gensets(n):
-            yield _genset_instance(n, conv, genset, {"T": t})
+def _topologies_gensets(n: int, conv: ClosureConvention) -> _Space:
+    return _Space(
+        lambda t, genset: _genset_instance(n, conv, genset, {"T": t}),
+        _topology_list(n), _gensets(n),
+    )
 
 
 def _draw_topology_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -653,10 +746,13 @@ def _draw_topology_genset(n: int, conv: ClosureConvention, rnd: random.Random) -
     return _genset_instance(n, conv, _sample_genset(rnd, n), {"T": t})
 
 
-def _systems_gensets(n: int, conv: ClosureConvention) -> Iterator[Instance]:
-    for sys in enum_systems(n, covering_only=True):
-        for genset in _gensets(n):
-            yield _genset_instance(n, conv, genset, {"A": sys})
+def _systems_gensets(n: int, conv: ClosureConvention) -> _Space:
+    system = _families(GroundSet(n))
+
+    def build(family: int, genset: tuple[tuple[int, ...], ...]) -> Instance:
+        return _genset_instance(n, conv, genset, {"A": system(family)})
+
+    return _Space(build, _covering_families(n), _gensets(n))
 
 
 def _draw_system_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -666,15 +762,15 @@ def _draw_system_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> 
 
 def _cycles_coverings(
     n: int, conv: ClosureConvention, powerset_only: bool = False
-) -> Iterator[Instance]:
-    ground = GroundSet(n)
-    if powerset_only:
-        coverings = [SetSystem.powerset(ground)]
-    else:
-        coverings = list(enum_systems(n, covering_only=True))
-    for p in _perms(n):
-        for covering in coverings:
-            yield _genset_instance(n, conv, (p,), {"Z": covering}, cyclic=True)
+) -> _Space:
+    system = _families(GroundSet(n))
+    # the power set's family bitmask has every subset's bit set
+    coverings = [(1 << (1 << n)) - 1] if powerset_only else _covering_families(n)
+
+    def build(p: tuple[int, ...], covering: int) -> Instance:
+        return _genset_instance(n, conv, (p,), {"Z": system(covering)}, cyclic=True)
+
+    return _Space(build, _Permutations(n), coverings)
 
 
 def _draw_cycle_covering(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -685,12 +781,15 @@ def _draw_cycle_covering(n: int, conv: ClosureConvention, rnd: random.Random) ->
 
 def _systems_functions(
     n: int, conv: ClosureConvention, bijective: bool = False
-) -> Iterator[Instance]:
+) -> _Space:
     ground = GroundSet(n)
-    functions = list(enum_functions(n, bijective_only=bijective))
-    for sys in enum_systems(n, covering_only=True):
-        for f in functions:
-            yield Instance(ground, conv, systems={"A": sys}, functions={"f": f})
+    system = _families(ground)
+
+    def build(family: int, image: tuple[int, ...]) -> Instance:
+        f = EndoFunction(ground, image)
+        return Instance(ground, conv, systems={"A": system(family)}, functions={"f": f})
+
+    return _Space(build, _covering_families(n), _maps(n, bijective))
 
 
 def _draw_system_function(
@@ -705,14 +804,16 @@ def _draw_system_function(
     return Instance(ground, conv, systems={"A": sys}, functions={"f": f})
 
 
-def _relabelings(n: int, conv: ClosureConvention) -> Iterator[Instance]:
+def _relabelings(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
-    for p in _perms(n):
-        for sys in enum_systems(n, covering_only=True):
-            for rel in _perms(n):
-                inst = _genset_instance(n, conv, (p,), {"A": sys}, cyclic=True)
-                inst.permutations["f"] = Autobolism(ground, rel)
-                yield inst
+    system = _families(ground)
+
+    def build(p: tuple[int, ...], family: int, rel: tuple[int, ...]) -> Instance:
+        inst = _genset_instance(n, conv, (p,), {"A": system(family)}, cyclic=True)
+        inst.permutations["f"] = Autobolism(ground, rel)
+        return inst
+
+    return _Space(build, _Permutations(n), _covering_families(n), _Permutations(n))
 
 
 def _draw_relabeling(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -730,13 +831,13 @@ def _draw_relabeling(n: int, conv: ClosureConvention, rnd: random.Random) -> Ins
 @dataclass(frozen=True)
 class Claim:
     """Everything the harness knows about one claim: the checker; the
-    exhaustive space `(n, conv) -> instances in a fixed order`, allowed up
-    to `max_exhaustive_n` points; the sampler `(n, conv, rnd) -> Instance`
+    exhaustive space `(n, conv) -> _Space`, its instances in a fixed order,
+    allowed up to `max_exhaustive_n` points; the sampler `(n, conv, rnd) -> Instance`
     and the number of random samples drawn by default; whether sweeps are
     expected to be failure-free; and the note attached to sweep reports."""
 
     checker: Callable[[Instance, ClosureConvention], Verdict]
-    space: Callable[[int, ClosureConvention], Iterator[Instance]]
+    space: Callable[[int, ClosureConvention], _Space]
     sample: Callable[[int, ClosureConvention, random.Random], Instance]
     max_exhaustive_n: int
     default_samples: int
@@ -817,13 +918,30 @@ def check_theorem(
     return CLAIMS[theorem].check(instance, conv)
 
 
+#: A parallel sweep deals the ordinals of the instance stream to its
+#: workers in blocks of this many.
+SHARE_BLOCK = 64
+
+
+def _share(size: int, worker: int, jobs: int) -> Iterator[int]:
+    """The ordinals below `size` whose block `ordinal // SHARE_BLOCK` is
+    `worker` modulo `jobs`, ascending."""
+    block = SHARE_BLOCK
+    for start in range(worker * block, size, jobs * block):
+        yield from range(start, min(start + block, size))
+
+
 # Sweeps draw every instance through these two names, which per-layer
 # tracing (sweepbench) times as instance generation.
 
 def _exhaustive_instances(
-    theorem: TheoremId, n: int, conv: ClosureConvention
-) -> Iterator[Instance]:
-    yield from CLAIMS[theorem].space(n, conv)
+    theorem: TheoremId, n: int, conv: ClosureConvention, worker: int, jobs: int
+) -> Iterator[tuple[int, Instance]]:
+    """One worker's share of the claim's exhaustive space, as (ordinal,
+    instance) pairs: only the share's instances are built."""
+    space = CLAIMS[theorem].space(n, conv)
+    for ordinal in _share(len(space), worker, jobs):
+        yield ordinal, space.at(ordinal)
 
 
 def _random_instance(
@@ -869,11 +987,6 @@ class SweepReport:
         }
 
 
-#: A parallel sweep deals the ordinals of the instance stream to its
-#: workers in blocks of this many.
-SHARE_BLOCK = 64
-
-
 def _evaluate(
     theorem: TheoremId,
     n: int,
@@ -886,22 +999,17 @@ def _evaluate(
     jobs: int,
 ) -> tuple[int, int, int, int, list[dict[str, Any]]]:
     """Check one worker's share of the claim's instance stream: the ordinals
-    whose block `ordinal // SHARE_BLOCK` is `worker` modulo `jobs`.  In
-    exhaustive mode the ordinals number the claim's space; in random mode
-    ordinal k is drawn from `Random(f"{seed}:{k}")`, for k below `samples`.
-    Returns the share's counts and its first `cap` counterexamples."""
-
-    def mine(ordinal: int) -> bool:
-        return ordinal // SHARE_BLOCK % jobs == worker
-
+    whose block `ordinal // SHARE_BLOCK` is `worker` modulo `jobs`, and no
+    other instance is built.  In exhaustive mode the ordinals number the
+    claim's space; in random mode ordinal k is drawn from
+    `Random(f"{seed}:{k}")`, for k below `samples`.  Returns the share's
+    counts and its first `cap` counterexamples."""
     if mode == "exhaustive":
-        stream = enumerate(_exhaustive_instances(theorem, n, conv))
-        share = ((o, inst) for o, inst in stream if mine(o))
+        share = _exhaustive_instances(theorem, n, conv, worker, jobs)
     else:
         share = (
             (o, _random_instance(theorem, n, conv, random.Random(f"{seed}:{o}")))
-            for o in range(samples or 0)
-            if mine(o)
+            for o in _share(samples or 0, worker, jobs)
         )
     claim = CLAIMS[theorem]
     total = holds = fails = skips = 0

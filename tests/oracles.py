@@ -1,4 +1,5 @@
-"""Brute-force references for the tests: they list a permutation group.
+"""Brute-force references for the tests: they list a permutation group,
+and every exhaustive instance space of the sweep engine.
 
 The library decides coherence by orbit saturation and never lists a group.
 These routines do list it, breadth-first over plain image tuples from the
@@ -7,13 +8,19 @@ the routines they are compared with (`dynsys.saturate`,
 `DiscreteFlow.orbit_blocks`, `attract.saturation_coherent`, the kernels),
 so a test that compares the two routes checks one against the other.
 
+The library builds the instance of any ordinal of a space from its
+mixed-radix digits.  `instance_space` lists a whole space instead, with
+plain nested loops over family bitmasks, `itertools.permutations` and
+`itertools.product`, as the wire documents `Instance.to_dict` writes.
+
 Subsets are bitmasks over {0..n-1}; a group element is the tuple of its
 point images, and its mask table maps every subset mask to its image.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from typing import Any, Optional, Sequence
 
 
 def group(gens: Sequence) -> list[tuple[int, ...]]:
@@ -89,3 +96,117 @@ def count_preorders(n: int) -> int:
         ):
             count += 1
     return count
+
+
+def families(n: int) -> list[list[int]]:
+    """Every family of subsets of an n-set as its ascending member masks,
+    by ascending family bitmask (bit m set when subset m is a member)."""
+    out = []
+    for fam in range(1 << (1 << n)):
+        out.append([m for m in range(1 << n) if fam >> m & 1])
+    return out
+
+
+def coverings(n: int) -> list[list[int]]:
+    """The families whose union is the whole n-set."""
+    out = []
+    for members in families(n):
+        union = 0
+        for m in members:
+            union |= m
+        if union == (1 << n) - 1:
+            out.append(members)
+    return out
+
+
+def topologies(n: int) -> list[list[int]]:
+    """The families holding the empty set and the ground and closed under
+    pairwise union and intersection."""
+    full = (1 << n) - 1
+    out = []
+    for members in families(n):
+        present = set(members)
+        if 0 in present and full in present and all(
+            a | b in present and a & b in present for a in members for b in members
+        ):
+            out.append(members)
+    return out
+
+
+def generator_sets(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every permutation alone, then every pair of distinct ones, in
+    lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    out = [(p,) for p in perms]
+    for a in range(len(perms)):
+        for b in range(a + 1, len(perms)):
+            out.append((perms[a], perms[b]))
+    return out
+
+
+def _doc(n, convention, systems, gens=(), cyclic=False, functions=None, relabel=None):
+    """One wire document: systems by member masks, the generators named
+    g0, g1, ... and flowing as one cyclic or group flow `phi`."""
+    out: dict[str, Any] = {
+        "ground": n,
+        "convention": convention,
+        "systems": {
+            name: [[x for x in range(n) if m >> x & 1] for m in members]
+            for name, members in systems.items()
+        },
+    }
+    if gens:
+        out["permutations"] = {f"g{i}": list(g) for i, g in enumerate(gens)}
+        if relabel is not None:
+            out["permutations"]["f"] = list(relabel)
+        names = [f"g{i}" for i in range(len(gens))]
+        out["flows"] = {"phi": {"cyclic": names[0]} if cyclic else {"group": names}}
+    if functions is not None:
+        out["functions"] = {"f": list(functions)}
+    return out
+
+
+def instance_space(kind: str, n: int, convention: str) -> list[dict[str, Any]]:
+    """The wire documents of one exhaustive space in sweep order, listed by
+    nested loops with the last-named factor innermost.  Kinds:
+    `topologies`, `systems`, `systems_subsets`, `gensets_subsets`,
+    `topologies_gensets`, `systems_gensets`, `cycles_powerset`,
+    `cycles_coverings`, `systems_functions`, `systems_bijections` and
+    `relabelings`."""
+    c = convention
+    perms = list(itertools.permutations(range(n)))
+    if kind == "topologies":
+        return [_doc(n, c, {"T": t}) for t in topologies(n)]
+    if kind == "systems":
+        return [_doc(n, c, {"A": a}) for a in coverings(n)]
+    if kind == "systems_subsets":
+        return [_doc(n, c, {"A": a, "B": [b]}) for a in coverings(n) for b in range(1 << n)]
+    if kind == "gensets_subsets":
+        return [
+            _doc(n, c, {"chi": [chi]}, g)
+            for g in generator_sets(n)
+            for chi in range(1, 1 << n)
+        ]
+    if kind == "topologies_gensets":
+        return [_doc(n, c, {"T": t}, g) for t in topologies(n) for g in generator_sets(n)]
+    if kind == "systems_gensets":
+        return [_doc(n, c, {"A": a}, g) for a in coverings(n) for g in generator_sets(n)]
+    if kind == "cycles_powerset":
+        return [_doc(n, c, {"Z": list(range(1 << n))}, (p,), cyclic=True) for p in perms]
+    if kind == "cycles_coverings":
+        return [
+            _doc(n, c, {"Z": z}, (p,), cyclic=True) for p in perms for z in coverings(n)
+        ]
+    if kind == "systems_functions":
+        maps = list(itertools.product(range(n), repeat=n))
+        return [_doc(n, c, {"A": a}, functions=f) for a in coverings(n) for f in maps]
+    if kind == "systems_bijections":
+        return [_doc(n, c, {"A": a}, functions=f) for a in coverings(n) for f in perms]
+    if kind == "relabelings":
+        return [
+            _doc(n, c, {"A": a}, (p,), cyclic=True, relabel=r)
+            for p in perms
+            for a in coverings(n)
+            for r in perms
+        ]
+    raise ValueError(f"unknown space {kind!r}")

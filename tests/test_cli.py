@@ -267,6 +267,18 @@ class TestSweepCommand:
         assert report["seed"] == 3
         assert report["samples"] == 10
 
+    @pytest.mark.parametrize("theorem", ["L1_3", "S2_2", "B3_2", "S3_3", "B3_4", "K3_9"])
+    def test_generator_set_claims_sweep_one_point_at_random(self, capsys, theorem):
+        # a 1-point ground has one permutation, so every draw takes it alone
+        code, out, err = run_cli(capsys, "sweep", theorem, "--n", "1", "--samples", "3")
+        report = json.loads(out)["result"]
+        assert err == ""
+        assert report["instance_count"] == 3
+        # exit 1 only where a claim registered clean fails: B3_2 does, on
+        # A={{0}}, whose hull of the ground is empty
+        assert code == (1 if theorem == "B3_2" else 0)
+        assert (report["fail_count"] > 0) == (theorem == "B3_2")
+
     @pytest.mark.parametrize(
         "flags, name",
         [

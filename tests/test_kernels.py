@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 from hullflow import kernels
 
@@ -43,12 +45,33 @@ class TestPureKernels:
 
 class TestHullTable:
     def test_matches_per_subset_scan(self):
+        # n <= 4 runs only the 16-cell block passes, n > 4 adds the
+        # slice-wise passes over the higher bits
         families = list(random_families(3, 300))
-        families += [(n, []) for n in range(1, 7)]
+        rnd = random.Random(5)
+        for n in range(1, 10):
+            families += [(n, []), (n, list(range(1 << n)))]
+            families += [
+                (n, [m for m in range(1 << n) if rnd.random() < p]) for p in (0.05, 0.5)
+            ]
         for n, sources in families:
             for j, k in itertools.product((0, 1), repeat=2):
                 expected = [kernels.hull_value(sources, z, j, k) for z in range(1 << n)]
                 assert kernels.hull_table(n, sources, j, k) == expected, (n, sources, j, k)
+
+    def test_memory_stays_within_twice_the_table(self):
+        n = 14
+        sources = [m for m in range(1 << n) if m % 7 == 3]
+        for j, k in itertools.product((0, 1), repeat=2):
+            tracemalloc.start()
+            try:
+                table = kernels.hull_table(n, sources, j, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the list and one int object per cell
+            own = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+            assert peak <= 2 * own, (j, k, own, peak)
 
     def test_commutes_with_closure_takes_the_point_map(self):
         for n, sources in random_families(4, 100):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import json
+import math
 import os
 import random
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 import oracles
 from hullflow import verify
-from hullflow.instances import Instance
+from hullflow.instances import Instance, convention_name
 from hullflow.setsys import ClosureConvention
 from hullflow.verify import (
     CLAIMS,
@@ -36,6 +37,57 @@ T_SELFDUAL = {
 }
 
 
+def covering_count(n):
+    # independent count: families on k-subsets assembled by
+    # inclusion-exclusion over the covered point set
+    return sum((-1) ** (n - k) * math.comb(n, k) * (1 << (1 << k)) for k in range(n + 1))
+
+
+#: The exhaustive space of each claim, as an `oracles.instance_space` kind.
+SPACE_KINDS = {
+    TheoremId.S1_1: "topologies",
+    TheoremId.K1_2: "topologies",
+    TheoremId.L1_3: "gensets_subsets",
+    TheoremId.S2_2: "topologies_gensets",
+    TheoremId.B2_3d: "cycles_powerset",
+    TheoremId.L3_1: "systems_subsets",
+    TheoremId.B3_2: "systems_gensets",
+    TheoremId.S3_3: "systems_gensets",
+    TheoremId.B3_4: "systems_gensets",
+    TheoremId.B3_6: "systems",
+    TheoremId.B3_7: "systems_functions",
+    TheoremId.S3_8_bij: "systems_bijections",
+    TheoremId.S3_8_all: "systems_functions",
+    TheoremId.K3_9: "systems_gensets",
+    TheoremId.B3_10: "systems_bijections",
+    TheoremId.COVAR: "relabelings",
+    TheoremId.CHAIN_karrenk: "cycles_coverings",
+    TheoremId.IDEM_ydwed: "systems",
+}
+
+
+def closed_form_size(kind, n):
+    """The number of instances of a space, from the closed-form counts of
+    its factors."""
+    perms = math.factorial(n)
+    coverings = covering_count(n)
+    topologies = oracles.count_preorders(n)
+    gensets = perms + math.comb(perms, 2)
+    return {
+        "topologies": topologies,
+        "systems": coverings,
+        "systems_subsets": coverings << n,
+        "gensets_subsets": gensets * ((1 << n) - 1),
+        "topologies_gensets": topologies * gensets,
+        "systems_gensets": coverings * gensets,
+        "cycles_powerset": perms,
+        "cycles_coverings": perms * coverings,
+        "systems_functions": coverings * n**n,
+        "systems_bijections": coverings * perms,
+        "relabelings": perms * coverings * perms,
+    }[kind]
+
+
 class TestEnumeration:
     def test_covering_families_one_point(self):
         families = list(enum_systems(1, covering_only=True))
@@ -51,16 +103,9 @@ class TestEnumeration:
             assert covering <= total
 
     def test_covering_count_matches_inclusion_exclusion(self):
-        # independent count: families on k-subsets assembled by
-        # inclusion-exclusion over the covered point set
-        from math import comb
-
         for n in (1, 2, 3):
-            expected = sum(
-                (-1) ** (n - k) * comb(n, k) * (1 << (1 << k)) for k in range(n + 1)
-            )
             got = sum(1 for _ in enum_systems(n, covering_only=True))
-            assert got == expected
+            assert got == covering_count(n)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
@@ -85,6 +130,34 @@ class TestEnumeration:
     def test_frozen_topology_counts(self):
         assert sum(1 for _ in enum_topologies(2)) == 4
         assert sum(1 for _ in enum_topologies(3)) == 29
+
+
+class TestIndexedSpaces:
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_order_against_nested_loops(self, theorem):
+        kind = SPACE_KINDS[theorem]
+        for n in range(1, min(3, CLAIMS[theorem].max_exhaustive_n) + 1):
+            for conv in (FULL, NONEMPTY):
+                space = CLAIMS[theorem].space(n, conv)
+                assert len(space) == closed_form_size(kind, n), n
+                listed = oracles.instance_space(kind, n, convention_name(conv))
+                assert [space.at(o).to_dict() for o in range(len(space))] == listed, n
+
+    def test_covering_systems_at_four_points(self):
+        space = CLAIMS[TheoremId.IDEM_ydwed].space(4, FULL)
+        assert len(space) == covering_count(4) == 64594
+        listed = oracles.instance_space("systems", 4, "full")
+        assert [space.at(o).to_dict() for o in range(len(space))] == listed
+
+    def test_ordinals_out_of_range(self):
+        space = CLAIMS[TheoremId.B3_7].space(2, FULL)
+        for ordinal in (-1, len(space)):
+            with pytest.raises(IndexError):
+                space.at(ordinal)
+
+    def test_covering_families_over_the_cap(self):
+        with pytest.raises(SizeLimitError):
+            verify._covering_families(5)
 
 
 class TestCheckTheorem:
@@ -304,6 +377,10 @@ class TestGeneratorSampler:
             assert len(lazy) == len(list(itertools.permutations(range(n))))
             assert list(lazy) == list(itertools.permutations(range(n)))
 
+    def test_one_point_draws_one_generator(self):
+        for seed in range(20):
+            assert verify._sample_genset(random.Random(seed), 1) == ((0,),)
+
     def test_draw_lists_no_permutations(self):
         tracemalloc.start()
         try:
@@ -354,6 +431,23 @@ class TestWorkerShares:
         rep = sweep(TheoremId.S3_8_all, 3, "random", jobs=jobs, **kwargs)
         assert recording_pool.made == ([] if workers is None else [workers])
         assert rep.to_payload() == serial.to_payload()
+
+    @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
+    def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
+        built = []
+        init = Instance.__init__
+
+        def counting(inst, *args, **kwargs):
+            built.append(1)
+            init(inst, *args, **kwargs)
+
+        monkeypatch.setattr(Instance, "__init__", counting)
+        total, *_ = verify._evaluate(theorem, n, "exhaustive", None, None, FULL, 0, 1, 2)
+        size = closed_form_size(SPACE_KINDS[theorem], n)
+        share = sum(1 for o in range(size) if o // verify.SHARE_BLOCK % 2 == 1)
+        assert 0 < share < size
+        assert total == share
+        assert len(built) == share
 
     @pytest.mark.parametrize("jobs", [2, 3, 7])
     def test_shares_match_serial_for_every_claim(self, monkeypatch, recording_pool, jobs):
