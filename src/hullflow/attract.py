@@ -4,36 +4,36 @@ A free attractor is a nonempty flow-invariant set whose trace under the
 relativizing system satisfies the coherence criterion: any two nonempty
 trace sets can be brought to meet by some flow time, which orbit saturation
 decides without listing the group.  Weak and monotone variants quantify the
-criterion differently; one per-set decision serves every variant, and every
-attractor family is built from it.  Rooms are the closures of the orbits,
-and the closure-commutation report ties the two together.
+criterion differently; one pass over the invariant sets builds the family
+of every variant asked for.  Rooms are the images of the orbits under a
+closure table, and the room report ties them to the attractors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from typing import Optional, Sequence
 
 from . import kernels
-from .dynsys import Autobolism, DiscreteFlow, compose, invert, is_invariant, saturate
+from .dynsys import (
+    Autobolism,
+    DiscreteFlow,
+    compose,
+    invariant_sets,
+    invert,
+    is_invariant,
+    saturate,
+)
 from .setsys import (
-    CapExceededError,
     ClosureConvention,
     GroundMismatchError,
-    HullKind,
     SetSystem,
     Subset,
-    closed_family,
     closure_map,
-    hull_map,
     is_partition,
 )
-
-
-class NonInvariantError(ValueError):
-    """A set that must be flow-invariant is not."""
 
 
 class VariantUnsupportedError(ValueError):
@@ -47,43 +47,7 @@ class CoherenceVariant(Enum):
     MONO_MINUS = "mono-"
 
 
-@dataclass(frozen=True)
-class AttractorQuery:
-    """A flow with its relativizing covering system and criterion choices."""
-
-    flow: DiscreteFlow
-    covering: SetSystem
-    conv: ClosureConvention = ClosureConvention.FULL
-    variant: CoherenceVariant = CoherenceVariant.CONVENTIONAL
-    cadence: Optional[SetSystem] = None
-    coherence: Optional[SetSystem] = None
-    #: The pre-room family, which the weak criterion reads for every
-    #: candidate set; computed once, for weak queries only.
-    rooms: Optional[SetSystem] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.covering.ground != self.flow.ground:
-            raise GroundMismatchError(f"{self.covering.ground} vs {self.flow.ground}")
-        if not self.covering.covers_ground():
-            raise ValueError("relativizing system must cover the flow's ground")
-        if self.variant is CoherenceVariant.WEAK:
-            rooms = pre_rooms(self.flow, self.covering, self.conv)[0]
-            object.__setattr__(self, "rooms", rooms)
-
-
-def invariant_sets(flow: DiscreteFlow, cap: int = 1 << 20) -> SetSystem:
-    """All nonempty unions of orbit blocks (the nonempty invariant sets)."""
-    blocks = flow.orbit_blocks()
-    if 1 << len(blocks) > cap:
-        raise CapExceededError(f"2^{len(blocks)} invariant sets exceed cap {cap}")
-    out = []
-    for sel in range(1, 1 << len(blocks)):
-        acc = 0
-        for i, b in enumerate(blocks):
-            if sel >> i & 1:
-                acc |= b
-        out.append(acc)
-    return SetSystem(flow.ground, tuple(out))
+_MONOTONE = {CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS}
 
 
 def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
@@ -98,53 +62,49 @@ def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
     return True
 
 
-def _trace(covering: SetSystem, theta: int) -> list[int]:
-    return sorted({m & theta for m in covering.masks} - {0})
+def free_attractors(
+    flow: DiscreteFlow,
+    covering: SetSystem,
+    conv: ClosureConvention = ClosureConvention.FULL,
+    variants: Sequence[CoherenceVariant] = (CoherenceVariant.CONVENTIONAL,),
+) -> tuple[SetSystem, ...]:
+    """The free attractors of the flow relative to the covering, one family
+    per variant asked for, in that order: the nonempty invariant sets whose
+    trace under the covering passes the variant's coherence criterion.
 
-
-def _coherent(q: AttractorQuery, theta: int) -> bool:
-    """The query's coherence criterion on the trace of the covering on the
-    nonempty invariant set theta.  Monotone variants are decided by
+    Each trace is taken once and decided once for all the variants but the
+    weak one.  The monotone variants share the conventional decision by
     periodicity on cyclic flows: a witness within one generator period
     yields infinitely many strictly increasing (or decreasing) witness
-    times."""
-    trace = _trace(q.covering, theta)
-    monotone = q.variant in (CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS)
-    if monotone and not q.flow.is_cyclic:
+    times.  The weak criterion asks instead that, for any two trace sets,
+    the unions of the pre-rooms meeting each of them meet."""
+    if covering.ground != flow.ground:
+        raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
+    if not covering.covers_ground():
+        raise ValueError("relativizing system must cover the flow's ground")
+    weak = CoherenceVariant.WEAK in variants
+    rooms = pre_rooms(flow, covering, conv)[0].masks if weak else ()
+    candidates = invariant_sets(flow).masks
+    if _MONOTONE.intersection(variants) and not flow.is_cyclic:
         raise VariantUnsupportedError(
             "monotone coherence needs integer time; use a cyclic flow"
         )
-    if q.variant is not CoherenceVariant.WEAK:
-        return saturation_coherent(q.flow.orbit_blocks(), trace)
-    # weak: unions of the pre-room selections must meet
-    assert q.rooms is not None
-    rooms = q.rooms
-    for a in trace:
-        ua = reduce(lambda x, y: x | y, (k for k in rooms.masks if k & a), 0)
-        for b in trace:
-            ub = reduce(lambda x, y: x | y, (k for k in rooms.masks if k & b), 0)
-            if not ua & ub:
-                return False
-    return True
-
-
-def free_attractors(q: AttractorQuery) -> SetSystem:
-    """All nonempty invariant sets passing the coherence criterion of the
-    query's variant."""
-    return SetSystem(
-        q.flow.ground,
-        tuple(theta for theta in invariant_sets(q.flow).masks if _coherent(q, theta)),
-    )
-
-
-def coherence_variant(q: AttractorQuery, chi: Subset) -> bool:
-    """Evaluate the query's coherence criterion on one nonempty invariant
-    set."""
-    if not chi:
-        raise NonInvariantError("coherence criteria apply to nonempty sets")
-    if not is_invariant(q.flow.generators(), chi):
-        raise NonInvariantError(f"{chi!r} is not flow-invariant")
-    return _coherent(q, chi.bits)
+    conventional = any(v is not CoherenceVariant.WEAK for v in variants)
+    blocks = flow.orbit_blocks()
+    coherent: list[int] = []
+    weakly_coherent: list[int] = []
+    for theta in candidates:
+        trace = sorted({m & theta for m in covering.masks} - {0})
+        if conventional and saturation_coherent(blocks, trace):
+            coherent.append(theta)
+        if weak:
+            # saturate() unites the members of any family that meet a mask
+            unions = [saturate(rooms, a) for a in trace]
+            if all(u & w for u in unions for w in unions):
+                weakly_coherent.append(theta)
+    strong = SetSystem(flow.ground, tuple(coherent))
+    weakly = SetSystem(flow.ground, tuple(weakly_coherent))
+    return tuple(weakly if v is CoherenceVariant.WEAK else strong for v in variants)
 
 
 def topological_attractors(
@@ -188,6 +148,11 @@ def topological_attractors(
     return SetSystem(ground, tuple(out))
 
 
+def _rooms(flow: DiscreteFlow, table: Sequence[int]) -> tuple[SetSystem, bool]:
+    rooms = sorted({table[b] for b in flow.orbit_blocks()})
+    return SetSystem(flow.ground, tuple(rooms)), is_partition(rooms, flow.ground.full_mask)
+
+
 def pre_rooms(
     flow: DiscreteFlow, relsys: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> tuple[SetSystem, bool]:
@@ -195,23 +160,7 @@ def pre_rooms(
     recording whether they partition the ground (then they are rooms)."""
     if relsys.ground != flow.ground:
         raise GroundMismatchError(f"{relsys.ground} vs {flow.ground}")
-    cl = closure_map(relsys, conv)
-    blocks = flow.orbit_blocks()
-    rooms = sorted({cl[b] for b in blocks})
-    return SetSystem(flow.ground, tuple(rooms)), is_partition(rooms, flow.ground.full_mask)
-
-
-def flows_equivalent(
-    f: DiscreteFlow,
-    g: DiscreteFlow,
-    relsys: SetSystem,
-    conv: ClosureConvention = ClosureConvention.FULL,
-) -> bool:
-    """True when the two flows have the same pre-room family relative to
-    the system."""
-    if f.ground != g.ground:
-        raise GroundMismatchError(f"{f.ground} vs {g.ground}")
-    return pre_rooms(f, relsys, conv)[0] == pre_rooms(g, relsys, conv)[0]
+    return _rooms(flow, closure_map(relsys, conv))
 
 
 def transport(
@@ -231,105 +180,40 @@ def transport(
     return new, moved
 
 
-@dataclass(frozen=True)
-class HullSpec:
-    """A hull operator given by a system, a hull kind and a convention."""
-
-    system: SetSystem
-    kind: HullKind
-    conv: ClosureConvention = ClosureConvention.FULL
-
-    def table(self) -> list[int]:
-        return hull_map(self.system, self.kind, self.conv)
-
-
-def hull_rooms(
-    flow: DiscreteFlow, spec: HullSpec
-) -> tuple[SetSystem, bool, bool]:
-    """Images of the orbits under an arbitrary hull operator, the
-    commutation premise (every generator commutes with the operator on all
-    subsets), and the partition verdict.  The family is returned even when
-    the premise fails."""
-    if spec.system.ground != flow.ground:
-        raise GroundMismatchError(f"{spec.system.ground} vs {flow.ground}")
-    if not spec.system.covers_ground():
-        raise ValueError("the hull system must cover the flow's ground")
-    table = spec.table()
-    premise = all(
-        kernels.commutes_with_closure(g.image, table)
-        for g in flow.generators()
-    )
-    blocks = flow.orbit_blocks()
-    rooms = sorted({table[b] for b in blocks})
-    return (
-        SetSystem(flow.ground, tuple(rooms)),
-        premise,
-        is_partition(rooms, flow.ground.full_mask),
-    )
+def commutes(flow: DiscreteFlow, table: Sequence[int]) -> bool:
+    """True when every generator of the flow commutes with the closure
+    operator whose table, indexed by mask, is given."""
+    return all(kernels.commutes_with_closure(g.image, table) for g in flow.generators())
 
 
 @dataclass(frozen=True)
-class FlowClosureReport:
-    """How a flow interacts with the hull operator of a covering system:
-    whether every generator commutes with the closure, the room family and
-    its partition status, whether the rooms are flow-invariant, and whether
-    they are all free attractors relative to the closed family (None when
-    the closed family fails to cover the ground, which makes the attractor
-    side ill-formed)."""
+class RoomReport:
+    """The rooms of a flow under a closure table, whether they partition
+    the ground, whether they are flow-invariant, and whether they are all
+    free attractors relative to the table's closed family (None when that
+    family fails to cover the ground, which makes the attractor side
+    ill-formed)."""
 
-    commutes: bool
     rooms: SetSystem
-    rooms_partition: bool
-    rooms_invariant: bool
-    rooms_are_attractors: Optional[bool]
-
-    @property
-    def invariance_matches_attractors(self) -> Optional[bool]:
-        if self.rooms_are_attractors is None:
-            return None
-        return self.rooms_invariant == self.rooms_are_attractors
-
-    @property
-    def commutation_conclusion_holds(self) -> Optional[bool]:
-        if not self.commutes:
-            return True
-        if self.rooms_are_attractors is None:
-            return None
-        return self.rooms_partition and self.rooms_are_attractors
+    partition: bool
+    invariant: bool
+    attractors: Optional[bool]
 
 
-def closure_commutation_report(
-    flow: DiscreteFlow,
-    system: SetSystem,
-    conv: ClosureConvention = ClosureConvention.FULL,
-) -> FlowClosureReport:
-    """Joint report of closure commutation, rooms, room invariance and the
-    rooms-are-attractors test against the closed family."""
-    if not system.covers_ground():
-        raise ValueError("the covering system must cover the flow's ground")
-    cl = closure_map(system, conv)
-    commutes = all(
-        kernels.commutes_with_closure(g.image, cl)
-        for g in flow.generators()
-    )
-    rooms, rooms_partition = pre_rooms(flow, system, conv)
-    rooms_invariant = all(
+def room_report(
+    flow: DiscreteFlow, table: Sequence[int], conv: ClosureConvention = ClosureConvention.FULL
+) -> RoomReport:
+    """The room report of the flow under a closure table, such as the
+    closure_map of a covering system; no other table is built."""
+    rooms, partition = _rooms(flow, table)
+    invariant = all(
         is_invariant(flow.generators(), Subset(flow.ground, r)) for r in rooms.masks
     )
-    closed = closed_family(system, conv)
-    rooms_are_attractors: Optional[bool]
-    if not closed.covers_ground():
-        rooms_are_attractors = None
-    elif any(r == 0 for r in rooms.masks):
-        rooms_are_attractors = False  # the empty set is never attractive
-    else:
-        q = AttractorQuery(flow, closed, conv)
-        at = free_attractors(q)
-        rooms_are_attractors = all(r in at for r in rooms.masks)
-    return FlowClosureReport(
-        commutes=commutes,
-        rooms=rooms,
-        rooms_partition=rooms_partition,
-        rooms_invariant=rooms_invariant,
-        rooms_are_attractors=rooms_are_attractors,
-    )
+    closed = SetSystem(flow.ground, tuple(set(table)))
+    attractors: Optional[bool] = None
+    if closed.covers_ground():
+        # the empty set is never attractive
+        attractors = 0 not in rooms.masks and set(rooms.masks) <= set(
+            free_attractors(flow, closed, conv)[0].masks
+        )
+    return RoomReport(rooms, partition, invariant, attractors)

@@ -1,8 +1,14 @@
 """Command-line interface: parse a named-object instance, dispatch one
 operation, serialize the report.
 
-Exit codes: 0 on success, 1 when a sweep of a claim registered as
-failure-free reports failures, 2 on usage or parse errors.
+Exit codes:
+
+- 0: success, including sweeps that find counterexamples to claims not
+  registered as failure-free;
+- 1: a sweep of a claim registered as failure-free reports failures;
+- 2: usage, parse or size-limit errors, reported in one line;
+- 3: an internal error, that is a bug, reported in one line without a
+  traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from typing import Any, Optional
 
 from . import __version__
 from .attract import (
-    AttractorQuery,
     CoherenceVariant,
     free_attractors,
     pre_rooms,
@@ -26,7 +31,7 @@ from .cantor import (
     is_commutative_cantor,
     is_trivially_commutative,
 )
-from .dynsys import invariant_basis, invariant_topology, orbit_partition
+from .dynsys import invariant_topology, orbit_partition
 from .instances import Instance, InstanceError, convention_name, parse_convention
 from .setsys import (
     CapExceededError,
@@ -319,8 +324,10 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
     if args.command == "invariant-topology":
         flow = _named_flow(inst, args.flow)
-        gens = list(flow.generators())
-        system = invariant_basis(gens) if args.basis_only else invariant_topology(gens)
+        if args.basis_only:
+            system = orbit_partition(flow)
+        else:
+            system = invariant_topology(flow.generators())
         return _report(args, conv, _masks_payload(system)), 0
 
     if args.command == "orbits":
@@ -330,8 +337,8 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.command == "attractors":
         flow = _named_flow(inst, args.flow)
         covering = _named_system(inst, args.covering)
-        q = AttractorQuery(flow, covering, conv, _VARIANTS[args.variant])
-        return _report(args, conv, _masks_payload(free_attractors(q))), 0
+        [family] = free_attractors(flow, covering, conv, (_VARIANTS[args.variant],))
+        return _report(args, conv, _masks_payload(family)), 0
 
     if args.command == "topo-attractors":
         names = [s.strip() for s in args.topologies.split(",") if s.strip()]
@@ -387,6 +394,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             GroundMismatchError, ValueError) as exc:
         print(f"hullflow: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"hullflow: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(emit(report, args.format))
     return code
 

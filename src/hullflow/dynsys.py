@@ -15,11 +15,11 @@ from typing import Iterable, Optional, Sequence
 
 from . import kernels
 from .setsys import (
+    CapExceededError,
     GroundMismatchError,
     GroundSet,
     SetSystem,
     Subset,
-    union_closure,
 )
 
 
@@ -165,17 +165,24 @@ def orbit_partition(flow: DiscreteFlow) -> SetSystem:
     return SetSystem(flow.ground, flow.orbit_blocks())
 
 
-def invariant_basis(gens: Sequence[Autobolism]) -> SetSystem:
-    """Orbit partition of the generated group; the common invariant
-    topology is its union closure plus the empty set."""
-    return orbit_partition(DiscreteFlow.of_group(gens))
+def invariant_sets(flow: DiscreteFlow, cap: int = 1 << 20) -> SetSystem:
+    """All nonempty unions of orbit blocks (the nonempty invariant sets).
+    Each block doubles the unions built so far, so the enumeration takes
+    one step per set."""
+    blocks = flow.orbit_blocks()
+    if 1 << len(blocks) > cap:
+        raise CapExceededError(f"2^{len(blocks)} invariant sets exceed cap {cap}")
+    unions = [0]
+    for block in blocks:
+        unions += [u | block for u in unions]
+    return SetSystem(flow.ground, tuple(unions[1:]))
 
 
 def invariant_topology(gens: Sequence[Autobolism]) -> SetSystem:
-    """All subsets fixed by every generator: the union closure of the orbit
-    partition together with the empty set."""
-    basis = invariant_basis(gens)
-    return union_closure(basis)  # union closure always contains the empty set
+    """All subsets fixed by every generator: the invariant sets of the
+    generated group together with the empty set."""
+    flow = DiscreteFlow.of_group(gens)
+    return SetSystem(flow.ground, (0,) + invariant_sets(flow).masks)
 
 
 def is_invariant(gens: Iterable[Autobolism], x: Subset) -> bool:

@@ -29,11 +29,10 @@ from typing import Any, Callable, Iterator, Optional
 
 from . import kernels
 from .attract import (
-    AttractorQuery,
     CoherenceVariant,
-    closure_commutation_report,
+    commutes,
     free_attractors,
-    invariant_sets,
+    room_report,
     saturation_coherent,
     transport,
 )
@@ -45,7 +44,7 @@ from .cantor import (
     phase_chain_check,
     preserves_unfamily,
 )
-from .dynsys import Autobolism, DiscreteFlow, orbit_partition
+from .dynsys import Autobolism, DiscreteFlow, invariant_sets, orbit_partition
 from .instances import Instance, InstanceError, convention_name
 from .setsys import (
     DEFAULT_ENUM_CAP,
@@ -404,12 +403,12 @@ def _invariant_partitions(flow: DiscreteFlow) -> Iterator[list[int]]:
 
 def _closed_partitions(
     inst: Instance, name: str, sys: SetSystem, flow: DiscreteFlow,
-    conv: ClosureConvention,
+    conv: ClosureConvention, cl: list[int],
 ) -> Verdict:
-    """Holds when the closure under `sys` of every invariant partition of
-    the flow is again an invariant partition; the failing witness keeps
-    `sys` under its own name and adds the partition as `P`."""
-    cl = closure_map(sys, conv)
+    """Holds when the closure under `sys`, whose table is `cl`, of every
+    invariant partition of the flow is again an invariant partition; the
+    failing witness keeps `sys` under its own name and adds the partition
+    as `P`."""
     invariant = set(invariant_sets(flow).masks) | {0}
     for part in _invariant_partitions(flow):
         closed = sorted({cl[p] for p in part})
@@ -434,7 +433,7 @@ def _check_s2_2(inst: Instance, conv: ClosureConvention) -> Verdict:
         return _skip("not a topology")
     if not _continuous(flow, t):
         return _holds("flow not continuous; premise not met")
-    return _closed_partitions(inst, "T", t, flow, conv)
+    return _closed_partitions(inst, "T", t, flow, conv, closure_map(t, conv))
 
 
 def _check_b3_2(inst: Instance, conv: ClosureConvention) -> Verdict:
@@ -442,10 +441,10 @@ def _check_b3_2(inst: Instance, conv: ClosureConvention) -> Verdict:
     flow = _get_flow(inst)
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    report = closure_commutation_report(flow, sys, conv)
-    if not report.commutes:
+    cl = closure_map(sys, conv)
+    if not commutes(flow, cl):
         return _holds("flow does not commute with the hull; premise not met")
-    return _closed_partitions(inst, "A", sys, flow, conv)
+    return _closed_partitions(inst, "A", sys, flow, conv, cl)
 
 
 def _check_s3_3(inst: Instance, conv: ClosureConvention) -> Verdict:
@@ -453,17 +452,18 @@ def _check_s3_3(inst: Instance, conv: ClosureConvention) -> Verdict:
     flow = _get_flow(inst)
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    report = closure_commutation_report(flow, sys, conv)
-    if not report.commutes:
+    cl = closure_map(sys, conv)
+    if not commutes(flow, cl):
         return _holds("flow does not commute with the hull; premise not met")
-    if report.rooms_are_attractors is None:
+    report = room_report(flow, cl, conv)
+    if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
-    if report.rooms_partition and report.rooms_are_attractors:
+    if report.partition and report.attractors:
         return _holds()
     return _fails(
         inst,
-        f"rooms={report.rooms!r} partition={report.rooms_partition} "
-        f"attractors={report.rooms_are_attractors}",
+        f"rooms={report.rooms!r} partition={report.partition} "
+        f"attractors={report.attractors}",
     )
 
 
@@ -472,15 +472,15 @@ def _check_b3_4(inst: Instance, conv: ClosureConvention) -> Verdict:
     flow = _get_flow(inst)
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    report = closure_commutation_report(flow, sys, conv)
-    if report.rooms_are_attractors is None:
+    report = room_report(flow, closure_map(sys, conv), conv)
+    if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
-    if report.rooms_invariant == report.rooms_are_attractors:
+    if report.invariant == report.attractors:
         return _holds()
     return _fails(
         inst,
-        f"rooms={report.rooms!r} invariant={report.rooms_invariant} "
-        f"attractors={report.rooms_are_attractors}",
+        f"rooms={report.rooms!r} invariant={report.invariant} "
+        f"attractors={report.attractors}",
     )
 
 
@@ -491,18 +491,18 @@ def _check_b2_3d(inst: Instance, conv: ClosureConvention) -> Verdict:
         return _skip("monotone variants need a cyclic flow")
     if not covering.covers_ground():
         return _skip("system does not cover the ground")
-    conventional, plus, minus = (
-        free_attractors(AttractorQuery(flow, covering, conv, v))
-        for v in (CoherenceVariant.CONVENTIONAL, CoherenceVariant.MONO_PLUS,
-                  CoherenceVariant.MONO_MINUS)
-    )
+    variants = [CoherenceVariant.CONVENTIONAL, CoherenceVariant.MONO_PLUS,
+                CoherenceVariant.MONO_MINUS]
+    if len(covering.masks) == 1 << inst.ground.size:
+        variants.append(CoherenceVariant.WEAK)  # the power-set clause
+    conventional, plus, minus, *powerset = free_attractors(flow, covering, conv, variants)
     if not (conventional == plus == minus):
         return _fails(
             inst,
             f"conventional={conventional!r} mono+={plus!r} mono-={minus!r}",
         )
-    if len(covering.masks) == 1 << inst.ground.size:
-        weak = free_attractors(AttractorQuery(flow, covering, conv, CoherenceVariant.WEAK))
+    if powerset:
+        [weak] = powerset
         blocks = orbit_partition(flow)
         if not (weak == conventional == blocks):
             return _fails(
@@ -521,9 +521,11 @@ def _check_chain(inst: Instance, conv: ClosureConvention) -> Verdict:
     if not covering.covers_ground():
         return _skip("system does not cover the ground")
     weak, conventional, plus, minus = (
-        set(free_attractors(AttractorQuery(flow, covering, conv, v)).masks)
-        for v in (CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
-                  CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS)
+        set(family.masks) for family in free_attractors(
+            flow, covering, conv,
+            (CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
+             CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS),
+        )
     )
     if weak >= conventional and conventional >= plus and conventional >= minus:
         return _holds()
@@ -599,8 +601,8 @@ def _check_covar(inst: Instance, conv: ClosureConvention) -> Verdict:
     if relabel is None:
         raise InstanceError("permutations.f", "missing relabeling")
     moved_flow, moved_sys = transport(flow, sys, relabel)
-    original = free_attractors(AttractorQuery(flow, sys, conv))
-    moved = free_attractors(AttractorQuery(moved_flow, moved_sys, conv))
+    [original] = free_attractors(flow, sys, conv)
+    [moved] = free_attractors(moved_flow, moved_sys, conv)
     expected = SetSystem(
         inst.ground, tuple(relabel.apply_mask(m) for m in original.masks)
     )
@@ -1052,6 +1054,8 @@ def sweep(
     check their own share of the ordinals.
     Reports are deterministic for fixed parameters, whatever `jobs` is."""
     claim = CLAIMS[theorem]
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if samples is not None and samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
     if max_counterexamples < 0:

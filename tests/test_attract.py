@@ -7,34 +7,26 @@ import pytest
 
 import oracles
 from hullflow.attract import (
-    AttractorQuery,
     CoherenceVariant,
-    FlowClosureReport,
-    HullSpec,
-    NonInvariantError,
     VariantUnsupportedError,
-    closure_commutation_report,
-    coherence_variant,
-    flows_equivalent,
+    commutes,
     free_attractors,
-    hull_rooms,
-    invariant_sets,
     pre_rooms,
+    room_report,
     saturation_coherent,
     topological_attractors,
     transport,
 )
-from hullflow.dynsys import Autobolism, DiscreteFlow, compose, invert, power
+from hullflow.dynsys import Autobolism, DiscreteFlow, invariant_sets, power
+from hullflow.instances import Instance
 from hullflow.setsys import (
-    CLOSURE_KIND,
     ClosureConvention,
     GroundSet,
-    HullKind,
-    INTERIOR_KIND,
     SetSystem,
     Subset,
     closure_map,
 )
+from hullflow.verify import TheoremId, check_theorem
 
 G2 = GroundSet(2)
 G3 = GroundSet(3)
@@ -63,32 +55,25 @@ class TestInvariantSets:
 
 class TestFreeAttractors:
     def test_orbit_is_attractive(self, swap01_flow):
-        q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert coherence_variant(q, Subset.of(G3, [0, 1]))
+        [family] = free_attractors(swap01_flow, SetSystem.powerset(G3))
+        assert Subset.of(G3, [0, 1]) in family
 
     def test_whole_space_fails(self, swap01_flow):
-        q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert not coherence_variant(q, Subset.of(G3, [0, 1, 2]))
+        [family] = free_attractors(swap01_flow, SetSystem.powerset(G3))
+        assert Subset.of(G3, [0, 1, 2]) not in family
 
     def test_fixed_singleton(self, swap01_flow):
-        q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert coherence_variant(q, Subset.of(G3, [2]))
-
-    def test_non_invariant_rejected(self, swap01_flow):
-        q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        with pytest.raises(NonInvariantError):
-            coherence_variant(q, Subset.of(G3, [0]))
-        with pytest.raises(NonInvariantError):
-            coherence_variant(q, Subset.of(G3, []))
+        [family] = free_attractors(swap01_flow, SetSystem.powerset(G3))
+        assert Subset.of(G3, [2]) in family
 
     def test_powerset_covering_yields_orbit_partition(self, swap01_flow):
-        q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert free_attractors(q) == SetSystem.of(G3, [[0, 1], [2]])
+        [family] = free_attractors(swap01_flow, SetSystem.powerset(G3))
+        assert family == SetSystem.of(G3, [[0, 1], [2]])
 
     def test_block_refined_covering(self, swap01_flow):
         covering = SetSystem.of(G3, [[0, 1], [2], [0, 1, 2]])
-        q = AttractorQuery(swap01_flow, covering)
-        assert free_attractors(q) == SetSystem.of(G3, [[0, 1], [2]])
+        [family] = free_attractors(swap01_flow, covering)
+        assert family == SetSystem.of(G3, [[0, 1], [2]])
 
     def test_orbit_blocks_always_attractive(self):
         # one inclusion is universal: every orbit block passes the
@@ -105,7 +90,7 @@ class TestFreeAttractors:
             masks = [m for m in range(1 << n) if rnd.random() < 0.5]
             masks.append(ground.full_mask)
             covering = SetSystem(ground, tuple(masks))
-            attractors = free_attractors(AttractorQuery(flow, covering))
+            [attractors] = free_attractors(flow, covering)
             for block in orbit_partition(flow).masks:
                 assert block in attractors
 
@@ -127,8 +112,7 @@ class TestFreeAttractors:
             for _ in range(rnd.randrange(0, 4)):
                 members.add(rnd.randrange(1 << n))
             covering = SetSystem(ground, tuple(members))
-            q = AttractorQuery(flow, covering)
-            assert free_attractors(q) == orbit_partition(flow)
+            assert free_attractors(flow, covering) == (orbit_partition(flow),)
 
     def test_contains_an_orbit_premise_insufficient(self):
         # mined: members that merely contain a full orbit may straddle a
@@ -136,12 +120,12 @@ class TestFreeAttractors:
         ground = GroundSet(4)
         flow = DiscreteFlow.cyclic(Autobolism.of(ground, [1, 0, 3, 2]))
         covering = SetSystem.of(ground, [[0, 1, 2], [2, 3], [0, 1, 2, 3]])
-        attractors = free_attractors(AttractorQuery(flow, covering))
+        [attractors] = free_attractors(flow, covering)
         assert ground.full_mask in attractors.masks
 
     def test_covering_must_cover(self, swap01_flow):
         with pytest.raises(ValueError):
-            AttractorQuery(swap01_flow, SetSystem.of(G3, [[0]]))
+            free_attractors(swap01_flow, SetSystem.of(G3, [[0]]))
 
     def test_family_against_group_oracle(self):
         # every generator set of size one or two and every covering system
@@ -168,7 +152,7 @@ class TestFreeAttractors:
                         )
                     )
                     for conv in ClosureConvention:
-                        got = free_attractors(AttractorQuery(flow, covering, conv))
+                        [got] = free_attractors(flow, covering, conv)
                         assert got.masks == expected, (gens, covering, conv)
 
 
@@ -239,8 +223,10 @@ class TestSaturationCoherence:
 
 class TestCoherenceVariants:
     def test_conventional_example(self, swap01_flow):
-        q = AttractorQuery(swap01_flow, SetSystem.powerset(G3))
-        assert coherence_variant(q, Subset.of(G3, [0, 1]))
+        [family] = free_attractors(
+            swap01_flow, SetSystem.powerset(G3), variants=(CoherenceVariant.CONVENTIONAL,)
+        )
+        assert Subset.of(G3, [0, 1]) in family
 
     def test_mono_equals_conventional_brute_force(self):
         # dual route: the periodicity shortcut against the long-window oracle
@@ -254,13 +240,13 @@ class TestCoherenceVariants:
             masks = [m for m in range(1 << n) if rnd.random() < 0.5]
             masks.append(ground.full_mask)
             covering = SetSystem(ground, tuple(masks))
+            families = free_attractors(
+                flow, covering,
+                variants=(CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS),
+            )
             for chi in invariant_sets(flow).masks:
-                for variant, increasing in (
-                    (CoherenceVariant.MONO_PLUS, True),
-                    (CoherenceVariant.MONO_MINUS, False),
-                ):
-                    q = AttractorQuery(flow, covering, variant=variant)
-                    got = coherence_variant(q, Subset(ground, chi))
+                for family, increasing in zip(families, (True, False)):
+                    got = chi in family
                     want = _mono_oracle(flow, covering, chi, increasing)
                     assert got == want
 
@@ -268,11 +254,10 @@ class TestCoherenceVariants:
         flow = DiscreteFlow.of_group(
             [Autobolism.of(G3, [1, 0, 2]), Autobolism.of(G3, [0, 2, 1])]
         )
-        q = AttractorQuery(
-            flow, SetSystem.powerset(G3), variant=CoherenceVariant.MONO_PLUS
-        )
         with pytest.raises(VariantUnsupportedError):
-            coherence_variant(q, Subset.of(G3, [0, 1, 2]))
+            free_attractors(
+                flow, SetSystem.powerset(G3), variants=(CoherenceVariant.MONO_PLUS,)
+            )
 
     def test_inclusion_chain_on_powerset(self):
         # weak >= conventional = mono on the power-set covering
@@ -281,14 +266,11 @@ class TestCoherenceVariants:
             p = SetSystem.powerset(ground)
             for image in itertools.permutations(range(n)):
                 flow = DiscreteFlow.cyclic(Autobolism.of(ground, image))
-                sets = {}
-                for variant in CoherenceVariant:
-                    q = AttractorQuery(flow, p, variant=variant)
-                    sets[variant] = {
-                        chi
-                        for chi in invariant_sets(flow).masks
-                        if coherence_variant(q, Subset(ground, chi))
-                    }
+                families = free_attractors(flow, p, variants=tuple(CoherenceVariant))
+                sets = {
+                    variant: set(family.masks)
+                    for variant, family in zip(CoherenceVariant, families)
+                }
                 assert sets[CoherenceVariant.WEAK] >= sets[CoherenceVariant.CONVENTIONAL]
                 assert (
                     sets[CoherenceVariant.CONVENTIONAL]
@@ -303,10 +285,11 @@ class TestCoherenceVariants:
         covering = SetSystem.of(G2, [[0], [0, 1]])
         flow = DiscreteFlow.cyclic(Autobolism.of(G2, [1, 0]))
         chi = Subset.of(G2, [0, 1])
-        conv_q = AttractorQuery(flow, covering, variant=CoherenceVariant.CONVENTIONAL)
-        weak_q = AttractorQuery(flow, covering, variant=CoherenceVariant.WEAK)
-        assert coherence_variant(conv_q, chi)
-        assert not coherence_variant(weak_q, chi)
+        conventional, weak = free_attractors(
+            flow, covering, variants=(CoherenceVariant.CONVENTIONAL, CoherenceVariant.WEAK)
+        )
+        assert chi in conventional
+        assert chi not in weak
 
 
 class TestPreRooms:
@@ -328,23 +311,6 @@ class TestPreRooms:
         rooms, verdict = pre_rooms(flow, covering)
         assert rooms == SetSystem.of(G3, [[1], [0, 1], [2]])
         assert not verdict
-
-
-class TestFlowEquivalence:
-    def test_reflexive(self, swap01_flow):
-        assert flows_equivalent(swap01_flow, swap01_flow, SetSystem.powerset(G3))
-
-    def test_inverse_same_orbits(self):
-        rot = Autobolism.of(G3, [1, 2, 0])
-        assert flows_equivalent(
-            DiscreteFlow.cyclic(rot),
-            DiscreteFlow.cyclic(invert(rot)),
-            SetSystem.powerset(G3),
-        )
-
-    def test_different_orbits(self, swap01_flow):
-        other = DiscreteFlow.cyclic(Autobolism.of(G3, [0, 2, 1]))
-        assert not flows_equivalent(swap01_flow, other, SetSystem.powerset(G3))
 
 
 class TestTransport:
@@ -374,74 +340,56 @@ class TestTransport:
             rnd.shuffle(relabel_img)
             relabel = Autobolism.of(ground, relabel_img)
             moved_flow, moved_sys = transport(flow, covering, relabel)
-            original = free_attractors(AttractorQuery(flow, covering))
-            moved = free_attractors(AttractorQuery(moved_flow, moved_sys))
+            [original] = free_attractors(flow, covering)
+            [moved] = free_attractors(moved_flow, moved_sys)
             expected = SetSystem(
                 ground, tuple(relabel.apply_mask(m) for m in original.masks)
             )
             assert moved == expected
 
 
-class TestHullRooms:
-    def test_closure_over_powerset(self, swap01_flow):
-        spec = HullSpec(SetSystem.powerset(G3), CLOSURE_KIND)
-        rooms, premise, verdict = hull_rooms(swap01_flow, spec)
-        assert premise and verdict
-        assert rooms == SetSystem.of(G3, [[0, 1], [2]])
-
-    def test_interior_of_invariant_topology(self, swap01_flow):
-        t = SetSystem.of(G3, [[], [0, 1], [2], [0, 1, 2]])
-        spec = HullSpec(t, INTERIOR_KIND)
-        rooms, premise, verdict = hull_rooms(swap01_flow, spec)
-        assert premise
-
-    def test_premise_false_still_reports(self):
-        flow = DiscreteFlow.cyclic(Autobolism.of(G3, [1, 0, 2]))
-        t = SetSystem.of(G3, [[], [0], [1, 2], [0, 1, 2]])
-        rooms, premise, verdict = hull_rooms(flow, HullSpec(t, CLOSURE_KIND))
-        assert not premise
-        assert isinstance(rooms, SetSystem)
-
-    def test_commutation_implies_partition_has_counterexamples(self):
-        # mined: the implication fails once rooms can be empty or nested
-        flow = DiscreteFlow.cyclic(Autobolism.identity(G3))
-        sys = SetSystem.of(G3, [[0], [0, 1], [2]])
-        rooms, premise, verdict = hull_rooms(flow, HullSpec(sys, CLOSURE_KIND))
-        assert premise and not verdict
+def _instance(flow, sys):
+    """A claim instance holding the flow `phi` and the system `A`."""
+    return Instance(
+        flow.ground, systems={"A": sys}, permutations={"g": flow.generator},
+        flows={"phi": flow},
+    )
 
 
 class TestClosureCommutationReport:
     def test_powerset_all_good(self, swap01_flow):
-        rep = closure_commutation_report(swap01_flow, SetSystem.powerset(G3))
-        assert rep.commutes and rep.rooms_partition
-        assert rep.rooms_invariant and rep.rooms_are_attractors
-        assert rep.commutation_conclusion_holds
+        sys = SetSystem.powerset(G3)
+        cl = closure_map(sys)
+        rep = room_report(swap01_flow, cl)
+        assert commutes(swap01_flow, cl) and rep.partition
+        assert rep.invariant and rep.attractors
+        assert check_theorem(TheoremId.S3_3, _instance(swap01_flow, sys)).status == "holds"
 
     def test_invariant_block_covering(self, swap01_flow):
         covering = SetSystem.of(G3, [[0, 1], [2], [0, 1, 2]])
-        rep = closure_commutation_report(swap01_flow, covering)
-        assert rep.commutes
-        assert rep.rooms == SetSystem.of(G3, [[0, 1], [2]])
+        cl = closure_map(covering)
+        assert commutes(swap01_flow, cl)
+        assert room_report(swap01_flow, cl).rooms == SetSystem.of(G3, [[0, 1], [2]])
 
     def test_mined_commutation_counterexample(self):
         # commuting flow whose rooms fail to partition: the core finding
         # behind the red sweep of the commutation theorem
         flow = DiscreteFlow.cyclic(Autobolism.identity(G3))
         sys = SetSystem.of(G3, [[0], [0, 1], [2]])
-        rep = closure_commutation_report(flow, sys)
-        assert rep.commutes
-        assert not rep.rooms_partition
-        assert rep.commutation_conclusion_holds is False
+        cl = closure_map(sys)
+        assert commutes(flow, cl)
+        assert not room_report(flow, cl).partition
+        assert check_theorem(TheoremId.S3_3, _instance(flow, sys)).status == "fails"
 
     def test_mined_invariance_vs_attractors_counterexample(self):
         # invariant rooms that are not attractors: two closed sets isolate
         # pieces of different orbits inside one room
         sys = SetSystem.of(G3, [[], [0, 1], [1], [1, 2]])
         flow = DiscreteFlow.cyclic(Autobolism.of(G3, [1, 0, 2]))
-        rep = closure_commutation_report(flow, sys)
-        assert rep.rooms_invariant is True
-        assert rep.rooms_are_attractors is False
-        assert rep.invariance_matches_attractors is False
+        rep = room_report(flow, closure_map(sys))
+        assert rep.invariant is True
+        assert rep.attractors is False
+        assert check_theorem(TheoremId.B3_4, _instance(flow, sys)).status == "fails"
 
     def test_mined_attractors_need_not_be_room_unions(self):
         # even when every room is an attractor, the attractors of the closed
@@ -451,9 +399,9 @@ class TestClosureCommutationReport:
 
         sys = SetSystem.of(G3, [[0, 1], [2]])
         flow = DiscreteFlow.cyclic(Autobolism.identity(G3))
-        rep = closure_commutation_report(flow, sys)
+        rep = room_report(flow, closure_map(sys))
         assert rep.rooms == SetSystem.of(G3, [[0, 1], [2]])
-        assert rep.rooms_are_attractors is True
-        attractors = free_attractors(AttractorQuery(flow, closed_family(sys)))
+        assert rep.attractors is True
+        [attractors] = free_attractors(flow, closed_family(sys))
         assert Subset.of(G3, [0]).bits in attractors.masks
         assert Subset.of(G3, [0]).bits not in union_closure(rep.rooms).masks

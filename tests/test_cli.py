@@ -1,11 +1,18 @@
 """CLI surface: parsing, dispatch, serialization, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullflow.cli import main
 from hullflow.instances import Instance, InstanceError
+from hullflow.verify import TheoremId
 
 T_E2 = {
     "ground": 3,
@@ -17,6 +24,16 @@ T_E2 = {
     "permutations": {"s": [1, 0, 2]},
     "functions": {"c0": [0, 0, 0]},
     "flows": {"phi": {"cyclic": "s"}, "grp": {"group": ["s"]}},
+}
+
+
+#: Coverings on which the coherence variants disagree, under the identity
+#: and a transposition.
+VARIANTS_DOC = {
+    "ground": 3,
+    "systems": {"W": [[0, 1], [0, 2]], "V": [[], [0, 1], [0, 2]]},
+    "permutations": {"e": [0, 1, 2], "s": [1, 0, 2]},
+    "flows": {"id": {"cyclic": "e"}, "phi": {"cyclic": "s"}, "grp": {"group": ["s", "e"]}},
 }
 
 
@@ -93,6 +110,44 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(out)["result"] == [[0, 1], [2]]
+
+    @pytest.mark.parametrize(
+        "flow, covering, variant, expected",
+        [
+            ("id", "W", "conventional", [[0], [1], [0, 1], [2], [0, 2], [0, 1, 2]]),
+            ("id", "W", "weak", [[1], [2]]),
+            ("id", "W", "mono+", [[0], [1], [0, 1], [2], [0, 2], [0, 1, 2]]),
+            ("id", "W", "mono-", [[0], [1], [0, 1], [2], [0, 2], [0, 1, 2]]),
+            ("id", "V", "weak", [[0], [1], [0, 1], [2], [0, 2], [1, 2], [0, 1, 2]]),
+            ("phi", "W", "conventional", [[0, 1], [2], [0, 1, 2]]),
+            ("phi", "W", "weak", [[2]]),
+            ("phi", "W", "mono+", [[0, 1], [2], [0, 1, 2]]),
+            ("phi", "W", "mono-", [[0, 1], [2], [0, 1, 2]]),
+        ],
+    )
+    def test_attractors_by_variant(self, capsys, tmp_path, flow, covering, variant, expected):
+        # the weak family can lose attractors of the others (W) or gain
+        # some (V); the monotone ones equal the conventional on cyclic flows
+        path = tmp_path / "variants.json"
+        path.write_text(json.dumps(VARIANTS_DOC))
+        code, out, _ = run_cli(
+            capsys, "attractors", "--flow", flow, "--covering", covering,
+            "--variant", variant, "-i", str(path),
+        )
+        assert code == 0
+        assert json.loads(out)["result"] == expected
+
+    @pytest.mark.parametrize("variant", ["mono+", "mono-"])
+    def test_monotone_attractors_of_a_group_flow_exit_two(self, capsys, tmp_path, variant):
+        path = tmp_path / "variants.json"
+        path.write_text(json.dumps(VARIANTS_DOC))
+        code, out, err = run_cli(
+            capsys, "attractors", "--flow", "grp", "--covering", "W",
+            "--variant", variant, "-i", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cyclic flow" in err
 
     def test_closure_subset(self, capsys, instance_file):
         code, out, _ = run_cli(
@@ -219,6 +274,31 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"] == [list(range(12))]
 
+    def test_invariant_topology_of_the_identity(self, capsys, tmp_path):
+        # unions of orbit blocks are listed one step per set, up to the
+        # 2^20 cap on invariant sets
+        def identity_doc(n):
+            path = tmp_path / f"id{n}.json"
+            path.write_text(json.dumps({
+                "ground": n, "permutations": {"e": list(range(n))},
+                "flows": {"id": {"cyclic": "e"}},
+            }))
+            return str(path)
+
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "invariant-topology", "--flow", "id", "-i", identity_doc(13)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert len(json.loads(out)["result"]) == 1 << 13
+        code, out, err = run_cli(
+            capsys, "invariant-topology", "--flow", "id", "-i", identity_doc(21)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "exceed cap" in err
+
     def test_text_format(self, capsys, instance_file):
         code, out, _ = run_cli(
             capsys, "--format", "text", "classify", "T", "-i", instance_file
@@ -282,19 +362,133 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "flags, name",
         [
-            (["--samples", "-5"], "samples"),
-            (["--jobs", "0"], "jobs"),
-            (["--jobs", "-4"], "jobs"),
-            (["--max-counterexamples", "-1"], "max_counterexamples"),
+            (["IDEM_ydwed", "--n", "2", "--samples", "-5"], "samples"),
+            (["IDEM_ydwed", "--n", "2", "--jobs", "0"], "jobs"),
+            (["IDEM_ydwed", "--n", "2", "--jobs", "-4"], "jobs"),
+            (["IDEM_ydwed", "--n", "2", "--max-counterexamples", "-1"], "max_counterexamples"),
+            # these samplers draw a generator set before they build a ground
+            (["B3_2", "--n", "-1", "--samples", "5", "--seed", "3"], "n"),
+            (["S3_3", "--n", "-1", "--samples", "5", "--seed", "3"], "n"),
+            (["B3_4", "--n", "-1", "--samples", "5", "--seed", "3"], "n"),
+            (["K3_9", "--n", "-1", "--samples", "5", "--seed", "3"], "n"),
+            (["L3_1", "--n", "0", "--exhaustive"], "n"),
         ],
     )
     def test_nonsense_sweep_arguments_exit_two(self, capsys, flags, name):
-        code, out, err = run_cli(capsys, "sweep", "IDEM_ydwed", "--n", "2", *flags)
+        code, out, err = run_cli(capsys, "sweep", *flags)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and f"error: {name} must be at least" in err
+
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        # a bug, unlike bad input, exits 3 with one line and no traceback,
+        # so exit 1 keeps meaning only that a clean claim failed
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hullflow.cli.sweep", broken)
+        code, out, err = run_cli(capsys, "sweep", "L3_1", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "hullflow: internal error: RuntimeError: boom\n"
 
     def test_usage_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "B3_6", "--n", "4", "--exhaustive")
         assert code == 2
         assert "capped" in err
+
+
+#: A document in which every claim and command finds the names it reads.
+FUZZ_DOC = {
+    "ground": 3,
+    "convention": "full",
+    "systems": {
+        "A": [[0], [0, 1], [2]],
+        "B": [[1]],
+        "T": [[], [0], [1, 2], [0, 1, 2]],
+        "Z": [[0, 1], [2], [0, 1, 2]],
+        "chi": [[0, 1]],
+    },
+    "permutations": {"g0": [1, 0, 2], "f": [0, 2, 1]},
+    "functions": {"h": [0, 0, 1]},
+    "flows": {"phi": {"cyclic": "g0"}, "grp": {"group": ["g0", "f"]}},
+}
+
+FUZZ_COMMANDS = [["verify", t.value] for t in TheoremId] + [
+    ["classify", "A"],
+    ["closure", "A", "--subset", "0"],
+    ["hull", "A", "--kind", "101", "--subset", "0,1"],
+    ["orbits", "--flow", "grp"],
+    ["invariant-topology", "--flow", "phi"],
+    ["attractors", "--flow", "phi", "--covering", "Z", "--variant", "weak"],
+    ["rooms", "--flow", "grp", "--system", "A"],
+    ["cantor-check", "--function", "h", "--system", "A"],
+    ["explication", "--function", "h", "--system", "A"],
+]
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the root's included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_FUZZ_PATHS = list(_paths(FUZZ_DOC))
+
+#: Replacement values: wrong JSON types, out-of-range indices, and names
+#: that dangle or point into the wrong section.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["g0", "f", "h", "A", "phi", "nope", ""]),
+    st.lists(st.integers(-1, 4), max_size=4),
+    st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3),
+    st.dictionaries(
+        st.sampled_from(["cyclic", "group", "x"]), st.sampled_from(["g0", "f", "h"])
+    ),
+)
+
+
+@st.composite
+def damaged_documents(draw):
+    doc = copy.deepcopy(FUZZ_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_FUZZ_PATHS))
+        delete = draw(st.booleans())
+        value = draw(_JUNK)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier damage removed this path
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@given(damaged_documents())
+@settings(max_examples=40, deadline=None)
+def test_damaged_documents_exit_zero_or_two(tmp_path_factory, doc):
+    # every command either reads the document or rejects it in one line;
+    # no damage reaches an internal error
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "-i", str(path)])
+        assert code in (0, 2), (argv, doc, err.getvalue())
+        assert err.getvalue().count("\n") == (code == 2), (argv, doc, err.getvalue())

@@ -3,7 +3,10 @@ sweeps, so that any refactor of the instance spaces, the samplers or the
 kernels that moves a byte of a payload fails here in seconds.
 
 The rows cover every claim at n=2 exhaustive, the `IDEM_ydwed` and `L1_3`
-n=3 spaces serial and at `--jobs 2`, and one n=3 random sweep per sampler.
+n=3 spaces serial and at `--jobs 2`, one n=3 random sweep per sampler, and
+every claim that builds attractor families or hull tables of a flow at n=3
+exhaustive (`B2_3d` at n=4, whose power-set space also takes the weak
+route).
 A deliberate change of payload must update this table and record the old
 and new hashes in CHANGES.md.
 """
@@ -80,6 +83,20 @@ PINNED = [
      "a38e6615f5f2418cdc13e27e7eebe31d9e82a1ccaf39ec38cc5cfe617849df43"),
     ("COVAR --n 3 --samples 100 --seed 7", 0,
      "e27dc42939f2bdea057bbd0d513f4e900d2bf8434c5b26d339881cb6507ae8db"),
+    ("CHAIN_karrenk --n 3 --exhaustive", 0,
+     "1d4291ba1b86e85d14d6ee8465d5b87a351b3a7a3ef98b5b33449c6a68e36ba9"),
+    ("S3_3 --n 3 --exhaustive", 1,
+     "46269c5e5c558edfb29491623572dff03dbf3005916ff1a8ecc191c76d701192"),
+    ("B3_4 --n 3 --exhaustive", 1,
+     "479aaa4a230e02ab22e5a866bebbb0d0e508640550ef27f196dd066e7f93e981"),
+    ("B3_2 --n 3 --exhaustive", 1,
+     "adb86415890a53db82d34c1dda213979dddbe18bc8ebd9a4ea1254c8c66d63a0"),
+    ("S2_2 --n 3 --exhaustive", 1,
+     "1a190daed6cbb06a1efdac7adf72126dbfa124b6ce9d89743f647fb4724c1043"),
+    ("COVAR --n 3 --exhaustive", 0,
+     "62e858e0b9a676eedbfab30e761a1cf5aae3fa5e2371de92ac50720af9e695ea"),
+    ("B2_3d --n 4 --exhaustive", 0,
+     "85bb4c23b7df627eb1d49c5e2e1472e06b0427e31dc5bb86fde5c618d875d1d9"),
 ]
 
 

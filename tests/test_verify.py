@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from hullflow import verify
+from hullflow import attract, kernels, verify
 from hullflow.instances import Instance, convention_name
 from hullflow.setsys import ClosureConvention
 from hullflow.verify import (
@@ -363,6 +363,31 @@ class TestSweep:
         rep = sweep(TheoremId.S3_3, 3, "exhaustive", max_counterexamples=5)
         assert rep.fail_count > 5 and len(rep.counterexamples) == 5
         assert len(calls) <= 5
+
+    @pytest.mark.parametrize("theorem", [TheoremId.B3_2, TheoremId.S3_3, TheoremId.B3_4])
+    def test_one_closure_table_per_instance(self, monkeypatch, theorem):
+        # the claims on a flow and the hull of a system read their premise
+        # and their rooms from one table; S3_3 builds no attractor family
+        # where its commutation premise fails
+        tables, families = [], []
+        hull_table, free_attractors = kernels.hull_table, attract.free_attractors
+        monkeypatch.setattr(
+            kernels, "hull_table", lambda *a: tables.append(a) or hull_table(*a)
+        )
+        monkeypatch.setattr(
+            attract, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
+        )
+        space = CLAIMS[theorem].space(2, FULL)
+        vacuous = 0
+        for ordinal in range(len(space)):
+            del tables[:], families[:]
+            verdict = check_theorem(theorem, space.at(ordinal))
+            assert len(tables) == 1, ordinal
+            if verdict.note.startswith("flow does not commute"):
+                vacuous += 1
+                assert families == [], ordinal
+        # B3_4 has no commutation premise
+        assert (vacuous > 0) == (theorem is not TheoremId.B3_4)
 
     def test_random_size_limit(self):
         # checked before any sampling, so no 2^n draw is attempted
