@@ -9,11 +9,12 @@ empty set on both sides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import kernels
-from .dynsys import Autobolism, DiscreteFlow
+from .dynsys import Autobolism
 from .setsys import (
     ClosureConvention,
     GroundMismatchError,
@@ -90,10 +91,13 @@ def is_commutative_cantor(
     return kernels.commutes_with_closure(f.image, cl)
 
 
-def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
+def cantor_membership(
+    f: EndoFunction | Autobolism, system: SetSystem, plus: bool
+) -> bool:
     """Plus side: every nonempty member admits a nonempty member mapped
     into it.  Minus side: every nonempty member admits a nonempty member
-    contained in its image."""
+    contained in its image.  A permutation is taken as the self-map it
+    is."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     nonempty = [m for m in system.masks if m]
@@ -191,6 +195,44 @@ class PhaseChainRecord:
         return len(set(self.statements)) == 1
 
 
+class _ChainContext:
+    """What the chain statements need of one system under one convention:
+    its closure table and complement system, built once, and each
+    statement's verdict on each generator, kept by the generator's image
+    and decided on first ask."""
+
+    def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
+        self.cl = closure_map(system, conv)
+        compl = complement_system(system)
+        # statements 1-4 of PhaseChainRecord: the system a membership
+        # quantifies over, and its side
+        self.memberships = ((system, True), (system, False), (compl, True), (compl, False))
+        # generator image -> the verdicts of the five statements on it,
+        # None until decided
+        self.verdicts: dict[tuple[int, ...], list[Optional[bool]]] = {}
+
+    def holds(self, statement: int, g: Autobolism, verdicts: list[Optional[bool]]) -> bool:
+        """Statement `statement` of PhaseChainRecord (0: commuting with the
+        hull) for the generator g, whose verdicts list is `verdicts`."""
+        verdict = verdicts[statement]
+        if verdict is None:
+            if statement == 0:
+                verdict = kernels.commutes_with_closure(g.image, self.cl)
+            else:
+                over, plus = self.memberships[statement - 1]
+                verdict = cantor_membership(g, over, plus)
+            verdicts[statement] = verdict
+        return verdict
+
+
+@functools.lru_cache(maxsize=1)
+def _chain_context(system: SetSystem, conv: ClosureConvention) -> _ChainContext:
+    """The context of the last (system, convention) asked for: a sweep
+    whose system is the outer factor asks for the same one again for every
+    generator set."""
+    return _ChainContext(system, conv)
+
+
 def phase_chain_check(
     gens: Sequence[Autobolism],
     system: SetSystem,
@@ -204,21 +246,19 @@ def phase_chain_check(
     memberships are closed under composition, the identity satisfies all
     three, and in a finite group every element is a product of generators
     (an inverse is a positive power).  So a statement holds for every
-    group element exactly when it holds for every generator."""
+    group element exactly when it holds for every generator.  A statement
+    depends only on the system, the convention and the generator, so each
+    is decided once per (system, convention, generator image)."""
     if not system.covers_ground():
         raise ValueError("the system must cover the ground")
-    distinct = dict.fromkeys(DiscreteFlow.of_group(gens).generators())
-    compl = complement_system(system)
-    members = [EndoFunction(g.ground, g.image) for g in distinct]
-    cl = closure_map(system, conv)
-    commutes = all(
-        kernels.commutes_with_closure(g.image, cl)
-        for g in distinct
-    )
+    distinct = {g.image: g for g in gens}
+    if not distinct:
+        raise ValueError("need at least one generator")
+    for g in distinct.values():
+        if g.ground != system.ground:
+            raise GroundMismatchError(f"{g.ground} vs {system.ground}")
+    ctx = _chain_context(system, conv)
+    rows = [(g, ctx.verdicts.setdefault(image, [None] * 5)) for image, g in distinct.items()]
     return PhaseChainRecord(
-        commutes=commutes,
-        plus_system=all(cantor_membership(f, system, True) for f in members),
-        minus_system=all(cantor_membership(f, system, False) for f in members),
-        plus_complement=all(cantor_membership(f, compl, True) for f in members),
-        minus_complement=all(cantor_membership(f, compl, False) for f in members),
+        *(all(ctx.holds(statement, g, row) for g, row in rows) for statement in range(5))
     )

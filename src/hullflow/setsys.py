@@ -10,6 +10,7 @@ the empty set, and so is a union over an empty family.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
@@ -143,7 +144,7 @@ class SetSystem:
         return tuple(Subset(self.ground, m) for m in self.masks)
 
     def union_mask(self) -> int:
-        return reduce(lambda a, b: a | b, self.masks, 0)
+        return reduce(operator.or_, self.masks, 0)
 
     def covers_ground(self) -> bool:
         return self.union_mask() == self.ground.full_mask
@@ -288,7 +289,7 @@ def elementarize(system: SetSystem) -> SetSystem:
     out = set()
     for m in system.masks:
         sel = [c for c in system.masks if c & m]
-        out.add(reduce(lambda a, b: a & b, sel) if sel else 0)
+        out.add(reduce(operator.and_, sel) if sel else 0)
     return SetSystem(system.ground, tuple(out))
 
 
@@ -437,7 +438,7 @@ def product_fibration(
         FibrationClass(
             key=key,
             member_masks=tuple(sorted(zs)),
-            core=reduce(lambda a, b: a & b, zs),
+            core=reduce(operator.and_, zs),
         )
         for key, zs in sorted(by_key.items())
     )

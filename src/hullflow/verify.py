@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import kernels
 from .attract import (
@@ -250,12 +250,39 @@ def _topology_list(n: int) -> tuple[SetSystem, ...]:
     return tuple(enum_topologies(n))
 
 
-def _gensets(n: int) -> list[tuple[tuple[int, ...], ...]]:
+class _Genset(NamedTuple):
+    """One generator set: its permutations named g0, g1, ... and the flow
+    they generate.  A space builds each of its generator sets once, so the
+    instances that share one share its flow and the orbit blocks the flow
+    caches."""
+
+    permutations: dict[str, Autobolism]
+    flow: DiscreteFlow
+
+
+def _genset(
+    ground: GroundSet, images: Sequence[tuple[int, ...]], cyclic: bool = False
+) -> _Genset:
+    """The generator set of these permutation images: the cyclic flow of the
+    first, or the group flow of all of them."""
+    perms = {f"g{i}": Autobolism(ground, p) for i, p in enumerate(images)}
+    gens = list(perms.values())
+    flow = DiscreteFlow.cyclic(gens[0]) if cyclic else DiscreteFlow.of_group(gens)
+    return _Genset(perms, flow)
+
+
+def _gensets(n: int) -> list[_Genset]:
     """Generator sets of size one or two, lexicographic."""
+    ground = GroundSet(n)
     perms = list(_Permutations(n))
-    out: list[tuple[tuple[int, ...], ...]] = [(p,) for p in perms]
-    out.extend(itertools.combinations(perms, 2))
-    return out
+    images = [(p,) for p in perms] + list(itertools.combinations(perms, 2))
+    return [_genset(ground, g) for g in images]
+
+
+def _cycles(n: int) -> list[_Genset]:
+    """The cyclic flow of every permutation, lexicographic."""
+    ground = GroundSet(n)
+    return [_genset(ground, (p,), cyclic=True) for p in _Permutations(n)]
 
 
 def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
@@ -273,14 +300,15 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
 # instance construction helpers
 
 def _genset_instance(
-    n: int, conv: ClosureConvention, genset: tuple[tuple[int, ...], ...],
-    systems: dict[str, SetSystem], cyclic: bool = False
+    conv: ClosureConvention, genset: _Genset, systems: dict[str, SetSystem]
 ) -> Instance:
-    ground = GroundSet(n)
-    perms = {f"g{i}": Autobolism(ground, p) for i, p in enumerate(genset)}
-    gens = list(perms.values())
-    flow = DiscreteFlow.cyclic(gens[0]) if cyclic else DiscreteFlow.of_group(gens)
-    return Instance(ground, conv, systems=systems, permutations=perms, flows={"phi": flow})
+    """An instance of the generator set's flow, named phi, over `systems`.
+    Its permutations and flows dicts are its own (a space may add to
+    them); the permutations and the flow in them are shared."""
+    return Instance(
+        genset.flow.ground, conv, systems=systems,
+        permutations=dict(genset.permutations), flows={"phi": genset.flow},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -571,6 +599,8 @@ def _check_s3_8(inst: Instance, conv: ClosureConvention, bijective: bool) -> Ver
 
 def _check_k3_9(inst: Instance, conv: ClosureConvention) -> Verdict:
     sys = _get_system(inst, "A")
+    if not inst.permutations:
+        raise InstanceError("permutations", "missing")
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
     gens = [inst.permutations[k] for k in sorted(inst.permutations)]
@@ -632,10 +662,11 @@ class _Space(_Product):
 
 
 def _families(ground: GroundSet) -> Callable[[int], SetSystem]:
-    """Family bitmask -> set system on `ground`.  It keeps the last system
-    it built, which the next ordinals of a space mostly ask for again: the
-    family is an outer factor of most spaces."""
-    return functools.lru_cache(maxsize=1)(lambda family: SetSystem(ground, _members(family)))
+    """Family bitmask -> set system on `ground`.  It keeps the last 256
+    systems it built: every covering family at n <= 3, so a space whose
+    family is its innermost factor builds each system once, and at n=4 the
+    family that the next ordinals of a space mostly ask for again."""
+    return functools.lru_cache(maxsize=256)(lambda family: SetSystem(ground, _members(family)))
 
 
 def _sample_system(rnd: random.Random, ground: GroundSet) -> SetSystem:
@@ -704,15 +735,19 @@ def _draw_system(n: int, conv: ClosureConvention, rnd: random.Random) -> Instanc
     return Instance(ground, conv, systems={"A": _sample_system(rnd, ground)})
 
 
+def _singletons(ground: GroundSet, masks: Iterable[int]) -> list[SetSystem]:
+    """The one-member system of each mask."""
+    return [SetSystem(ground, (m,)) for m in masks]
+
+
 def _systems_subsets(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
     system = _families(ground)
 
-    def build(family: int, b: int) -> Instance:
-        systems = {"A": system(family), "B": SetSystem(ground, (b,))}
-        return Instance(ground, conv, systems=systems)
+    def build(family: int, b: SetSystem) -> Instance:
+        return Instance(ground, conv, systems={"A": system(family), "B": b})
 
-    return _Space(build, _covering_families(n), range(1 << n))
+    return _Space(build, _covering_families(n), _singletons(ground, range(1 << n)))
 
 
 def _draw_system_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
@@ -723,43 +758,44 @@ def _draw_system_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> 
 
 
 def _gensets_subsets(n: int, conv: ClosureConvention) -> _Space:
-    ground = GroundSet(n)
+    def build(genset: _Genset, chi: SetSystem) -> Instance:
+        return _genset_instance(conv, genset, {"chi": chi})
 
-    def build(genset: tuple[tuple[int, ...], ...], chi: int) -> Instance:
-        return _genset_instance(n, conv, genset, {"chi": SetSystem(ground, (chi,))})
-
-    return _Space(build, _gensets(n), range(1, 1 << n))
+    return _Space(build, _gensets(n), _singletons(GroundSet(n), range(1, 1 << n)))
 
 
 def _draw_genset_subset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
-    chi = SetSystem(GroundSet(n), (rnd.randrange(1, 1 << n),))
-    return _genset_instance(n, conv, _sample_genset(rnd, n), {"chi": chi})
+    ground = GroundSet(n)
+    chi = SetSystem(ground, (rnd.randrange(1, 1 << n),))
+    return _genset_instance(conv, _genset(ground, _sample_genset(rnd, n)), {"chi": chi})
 
 
 def _topologies_gensets(n: int, conv: ClosureConvention) -> _Space:
     return _Space(
-        lambda t, genset: _genset_instance(n, conv, genset, {"T": t}),
+        lambda t, genset: _genset_instance(conv, genset, {"T": t}),
         _topology_list(n), _gensets(n),
     )
 
 
 def _draw_topology_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
-    t = _sample_topology(rnd, GroundSet(n))
-    return _genset_instance(n, conv, _sample_genset(rnd, n), {"T": t})
+    ground = GroundSet(n)
+    t = _sample_topology(rnd, ground)
+    return _genset_instance(conv, _genset(ground, _sample_genset(rnd, n)), {"T": t})
 
 
 def _systems_gensets(n: int, conv: ClosureConvention) -> _Space:
     system = _families(GroundSet(n))
 
-    def build(family: int, genset: tuple[tuple[int, ...], ...]) -> Instance:
-        return _genset_instance(n, conv, genset, {"A": system(family)})
+    def build(family: int, genset: _Genset) -> Instance:
+        return _genset_instance(conv, genset, {"A": system(family)})
 
     return _Space(build, _covering_families(n), _gensets(n))
 
 
 def _draw_system_genset(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
-    genset = _sample_genset(rnd, n)
-    return _genset_instance(n, conv, genset, {"A": _sample_system(rnd, GroundSet(n))})
+    images = _sample_genset(rnd, n)
+    ground = GroundSet(n)
+    return _genset_instance(conv, _genset(ground, images), {"A": _sample_system(rnd, ground)})
 
 
 def _cycles_coverings(
@@ -769,16 +805,16 @@ def _cycles_coverings(
     # the power set's family bitmask has every subset's bit set
     coverings = [(1 << (1 << n)) - 1] if powerset_only else _covering_families(n)
 
-    def build(p: tuple[int, ...], covering: int) -> Instance:
-        return _genset_instance(n, conv, (p,), {"Z": system(covering)}, cyclic=True)
+    def build(cycle: _Genset, covering: int) -> Instance:
+        return _genset_instance(conv, cycle, {"Z": system(covering)})
 
-    return _Space(build, _Permutations(n), coverings)
+    return _Space(build, _cycles(n), coverings)
 
 
 def _draw_cycle_covering(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
     ground = GroundSet(n)
-    p = _sample_perm(rnd, ground).image
-    return _genset_instance(n, conv, (p,), {"Z": _sample_system(rnd, ground)}, cyclic=True)
+    cycle = _genset(ground, (_sample_perm(rnd, ground).image,), cyclic=True)
+    return _genset_instance(conv, cycle, {"Z": _sample_system(rnd, ground)})
 
 
 def _systems_functions(
@@ -787,11 +823,11 @@ def _systems_functions(
     ground = GroundSet(n)
     system = _families(ground)
 
-    def build(family: int, image: tuple[int, ...]) -> Instance:
-        f = EndoFunction(ground, image)
+    def build(family: int, f: EndoFunction) -> Instance:
         return Instance(ground, conv, systems={"A": system(family)}, functions={"f": f})
 
-    return _Space(build, _covering_families(n), _maps(n, bijective))
+    functions = [EndoFunction(ground, image) for image in _maps(n, bijective)]
+    return _Space(build, _covering_families(n), functions)
 
 
 def _draw_system_function(
@@ -810,19 +846,20 @@ def _relabelings(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
     system = _families(ground)
 
-    def build(p: tuple[int, ...], family: int, rel: tuple[int, ...]) -> Instance:
-        inst = _genset_instance(n, conv, (p,), {"A": system(family)}, cyclic=True)
-        inst.permutations["f"] = Autobolism(ground, rel)
+    def build(cycle: _Genset, family: int, rel: Autobolism) -> Instance:
+        inst = _genset_instance(conv, cycle, {"A": system(family)})
+        inst.permutations["f"] = rel
         return inst
 
-    return _Space(build, _Permutations(n), _covering_families(n), _Permutations(n))
+    relabels = [Autobolism(ground, rel) for rel in _Permutations(n)]
+    return _Space(build, _cycles(n), _covering_families(n), relabels)
 
 
 def _draw_relabeling(n: int, conv: ClosureConvention, rnd: random.Random) -> Instance:
     ground = GroundSet(n)
     sys = _sample_system(rnd, ground)
-    p = _sample_perm(rnd, ground).image
-    inst = _genset_instance(n, conv, (p,), {"A": sys}, cyclic=True)
+    cycle = _genset(ground, (_sample_perm(rnd, ground).image,), cyclic=True)
+    inst = _genset_instance(conv, cycle, {"A": sys})
     inst.permutations["f"] = _sample_perm(rnd, ground)
     return inst
 

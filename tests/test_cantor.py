@@ -261,6 +261,35 @@ class TestPhaseChainOverGenerators:
                     got = phase_chain_check(gens, sys, conv).statements
                     assert got == _chain_over_group(gens, sys, conv), (gens, sys)
 
+    @pytest.mark.parametrize(
+        "order", [tuple(ClosureConvention), tuple(reversed(ClosureConvention))]
+    )
+    def test_one_system_under_each_convention_in_turn(self, monkeypatch, order):
+        # verdicts are kept per (system, convention): one system object
+        # checked under one convention and then the other gets a closure
+        # table of its own.  On a covering system the two conventions differ
+        # only at the empty set, and no statement of the chain tells them
+        # apart, so the oracle alone cannot see a table reused across them;
+        # the tables built can.
+        from hullflow import cantor
+        from hullflow.verify import enum_systems
+
+        cantor._chain_context.cache_clear()
+        built = []
+        monkeypatch.setattr(
+            cantor, "closure_map",
+            lambda sys, conv: built.append((sys, conv)) or closure_map(sys, conv),
+        )
+        perms = [Autobolism.of(G3, p) for p in itertools.permutations(range(3))]
+        systems = list(enum_systems(3, covering_only=True))
+        for sys in systems:
+            for conv in order:
+                for g in perms:
+                    got = phase_chain_check([g], sys, conv).statements
+                    assert got == _chain_over_group([g], sys, conv), (sys, conv, g)
+        assert built == [(sys, conv) for sys in systems for conv in order]
+        assert any(closure_map(sys, order[0]) != closure_map(sys, order[1]) for sys in systems)
+
     def test_randomized_four_points(self):
         import random
 

@@ -261,6 +261,24 @@ class TestCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"error: {field}: " in err
 
+    @pytest.mark.parametrize(
+        "theorem, doc, field",
+        [
+            ("K3_9", {"ground": 2, "systems": {"A": [[0], [1]]}}, "permutations"),
+            ("B3_2", {"ground": 2, "systems": {"A": [[0], [1]]}}, "flows"),
+            ("L1_3", {"ground": 2}, "systems.chi"),
+            ("B3_7", {"ground": 2, "systems": {"A": [[0], [1]]}}, "functions"),
+        ],
+    )
+    def test_verify_names_the_missing_field(self, capsys, tmp_path, theorem, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", theorem, "-i", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"error: {field}: missing" in err
+
     def test_orbits_of_a_group_beyond_the_cap(self, capsys, tmp_path):
         # S_12 from a 12-cycle and a transposition: orbits need only the
         # generators, so the group-order cap does not apply

@@ -6,7 +6,8 @@ The rows cover every claim at n=2 exhaustive, the `IDEM_ydwed` and `L1_3`
 n=3 spaces serial and at `--jobs 2`, one n=3 random sweep per sampler, and
 every claim that builds attractor families or hull tables of a flow at n=3
 exhaustive (`B2_3d` at n=4, whose power-set space also takes the weak
-route).
+route), and the generator-set spaces whose factors are built once per space
+(`K3_9` at n=3 exhaustive and n=4 random, `L1_3` at n=4).
 A deliberate change of payload must update this table and record the old
 and new hashes in CHANGES.md.
 """
@@ -97,6 +98,12 @@ PINNED = [
      "62e858e0b9a676eedbfab30e761a1cf5aae3fa5e2371de92ac50720af9e695ea"),
     ("B2_3d --n 4 --exhaustive", 0,
      "85bb4c23b7df627eb1d49c5e2e1472e06b0427e31dc5bb86fde5c618d875d1d9"),
+    ("K3_9 --n 3 --exhaustive", 0,
+     "9d3e1aaf370b3eac0c19df66873ae90f8e810bad5a3884ad16939f04146624fe"),
+    ("L1_3 --n 4 --exhaustive", 1,
+     "13f775725bf24803cabc2ce3e50a48eee7cce8b48e3c0a554de36d52e1b14f75"),
+    ("K3_9 --n 4 --samples 300 --seed 7", 0,
+     "9a406210bfba512c82edb45a4b4009b73e9a5d59120fd736deb7b691a5e778c1"),
 ]
 
 

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from hullflow import attract, kernels, verify
+from hullflow import attract, cantor, kernels, verify
 from hullflow.instances import Instance, convention_name
 from hullflow.setsys import ClosureConvention
 from hullflow.verify import (
@@ -388,6 +388,38 @@ class TestSweep:
                 assert families == [], ordinal
         # B3_4 has no commutation premise
         assert (vacuous > 0) == (theorem is not TheoremId.B3_4)
+
+    def test_chain_statements_decided_once_per_system_and_generator(self, monkeypatch):
+        # the system is the outer factor of K3_9's space, and a chain
+        # statement depends only on the system and one generator: at most
+        # 218 systems x 6 generators x 4 memberships, where deciding every
+        # instance afresh makes 25,872 membership calls and 6272
+        # commutation tests
+        memberships, commutations = [], []
+        membership, commutes = cantor.cantor_membership, kernels.commutes_with_closure
+        monkeypatch.setattr(
+            cantor, "cantor_membership", lambda *a: memberships.append(a) or membership(*a)
+        )
+        monkeypatch.setattr(
+            kernels, "commutes_with_closure",
+            lambda *a: commutations.append(a) or commutes(*a),
+        )
+        rep = sweep(TheoremId.K3_9, 3, "exhaustive")
+        assert rep.instance_count == 218 * 21
+        assert 0 < len(memberships) <= 218 * 6 * 4
+        assert 0 < len(commutations) <= 218 * 6
+
+    def test_one_orbit_partition_per_generator_set(self, monkeypatch):
+        # the instances of one generator set share its flow, whose orbit
+        # blocks are computed once: 21 generator sets at n=3, 147 instances
+        calls = []
+        orbit_blocks = kernels.orbit_blocks
+        monkeypatch.setattr(
+            kernels, "orbit_blocks", lambda *a: calls.append(a) or orbit_blocks(*a)
+        )
+        rep = sweep(TheoremId.L1_3, 3, "exhaustive")
+        assert rep.instance_count == 21 * 7
+        assert len(calls) == 21
 
     def test_random_size_limit(self):
         # checked before any sampling, so no 2^n draw is attempted
