@@ -159,9 +159,15 @@ def explication_check(
     system: SetSystem,
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> ExplicationRecord:
-    compl = complement_system(system)
+    """Hull commutation next to the two-sided memberships.  The closure
+    table and the complement system are those of the system's context, so
+    a sweep whose system is the outer factor builds them once per system."""
+    if f.ground != system.ground:
+        raise GroundMismatchError(f"{f.ground} vs {system.ground}")
+    ctx = _system_context(system, conv)
+    compl = ctx.compl
     return ExplicationRecord(
-        lhs=is_commutative_cantor(f, system, conv),
+        lhs=kernels.commutes_with_closure(f.image, ctx.cl),
         rhs_system=cantor_membership(f, system, True) and cantor_membership(f, system, False),
         rhs_complement=cantor_membership(f, compl, True) and cantor_membership(f, compl, False),
     )
@@ -195,15 +201,15 @@ class PhaseChainRecord:
         return len(set(self.statements)) == 1
 
 
-class _ChainContext:
-    """What the chain statements need of one system under one convention:
-    its closure table and complement system, built once, and each
-    statement's verdict on each generator, kept by the generator's image
-    and decided on first ask."""
+class _SystemContext:
+    """What the explication and the chain statements need of one system
+    under one convention: its closure table and complement system, built
+    once, and each chain statement's verdict on each generator, kept by the
+    generator's image and decided on first ask."""
 
     def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
         self.cl = closure_map(system, conv)
-        compl = complement_system(system)
+        self.compl = compl = complement_system(system)
         # statements 1-4 of PhaseChainRecord: the system a membership
         # quantifies over, and its side
         self.memberships = ((system, True), (system, False), (compl, True), (compl, False))
@@ -226,11 +232,11 @@ class _ChainContext:
 
 
 @functools.lru_cache(maxsize=1)
-def _chain_context(system: SetSystem, conv: ClosureConvention) -> _ChainContext:
+def _system_context(system: SetSystem, conv: ClosureConvention) -> _SystemContext:
     """The context of the last (system, convention) asked for: a sweep
     whose system is the outer factor asks for the same one again for every
-    generator set."""
-    return _ChainContext(system, conv)
+    generator set or function."""
+    return _SystemContext(system, conv)
 
 
 def phase_chain_check(
@@ -257,7 +263,7 @@ def phase_chain_check(
     for g in distinct.values():
         if g.ground != system.ground:
             raise GroundMismatchError(f"{g.ground} vs {system.ground}")
-    ctx = _chain_context(system, conv)
+    ctx = _system_context(system, conv)
     rows = [(g, ctx.verdicts.setdefault(image, [None] * 5)) for image, g in distinct.items()]
     return PhaseChainRecord(
         *(all(ctx.holds(statement, g, row) for g, row in rows) for statement in range(5))

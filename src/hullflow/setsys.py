@@ -13,7 +13,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 
@@ -121,11 +121,13 @@ class SetSystem:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        full = self.ground.full_mask
-        for m in self.masks:
-            if m & ~full:
-                raise ValueError(f"member 0x{m:x} outside ground of size {self.ground.size}")
         canon = tuple(sorted(set(self.masks)))
+        # the ends of the sorted members bound them all; the first
+        # offender in input order is looked for only on error
+        if canon and (canon[0] < 0 or canon[-1] >> self.ground.size):
+            full = self.ground.full_mask
+            m = next(m for m in self.masks if m & ~full)
+            raise ValueError(f"member 0x{m:x} outside ground of size {self.ground.size}")
         if canon != self.masks:
             object.__setattr__(self, "masks", canon)
 
@@ -147,7 +149,7 @@ class SetSystem:
         return reduce(operator.or_, self.masks, 0)
 
     def covers_ground(self) -> bool:
-        return self.union_mask() == self.ground.full_mask
+        return reduce(operator.or_, self.masks, 0) == (1 << self.ground.size) - 1
 
     def __contains__(self, item: Subset | int) -> bool:
         bits = item.bits if isinstance(item, Subset) else item
@@ -220,14 +222,13 @@ def selection(system: SetSystem, x: Subset) -> SetSystem:
     return SetSystem(system.ground, tuple(m for m in system.masks if m & x.bits))
 
 
-def _hull_sources(system: SetSystem, l: int, conv: ClosureConvention) -> list[int]:
+def _hull_sources(system: SetSystem, l: int, conv: ClosureConvention) -> Sequence[int]:
     if l == 0:
-        return list(system.masks)
-    full = system.ground.full_mask
-    sources = [full ^ m for m in system.masks]
+        return system.masks
+    full = (1 << system.ground.size) - 1
     if conv is ClosureConvention.NONEMPTY:
-        sources = [m for m in sources if m]
-    return sources
+        return [full ^ m for m in system.masks if m != full]
+    return [full ^ m for m in system.masks]
 
 
 def hull(

@@ -106,8 +106,13 @@ class Verdict:
         return None if self.instance is None else self.instance.to_dict()
 
 
+#: The verdict of every holding instance without a note; verdicts are
+#: frozen, so one serves them all.
+_HOLDS = Verdict("holds")
+
+
 def _holds(note: str = "") -> Verdict:
-    return Verdict("holds", note=note)
+    return Verdict("holds", note=note) if note else _HOLDS
 
 
 def _fails(inst: Instance, note: str) -> Verdict:
@@ -390,12 +395,10 @@ def _check_idem(inst: Instance, conv: ClosureConvention) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
     cl = closure_map(sys, conv)
-    for z in range(len(cl)):
-        if cl[cl[z]] != cl[z]:
-            return _fails(
-                inst, f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}"
-            )
-    return _holds()
+    if [cl[c] for c in cl] == cl:
+        return _holds()
+    z = next(z for z, c in enumerate(cl) if cl[c] != c)
+    return _fails(inst, f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}")
 
 
 def _check_l3_1(inst: Instance, conv: ClosureConvention) -> Verdict:
@@ -722,10 +725,10 @@ def _draw_topology(n: int, conv: ClosureConvention, rnd: random.Random) -> Insta
 
 def _systems(n: int, conv: ClosureConvention) -> _Space:
     ground = GroundSet(n)
-    system = _families(ground)
 
+    # the family is the only factor, so no system is asked for twice
     def build(family: int) -> Instance:
-        return Instance(ground, conv, systems={"A": system(family)})
+        return Instance(ground, conv, systems={"A": SetSystem(ground, _members(family))})
 
     return _Space(build, _covering_families(n))
 

@@ -154,6 +154,33 @@ class TestExplication:
         assert rec.rhs_system is True
         assert not rec.agree
 
+    @pytest.mark.parametrize(
+        "order", [tuple(ClosureConvention), tuple(reversed(ClosureConvention))]
+    )
+    def test_one_system_under_each_convention_gets_its_own_table(self, monkeypatch, order):
+        # the context is kept per (system, convention): the same system
+        # checked under one convention and then the other builds a second
+        # closure table, whose empty-set cell differs on this system
+        from hullflow import cantor
+
+        cantor._system_context.cache_clear()
+        built = []
+        monkeypatch.setattr(
+            cantor, "closure_map",
+            lambda sys, conv: built.append((sys, conv)) or closure_map(sys, conv),
+        )
+        f = EndoFunction.constant(G2, 0)
+        for conv in order:
+            assert explication_check(f, A2, conv) == explication_check(f, A2, conv)
+        assert built == [(A2, conv) for conv in order]
+        assert closure_map(A2, order[0]) != closure_map(A2, order[1])
+
+    def test_function_on_another_ground(self):
+        from hullflow.setsys import GroundMismatchError
+
+        with pytest.raises(GroundMismatchError):
+            explication_check(EndoFunction.constant(G3, 0), A2)
+
     def test_constant_zero_confirmed_by_direct_enumeration(self):
         # independent confirmation over all four subsets
         c0 = EndoFunction.constant(G2, 0)
@@ -274,7 +301,7 @@ class TestPhaseChainOverGenerators:
         from hullflow import cantor
         from hullflow.verify import enum_systems
 
-        cantor._chain_context.cache_clear()
+        cantor._system_context.cache_clear()
         built = []
         monkeypatch.setattr(
             cantor, "closure_map",

@@ -1,9 +1,14 @@
-"""Bitmask kernels: the hull transform against the per-subset scan."""
+"""Bitmask kernels: the hull lookup and transform against the per-subset
+scan."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+
+import pytest
 
 from hullflow import kernels
 
@@ -45,8 +50,8 @@ class TestPureKernels:
 
 class TestHullTable:
     def test_matches_per_subset_scan(self):
-        # n <= 4 runs only the 16-cell block passes, n > 4 adds the
-        # slice-wise passes over the higher bits
+        # n <= 4 looks the table up, n > 4 runs the 16-cell block passes
+        # and the slice-wise passes over the higher bits
         families = list(random_families(3, 300))
         rnd = random.Random(5)
         for n in range(1, 10):
@@ -58,6 +63,41 @@ class TestHullTable:
             for j, k in itertools.product((0, 1), repeat=2):
                 expected = [kernels.hull_value(sources, z, j, k) for z in range(1 << n)]
                 assert kernels.hull_table(n, sources, j, k) == expected, (n, sources, j, k)
+
+    def test_lookup_matches_per_subset_scan(self):
+        # n <= 4 folds the tables of the family bitmask's two bytes: every
+        # family up to n=3, at n=4 every family with a zero byte (one byte
+        # alone reaches each table of LOW and HIGH) and random ones
+        families = [
+            (n, family) for n in range(1, 4) for family in range(1 << (1 << n))
+        ]
+        families += [(4, b) for b in range(256)] + [(4, b << 8) for b in range(1, 256)]
+        rnd = random.Random(11)
+        families += [(4, rnd.getrandbits(16)) for _ in range(2000)]
+        for n, family in families:
+            sources = [m for m in range(1 << n) if family >> m & 1]
+            for j, k in itertools.product((0, 1), repeat=2):
+                expected = [kernels.hull_value(sources, z, j, k) for z in range(1 << n)]
+                assert kernels.hull_table(n, sources, j, k) == expected, (n, sources, j, k)
+
+    def test_lookup_rejects_a_source_outside_the_ground(self):
+        with pytest.raises(IndexError):
+            kernels.hull_table(2, [0b100], 1, 1)
+
+    def test_import_builds_no_lookup_table(self):
+        # the byte tables are built on first use, so importing the CLI
+        # (the benchmark's setup) pays nothing for them
+        code = (
+            "import hullflow.cli, hullflow.kernels as k;"
+            "print(k._byte_tables.cache_info().currsize)"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "0"
 
     def test_memory_stays_within_twice_the_table(self):
         n = 14

@@ -7,7 +7,10 @@ n=3 spaces serial and at `--jobs 2`, one n=3 random sweep per sampler, and
 every claim that builds attractor families or hull tables of a flow at n=3
 exhaustive (`B2_3d` at n=4, whose power-set space also takes the weak
 route), and the generator-set spaces whose factors are built once per space
-(`K3_9` at n=3 exhaustive and n=4 random, `L1_3` at n=4).
+(`K3_9` at n=3 exhaustive and n=4 random, `L1_3` at n=4), and the
+closure sweeps of the benchmark (`IDEM_ydwed` at n=4 under both
+conventions, whose `nonempty` sweep keeps 32 of its 470 failures'
+witnesses, `S3_8_all` at n=3 and `L3_1` at n=8).
 A deliberate change of payload must update this table and record the old
 and new hashes in CHANGES.md.
 """
@@ -18,7 +21,8 @@ import pytest
 
 from hullflow.cli import main
 
-#: (sweep arguments after `hullflow sweep`, exit code, sha256 of stdout)
+#: (sweep arguments after `hullflow sweep`, exit code, sha256 of stdout).
+#: A row that needs global flags gives them, followed by `sweep`.
 PINNED = [
     ("S1_1 --n 2 --exhaustive", 0,
      "f92387928a958e3099f70a8b0214dbfeee5abba71b6ef8af8e5e6f37f5c6996d"),
@@ -104,11 +108,20 @@ PINNED = [
      "13f775725bf24803cabc2ce3e50a48eee7cce8b48e3c0a554de36d52e1b14f75"),
     ("K3_9 --n 4 --samples 300 --seed 7", 0,
      "9a406210bfba512c82edb45a4b4009b73e9a5d59120fd736deb7b691a5e778c1"),
+    ("IDEM_ydwed --n 4 --exhaustive", 0,
+     "8f08d17eac4f4c0e5d60baf7947f6a7f71bf810a50c068d359014c9b3c90ddd3"),
+    ("--convention nonempty sweep IDEM_ydwed --n 4 --exhaustive", 0,
+     "9b7e631db51a746d8db0fb319f4150d7b7376ca3543b1bf7deeefbadc1ef8633"),
+    ("S3_8_all --n 3 --exhaustive", 0,
+     "3a60fc6f7181077dd01a225abdb01e8a577f289f6199fd74f7bac4f608b808bc"),
+    ("L3_1 --n 8 --samples 500 --seed 0", 0,
+     "93188c6c9d41491d28939e0887ac3e09bbf38ddc006429f880b4b79273f03fad"),
 ]
 
 
 @pytest.mark.parametrize("args, code, sha256", PINNED, ids=[row[0] for row in PINNED])
 def test_payload_hash(capsys, args, code, sha256):
-    assert main(["sweep", *args.split()]) == code
+    argv = args.split()
+    assert main(argv if "sweep" in argv else ["sweep", *argv]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

@@ -106,6 +106,25 @@ class TestSetSystem:
         with pytest.raises(CapExceededError):
             SetSystem.powerset(GroundSet(21))
 
+    @pytest.mark.parametrize("bad", [[-1], [8], [-3, 9], [12, -2], [8, 1 << 70, -1]])
+    def test_member_outside_the_ground_is_named(self, bad):
+        # the first offender in input order, at the front, the back or
+        # among valid members, whether or not it is the smallest or largest
+        for at in range(4):
+            masks = [0b101, 0b011, 0b111]
+            masks[at:at] = bad
+            with pytest.raises(ValueError) as err:
+                SetSystem(G3, tuple(masks))
+            assert str(err.value) == f"member 0x{bad[0]:x} outside ground of size 3"
+
+    def test_unsorted_and_duplicate_members_are_canonicalized(self):
+        rnd = random.Random(3)
+        for _ in range(200):
+            masks = [rnd.randrange(8) for _ in range(rnd.randrange(12))]
+            s = SetSystem(G3, tuple(masks))
+            assert s.masks == tuple(sorted(set(masks)))
+            assert s == SetSystem(G3, tuple(reversed(masks)))
+
 
 class TestComplement:
     def test_elementwise(self):

@@ -409,6 +409,44 @@ class TestSweep:
         assert 0 < len(memberships) <= 218 * 6 * 4
         assert 0 < len(commutations) <= 218 * 6
 
+    def test_one_closure_table_and_complement_per_explication_system(self, monkeypatch):
+        # the system is the outer factor of S3_8_all's space, and the
+        # explication reads its closure table and complement system from
+        # the system's context: 218 systems x 27 functions, where building
+        # them per instance makes 5886 of each
+        tables, complements = [], []
+        hull_table, complement_system = kernels.hull_table, cantor.complement_system
+        monkeypatch.setattr(
+            kernels, "hull_table", lambda *a: tables.append(a) or hull_table(*a)
+        )
+        monkeypatch.setattr(
+            cantor, "complement_system",
+            lambda *a: complements.append(a) or complement_system(*a),
+        )
+        rep = sweep(TheoremId.S3_8_all, 3, "exhaustive")
+        assert rep.instance_count == 218 * 27
+        assert 0 < len(tables) <= 218
+        assert 0 < len(complements) <= 218
+
+    def test_k3_9_verdicts_agree_under_both_conventions(self):
+        # on a covering system the two conventions' closure tables differ
+        # only at the empty set, and a permutation commutes with one exactly
+        # when it commutes with the other (README, findings): the same
+        # counts, and every witness at the same ordinal with the same
+        # statements
+        full, nonempty = (
+            sweep(TheoremId.K3_9, 3, "exhaustive", conv=c, max_counterexamples=1200)
+            for c in (FULL, NONEMPTY)
+        )
+        assert (full.hold_count, full.fail_count, full.skip_count) == (3378, 1200, 0)
+        assert (nonempty.hold_count, nonempty.fail_count, nonempty.skip_count) == (
+            3378, 1200, 0,
+        )
+        assert [(c["ordinal"], c["note"]) for c in full.counterexamples] == [
+            (c["ordinal"], c["note"]) for c in nonempty.counterexamples
+        ]
+        assert len(full.counterexamples) == 1200
+
     def test_one_orbit_partition_per_generator_set(self, monkeypatch):
         # the instances of one generator set share its flow, whose orbit
         # blocks are computed once: 21 generator sets at n=3, 147 instances
