@@ -20,7 +20,6 @@ from .setsys import (
     GroundMismatchError,
     GroundSet,
     SetSystem,
-    Subset,
     closure_map,
     complement_system,
     product_fibration,
@@ -44,38 +43,11 @@ class EndoFunction:
     def of(cls, ground: GroundSet, image: Sequence[int]) -> "EndoFunction":
         return cls(ground, tuple(image))
 
-    @classmethod
-    def constant(cls, ground: GroundSet, value: int) -> "EndoFunction":
-        return cls(ground, (value,) * ground.size)
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def apply_mask(self, mask: int) -> int:
         return kernels.image(list(self.image), mask)
 
-    def apply(self, subset: Subset) -> Subset:
-        if subset.ground != self.ground:
-            raise GroundMismatchError(f"{subset.ground} vs {self.ground}")
-        return Subset(self.ground, self.apply_mask(subset.bits))
-
     def is_bijective(self) -> bool:
         return len(set(self.image)) == self.ground.size
-
-
-def op_commutator(
-    f: EndoFunction,
-    system: SetSystem,
-    x: Subset,
-    conv: ClosureConvention = ClosureConvention.FULL,
-) -> Subset:
-    """f(closure(x)) symmetric-difference closure(f(x))."""
-    if f.ground != system.ground or x.ground != system.ground:
-        raise GroundMismatchError("function, system and argument must share a ground")
-    cl = closure_map(system, conv)
-    left = f.apply_mask(cl[x.bits])
-    right = cl[f.apply_mask(x.bits)]
-    return Subset(system.ground, left ^ right)
 
 
 def is_commutative_cantor(

@@ -14,6 +14,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Optional
@@ -32,7 +33,7 @@ from .cantor import (
     is_trivially_commutative,
 )
 from .dynsys import invariant_topology, orbit_partition
-from .instances import Instance, InstanceError, convention_name, parse_convention
+from .instances import Instance, InstanceError, mask_indices, parse_convention
 from .setsys import (
     CapExceededError,
     ClosureConvention,
@@ -49,28 +50,17 @@ from .setsys import (
 from .verify import (
     PROVED_CLEAN,
     SizeLimitError,
-    SweepReport,
     TheoremId,
     check_theorem,
     sweep,
 )
-
-_VARIANTS = {
-    "conventional": CoherenceVariant.CONVENTIONAL,
-    "weak": CoherenceVariant.WEAK,
-    "mono+": CoherenceVariant.MONO_PLUS,
-    "mono-": CoherenceVariant.MONO_MINUS,
-}
-
 
 class UsageError(ValueError):
     pass
 
 
 def _masks_payload(system: SetSystem) -> list[list[int]]:
-    return [
-        [i for i in range(system.ground.size) if m >> i & 1] for m in system.masks
-    ]
+    return [mask_indices(system.ground, m) for m in system.masks]
 
 
 def _subset_payload(subset: Subset) -> list[int]:
@@ -160,7 +150,7 @@ def _report(args: argparse.Namespace, conv: ClosureConvention, result: Any) -> d
     return {
         "version": __version__,
         "command": args.command,
-        "convention": convention_name(conv),
+        "convention": conv.value,
         "result": result,
     }
 
@@ -212,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     with_instance(p)
     p.add_argument("--flow", required=True)
     p.add_argument("--covering", required=True, help="system name or 'powerset'")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="conventional")
+    p.add_argument("--variant", choices=sorted(v.value for v in CoherenceVariant),
+                   default="conventional")
 
     p = sub.add_parser("topo-attractors", help="attractors of a set of topologies")
     with_instance(p)
@@ -310,17 +301,7 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
     if args.command == "classify":
         system = _named_system(inst, args.system)
-        flags = classify(system, conv)
-        result = {
-            "covers_ground": flags.covers_ground,
-            "is_topology": flags.is_topology,
-            "is_self_dual": flags.is_self_dual,
-            "is_complete": flags.is_complete,
-            "is_quasitopology": flags.is_quasitopology,
-            "is_partition": flags.is_partition,
-            "is_t0": flags.is_t0,
-        }
-        return _report(args, conv, result), 0
+        return _report(args, conv, dataclasses.asdict(classify(system, conv))), 0
 
     if args.command == "invariant-topology":
         flow = _named_flow(inst, args.flow)
@@ -337,7 +318,7 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.command == "attractors":
         flow = _named_flow(inst, args.flow)
         covering = _named_system(inst, args.covering)
-        [family] = free_attractors(flow, covering, conv, (_VARIANTS[args.variant],))
+        [family] = free_attractors(flow, covering, conv, (CoherenceVariant(args.variant),))
         return _report(args, conv, _masks_payload(family)), 0
 
     if args.command == "topo-attractors":

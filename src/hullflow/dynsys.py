@@ -42,24 +42,8 @@ class Autobolism:
     def of(cls, ground: GroundSet, image: Sequence[int]) -> "Autobolism":
         return cls(ground, tuple(image))
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def apply_mask(self, mask: int) -> int:
         return kernels.image(list(self.image), mask)
-
-    def apply(self, subset: Subset) -> Subset:
-        if subset.ground != self.ground:
-            raise GroundMismatchError(f"{subset.ground} vs {self.ground}")
-        return Subset(self.ground, self.apply_mask(subset.bits))
-
-    def order(self) -> int:
-        k, p = 1, self
-        ident = Autobolism.identity(self.ground)
-        while p != ident:
-            p = compose(self, p)
-            k += 1
-        return k
 
 
 def compose(f: Autobolism, g: Autobolism) -> Autobolism:
@@ -74,15 +58,6 @@ def invert(f: Autobolism) -> Autobolism:
     for i, j in enumerate(f.image):
         out[j] = i
     return Autobolism(f.ground, tuple(out))
-
-
-def power(f: Autobolism, k: int) -> Autobolism:
-    if k < 0:
-        return power(invert(f), -k)
-    acc = Autobolism.identity(f.ground)
-    for _ in range(k):
-        acc = compose(f, acc)
-    return acc
 
 
 def _common_ground(gens: Sequence[Autobolism]) -> GroundSet:
@@ -132,12 +107,6 @@ class DiscreteFlow:
         perms = [list(g.image) for g in self.gens]
         return tuple(kernels.orbit_blocks(self.ground.size, perms))
 
-    def period(self) -> int:
-        """Order of the generator; only cyclic flows carry integer time."""
-        if not self.is_cyclic:
-            raise ValueError("group flows have no integer time")
-        return self.gens[0].order()
-
 
 def saturate(blocks: Iterable[int], a: int) -> int:
     """Union of the orbit blocks meeting the mask a.  This is the set of
@@ -148,16 +117,6 @@ def saturate(blocks: Iterable[int], a: int) -> int:
         if block & a:
             out |= block
     return out
-
-
-def orbit(flow: DiscreteFlow, z: int) -> Subset:
-    """All states reachable from z under the flow's group."""
-    if not 0 <= z < flow.ground.size:
-        raise ValueError(f"state {z} outside ground of size {flow.ground.size}")
-    for block in flow.orbit_blocks():
-        if block >> z & 1:
-            return Subset(flow.ground, block)
-    raise AssertionError("unreachable: orbits partition the ground")
 
 
 def orbit_partition(flow: DiscreteFlow) -> SetSystem:

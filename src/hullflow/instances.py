@@ -16,12 +16,6 @@ from .cantor import EndoFunction
 from .dynsys import Autobolism, DiscreteFlow
 from .setsys import ClosureConvention, GroundSet, SetSystem
 
-_CONVENTIONS = {
-    "full": ClosureConvention.FULL,
-    "nonempty": ClosureConvention.NONEMPTY,
-}
-
-
 class InstanceError(ValueError):
     """Malformed instance text: carries the offending field path."""
 
@@ -30,14 +24,10 @@ class InstanceError(ValueError):
         self.path = path
 
 
-def convention_name(conv: ClosureConvention) -> str:
-    return conv.value
-
-
 def parse_convention(name: str, path: str = "convention") -> ClosureConvention:
     try:
-        return _CONVENTIONS[name]
-    except KeyError:
+        return ClosureConvention(name)
+    except ValueError:
         raise InstanceError(path, f"unknown convention {name!r} (full|nonempty)") from None
 
 
@@ -60,11 +50,11 @@ class Instance:
         """Canonical wire form; the inverse of from_dict."""
         doc: dict[str, Any] = {
             "ground": self.ground.size,
-            "convention": convention_name(self.convention),
+            "convention": self.convention.value,
         }
         if self.systems:
             doc["systems"] = {
-                name: [sorted(Subset_indices(self.ground, m)) for m in sys.masks]
+                name: [mask_indices(self.ground, m) for m in sys.masks]
                 for name, sys in self.systems.items()
             }
         if self.permutations:
@@ -167,7 +157,8 @@ def _named_permutation(inst: Instance, pname: Any, path: str) -> Autobolism:
         raise InstanceError(path, f"unknown permutation {pname!r}") from None
 
 
-def Subset_indices(ground: GroundSet, mask: int) -> list[int]:
+def mask_indices(ground: GroundSet, mask: int) -> list[int]:
+    """The elements of a subset mask, ascending: its wire form."""
     return [i for i in range(ground.size) if mask >> i & 1]
 
 

@@ -10,21 +10,14 @@ Empty intersections and empty unions are both 0 by convention.
 from __future__ import annotations
 
 import functools
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Sequence
 
 
-#: _BLOCK_PAIRS[k]: the 32 (cell written, cell read) pairs of the passes
-#: over bits 0-3 of a 16-cell block, bit by bit, gathering from supersets
-#: (k=1) or subsets (k=0).
+#: The 32 (cell written, cell read) pairs of the passes over bits 0-3 of
+#: a 16-cell block, bit by bit, gathering from supersets.
 _BLOCK_PAIRS = tuple(
-    tuple(
-        (z, z | bit) if k else (z | bit, z)
-        for bit in (1, 2, 4, 8)
-        for z in range(16)
-        if not z & bit
-    )
-    for k in (0, 1)
+    (z, z | bit) for bit in (1, 2, 4, 8) for z in range(16) if not z & bit
 )
 
 #: The longest run of cells the passes over the higher bits fold at once.
@@ -32,83 +25,72 @@ _MAX_RUN = 1024
 
 
 @functools.cache
-def _byte_tables(j: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(LOW, HIGH) for the fold j and the direction k, built on first use:
-    LOW[b] is the 16-cell hull table of the sources marked by the byte b
-    (members 0-7), HIGH[b] that of the byte b << 8 (members 8-15), with -1
-    where j=1 gathered no source.  Each table folds the table of b without
-    its lowest bit with the one-source table of that bit."""
-    fold = and_ if j else or_
-    none = -1 if j else 0
+def _byte_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(LOW, HIGH), built on first use: LOW[b] is the 16-cell closure table
+    of the sources marked by the byte b (members 0-7), HIGH[b] that of the
+    byte b << 8 (members 8-15), with -1 where no source contains the
+    subset.  Each table is the cellwise intersection of the table of b
+    without its lowest bit with the one-source table of that bit."""
     out = []
     for low in (0, 8):
-        one = [
-            tuple(
-                m if ((m & z == z) if k else (m & z == m)) else none for z in range(16)
-            )
-            for m in range(low, low + 8)
-        ]
-        tables = [(none,) * 16]
+        one = [tuple(m if m & z == z else -1 for z in range(16)) for m in range(low, low + 8)]
+        tables = [(-1,) * 16]
         for b in range(1, 256):
             rest = b & (b - 1)
-            tables.append(tuple(map(fold, tables[rest], one[(b ^ rest).bit_length() - 1])))
+            tables.append(tuple(map(and_, tables[rest], one[(b ^ rest).bit_length() - 1])))
         out.append(tuple(tables))
     return tuple(out)
 
 
-def hull_table(n: int, sources: Iterable[int], j: int, k: int) -> list[int]:
-    """hull_value(sources, z, j, k) for every subset z, indexed by mask.
+def closure_table(n: int, sources: Iterable[int]) -> list[int]:
+    """For every subset z, indexed by mask, the intersection of the
+    sources containing z, or 0 when no source does: hull_value(sources, z,
+    1, 1).
 
-    A hull table is a fold over its sources (& for j=1, | for j=0), so the
-    table of a family is the cellwise fold of the tables of any split of
-    it.  Up to n=4 the sources mark a 16-bit family bitmask, and the table
-    is the fold of the precomputed tables of its two bytes (the method of
-    four Russians: Arlazarov, Dinic, Kronrod and Faradzev, 1970), cut to
-    2^n cells.
+    The table of a family is the cellwise intersection of the tables of
+    any split of it.  Up to n=4 the sources mark a 16-bit family bitmask,
+    and the table is the intersection of the precomputed tables of its two
+    bytes (the method of four Russians: Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970), cut to 2^n cells.
 
     Above n=4, one zeta-transform pass per bit (Yates 1937; Bjorklund,
-    Husfeldt, Kaski and Koivisto, STOC 2007) folds each cell into its
-    neighbour across that bit: k=1 gathers from supersets, k=0 from
-    subsets.  That takes O(n 2^n) steps where a scan of the sources per
-    subset takes O(|sources| 2^n).  The passes over bits 0-3 run block by
-    block through the fixed pairs of a 16-cell block; each pass over a
-    higher bit folds runs of 16 to _MAX_RUN cells slice-wise.  Besides the
-    table, a call holds at most one run's slices, so its memory stays
-    O(2^n).
+    Husfeldt, Kaski and Koivisto, STOC 2007) intersects each cell with its
+    superset neighbour across that bit.  That takes O(n 2^n) steps where a
+    scan of the sources per subset takes O(|sources| 2^n).  The passes
+    over bits 0-3 run block by block through the fixed pairs of a 16-cell
+    block; each pass over a higher bit folds runs of 16 to _MAX_RUN cells
+    slice-wise.  Besides the table, a call holds at most one run's slices,
+    so its memory stays O(2^n).
 
-    Either way -1, the identity of intersection, marks a subset that
-    gathered no source until the end, when it becomes 0."""
+    Either way -1, the identity of intersection, marks a subset that no
+    source contains until the end, when it becomes 0."""
     size = 1 << n
-    fold = and_ if j else or_
     if n <= 4:
         family = 0
         for m in sources:
             family |= 1 << m
         if family >> size:
             raise IndexError(f"a source lies outside the ground of size {n}")
-        low, high = _byte_tables(j, k)
-        t = list(map(fold, low[family & 255], high[family >> 8]))
+        low, high = _byte_tables()
+        t = list(map(and_, low[family & 255], high[family >> 8]))
         del t[size:]
     else:
-        t = [-1 if j else 0] * size
+        t = [-1] * size
         for m in sources:
             t[m] = m
-        pairs = _BLOCK_PAIRS[k]
         for base in range(0, size, 16):
             block = t[base : base + 16]
-            for d, s in pairs:
-                block[d] = fold(block[d], block[s])
+            for d, s in _BLOCK_PAIRS:
+                block[d] &= block[s]
             t[base : base + 16] = block
         for i in range(4, n):
             bit = 1 << i
             run = min(bit, _MAX_RUN)
-            # offsets of the cells written and read from a run's lower cell
-            dst, src = (0, bit) if k else (bit, 0)
             for lo in range(0, size, 2 * bit):
-                for a in range(lo, lo + bit, run):
-                    d, s = a + dst, a + src
-                    t[d : d + run] = map(fold, t[d : d + run], t[s : s + run])
-    if j and -1 in t:
+                for d in range(lo, lo + bit, run):
+                    s = d + bit
+                    t[d : d + run] = map(and_, t[d : d + run], t[s : s + run])
+    if -1 in t:
         return [v if v >= 0 else 0 for v in t]
     return t
 
@@ -117,7 +99,7 @@ def hull_value(sources: list[int], q: int, j: int, k: int) -> int:
     """One of the four hull combinations over a fixed source family:
     k=1 gathers source masks containing q, k=0 those contained in q;
     j=1 intersects the gathered family, j=0 unites it.  A scan of the
-    sources for one subset; the tests check hull_table against it."""
+    sources for one subset; the tests check closure_table against it."""
     acc = -1 if j else 0
     hit = False
     for m in sources:

@@ -13,7 +13,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels
 
@@ -50,9 +50,6 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def subsets(self) -> Iterator[int]:
-        return iter(range(1 << self.size))
-
 
 @dataclass(frozen=True, order=True)
 class Subset:
@@ -75,42 +72,11 @@ class Subset:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.ground.size) if self.bits >> i & 1)
 
-    def __contains__(self, element: int) -> bool:
-        return bool(self.bits >> element & 1)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
     def __bool__(self) -> bool:
         return self.bits != 0
 
-    def __and__(self, other: "Subset") -> "Subset":
-        return Subset(self._common(other), self.bits & other.bits)
-
-    def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self._common(other), self.bits | other.bits)
-
-    def __xor__(self, other: "Subset") -> "Subset":
-        return Subset(self._common(other), self.bits ^ other.bits)
-
-    def __sub__(self, other: "Subset") -> "Subset":
-        return Subset(self._common(other), self.bits & ~other.bits)
-
-    def complement(self) -> "Subset":
-        return Subset(self.ground, self.ground.full_mask ^ self.bits)
-
-    def _common(self, other: "Subset") -> GroundSet:
-        if self.ground != other.ground:
-            raise GroundMismatchError(f"{self.ground} vs {other.ground}")
-        return self.ground
-
     def __repr__(self) -> str:
         return "{" + ",".join(map(str, self.indices())) + "}"
-
-
-def sym_diff(x: Subset, y: Subset) -> Subset:
-    """Symmetric difference (x minus y) union (y minus x)."""
-    return x ^ y
 
 
 @dataclass(frozen=True)
@@ -151,16 +117,6 @@ class SetSystem:
     def covers_ground(self) -> bool:
         return reduce(operator.or_, self.masks, 0) == (1 << self.ground.size) - 1
 
-    def __contains__(self, item: Subset | int) -> bool:
-        bits = item.bits if isinstance(item, Subset) else item
-        return bits in self.masks
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.members)
-
     def without_empty(self) -> "SetSystem":
         return SetSystem(self.ground, tuple(m for m in self.masks if m))
 
@@ -177,6 +133,7 @@ class ClosureConvention(enum.Enum):
     NONEMPTY = "nonempty"
 
 
+@dataclass(frozen=True)
 class HullKind:
     """Binary triple (j, k, l) selecting one of the eight hull constructions:
     j: 0 = unite the gathered family, 1 = intersect it;
@@ -184,42 +141,22 @@ class HullKind:
     l: 0 = gather from the system itself, 1 = from its complement system.
     """
 
-    __slots__ = ("j", "k", "l")
+    j: int
+    k: int
+    l: int
 
-    def __init__(self, j: int, k: int, l: int) -> None:
-        for flag in (j, k, l):
-            if flag not in (0, 1):
-                raise ValueError("hull flags must be 0 or 1")
-        self.j, self.k, self.l = j, k, l
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HullKind)
-            and (self.j, self.k, self.l) == (other.j, other.k, other.l)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.j, self.k, self.l))
-
-    def __repr__(self) -> str:
-        return f"HullKind({self.j}{self.k}{self.l})"
+    def __post_init__(self) -> None:
+        if any(flag not in (0, 1) for flag in (self.j, self.k, self.l)):
+            raise ValueError("hull flags must be 0 or 1")
 
 
 CLOSURE_KIND = HullKind(1, 1, 1)
-INTERIOR_KIND = HullKind(0, 0, 0)
 
 
 def complement_system(system: SetSystem) -> SetSystem:
     """The family of ground-complements of the members."""
     full = system.ground.full_mask
     return SetSystem(system.ground, tuple(full ^ m for m in system.masks))
-
-
-def selection(system: SetSystem, x: Subset) -> SetSystem:
-    """Members meeting x."""
-    if x.ground != system.ground:
-        raise GroundMismatchError(f"{x.ground} vs {system.ground}")
-    return SetSystem(system.ground, tuple(m for m in system.masks if m & x.bits))
 
 
 def _hull_sources(system: SetSystem, l: int, conv: ClosureConvention) -> Sequence[int]:
@@ -253,28 +190,14 @@ def closure(
     return hull(system, CLOSURE_KIND, q, conv)
 
 
-def interior(system: SetSystem, q: Subset) -> Subset:
-    """Union of the members contained in q."""
-    return hull(system, INTERIOR_KIND, q)
-
-
-def hull_map(
-    system: SetSystem,
-    kind: HullKind,
-    conv: ClosureConvention = ClosureConvention.FULL,
-) -> list[int]:
-    """The hull of the given kind of every subset of the ground, indexed by
-    mask; hull() gives the same value for one subset."""
-    _check_enum(system.ground)
-    sources = _hull_sources(system, kind.l, conv)
-    return kernels.hull_table(system.ground.size, sources, kind.j, kind.k)
-
-
 def closure_map(
     system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> list[int]:
-    """Closure of every subset of the ground, indexed by mask."""
-    return hull_map(system, CLOSURE_KIND, conv)
+    """Closure of every subset of the ground, indexed by mask; closure()
+    gives the same value for one subset."""
+    _check_enum(system.ground)
+    sources = _hull_sources(system, 1, conv)
+    return kernels.closure_table(system.ground.size, sources)
 
 
 def closed_family(
@@ -397,16 +320,6 @@ def un_ov(system: SetSystem) -> tuple[SetSystem, SetSystem]:
         else:
             un.append(z)
     return SetSystem(ground, tuple(un)), SetSystem(ground, tuple(ov))
-
-
-def is_hybrid(system: SetSystem, candidate: SetSystem) -> bool:
-    """True when the candidate and its complement system both live inside
-    the union of the system and its own complement system."""
-    if system.ground != candidate.ground:
-        raise GroundMismatchError(f"{system.ground} vs {candidate.ground}")
-    pool = set(system.masks) | set(complement_system(system).masks)
-    cand = set(candidate.masks) | set(complement_system(candidate).masks)
-    return cand <= pool
 
 
 @dataclass(frozen=True)

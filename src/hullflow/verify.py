@@ -45,7 +45,7 @@ from .cantor import (
     preserves_unfamily,
 )
 from .dynsys import Autobolism, DiscreteFlow, invariant_sets, orbit_partition
-from .instances import Instance, InstanceError, convention_name
+from .instances import Instance, InstanceError
 from .setsys import (
     DEFAULT_ENUM_CAP,
     ClosureConvention,
@@ -215,25 +215,6 @@ def _members(family: int) -> tuple[int, ...]:
     ascending."""
     low, high = _BYTE_MEMBERS
     return low[family & 255] + high[family >> 8]
-
-
-def enum_systems(n: int, covering_only: bool = False) -> Iterator[SetSystem]:
-    """All families of subsets of an n-set, ascending by family bitmask;
-    optionally only those whose union is the ground."""
-    if n > 4:
-        raise SizeLimitError(f"exhaustive system enumeration capped at n=4, got {n}")
-    ground = GroundSet(n)
-    for family in _covering_families(n) if covering_only else range(1 << (1 << n)):
-        yield SetSystem(ground, _members(family))
-
-
-def enum_functions(n: int, bijective_only: bool = False) -> Iterator[EndoFunction]:
-    """All self-maps (or bijections) of an n-set in lexicographic order."""
-    if n > 5:
-        raise SizeLimitError(f"exhaustive function enumeration capped at n=5, got {n}")
-    ground = GroundSet(n)
-    for image in _maps(n, bijective_only):
-        yield EndoFunction(ground, image)
 
 
 def enum_topologies(n: int) -> Iterator[SetSystem]:
@@ -1017,7 +998,7 @@ class SweepReport:
             "theorem": self.theorem.value,
             "n": self.n,
             "mode": self.mode,
-            "convention": convention_name(self.convention),
+            "convention": self.convention.value,
             "seed": self.seed,
             "samples": self.samples,
             "instance_count": self.instance_count,

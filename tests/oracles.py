@@ -1,5 +1,5 @@
 """Brute-force references for the tests: they list a permutation group,
-and every exhaustive instance space of the sweep engine.
+its powers, and every exhaustive instance space of the sweep engine.
 
 The library decides coherence by orbit saturation and never lists a group.
 These routines do list it, breadth-first over plain image tuples from the
@@ -20,6 +20,7 @@ point images, and its mask table maps every subset mask to its image.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Optional, Sequence
 
 
@@ -44,6 +45,30 @@ def group(gens: Sequence) -> list[tuple[int, ...]]:
                     nxt.append(cand)
         frontier = nxt
     return elements
+
+
+def period(element: Sequence[int]) -> int:
+    """Order of a permutation: the fewest compositions with itself that
+    reach the identity."""
+    ident = tuple(range(len(element)))
+    k, cur = 1, tuple(element)
+    while cur != ident:
+        cur = tuple(element[i] for i in cur)
+        k += 1
+    return k
+
+
+def power(element: Sequence[int], t: int) -> tuple[int, ...]:
+    """The t-th power of a permutation for any integer t, by |t| explicit
+    compositions of the permutation (of its inverse when t < 0)."""
+    step = tuple(element)
+    if t < 0:
+        step = tuple(step.index(i) for i in range(len(step)))
+        t = -t
+    out = tuple(range(len(step)))
+    for _ in range(t):
+        out = tuple(step[i] for i in out)
+    return out
 
 
 def image(element: Sequence[int], mask: int) -> int:
@@ -105,6 +130,12 @@ def families(n: int) -> list[list[int]]:
     for fam in range(1 << (1 << n)):
         out.append([m for m in range(1 << n) if fam >> m & 1])
     return out
+
+
+def covering_count(n: int) -> int:
+    """Independent count of the covering families of an n-set: families on
+    k-subsets assembled by inclusion-exclusion over the covered point set."""
+    return sum((-1) ** (n - k) * math.comb(n, k) * (1 << (1 << k)) for k in range(n + 1))
 
 
 def coverings(n: int) -> list[list[int]]:

@@ -12,7 +12,6 @@ from hullflow.cantor import (
     fibration_integrity,
     is_commutative_cantor,
     is_trivially_commutative,
-    op_commutator,
     phase_chain_check,
     preserves_unfamily,
 )
@@ -21,7 +20,6 @@ from hullflow.setsys import (
     ClosureConvention,
     GroundSet,
     SetSystem,
-    Subset,
     closure_map,
     complement_system,
     product_fibration,
@@ -35,21 +33,6 @@ A2 = SetSystem.of(G2, [[0], [0, 1]])
 
 def endo(ground, *image):
     return EndoFunction.of(ground, image)
-
-
-class TestCommutator:
-    def test_identity_vanishes(self):
-        ident = endo(G2, 0, 1)
-        for z in range(4):
-            assert not op_commutator(ident, A2, Subset(G2, z))
-
-    def test_swap_on_empty_argument(self):
-        swap = endo(G2, 1, 0)
-        assert not op_commutator(swap, A2, Subset(G2, 0))
-
-    def test_constant_moves(self):
-        c0 = EndoFunction.constant(G2, 0)
-        assert op_commutator(c0, A2, Subset.of(G2, [1])) == Subset.of(G2, [0])
 
 
 class TestCommutativeCantor:
@@ -74,7 +57,7 @@ class TestCommutativeCantor:
 
 class TestMemberships:
     def test_constant_zero_two_sided(self):
-        c0 = EndoFunction.constant(G2, 0)
+        c0 = endo(G2, 0, 0)
         assert cantor_membership(c0, A2, True)
         assert cantor_membership(c0, A2, False)
 
@@ -82,9 +65,8 @@ class TestMemberships:
         assert not cantor_membership(endo(G2, 1, 0), A2, True)
 
     def test_identity_both_sides_everywhere(self):
-        from hullflow.verify import enum_systems
-
-        for sys in enum_systems(2):
+        for members in oracles.families(2):
+            sys = SetSystem(G2, tuple(members))
             ident = endo(G2, 0, 1)
             assert cantor_membership(ident, sys, True)
             assert cantor_membership(ident, sys, False)
@@ -92,9 +74,8 @@ class TestMemberships:
     def test_inverse_swaps_sides(self):
         # a bijection sits in one side exactly when its inverse sits in the
         # other side
-        from hullflow.verify import enum_systems
-
-        for sys in enum_systems(3, covering_only=True):
+        for members in oracles.coverings(3):
+            sys = SetSystem(G3, tuple(members))
             for image in itertools.permutations(range(3)):
                 f = EndoFunction.of(G3, image)
                 finv = EndoFunction.of(
@@ -110,10 +91,10 @@ class TestPreservesUnfamily:
         assert preserves_unfamily(endo(G2, 0, 1), A2)
 
     def test_constant_zero(self):
-        assert preserves_unfamily(EndoFunction.constant(G2, 0), A2)
+        assert preserves_unfamily(endo(G2, 0, 0), A2)
 
     def test_constant_one_fails(self):
-        assert not preserves_unfamily(EndoFunction.constant(G2, 1), A2)
+        assert not preserves_unfamily(endo(G2, 1, 1), A2)
 
 
 class TestFibrationIntegrity:
@@ -129,7 +110,7 @@ class TestFibrationIntegrity:
     def test_mined_divergence_from_unfamily(self):
         # the two integrity readings come apart: the constant map keeps
         # complement-freeness but collapses fibration classes
-        c0 = EndoFunction.constant(G2, 0)
+        c0 = endo(G2, 0, 0)
         assert preserves_unfamily(c0, A2)
         assert not fibration_integrity(c0, A2)
 
@@ -149,7 +130,7 @@ class TestExplication:
     def test_mined_constant_zero_disagreement(self):
         # the fixed disagreeing instance: not commutative, yet two-sided
         # over the system itself
-        rec = explication_check(EndoFunction.constant(G2, 0), A2)
+        rec = explication_check(endo(G2, 0, 0), A2)
         assert rec.lhs is False
         assert rec.rhs_system is True
         assert not rec.agree
@@ -169,7 +150,7 @@ class TestExplication:
             cantor, "closure_map",
             lambda sys, conv: built.append((sys, conv)) or closure_map(sys, conv),
         )
-        f = EndoFunction.constant(G2, 0)
+        f = endo(G2, 0, 0)
         for conv in order:
             assert explication_check(f, A2, conv) == explication_check(f, A2, conv)
         assert built == [(A2, conv) for conv in order]
@@ -179,11 +160,11 @@ class TestExplication:
         from hullflow.setsys import GroundMismatchError
 
         with pytest.raises(GroundMismatchError):
-            explication_check(EndoFunction.constant(G3, 0), A2)
+            explication_check(endo(G3, 0, 0, 0), A2)
 
     def test_constant_zero_confirmed_by_direct_enumeration(self):
         # independent confirmation over all four subsets
-        c0 = EndoFunction.constant(G2, 0)
+        c0 = endo(G2, 0, 0)
         compl = complement_system(A2).masks
         disagreement = False
         for z in range(4):
@@ -207,9 +188,8 @@ class TestExplication:
 
 class TestBijectionCoincidence:
     def test_exhaustive_three_points(self):
-        from hullflow.verify import enum_systems
-
-        for sys in enum_systems(3, covering_only=True):
+        for members in oracles.coverings(3):
+            sys = SetSystem(G3, tuple(members))
             for image in itertools.permutations(range(3)):
                 f = EndoFunction.of(G3, image)
                 assert cantor_membership(f, sys, True) == cantor_membership(
@@ -278,11 +258,10 @@ class TestPhaseChainOverGenerators:
     # the chain is decided on the generators; the oracle lists the group
 
     def test_exhaustive_three_points(self):
-        from hullflow.verify import enum_systems
-
         perms = [Autobolism.of(G3, p) for p in itertools.permutations(range(3))]
         gensets = [(p,) for p in perms] + list(itertools.combinations(perms, 2))
-        for sys in enum_systems(3, covering_only=True):
+        for members in oracles.coverings(3):
+            sys = SetSystem(G3, tuple(members))
             for gens in gensets:
                 for conv in ClosureConvention:
                     got = phase_chain_check(gens, sys, conv).statements
@@ -299,7 +278,6 @@ class TestPhaseChainOverGenerators:
         # apart, so the oracle alone cannot see a table reused across them;
         # the tables built can.
         from hullflow import cantor
-        from hullflow.verify import enum_systems
 
         cantor._system_context.cache_clear()
         built = []
@@ -308,7 +286,7 @@ class TestPhaseChainOverGenerators:
             lambda sys, conv: built.append((sys, conv)) or closure_map(sys, conv),
         )
         perms = [Autobolism.of(G3, p) for p in itertools.permutations(range(3))]
-        systems = list(enum_systems(3, covering_only=True))
+        systems = [SetSystem(G3, tuple(members)) for members in oracles.coverings(3)]
         for sys in systems:
             for conv in order:
                 for g in perms:

@@ -2,8 +2,11 @@
 
 import contextlib
 import copy
+import functools
+import hashlib
 import io
 import json
+import operator
 import time
 
 import pytest
@@ -323,6 +326,107 @@ class TestCommands:
         )
         assert code == 0
         assert "is_self_dual: True" in out
+
+
+#: One document every pinned command reads: `chi` makes `verify L1_3` fail
+#: (a proper part of the orbit {0,1} is coherent), and the variants
+#: disagree on the covering `W`.
+PINNED_DOC = {
+    "ground": 3,
+    "convention": "full",
+    "systems": {
+        "T": [[], [0], [1, 2], [0, 1, 2]],
+        "blocks": [[0, 1], [2], [0, 1, 2]],
+        "W": [[0, 1], [0, 2]],
+        "chi": [[0]],
+    },
+    "permutations": {"s": [1, 0, 2]},
+    "functions": {"c0": [0, 0, 0]},
+    "flows": {"phi": {"cyclic": "s"}, "grp": {"group": ["s"]}},
+}
+
+#: (CLI arguments before `-i FILE`, exit code, sha256 of stdout).  A
+#: deliberate change of output must update this table and record the old
+#: and new hashes in CHANGES.md.
+PINNED_COMMANDS = [
+    ("classify T", 0,
+     "c179e747aa71e9d23c38dabde8b35b554971fb449170165259f5b76939cfd095"),
+    ("closure T --subset 1", 0,
+     "6d0232f6e96a3f31f5c4a6be53d9b1a531957fdb11bbddd890d54022fb877119"),
+    ("closure T --family", 0,
+     "2c9c9e2f5695c682f432e32f797289356bbfd56f9c3fcd67b344b7792dc6e848"),
+    ("closure T", 0,
+     "2c9c9e2f5695c682f432e32f797289356bbfd56f9c3fcd67b344b7792dc6e848"),
+    ("hull T --kind 000 --subset 0,1", 0,
+     "d76dbcb81cc2883a0dedac53205966e9d1b2f08c5bf8c5b7345797a267bf8de7"),
+    ("hull T --kind 111 --subset 1", 0,
+     "35d1d11ae61e55e70784865f8715758004b4fa65ad275b7f0374d7b80c4824ca"),
+    ("elementarize T", 0,
+     "78efa60421e6ad859575f83c56163853d09f37ed03b1051b39e8737bca6b5c91"),
+    ("orbits --flow grp", 0,
+     "3cc55ab220ef68618dccaeb3068e75cb6910be9e020820bbe5c0a484e4e0b39e"),
+    ("invariant-topology --flow grp", 0,
+     "8d8d976dd23b8db5b609316a77ba15a138aff43bc79880004ea686ca49b92bde"),
+    ("invariant-topology --flow grp --basis-only", 0,
+     "40cf73583d19672b0c2ae7a2b1ead19e66b1c2951a2ae0b16e655b38494be934"),
+    ("attractors --flow phi --covering W --variant conventional", 0,
+     "f31fbe4fb140dee11aef3dc3ae19b33451f68781031b69f24ab65e7120478802"),
+    ("attractors --flow phi --covering W --variant weak", 0,
+     "c1a6b6b4a4886a5fd4ca32dd3b562e7cedf277b48efca51377f911533df7ad0e"),
+    ("attractors --flow phi --covering W --variant mono+", 0,
+     "f31fbe4fb140dee11aef3dc3ae19b33451f68781031b69f24ab65e7120478802"),
+    ("attractors --flow phi --covering W --variant mono-", 0,
+     "f31fbe4fb140dee11aef3dc3ae19b33451f68781031b69f24ab65e7120478802"),
+    ("topo-attractors --topologies T", 0,
+     "710508ae3aca0eabbe8c46721028b9729d25b662f2bab42598c2071d7d00007c"),
+    ("rooms --flow phi --system blocks", 0,
+     "22ec1d647ad649b48b2b8e85e0aeea65a27051fc68ffd0e8a2fa2c3e77bd9b7c"),
+    ("cantor-check --function c0 --system T", 0,
+     "e729228dcca5439e378480e922ddf1ad6ecbaa1f4b0a8b3e338ea49b028e00da"),
+    ("explication --function c0 --system T", 0,
+     "ecf49c7be52fbf006d2533df4a4b7b820ecacea26efc2d6ef05a670ab2810933"),
+    ("verify L1_3", 0,
+     "f2b8086b8bbf3be3fcf6e24fbeac08f124e5c183e51f2ee4d1e01ef4b835fd80"),
+    ("--format text classify T", 0,
+     "b1b3c05101ebde0542457649ce4d7b9dc48d1af3ce868a3ff7ca3ca9fa7b4fdc"),
+]
+
+
+class TestPinnedCommands:
+    @pytest.fixture
+    def pinned_file(self, tmp_path):
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(PINNED_DOC))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args, code, sha256", PINNED_COMMANDS, ids=[row[0] for row in PINNED_COMMANDS]
+    )
+    def test_output_hash(self, capsys, pinned_file, args, code, sha256):
+        assert main([*args.split(), "-i", pinned_file]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+    @pytest.mark.parametrize("convention", ["full", "nonempty"])
+    @pytest.mark.parametrize("name", sorted(PINNED_DOC["systems"]))
+    def test_closed_family_from_the_definition(self, capsys, pinned_file, convention, name):
+        # the closure of z intersects the complement members containing z
+        # (none when no member does); under `nonempty` the empty complement
+        # member is left out
+        n = PINNED_DOC["ground"]
+        full = (1 << n) - 1
+        members = [sum(1 << x for x in row) for row in PINNED_DOC["systems"][name]]
+        compl = [full ^ m for m in members if convention == "full" or m != full]
+        closed = set()
+        for z in range(1 << n):
+            above = [c for c in compl if c & z == z]
+            closed.add(functools.reduce(operator.and_, above) if above else 0)
+        code, out, _ = run_cli(
+            capsys, "--convention", convention, "closure", name, "--family", "-i", pinned_file
+        )
+        assert code == 0
+        got = [sum(1 << x for x in row) for row in json.loads(out)["result"]]
+        assert got == sorted(closed)
 
 
 class TestSweepCommand:

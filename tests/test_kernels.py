@@ -1,5 +1,5 @@
-"""Bitmask kernels: the hull lookup and transform against the per-subset
-scan."""
+"""Bitmask kernels: the closure lookup and transform against the
+per-subset scan."""
 
 import itertools
 import os
@@ -23,11 +23,11 @@ def random_families(seed, count):
 class TestPureKernels:
     def test_closure_table_small(self):
         # sources {1}=0b01 and 0b11 over two points
-        table = kernels.hull_table(2, [0b01, 0b11], 1, 1)
+        table = kernels.closure_table(2, [0b01, 0b11])
         assert table == [0b01, 0b01, 0b11, 0b11]
 
     def test_closure_table_empty_family(self):
-        assert kernels.hull_table(1, [], 1, 1) == [0, 0]
+        assert kernels.closure_table(1, []) == [0, 0]
 
     def test_hull_value_union_vs_intersection(self):
         sources = [0b011, 0b101]
@@ -60,9 +60,8 @@ class TestHullTable:
                 (n, [m for m in range(1 << n) if rnd.random() < p]) for p in (0.05, 0.5)
             ]
         for n, sources in families:
-            for j, k in itertools.product((0, 1), repeat=2):
-                expected = [kernels.hull_value(sources, z, j, k) for z in range(1 << n)]
-                assert kernels.hull_table(n, sources, j, k) == expected, (n, sources, j, k)
+            expected = [kernels.hull_value(sources, z, 1, 1) for z in range(1 << n)]
+            assert kernels.closure_table(n, sources) == expected, (n, sources)
 
     def test_lookup_matches_per_subset_scan(self):
         # n <= 4 folds the tables of the family bitmask's two bytes: every
@@ -76,13 +75,12 @@ class TestHullTable:
         families += [(4, rnd.getrandbits(16)) for _ in range(2000)]
         for n, family in families:
             sources = [m for m in range(1 << n) if family >> m & 1]
-            for j, k in itertools.product((0, 1), repeat=2):
-                expected = [kernels.hull_value(sources, z, j, k) for z in range(1 << n)]
-                assert kernels.hull_table(n, sources, j, k) == expected, (n, sources, j, k)
+            expected = [kernels.hull_value(sources, z, 1, 1) for z in range(1 << n)]
+            assert kernels.closure_table(n, sources) == expected, (n, sources)
 
     def test_lookup_rejects_a_source_outside_the_ground(self):
         with pytest.raises(IndexError):
-            kernels.hull_table(2, [0b100], 1, 1)
+            kernels.closure_table(2, [0b100])
 
     def test_import_builds_no_lookup_table(self):
         # the byte tables are built on first use, so importing the CLI
@@ -102,20 +100,19 @@ class TestHullTable:
     def test_memory_stays_within_twice_the_table(self):
         n = 14
         sources = [m for m in range(1 << n) if m % 7 == 3]
-        for j, k in itertools.product((0, 1), repeat=2):
-            tracemalloc.start()
-            try:
-                table = kernels.hull_table(n, sources, j, k)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # the list and one int object per cell
-            own = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
-            assert peak <= 2 * own, (j, k, own, peak)
+        tracemalloc.start()
+        try:
+            table = kernels.closure_table(n, sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the list and one int object per cell
+        own = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        assert peak <= 2 * own, (own, peak)
 
     def test_commutes_with_closure_takes_the_point_map(self):
         for n, sources in random_families(4, 100):
-            cl = kernels.hull_table(n, sources, 1, 1)
+            cl = kernels.closure_table(n, sources)
             for perm in itertools.islice(itertools.permutations(range(n)), 6):
                 expected = all(
                     kernels.image(perm, cl[z]) == cl[kernels.image(perm, z)]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hullflow.setsys import (
-    CLOSURE_KIND,
     CapExceededError,
     ClosureConvention,
     GroundMismatchError,
@@ -23,14 +23,9 @@ from hullflow.setsys import (
     complement_system,
     elementarize,
     hull,
-    hull_map,
-    interior,
     is_basis_of,
-    is_hybrid,
     is_partition,
     product_fibration,
-    selection,
-    sym_diff,
     un_ov,
     union_closure,
 )
@@ -71,17 +66,10 @@ def systems_strategy(n, covering=False):
 
 
 class TestSubset:
-    def test_sym_diff(self):
-        assert sym_diff(sub(G3, 0, 1), sub(G3, 1, 2)) == sub(G3, 0, 2)
-
-    def test_sym_diff_self_and_empty(self):
-        x = sub(G3, 0, 2)
-        assert sym_diff(x, x) == sub(G3)
-        assert sym_diff(x, sub(G3)) == x
-
     def test_ground_mismatch(self):
+        # a subset of another ground is rejected, not read as a mask
         with pytest.raises(GroundMismatchError):
-            sym_diff(sub(G2, 0), sub(G3, 0))
+            closure(system(G3, [0], [1, 2]), sub(G2, 0))
 
     def test_out_of_range_bits(self):
         with pytest.raises(ValueError):
@@ -139,26 +127,13 @@ class TestComplement:
         assert complement_system(complement_system(s)) == s
 
 
-class TestSelection:
-    def test_members_meeting(self, t_selfdual):
-        assert selection(t_selfdual, sub(G3, 1)) == system(G3, [1, 2], [0, 1, 2])
-
-    def test_empty_selector(self, t_selfdual):
-        assert selection(t_selfdual, sub(G3)) == SetSystem(G3, ())
-
-    @given(systems_strategy(3, covering=True))
-    @settings(max_examples=40)
-    def test_full_selector_drops_only_empty(self, s):
-        full = Subset(s.ground, s.ground.full_mask)
-        assert selection(s, full) == s.without_empty()
-
-
 class TestHull:
     def test_closure_smallest_closed_superset(self, t_selfdual):
         assert closure(t_selfdual, sub(G3, 1)) == sub(G3, 1, 2)
 
     def test_interior_union_of_open_subsets(self, t_selfdual):
-        assert interior(t_selfdual, sub(G3, 0, 1)) == sub(G3, 0)
+        # kind 000 unites the members contained in the argument
+        assert hull(t_selfdual, HullKind(0, 0, 0), sub(G3, 0, 1)) == sub(G3, 0)
 
     def test_empty_intersection_is_empty(self):
         a = system(G2, [0], [0, 1])
@@ -196,7 +171,7 @@ class TestHull:
                         assert got.bits == expect, (j, k, l, q)
 
     def test_hull_map_matches_hull_per_subset(self):
-        # the table transform against the single-subset route: every
+        # the closure table against the single-subset route: every
         # system at n <= 2, seeded systems at n = 3..4
         small = [
             SetSystem(GroundSet(n), masks)
@@ -215,14 +190,12 @@ class TestHull:
         ]
         for sys in small + seeded:
             ground = sys.ground
-            for j, k, l in itertools.product((0, 1), repeat=3):
-                kind = HullKind(j, k, l)
-                for conv in (FULL, NONEMPTY):
-                    expect = [
-                        hull(sys, kind, Subset(ground, z), conv).bits
-                        for z in range(1 << ground.size)
-                    ]
-                    assert hull_map(sys, kind, conv) == expect, (sys, kind, conv)
+            for conv in (FULL, NONEMPTY):
+                expect = [
+                    closure(sys, Subset(ground, z), conv).bits
+                    for z in range(1 << ground.size)
+                ]
+                assert closure_map(sys, conv) == expect, (sys, conv)
 
 
 class TestClosedFamily:
@@ -317,10 +290,9 @@ class TestClassify:
         assert not classify(system(G2, [0], [0, 1])).is_complete
 
     def test_every_finite_quasitopology_is_a_topology(self):
-        from hullflow.verify import enum_systems
-
         for n in (1, 2, 3):
-            for s in enum_systems(n):
+            for members in oracles.families(n):
+                s = SetSystem(GroundSet(n), tuple(members))
                 flags = classify(s)
                 if flags.is_quasitopology:
                     assert flags.is_topology, s
@@ -334,11 +306,9 @@ class TestClassify:
                 assert cl[a | b] == cl[a] | cl[b]  # topology: union is exact
 
     def test_stronger_laws_fail_somewhere(self):
-        from hullflow.verify import enum_systems
-
         union_gap = inter_gap = False
-        for s in enum_systems(3, covering_only=True):
-            cl = closure_map(s)
+        for members in oracles.coverings(3):
+            cl = closure_map(SetSystem(G3, tuple(members)))
             for a in range(8):
                 for b in range(8):
                     if cl[a | b] & ~(cl[a] | cl[b]):
@@ -415,16 +385,6 @@ class TestUnOv:
     def test_powerset_un_trivial(self):
         un, _ = un_ov(SetSystem.powerset(G2))
         assert un == system(G2, [])
-
-
-class TestHybrid:
-    def test_self_and_complement(self, t_selfdual):
-        assert is_hybrid(t_selfdual, t_selfdual)
-        assert is_hybrid(t_selfdual, complement_system(t_selfdual))
-
-    def test_mixed(self):
-        a = system(G2, [0], [0, 1])
-        assert is_hybrid(a, system(G2, [1]))
 
 
 class TestProductFibration:

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from hullflow import attract, cantor, kernels, verify
-from hullflow.instances import Instance, convention_name
+from hullflow.instances import Instance
 from hullflow.setsys import ClosureConvention
 from hullflow.verify import (
     CLAIMS,
@@ -21,8 +21,6 @@ from hullflow.verify import (
     SizeLimitError,
     TheoremId,
     check_theorem,
-    enum_functions,
-    enum_systems,
     enum_topologies,
     sweep,
 )
@@ -35,12 +33,6 @@ T_SELFDUAL = {
     "ground": 3,
     "systems": {"T": [[], [0], [1, 2], [0, 1, 2]]},
 }
-
-
-def covering_count(n):
-    # independent count: families on k-subsets assembled by
-    # inclusion-exclusion over the covered point set
-    return sum((-1) ** (n - k) * math.comb(n, k) * (1 << (1 << k)) for k in range(n + 1))
 
 
 #: The exhaustive space of each claim, as an `oracles.instance_space` kind.
@@ -70,7 +62,7 @@ def closed_form_size(kind, n):
     """The number of instances of a space, from the closed-form counts of
     its factors."""
     perms = math.factorial(n)
-    coverings = covering_count(n)
+    coverings = oracles.covering_count(n)
     topologies = oracles.count_preorders(n)
     gensets = perms + math.comb(perms, 2)
     return {
@@ -88,40 +80,54 @@ def closed_form_size(kind, n):
     }[kind]
 
 
+def family_bitmask(members):
+    """The family bitmask of a list of member masks: bit m set when m is a
+    member."""
+    return sum(1 << m for m in members)
+
+
 class TestEnumeration:
+    # the spaces take their systems from verify._covering_families and
+    # their self-maps from verify._maps
+
     def test_covering_families_one_point(self):
-        families = list(enum_systems(1, covering_only=True))
-        assert len(families) == 2
+        # {{0}} and {{}, {0}}
+        assert list(verify._covering_families(1)) == [0b10, 0b11]
 
     def test_all_families_two_points(self):
-        assert len(list(enum_systems(2))) == 16
+        # the covering families are the oracle's families whose union is
+        # the ground, in the same order
+        families = oracles.families(2)
+        assert len(families) == 16
+        covering = [f for f in families if all(any(m >> x & 1 for m in f) for x in (0, 1))]
+        assert list(verify._covering_families(2)) == list(map(family_bitmask, covering))
 
     def test_covering_at_most_total(self):
         for n in (1, 2, 3):
-            covering = sum(1 for _ in enum_systems(n, covering_only=True))
-            total = sum(1 for _ in enum_systems(n))
-            assert covering <= total
+            assert len(verify._covering_families(n)) <= len(oracles.families(n))
 
     def test_covering_count_matches_inclusion_exclusion(self):
         for n in (1, 2, 3):
-            got = sum(1 for _ in enum_systems(n, covering_only=True))
-            assert got == covering_count(n)
+            got = list(verify._covering_families(n))
+            assert got == list(map(family_bitmask, oracles.coverings(n)))
+            assert len(got) == oracles.covering_count(n)
 
     def test_size_limit(self):
+        # a space over systems is capped where its families are
         with pytest.raises(SizeLimitError):
-            list(enum_systems(5))
+            CLAIMS[TheoremId.IDEM_ydwed].space(5, FULL)
 
     def test_functions(self):
-        assert len(list(enum_functions(2))) == 4
-        assert len(list(enum_functions(2, bijective_only=True))) == 2
-        assert len(list(enum_functions(3))) == 27
-        assert len(list(enum_functions(3, bijective_only=True))) == 6
+        assert len(verify._maps(2)) == 4
+        assert len(verify._maps(2, bijective_only=True)) == 2
+        assert list(verify._maps(3)) == list(itertools.product(range(3), repeat=3))
+        assert list(verify._maps(3, bijective_only=True)) == list(
+            itertools.permutations(range(3))
+        )
 
     def test_function_order(self):
-        first = next(iter(enum_functions(3)))
-        assert first.image == (0, 0, 0)
-        first_bij = next(iter(enum_functions(3, bijective_only=True)))
-        assert first_bij.image == (0, 1, 2)
+        assert verify._maps(3)[0] == (0, 0, 0)
+        assert verify._maps(3, bijective_only=True)[0] == (0, 1, 2)
 
     def test_topology_counts_against_preorder_oracle(self):
         for n in (1, 2, 3):
@@ -140,12 +146,12 @@ class TestIndexedSpaces:
             for conv in (FULL, NONEMPTY):
                 space = CLAIMS[theorem].space(n, conv)
                 assert len(space) == closed_form_size(kind, n), n
-                listed = oracles.instance_space(kind, n, convention_name(conv))
+                listed = oracles.instance_space(kind, n, conv.value)
                 assert [space.at(o).to_dict() for o in range(len(space))] == listed, n
 
     def test_covering_systems_at_four_points(self):
         space = CLAIMS[TheoremId.IDEM_ydwed].space(4, FULL)
-        assert len(space) == covering_count(4) == 64594
+        assert len(space) == oracles.covering_count(4) == 64594
         listed = oracles.instance_space("systems", 4, "full")
         assert [space.at(o).to_dict() for o in range(len(space))] == listed
 
@@ -370,9 +376,9 @@ class TestSweep:
         # and their rooms from one table; S3_3 builds no attractor family
         # where its commutation premise fails
         tables, families = [], []
-        hull_table, free_attractors = kernels.hull_table, attract.free_attractors
+        closure_table, free_attractors = kernels.closure_table, attract.free_attractors
         monkeypatch.setattr(
-            kernels, "hull_table", lambda *a: tables.append(a) or hull_table(*a)
+            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
         )
         monkeypatch.setattr(
             attract, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
@@ -415,9 +421,9 @@ class TestSweep:
         # the system's context: 218 systems x 27 functions, where building
         # them per instance makes 5886 of each
         tables, complements = [], []
-        hull_table, complement_system = kernels.hull_table, cantor.complement_system
+        closure_table, complement_system = kernels.closure_table, cantor.complement_system
         monkeypatch.setattr(
-            kernels, "hull_table", lambda *a: tables.append(a) or hull_table(*a)
+            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
         )
         monkeypatch.setattr(
             cantor, "complement_system",
