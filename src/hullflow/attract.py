@@ -23,14 +23,12 @@ from .dynsys import (
     compose,
     invariant_sets,
     invert,
-    is_invariant,
     saturate,
 )
 from .setsys import (
     ClosureConvention,
     GroundMismatchError,
     SetSystem,
-    Subset,
     closure_map,
     is_partition,
 )
@@ -183,7 +181,9 @@ def transport(
 def commutes(flow: DiscreteFlow, table: Sequence[int]) -> bool:
     """True when every generator of the flow commutes with the closure
     operator whose table, indexed by mask, is given."""
-    return all(kernels.commutes_with_closure(g.image, table) for g in flow.generators())
+    return all(
+        kernels.commutes_with_closure(g.mask_table(), table) for g in flow.generators()
+    )
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,10 @@ def room_report(
     """The room report of the flow under a closure table, such as the
     closure_map of a covering system; no other table is built."""
     rooms, partition = _rooms(flow, table)
-    invariant = all(
-        is_invariant(flow.generators(), Subset(flow.ground, r)) for r in rooms.masks
-    )
+    # a set is mapped onto itself by every generator exactly when it is a
+    # union of orbit blocks
+    blocks = flow.orbit_blocks()
+    invariant = all(saturate(blocks, r) == r for r in rooms.masks)
     closed = SetSystem(flow.ground, tuple(set(table)))
     attractors: Optional[bool] = None
     if closed.covers_ground():

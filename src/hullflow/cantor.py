@@ -14,40 +14,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import kernels
-from .dynsys import Autobolism
+from .dynsys import Autobolism, EndoFunction
 from .setsys import (
     ClosureConvention,
     GroundMismatchError,
-    GroundSet,
     SetSystem,
     closure_map,
     complement_system,
     product_fibration,
     un_ov,
 )
-
-
-@dataclass(frozen=True, order=True)
-class EndoFunction:
-    """A (not necessarily bijective) self-map of the ground set."""
-
-    ground: GroundSet
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.ground.size
-        if len(self.image) != n or any(not 0 <= v < n for v in self.image):
-            raise ValueError(f"not a self-map of 0..{n - 1}: {self.image}")
-
-    @classmethod
-    def of(cls, ground: GroundSet, image: Sequence[int]) -> "EndoFunction":
-        return cls(ground, tuple(image))
-
-    def apply_mask(self, mask: int) -> int:
-        return kernels.image(list(self.image), mask)
-
-    def is_bijective(self) -> bool:
-        return len(set(self.image)) == self.ground.size
 
 
 def is_commutative_cantor(
@@ -60,31 +36,26 @@ def is_commutative_cantor(
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     cl = closure_map(system, conv)
-    return kernels.commutes_with_closure(f.image, cl)
+    return kernels.commutes_with_closure(f.mask_table(), cl)
 
 
-def cantor_membership(
-    f: EndoFunction | Autobolism, system: SetSystem, plus: bool
-) -> bool:
+def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     """Plus side: every nonempty member admits a nonempty member mapped
     into it.  Minus side: every nonempty member admits a nonempty member
-    contained in its image.  A permutation is taken as the self-map it
-    is."""
+    contained in its image."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     nonempty = [m for m in system.masks if m]
+    images = [f.apply_mask(m) for m in nonempty]
     if plus:
-        images = [f.apply_mask(m) for m in nonempty]
         return all(any(img & ~m == 0 for img in images) for m in nonempty)
-    return all(
-        any(mb & ~f.apply_mask(m) == 0 for mb in nonempty) for m in nonempty
-    )
+    return all(any(m & ~img == 0 for m in nonempty) for img in images)
 
 
 def preserves_unfamily(f: EndoFunction, system: SetSystem) -> bool:
     """True when f maps every complement-free subset (no nonempty member of
     the complement system inside it) to a complement-free subset."""
-    un_compl, _ = un_ov(complement_system(system))
+    un_compl = un_ov(complement_system(system))
     members = set(un_compl.masks)
     return all(f.apply_mask(q) in members for q in un_compl.masks)
 
@@ -139,7 +110,7 @@ def explication_check(
     ctx = _system_context(system, conv)
     compl = ctx.compl
     return ExplicationRecord(
-        lhs=kernels.commutes_with_closure(f.image, ctx.cl),
+        lhs=kernels.commutes_with_closure(f.mask_table(), ctx.cl),
         rhs_system=cantor_membership(f, system, True) and cantor_membership(f, system, False),
         rhs_complement=cantor_membership(f, compl, True) and cantor_membership(f, compl, False),
     )
@@ -195,7 +166,7 @@ class _SystemContext:
         verdict = verdicts[statement]
         if verdict is None:
             if statement == 0:
-                verdict = kernels.commutes_with_closure(g.image, self.cl)
+                verdict = kernels.commutes_with_closure(g.mask_table(), self.cl)
             else:
                 over, plus = self.memberships[statement - 1]
                 verdict = cantor_membership(g, over, plus)

@@ -1,5 +1,8 @@
-"""Permutation dynamics: autobolisms, flows, orbits and their invariant
-topologies.
+"""Self-maps and permutation dynamics: endofunctions, autobolisms, flows,
+orbits and their invariant topologies.
+
+A self-map builds the image of every subset once, on first use, and reads
+it from then on.
 
 A flow is either cyclic (one generator, integer time via powers) or a
 generated permutation group (group time).  Orbits, and the coherence
@@ -15,20 +18,58 @@ from typing import Iterable, Optional, Sequence
 
 from . import kernels
 from .setsys import (
+    DEFAULT_ENUM_CAP,
     CapExceededError,
     GroundMismatchError,
     GroundSet,
     SetSystem,
-    Subset,
 )
 
 
 @dataclass(frozen=True, order=True)
-class Autobolism:
-    """A permutation of the ground set; image[i] is where i goes."""
+class EndoFunction:
+    """A (not necessarily bijective) self-map of the ground set; image[i]
+    is where i goes."""
 
     ground: GroundSet
     image: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = self.ground.size
+        if len(self.image) != n or any(not 0 <= v < n for v in self.image):
+            raise ValueError(f"not a self-map of 0..{n - 1}: {self.image}")
+
+    @classmethod
+    def of(cls, ground: GroundSet, image: Sequence[int]) -> "EndoFunction":
+        return cls(ground, tuple(image))
+
+    def apply_mask(self, mask: int) -> int:
+        """The image of a subset: read from the table within the
+        enumeration cap, taken point by point above it."""
+        if self.ground.size <= DEFAULT_ENUM_CAP:
+            return self._table[mask]
+        out = 0
+        for i, y in enumerate(self.image):
+            if mask >> i & 1:
+                out |= 1 << y
+        return out
+
+    def mask_table(self) -> list[int]:
+        """The image of every subset, indexed by mask, built once on first
+        use; its callers hold a closure table, so the ground is within the
+        enumeration cap."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> list[int]:
+        return kernels.perm_table(self.image)
+
+    def is_bijective(self) -> bool:
+        return len(set(self.image)) == self.ground.size
+
+
+class Autobolism(EndoFunction):
+    """A permutation of the ground set: the self-map it is."""
 
     def __post_init__(self) -> None:
         if sorted(self.image) != list(range(self.ground.size)):
@@ -37,13 +78,6 @@ class Autobolism:
     @classmethod
     def identity(cls, ground: GroundSet) -> "Autobolism":
         return cls(ground, tuple(range(ground.size)))
-
-    @classmethod
-    def of(cls, ground: GroundSet, image: Sequence[int]) -> "Autobolism":
-        return cls(ground, tuple(image))
-
-    def apply_mask(self, mask: int) -> int:
-        return kernels.image(list(self.image), mask)
 
 
 def compose(f: Autobolism, g: Autobolism) -> Autobolism:
@@ -143,8 +177,3 @@ def invariant_topology(gens: Sequence[Autobolism]) -> SetSystem:
     flow = DiscreteFlow.of_group(gens)
     return SetSystem(flow.ground, (0,) + invariant_sets(flow).masks)
 
-
-def is_invariant(gens: Iterable[Autobolism], x: Subset) -> bool:
-    """True when every generator maps x onto itself (generators suffice for
-    invariance under the generated group)."""
-    return all(g.apply_mask(x.bits) == x.bits for g in gens)

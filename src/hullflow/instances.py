@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .cantor import EndoFunction
-from .dynsys import Autobolism, DiscreteFlow
+from .dynsys import Autobolism, DiscreteFlow, EndoFunction
 from .setsys import ClosureConvention, GroundSet, SetSystem
 
 class InstanceError(ValueError):

@@ -115,29 +115,14 @@ def hull_value(sources: list[int], q: int, j: int, k: int) -> int:
 
 
 def perm_table(perm: Sequence[int]) -> list[int]:
-    """Mask-image table of a point map: table[mask] = {perm[i] : i in mask}."""
-    n = len(perm)
-    table = [0] * (1 << n)
-    for i in range(n):
-        bit = 1 << i
-        img = 1 << perm[i]
-        step = bit << 1
-        for base in range(0, 1 << n, step):
-            for z in range(base + bit, base + step):
-                table[z] |= img
+    """Mask-image table of a point map: table[mask] = {perm[i] : i in mask}.
+    Each point doubles the table: the masks holding it are those without
+    it, with its image added."""
+    table = [0]
+    for y in perm:
+        bit = 1 << y
+        table += [t | bit for t in table]
     return table
-
-
-def image(perm: list[int], mask: int) -> int:
-    """Forward image of a mask under a point map."""
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[i]
-        mask >>= 1
-        i += 1
-    return out
 
 
 def pairwise_closed(masks: list[int]) -> tuple[bool, bool]:
@@ -158,12 +143,11 @@ def pairwise_closed(masks: list[int]) -> tuple[bool, bool]:
     return uc, ic
 
 
-def commutes_with_closure(perm: Sequence[int], cl: list[int]) -> bool:
-    """True when image(cl(z)) == cl(image(z)) for every subset z, where
-    image is the mask image under the point map perm."""
-    ptab = perm_table(perm)
+def commutes_with_closure(table: Sequence[int], cl: Sequence[int]) -> bool:
+    """True when table[cl[z]] == cl[table[z]] for every subset z, where
+    table is the mask-image table of a point map (see perm_table)."""
     for z in range(len(cl)):
-        if ptab[cl[z]] != cl[ptab[z]]:
+        if table[cl[z]] != cl[table[z]]:
             return False
     return True
 

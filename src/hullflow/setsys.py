@@ -307,19 +307,17 @@ def classify(
     )
 
 
-def un_ov(system: SetSystem) -> tuple[SetSystem, SetSystem]:
-    """(complement-free subsets, system-containing subsets): subsets of the
-    ground containing no nonempty member / containing some nonempty member."""
+def un_ov(system: SetSystem) -> SetSystem:
+    """The complement-free subsets: the subsets of the ground containing
+    no nonempty member."""
     ground = system.ground
     _check_enum(ground)
     nonempty = [m for m in system.masks if m]
-    un, ov = [], []
+    un = []
     for z in range(1 << ground.size):
-        if any(m & z == m for m in nonempty):
-            ov.append(z)
-        else:
+        if not any(m & z == m for m in nonempty):
             un.append(z)
-    return SetSystem(ground, tuple(un)), SetSystem(ground, tuple(ov))
+    return SetSystem(ground, tuple(un))
 
 
 @dataclass(frozen=True)
@@ -333,20 +331,15 @@ class FibrationClass:
 class FibrationPartition:
     ground: GroundSet
     classes: tuple[FibrationClass, ...]
-    representation_ok: bool
 
 
 def product_fibration(
     system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> FibrationPartition:
-    """Partition of the power set by closure value, with per-class cores,
-    plus a flag recording whether the closed-set representation
-    {Q | core : Q in trace of the complement-free family on the class key}
-    reproduces the classes exactly."""
-    ground = system.ground
+    """Partition of the power set by closure value, with per-class cores."""
     cl = closure_map(system, conv)
     by_key: dict[int, list[int]] = {}
-    for z in range(1 << ground.size):
+    for z in range(1 << system.ground.size):
         by_key.setdefault(cl[z], []).append(z)
     classes = tuple(
         FibrationClass(
@@ -356,10 +349,15 @@ def product_fibration(
         )
         for key, zs in sorted(by_key.items())
     )
+    return FibrationPartition(system.ground, classes)
 
-    un_compl, _ = un_ov(complement_system(system))
+
+def representation_ok(fib: FibrationPartition, system: SetSystem) -> bool:
+    """Whether the closed-set representation {Q | core : Q in trace of the
+    complement-free family on the class key} reproduces the classes of
+    `system`'s fibration exactly."""
+    un_compl = un_ov(complement_system(system))
     rep = set()
-    for fc in classes:
+    for fc in fib.classes:
         rep.add(frozenset((q & fc.key) | fc.core for q in un_compl.masks))
-    actual = {frozenset(fc.member_masks) for fc in classes}
-    return FibrationPartition(ground, classes, representation_ok=rep == actual)
+    return rep == {frozenset(fc.member_masks) for fc in fib.classes}

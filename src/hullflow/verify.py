@@ -37,14 +37,13 @@ from .attract import (
     transport,
 )
 from .cantor import (
-    EndoFunction,
     cantor_membership,
     explication_check,
     fibration_integrity,
     phase_chain_check,
     preserves_unfamily,
 )
-from .dynsys import Autobolism, DiscreteFlow, invariant_sets, orbit_partition
+from .dynsys import Autobolism, DiscreteFlow, EndoFunction, invariant_sets, orbit_partition
 from .instances import Instance, InstanceError
 from .setsys import (
     DEFAULT_ENUM_CAP,
@@ -58,6 +57,7 @@ from .setsys import (
     is_basis_of,
     is_partition,
     product_fibration,
+    representation_ok,
 )
 
 
@@ -332,7 +332,7 @@ def _check_s1_1(inst: Instance, conv: ClosureConvention) -> Verdict:
     if not flags.is_topology:
         return _skip("not a topology")
     blocks = elementarize(t).without_empty()
-    part = classify(blocks, conv).is_partition
+    part = is_partition(blocks.masks, inst.ground.full_mask)
     basis = is_basis_of(blocks, t)
     if flags.is_self_dual == (part and basis):
         return _holds()
@@ -550,8 +550,7 @@ def _check_chain(inst: Instance, conv: ClosureConvention) -> Verdict:
 
 def _check_b3_6(inst: Instance, conv: ClosureConvention) -> Verdict:
     sys = _get_system(inst, "A")
-    fib = product_fibration(sys, conv)
-    if fib.representation_ok:
+    if representation_ok(product_fibration(sys, conv), sys):
         return _holds()
     return _fails(inst, "closed-set representation does not reproduce the fibration")
 

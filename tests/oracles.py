@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Optional, Sequence
+import random
+from typing import Any, Iterator, Optional, Sequence
 
 
 def group(gens: Sequence) -> list[tuple[int, ...]]:
@@ -72,8 +73,25 @@ def power(element: Sequence[int], t: int) -> tuple[int, ...]:
 
 
 def image(element: Sequence[int], mask: int) -> int:
-    """Image of the subset `mask` under a point map."""
-    return sum(1 << element[i] for i in range(len(element)) if mask >> i & 1)
+    """Image of the subset `mask` under a point map, one point at a time."""
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << element[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
+def self_maps() -> Iterator[tuple[int, ...]]:
+    """Every self-map of a ground of at most 3 points, then 200 random
+    self-maps of 8 points, each as the tuple of its point images."""
+    for n in range(1, 4):
+        yield from itertools.product(range(n), repeat=n)
+    rnd = random.Random(8)
+    for _ in range(200):
+        yield tuple(rnd.randrange(8) for _ in range(8))
 
 
 def mask_tables(elements: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -365,6 +365,21 @@ class TestClosureCommutationReport:
         assert rep.invariant and rep.attractors
         assert check_theorem(TheoremId.S3_3, _instance(swap01_flow, sys)).status == "holds"
 
+    def test_room_invariance_against_pointwise_oracle(self):
+        # every generator set of size one or two and every covering system
+        # on up to three points: the rooms are invariant exactly when every
+        # generator maps each of them onto itself
+        for n in (1, 2, 3):
+            ground = GroundSet(n)
+            perms = [Autobolism.of(ground, p) for p in itertools.permutations(range(n))]
+            for gens in [(p,) for p in perms] + list(itertools.combinations(perms, 2)):
+                flow = DiscreteFlow.of_group(gens)
+                for c in oracles.coverings(n):
+                    rep = room_report(flow, closure_map(SetSystem(ground, tuple(c))))
+                    assert rep.invariant == all(
+                        oracles.image(g.image, r) == r for g in gens for r in rep.rooms.masks
+                    ), (gens, c)
+
     def test_invariant_block_covering(self, swap01_flow):
         covering = SetSystem.of(G3, [[0, 1], [2], [0, 1, 2]])
         cl = closure_map(covering)

@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from hullflow.cantor import (
-    EndoFunction,
     cantor_membership,
     explication_check,
     fibration_integrity,
@@ -15,7 +14,7 @@ from hullflow.cantor import (
     phase_chain_check,
     preserves_unfamily,
 )
-from hullflow.dynsys import Autobolism
+from hullflow.dynsys import Autobolism, EndoFunction
 from hullflow.setsys import (
     ClosureConvention,
     GroundSet,
@@ -23,6 +22,7 @@ from hullflow.setsys import (
     closure_map,
     complement_system,
     product_fibration,
+    representation_ok,
 )
 
 G2 = GroundSet(2)
@@ -314,13 +314,14 @@ class TestPhaseChainOverGenerators:
 
 class TestRepresentation:
     def test_powerset_representation_holds(self):
-        assert product_fibration(SetSystem.powerset(G3)).representation_ok
+        powerset = SetSystem.powerset(G3)
+        assert representation_ok(product_fibration(powerset), powerset)
 
     def test_mined_representation_failure(self):
         # the singleton partition already defeats the closed-set
         # representation: the class of the empty hull holds both extremes
         parts = SetSystem.of(G3, [[0], [1], [2]])
         fib = product_fibration(parts)
-        assert not fib.representation_ok
+        assert not representation_ok(fib, parts)
         by_key = {fc.key: fc.member_masks for fc in fib.classes}
         assert by_key[0] == (0, 0b111)

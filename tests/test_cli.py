@@ -265,6 +265,29 @@ class TestCommands:
         assert f"error: {field}: " in err
 
     @pytest.mark.parametrize(
+        "doc, line",
+        [
+            (
+                {"ground": 3, "permutations": {"p": [0, 0, 1]}},
+                "permutations.p: not a permutation of 0..2: (0, 0, 1)",
+            ),
+            (
+                {"ground": 3, "permutations": {"p": [0, 1, 5]}},
+                "permutations.p: not a permutation of 0..2: (0, 1, 5)",
+            ),
+            (
+                {"ground": 3, "functions": {"f": [0, 3, 1]}},
+                "functions.f: not a self-map of 0..2: (0, 3, 1)",
+            ),
+        ],
+    )
+    def test_invalid_map_error_line(self, capsys, tmp_path, doc, line):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "A", "-i", str(path))
+        assert (code, out, err) == (2, "", f"hullflow: error: {line}\n")
+
+    @pytest.mark.parametrize(
         "theorem, doc, field",
         [
             ("K3_9", {"ground": 2, "systems": {"A": [[0], [1]]}}, "permutations"),
@@ -294,6 +317,36 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "orbits", "--flow", "s12", "-i", str(path))
         assert code == 0
         assert json.loads(out)["result"] == [list(range(12))]
+
+    @pytest.mark.parametrize(
+        "theorem, doc",
+        [
+            (
+                "B3_10",
+                {
+                    "ground": 40,
+                    "systems": {"A": [[0, 1], [1, 2], list(range(40))]},
+                    "functions": {"f": list(range(1, 40)) + [0]},
+                },
+            ),
+            (
+                "COVAR",
+                {
+                    "ground": 40,
+                    "systems": {"A": [list(range(20)), list(range(20, 40)), list(range(40))]},
+                    "permutations": {"c": list(range(1, 40)) + [0], "f": list(range(39, -1, -1))},
+                    "flows": {"phi": {"cyclic": "c"}},
+                },
+            ),
+        ],
+    )
+    def test_verify_beyond_the_enumeration_cap(self, capsys, tmp_path, theorem, doc):
+        # mapping a few members through a self-map needs no 2^n table
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", theorem, "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == {"note": "", "status": "holds", "witness": None}
 
     def test_invariant_topology_of_the_identity(self, capsys, tmp_path):
         # unions of orbit blocks are listed one step per set, up to the

@@ -2,21 +2,24 @@
 checked against the group listed by the brute-force oracle."""
 
 import itertools
+import random
 
 import pytest
 
 import oracles
+from hullflow import kernels
 from hullflow.dynsys import (
     Autobolism,
     DiscreteFlow,
+    EndoFunction,
     compose,
     invariant_topology,
     invert,
-    is_invariant,
     orbit_partition,
     saturate,
 )
 from hullflow.setsys import (
+    DEFAULT_ENUM_CAP,
     GroundMismatchError,
     GroundSet,
     SetSystem,
@@ -65,6 +68,26 @@ class TestComposition:
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
             Autobolism.of(G3, [0, 0, 1])
+
+
+class TestSelfMaps:
+    def test_apply_mask_above_the_cap_takes_points(self, monkeypatch):
+        # no 2^n table is built beyond the enumeration cap
+        def no_table(perm):
+            raise AssertionError(f"table built for {len(perm)} points")
+
+        monkeypatch.setattr(kernels, "perm_table", no_table)
+        rnd = random.Random(40)
+        for n in (DEFAULT_ENUM_CAP + 1, 40, 64):
+            image = [rnd.randrange(n) for _ in range(n)]
+            f = EndoFunction.of(GroundSet(n), image)
+            for mask in [0, (1 << n) - 1] + [rnd.getrandbits(n) for _ in range(50)]:
+                assert f.apply_mask(mask) == oracles.image(image, mask)
+
+    def test_autobolism_is_an_endofunction(self, rot):
+        assert isinstance(rot, EndoFunction)
+        assert rot.is_bijective()
+        assert rot.mask_table() == EndoFunction.of(G3, rot.image).mask_table()
 
 
 class TestGroupGeneration:
@@ -144,14 +167,6 @@ class TestInvariantTopology:
                 t = invariant_topology(gens)
                 blocks = elementarize(t).without_empty()
                 assert blocks == orbit_partition(DiscreteFlow.of_group(gens))
-
-
-class TestInvariance:
-    def test_examples(self, swap01):
-        assert is_invariant([swap01], Subset.of(G3, [0, 1]))
-        assert not is_invariant([swap01], Subset.of(G3, [0]))
-        assert is_invariant([swap01], Subset.of(G3, []))
-        assert is_invariant([swap01], Subset.of(G3, [0, 1, 2]))
 
 
 class TestCoherenceWitness:

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from hullflow import attract, cantor, kernels, verify
+from hullflow import attract, cantor, kernels, setsys, verify
 from hullflow.instances import Instance
 from hullflow.setsys import ClosureConvention
 from hullflow.verify import (
@@ -433,6 +433,46 @@ class TestSweep:
         assert rep.instance_count == 218 * 27
         assert 0 < len(tables) <= 218
         assert 0 < len(complements) <= 218
+
+    @pytest.mark.parametrize(
+        "theorem, instances, maps",
+        [
+            # 27 self-maps, built once per space
+            (TheoremId.S3_8_all, 218 * 27, 27),
+            # the chain statements on each image are decided first in its
+            # one-generator set
+            (TheoremId.K3_9, 218 * 21, 6),
+            # 21 generator sets holding 36 permutations
+            (TheoremId.B3_2, 218 * 21, 36),
+        ],
+    )
+    def test_one_mask_image_table_per_map(self, monkeypatch, theorem, instances, maps):
+        # building a map's table on every commutation test and membership
+        # makes 5886, 1308 and 6272
+        tables = []
+        perm_table = kernels.perm_table
+        monkeypatch.setattr(
+            kernels, "perm_table", lambda *a: tables.append(a) or perm_table(*a)
+        )
+        rep = sweep(theorem, 3, "exhaustive")
+        assert rep.instance_count == instances
+        assert 0 < len(tables) <= maps
+
+    def test_b3_7_one_complement_free_family_per_instance(self, monkeypatch):
+        # fibration integrity reads only the classes; building the
+        # closed-set representation too makes two families per instance
+        families = []
+        un_ov = setsys.un_ov
+
+        def counted(*a):
+            families.append(a)
+            return un_ov(*a)
+
+        monkeypatch.setattr(setsys, "un_ov", counted)
+        monkeypatch.setattr(cantor, "un_ov", counted)
+        rep = sweep(TheoremId.B3_7, 3, "exhaustive")
+        assert rep.instance_count == 218 * 27
+        assert 0 < len(families) <= rep.instance_count
 
     def test_k3_9_verdicts_agree_under_both_conventions(self):
         # on a covering system the two conventions' closure tables differ
