@@ -52,12 +52,17 @@ def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     return all(any(m & ~img == 0 for m in nonempty) for img in images)
 
 
-def preserves_unfamily(f: EndoFunction, system: SetSystem) -> bool:
+def preserves_unfamily(
+    f: EndoFunction,
+    system: SetSystem,
+    conv: ClosureConvention = ClosureConvention.FULL,
+) -> bool:
     """True when f maps every complement-free subset (no nonempty member of
-    the complement system inside it) to a complement-free subset."""
-    un_compl = un_ov(complement_system(system))
-    members = set(un_compl.masks)
-    return all(f.apply_mask(q) in members for q in un_compl.masks)
+    the complement system inside it) to a complement-free subset.  The
+    family does not depend on `conv`; it is kept in the context of
+    (system, conv), beside the fibration classes."""
+    members = _system_context(system, conv)._unfamily
+    return all(f.apply_mask(q) in members for q in members)
 
 
 def fibration_integrity(
@@ -67,12 +72,8 @@ def fibration_integrity(
 ) -> bool:
     """True when mapping every closure-fibration class elementwise through
     f reproduces the class family exactly."""
-    fib = product_fibration(system, conv)
-    actual = {frozenset(fc.member_masks) for fc in fib.classes}
-    imaged = {
-        frozenset(f.apply_mask(z) for z in fc.member_masks) for fc in fib.classes
-    }
-    return imaged == actual
+    actual = _system_context(system, conv)._classes
+    return {frozenset(f.apply_mask(z) for z in c) for c in actual} == actual
 
 
 def is_trivially_commutative(system: SetSystem) -> bool:
@@ -145,12 +146,15 @@ class PhaseChainRecord:
 
 
 class _SystemContext:
-    """What the explication and the chain statements need of one system
-    under one convention: its closure table and complement system, built
-    once, and each chain statement's verdict on each generator, kept by the
-    generator's image and decided on first ask."""
+    """What the explication, the fibration checks and the chain statements
+    need of one system under one convention: its closure table and
+    complement system, built once; its fibration classes and
+    complement-free family, built from those on first use; and each chain
+    statement's verdict on each generator, kept by the generator's image
+    and decided on first ask."""
 
     def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
+        self.system, self.conv = system, conv
         self.cl = closure_map(system, conv)
         self.compl = compl = complement_system(system)
         # statements 1-4 of PhaseChainRecord: the system a membership
@@ -159,6 +163,17 @@ class _SystemContext:
         # generator image -> the verdicts of the five statements on it,
         # None until decided
         self.verdicts: dict[tuple[int, ...], list[Optional[bool]]] = {}
+
+    @functools.cached_property
+    def _classes(self) -> set[frozenset[int]]:
+        """The classes of the closure fibration, as sets of masks."""
+        fib = product_fibration(self.system, self.conv, self.cl)
+        return {frozenset(fc.member_masks) for fc in fib.classes}
+
+    @functools.cached_property
+    def _unfamily(self) -> frozenset[int]:
+        """The complement-free subsets."""
+        return frozenset(un_ov(self.compl).masks)
 
     def holds(self, statement: int, g: Autobolism, verdicts: list[Optional[bool]]) -> bool:
         """Statement `statement` of PhaseChainRecord (0: commuting with the

@@ -13,7 +13,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import kernels
 
@@ -29,11 +29,9 @@ class GroundMismatchError(ValueError):
     """Operands live on different ground sets."""
 
 
-def _check_enum(ground: "GroundSet", cap: int = DEFAULT_ENUM_CAP) -> None:
-    if ground.size > cap:
-        raise CapExceededError(
-            f"ground size {ground.size} exceeds enumeration cap {cap}"
-        )
+def _check_enum(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    if n > cap:
+        raise CapExceededError(f"ground size {n} exceeds enumeration cap {cap}")
 
 
 @dataclass(frozen=True, order=True)
@@ -104,7 +102,7 @@ class SetSystem:
 
     @classmethod
     def powerset(cls, ground: GroundSet) -> "SetSystem":
-        _check_enum(ground)
+        _check_enum(ground.size)
         return cls(ground, tuple(range(1 << ground.size)))
 
     @property
@@ -162,10 +160,16 @@ def complement_system(system: SetSystem) -> SetSystem:
 def _hull_sources(system: SetSystem, l: int, conv: ClosureConvention) -> Sequence[int]:
     if l == 0:
         return system.masks
-    full = (1 << system.ground.size) - 1
+    return _complements(system.ground.size, system.masks, conv)
+
+
+def _complements(n: int, masks: Sequence[int], conv: ClosureConvention) -> list[int]:
+    """The complements of the members, the empty one left out under
+    NONEMPTY."""
+    full = (1 << n) - 1
     if conv is ClosureConvention.NONEMPTY:
-        return [full ^ m for m in system.masks if m != full]
-    return [full ^ m for m in system.masks]
+        return [full ^ m for m in masks if m != full]
+    return [full ^ m for m in masks]
 
 
 def hull(
@@ -195,9 +199,16 @@ def closure_map(
 ) -> list[int]:
     """Closure of every subset of the ground, indexed by mask; closure()
     gives the same value for one subset."""
-    _check_enum(system.ground)
-    sources = _hull_sources(system, 1, conv)
-    return kernels.closure_table(system.ground.size, sources)
+    return closure_map_of(system.ground.size, system.masks, conv)
+
+
+def closure_map_of(
+    n: int, masks: Sequence[int], conv: ClosureConvention = ClosureConvention.FULL
+) -> list[int]:
+    """closure_map of the system on n points whose members are `masks`,
+    for a caller that holds the members and no SetSystem."""
+    _check_enum(n)
+    return kernels.closure_table(n, _complements(n, masks, conv))
 
 
 def closed_family(
@@ -311,7 +322,7 @@ def un_ov(system: SetSystem) -> SetSystem:
     """The complement-free subsets: the subsets of the ground containing
     no nonempty member."""
     ground = system.ground
-    _check_enum(ground)
+    _check_enum(ground.size)
     nonempty = [m for m in system.masks if m]
     un = []
     for z in range(1 << ground.size):
@@ -334,10 +345,15 @@ class FibrationPartition:
 
 
 def product_fibration(
-    system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
+    system: SetSystem,
+    conv: ClosureConvention = ClosureConvention.FULL,
+    cl: Optional[list[int]] = None,
 ) -> FibrationPartition:
-    """Partition of the power set by closure value, with per-class cores."""
-    cl = closure_map(system, conv)
+    """Partition of the power set by closure value, with per-class cores.
+    `cl` is the system's closure_map under `conv`, for a caller that holds
+    it already."""
+    if cl is None:
+        cl = closure_map(system, conv)
     by_key: dict[int, list[int]] = {}
     for z in range(1 << system.ground.size):
         by_key.setdefault(cl[z], []).append(z)

@@ -5,6 +5,7 @@ import copy
 import functools
 import hashlib
 import io
+import itertools
 import json
 import operator
 import time
@@ -480,6 +481,122 @@ class TestPinnedCommands:
         assert code == 0
         got = [sum(1 << x for x in row) for row in json.loads(out)["result"]]
         assert got == sorted(closed)
+
+
+#: A one-point document on which `B3_2` fails, with sections no claim
+#: reads: its witness keeps the system checked, adds the partition `P`, and
+#: takes the convention the claim was checked under.
+ONE_POINT_DOC = {
+    "ground": 1,
+    "convention": "nonempty",
+    "systems": {"A": [[0]], "T": [[], [0]], "X": [[]]},
+    "permutations": {"g0": [0]},
+    "functions": {"h": [0]},
+    "flows": {"phi": {"cyclic": "g0"}},
+}
+
+
+def _verify_cases():
+    """(label, global CLI flags, document) of every pinned `verify` run:
+    FUZZ_DOC whole and under the other convention, then with each section,
+    each pair of sections and each named object deleted in turn; COVAR's document, on which a
+    non-covering system is skipped before its missing relabeling is looked
+    for; and ONE_POINT_DOC under both conventions."""
+    yield "whole", [], FUZZ_DOC
+    yield "nonempty", ["--convention", "nonempty"], FUZZ_DOC
+    for key in FUZZ_DOC:
+        doc = copy.deepcopy(FUZZ_DOC)
+        del doc[key]
+        yield f"-{key}", [], doc
+    sections = ("systems", "permutations", "functions", "flows")
+    # two sections at once, so the order in which a claim reads them shows
+    for first, second in itertools.combinations(sections, 2):
+        doc = copy.deepcopy(FUZZ_DOC)
+        del doc[first], doc[second]
+        yield f"-{first}-{second}", [], doc
+    for section in sections:
+        for name in FUZZ_DOC[section]:
+            doc = copy.deepcopy(FUZZ_DOC)
+            del doc[section][name]
+            yield f"-{section}.{name}", [], doc
+    yield "covar-no-f", [], {
+        "ground": 3,
+        "systems": {"A": [[0]]},
+        "permutations": {"g0": [1, 0, 2]},
+        "flows": {"phi": {"cyclic": "g0"}},
+    }
+    yield "one-point", [], ONE_POINT_DOC
+    yield "one-point-full", ["--convention", "full"], ONE_POINT_DOC
+
+
+def _verify_outputs(tmp_path, theorem):
+    """The exit code of `verify theorem` on every case, and the sha256 of
+    every case's label, exit code, stdout and stderr."""
+    codes, runs = [], []
+    for i, (label, flags, doc) in enumerate(_verify_cases()):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*flags, "verify", theorem, "-i", str(path)])
+        codes.append(str(code))
+        runs.append([label, code, out.getvalue(), err.getvalue()])
+    digest = hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest()
+    return "".join(codes), digest
+
+
+#: (claim, exit code of each `_verify_cases` case, sha256 from
+#: `_verify_outputs`).  A deliberate change of output must update this table
+#: and record the old and new hashes in CHANGES.md.
+PINNED_VERIFY = [
+    ("S1_1", "002022002222000020022000200",
+     "0a4ac315a8790fd7d04bc769bf9fb2404fc452272138b447b50b99fe6e55a474"),
+    ("K1_2", "002022002222000020022000200",
+     "0a4ac315a8790fd7d04bc769bf9fb2404fc452272138b447b50b99fe6e55a474"),
+    ("L1_3", "002022022222220000222000222",
+     "3dde18e80b444dc1e497a136130fd832f6b0a8198ee971caeaae1e1ae1d7375d"),
+    ("S2_2", "002022022222220020022000200",
+     "e7d2cd9d64bb3c174615475748e59d2c2d9afb796a3bf60f63d300d4b5cf4d7b"),
+    ("B2_3d", "002022022222220002022000222",
+     "3e3c72788a80928761d67bd0c87de9d9cfee385890d0d345b368e6e9a63fcb6c"),
+    ("L3_1", "002022002222002200022000222",
+     "88ee14935960c37feaea14fcd94f2ad48293ef49d80964a31a78546813f08530"),
+    ("B3_2", "002022022222222000022000000",
+     "9cec2ca157bca491cff03f453705105db18e803f849d1f6d07b3031cc153e482"),
+    ("S3_3", "002022022222222000022000000",
+     "c11cf1a4f5fee18b3c7ef3d8437e7660cf7cc138dfc93a0b61c6c3e4f1c8ced7"),
+    ("B3_4", "002022022222222000022000000",
+     "7d3b4a985d8e195fab935f33bebe718b3d53c9ff3b663c6e8553a1dcc5d84a3f"),
+    ("B3_6", "002022002222002000022000000",
+     "cc7501f1aaa0275a67d6a4ff2dc4da21fc02f5f9094b2fb0eb055fa8592d2694"),
+    ("B3_7", "002022202222022000022200200",
+     "c6237b43e5c33fcd1d21852ccd29d415d19e15abb90078e3f7953e880d50b1b9"),
+    ("S3_8_bij", "002022202222022000022200200",
+     "f93d66a2796182af399a7c3655a3da8e72a282e9064456f73d52cea597720df9"),
+    ("S3_8_all", "002022202222022000022200200",
+     "3ff8e948a74caa54ac9e3df2231a9fae4a75d09fb5f4c115317ccd78628528d0"),
+    ("K3_9", "002022002222202000022000000",
+     "edc5536eec2bf1820a993a780066a300b90fcf0d9926962fed8373c7f3f7b83b"),
+    ("B3_10", "002022202222022000022200200",
+     "f93d66a2796182af399a7c3655a3da8e72a282e9064456f73d52cea597720df9"),
+    ("COVAR", "002022022222222000022000022",
+     "ee8636557e9159ec9e76147ad35bb79d73e286b69888a5686f12e9ffd5dcb8f1"),
+    ("CHAIN_karrenk", "002022022222220002022000222",
+     "3e3c72788a80928761d67bd0c87de9d9cfee385890d0d345b368e6e9a63fcb6c"),
+    ("IDEM_ydwed", "002022002222002000022000000",
+     "c68690e2517969f45d92776058db21beb2fb426fa8190baa4488b2157958781f"),
+]
+
+
+class TestPinnedVerify:
+    def test_every_claim_pinned(self):
+        assert [row[0] for row in PINNED_VERIFY] == [t.value for t in TheoremId]
+
+    @pytest.mark.parametrize(
+        "theorem, codes, sha256", PINNED_VERIFY, ids=[row[0] for row in PINNED_VERIFY]
+    )
+    def test_outputs(self, tmp_path, theorem, codes, sha256):
+        assert _verify_outputs(tmp_path, theorem) == (codes, sha256)
 
 
 class TestSweepCommand:

@@ -1,10 +1,13 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
 import concurrent.futures
+import importlib.util
+import inspect
 import itertools
 import json
 import math
 import os
+import pathlib
 import random
 import tracemalloc
 
@@ -13,13 +16,14 @@ import pytest
 import oracles
 from hullflow import attract, cantor, kernels, setsys, verify
 from hullflow.instances import Instance
-from hullflow.setsys import ClosureConvention
+from hullflow.setsys import ClosureConvention, GroundSet, SetSystem
 from hullflow.verify import (
     CLAIMS,
     PROVED_CLEAN,
     Claim,
     SizeLimitError,
     TheoremId,
+    Verdict,
     check_theorem,
     enum_topologies,
     sweep,
@@ -164,6 +168,31 @@ class TestIndexedSpaces:
     def test_covering_families_over_the_cap(self):
         with pytest.raises(SizeLimitError):
             verify._covering_families(5)
+
+
+class TestTwoRoutes:
+    # a sweep hands the checker body the factor values its space indexes;
+    # check_theorem unpacks the same values from an instance
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_sweep_verdicts_match_check_theorem(self, theorem, conv):
+        claim = CLAIMS[theorem]
+        for n in (1, 2):
+            ground, space = GroundSet(n), claim.space(n, conv)
+            counts = {"holds": 0, "fails": 0, "skipped": 0}
+            witnesses = []
+            for ordinal, values in verify._exhaustive_instances(theorem, n, conv, 0, 1):
+                replay = check_theorem(theorem, space.at(ordinal), conv)
+                verdict = claim.check(ground, values, conv)
+                assert (verdict.status, verdict.note) == (replay.status, replay.note), ordinal
+                counts[replay.status] += 1
+                if replay.status == "fails":
+                    witnesses.append(
+                        {"ordinal": ordinal, "instance": replay.witness, "note": replay.note}
+                    )
+            rep = sweep(theorem, n, "exhaustive", conv=conv, max_counterexamples=len(space))
+            assert (rep.hold_count, rep.fail_count, rep.skip_count) == tuple(counts.values())
+            assert list(rep.counterexamples) == witnesses
 
 
 class TestCheckTheorem:
@@ -343,6 +372,25 @@ class TestSweep:
         parallel = sweep(theorem, n, mode, jobs=jobs, **kwargs)
         assert parallel.to_payload() == serial.to_payload()
 
+    @pytest.mark.parametrize("conv, fails, built", [(FULL, 0, 0), (NONEMPTY, 470, 32)])
+    def test_instances_only_for_kept_witnesses(self, monkeypatch, conv, fails, built):
+        # a holding verdict builds no Instance, SetSystem or Verdict; of the
+        # nonempty sweep's failures only the 32 whose witnesses are kept
+        # build an Instance
+        made = {Instance: 0, SetSystem: 0, Verdict: 0}
+        for cls in made:
+            def counting(obj, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                made[_cls] += 1
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        rep = sweep(TheoremId.IDEM_ydwed, 4, "exhaustive", conv=conv, jobs=1)
+        assert (rep.instance_count, rep.fail_count) == (64594, fails)
+        assert len(rep.counterexamples) == built
+        assert made[Instance] == built
+        if not fails:
+            assert made == {Instance: 0, SetSystem: 0, Verdict: 0}
+
     def test_parallel_parent_serializes_no_instance(self, monkeypatch):
         calls = []
         to_dict = Instance.to_dict
@@ -442,8 +490,9 @@ class TestSweep:
             # the chain statements on each image are decided first in its
             # one-generator set
             (TheoremId.K3_9, 218 * 21, 6),
-            # 21 generator sets holding 36 permutations
-            (TheoremId.B3_2, 218 * 21, 36),
+            # 21 generator sets sharing one object for each of the 6
+            # permutations
+            (TheoremId.B3_2, 218 * 21, 6),
         ],
     )
     def test_one_mask_image_table_per_map(self, monkeypatch, theorem, instances, maps):
@@ -459,8 +508,9 @@ class TestSweep:
         assert 0 < len(tables) <= maps
 
     def test_b3_7_one_complement_free_family_per_instance(self, monkeypatch):
-        # fibration integrity reads only the classes; building the
-        # closed-set representation too makes two families per instance
+        # the system is the outer factor of B3_7's space, and the
+        # complement-free family is read from the system's context: 218
+        # systems x 27 functions, where building it per instance makes 5886
         families = []
         un_ov = setsys.un_ov
 
@@ -472,7 +522,24 @@ class TestSweep:
         monkeypatch.setattr(cantor, "un_ov", counted)
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
-        assert 0 < len(families) <= rep.instance_count
+        assert 0 < len(families) <= 218
+
+    def test_b3_7_one_fibration_per_system(self, monkeypatch):
+        # the fibration classes are read from the system's context too, and
+        # built from its closure table: one table per system
+        fibrations, tables = [], []
+        product_fibration, closure_table = cantor.product_fibration, kernels.closure_table
+        monkeypatch.setattr(
+            cantor, "product_fibration",
+            lambda *a: fibrations.append(a) or product_fibration(*a),
+        )
+        monkeypatch.setattr(
+            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
+        )
+        rep = sweep(TheoremId.B3_7, 3, "exhaustive")
+        assert rep.instance_count == 218 * 27
+        assert 0 < len(fibrations) <= 218
+        assert 0 < len(tables) <= 218
 
     def test_k3_9_verdicts_agree_under_both_conventions(self):
         # on a covering system the two conventions' closure tables differ
@@ -509,6 +576,20 @@ class TestSweep:
         # checked before any sampling, so no 2^n draw is attempted
         with pytest.raises(SizeLimitError):
             sweep(TheoremId.IDEM_ydwed, 21, "random", samples=0)
+
+
+class TestBenchmarkNames:
+    def test_traced_names_exist(self):
+        # sweepbench's tracer times instance generation and the checker
+        # bodies by these names; one the library lost would read 0 silently
+        path = pathlib.Path(__file__).resolve().parent.parent / "sweepbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("sweepbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.GENERATORS
+        for name in tracer.GENERATORS:
+            assert inspect.isfunction(getattr(verify, name, None)), name
+        assert inspect.isfunction(getattr(verify.Claim, "check", None))
 
 
 class TestGeneratorSampler:
@@ -575,20 +656,28 @@ class TestWorkerShares:
 
     @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
     def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
-        built = []
-        init = Instance.__init__
+        # the worker indexes the factor tuples of its own ordinals only, and
+        # keeping no witness (cap 0) builds no Instance
+        indexed, built = [], []
+        getitem, init = verify._Space.__getitem__, Instance.__init__
+
+        def indexing(space, ordinal):
+            indexed.append(ordinal)
+            return getitem(space, ordinal)
 
         def counting(inst, *args, **kwargs):
             built.append(1)
             init(inst, *args, **kwargs)
 
+        monkeypatch.setattr(verify._Space, "__getitem__", indexing)
         monkeypatch.setattr(Instance, "__init__", counting)
         total, *_ = verify._evaluate(theorem, n, "exhaustive", None, None, FULL, 0, 1, 2)
         size = closed_form_size(SPACE_KINDS[theorem], n)
-        share = sum(1 for o in range(size) if o // verify.SHARE_BLOCK % 2 == 1)
-        assert 0 < share < size
-        assert total == share
-        assert len(built) == share
+        share = [o for o in range(size) if o // verify.SHARE_BLOCK % 2 == 1]
+        assert 0 < len(share) < size
+        assert total == len(share)
+        assert indexed == share
+        assert built == []
 
     @pytest.mark.parametrize("jobs", [2, 3, 7])
     def test_shares_match_serial_for_every_claim(self, monkeypatch, recording_pool, jobs):
