@@ -46,10 +46,11 @@ def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     nonempty = [m for m in system.masks if m]
-    images = [f.apply_mask(m) for m in nonempty]
+    images = list(map(f.apply_mask, nonempty))
+    # a lies inside b exactly when a | b == b
     if plus:
-        return all(any(img & ~m == 0 for img in images) for m in nonempty)
-    return all(any(m & ~img == 0 for m in nonempty) for img in images)
+        return all(m in map(m.__or__, images) for m in nonempty)
+    return all(img in map(img.__or__, nonempty) for img in images)
 
 
 def preserves_unfamily(

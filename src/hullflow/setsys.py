@@ -199,16 +199,77 @@ def closure_map(
 ) -> list[int]:
     """Closure of every subset of the ground, indexed by mask; closure()
     gives the same value for one subset."""
-    return closure_map_of(system.ground.size, system.masks, conv)
+    n = system.ground.size
+    return closure_map_of(n, family_of(n, system.masks), conv)
+
+
+#: Entry b: the byte b with its eight bits in reverse order.
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def closure_map_of(
-    n: int, masks: Sequence[int], conv: ClosureConvention = ClosureConvention.FULL
+    n: int, family: int, conv: ClosureConvention = ClosureConvention.FULL
 ) -> list[int]:
-    """closure_map of the system on n points whose members are `masks`,
-    for a caller that holds the members and no SetSystem."""
+    """closure_map of the system on n points whose family bitmask is
+    `family` (bit m set when subset m is a member), for a caller that holds
+    the family and no SetSystem.
+
+    The complement of member m is the subset 2^n - 1 - m, so the complement
+    family is the family's bit reversal within its 2^n bits: up to n=4 two
+    byte-reversal lookups, whose table kernels.family_table reads off.
+    Above n=4 the members are unpacked for kernels.closure_table."""
+    full = (1 << n) - 1
+    if conv is ClosureConvention.NONEMPTY:
+        # the full member's complement is the empty one left out
+        family &= ~(1 << full)
+    if n <= 4:
+        mirrored = _REVERSED_BYTE[family & 255] << 8 | _REVERSED_BYTE[family >> 8]
+        return kernels.family_table(n, mirrored >> (15 - full))
     _check_enum(n)
-    return kernels.closure_table(n, _complements(n, masks, conv))
+    return kernels.closure_table(n, [full ^ m for m in family_members(family)])
+
+
+def closure_of(
+    n: int, masks: Sequence[int], q: int, conv: ClosureConvention = ClosureConvention.FULL
+) -> int:
+    """closure() of the subset q under the system on n points whose members
+    are `masks`, for a caller that holds the members and no SetSystem: one
+    scan of the complements, where closure_map builds all 2^n cells."""
+    return kernels.hull_value(_complements(n, masks, conv), q, 1, 1)
+
+
+def family_of(n: int, masks: Iterable[int]) -> int:
+    """The family bitmask of the members `masks` of a system on n points,
+    folded in O(2^n) from one binary digit per subset: at most
+    DEFAULT_ENUM_CAP points."""
+    _check_enum(n)
+    digits = bytearray(b"0") * (1 << n)
+    for m in masks:
+        digits[m] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _byte_members(low: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the set bits of b << low, ascending, for every byte b."""
+    out: list[tuple[int, ...]] = [()]
+    for m in range(low, low + 8):
+        out += [t + (m,) for t in out]
+    return tuple(out)
+
+
+#: The members marked by each value of the low and the high byte of a
+#: 16-bit family bitmask.
+_BYTE_MEMBERS = (_byte_members(0), _byte_members(8))
+
+
+def family_members(family: int) -> tuple[int, ...]:
+    """The member masks of a family bitmask, ascending: up to n=4 two
+    lookups by byte, above it read off the binary digits in O(2^n)."""
+    if family >> 16 == 0:
+        low, high = _BYTE_MEMBERS
+        return low[family & 255] + high[family >> 8]
+    return tuple(m for m, digit in enumerate(reversed(bin(family))) if digit == "1")
 
 
 def closed_family(

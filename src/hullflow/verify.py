@@ -26,10 +26,9 @@ import random
 import time
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import kernels
@@ -58,7 +57,10 @@ from .setsys import (
     classify,
     closure_map,
     closure_map_of,
+    closure_of,
     elementarize,
+    family_members,
+    family_of,
     is_basis_of,
     is_partition,
     product_fibration,
@@ -139,14 +141,17 @@ def _fails(note: str, systems: Optional[dict[str, SetSystem]] = None) -> Verdict
 
 
 def _witnessed(verdict: Verdict, inst: Instance, conv: ClosureConvention) -> Verdict:
-    """A body's failing verdict with its witness: the instance checked, or,
-    where the body named the witness's systems, an instance of those under
-    `conv` with the checked instance's permutations and flows."""
+    """A body's failing verdict with its witness, under `conv`, the
+    convention checked: the instance checked, or, where the body named the
+    witness's systems, an instance of those with the checked instance's
+    permutations and flows."""
     if verdict.systems is not None:
         inst = Instance(
             inst.ground, conv, systems=verdict.systems,
             permutations=dict(inst.permutations), flows=dict(inst.flows),
         )
+    elif inst.convention is not conv:
+        inst = replace(inst, convention=conv)
     return Verdict("fails", inst, verdict.note)
 
 
@@ -238,32 +243,14 @@ def _covering_families(n: int) -> array:
     return array("H", families)
 
 
-def _byte_members(low: int) -> tuple[tuple[int, ...], ...]:
-    """Entry b: the set bits of b << low, ascending, for every byte b."""
-    out: list[tuple[int, ...]] = [()]
-    for m in range(low, low + 8):
-        out += [t + (m,) for t in out]
-    return tuple(out)
-
-
-#: The members marked by each value of the low and the high byte of a
-#: family bitmask.
-_BYTE_MEMBERS = (_byte_members(0), _byte_members(8))
-
-
-def _members(family: int) -> tuple[int, ...]:
-    """The member masks of a family bitmask of at most 16 bits (n <= 4),
-    ascending."""
-    low, high = _BYTE_MEMBERS
-    return low[family & 255] + high[family >> 8]
-
-
 def _families(ground: GroundSet) -> Callable[[int], SetSystem]:
     """Family bitmask -> set system on `ground`.  It keeps the last 256
     systems it built: every covering family at n <= 3, so a space whose
     family is its innermost factor builds each system once, and at n=4 the
     family that the next ordinals of a space mostly ask for again."""
-    return functools.lru_cache(maxsize=256)(lambda family: SetSystem(ground, _members(family)))
+    return functools.lru_cache(maxsize=256)(
+        lambda family: SetSystem(ground, family_members(family))
+    )
 
 
 def _systems_of(n: int) -> _Mapped:
@@ -381,10 +368,12 @@ def _check_l1_3(
     return _fails(f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else ""))
 
 
-def _check_idem(ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ...]) -> Verdict:
-    if reduce(or_, masks, 0) != ground.full_mask:
+def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int]) -> Verdict:
+    # None: a system that does not cover the ground, which only a document
+    # holds, as every family a sweep draws covers it
+    if family is None:
         return _skip("system does not cover the ground")
-    cl = closure_map_of(ground.size, masks, conv)
+    cl = closure_map_of(ground.size, family, conv)
     if [cl[c] for c in cl] == cl:
         return _HOLDS
     z = next(z for z, c in enumerate(cl) if cl[c] != c)
@@ -394,7 +383,7 @@ def _check_idem(ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ..
 def _check_l3_1(
     ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ...], b: int
 ) -> Verdict:
-    hullb = closure_map_of(ground.size, masks, conv)[b]
+    hullb = closure_of(ground.size, masks, b, conv)
     for m in masks:
         x = m & hullb
         if x and not (x & b):
@@ -547,8 +536,8 @@ def _check_chain(
     )
 
 
-def _check_b3_6(ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ...]) -> Verdict:
-    sys = SetSystem(ground, masks)
+def _check_b3_6(ground: GroundSet, conv: ClosureConvention, family: int) -> Verdict:
+    sys = SetSystem(ground, family_members(family))
     if representation_ok(product_fibration(sys, conv), sys):
         return _HOLDS
     return _fails("closed-set representation does not reproduce the fibration")
@@ -603,6 +592,15 @@ def _check_b3_10(
     return _fails(f"plus={plus} minus={minus}")
 
 
+@functools.lru_cache(maxsize=1)
+def _untransported(flow: DiscreteFlow, sys: SetSystem, conv: ClosureConvention) -> SetSystem:
+    """The free attractors of the last (flow, system, convention) asked
+    for: the relabelings are the innermost factor of COVAR's space, so one
+    entry serves all n! of them."""
+    [family] = free_attractors(flow, sys, conv)
+    return family
+
+
 def _check_covar(
     ground: GroundSet, conv: ClosureConvention, cycle: _Genset, sys: SetSystem,
     relabel: Optional[Autobolism],
@@ -612,7 +610,7 @@ def _check_covar(
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
     moved_flow, moved_sys = transport(cycle.flow, sys, relabel)
-    [original] = free_attractors(cycle.flow, sys, conv)
+    original = _untransported(cycle.flow, sys, conv)
     [moved] = free_attractors(moved_flow, moved_sys, conv)
     expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in original.masks))
     if moved == expected:
@@ -656,8 +654,15 @@ def _unpack_t(inst: Instance) -> tuple:
     return (_get_system(inst, "T"),)
 
 
-def _unpack_masks(inst: Instance) -> tuple:
-    return (_get_system(inst, "A").masks,)
+def _unpack_family(inst: Instance) -> tuple:
+    return (family_of(inst.ground.size, _get_system(inst, "A").masks),)
+
+
+def _unpack_idem(inst: Instance) -> tuple:
+    system = _get_system(inst, "A")
+    # a system that does not cover the ground is skipped before its members
+    # are folded, which above the enumeration cap raises
+    return (family_of(inst.ground.size, system.masks) if system.covers_ground() else None,)
 
 
 def _unpack_masks_b(inst: Instance) -> tuple:
@@ -714,12 +719,14 @@ def _unpack_covar(inst: Instance) -> tuple:
 class _Kind(NamedTuple):
     """An instance space: `factors(n)`, the sequences of factor values it is
     the product of; `build(ground, conv, *values)`, the Instance of one
-    tuple of values; and `draw(n, rnd)`, one tuple of values drawn from
-    `rnd`."""
+    tuple of values; `draw(n, rnd)`, one tuple of values drawn from `rnd`;
+    and `cached(n)`, if any, which builds the factor values a process keeps
+    for each n (the covering families or the topologies)."""
 
     factors: Callable[[int], tuple[Sequence, ...]]
     build: Callable[..., Instance]
     draw: Callable[[int, random.Random], tuple]
+    cached: Optional[Callable[[int], Sequence]] = None
 
 
 class _Space(_Product):
@@ -804,14 +811,18 @@ _TOPOLOGIES = _Kind(
     lambda n: (_topology_list(n),),
     lambda ground, conv, t: Instance(ground, conv, systems={"T": t}),
     lambda n, rnd: (_sample_topology(rnd, GroundSet(n)),),
+    _topology_list,
 )
 
-# member masks, not systems: the bodies on this space build a SetSystem
-# only where they need one
+# family bitmasks, not systems: the bodies on this space unpack the members
+# only where they need them
 _SYSTEMS = _Kind(
-    lambda n: (_Mapped(_members, _covering_families(n)),),
-    lambda ground, conv, masks: Instance(ground, conv, systems={"A": SetSystem(ground, masks)}),
-    lambda n, rnd: (_sample_masks(rnd, GroundSet(n)),),
+    lambda n: (_covering_families(n),),
+    lambda ground, conv, family: Instance(
+        ground, conv, systems={"A": SetSystem(ground, family_members(family))}
+    ),
+    lambda n, rnd: (family_of(n, _sample_masks(rnd, GroundSet(n))),),
+    _covering_families,
 )
 
 
@@ -821,11 +832,12 @@ def _draw_system_subset(n: int, rnd: random.Random) -> tuple:
 
 
 _SYSTEMS_SUBSETS = _Kind(
-    lambda n: (_Mapped(_members, _covering_families(n)), range(1 << n)),
+    lambda n: (_Mapped(family_members, _covering_families(n)), range(1 << n)),
     lambda ground, conv, masks, b: Instance(
         ground, conv, systems={"A": SetSystem(ground, masks), "B": SetSystem(ground, (b,))}
     ),
     _draw_system_subset,
+    _covering_families,
 )
 
 
@@ -853,6 +865,7 @@ _TOPOLOGIES_GENSETS = _Kind(
     lambda n: (_topology_list(n), _gensets(n)),
     lambda ground, conv, t, genset: _genset_instance(ground, conv, genset, {"T": t}),
     _draw_topology_genset,
+    _topology_list,
 )
 
 
@@ -866,6 +879,7 @@ _SYSTEMS_GENSETS = _Kind(
     lambda n: (_systems_of(n), _gensets(n)),
     lambda ground, conv, sys, genset: _genset_instance(ground, conv, genset, {"A": sys}),
     _draw_system_genset,
+    _covering_families,
 )
 
 
@@ -887,7 +901,9 @@ def _build_cycle_covering(
     return _genset_instance(ground, conv, cycle, {"Z": covering})
 
 
-_CYCLES_COVERINGS = _Kind(_cycles_coverings, _build_cycle_covering, _draw_cycle_covering)
+_CYCLES_COVERINGS = _Kind(
+    _cycles_coverings, _build_cycle_covering, _draw_cycle_covering, _covering_families
+)
 _CYCLES_POWERSET = _Kind(
     partial(_cycles_coverings, powerset_only=True), _build_cycle_covering, _draw_cycle_covering
 )
@@ -913,10 +929,12 @@ def _build_system_function(
     return Instance(ground, conv, systems={"A": sys}, functions={"f": f})
 
 
-_SYSTEMS_FUNCTIONS = _Kind(_systems_functions, _build_system_function, _draw_system_function)
+_SYSTEMS_FUNCTIONS = _Kind(
+    _systems_functions, _build_system_function, _draw_system_function, _covering_families
+)
 _SYSTEMS_BIJECTIONS = _Kind(
     partial(_systems_functions, bijective=True), _build_system_function,
-    partial(_draw_system_function, bijective=True),
+    partial(_draw_system_function, bijective=True), _covering_families,
 )
 
 
@@ -942,7 +960,7 @@ def _build_relabeling(
     return inst
 
 
-_RELABELINGS = _Kind(_relabelings, _build_relabeling, _draw_relabeling)
+_RELABELINGS = _Kind(_relabelings, _build_relabeling, _draw_relabeling, _covering_families)
 
 
 # --------------------------------------------------------------------------
@@ -1004,7 +1022,7 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.B3_4: Claim(
         _check_b3_4, _unpack_a_flow, _SYSTEMS_GENSETS, 3, 1000, clean=True
     ),
-    TheoremId.B3_6: Claim(_check_b3_6, _unpack_masks, _SYSTEMS, 3, 1000, clean=True),
+    TheoremId.B3_6: Claim(_check_b3_6, _unpack_family, _SYSTEMS, 3, 1000, clean=True),
     TheoremId.B3_7: Claim(
         _check_b3_7, _unpack_a_f, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True
     ),
@@ -1024,7 +1042,7 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.CHAIN_karrenk: Claim(
         _check_chain, _unpack_flow_z, _CYCLES_COVERINGS, 3, 1000
     ),
-    TheoremId.IDEM_ydwed: Claim(_check_idem, _unpack_masks, _SYSTEMS, 4, 1000),
+    TheoremId.IDEM_ydwed: Claim(_check_idem, _unpack_idem, _SYSTEMS, 4, 1000),
 }
 
 #: Claims whose sweeps are expected to be failure-free; a nonzero failure
@@ -1039,7 +1057,8 @@ def check_theorem(
 ) -> Verdict:
     """Evaluate one registered claim on one instance: the claim's body on
     the values unpacked from it.  A failing verdict's witness is the
-    instance given."""
+    instance given, under `conv`: a copy labelled `conv` where the
+    instance's own convention differs."""
     if isinstance(instance, dict):
         instance = Instance.from_dict(instance)
     claim = CLAIMS[theorem]
@@ -1218,6 +1237,10 @@ def sweep(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        if mode == "exhaustive" and claim.kind.cached is not None:
+            # built here once, the factor values a process keeps are
+            # inherited by the forked workers
+            claim.kind.cached(n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_evaluate, *task, w, workers) for w in range(workers)]
             parts = [f.result() for f in futures]

@@ -349,6 +349,35 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"] == {"note": "", "status": "holds", "witness": None}
 
+    @pytest.mark.parametrize("n", [21, 40, 64])
+    @pytest.mark.parametrize(
+        "theorem, covering, skipped",
+        [
+            # a system that does not cover the ground is skipped before any
+            # 2^n work; one that covers it needs the closure table
+            ("IDEM_ydwed", False, True),
+            ("IDEM_ydwed", True, False),
+            # the fibration needs the closure table either way
+            ("B3_6", False, False),
+            ("B3_6", True, False),
+        ],
+    )
+    def test_verify_systems_beyond_the_enumeration_cap(
+        self, capsys, tmp_path, theorem, covering, skipped, n
+    ):
+        members = [[x] for x in range(n)] if covering else [[0, 1]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"ground": n, "systems": {"A": members}}))
+        code, out, err = run_cli(capsys, "verify", theorem, "-i", str(path))
+        if skipped:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["result"] == {
+                "note": "system does not cover the ground", "status": "skipped", "witness": None,
+            }
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"hullflow: error: ground size {n} exceeds enumeration cap 20\n"
+
     def test_invariant_topology_of_the_identity(self, capsys, tmp_path):
         # unions of orbit blocks are listed one step per set, up to the
         # 2^20 cap on invariant sets
@@ -568,9 +597,9 @@ PINNED_VERIFY = [
     ("B3_4", "002022022222222000022000000",
      "7d3b4a985d8e195fab935f33bebe718b3d53c9ff3b663c6e8553a1dcc5d84a3f"),
     ("B3_6", "002022002222002000022000000",
-     "cc7501f1aaa0275a67d6a4ff2dc4da21fc02f5f9094b2fb0eb055fa8592d2694"),
+     "aaf887345353cd0bbf66dacc81d23fbcfc52bdffba43478ec95a5ef0476bf2cb"),
     ("B3_7", "002022202222022000022200200",
-     "c6237b43e5c33fcd1d21852ccd29d415d19e15abb90078e3f7953e880d50b1b9"),
+     "9cc3c0bb40080fe7df292a0ed9cb5f349938b87f0165fb31146f821aeac83568"),
     ("S3_8_bij", "002022202222022000022200200",
      "f93d66a2796182af399a7c3655a3da8e72a282e9064456f73d52cea597720df9"),
     ("S3_8_all", "002022202222022000022200200",
@@ -597,6 +626,37 @@ class TestPinnedVerify:
     )
     def test_outputs(self, tmp_path, theorem, codes, sha256):
         assert _verify_outputs(tmp_path, theorem) == (codes, sha256)
+
+
+#: A `full` document on which `IDEM_ydwed` fails under `nonempty` alone:
+#: the hull of {1} is empty there, and the hull of the empty set is {1}.
+IDEM_FULL_DOC = {"ground": 2, "convention": "full", "systems": {"A": [[0], [0, 1]]}}
+
+
+class TestWitnessReplay:
+    @pytest.mark.parametrize("theorem", [t.value for t in TheoremId])
+    def test_convention_override_witness_replays(self, tmp_path, theorem):
+        # a witness carries the convention it was checked under, so plain
+        # `verify` on it fails again
+        replayed = 0
+        docs = [FUZZ_DOC] + ([IDEM_FULL_DOC] if theorem == "IDEM_ydwed" else [])
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["--convention", "nonempty", "verify", theorem, "-i", str(path)]) == 0
+            result = json.loads(out.getvalue())["result"]
+            if result["status"] != "fails":
+                continue
+            assert result["witness"]["convention"] == "nonempty"
+            path.write_text(json.dumps(result["witness"]))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["verify", theorem, "-i", str(path)]) == 0
+            assert json.loads(out.getvalue())["result"]["status"] == "fails"
+            replayed += 1
+        assert replayed == {"B3_6": 1, "B3_7": 1, "IDEM_ydwed": 1}.get(theorem, 0)
 
 
 class TestSweepCommand:

@@ -10,7 +10,9 @@ route), and the generator-set spaces whose factors are built once per space
 (`K3_9` at n=3 exhaustive and n=4 random, `L1_3` at n=4), and the
 closure sweeps of the benchmark (`IDEM_ydwed` at n=4 under both
 conventions, whose `nonempty` sweep keeps 32 of its 470 failures'
-witnesses, `S3_8_all` at n=3 and `L3_1` at n=8).
+witnesses, `S3_8_all` at n=3 and `L3_1` at n=8 under both conventions),
+and the systems space above n=4, which only random mode reaches
+(`IDEM_ydwed` at n=6, `B3_6` at n=5).
 A deliberate change of payload must update this table and record the old
 and new hashes in CHANGES.md.
 """
@@ -116,6 +118,12 @@ PINNED = [
      "3a60fc6f7181077dd01a225abdb01e8a577f289f6199fd74f7bac4f608b808bc"),
     ("L3_1 --n 8 --samples 500 --seed 0", 0,
      "93188c6c9d41491d28939e0887ac3e09bbf38ddc006429f880b4b79273f03fad"),
+    ("--convention nonempty sweep L3_1 --n 8 --samples 500 --seed 0", 0,
+     "f4c749a46a7928f512ba967a113a6a9b9f368179b94ccb1e82772d3506dfe10e"),
+    ("IDEM_ydwed --n 6 --samples 50 --seed 3", 0,
+     "75e22664b2ee9ff8ab9d1863f48226fdb1c7cd35af17382e0db7e8a7855072b4"),
+    ("B3_6 --n 5 --samples 50 --seed 3", 1,
+     "8a8954ab0d1b15239b741bf9f4c9a41b9cbd859b2c4bde80c8c4dab91cf939e4"),
 ]
 
 

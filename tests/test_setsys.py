@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hullflow import kernels
 from hullflow.setsys import (
     CapExceededError,
     ClosureConvention,
@@ -20,8 +21,12 @@ from hullflow.setsys import (
     closed_family,
     closure,
     closure_map,
+    closure_map_of,
+    closure_of,
     complement_system,
     elementarize,
+    family_members,
+    family_of,
     hull,
     is_basis_of,
     is_partition,
@@ -197,6 +202,62 @@ class TestHull:
                     for z in range(1 << ground.size)
                 ]
                 assert closure_map(sys, conv) == expect, (sys, conv)
+
+
+def scanned_closure(n, members, z, conv):
+    """The closure of z by kernels.hull_value over complements taken here,
+    not through setsys."""
+    full = (1 << n) - 1
+    sources = [full ^ m for m in members if conv is FULL or m != full]
+    return kernels.hull_value(sources, z, 1, 1)
+
+
+class TestFamilyRoutes:
+    # the shortcuts the sweeps take, against the per-subset scan they
+    # replaced: the table of a family bitmask and the closure of one subset
+
+    def test_family_bitmask_round_trip(self):
+        rnd = random.Random(7)
+        for n in range(1, 9):
+            for _ in range(20):
+                members = tuple(m for m in range(1 << n) if rnd.random() < 0.5)
+                family = family_of(n, members)
+                assert family == sum(1 << m for m in members)
+                assert family_members(family) == members
+
+    def test_family_table_matches_scan(self):
+        rnd = random.Random(11)
+        cases = [(n, members) for n in (1, 2, 3) for members in oracles.coverings(n)]
+        cases += [
+            (4, [m for m in range(16) if family >> m & 1])
+            for family in (rnd.getrandbits(16) for _ in range(2000))
+        ]
+        # above n=4 the members are unpacked for the zeta transform
+        cases += [
+            (n, [m for m in range(1 << n) if rnd.random() < 0.5]) for n in (5, 6) for _ in range(20)
+        ]
+        for n, members in cases:
+            family = sum(1 << m for m in members)
+            for conv in (FULL, NONEMPTY):
+                expect = [scanned_closure(n, members, z, conv) for z in range(1 << n)]
+                assert closure_map_of(n, family, conv) == expect, (n, members, conv)
+
+    def test_single_subset_matches_table(self):
+        cases = [
+            (n, members, b)
+            for n in (1, 2, 3)
+            for members in oracles.coverings(n)
+            for b in range(1 << n)
+        ]
+        rnd = random.Random(13)
+        for _ in range(200):
+            n = rnd.randint(5, 8)
+            members = [m for m in range(1 << n) if rnd.random() < 0.5]
+            cases.append((n, members, rnd.randrange(1 << n)))
+        for n, members, b in cases:
+            sys = SetSystem(GroundSet(n), tuple(members))
+            for conv in (FULL, NONEMPTY):
+                assert closure_of(n, sys.masks, b, conv) == closure_map(sys, conv)[b], (sys, b)
 
 
 class TestClosedFamily:

@@ -422,11 +422,12 @@ class TestSweep:
     def test_one_closure_table_per_instance(self, monkeypatch, theorem):
         # the claims on a flow and the hull of a system read their premise
         # and their rooms from one table; S3_3 builds no attractor family
-        # where its commutation premise fails
+        # where its commutation premise fails; on up to 4 points every
+        # table is kernels.family_table's
         tables, families = [], []
-        closure_table, free_attractors = kernels.closure_table, attract.free_attractors
+        family_table, free_attractors = kernels.family_table, attract.free_attractors
         monkeypatch.setattr(
-            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
+            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
         )
         monkeypatch.setattr(
             attract, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
@@ -442,6 +443,40 @@ class TestSweep:
                 assert families == [], ordinal
         # B3_4 has no commutation premise
         assert (vacuous > 0) == (theorem is not TheoremId.B3_4)
+
+    @pytest.mark.parametrize(
+        "theorem, n, kwargs, instances",
+        [
+            # the table comes from the family bitmask
+            (TheoremId.IDEM_ydwed, 4, {}, 64594),
+            # the hull of B is one cell, taken from the complements
+            (TheoremId.L3_1, 8, dict(mode="random", samples=500, seed=0), 500),
+        ],
+    )
+    def test_closure_sweeps_build_no_closure_table(self, monkeypatch, theorem, n, kwargs, instances):
+        # building the table through kernels.closure_table takes one call
+        # per instance
+        tables = []
+        closure_table = kernels.closure_table
+        monkeypatch.setattr(
+            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
+        )
+        rep = sweep(theorem, n, **kwargs)
+        assert rep.instance_count == instances
+        assert tables == []
+
+    def test_covar_untransported_family_once_per_cycle_and_system(self, monkeypatch):
+        # relabelings are the innermost factor: 1308 (cycle, system) pairs
+        # and one transported family per instance, where computing the
+        # untransported family per instance makes 15,696 calls
+        families = []
+        free_attractors = attract.free_attractors
+        monkeypatch.setattr(
+            verify, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
+        )
+        rep = sweep(TheoremId.COVAR, 3, "exhaustive")
+        assert rep.instance_count == 7848
+        assert 0 < len(families) <= 1308 + 7848
 
     def test_chain_statements_decided_once_per_system_and_generator(self, monkeypatch):
         # the system is the outer factor of K3_9's space, and a chain
@@ -469,9 +504,9 @@ class TestSweep:
         # the system's context: 218 systems x 27 functions, where building
         # them per instance makes 5886 of each
         tables, complements = [], []
-        closure_table, complement_system = kernels.closure_table, cantor.complement_system
+        family_table, complement_system = kernels.family_table, cantor.complement_system
         monkeypatch.setattr(
-            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
+            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
         )
         monkeypatch.setattr(
             cantor, "complement_system",
@@ -528,13 +563,13 @@ class TestSweep:
         # the fibration classes are read from the system's context too, and
         # built from its closure table: one table per system
         fibrations, tables = [], []
-        product_fibration, closure_table = cantor.product_fibration, kernels.closure_table
+        product_fibration, family_table = cantor.product_fibration, kernels.family_table
         monkeypatch.setattr(
             cantor, "product_fibration",
             lambda *a: fibrations.append(a) or product_fibration(*a),
         )
         monkeypatch.setattr(
-            kernels, "closure_table", lambda *a: tables.append(a) or closure_table(*a)
+            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
         )
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
@@ -590,6 +625,13 @@ class TestBenchmarkNames:
         for name in tracer.GENERATORS:
             assert inspect.isfunction(getattr(verify, name, None)), name
         assert inspect.isfunction(getattr(verify.Claim, "check", None))
+
+    def test_per_layer_names_exist(self):
+        # sweepbench reports calls of these functions as per-layer metrics;
+        # sweeps that route around them must not lose them
+        for module, name in ((kernels, "closure_table"), (setsys, "closure_map"),
+                             (cantor, "cantor_membership")):
+            assert inspect.isfunction(getattr(module, name, None)), name
 
 
 class TestGeneratorSampler:
@@ -653,6 +695,38 @@ class TestWorkerShares:
         rep = sweep(TheoremId.S3_8_all, 3, "random", jobs=jobs, **kwargs)
         assert recording_pool.made == ([] if workers is None else [workers])
         assert rep.to_payload() == serial.to_payload()
+
+    def test_parent_builds_the_cached_factors_before_the_pool(self, monkeypatch):
+        # forked workers inherit the covering families the parent built,
+        # where each would otherwise build them again on every sweep
+        cached = []
+
+        class Pool(RecordingPool):
+            def __init__(self, max_workers):
+                cached.append(verify._covering_families.cache_info().currsize)
+
+        verify._covering_families.cache_clear()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rep = sweep(TheoremId.IDEM_ydwed, 3, "exhaustive", jobs=2)
+        assert rep.instance_count == 218
+        assert cached == [1]
+
+    def test_parent_builds_no_factors_it_does_not_keep(self, monkeypatch):
+        # a process keeps no generator sets, so building L1_3's in the
+        # parent would only be done again by each worker
+        built = []
+        gensets = verify._gensets
+
+        class Pool(RecordingPool):
+            def __init__(self, max_workers):
+                built.append("pool")
+
+        monkeypatch.setattr(verify, "_gensets", lambda n: built.append(n) or gensets(n))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sweep(TheoremId.L1_3, 3, "exhaustive", jobs=2)
+        assert built[0] == "pool"
 
     @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
     def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
