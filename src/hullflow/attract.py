@@ -16,7 +16,6 @@ from enum import Enum
 from functools import reduce
 from typing import Optional, Sequence
 
-from . import kernels
 from .dynsys import (
     Autobolism,
     DiscreteFlow,
@@ -176,14 +175,6 @@ def transport(
         gens = [compose(f, compose(g, fi)) for g in flow.generators()]
         new = DiscreteFlow.of_group(gens)
     return new, moved
-
-
-def commutes(flow: DiscreteFlow, table: Sequence[int]) -> bool:
-    """True when every generator of the flow commutes with the closure
-    operator whose table, indexed by mask, is given."""
-    return all(
-        kernels.commutes_with_closure(g.mask_table(), table) for g in flow.generators()
-    )
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,12 @@ empty set on both sides.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import kernels
 from .dynsys import Autobolism, EndoFunction
-from .setsys import (
-    ClosureConvention,
-    GroundMismatchError,
-    SetSystem,
-    closure_map,
-    complement_system,
-    product_fibration,
-    un_ov,
-)
+from .setsys import ClosureConvention, GroundMismatchError, HullContext, SetSystem
 
 
 def is_commutative_cantor(
@@ -32,11 +23,12 @@ def is_commutative_cantor(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> bool:
     """True when the commutator with the hull operator vanishes on every
-    subset of the ground."""
+    subset of the ground: statement 0 of the phase chain, decided once per
+    (system, convention, image of f)."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    cl = closure_map(system, conv)
-    return kernels.commutes_with_closure(f.mask_table(), cl)
+    ctx = system.context(conv)
+    return _holds(ctx, 0, f, ctx._verdicts.setdefault(f.image, [None] * 5))
 
 
 def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
@@ -60,9 +52,9 @@ def preserves_unfamily(
 ) -> bool:
     """True when f maps every complement-free subset (no nonempty member of
     the complement system inside it) to a complement-free subset.  The
-    family does not depend on `conv`; it is kept in the context of
-    (system, conv), beside the fibration classes."""
-    members = _system_context(system, conv)._unfamily
+    family does not depend on `conv`; it is kept in the system's context
+    under `conv`, beside the fibration classes."""
+    members = system.context(conv)._unfamily
     return all(f.apply_mask(q) in members for q in members)
 
 
@@ -73,7 +65,7 @@ def fibration_integrity(
 ) -> bool:
     """True when mapping every closure-fibration class elementwise through
     f reproduces the class family exactly."""
-    actual = _system_context(system, conv)._classes
+    actual = system.context(conv)._classes
     return {frozenset(f.apply_mask(z) for z in c) for c in actual} == actual
 
 
@@ -104,15 +96,14 @@ def explication_check(
     system: SetSystem,
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> ExplicationRecord:
-    """Hull commutation next to the two-sided memberships.  The closure
-    table and the complement system are those of the system's context, so
-    a sweep whose system is the outer factor builds them once per system."""
+    """Hull commutation next to the two-sided memberships, reading the
+    closure table and the complement system of the system's context."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    ctx = _system_context(system, conv)
-    compl = ctx.compl
+    ctx = system.context(conv)
+    compl = ctx._compl
     return ExplicationRecord(
-        lhs=kernels.commutes_with_closure(f.mask_table(), ctx.cl),
+        lhs=kernels.commutes_with_closure(f.mask_table(), ctx._cl),
         rhs_system=cantor_membership(f, system, True) and cantor_membership(f, system, False),
         rhs_complement=cantor_membership(f, compl, True) and cantor_membership(f, compl, False),
     )
@@ -146,56 +137,22 @@ class PhaseChainRecord:
         return len(set(self.statements)) == 1
 
 
-class _SystemContext:
-    """What the explication, the fibration checks and the chain statements
-    need of one system under one convention: its closure table and
-    complement system, built once; its fibration classes and
-    complement-free family, built from those on first use; and each chain
-    statement's verdict on each generator, kept by the generator's image
-    and decided on first ask."""
-
-    def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
-        self.system, self.conv = system, conv
-        self.cl = closure_map(system, conv)
-        self.compl = compl = complement_system(system)
-        # statements 1-4 of PhaseChainRecord: the system a membership
-        # quantifies over, and its side
-        self.memberships = ((system, True), (system, False), (compl, True), (compl, False))
-        # generator image -> the verdicts of the five statements on it,
-        # None until decided
-        self.verdicts: dict[tuple[int, ...], list[Optional[bool]]] = {}
-
-    @functools.cached_property
-    def _classes(self) -> set[frozenset[int]]:
-        """The classes of the closure fibration, as sets of masks."""
-        fib = product_fibration(self.system, self.conv, self.cl)
-        return {frozenset(fc.member_masks) for fc in fib.classes}
-
-    @functools.cached_property
-    def _unfamily(self) -> frozenset[int]:
-        """The complement-free subsets."""
-        return frozenset(un_ov(self.compl).masks)
-
-    def holds(self, statement: int, g: Autobolism, verdicts: list[Optional[bool]]) -> bool:
-        """Statement `statement` of PhaseChainRecord (0: commuting with the
-        hull) for the generator g, whose verdicts list is `verdicts`."""
-        verdict = verdicts[statement]
-        if verdict is None:
-            if statement == 0:
-                verdict = kernels.commutes_with_closure(g.mask_table(), self.cl)
-            else:
-                over, plus = self.memberships[statement - 1]
-                verdict = cantor_membership(g, over, plus)
-            verdicts[statement] = verdict
-        return verdict
-
-
-@functools.lru_cache(maxsize=1)
-def _system_context(system: SetSystem, conv: ClosureConvention) -> _SystemContext:
-    """The context of the last (system, convention) asked for: a sweep
-    whose system is the outer factor asks for the same one again for every
-    generator set or function."""
-    return _SystemContext(system, conv)
+def _holds(
+    ctx: HullContext, statement: int, g: EndoFunction, verdicts: list[Optional[bool]]
+) -> bool:
+    """Statement `statement` of PhaseChainRecord (0: commuting with the
+    hull; 1-4: the plus and the minus membership over the system, then over
+    its complement system) for the map g under the context `ctx`, whose
+    verdicts on g's image are `verdicts`: decided on first ask."""
+    verdict = verdicts[statement]
+    if verdict is None:
+        if statement == 0:
+            verdict = kernels.commutes_with_closure(g.mask_table(), ctx._cl)
+        else:
+            over = ctx.system if statement <= 2 else ctx._compl
+            verdict = cantor_membership(g, over, statement % 2 == 1)
+        verdicts[statement] = verdict
+    return verdict
 
 
 def phase_chain_check(
@@ -222,8 +179,9 @@ def phase_chain_check(
     for g in distinct.values():
         if g.ground != system.ground:
             raise GroundMismatchError(f"{g.ground} vs {system.ground}")
-    ctx = _system_context(system, conv)
-    rows = [(g, ctx.verdicts.setdefault(image, [None] * 5)) for image, g in distinct.items()]
+    ctx = system.context(conv)
+    verdicts = ctx._verdicts
+    rows = [(g, verdicts.setdefault(image, [None] * 5)) for image, g in distinct.items()]
     return PhaseChainRecord(
-        *(all(ctx.holds(statement, g, row) for g, row in rows) for statement in range(5))
+        *(all(_holds(ctx, statement, g, row) for g, row in rows) for statement in range(5))
     )

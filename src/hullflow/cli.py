@@ -141,7 +141,12 @@ def _text_lines(value: Any, indent: str) -> list[str]:
             return [f"{indent}- {value}"]
         out = []
         for v in value:
-            out.extend(_text_lines(v, indent + "  "))
+            # a list item's lines start with "- ", so an object's first
+            # key marks where it begins
+            lines = _text_lines(v, indent + "  ")
+            if isinstance(v, dict) and lines:
+                lines[0] = f"{indent}- {lines[0][len(indent) + 2:]}"
+            out.extend(lines)
         return out
     return [f"{indent}{value}"]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
@@ -118,6 +118,20 @@ class SetSystem:
     def without_empty(self) -> "SetSystem":
         return SetSystem(self.ground, tuple(m for m in self.masks if m))
 
+    def context(self, conv: "ClosureConvention") -> "HullContext":
+        """The system's hull context under `conv`, made on first ask and
+        kept with the system, so every claim over it reads one closure
+        table whatever order a space visits it in."""
+        contexts = self._contexts
+        ctx = contexts.get(conv)
+        if ctx is None:
+            ctx = contexts[conv] = HullContext(self, conv)
+        return ctx
+
+    @cached_property
+    def _contexts(self) -> dict["ClosureConvention", "HullContext"]:
+        return {}
+
     def __repr__(self) -> str:
         return "[" + " ".join(repr(s) for s in self.members) + "]"
 
@@ -198,9 +212,9 @@ def closure_map(
     system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> list[int]:
     """Closure of every subset of the ground, indexed by mask; closure()
-    gives the same value for one subset."""
-    n = system.ground.size
-    return closure_map_of(n, family_of(n, system.masks), conv)
+    gives the same value for one subset.  The table is the system's
+    context's, built once: callers read it and never change it."""
+    return system.context(conv)._cl
 
 
 #: Entry b: the byte b with its eight bits in reverse order.
@@ -406,15 +420,10 @@ class FibrationPartition:
 
 
 def product_fibration(
-    system: SetSystem,
-    conv: ClosureConvention = ClosureConvention.FULL,
-    cl: Optional[list[int]] = None,
+    system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> FibrationPartition:
-    """Partition of the power set by closure value, with per-class cores.
-    `cl` is the system's closure_map under `conv`, for a caller that holds
-    it already."""
-    if cl is None:
-        cl = closure_map(system, conv)
+    """Partition of the power set by closure value, with per-class cores."""
+    cl = closure_map(system, conv)
     by_key: dict[int, list[int]] = {}
     for z in range(1 << system.ground.size):
         by_key.setdefault(cl[z], []).append(z)
@@ -438,3 +447,38 @@ def representation_ok(fib: FibrationPartition, system: SetSystem) -> bool:
     for fc in fib.classes:
         rep.add(frozenset((q & fc.key) | fc.core for q in un_compl.masks))
     return rep == {frozenset(fc.member_masks) for fc in fib.classes}
+
+
+class HullContext:
+    """What the claims over one system read of its hull operator under one
+    convention, each built on first use and kept: the closure table
+    (closure_map), the complement system, the fibration classes as sets of
+    masks, and the complement-free subsets (which do not depend on the
+    convention).  Cantor's phase chain keeps its five statements' verdicts
+    on a self-map by its image, None until decided, and COVAR the
+    conventional free attractors of a flow by its orbit blocks, which are
+    all of the flow they read.  The fields are private, as per-layer
+    tracing (sweepbench) replaces public cached properties with functions."""
+
+    def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
+        self.system, self.conv = system, conv
+        self._verdicts: dict[tuple[int, ...], list[Optional[bool]]] = {}
+        self._attractors: dict[tuple[int, ...], SetSystem] = {}
+
+    @cached_property
+    def _cl(self) -> list[int]:
+        n = self.system.ground.size
+        return closure_map_of(n, family_of(n, self.system.masks), self.conv)
+
+    @cached_property
+    def _compl(self) -> SetSystem:
+        return complement_system(self.system)
+
+    @cached_property
+    def _classes(self) -> set[frozenset[int]]:
+        fib = product_fibration(self.system, self.conv)
+        return {frozenset(fc.member_masks) for fc in fib.classes}
+
+    @cached_property
+    def _unfamily(self) -> frozenset[int]:
+        return frozenset(un_ov(self._compl).masks)

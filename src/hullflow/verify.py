@@ -34,7 +34,6 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional
 from . import kernels
 from .attract import (
     CoherenceVariant,
-    commutes,
     free_attractors,
     room_report,
     saturation_coherent,
@@ -44,6 +43,7 @@ from .cantor import (
     cantor_membership,
     explication_check,
     fibration_integrity,
+    is_commutative_cantor,
     phase_chain_check,
     preserves_unfamily,
 )
@@ -441,15 +441,20 @@ def _check_s2_2(
     return _closed_partitions(ground, "T", t, flow, closure_map(t, conv))
 
 
+def _commutes(genset: _Genset, sys: SetSystem, conv: ClosureConvention) -> bool:
+    """Whether the flow commutes with the hull: whether every generator
+    does, as commuting is closed under composition."""
+    return all(is_commutative_cantor(g, sys, conv) for g in genset.flow.generators())
+
+
 def _check_b3_2(
     ground: GroundSet, conv: ClosureConvention, sys: SetSystem, genset: _Genset
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    cl = closure_map(sys, conv)
-    if not commutes(genset.flow, cl):
+    if not _commutes(genset, sys, conv):
         return _holds("flow does not commute with the hull; premise not met")
-    return _closed_partitions(ground, "A", sys, genset.flow, cl)
+    return _closed_partitions(ground, "A", sys, genset.flow, closure_map(sys, conv))
 
 
 def _check_s3_3(
@@ -457,10 +462,9 @@ def _check_s3_3(
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    cl = closure_map(sys, conv)
-    if not commutes(genset.flow, cl):
+    if not _commutes(genset, sys, conv):
         return _holds("flow does not commute with the hull; premise not met")
-    report = room_report(genset.flow, cl, conv)
+    report = room_report(genset.flow, closure_map(sys, conv), conv)
     if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
     if report.partition and report.attractors:
@@ -592,15 +596,6 @@ def _check_b3_10(
     return _fails(f"plus={plus} minus={minus}")
 
 
-@functools.lru_cache(maxsize=1)
-def _untransported(flow: DiscreteFlow, sys: SetSystem, conv: ClosureConvention) -> SetSystem:
-    """The free attractors of the last (flow, system, convention) asked
-    for: the relabelings are the innermost factor of COVAR's space, so one
-    entry serves all n! of them."""
-    [family] = free_attractors(flow, sys, conv)
-    return family
-
-
 def _check_covar(
     ground: GroundSet, conv: ClosureConvention, cycle: _Genset, sys: SetSystem,
     relabel: Optional[Autobolism],
@@ -610,7 +605,13 @@ def _check_covar(
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
     moved_flow, moved_sys = transport(cycle.flow, sys, relabel)
-    original = _untransported(cycle.flow, sys, conv)
+    # the untransported family, kept in the system's context by the orbit
+    # blocks, which are all of the flow that free_attractors reads
+    originals = sys.context(conv)._attractors
+    blocks = cycle.flow.orbit_blocks()
+    if blocks not in originals:
+        [originals[blocks]] = free_attractors(cycle.flow, sys, conv)
+    original = originals[blocks]
     [moved] = free_attractors(moved_flow, moved_sys, conv)
     expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in original.masks))
     if moved == expected:
@@ -727,19 +728,6 @@ class _Kind(NamedTuple):
     build: Callable[..., Instance]
     draw: Callable[[int, random.Random], tuple]
     cached: Optional[Callable[[int], Sequence]] = None
-
-
-class _Space(_Product):
-    """An exhaustive instance space: item `ordinal` is that ordinal's tuple
-    of factor values, in the order of nested loops over the factors, the
-    last one innermost, and `at(ordinal)` is its Instance."""
-
-    def __init__(self, build: Callable[..., Instance], *factors: Sequence) -> None:
-        super().__init__(*factors)
-        self.build = build
-
-    def at(self, ordinal: int) -> Instance:
-        return self.build(*self[ordinal])
 
 
 def _sample_masks(rnd: random.Random, ground: GroundSet) -> tuple[int, ...]:
@@ -983,10 +971,11 @@ class Claim:
     clean: bool = False
     note: str = ""
 
-    def space(self, n: int, conv: ClosureConvention) -> _Space:
+    def space(self, n: int) -> _Product:
         """The exhaustive space on n points: its items are the tuples of
-        factor values, in a fixed order, and `at` builds their Instances."""
-        return _Space(partial(self.kind.build, GroundSet(n), conv), *self.kind.factors(n))
+        factor values, in the order of nested loops over the factors, the
+        last one innermost."""
+        return _Product(*self.kind.factors(n))
 
     def check(self, ground: GroundSet, values: tuple, conv: ClosureConvention) -> Verdict:
         """Evaluate the claim on one tuple of factor values.  Every sweep
@@ -1004,14 +993,14 @@ CLAIMS: dict[TheoremId, Claim] = {
         _check_l1_3, _unpack_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True
     ),
     TheoremId.S2_2: Claim(
-        _check_s2_2, _unpack_t_flow, _TOPOLOGIES_GENSETS, 3, 500, clean=True
+        _check_s2_2, _unpack_t_flow, _TOPOLOGIES_GENSETS, 4, 500, clean=True
     ),
     TheoremId.B2_3d: Claim(
         _check_b2_3d, _unpack_flow_z, _CYCLES_POWERSET, 4, 1000,
         note="discrete analog of the continuous coincidence statement",
     ),
     TheoremId.L3_1: Claim(
-        _check_l3_1, _unpack_masks_b, _SYSTEMS_SUBSETS, 3, 10000, clean=True
+        _check_l3_1, _unpack_masks_b, _SYSTEMS_SUBSETS, 4, 10000, clean=True
     ),
     TheoremId.B3_2: Claim(
         _check_b3_2, _unpack_a_flow, _SYSTEMS_GENSETS, 3, 500, clean=True
@@ -1022,7 +1011,7 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.B3_4: Claim(
         _check_b3_4, _unpack_a_flow, _SYSTEMS_GENSETS, 3, 1000, clean=True
     ),
-    TheoremId.B3_6: Claim(_check_b3_6, _unpack_family, _SYSTEMS, 3, 1000, clean=True),
+    TheoremId.B3_6: Claim(_check_b3_6, _unpack_family, _SYSTEMS, 4, 1000, clean=True),
     TheoremId.B3_7: Claim(
         _check_b3_7, _unpack_a_f, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True
     ),
@@ -1083,11 +1072,11 @@ def _share(size: int, worker: int, jobs: int) -> Iterator[int]:
 # per-layer tracing (sweepbench) times as instance generation.
 
 def _exhaustive_instances(
-    theorem: TheoremId, n: int, conv: ClosureConvention, worker: int, jobs: int
+    theorem: TheoremId, n: int, worker: int, jobs: int
 ) -> Iterator[tuple[int, tuple]]:
     """One worker's share of the claim's exhaustive space, as (ordinal,
     factor values) pairs: only the share's tuples are indexed."""
-    space = CLAIMS[theorem].space(n, conv)
+    space = CLAIMS[theorem].space(n)
     for ordinal in _share(len(space), worker, jobs):
         yield ordinal, space[ordinal]
 
@@ -1154,7 +1143,7 @@ def _evaluate(
     verdict whose witness is kept.  Returns the share's counts and its
     first `cap` counterexamples."""
     if mode == "exhaustive":
-        share = _exhaustive_instances(theorem, n, conv, worker, jobs)
+        share = _exhaustive_instances(theorem, n, worker, jobs)
     else:
         share = (
             (o, _random_instance(theorem, n, random.Random(f"{seed}:{o}")))

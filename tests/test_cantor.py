@@ -19,6 +19,8 @@ from hullflow.setsys import (
     ClosureConvention,
     GroundSet,
     SetSystem,
+    Subset,
+    closure,
     closure_map,
     complement_system,
     product_fibration,
@@ -142,19 +144,20 @@ class TestExplication:
         # the context is kept per (system, convention): the same system
         # checked under one convention and then the other builds a second
         # closure table, whose empty-set cell differs on this system
-        from hullflow import cantor
+        from hullflow import setsys
 
-        cantor._system_context.cache_clear()
+        a2 = SetSystem(A2.ground, A2.masks)  # an object no other check has read
         built = []
+        closure_map_of = setsys.closure_map_of
         monkeypatch.setattr(
-            cantor, "closure_map",
-            lambda sys, conv: built.append((sys, conv)) or closure_map(sys, conv),
+            setsys, "closure_map_of",
+            lambda n, family, conv: built.append(conv) or closure_map_of(n, family, conv),
         )
         f = endo(G2, 0, 0)
         for conv in order:
-            assert explication_check(f, A2, conv) == explication_check(f, A2, conv)
-        assert built == [(A2, conv) for conv in order]
-        assert closure_map(A2, order[0]) != closure_map(A2, order[1])
+            assert explication_check(f, a2, conv) == explication_check(f, a2, conv)
+        assert built == list(order)
+        assert closure_map(a2, order[0]) != closure_map(a2, order[1])
 
     def test_function_on_another_ground(self):
         from hullflow.setsys import GroundMismatchError
@@ -239,7 +242,10 @@ def _chain_over_group(gens, system, conv=ClosureConvention.FULL):
     """The chain's five statements quantified over every group element."""
     elements = oracles.group(gens)
     members = [EndoFunction(system.ground, g) for g in elements]
-    cl = closure_map(system, conv)
+    # the hull of each subset by a scan of the complements, not the table
+    # the system's context keeps
+    cl = [closure(system, Subset(system.ground, z), conv).bits
+          for z in range(1 << system.ground.size)]
     compl = complement_system(system)
     return (
         all(
@@ -277,13 +283,15 @@ class TestPhaseChainOverGenerators:
         # only at the empty set, and no statement of the chain tells them
         # apart, so the oracle alone cannot see a table reused across them;
         # the tables built can.
-        from hullflow import cantor
+        from hullflow import setsys
 
-        cantor._system_context.cache_clear()
         built = []
+        closure_map_of = setsys.closure_map_of
         monkeypatch.setattr(
-            cantor, "closure_map",
-            lambda sys, conv: built.append((sys, conv)) or closure_map(sys, conv),
+            setsys, "closure_map_of",
+            lambda n, family, conv: (
+                built.append((family, conv)) or closure_map_of(n, family, conv)
+            ),
         )
         perms = [Autobolism.of(G3, p) for p in itertools.permutations(range(3))]
         systems = [SetSystem(G3, tuple(members)) for members in oracles.coverings(3)]
@@ -292,7 +300,9 @@ class TestPhaseChainOverGenerators:
                 for g in perms:
                     got = phase_chain_check([g], sys, conv).statements
                     assert got == _chain_over_group([g], sys, conv), (sys, conv, g)
-        assert built == [(sys, conv) for sys in systems for conv in order]
+        assert built == [
+            (setsys.family_of(3, sys.masks), conv) for sys in systems for conv in order
+        ]
         assert any(closure_map(sys, order[0]) != closure_map(sys, order[1]) for sys in systems)
 
     def test_randomized_four_points(self):

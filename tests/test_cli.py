@@ -410,6 +410,23 @@ class TestCommands:
         assert code == 0
         assert "is_self_dual: True" in out
 
+    def test_text_format_marks_each_object_in_a_list(self, capsys):
+        # each counterexample starts with "- ", so two read as two records
+        code, out, _ = run_cli(
+            capsys, "--format", "text", "sweep", "S3_3", "--n", "2", "--exhaustive",
+            "--max-counterexamples", "2",
+        )
+        assert code == 1
+        lines = out.splitlines()
+        start = lines.index("counterexamples:")
+        items = [i for i, line in enumerate(lines) if line.startswith("  - ")]
+        assert [lines[i] for i in items] == ["  - instance:"] * 2
+        assert items[0] == start + 1
+        assert lines[items[1] - 1] == "    ordinal: 1"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "1405fa7437b96e138416bb5340288b4509f9a47588b3a84ce3ec9f85f3334d85"
+        )
+
 
 #: One document every pinned command reads: `chi` makes `verify L1_3` fail
 #: (a proper part of the orbit {0,1} is coherent), and the variants
@@ -472,6 +489,9 @@ PINNED_COMMANDS = [
      "f2b8086b8bbf3be3fcf6e24fbeac08f124e5c183e51f2ee4d1e01ef4b835fd80"),
     ("--format text classify T", 0,
      "b1b3c05101ebde0542457649ce4d7b9dc48d1af3ce868a3ff7ca3ca9fa7b4fdc"),
+    # a list of lists: one marked line per member
+    ("--format text closure T --family", 0,
+     "dbc310edaba8a21fe4a8a275810f1aaa054cd535a810b8f5d415ba6de697e6f2"),
 ]
 
 
@@ -745,7 +765,7 @@ class TestSweepCommand:
         assert err == "hullflow: internal error: RuntimeError: boom\n"
 
     def test_usage_error_exit_two(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "B3_6", "--n", "4", "--exhaustive")
+        code, _, err = run_cli(capsys, "sweep", "B3_7", "--n", "4", "--exhaustive")
         assert code == 2
         assert "capped" in err
 

@@ -1,8 +1,14 @@
 """Packaging: the library runs on the standard library alone."""
 
 import ast
+import functools
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import sys
+
+import hullflow
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hullflow"
 
@@ -25,3 +31,21 @@ def test_absolute_imports_are_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside, outside
+
+
+def test_no_public_cached_property():
+    # sweepbench's per-layer tracer replaces the public non-data
+    # descriptors of the library's classes with plain functions, so a
+    # public cached property would read as a method under tracing
+    public = []
+    for info in pkgutil.iter_modules(hullflow.__path__):
+        module = importlib.import_module(f"hullflow.{info.name}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            public += [
+                f"{module.__name__}.{cls.__name__}.{name}"
+                for name, attr in vars(cls).items()
+                if isinstance(attr, functools.cached_property) and not name.startswith("_")
+            ]
+    assert not public, public

@@ -1,6 +1,7 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
 import concurrent.futures
+import functools
 import importlib.util
 import inspect
 import itertools
@@ -119,7 +120,7 @@ class TestEnumeration:
     def test_size_limit(self):
         # a space over systems is capped where its families are
         with pytest.raises(SizeLimitError):
-            CLAIMS[TheoremId.IDEM_ydwed].space(5, FULL)
+            CLAIMS[TheoremId.IDEM_ydwed].space(5)
 
     def test_functions(self):
         assert len(verify._maps(2)) == 4
@@ -145,25 +146,28 @@ class TestEnumeration:
 class TestIndexedSpaces:
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_order_against_nested_loops(self, theorem):
-        kind = SPACE_KINDS[theorem]
-        for n in range(1, min(3, CLAIMS[theorem].max_exhaustive_n) + 1):
+        kind, claim = SPACE_KINDS[theorem], CLAIMS[theorem]
+        for n in range(1, min(3, claim.max_exhaustive_n) + 1):
+            space = claim.space(n)
+            assert len(space) == closed_form_size(kind, n), n
             for conv in (FULL, NONEMPTY):
-                space = CLAIMS[theorem].space(n, conv)
-                assert len(space) == closed_form_size(kind, n), n
                 listed = oracles.instance_space(kind, n, conv.value)
-                assert [space.at(o).to_dict() for o in range(len(space))] == listed, n
+                build = functools.partial(claim.kind.build, GroundSet(n), conv)
+                assert [build(*values).to_dict() for values in space] == listed, n
 
     def test_covering_systems_at_four_points(self):
-        space = CLAIMS[TheoremId.IDEM_ydwed].space(4, FULL)
+        claim = CLAIMS[TheoremId.IDEM_ydwed]
+        space = claim.space(4)
         assert len(space) == oracles.covering_count(4) == 64594
         listed = oracles.instance_space("systems", 4, "full")
-        assert [space.at(o).to_dict() for o in range(len(space))] == listed
+        build = functools.partial(claim.kind.build, GroundSet(4), FULL)
+        assert [build(*values).to_dict() for values in space] == listed
 
     def test_ordinals_out_of_range(self):
-        space = CLAIMS[TheoremId.B3_7].space(2, FULL)
+        space = CLAIMS[TheoremId.B3_7].space(2)
         for ordinal in (-1, len(space)):
             with pytest.raises(IndexError):
-                space.at(ordinal)
+                space[ordinal]
 
     def test_covering_families_over_the_cap(self):
         with pytest.raises(SizeLimitError):
@@ -178,11 +182,12 @@ class TestTwoRoutes:
     def test_sweep_verdicts_match_check_theorem(self, theorem, conv):
         claim = CLAIMS[theorem]
         for n in (1, 2):
-            ground, space = GroundSet(n), claim.space(n, conv)
+            ground, space = GroundSet(n), claim.space(n)
             counts = {"holds": 0, "fails": 0, "skipped": 0}
             witnesses = []
-            for ordinal, values in verify._exhaustive_instances(theorem, n, conv, 0, 1):
-                replay = check_theorem(theorem, space.at(ordinal), conv)
+            for ordinal, values in verify._exhaustive_instances(theorem, n, 0, 1):
+                inst = claim.kind.build(ground, conv, *space[ordinal])
+                replay = check_theorem(theorem, inst, conv)
                 verdict = claim.check(ground, values, conv)
                 assert (verdict.status, verdict.note) == (replay.status, replay.note), ordinal
                 counts[replay.status] += 1
@@ -331,7 +336,7 @@ class TestSweep:
 
     def test_exhaustive_size_limit(self):
         with pytest.raises(SizeLimitError):
-            sweep(TheoremId.B3_6, 4, "exhaustive")
+            sweep(TheoremId.B3_7, 4, "exhaustive")
 
     def test_jobs_match_serial(self):
         serial = sweep(TheoremId.B3_7, 2, "exhaustive")
@@ -432,11 +437,16 @@ class TestSweep:
         monkeypatch.setattr(
             attract, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
         )
-        space = CLAIMS[theorem].space(2, FULL)
+        claim = CLAIMS[theorem]
+        space = claim.space(2)
         vacuous = 0
         for ordinal in range(len(space)):
+            # the wire form's round trip gives each instance a system of its
+            # own, which has built no table for an earlier instance
+            inst = claim.kind.build(GroundSet(2), FULL, *space[ordinal])
+            inst = Instance.from_dict(inst.to_dict())
             del tables[:], families[:]
-            verdict = check_theorem(theorem, space.at(ordinal))
+            verdict = check_theorem(theorem, inst)
             assert len(tables) == 1, ordinal
             if verdict.note.startswith("flow does not commute"):
                 vacuous += 1
@@ -465,22 +475,69 @@ class TestSweep:
         assert rep.instance_count == instances
         assert tables == []
 
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "theorem, instances",
+        [
+            (TheoremId.B3_2, 4578),
+            (TheoremId.S3_3, 4578),
+            (TheoremId.B3_4, 4578),
+            # the system is the inner factor of this space
+            (TheoremId.CHAIN_karrenk, 1308),
+        ],
+    )
+    def test_one_closure_table_per_system(self, monkeypatch, theorem, instances, conv):
+        # each system keeps its table in its context, whatever the order
+        # of the factors: at most 218 covering systems at n=3, where one
+        # table per instance makes `instances`
+        tables = []
+        family_table = kernels.family_table
+        monkeypatch.setattr(
+            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
+        )
+        rep = sweep(theorem, 3, "exhaustive", conv=conv)
+        assert rep.instance_count == instances
+        assert 0 < len(tables) <= 218
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", [TheoremId.B3_2, TheoremId.S3_3])
+    def test_commutation_premise_once_per_system_and_permutation(
+        self, monkeypatch, theorem, conv
+    ):
+        # the premise is decided on each generator and kept in the system's
+        # context by its image, as K3_9's first statement: at most 218
+        # systems x 6 permutations, where deciding it per instance makes
+        # 6272 tests
+        commutations = []
+        commutes = kernels.commutes_with_closure
+        monkeypatch.setattr(
+            kernels, "commutes_with_closure",
+            lambda *a: commutations.append(a) or commutes(*a),
+        )
+        rep = sweep(theorem, 3, "exhaustive", conv=conv)
+        assert rep.instance_count == 4578
+        assert 0 < len(commutations) <= 218 * 6
+
     def test_covar_untransported_family_once_per_cycle_and_system(self, monkeypatch):
-        # relabelings are the innermost factor: 1308 (cycle, system) pairs
-        # and one transported family per instance, where computing the
-        # untransported family per instance makes 15,696 calls
+        # one transported family per instance, and the untransported one
+        # kept in the system's context by the cycle's orbit blocks: 218
+        # systems x 5 orbit partitions of the 6 cycles at n=3, where
+        # computing it per instance makes 15,696 calls and per (cycle,
+        # system) 9156
         families = []
         free_attractors = attract.free_attractors
         monkeypatch.setattr(
             verify, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
         )
-        rep = sweep(TheoremId.COVAR, 3, "exhaustive")
-        assert rep.instance_count == 7848
-        assert 0 < len(families) <= 1308 + 7848
+        for conv in (FULL, NONEMPTY):
+            del families[:]
+            rep = sweep(TheoremId.COVAR, 3, "exhaustive", conv=conv)
+            assert rep.instance_count == 7848
+            assert 0 < len(families) <= 7848 + 218 * 5
 
     def test_chain_statements_decided_once_per_system_and_generator(self, monkeypatch):
-        # the system is the outer factor of K3_9's space, and a chain
-        # statement depends only on the system and one generator: at most
+        # a chain statement depends only on the system and one generator,
+        # and is kept in the system's context: at most
         # 218 systems x 6 generators x 4 memberships, where deciding every
         # instance afresh makes 25,872 membership calls and 6272
         # commutation tests
@@ -499,17 +556,16 @@ class TestSweep:
         assert 0 < len(commutations) <= 218 * 6
 
     def test_one_closure_table_and_complement_per_explication_system(self, monkeypatch):
-        # the system is the outer factor of S3_8_all's space, and the
-        # explication reads its closure table and complement system from
-        # the system's context: 218 systems x 27 functions, where building
-        # them per instance makes 5886 of each
+        # the explication reads its closure table and complement system
+        # from the system's context: 218 systems x 27 functions, where
+        # building them per instance makes 5886 of each
         tables, complements = [], []
-        family_table, complement_system = kernels.family_table, cantor.complement_system
+        family_table, complement_system = kernels.family_table, setsys.complement_system
         monkeypatch.setattr(
             kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
         )
         monkeypatch.setattr(
-            cantor, "complement_system",
+            setsys, "complement_system",
             lambda *a: complements.append(a) or complement_system(*a),
         )
         rep = sweep(TheoremId.S3_8_all, 3, "exhaustive")
@@ -543,8 +599,7 @@ class TestSweep:
         assert 0 < len(tables) <= maps
 
     def test_b3_7_one_complement_free_family_per_instance(self, monkeypatch):
-        # the system is the outer factor of B3_7's space, and the
-        # complement-free family is read from the system's context: 218
+        # the complement-free family is read from the system's context: 218
         # systems x 27 functions, where building it per instance makes 5886
         families = []
         un_ov = setsys.un_ov
@@ -554,7 +609,6 @@ class TestSweep:
             return un_ov(*a)
 
         monkeypatch.setattr(setsys, "un_ov", counted)
-        monkeypatch.setattr(cantor, "un_ov", counted)
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
         assert 0 < len(families) <= 218
@@ -563,9 +617,9 @@ class TestSweep:
         # the fibration classes are read from the system's context too, and
         # built from its closure table: one table per system
         fibrations, tables = [], []
-        product_fibration, family_table = cantor.product_fibration, kernels.family_table
+        product_fibration, family_table = setsys.product_fibration, kernels.family_table
         monkeypatch.setattr(
-            cantor, "product_fibration",
+            setsys, "product_fibration",
             lambda *a: fibrations.append(a) or product_fibration(*a),
         )
         monkeypatch.setattr(
@@ -733,7 +787,7 @@ class TestWorkerShares:
         # the worker indexes the factor tuples of its own ordinals only, and
         # keeping no witness (cap 0) builds no Instance
         indexed, built = [], []
-        getitem, init = verify._Space.__getitem__, Instance.__init__
+        getitem, init = verify._Product.__getitem__, Instance.__init__
 
         def indexing(space, ordinal):
             indexed.append(ordinal)
@@ -743,7 +797,7 @@ class TestWorkerShares:
             built.append(1)
             init(inst, *args, **kwargs)
 
-        monkeypatch.setattr(verify._Space, "__getitem__", indexing)
+        monkeypatch.setattr(verify._Product, "__getitem__", indexing)
         monkeypatch.setattr(Instance, "__init__", counting)
         total, *_ = verify._evaluate(theorem, n, "exhaustive", None, None, FULL, 0, 1, 2)
         size = closed_form_size(SPACE_KINDS[theorem], n)
