@@ -149,7 +149,7 @@ def _holds(
         if statement == 0:
             verdict = kernels.commutes_with_closure(g.mask_table(), ctx._cl)
         else:
-            over = ctx.system if statement <= 2 else ctx._compl
+            over = ctx._system() if statement <= 2 else ctx._compl
             verdict = cantor_membership(g, over, statement % 2 == 1)
         verdicts[statement] = verdict
     return verdict

@@ -121,7 +121,11 @@ def emit(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     lines = [f"command: {report['command']}", f"convention: {report['convention']}"]
-    lines.extend(_text_lines(report["result"], indent=""))
+    result = report["result"]
+    if isinstance(result, dict) and result.get("convention") == report["convention"]:
+        # a sweep's payload repeats the convention the header names
+        result = {k: v for k, v in result.items() if k != "convention"}
+    lines.extend(_text_lines(result, indent=""))
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
@@ -131,6 +132,10 @@ class SetSystem:
     @cached_property
     def _contexts(self) -> dict["ClosureConvention", "HullContext"]:
         return {}
+
+    def __getstate__(self) -> dict:
+        # a context holds its system weakly, so a copy makes its own
+        return {k: v for k, v in vars(self).items() if k != "_contexts"}
 
     def __repr__(self) -> str:
         return "[" + " ".join(repr(s) for s in self.members) + "]"
@@ -461,22 +466,24 @@ class HullContext:
     tracing (sweepbench) replaces public cached properties with functions."""
 
     def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
-        self.system, self.conv = system, conv
+        # held weakly, as the system keeps its contexts: with no cycle
+        # between them, dropping the system frees both at once
+        self._system, self.conv = weakref.ref(system), conv
         self._verdicts: dict[tuple[int, ...], list[Optional[bool]]] = {}
         self._attractors: dict[tuple[int, ...], SetSystem] = {}
 
     @cached_property
     def _cl(self) -> list[int]:
-        n = self.system.ground.size
-        return closure_map_of(n, family_of(n, self.system.masks), self.conv)
+        n = self._system().ground.size
+        return closure_map_of(n, family_of(n, self._system().masks), self.conv)
 
     @cached_property
     def _compl(self) -> SetSystem:
-        return complement_system(self.system)
+        return complement_system(self._system())
 
     @cached_property
     def _classes(self) -> set[frozenset[int]]:
-        fib = product_fibration(self.system, self.conv)
+        fib = product_fibration(self._system(), self.conv)
         return {frozenset(fc.member_masks) for fc in fib.classes}
 
     @cached_property

@@ -277,40 +277,31 @@ def _topology_list(n: int) -> tuple[SetSystem, ...]:
     return tuple(enum_topologies(n))
 
 
-class _Genset(NamedTuple):
-    """One generator set: its permutations named g0, g1, ... and the flow
-    they generate.  A space builds each of its generator sets once, from
-    one Autobolism per permutation, so the instances that share a generator
-    set share its flow and the orbit blocks the flow caches, and the
-    generator sets that share a permutation share its mask-image table."""
-
-    permutations: dict[str, Autobolism]
-    flow: DiscreteFlow
-
-
-def _genset(gens: Sequence[Autobolism], cyclic: bool = False) -> _Genset:
-    """The generator set of these permutations: the cyclic flow of the
-    first, or the group flow of all of them."""
-    perms = {f"g{i}": g for i, g in enumerate(gens)}
-    flow = DiscreteFlow.cyclic(gens[0]) if cyclic else DiscreteFlow.of_group(gens)
-    return _Genset(perms, flow)
-
-
 def _autobolisms(ground: GroundSet) -> list[Autobolism]:
     """Every permutation of the ground, lexicographic, one object each."""
     return [Autobolism(ground, p) for p in _Permutations(ground.size)]
 
 
-def _gensets(n: int) -> list[_Genset]:
-    """Generator sets of size one or two, lexicographic."""
+def _gensets(n: int) -> list[DiscreteFlow]:
+    """The group flows of the generator sets of size one or two,
+    lexicographic.  A space builds each of them once, from one Autobolism
+    per permutation, so the instances that share a generator set share its
+    flow and the orbit blocks the flow caches, and the generator sets that
+    share a permutation share its mask-image table."""
     perms = _autobolisms(GroundSet(n))
-    pairs = itertools.combinations(perms, 2)
-    return [_genset((p,)) for p in perms] + [_genset(pair) for pair in pairs]
+    gensets = [(p,) for p in perms] + list(itertools.combinations(perms, 2))
+    return [DiscreteFlow.of_group(gens) for gens in gensets]
 
 
-def _cycles(perms: list[Autobolism]) -> list[_Genset]:
-    """The cyclic flow of each of these permutations, in their order."""
-    return [_genset((p,), cyclic=True) for p in perms]
+def _cycles(n: int) -> list[DiscreteFlow]:
+    """The cyclic flow of each permutation, lexicographic."""
+    return [DiscreteFlow.cyclic(p) for p in _autobolisms(GroundSet(n))]
+
+
+def _functions(n: int, bijective: bool = False) -> list[EndoFunction]:
+    """The self-maps (or bijections) of range(n), lexicographic."""
+    ground = GroundSet(n)
+    return [EndoFunction(ground, image) for image in _maps(n, bijective)]
 
 
 def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
@@ -353,11 +344,11 @@ def _check_k1_2(ground: GroundSet, conv: ClosureConvention, t: SetSystem) -> Ver
 
 
 def _check_l1_3(
-    ground: GroundSet, conv: ClosureConvention, genset: _Genset, chi: int
+    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, chi: int
 ) -> Verdict:
     if not chi:
         return _skip("empty chi")
-    blocks = genset.flow.orbit_blocks()
+    blocks = flow.orbit_blocks()
     subsets = [a for a in range(1, chi + 1) if a & chi == a]
     coherent = saturation_coherent(blocks, subsets)
     singles = saturation_coherent(blocks, [1 << x for x in range(ground.size) if chi >> x & 1])
@@ -431,9 +422,8 @@ def _closed_partitions(
 
 
 def _check_s2_2(
-    ground: GroundSet, conv: ClosureConvention, t: SetSystem, genset: _Genset
+    ground: GroundSet, conv: ClosureConvention, t: SetSystem, flow: DiscreteFlow
 ) -> Verdict:
-    flow = genset.flow
     if not classify(t, conv).is_topology:
         return _skip("not a topology")
     if not _continuous(flow, t):
@@ -441,30 +431,30 @@ def _check_s2_2(
     return _closed_partitions(ground, "T", t, flow, closure_map(t, conv))
 
 
-def _commutes(genset: _Genset, sys: SetSystem, conv: ClosureConvention) -> bool:
+def _commutes(flow: DiscreteFlow, sys: SetSystem, conv: ClosureConvention) -> bool:
     """Whether the flow commutes with the hull: whether every generator
     does, as commuting is closed under composition."""
-    return all(is_commutative_cantor(g, sys, conv) for g in genset.flow.generators())
+    return all(is_commutative_cantor(g, sys, conv) for g in flow.generators())
 
 
 def _check_b3_2(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, genset: _Genset
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    if not _commutes(genset, sys, conv):
+    if not _commutes(flow, sys, conv):
         return _holds("flow does not commute with the hull; premise not met")
-    return _closed_partitions(ground, "A", sys, genset.flow, closure_map(sys, conv))
+    return _closed_partitions(ground, "A", sys, flow, closure_map(sys, conv))
 
 
 def _check_s3_3(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, genset: _Genset
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    if not _commutes(genset, sys, conv):
+    if not _commutes(flow, sys, conv):
         return _holds("flow does not commute with the hull; premise not met")
-    report = room_report(genset.flow, closure_map(sys, conv), conv)
+    report = room_report(flow, closure_map(sys, conv), conv)
     if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
     if report.partition and report.attractors:
@@ -476,11 +466,11 @@ def _check_s3_3(
 
 
 def _check_b3_4(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, genset: _Genset
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    report = room_report(genset.flow, closure_map(sys, conv), conv)
+    report = room_report(flow, closure_map(sys, conv), conv)
     if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
     if report.invariant == report.attractors:
@@ -492,9 +482,8 @@ def _check_b3_4(
 
 
 def _check_b2_3d(
-    ground: GroundSet, conv: ClosureConvention, cycle: _Genset, covering: SetSystem
+    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, covering: SetSystem
 ) -> Verdict:
-    flow = cycle.flow
     if not flow.is_cyclic:
         return _skip("monotone variants need a cyclic flow")
     if not covering.covers_ground():
@@ -518,9 +507,8 @@ def _check_b2_3d(
 
 
 def _check_chain(
-    ground: GroundSet, conv: ClosureConvention, cycle: _Genset, covering: SetSystem
+    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, covering: SetSystem
 ) -> Verdict:
-    flow = cycle.flow
     if not flow.is_cyclic:
         return _skip("monotone variants need a cyclic flow")
     if not covering.covers_ground():
@@ -573,12 +561,11 @@ def _check_s3_8(
 
 
 def _check_k3_9(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, genset: _Genset
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    perms = genset.permutations
-    rec = phase_chain_check([perms[k] for k in sorted(perms)], sys, conv)
+    rec = phase_chain_check(flow.generators(), sys, conv)
     if rec.chain_holds:
         return _HOLDS
     return _fails(f"chain statements {rec.statements}")
@@ -597,20 +584,20 @@ def _check_b3_10(
 
 
 def _check_covar(
-    ground: GroundSet, conv: ClosureConvention, cycle: _Genset, sys: SetSystem,
+    ground: GroundSet, conv: ClosureConvention, cycle: DiscreteFlow, sys: SetSystem,
     relabel: Optional[Autobolism],
 ) -> Verdict:
-    """`relabel` is None only where `_unpack_covar` found no relabeling on a
-    system that does not cover the ground, which is skipped first."""
+    """`relabel` is None only where `_unpack_covar` read a system that does
+    not cover the ground, which is skipped first."""
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    moved_flow, moved_sys = transport(cycle.flow, sys, relabel)
+    moved_flow, moved_sys = transport(cycle, sys, relabel)
     # the untransported family, kept in the system's context by the orbit
     # blocks, which are all of the flow that free_attractors reads
     originals = sys.context(conv)._attractors
-    blocks = cycle.flow.orbit_blocks()
+    blocks = cycle.orbit_blocks()
     if blocks not in originals:
-        [originals[blocks]] = free_attractors(cycle.flow, sys, conv)
+        [originals[blocks]] = free_attractors(cycle, sys, conv)
     original = originals[blocks]
     [moved] = free_attractors(moved_flow, moved_sys, conv)
     expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in original.masks))
@@ -620,9 +607,8 @@ def _check_covar(
 
 
 # --------------------------------------------------------------------------
-# unpacking: the values of a checker body, read out of an Instance in the
-# order the claim has always read them (a tuple display evaluates left to
-# right), so a document missing two objects reports the same one
+# factors: each kind of factor value is enumerated, drawn from `rnd`, named
+# in a witness and read back out of a document in one place
 
 def _get_system(inst: Instance, name: str) -> SetSystem:
     try:
@@ -638,11 +624,11 @@ def _get_single(inst: Instance, name: str) -> int:
     return masks[0]
 
 
-def _get_flow(inst: Instance) -> _Genset:
-    """The instance's first flow, with all its permutations."""
+def _get_flow(inst: Instance) -> DiscreteFlow:
+    """The instance's first flow."""
     if not inst.flows:
         raise InstanceError("flows", "missing")
-    return _Genset(inst.permutations, next(iter(inst.flows.values())))
+    return next(iter(inst.flows.values()))
 
 
 def _get_function(inst: Instance) -> EndoFunction:
@@ -651,83 +637,17 @@ def _get_function(inst: Instance) -> EndoFunction:
     return next(iter(inst.functions.values()))
 
 
-def _unpack_t(inst: Instance) -> tuple:
-    return (_get_system(inst, "T"),)
+def _get_relabeling(inst: Instance) -> Autobolism:
+    try:
+        return inst.permutations["f"]
+    except KeyError:
+        raise InstanceError("permutations.f", "missing relabeling") from None
 
 
-def _unpack_family(inst: Instance) -> tuple:
-    return (family_of(inst.ground.size, _get_system(inst, "A").masks),)
-
-
-def _unpack_idem(inst: Instance) -> tuple:
-    system = _get_system(inst, "A")
-    # a system that does not cover the ground is skipped before its members
-    # are folded, which above the enumeration cap raises
-    return (family_of(inst.ground.size, system.masks) if system.covers_ground() else None,)
-
-
-def _unpack_masks_b(inst: Instance) -> tuple:
-    return _get_system(inst, "A").masks, _get_single(inst, "B")
-
-
-def _unpack_l1_3(inst: Instance) -> tuple:
-    chi = _get_single(inst, "chi")
-    # an empty chi is skipped before the flow is read
-    return (_get_flow(inst) if chi else None), chi
-
-
-def _unpack_t_flow(inst: Instance) -> tuple:
-    return _get_system(inst, "T"), _get_flow(inst)
-
-
-def _unpack_a_flow(inst: Instance) -> tuple:
-    return _get_system(inst, "A"), _get_flow(inst)
-
-
-def _unpack_flow_z(inst: Instance) -> tuple:
-    covering = _get_system(inst, "Z")
-    return _get_flow(inst), covering
-
-
-def _unpack_a_f(inst: Instance) -> tuple:
-    return _get_system(inst, "A"), _get_function(inst)
-
-
-def _unpack_k3_9(inst: Instance) -> tuple:
-    sys = _get_system(inst, "A")
-    if not inst.permutations:
-        raise InstanceError("permutations", "missing")
-    # the chain reads the permutations and no flow
-    return sys, _Genset(inst.permutations, None)
-
-
-def _unpack_covar(inst: Instance) -> tuple:
-    sys = _get_system(inst, "A")
-    cycle = _get_flow(inst)
-    relabel = inst.permutations.get("f")
-    # a system that does not cover the ground is skipped before its
-    # relabeling is looked for
-    if relabel is None and sys.covers_ground():
-        raise InstanceError("permutations.f", "missing relabeling")
-    return cycle, sys, relabel
-
-
-# --------------------------------------------------------------------------
-# instance spaces: a `_Kind` names a space's factors on n points, the
-# Instance of one tuple of factor values, and the sampler that draws one
-# tuple from `rnd`
-
-class _Kind(NamedTuple):
-    """An instance space: `factors(n)`, the sequences of factor values it is
-    the product of; `build(ground, conv, *values)`, the Instance of one
-    tuple of values; `draw(n, rnd)`, one tuple of values drawn from `rnd`;
-    and `cached(n)`, if any, which builds the factor values a process keeps
-    for each n (the covering families or the topologies)."""
-
-    factors: Callable[[int], tuple[Sequence, ...]]
-    build: Callable[..., Instance]
-    draw: Callable[[int, random.Random], tuple]
-    cached: Optional[Callable[[int], Sequence]] = None
+def _put_flow(inst: Instance, flow: DiscreteFlow) -> None:
+    """Name the flow's generators g0, g1, ... and the flow phi."""
+    inst.permutations.update((f"g{i}", g) for i, g in enumerate(flow.generators()))
+    inst.flows["phi"] = flow
 
 
 def _sample_masks(rnd: random.Random, ground: GroundSet) -> tuple[int, ...]:
@@ -760,14 +680,6 @@ def _sample_genset(rnd: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rnd.sample(perms, min(k, len(perms))))
 
 
-def _draw_genset(rnd: random.Random, ground: GroundSet) -> _Genset:
-    return _genset([Autobolism(ground, p) for p in _sample_genset(rnd, ground.size)])
-
-
-def _draw_cycle(rnd: random.Random, ground: GroundSet) -> _Genset:
-    return _genset((_sample_perm(rnd, ground),), cyclic=True)
-
-
 def _sample_topology(rnd: random.Random, ground: GroundSet) -> SetSystem:
     """The union-and-intersection closure of a random family."""
     masks = set(_sample_masks(rnd, ground)) | {0, ground.full_mask}
@@ -783,172 +695,177 @@ def _sample_topology(rnd: random.Random, ground: GroundSet) -> SetSystem:
     return SetSystem(ground, tuple(masks))
 
 
-def _genset_instance(
-    ground: GroundSet, conv: ClosureConvention, genset: _Genset, systems: dict[str, SetSystem]
-) -> Instance:
-    """An instance of the generator set's flow, named phi, over `systems`.
-    Its permutations and flows dicts are its own (a space may add to
-    them); the permutations and the flow in them are shared."""
-    return Instance(
-        ground, conv, systems=systems,
-        permutations=dict(genset.permutations), flows={"phi": genset.flow},
+class _Factor(NamedTuple):
+    """One kind of factor value: `values(n)`, its values on n points in
+    enumeration order; `draw(rnd, ground)`, one value drawn from `rnd`;
+    `put(inst, value)`, which names the value in a witness; `read(inst)`,
+    which reads it back out of a document; whether a process keeps the
+    values (the covering families or the topologies), so that a parallel
+    sweep builds them before it forks; and whether the value is a map or a
+    flow acting on the systems, which a document is read for after them."""
+
+    values: Callable[[int], Sequence]
+    draw: Callable[[random.Random, GroundSet], Any]
+    put: Callable[[Instance, Any], None]
+    read: Callable[[Instance], Any]
+    kept: bool = False
+    acts: bool = False
+
+
+def _system_factor(
+    name: str, values: Callable[[int], Sequence], draw: Callable[..., SetSystem]
+) -> _Factor:
+    """Set systems, named `name` in a witness, whose values a process keeps."""
+    return _Factor(
+        values, draw, lambda inst, sys: inst.systems.update({name: sys}),
+        partial(_get_system, name=name), kept=True,
     )
 
 
-_TOPOLOGIES = _Kind(
-    lambda n: (_topology_list(n),),
-    lambda ground, conv, t: Instance(ground, conv, systems={"T": t}),
-    lambda n, rnd: (_sample_topology(rnd, GroundSet(n)),),
-    _topology_list,
-)
+def _subset_factor(name: str, least: int) -> _Factor:
+    """The subset masks from `least` up (1: the nonempty ones), named `name`
+    in a witness as the system of that one subset."""
+    return _Factor(
+        lambda n: range(least, 1 << n),
+        lambda rnd, ground: rnd.randrange(least, 1 << ground.size),
+        lambda inst, b: inst.systems.update({name: SetSystem(inst.ground, (b,))}),
+        partial(_get_single, name=name),
+    )
 
-# family bitmasks, not systems: the bodies on this space unpack the members
-# only where they need them
-_SYSTEMS = _Kind(
-    lambda n: (_covering_families(n),),
-    lambda ground, conv, family: Instance(
-        ground, conv, systems={"A": SetSystem(ground, family_members(family))}
-    ),
-    lambda n, rnd: (family_of(n, _sample_masks(rnd, GroundSet(n))),),
+
+_TOPOLOGY = _system_factor("T", _topology_list, _sample_topology)
+#: A covering system A.
+_SYSTEM = _system_factor("A", _systems_of, _sample_system)
+#: A covering system A as its family bitmask: the bodies on it unpack the
+#: members only where they need them.
+_FAMILY = _Factor(
     _covering_families,
+    lambda rnd, ground: family_of(ground.size, _sample_masks(rnd, ground)),
+    lambda inst, family: inst.systems.update(A=SetSystem(inst.ground, family_members(family))),
+    lambda inst: family_of(inst.ground.size, _get_system(inst, "A").masks),
+    kept=True,
 )
-
-
-def _draw_system_subset(n: int, rnd: random.Random) -> tuple:
-    masks = _sample_masks(rnd, GroundSet(n))
-    return masks, rnd.randrange(1 << n)
-
-
-_SYSTEMS_SUBSETS = _Kind(
-    lambda n: (_Mapped(family_members, _covering_families(n)), range(1 << n)),
-    lambda ground, conv, masks, b: Instance(
-        ground, conv, systems={"A": SetSystem(ground, masks), "B": SetSystem(ground, (b,))}
+#: A covering system A as its member masks.
+_MEMBERS = _Factor(
+    lambda n: _Mapped(family_members, _covering_families(n)),
+    _sample_masks,
+    lambda inst, masks: inst.systems.update(A=SetSystem(inst.ground, masks)),
+    lambda inst: _get_system(inst, "A").masks,
+    kept=True,
+)
+_SUBSET = _subset_factor("B", 0)
+_CHI = _subset_factor("chi", 1)
+_GENSET = _Factor(
+    _gensets,
+    lambda rnd, ground: DiscreteFlow.of_group(
+        [Autobolism(ground, p) for p in _sample_genset(rnd, ground.size)]
     ),
-    _draw_system_subset,
-    _covering_families,
+    _put_flow, _get_flow, acts=True,
 )
-
-
-def _draw_genset_subset(n: int, rnd: random.Random) -> tuple:
-    chi = rnd.randrange(1, 1 << n)
-    return _draw_genset(rnd, GroundSet(n)), chi
-
-
-_GENSETS_SUBSETS = _Kind(
-    lambda n: (_gensets(n), range(1, 1 << n)),
-    lambda ground, conv, genset, chi: _genset_instance(
-        ground, conv, genset, {"chi": SetSystem(ground, (chi,))}
+_CYCLE = _GENSET._replace(
+    values=_cycles, draw=lambda rnd, ground: DiscreteFlow.cyclic(_sample_perm(rnd, ground))
+)
+#: The covering Z of CHAIN_karrenk.
+_COVERING = _system_factor("Z", _systems_of, _sample_system)
+#: The covering Z of B2_3d: exhaustive mode sweeps the power set alone,
+#: while random mode draws arbitrary coverings, so the two modes test
+#: different claims.
+_POWERSET = _COVERING._replace(values=lambda n: [SetSystem.powerset(GroundSet(n))], kept=False)
+_SELF_MAP = _Factor(
+    _functions,
+    lambda rnd, ground: EndoFunction(
+        ground, tuple(rnd.randrange(ground.size) for _ in range(ground.size))
     ),
-    _draw_genset_subset,
+    lambda inst, f: inst.functions.update(f=f), _get_function, acts=True,
+)
+_BIJECTION = _SELF_MAP._replace(
+    values=partial(_functions, bijective=True),
+    draw=lambda rnd, ground: EndoFunction(ground, _sample_perm(rnd, ground).image),
+)
+_RELABELING = _Factor(
+    lambda n: _autobolisms(GroundSet(n)), _sample_perm,
+    lambda inst, rel: inst.permutations.update(f=rel), _get_relabeling, acts=True,
 )
 
 
-def _draw_topology_genset(n: int, rnd: random.Random) -> tuple:
-    ground = GroundSet(n)
-    t = _sample_topology(rnd, ground)
-    return t, _draw_genset(rnd, ground)
+# --------------------------------------------------------------------------
+# instance spaces: products of factors
+
+class _Space(NamedTuple):
+    """An instance space: the product of its factors, enumerated with the
+    last factor innermost.  `order`, where given, lists the factors'
+    positions in the order a random draw takes them, which the pinned
+    seeded payloads fix."""
+
+    factors: tuple[_Factor, ...]
+    order: Optional[tuple[int, ...]] = None
+
+    def build(self, ground: GroundSet, conv: ClosureConvention, *values: Any) -> Instance:
+        """The Instance of one tuple of factor values."""
+        inst = Instance(ground, conv)
+        for factor, value in zip(self.factors, values):
+            factor.put(inst, value)
+        return inst
+
+    def draw(self, n: int, rnd: random.Random) -> tuple:
+        """One tuple of factor values drawn from `rnd`."""
+        ground, values = GroundSet(n), [None] * len(self.factors)
+        for i in self.order or range(len(self.factors)):
+            values[i] = self.factors[i].draw(rnd, ground)
+        return tuple(values)
+
+    def unpack(self, inst: Instance) -> tuple:
+        """The factor values read out of an instance: its systems first,
+        then the maps and flows acting on them, so that a document missing
+        both reports the system."""
+        values = [None] * len(self.factors)
+        for i in sorted(range(len(self.factors)), key=lambda i: self.factors[i].acts):
+            values[i] = self.factors[i].read(inst)
+        return tuple(values)
 
 
-_TOPOLOGIES_GENSETS = _Kind(
-    lambda n: (_topology_list(n), _gensets(n)),
-    lambda ground, conv, t, genset: _genset_instance(ground, conv, genset, {"T": t}),
-    _draw_topology_genset,
-    _topology_list,
-)
+_TOPOLOGIES = _Space((_TOPOLOGY,))
+_SYSTEMS = _Space((_FAMILY,))
+_SYSTEMS_SUBSETS = _Space((_MEMBERS, _SUBSET))
+_GENSETS_SUBSETS = _Space((_GENSET, _CHI), order=(1, 0))
+_TOPOLOGIES_GENSETS = _Space((_TOPOLOGY, _GENSET))
+_SYSTEMS_GENSETS = _Space((_SYSTEM, _GENSET), order=(1, 0))
+_CYCLES_POWERSET = _Space((_CYCLE, _POWERSET))
+_CYCLES_COVERINGS = _Space((_CYCLE, _COVERING))
+_SYSTEMS_FUNCTIONS = _Space((_SYSTEM, _SELF_MAP), order=(1, 0))
+_SYSTEMS_BIJECTIONS = _Space((_SYSTEM, _BIJECTION), order=(1, 0))
+_RELABELINGS = _Space((_CYCLE, _SYSTEM, _RELABELING), order=(1, 0, 2))
 
 
-def _draw_system_genset(n: int, rnd: random.Random) -> tuple:
-    ground = GroundSet(n)
-    genset = _draw_genset(rnd, ground)
-    return _sample_system(rnd, ground), genset
+# the claims whose documents are not read factor by factor
+
+def _unpack_idem(inst: Instance) -> tuple:
+    # a system that does not cover the ground is skipped before its members
+    # are folded, which above the enumeration cap raises
+    return (_FAMILY.read(inst) if _SYSTEM.read(inst).covers_ground() else None,)
 
 
-_SYSTEMS_GENSETS = _Kind(
-    lambda n: (_systems_of(n), _gensets(n)),
-    lambda ground, conv, sys, genset: _genset_instance(ground, conv, genset, {"A": sys}),
-    _draw_system_genset,
-    _covering_families,
-)
+def _unpack_l1_3(inst: Instance) -> tuple:
+    chi = _CHI.read(inst)
+    # an empty chi is skipped before the flow is read
+    return (_GENSET.read(inst) if chi else None), chi
 
 
-def _cycles_coverings(n: int, powerset_only: bool = False) -> tuple[Sequence, ...]:
-    ground = GroundSet(n)
-    coverings = [SetSystem.powerset(ground)] if powerset_only else _systems_of(n)
-    return _cycles(_autobolisms(ground)), coverings
+def _unpack_k3_9(inst: Instance) -> tuple:
+    sys = _SYSTEM.read(inst)
+    perms = inst.permutations
+    if not perms:
+        raise InstanceError("permutations", "missing")
+    # the chain reads the permutations, in the order of their names, and no
+    # flow
+    return sys, DiscreteFlow.of_group([perms[k] for k in sorted(perms)])
 
 
-def _draw_cycle_covering(n: int, rnd: random.Random) -> tuple:
-    ground = GroundSet(n)
-    cycle = _draw_cycle(rnd, ground)
-    return cycle, _sample_system(rnd, ground)
-
-
-def _build_cycle_covering(
-    ground: GroundSet, conv: ClosureConvention, cycle: _Genset, covering: SetSystem
-) -> Instance:
-    return _genset_instance(ground, conv, cycle, {"Z": covering})
-
-
-_CYCLES_COVERINGS = _Kind(
-    _cycles_coverings, _build_cycle_covering, _draw_cycle_covering, _covering_families
-)
-_CYCLES_POWERSET = _Kind(
-    partial(_cycles_coverings, powerset_only=True), _build_cycle_covering, _draw_cycle_covering
-)
-
-
-def _systems_functions(n: int, bijective: bool = False) -> tuple[Sequence, ...]:
-    ground = GroundSet(n)
-    return _systems_of(n), [EndoFunction(ground, image) for image in _maps(n, bijective)]
-
-
-def _draw_system_function(n: int, rnd: random.Random, bijective: bool = False) -> tuple:
-    ground = GroundSet(n)
-    if bijective:
-        f = EndoFunction(ground, _sample_perm(rnd, ground).image)
-    else:
-        f = EndoFunction(ground, tuple(rnd.randrange(n) for _ in range(n)))
-    return _sample_system(rnd, ground), f
-
-
-def _build_system_function(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction
-) -> Instance:
-    return Instance(ground, conv, systems={"A": sys}, functions={"f": f})
-
-
-_SYSTEMS_FUNCTIONS = _Kind(
-    _systems_functions, _build_system_function, _draw_system_function, _covering_families
-)
-_SYSTEMS_BIJECTIONS = _Kind(
-    partial(_systems_functions, bijective=True), _build_system_function,
-    partial(_draw_system_function, bijective=True), _covering_families,
-)
-
-
-def _relabelings(n: int) -> tuple[Sequence, ...]:
-    # the relabelings are the permutations the cycles are made of
-    perms = _autobolisms(GroundSet(n))
-    return _cycles(perms), _systems_of(n), perms
-
-
-def _draw_relabeling(n: int, rnd: random.Random) -> tuple:
-    ground = GroundSet(n)
-    sys = _sample_system(rnd, ground)
-    cycle = _draw_cycle(rnd, ground)
-    return cycle, sys, _sample_perm(rnd, ground)
-
-
-def _build_relabeling(
-    ground: GroundSet, conv: ClosureConvention, cycle: _Genset, sys: SetSystem,
-    rel: Autobolism,
-) -> Instance:
-    inst = _genset_instance(ground, conv, cycle, {"A": sys})
-    inst.permutations["f"] = rel
-    return inst
-
-
-_RELABELINGS = _Kind(_relabelings, _build_relabeling, _draw_relabeling, _covering_families)
+def _unpack_covar(inst: Instance) -> tuple:
+    sys, cycle = _SYSTEM.read(inst), _CYCLE.read(inst)
+    # a system that does not cover the ground is skipped before its
+    # relabeling is looked for
+    return cycle, sys, (_RELABELING.read(inst) if sys.covers_ground() else None)
 
 
 # --------------------------------------------------------------------------
@@ -957,25 +874,30 @@ _RELABELINGS = _Kind(_relabelings, _build_relabeling, _draw_relabeling, _coverin
 @dataclass(frozen=True)
 class Claim:
     """Everything the harness knows about one claim: its checker body
-    `(ground, conv, *values) -> Verdict`; `unpack(Instance) -> values`,
-    which reads the body's values out of an instance; the kind of its
-    instance space, enumerated up to `max_exhaustive_n` points, and the
-    number of random samples drawn by default; whether sweeps are expected
-    to be failure-free; and the note attached to sweep reports."""
+    `(ground, conv, *values) -> Verdict`; the kind of its instance space,
+    enumerated up to `max_exhaustive_n` points, and the number of random
+    samples drawn by default; whether sweeps are expected to be
+    failure-free; the note attached to sweep reports; and, for the few
+    claims that do not read an instance factor by factor, their own
+    `read(Instance) -> values`."""
 
     checker: Callable[..., Verdict]
-    unpack: Callable[[Instance], tuple]
-    kind: _Kind
+    kind: _Space
     max_exhaustive_n: int
     default_samples: int
     clean: bool = False
     note: str = ""
+    read: Optional[Callable[[Instance], tuple]] = None
 
     def space(self, n: int) -> _Product:
         """The exhaustive space on n points: its items are the tuples of
         factor values, in the order of nested loops over the factors, the
         last one innermost."""
-        return _Product(*self.kind.factors(n))
+        return _Product(*(factor.values(n) for factor in self.kind.factors))
+
+    def unpack(self, inst: Instance) -> tuple:
+        """The body's values read out of an instance."""
+        return (self.read or self.kind.unpack)(inst)
 
     def check(self, ground: GroundSet, values: tuple, conv: ClosureConvention) -> Verdict:
         """Evaluate the claim on one tuple of factor values.  Every sweep
@@ -984,54 +906,38 @@ class Claim:
         return self.checker(ground, conv, *values)
 
 
-#: Every claim, by id.  Columns: checker body, unpack, instance space,
-#: exhaustive ceiling on n, default number of random samples.
+#: Every claim, by id.  Columns: checker body, instance space, exhaustive
+#: ceiling on n, default number of random samples.
 CLAIMS: dict[TheoremId, Claim] = {
-    TheoremId.S1_1: Claim(_check_s1_1, _unpack_t, _TOPOLOGIES, 4, 1000, clean=True),
-    TheoremId.K1_2: Claim(_check_k1_2, _unpack_t, _TOPOLOGIES, 4, 1000, clean=True),
+    TheoremId.S1_1: Claim(_check_s1_1, _TOPOLOGIES, 4, 1000, clean=True),
+    TheoremId.K1_2: Claim(_check_k1_2, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.L1_3: Claim(
-        _check_l1_3, _unpack_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True
+        _check_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3
     ),
-    TheoremId.S2_2: Claim(
-        _check_s2_2, _unpack_t_flow, _TOPOLOGIES_GENSETS, 4, 500, clean=True
-    ),
+    TheoremId.S2_2: Claim(_check_s2_2, _TOPOLOGIES_GENSETS, 4, 500, clean=True),
     TheoremId.B2_3d: Claim(
-        _check_b2_3d, _unpack_flow_z, _CYCLES_POWERSET, 4, 1000,
+        _check_b2_3d, _CYCLES_POWERSET, 4, 1000,
         note="discrete analog of the continuous coincidence statement",
     ),
-    TheoremId.L3_1: Claim(
-        _check_l3_1, _unpack_masks_b, _SYSTEMS_SUBSETS, 4, 10000, clean=True
-    ),
-    TheoremId.B3_2: Claim(
-        _check_b3_2, _unpack_a_flow, _SYSTEMS_GENSETS, 3, 500, clean=True
-    ),
-    TheoremId.S3_3: Claim(
-        _check_s3_3, _unpack_a_flow, _SYSTEMS_GENSETS, 3, 1000, clean=True
-    ),
-    TheoremId.B3_4: Claim(
-        _check_b3_4, _unpack_a_flow, _SYSTEMS_GENSETS, 3, 1000, clean=True
-    ),
-    TheoremId.B3_6: Claim(_check_b3_6, _unpack_family, _SYSTEMS, 4, 1000, clean=True),
-    TheoremId.B3_7: Claim(
-        _check_b3_7, _unpack_a_f, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True
-    ),
+    TheoremId.L3_1: Claim(_check_l3_1, _SYSTEMS_SUBSETS, 4, 10000, clean=True),
+    TheoremId.B3_2: Claim(_check_b3_2, _SYSTEMS_GENSETS, 3, 500, clean=True),
+    TheoremId.S3_3: Claim(_check_s3_3, _SYSTEMS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_4: Claim(_check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_6: Claim(_check_b3_6, _SYSTEMS, 4, 1000, clean=True),
+    TheoremId.B3_7: Claim(_check_b3_7, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
     TheoremId.S3_8_bij: Claim(
-        partial(_check_s3_8, bijective=True), _unpack_a_f, _SYSTEMS_BIJECTIONS, 3, 1000
+        partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 3, 1000
     ),
     TheoremId.S3_8_all: Claim(
-        partial(_check_s3_8, bijective=False), _unpack_a_f, _SYSTEMS_FUNCTIONS,
-        3, 1000, note="documented open question: for non-bijective self-maps the "
+        partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 3, 1000,
+        note="documented open question: for non-bijective self-maps the "
         "two-sided memberships and hull commutation can disagree",
     ),
-    TheoremId.K3_9: Claim(_check_k3_9, _unpack_k3_9, _SYSTEMS_GENSETS, 3, 500),
-    TheoremId.B3_10: Claim(
-        _check_b3_10, _unpack_a_f, _SYSTEMS_BIJECTIONS, 3, 1000, clean=True
-    ),
-    TheoremId.COVAR: Claim(_check_covar, _unpack_covar, _RELABELINGS, 3, 1000),
-    TheoremId.CHAIN_karrenk: Claim(
-        _check_chain, _unpack_flow_z, _CYCLES_COVERINGS, 3, 1000
-    ),
-    TheoremId.IDEM_ydwed: Claim(_check_idem, _unpack_idem, _SYSTEMS, 4, 1000),
+    TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9),
+    TheoremId.B3_10: Claim(_check_b3_10, _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
+    TheoremId.COVAR: Claim(_check_covar, _RELABELINGS, 3, 1000, read=_unpack_covar),
+    TheoremId.CHAIN_karrenk: Claim(_check_chain, _CYCLES_COVERINGS, 3, 1000),
+    TheoremId.IDEM_ydwed: Claim(_check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem),
 }
 
 #: Claims whose sweeps are expected to be failure-free; a nonzero failure
@@ -1226,10 +1132,12 @@ def sweep(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        if mode == "exhaustive" and claim.kind.cached is not None:
+        if mode == "exhaustive":
             # built here once, the factor values a process keeps are
             # inherited by the forked workers
-            claim.kind.cached(n)
+            for factor in claim.kind.factors:
+                if factor.kept:
+                    factor.values(n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_evaluate, *task, w, workers) for w in range(workers)]
             parts = [f.result() for f in futures]

@@ -424,8 +424,21 @@ class TestCommands:
         assert items[0] == start + 1
         assert lines[items[1] - 1] == "    ordinal: 1"
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "1405fa7437b96e138416bb5340288b4509f9a47588b3a84ce3ec9f85f3334d85"
+            "abdf9e195092080f1e20d262eba188154a973c85932e281507403daf804b15d8"
         )
+
+    def test_text_format_names_the_sweep_convention_once(self, capsys):
+        # the header names it; the payload's own key is not repeated, and
+        # the JSON form keeps both
+        args = ("sweep", "IDEM_ydwed", "--n", "2", "--exhaustive")
+        code, out, _ = run_cli(capsys, "--convention", "nonempty", "--format", "text", *args)
+        assert code == 0
+        assert [line for line in out.splitlines() if not line.startswith(" ")].count(
+            "convention: nonempty"
+        ) == 1
+        code, out, _ = run_cli(capsys, "--convention", "nonempty", *args)
+        report = json.loads(out)
+        assert report["convention"] == report["result"]["convention"] == "nonempty"
 
 
 #: One document every pinned command reads: `chi` makes `verify L1_3` fail

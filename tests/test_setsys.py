@@ -1,7 +1,11 @@
 """Set-system algebra: hulls, elementarization, classification, fibration."""
 
+import copy
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +122,30 @@ class TestSetSystem:
             s = SetSystem(G3, tuple(masks))
             assert s.masks == tuple(sorted(set(masks)))
             assert s == SetSystem(G3, tuple(reversed(masks)))
+
+    def test_system_with_contexts_freed_without_the_cycle_collector(self):
+        # a system keeps its hull contexts, which must not keep it: with
+        # the cyclic collector off, dropping the system frees it
+        gc.disable()
+        try:
+            s = system(G3, [0], [0, 1], [2])
+            for conv in (FULL, NONEMPTY):
+                closure_map(s, conv)
+                assert s.context(conv)._system() is s
+                assert s.context(conv)._compl == complement_system(s)
+            dropped = weakref.ref(s)
+            del s
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_copies_make_contexts_of_their_own(self):
+        s = system(G3, [0], [0, 1], [2])
+        closure_map(s, FULL)
+        for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied == s
+            assert copied.context(FULL)._system() is copied
+            assert closure_map(copied, FULL) == closure_map(s, FULL)
 
 
 class TestComplement:

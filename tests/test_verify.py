@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from hullflow import attract, cantor, kernels, setsys, verify
+from hullflow.dynsys import DiscreteFlow, EndoFunction
 from hullflow.instances import Instance
 from hullflow.setsys import ClosureConvention, GroundSet, SetSystem
 from hullflow.verify import (
@@ -172,6 +173,31 @@ class TestIndexedSpaces:
     def test_covering_families_over_the_cap(self):
         with pytest.raises(SizeLimitError):
             verify._covering_families(5)
+
+
+class TestFactorRoundTrip:
+    # a witness names each factor value and a document is read back into
+    # the same values: every claim's reader, and its space's factor by
+    # factor reader, inverts the space's build
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_read_inverts_put_on_every_ordinal(self, theorem):
+        claim = CLAIMS[theorem]
+        for n in (1, 2, 3):
+            ground = GroundSet(n)
+            for conv in (FULL, NONEMPTY):
+                for ordinal, values in enumerate(claim.space(n)):
+                    inst = claim.kind.build(ground, conv, *values)
+                    assert claim.unpack(inst) == values, (n, ordinal)
+                    assert claim.kind.unpack(inst) == values, (n, ordinal)
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_read_inverts_put_on_drawn_values_through_the_wire(self, theorem):
+        claim = CLAIMS[theorem]
+        for n in (1, 3, 4):
+            for seed in range(40):
+                values = claim.kind.draw(n, random.Random(seed))
+                inst = claim.kind.build(GroundSet(n), NONEMPTY, *values)
+                assert claim.unpack(Instance.from_dict(inst.to_dict())) == values, (n, seed)
 
 
 class TestTwoRoutes:
@@ -767,20 +793,31 @@ class TestWorkerShares:
         assert cached == [1]
 
     def test_parent_builds_no_factors_it_does_not_keep(self, monkeypatch):
-        # a process keeps no generator sets, so building L1_3's in the
-        # parent would only be done again by each worker
+        # a process keeps no maps or flows, so building a space's generator
+        # sets, cycles, self-maps or relabelings in the parent would only be
+        # done again by each worker; every one of them is built through
+        # these two constructors (a permutation is a self-map)
         built = []
-        gensets = verify._gensets
 
         class Pool(RecordingPool):
             def __init__(self, max_workers):
                 built.append("pool")
 
-        monkeypatch.setattr(verify, "_gensets", lambda n: built.append(n) or gensets(n))
+        for cls in (EndoFunction, DiscreteFlow):
+            def counting(obj, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built.append(_cls)
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        sweep(TheoremId.L1_3, 3, "exhaustive", jobs=2)
-        assert built[0] == "pool"
+        for theorem in (TheoremId.L1_3, TheoremId.CHAIN_karrenk, TheoremId.S3_8_all,
+                        TheoremId.COVAR):
+            del built[:]
+            sweep(theorem, 3, "exhaustive", jobs=2)
+            assert built[0] == "pool", theorem
+            # the workers built the maps and flows through the counted route
+            assert len(built) > 1, theorem
 
     @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
     def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
