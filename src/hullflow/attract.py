@@ -20,7 +20,6 @@ from .dynsys import (
     Autobolism,
     DiscreteFlow,
     compose,
-    invariant_sets,
     invert,
     saturate,
 )
@@ -79,15 +78,18 @@ def free_attractors(
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
         raise ValueError("relativizing system must cover the flow's ground")
-    weak = CoherenceVariant.WEAK in variants
-    rooms = pre_rooms(flow, covering, conv)[0].masks if weak else ()
-    candidates = invariant_sets(flow).masks
+    candidates = flow._invariant
     if _MONOTONE.intersection(variants) and not flow.is_cyclic:
         raise VariantUnsupportedError(
             "monotone coherence needs integer time; use a cyclic flow"
         )
+    weak = CoherenceVariant.WEAK in variants
     conventional = any(v is not CoherenceVariant.WEAK for v in variants)
     blocks = flow.orbit_blocks()
+    if weak:
+        # the pre-rooms: the orbits' closures, read off the covering's table
+        table = covering.context(conv)._cl
+        rooms = {table[b] for b in blocks}
     coherent: list[int] = []
     weakly_coherent: list[int] = []
     for theta in candidates:
@@ -100,7 +102,7 @@ def free_attractors(
             if all(u & w for u in unions for w in unions):
                 weakly_coherent.append(theta)
     strong = SetSystem(flow.ground, tuple(coherent))
-    weakly = SetSystem(flow.ground, tuple(weakly_coherent))
+    weakly = SetSystem(flow.ground, tuple(weakly_coherent)) if weak else strong
     return tuple(weakly if v is CoherenceVariant.WEAK else strong for v in variants)
 
 

@@ -10,7 +10,7 @@ empty set on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import kernels
 from .dynsys import Autobolism, EndoFunction
@@ -27,8 +27,18 @@ def is_commutative_cantor(
     (system, convention, image of f)."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    ctx = system.context(conv)
-    return _holds(ctx, 0, f, ctx._verdicts.setdefault(f.image, [None] * 5))
+    return _commutes(system.context(conv), f)
+
+
+def _commutes(ctx: HullContext, f: EndoFunction) -> bool:
+    """is_commutative_cantor of f under the context `ctx`, kept in it by
+    f's image."""
+    verdict = ctx._commutes.get(f.image)
+    if verdict is None:
+        verdict = ctx._commutes[f.image] = kernels.commutes_with_closure(
+            f.mask_table(), ctx._cl
+        )
+    return verdict
 
 
 def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
@@ -37,8 +47,14 @@ def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     contained in its image."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    nonempty = [m for m in system.masks if m]
-    images = list(map(f.apply_mask, nonempty))
+    return _membership(f.apply_mask, system.masks, plus)
+
+
+def _membership(image: Callable[[int], int], masks: Sequence[int], plus: bool) -> bool:
+    """cantor_membership of the map whose image of a subset is `image`
+    over the members `masks`, for a caller that has compared the grounds."""
+    nonempty = [m for m in masks if m]
+    images = list(map(image, nonempty))
     # a lies inside b exactly when a | b == b
     if plus:
         return all(m in map(m.__or__, images) for m in nonempty)
@@ -97,15 +113,17 @@ def explication_check(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> ExplicationRecord:
     """Hull commutation next to the two-sided memberships, reading the
-    closure table and the complement system of the system's context."""
+    closure table and the complement system of the system's context.  The
+    grounds are compared once, here."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     ctx = system.context(conv)
-    compl = ctx._compl
+    table = f.mask_table()
+    image, masks, compl = table.__getitem__, system.masks, ctx._compl.masks
     return ExplicationRecord(
-        lhs=kernels.commutes_with_closure(f.mask_table(), ctx._cl),
-        rhs_system=cantor_membership(f, system, True) and cantor_membership(f, system, False),
-        rhs_complement=cantor_membership(f, compl, True) and cantor_membership(f, compl, False),
+        lhs=kernels.commutes_with_closure(table, ctx._cl),
+        rhs_system=_membership(image, masks, True) and _membership(image, masks, False),
+        rhs_complement=_membership(image, compl, True) and _membership(image, compl, False),
     )
 
 
@@ -136,23 +154,47 @@ class PhaseChainRecord:
     def chain_holds(self) -> bool:
         return len(set(self.statements)) == 1
 
+    @classmethod
+    def of_bits(cls, bits: int) -> "PhaseChainRecord":
+        """The record of the statements `bits`, statement i in bit i."""
+        return cls(*(bool(bits >> i & 1) for i in range(5)))
 
-def _holds(
-    ctx: HullContext, statement: int, g: EndoFunction, verdicts: list[Optional[bool]]
-) -> bool:
-    """Statement `statement` of PhaseChainRecord (0: commuting with the
-    hull; 1-4: the plus and the minus membership over the system, then over
-    its complement system) for the map g under the context `ctx`, whose
-    verdicts on g's image are `verdicts`: decided on first ask."""
-    verdict = verdicts[statement]
-    if verdict is None:
-        if statement == 0:
-            verdict = kernels.commutes_with_closure(g.mask_table(), ctx._cl)
-        else:
-            over = ctx._system() if statement <= 2 else ctx._compl
-            verdict = cantor_membership(g, over, statement % 2 == 1)
-        verdicts[statement] = verdict
-    return verdict
+
+#: The bits of the five chain statements: the chain holds when the group's
+#: bits are none or all of them.
+ALL_STATEMENTS = 0b11111
+
+
+def _row(ctx: HullContext, g: EndoFunction) -> int:
+    """The five chain statements on the map g under the context `ctx`, as
+    bits (bit i: statement i of PhaseChainRecord), decided together on
+    first ask and kept in the context by g's image.  Statement 0 is read
+    from is_commutative_cantor's verdict, which the commutation premises
+    decide alone."""
+    row = ctx._rows.get(g.image)
+    if row is None:
+        image = g.mask_table().__getitem__
+        system, compl = ctx._system().masks, ctx._compl.masks
+        row = ctx._rows[g.image] = (
+            _commutes(ctx, g)
+            | _membership(image, system, True) << 1
+            | _membership(image, system, False) << 2
+            | _membership(image, compl, True) << 3
+            | _membership(image, compl, False) << 4
+        )
+    return row
+
+
+def chain_bits(gens: Iterable[EndoFunction], ctx: HullContext) -> int:
+    """The chain statements of the group generated by gens under the
+    context `ctx`, as bits: the AND of the generators' rows (see
+    phase_chain_check for why the generators decide the group).  It
+    compares no grounds and checks no coverage: phase_chain_check does, and
+    a sweep's factor values share one ground."""
+    bits = ALL_STATEMENTS
+    for g in gens:
+        bits &= _row(ctx, g)
+    return bits
 
 
 def phase_chain_check(
@@ -164,24 +206,19 @@ def phase_chain_check(
     relative to a covering system.
 
     Each statement quantifies over the group, but it is decided on the
-    distinct generators.  Commuting with the hull and both one-sided
-    memberships are closed under composition, the identity satisfies all
-    three, and in a finite group every element is a product of generators
-    (an inverse is a positive power).  So a statement holds for every
-    group element exactly when it holds for every generator.  A statement
-    depends only on the system, the convention and the generator, so each
-    is decided once per (system, convention, generator image)."""
+    generators.  Commuting with the hull and both one-sided memberships
+    are closed under composition, the identity satisfies all three, and in
+    a finite group every element is a product of generators (an inverse is
+    a positive power).  So a statement holds for every group element
+    exactly when it holds for every generator.  A statement depends only on
+    the system, the convention and the generator, so each generator image
+    is decided once per (system, convention): its row of bits in the
+    system's context, which chain_bits ANDs."""
     if not system.covers_ground():
         raise ValueError("the system must cover the ground")
-    distinct = {g.image: g for g in gens}
-    if not distinct:
+    if not gens:
         raise ValueError("need at least one generator")
-    for g in distinct.values():
+    for g in gens:
         if g.ground != system.ground:
             raise GroundMismatchError(f"{g.ground} vs {system.ground}")
-    ctx = system.context(conv)
-    verdicts = ctx._verdicts
-    rows = [(g, verdicts.setdefault(image, [None] * 5)) for image, g in distinct.items()]
-    return PhaseChainRecord(
-        *(all(_holds(ctx, statement, g, row) for g, row in rows) for statement in range(5))
-    )
+    return PhaseChainRecord.of_bits(chain_bits(gens, system.context(conv)))

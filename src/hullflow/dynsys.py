@@ -94,6 +94,10 @@ def invert(f: Autobolism) -> Autobolism:
     return Autobolism(f.ground, tuple(out))
 
 
+#: The most invariant sets a flow lists.
+INVARIANT_CAP = 1 << 20
+
+
 def _common_ground(gens: Sequence[Autobolism]) -> GroundSet:
     if not gens:
         raise ValueError("need at least one generator")
@@ -141,6 +145,20 @@ class DiscreteFlow:
         perms = [list(g.image) for g in self.gens]
         return tuple(kernels.orbit_blocks(self.ground.size, perms))
 
+    @cached_property
+    def _invariant(self) -> tuple[int, ...]:
+        """The nonempty unions of orbit blocks, ascending, listed once.
+        Each block doubles the unions built so far, so the enumeration
+        takes one step per set."""
+        if 1 << len(self._blocks) > INVARIANT_CAP:
+            raise CapExceededError(
+                f"2^{len(self._blocks)} invariant sets exceed cap {INVARIANT_CAP}"
+            )
+        unions = [0]
+        for block in self._blocks:
+            unions += [u | block for u in unions]
+        return tuple(sorted(unions[1:]))
+
 
 def saturate(blocks: Iterable[int], a: int) -> int:
     """Union of the orbit blocks meeting the mask a.  This is the set of
@@ -158,17 +176,14 @@ def orbit_partition(flow: DiscreteFlow) -> SetSystem:
     return SetSystem(flow.ground, flow.orbit_blocks())
 
 
-def invariant_sets(flow: DiscreteFlow, cap: int = 1 << 20) -> SetSystem:
-    """All nonempty unions of orbit blocks (the nonempty invariant sets).
-    Each block doubles the unions built so far, so the enumeration takes
-    one step per set."""
+def invariant_sets(flow: DiscreteFlow, cap: int = INVARIANT_CAP) -> SetSystem:
+    """All nonempty unions of orbit blocks (the nonempty invariant sets),
+    listed once per flow; at most `cap` of them, and never more than
+    INVARIANT_CAP."""
     blocks = flow.orbit_blocks()
     if 1 << len(blocks) > cap:
         raise CapExceededError(f"2^{len(blocks)} invariant sets exceed cap {cap}")
-    unions = [0]
-    for block in blocks:
-        unions += [u | block for u in unions]
-    return SetSystem(flow.ground, tuple(unions[1:]))
+    return SetSystem(flow.ground, flow._invariant)
 
 
 def invariant_topology(gens: Sequence[Autobolism]) -> SetSystem:

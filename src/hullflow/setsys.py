@@ -14,7 +14,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels
 
@@ -459,17 +459,23 @@ class HullContext:
     convention, each built on first use and kept: the closure table
     (closure_map), the complement system, the fibration classes as sets of
     masks, and the complement-free subsets (which do not depend on the
-    convention).  Cantor's phase chain keeps its five statements' verdicts
-    on a self-map by its image, None until decided, and COVAR the
-    conventional free attractors of a flow by its orbit blocks, which are
-    all of the flow they read.  The fields are private, as per-layer
-    tracing (sweepbench) replaces public cached properties with functions."""
+    convention).
+
+    Per map image it keeps Cantor's verdicts: `_commutes`, whether the map
+    commutes with the hull (statement 0 of the phase chain, all that the
+    commutation premises of B3_2 and S3_3 read), and `_rows`, all five
+    chain statements as one int, bit i holding statement i, decided
+    together on first ask.  COVAR keeps the conventional free attractors of
+    a flow by its orbit blocks, which are all of the flow they read.  The
+    fields are private, as per-layer tracing (sweepbench) replaces public
+    cached properties with functions."""
 
     def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
         # held weakly, as the system keeps its contexts: with no cycle
         # between them, dropping the system frees both at once
         self._system, self.conv = weakref.ref(system), conv
-        self._verdicts: dict[tuple[int, ...], list[Optional[bool]]] = {}
+        self._commutes: dict[tuple[int, ...], bool] = {}
+        self._rows: dict[tuple[int, ...], int] = {}
         self._attractors: dict[tuple[int, ...], SetSystem] = {}
 
     @cached_property

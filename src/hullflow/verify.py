@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Hashable, Iterator, NamedTuple, Optional
 
 from . import kernels
 from .attract import (
@@ -40,11 +40,13 @@ from .attract import (
     transport,
 )
 from .cantor import (
+    ALL_STATEMENTS,
+    PhaseChainRecord,
     cantor_membership,
+    chain_bits,
     explication_check,
     fibration_integrity,
     is_commutative_cantor,
-    phase_chain_check,
     preserves_unfamily,
 )
 from .dynsys import Autobolism, DiscreteFlow, EndoFunction, invariant_sets, orbit_partition
@@ -565,10 +567,12 @@ def _check_k3_9(
 ) -> Verdict:
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
-    rec = phase_chain_check(flow.generators(), sys, conv)
-    if rec.chain_holds:
+    # the group's statements, decided on its generators as in
+    # phase_chain_check: the chain holds when they all agree
+    bits = chain_bits(flow.gens, sys.context(conv))
+    if bits == 0 or bits == ALL_STATEMENTS:
         return _HOLDS
-    return _fails(f"chain statements {rec.statements}")
+    return _fails(f"chain statements {PhaseChainRecord.of_bits(bits).statements}")
 
 
 def _check_b3_10(
@@ -877,9 +881,18 @@ class Claim:
     `(ground, conv, *values) -> Verdict`; the kind of its instance space,
     enumerated up to `max_exhaustive_n` points, and the number of random
     samples drawn by default; whether sweeps are expected to be
-    failure-free; the note attached to sweep reports; and, for the few
-    claims that do not read an instance factor by factor, their own
-    `read(Instance) -> values`."""
+    failure-free; the note attached to sweep reports; for the few claims
+    that do not read an instance factor by factor, their own
+    `read(Instance) -> values`; and, where declared, `key(*values)`.
+
+    The key is a hashable value such that two tuples of factor values with
+    equal keys get equal verdicts (status, note and named systems) on one
+    ground under one convention.  A claim declares it only where its body
+    reads a flow through its orbit blocks alone (and whether it is
+    cyclic), so the key holds the orbit blocks in place of the flow; an
+    exhaustive sweep then runs the body once per key (`_evaluate`), and
+    `TestOrbitBlockKeys` checks each declaration against the body run on
+    every instance."""
 
     checker: Callable[..., Verdict]
     kind: _Space
@@ -888,6 +901,7 @@ class Claim:
     clean: bool = False
     note: str = ""
     read: Optional[Callable[[Instance], tuple]] = None
+    key: Optional[Callable[..., Hashable]] = None
 
     def space(self, n: int) -> _Product:
         """The exhaustive space on n points: its items are the tuples of
@@ -907,12 +921,14 @@ class Claim:
 
 
 #: Every claim, by id.  Columns: checker body, instance space, exhaustive
-#: ceiling on n, default number of random samples.
+#: ceiling on n, default number of random samples; a key puts the flow's
+#: orbit blocks in its place.
 CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.S1_1: Claim(_check_s1_1, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.K1_2: Claim(_check_k1_2, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.L1_3: Claim(
-        _check_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3
+        _check_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3,
+        key=lambda flow, chi: (flow.orbit_blocks(), chi),
     ),
     TheoremId.S2_2: Claim(_check_s2_2, _TOPOLOGIES_GENSETS, 4, 500, clean=True),
     TheoremId.B2_3d: Claim(
@@ -922,7 +938,10 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.L3_1: Claim(_check_l3_1, _SYSTEMS_SUBSETS, 4, 10000, clean=True),
     TheoremId.B3_2: Claim(_check_b3_2, _SYSTEMS_GENSETS, 3, 500, clean=True),
     TheoremId.S3_3: Claim(_check_s3_3, _SYSTEMS_GENSETS, 3, 1000, clean=True),
-    TheoremId.B3_4: Claim(_check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_4: Claim(
+        _check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True,
+        key=lambda sys, flow: (sys, flow.orbit_blocks()),
+    ),
     TheoremId.B3_6: Claim(_check_b3_6, _SYSTEMS, 4, 1000, clean=True),
     TheoremId.B3_7: Claim(_check_b3_7, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
     TheoremId.S3_8_bij: Claim(
@@ -936,7 +955,10 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9),
     TheoremId.B3_10: Claim(_check_b3_10, _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
     TheoremId.COVAR: Claim(_check_covar, _RELABELINGS, 3, 1000, read=_unpack_covar),
-    TheoremId.CHAIN_karrenk: Claim(_check_chain, _CYCLES_COVERINGS, 3, 1000),
+    TheoremId.CHAIN_karrenk: Claim(
+        _check_chain, _CYCLES_COVERINGS, 3, 1000,
+        key=lambda flow, covering: (flow.orbit_blocks(), flow.is_cyclic, covering),
+    ),
     TheoremId.IDEM_ydwed: Claim(_check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem),
 }
 
@@ -1046,8 +1068,15 @@ def _evaluate(
     number the claim's space; in random mode ordinal k is drawn from
     `Random(f"{seed}:{k}")`, for k below `samples`.  The claim's body
     checks the values themselves; an Instance is built only for a failing
-    verdict whose witness is kept.  Returns the share's counts and its
-    first `cap` counterexamples."""
+    verdict whose witness is kept, from that instance's own values.
+
+    In exhaustive mode a claim that declares a key (see Claim) is checked
+    once per key: a dict local to this call maps each key to its verdict,
+    so it holds at most one entry per key of the share and dies with the
+    call, and each pool worker keeps its own.  Random mode keeps none, as
+    its draws on many points rarely repeat a key and would keep every
+    drawn system alive.  Returns the share's counts and its first `cap`
+    counterexamples."""
     if mode == "exhaustive":
         share = _exhaustive_instances(theorem, n, worker, jobs)
     else:
@@ -1056,11 +1085,19 @@ def _evaluate(
             for o in _share(samples or 0, worker, jobs)
         )
     claim = CLAIMS[theorem]
+    key = claim.key if mode == "exhaustive" else None
+    verdicts: dict[Hashable, Verdict] = {}
     ground = GroundSet(n)
     total = holds = fails = skips = 0
     cexs: list[dict[str, Any]] = []
     for ordinal, values in share:
-        verdict = claim.check(ground, values, conv)
+        if key is None:
+            verdict = claim.check(ground, values, conv)
+        else:
+            k = key(*values)
+            verdict = verdicts.get(k)
+            if verdict is None:
+                verdict = verdicts[k] = claim.check(ground, values, conv)
         total += 1
         if verdict.status == "holds":
             holds += 1

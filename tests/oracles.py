@@ -3,9 +3,12 @@ its powers, and every exhaustive instance space of the sweep engine.
 
 The library decides coherence by orbit saturation and never lists a group.
 These routines do list it, breadth-first over plain image tuples from the
-identity, and decide coherence by scanning every element.  They use none of
-the routines they are compared with (`dynsys.saturate`,
-`DiscreteFlow.orbit_blocks`, `attract.saturation_coherent`, the kernels),
+identity, and decide coherence by scanning every element.  The library
+decides K3_9's phase chain on the generators; `chain_statements` decides
+it on every listed element, with each hull taken by its own scan of the
+complements.  They use none of the routines they are compared with
+(`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
+`attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
 so a test that compares the two routes checks one against the other.
 
 The library builds the instance of any ordinal of a space from its
@@ -119,6 +122,83 @@ def trace_coherent(tables: list[list[int]], trace: Sequence[int]) -> bool:
     """True when every ordered pair (a, b) from the trace has a group
     element mapping a onto a set meeting b."""
     return all(any(t[a] & b for t in tables) for a in trace for b in trace)
+
+
+def closure_table(n: int, members: Sequence[int], convention: str) -> list[int]:
+    """The closure of every subset, indexed by mask, each by its own scan:
+    the intersection of the member complements containing it, the empty
+    set when none does.  Under "nonempty" the empty complement (of the
+    full member) is left out."""
+    full = (1 << n) - 1
+    sources = [full ^ m for m in members if convention == "full" or m != full]
+    table = []
+    for z in range(1 << n):
+        above = [c for c in sources if z & c == z]
+        cl = above[0] if above else 0
+        for c in above:
+            cl &= c
+        table.append(cl)
+    return table
+
+
+def _memberships(element: Sequence[int], members: Sequence[int]) -> tuple[bool, bool]:
+    """The plus membership (every nonempty member has a nonempty member
+    whose image lies inside it) and the minus membership (every nonempty
+    member's image holds a nonempty member) of one point map."""
+    nonempty = [m for m in members if m]
+    plus = all(any(image(element, a) & ~m == 0 for a in nonempty) for m in nonempty)
+    minus = all(any(a & ~image(element, m) == 0 for a in nonempty) for m in nonempty)
+    return plus, minus
+
+
+def _statements(
+    element: Sequence[int], cl: Sequence[int], members: Sequence[int], n: int
+) -> tuple[bool, ...]:
+    """The five phase-chain statements on one point map: commuting with
+    the closure table `cl` on every subset, then the plus and minus
+    memberships over the system and over its complement system."""
+    full = (1 << n) - 1
+    commutes = all(image(element, cl[z]) == cl[image(element, z)] for z in range(1 << n))
+    return (
+        commutes,
+        *_memberships(element, members),
+        *_memberships(element, [full ^ m for m in members]),
+    )
+
+
+def chain_statements(
+    n: int, members: Sequence[int], gens: Sequence, convention: str
+) -> tuple[bool, ...]:
+    """K3_9's five statements for the group generated by `gens` (point
+    maps or autobolisms) over the system `members` on n points, each
+    quantified over every listed element of the group, not over the
+    generators."""
+    cl = closure_table(n, members, convention)
+    rows = [_statements(g, cl, members, n) for g in group(gens)]
+    return tuple(all(column) for column in zip(*rows))
+
+
+def k3_9_counts(n: int, convention: str) -> tuple[int, int, int]:
+    """K3_9's (hold, fail, skip) over every covering system and generator
+    set on n points: the chain holds when its five statements agree.  Each
+    element's statements are taken once per system, and each generator
+    set's group is listed once."""
+    groups = [group(gens) for gens in generator_sets(n)]
+    holds = fails = 0
+    for members in coverings(n):
+        cl = closure_table(n, members, convention)
+        rows: dict[tuple[int, ...], tuple[bool, ...]] = {}
+        for elements in groups:
+            for g in elements:
+                if g not in rows:
+                    rows[g] = _statements(g, cl, members, n)
+            statements = {all(column) for column in zip(*(rows[g] for g in elements))}
+            if len(statements) == 1:
+                holds += 1
+            else:
+                fails += 1
+    # every system of the space covers the ground, so none is skipped
+    return holds, fails, 0
 
 
 def count_preorders(n: int) -> int:

@@ -533,16 +533,21 @@ class TestSweep:
         # the premise is decided on each generator and kept in the system's
         # context by its image, as K3_9's first statement: at most 218
         # systems x 6 permutations, where deciding it per instance makes
-        # 6272 tests
-        commutations = []
-        commutes = kernels.commutes_with_closure
+        # 6272 tests; and it is decided alone, without the four
+        # memberships of K3_9's row
+        commutations, memberships = [], []
+        commutes, membership = kernels.commutes_with_closure, cantor._membership
         monkeypatch.setattr(
             kernels, "commutes_with_closure",
             lambda *a: commutations.append(a) or commutes(*a),
         )
+        monkeypatch.setattr(
+            cantor, "_membership", lambda *a: memberships.append(a) or membership(*a)
+        )
         rep = sweep(theorem, 3, "exhaustive", conv=conv)
         assert rep.instance_count == 4578
         assert 0 < len(commutations) <= 218 * 6
+        assert memberships == []
 
     def test_covar_untransported_family_once_per_cycle_and_system(self, monkeypatch):
         # one transported family per instance, and the untransported one
@@ -563,23 +568,109 @@ class TestSweep:
 
     def test_chain_statements_decided_once_per_system_and_generator(self, monkeypatch):
         # a chain statement depends only on the system and one generator,
-        # and is kept in the system's context: at most
-        # 218 systems x 6 generators x 4 memberships, where deciding every
-        # instance afresh makes 25,872 membership calls and 6272
-        # commutation tests
+        # and the generator's row of statements is kept in the system's
+        # context: at most 218 systems x 6 generators x 4 memberships, where
+        # deciding every instance afresh makes 25,872 membership calls and
+        # 6272 commutation tests
         memberships, commutations = [], []
-        membership, commutes = cantor.cantor_membership, kernels.commutes_with_closure
+        membership, commutes = cantor._membership, kernels.commutes_with_closure
         monkeypatch.setattr(
-            cantor, "cantor_membership", lambda *a: memberships.append(a) or membership(*a)
+            cantor, "_membership", lambda *a: memberships.append(a) or membership(*a)
         )
         monkeypatch.setattr(
             kernels, "commutes_with_closure",
             lambda *a: commutations.append(a) or commutes(*a),
         )
-        rep = sweep(TheoremId.K3_9, 3, "exhaustive")
-        assert rep.instance_count == 218 * 21
-        assert 0 < len(memberships) <= 218 * 6 * 4
-        assert 0 < len(commutations) <= 218 * 6
+        for conv in (FULL, NONEMPTY):
+            del memberships[:], commutations[:]
+            rep = sweep(TheoremId.K3_9, 3, "exhaustive", conv=conv)
+            assert rep.instance_count == 218 * 21
+            assert 0 < len(memberships) <= 218 * 6 * 4
+            assert 0 < len(commutations) <= 218 * 6
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_k3_9_counts_match_the_group_listing_oracle(self, conv):
+        # the sweep ANDs the generators' rows of statements; the oracle
+        # lists every element of each group and takes every hull by its own
+        # scan of the complements
+        for n in (1, 2, 3):
+            rep = sweep(TheoremId.K3_9, n, "exhaustive", conv=conv)
+            counts = (rep.hold_count, rep.fail_count, rep.skip_count)
+            assert counts == oracles.k3_9_counts(n, conv.value), n
+
+    @pytest.mark.parametrize(
+        "theorem, instances, compared",
+        [
+            # one comparison in explication_check, none in its memberships
+            (TheoremId.S3_8_all, 218 * 27, 218 * 27),
+            # none per instance: only building the 15 two-generator flows
+            # compares their grounds
+            (TheoremId.K3_9, 218 * 21, 15),
+        ],
+    )
+    def test_ground_compared_at_most_once_per_instance(
+        self, monkeypatch, theorem, instances, compared
+    ):
+        # comparing the grounds in each membership as well made 20,610
+        # comparisons in an S3_8_all sweep and 13,095 in a K3_9 sweep
+        comparisons = []
+        eq = GroundSet.__eq__
+        monkeypatch.setattr(GroundSet, "__eq__", lambda a, b: comparisons.append(1) or eq(a, b))
+        rep = sweep(theorem, 3, "exhaustive")
+        assert rep.instance_count == instances
+        assert 0 < len(comparisons) <= compared
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "theorem, n, instances, keys",
+        [
+            # 15 orbit partitions x 15 nonempty chi
+            (TheoremId.L1_3, 4, 4500, 225),
+            # 5 orbit partitions of the 6 cycles x 218 coverings
+            (TheoremId.CHAIN_karrenk, 3, 1308, 5 * 218),
+            # 5 orbit partitions of the 21 generator sets x 218 systems
+            (TheoremId.B3_4, 3, 4578, 218 * 5),
+        ],
+    )
+    def test_body_once_per_orbit_block_key(self, monkeypatch, theorem, n, instances, keys, conv):
+        calls = []
+        check = Claim.check
+        monkeypatch.setattr(
+            Claim, "check", lambda claim, *a: calls.append(a) or check(claim, *a)
+        )
+        rep = sweep(theorem, n, "exhaustive", conv=conv)
+        assert rep.instance_count == instances
+        assert 0 < len(calls) <= keys
+
+    def test_random_sweep_keeps_no_verdicts(self, monkeypatch):
+        # a random sweep keeps no verdicts, which would keep every drawn
+        # system alive: the body runs on every draw, even on two points,
+        # where the keys repeat
+        calls = []
+        check = Claim.check
+        monkeypatch.setattr(
+            Claim, "check", lambda claim, *a: calls.append(a) or check(claim, *a)
+        )
+        rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
+        assert rep.instance_count == len(calls) == 50
+
+    @pytest.mark.parametrize(
+        "theorem, flows",
+        [(TheoremId.CHAIN_karrenk, 6), (TheoremId.B3_4, 21)],
+    )
+    def test_invariant_sets_listed_once_per_flow(self, monkeypatch, theorem, flows):
+        # the flow keeps its invariant sets: at most one listing per cycle
+        # or generator set, where listing them per attractor family makes
+        # one per body call
+        listed = []
+        invariant = DiscreteFlow.__dict__["_invariant"]
+        counted = functools.cached_property(lambda flow: listed.append(1) or invariant.func(flow))
+        counted.__set_name__(DiscreteFlow, "_invariant")
+        monkeypatch.setattr(DiscreteFlow, "_invariant", counted)
+        for conv in (FULL, NONEMPTY):
+            del listed[:]
+            sweep(theorem, 3, "exhaustive", conv=conv)
+            assert 0 < len(listed) <= flows
 
     def test_one_closure_table_and_complement_per_explication_system(self, monkeypatch):
         # the explication reads its closure table and complement system
@@ -691,6 +782,60 @@ class TestSweep:
         # checked before any sampling, so no 2^n draw is attempted
         with pytest.raises(SizeLimitError):
             sweep(TheoremId.IDEM_ydwed, 21, "random", samples=0)
+
+
+class TestOrbitBlockKeys:
+    # an exhaustive sweep checks a keyed claim once per key; the body run
+    # on every instance, with no memo, must give one verdict per key
+    # group: the same status, note and named systems
+    KEYED = [TheoremId.L1_3, TheoremId.B3_4, TheoremId.CHAIN_karrenk]
+
+    def test_keyed_claims(self):
+        assert [t for t, claim in CLAIMS.items() if claim.key is not None] == self.KEYED
+
+    @staticmethod
+    def groups(claim, n, conv, values_seq):
+        """The number of keys among `values_seq`, asserting that each
+        key's instances get one verdict."""
+        ground = GroundSet(n)
+        first = {}
+        for values in values_seq:
+            verdict = claim.check(ground, values, conv)
+            got = (verdict.status, verdict.note, verdict.systems)
+            assert got == first.setdefault(claim.key(*values), got), values
+        return len(first)
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", KEYED, ids=lambda t: t.value)
+    def test_every_ordinal_up_to_three_points(self, theorem, conv):
+        claim = CLAIMS[theorem]
+        for n in (1, 2, 3):
+            space = claim.space(n)
+            keys = self.groups(claim, n, conv, space)
+            assert keys <= len(space)
+        assert keys < len(space)
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_l1_3_every_ordinal_at_four_points(self, conv):
+        claim = CLAIMS[TheoremId.L1_3]
+        assert self.groups(claim, 4, conv, claim.space(4)) == 225
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "theorem, systems", [(TheoremId.B3_4, 20), (TheoremId.CHAIN_karrenk, 80)],
+        ids=["B3_4", "CHAIN_karrenk"],
+    )
+    def test_seeded_slices_at_four_points(self, theorem, systems, conv):
+        # every flow of the space against a seeded sample of its systems
+        claim = CLAIMS[theorem]
+        factors = [list(f.values(4)) if f.acts else f.values(4) for f in claim.kind.factors]
+        [pos] = [i for i, f in enumerate(claim.kind.factors) if f.kept]
+        picked = random.Random(f"{theorem.value}:{conv.value}").sample(
+            range(len(factors[pos])), systems
+        )
+        factors[pos] = [factors[pos][i] for i in sorted(picked)]
+        instances = math.prod(map(len, factors))
+        assert self.groups(claim, 4, conv, itertools.product(*factors)) < instances
 
 
 class TestBenchmarkNames:
