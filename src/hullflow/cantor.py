@@ -10,11 +10,18 @@ empty set on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels
 from .dynsys import Autobolism, EndoFunction
-from .setsys import ClosureConvention, GroundMismatchError, HullContext, SetSystem
+from .setsys import (
+    DEFAULT_ENUM_CAP,
+    ClosureConvention,
+    GroundMismatchError,
+    HullContext,
+    SetSystem,
+    _Side,
+)
 
 
 def is_commutative_cantor(
@@ -47,18 +54,56 @@ def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     contained in its image."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    return _membership(f.apply_mask, system.masks, plus)
+    plus_holds, minus_holds = _system_memberships(f, system, ClosureConvention.FULL)
+    return plus_holds if plus else minus_holds
 
 
-def _membership(image: Callable[[int], int], masks: Sequence[int], plus: bool) -> bool:
-    """cantor_membership of the map whose image of a subset is `image`
-    over the members `masks`, for a caller that has compared the grounds."""
-    nonempty = [m for m in masks if m]
-    images = list(map(image, nonempty))
+def _system_memberships(
+    f: EndoFunction, system: SetSystem, conv: ClosureConvention
+) -> tuple[bool, bool]:
+    """The plus and the minus membership of f over the system, for a
+    caller that has compared the grounds: from the system's side of its
+    context under `conv` on at most DEFAULT_ENUM_CAP points.  Above the
+    cap no family bitmask of 2^n bits is built: the nonempty members are
+    mapped point by point and compared pair by pair."""
+    if system.ground.size <= DEFAULT_ENUM_CAP:
+        return _memberships(f.mask_table(), system.context(conv)._side)
+    nonempty = [m for m in system.masks if m]
+    images = [f.apply_mask(m) for m in nonempty]
     # a lies inside b exactly when a | b == b
+    plus = all(m in map(m.__or__, images) for m in nonempty)
+    minus = all(img in map(img.__or__, nonempty) for img in images)
+    return plus, minus
+
+
+def _images(table: Sequence[int], members: Iterable[int]) -> int:
+    """The family bitmask of the images of `members` under the map whose
+    mask-image table is `table`."""
+    family = 0
+    for m in members:
+        family |= 1 << table[m]
+    return family
+
+
+def _membership(images: int, side: _Side, plus: bool) -> bool:
+    """cantor_membership on `side` of the map whose images of the side's
+    nonempty members make the family bitmask `images`, for a caller that
+    has compared the grounds.  With N the side's family, a subset holds a
+    member of a family exactly when it lies in that family's up-closure:
+    the plus membership holds when every member of N does so for
+    `images`, and the minus membership when every image does so for N.
+    The image of a nonempty set is nonempty, so neither family holds the
+    empty set."""
     if plus:
-        return all(m in map(m.__or__, images) for m in nonempty)
-    return all(img in map(img.__or__, nonempty) for img in images)
+        return not side.family & ~kernels.up_closure(side.n, images)
+    return not images & ~side.up
+
+
+def _memberships(table: Sequence[int], side: _Side) -> tuple[bool, bool]:
+    """The plus and the minus membership on `side` of the map whose
+    mask-image table is `table`, from one family of images."""
+    images = _images(table, side.members)
+    return _membership(images, side, True), _membership(images, side, False)
 
 
 def preserves_unfamily(
@@ -113,17 +158,16 @@ def explication_check(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> ExplicationRecord:
     """Hull commutation next to the two-sided memberships, reading the
-    closure table and the complement system of the system's context.  The
+    closure table and both membership sides of the system's context.  The
     grounds are compared once, here."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
     ctx = system.context(conv)
     table = f.mask_table()
-    image, masks, compl = table.__getitem__, system.masks, ctx._compl.masks
     return ExplicationRecord(
         lhs=kernels.commutes_with_closure(table, ctx._cl),
-        rhs_system=_membership(image, masks, True) and _membership(image, masks, False),
-        rhs_complement=_membership(image, compl, True) and _membership(image, compl, False),
+        rhs_system=all(_memberships(table, ctx._side)),
+        rhs_complement=all(_memberships(table, ctx._compl_side)),
     )
 
 
@@ -173,14 +217,11 @@ def _row(ctx: HullContext, g: EndoFunction) -> int:
     decide alone."""
     row = ctx._rows.get(g.image)
     if row is None:
-        image = g.mask_table().__getitem__
-        system, compl = ctx._system().masks, ctx._compl.masks
+        table = g.mask_table()
+        plus, minus = _memberships(table, ctx._side)
+        plus_compl, minus_compl = _memberships(table, ctx._compl_side)
         row = ctx._rows[g.image] = (
-            _commutes(ctx, g)
-            | _membership(image, system, True) << 1
-            | _membership(image, system, False) << 2
-            | _membership(image, compl, True) << 3
-            | _membership(image, compl, False) << 4
+            _commutes(ctx, g) | plus << 1 | minus << 2 | plus_compl << 3 | minus_compl << 4
         )
     return row
 

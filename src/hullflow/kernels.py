@@ -53,20 +53,21 @@ def _byte_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(out)
 
 
-def closure_table(n: int, sources: Iterable[int]) -> list[int]:
+def closure_table(n: int, sources: Iterable[int]) -> Sequence[int]:
     """For every subset z, indexed by mask, the intersection of the
     sources containing z, or 0 when no source does: hull_value(sources, z,
     1, 1).
 
     Up to n=4 the sources mark a 16-bit family bitmask, whose table is
-    family_table's.  Above n=4, one zeta-transform pass per bit (Yates
-    1937; Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007) intersects
-    each cell with its superset neighbour across that bit.  That takes
-    O(n 2^n) steps where a scan of the sources per subset takes
-    O(|sources| 2^n).  The passes over bits 0-3 run block by block through
-    the fixed pairs of a 16-cell block; each pass over a higher bit folds
-    runs of 16 to _MAX_RUN cells slice-wise.  Besides the table, a call
-    holds at most one run's slices, so its memory stays O(2^n).
+    family_table's bytes.  Above n=4 the table is a list, and one
+    zeta-transform pass per bit (Yates 1937; Bjorklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007) intersects each cell with its superset neighbour
+    across that bit.  That takes O(n 2^n) steps where a scan of the
+    sources per subset takes O(|sources| 2^n).  The passes over bits 0-3
+    run block by block through the fixed pairs of a 16-cell block; each
+    pass over a higher bit folds runs of 16 to _MAX_RUN cells slice-wise.
+    Besides the table, a call holds at most one run's slices, so its
+    memory stays O(2^n).
 
     In the transform -1, the identity of intersection, marks a subset
     that no source contains until the end, when it becomes 0."""
@@ -98,16 +99,42 @@ def closure_table(n: int, sources: Iterable[int]) -> list[int]:
     return t
 
 
-def family_table(n: int, family: int) -> list[int]:
+def family_table(n: int, family: int) -> bytes:
     """closure_table on n <= 4 points of the sources marked by a family
     bitmask (bit m set when m is a source): the cellwise intersection of
     the precomputed tables of its two bytes (the table of a family is the
     cellwise intersection of the tables of any split of it; the method of
     four Russians: Arlazarov, Dinic, Kronrod and Faradzev, 1970), cut to
-    2^n cells."""
+    2^n cells.  The table is the bytes it is built as, one cell a byte:
+    immutable, and indexed and iterated as ints like a list."""
     low, high = _byte_tables()
     cells = (low[family & 255] & high[family >> 8]).to_bytes(16, "little")
-    return list(cells[: 1 << n].translate(_NO_SOURCE_TO_EMPTY))
+    return cells[: 1 << n].translate(_NO_SOURCE_TO_EMPTY)
+
+
+@functools.cache
+def _up_passes(n: int) -> tuple[tuple[int, int], ...]:
+    """The passes of up_closure on n points, built on first use for each
+    n: for each point j, the family bitmask of the subsets lacking j and
+    the shift 2^j that adds j to each of them.  The subsets lacking j are
+    the runs of 2^j subsets that repeat every 2^(j+1), so the bitmask is
+    the run repeated by one division."""
+    every = (1 << (1 << n)) - 1
+    return tuple(
+        (every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1), 1 << j) for j in range(n)
+    )
+
+
+def up_closure(n: int, family: int) -> int:
+    """The family bitmask of every subset of an n-set that contains a
+    member of `family` (a family bitmask, bit m set when subset m is a
+    member): one superset zeta transform over OR (Yates 1937; Bjorklund,
+    Husfeldt, Kaski and Koivisto, STOC 2007), a shift and an OR of 2^n-bit
+    ints per point, where a scan of the members per subset takes
+    O(|family| 2^n) steps."""
+    for lacking, shift in _up_passes(n):
+        family |= (family & lacking) << shift
+    return family
 
 
 def hull_value(sources: list[int], q: int, j: int, k: int) -> int:

@@ -14,7 +14,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
 
@@ -215,10 +215,11 @@ def closure(
 
 def closure_map(
     system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
-) -> list[int]:
+) -> Sequence[int]:
     """Closure of every subset of the ground, indexed by mask; closure()
     gives the same value for one subset.  The table is the system's
-    context's, built once: callers read it and never change it."""
+    context's, built once: callers read it and never change it.  Up to
+    n=4 it is immutable `bytes` (see closure_map_of)."""
     return system.context(conv)._cl
 
 
@@ -228,15 +229,16 @@ _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 def closure_map_of(
     n: int, family: int, conv: ClosureConvention = ClosureConvention.FULL
-) -> list[int]:
+) -> Sequence[int]:
     """closure_map of the system on n points whose family bitmask is
     `family` (bit m set when subset m is a member), for a caller that holds
     the family and no SetSystem.
 
     The complement of member m is the subset 2^n - 1 - m, so the complement
     family is the family's bit reversal within its 2^n bits: up to n=4 two
-    byte-reversal lookups, whose table kernels.family_table reads off.
-    Above n=4 the members are unpacked for kernels.closure_table."""
+    byte-reversal lookups, whose table kernels.family_table reads off as
+    `bytes`.  Above n=4 the members are unpacked for kernels.closure_table,
+    whose table is a list."""
     full = (1 << n) - 1
     if conv is ClosureConvention.NONEMPTY:
         # the full member's complement is the empty one left out
@@ -461,6 +463,11 @@ class HullContext:
     masks, and the complement-free subsets (which do not depend on the
     convention).
 
+    For Cantor's memberships it keeps both sides, the system's and its
+    complement system's: each side's nonempty members, their family
+    bitmask N and its up-closure, so a map's membership on a side takes
+    one family of images (see cantor._membership).
+
     Per map image it keeps Cantor's verdicts: `_commutes`, whether the map
     commutes with the hull (statement 0 of the phase chain, all that the
     commutation premises of B3_2 and S3_3 read), and `_rows`, all five
@@ -479,7 +486,7 @@ class HullContext:
         self._attractors: dict[tuple[int, ...], SetSystem] = {}
 
     @cached_property
-    def _cl(self) -> list[int]:
+    def _cl(self) -> Sequence[int]:
         n = self._system().ground.size
         return closure_map_of(n, family_of(n, self._system().masks), self.conv)
 
@@ -495,3 +502,29 @@ class HullContext:
     @cached_property
     def _unfamily(self) -> frozenset[int]:
         return frozenset(un_ov(self._compl).masks)
+
+    @cached_property
+    def _side(self) -> "_Side":
+        return _Side.of(self._system().ground.size, self._system().masks)
+
+    @cached_property
+    def _compl_side(self) -> "_Side":
+        return _Side.of(self._system().ground.size, self._compl.masks)
+
+
+class _Side(NamedTuple):
+    """One side of Cantor's memberships over a system on n points: its
+    nonempty members, their family bitmask and that family's up-closure
+    (every subset holding a nonempty member).  Its family bitmask is
+    folded by family_of, which caps n at DEFAULT_ENUM_CAP."""
+
+    n: int
+    members: tuple[int, ...]
+    family: int
+    up: int
+
+    @classmethod
+    def of(cls, n: int, masks: Sequence[int]) -> "_Side":
+        members = tuple(m for m in masks if m)
+        family = family_of(n, members)
+        return cls(n, members, family, kernels.up_closure(n, family))

@@ -29,9 +29,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
+from operator import getitem
 from typing import Any, Callable, Hashable, Iterator, NamedTuple, Optional
 
-from . import kernels
+from . import cantor, kernels
 from .attract import (
     CoherenceVariant,
     free_attractors,
@@ -42,11 +43,9 @@ from .attract import (
 from .cantor import (
     ALL_STATEMENTS,
     PhaseChainRecord,
-    cantor_membership,
     chain_bits,
     explication_check,
     fibration_integrity,
-    is_commutative_cantor,
     preserves_unfamily,
 )
 from .dynsys import Autobolism, DiscreteFlow, EndoFunction, invariant_sets, orbit_partition
@@ -165,24 +164,54 @@ class _Product(Sequence):
     """The tuples of a mixed-radix product, one entry from each factor, in
     the order of itertools.product: the last factor varies fastest.  Item
     `ordinal` is built on indexing from the ordinal's digits (Knuth, TAOCP
-    4A, 7.2.1.1), so a caller builds only the tuples it visits."""
+    4A, 7.2.1.1), so a caller builds only the tuples it visits; `run`
+    builds a run of consecutive items from the digits of its first."""
 
     def __init__(self, *factors: Sequence) -> None:
-        self.radices = tuple((f, len(f)) for f in reversed(factors))
+        self.factors = factors
         self.size = math.prod(len(f) for f in factors)
 
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, ordinal: int) -> tuple:
+    def _digits(self, ordinal: int) -> list[int]:
+        """The digits of `ordinal`, one per factor, the last factor's
+        last: its unranking."""
         if not 0 <= ordinal < self.size:
             raise IndexError(ordinal)
         out = []
-        for factor, radix in self.radices:
-            ordinal, digit = divmod(ordinal, radix)
-            out.append(factor[digit])
+        for factor in reversed(self.factors):
+            ordinal, digit = divmod(ordinal, len(factor))
+            out.append(digit)
         out.reverse()
-        return tuple(out)
+        return out
+
+    def __getitem__(self, ordinal: int) -> tuple:
+        return tuple(map(getitem, self.factors, self._digits(ordinal)))
+
+    def run(self, start: int, stop: int) -> Iterator[tuple]:
+        """Items `start` to `stop` - 1, in order, for 0 <= start < stop <=
+        len(self): `start` is unranked once, and each next item steps the
+        last factor, carrying into the factors before it where it wraps."""
+        digits = self._digits(start)
+        *outer, inner = self.factors
+        values = list(map(getitem, outer, digits))
+        first, left = digits[-1], stop - start
+        while True:
+            head = tuple(values)
+            last = min(len(inner), first + left)
+            for value in map(inner.__getitem__, range(first, last)):
+                yield head + (value,)
+            left -= last - first
+            if not left:
+                return
+            first, i = 0, len(outer) - 1
+            while digits[i] + 1 == len(outer[i]):
+                digits[i] = 0
+                values[i] = outer[i][0]
+                i -= 1
+            digits[i] += 1
+            values[i] = outer[i][digits[i]]
 
 
 class _Mapped(Sequence):
@@ -361,13 +390,23 @@ def _check_l1_3(
     return _fails(f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else ""))
 
 
+def _idempotent(cl: Sequence[int]) -> bool:
+    """Whether the table `cl` (of a map of subset masks, such as a closure
+    table) composed with itself is `cl`.  A table of bytes (up to 4 points)
+    is translated through itself, padded to the 256 entries of a
+    translation table, in one call; a list is composed cell by cell."""
+    if isinstance(cl, bytes):
+        return cl.translate(cl.ljust(256, b"\0")) == cl
+    return [cl[c] for c in cl] == cl
+
+
 def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int]) -> Verdict:
     # None: a system that does not cover the ground, which only a document
     # holds, as every family a sweep draws covers it
     if family is None:
         return _skip("system does not cover the ground")
     cl = closure_map_of(ground.size, family, conv)
-    if [cl[c] for c in cl] == cl:
+    if _idempotent(cl):
         return _HOLDS
     z = next(z for z, c in enumerate(cl) if cl[c] != c)
     return _fails(f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}")
@@ -435,8 +474,12 @@ def _check_s2_2(
 
 def _commutes(flow: DiscreteFlow, sys: SetSystem, conv: ClosureConvention) -> bool:
     """Whether the flow commutes with the hull: whether every generator
-    does, as commuting is closed under composition."""
-    return all(is_commutative_cantor(g, sys, conv) for g in flow.generators())
+    does, as commuting is closed under composition.  Each generator's
+    verdict is kept in the system's context (is_commutative_cantor's,
+    without its comparison of the grounds, which a sweep's factor values
+    share)."""
+    ctx = sys.context(conv)
+    return all(cantor._commutes(ctx, g) for g in flow.generators())
 
 
 def _check_b3_2(
@@ -580,8 +623,7 @@ def _check_b3_10(
 ) -> Verdict:
     if not f.is_bijective():
         return _skip("not a bijection")
-    plus = cantor_membership(f, sys, True)
-    minus = cantor_membership(f, sys, False)
+    plus, minus = cantor._system_memberships(f, sys, conv)
     if plus == minus:
         return _HOLDS
     return _fails(f"plus={plus} minus={minus}")
@@ -988,12 +1030,18 @@ def check_theorem(
 SHARE_BLOCK = 64
 
 
-def _share(size: int, worker: int, jobs: int) -> Iterator[int]:
-    """The ordinals below `size` whose block `ordinal // SHARE_BLOCK` is
-    `worker` modulo `jobs`, ascending."""
+def _share_blocks(size: int, worker: int, jobs: int) -> Iterator[range]:
+    """The blocks of ordinals below `size`, `ordinal // SHARE_BLOCK` alike
+    in each, whose number is `worker` modulo `jobs`, ascending."""
     block = SHARE_BLOCK
     for start in range(worker * block, size, jobs * block):
-        yield from range(start, min(start + block, size))
+        yield range(start, min(start + block, size))
+
+
+def _share(size: int, worker: int, jobs: int) -> Iterator[int]:
+    """The ordinals of _share_blocks, ascending."""
+    for block in _share_blocks(size, worker, jobs):
+        yield from block
 
 
 # Sweeps draw every tuple of factor values through these two names, which
@@ -1003,10 +1051,11 @@ def _exhaustive_instances(
     theorem: TheoremId, n: int, worker: int, jobs: int
 ) -> Iterator[tuple[int, tuple]]:
     """One worker's share of the claim's exhaustive space, as (ordinal,
-    factor values) pairs: only the share's tuples are indexed."""
+    factor values) pairs: only the share's tuples are built, each block's
+    as one run of the space, unranked once."""
     space = CLAIMS[theorem].space(n)
-    for ordinal in _share(len(space), worker, jobs):
-        yield ordinal, space[ordinal]
+    for block in _share_blocks(len(space), worker, jobs):
+        yield from zip(block, space.run(block.start, block.stop))
 
 
 def _random_instance(theorem: TheoremId, n: int, rnd: random.Random) -> tuple:

@@ -141,13 +141,15 @@ def closure_table(n: int, members: Sequence[int], convention: str) -> list[int]:
     return table
 
 
-def _memberships(element: Sequence[int], members: Sequence[int]) -> tuple[bool, bool]:
+def memberships(element: Sequence[int], members: Sequence[int]) -> tuple[bool, bool]:
     """The plus membership (every nonempty member has a nonempty member
     whose image lies inside it) and the minus membership (every nonempty
-    member's image holds a nonempty member) of one point map."""
+    member's image holds a nonempty member) of one point map, by comparing
+    every pair of nonempty members."""
     nonempty = [m for m in members if m]
-    plus = all(any(image(element, a) & ~m == 0 for a in nonempty) for m in nonempty)
-    minus = all(any(a & ~image(element, m) == 0 for a in nonempty) for m in nonempty)
+    images = [image(element, m) for m in nonempty]
+    plus = all(any(i & ~m == 0 for i in images) for m in nonempty)
+    minus = all(any(a & ~i == 0 for a in nonempty) for i in images)
     return plus, minus
 
 
@@ -161,8 +163,8 @@ def _statements(
     commutes = all(image(element, cl[z]) == cl[image(element, z)] for z in range(1 << n))
     return (
         commutes,
-        *_memberships(element, members),
-        *_memberships(element, [full ^ m for m in members]),
+        *memberships(element, members),
+        *memberships(element, [full ^ m for m in members]),
     )
 
 

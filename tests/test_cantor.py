@@ -1,10 +1,12 @@
 """Cantor-continuity: commutators, memberships, fibration integrity."""
 
 import itertools
+import random
 
 import pytest
 
 import oracles
+from hullflow import cantor
 from hullflow.cantor import (
     cantor_membership,
     explication_check,
@@ -84,6 +86,67 @@ class TestMemberships:
                 assert cantor_membership(f, sys, True) == cantor_membership(
                     finv, sys, False
                 )
+
+
+def membership_cases():
+    """(system, self-map) pairs: every family with every self-map up to 3
+    points; seeded systems of densities 0.1 to 0.8 with seeded self-maps
+    on 4 to 8 points."""
+    for n in (1, 2, 3):
+        ground = GroundSet(n)
+        maps = [EndoFunction.of(ground, image) for image in itertools.product(range(n), repeat=n)]
+        for members in oracles.families(n):
+            sys = SetSystem(ground, tuple(members))
+            yield from ((sys, f) for f in maps)
+    rnd = random.Random(19)
+    for n in range(4, 9):
+        ground = GroundSet(n)
+        for density in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+            for _ in range(6):
+                sys = SetSystem(ground, tuple(m for m in range(1 << n) if rnd.random() < density))
+                for _ in range(2):
+                    yield sys, EndoFunction.of(ground, [rnd.randrange(n) for _ in range(n)])
+
+
+class TestMembershipsAgainstPairScan:
+    # the memberships from up-closures of family bitmasks, against the
+    # pair scan they replaced, on both sides, both signs and under both
+    # conventions: cantor_membership, explication_check and K3_9's rows
+
+    def test_every_route_matches_the_pair_scan(self):
+        outcomes = set()
+        for sys, f in membership_cases():
+            full = sys.ground.full_mask
+            plus, minus = oracles.memberships(f.image, sys.masks)
+            plus_c, minus_c = oracles.memberships(f.image, [full ^ m for m in sys.masks])
+            outcomes.add((plus, minus, plus_c, minus_c))
+            assert cantor_membership(f, sys, True) == plus, (sys, f.image)
+            assert cantor_membership(f, sys, False) == minus, (sys, f.image)
+            for conv in ClosureConvention:
+                rec = explication_check(f, sys, conv)
+                assert (rec.rhs_system, rec.rhs_complement) == (
+                    plus and minus, plus_c and minus_c
+                ), (sys, f.image, conv)
+                row = cantor._row(sys.context(conv), f)
+                assert [row >> i & 1 for i in range(1, 5)] == [plus, minus, plus_c, minus_c], (
+                    sys, f.image, conv
+                )
+        # every combination of the four verdicts occurs
+        assert len(outcomes) == 16
+
+    def test_beyond_the_enumeration_cap_matches_the_pair_scan(self):
+        # above DEFAULT_ENUM_CAP no family bitmask is built: the members
+        # are compared pair by pair, point by point
+        rnd = random.Random(23)
+        ground = GroundSet(24)
+        for _ in range(40):
+            members = tuple(rnd.getrandbits(24) & rnd.getrandbits(24) for _ in range(rnd.randint(1, 6)))
+            sys = SetSystem(ground, members)
+            image = [rnd.randrange(24) for _ in range(24)]
+            f = EndoFunction.of(ground, image)
+            plus, minus = oracles.memberships(image, sys.masks)
+            assert cantor_membership(f, sys, True) == plus
+            assert cantor_membership(f, sys, False) == minus
 
 
 class TestPreservesUnfamily:

@@ -25,10 +25,10 @@ class TestPureKernels:
     def test_closure_table_small(self):
         # sources {1}=0b01 and 0b11 over two points
         table = kernels.closure_table(2, [0b01, 0b11])
-        assert table == [0b01, 0b01, 0b11, 0b11]
+        assert list(table) == [0b01, 0b01, 0b11, 0b11]
 
     def test_closure_table_empty_family(self):
-        assert kernels.closure_table(1, []) == [0, 0]
+        assert list(kernels.closure_table(1, [])) == [0, 0]
 
     def test_hull_value_union_vs_intersection(self):
         sources = [0b011, 0b101]
@@ -48,6 +48,25 @@ class TestPureKernels:
         assert kernels.orbit_blocks(3, [[1, 2, 0]]) == [0b111]
 
 
+class TestUpClosure:
+    def test_matches_superset_scan(self):
+        # every family up to n=3, seeded ones up to n=8: the up-closure
+        # holds a subset exactly when some member lies inside it
+        cases = [(n, family) for n in (1, 2, 3) for family in range(1 << (1 << n))]
+        rnd = random.Random(17)
+        cases += [
+            (n, rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n))
+            for n in range(4, 9)
+            for _ in range(40)
+        ]
+        for n, family in cases:
+            members = [m for m in range(1 << n) if family >> m & 1]
+            expected = sum(
+                1 << z for z in range(1 << n) if any(m & ~z == 0 for m in members)
+            )
+            assert kernels.up_closure(n, family) == expected, (n, family)
+
+
 class TestHullTable:
     def test_matches_per_subset_scan(self):
         # n <= 4 looks the table up, n > 4 runs the 16-cell block passes
@@ -61,7 +80,7 @@ class TestHullTable:
             ]
         for n, sources in families:
             expected = [kernels.hull_value(sources, z, 1, 1) for z in range(1 << n)]
-            assert kernels.closure_table(n, sources) == expected, (n, sources)
+            assert list(kernels.closure_table(n, sources)) == expected, (n, sources)
 
     def test_lookup_matches_per_subset_scan(self):
         # n <= 4 folds the tables of the family bitmask's two bytes: every
@@ -76,18 +95,19 @@ class TestHullTable:
         for n, family in families:
             sources = [m for m in range(1 << n) if family >> m & 1]
             expected = [kernels.hull_value(sources, z, 1, 1) for z in range(1 << n)]
-            assert kernels.closure_table(n, sources) == expected, (n, sources)
+            assert list(kernels.closure_table(n, sources)) == expected, (n, sources)
 
     def test_lookup_rejects_a_source_outside_the_ground(self):
         with pytest.raises(IndexError):
             kernels.closure_table(2, [0b100])
 
     def test_import_builds_no_lookup_table(self):
-        # the byte tables are built on first use, so importing the CLI
-        # (the benchmark's setup) pays nothing for them
+        # the byte tables and the passes of up_closure are built on first
+        # use, so importing the CLI (the benchmark's setup) pays nothing
+        # for them
         code = (
             "import hullflow.cli, hullflow.kernels as k;"
-            "print(k._byte_tables.cache_info().currsize)"
+            "print(k._byte_tables.cache_info().currsize + k._up_passes.cache_info().currsize)"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)

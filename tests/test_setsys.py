@@ -229,7 +229,7 @@ class TestHull:
                     closure(sys, Subset(ground, z), conv).bits
                     for z in range(1 << ground.size)
                 ]
-                assert closure_map(sys, conv) == expect, (sys, conv)
+                assert list(closure_map(sys, conv)) == expect, (sys, conv)
 
 
 def scanned_closure(n, members, z, conv):
@@ -268,7 +268,7 @@ class TestFamilyRoutes:
             family = sum(1 << m for m in members)
             for conv in (FULL, NONEMPTY):
                 expect = [scanned_closure(n, members, z, conv) for z in range(1 << n)]
-                assert closure_map_of(n, family, conv) == expect, (n, members, conv)
+                assert list(closure_map_of(n, family, conv)) == expect, (n, members, conv)
 
     def test_single_subset_matches_table(self):
         cases = [

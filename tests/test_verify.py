@@ -18,7 +18,7 @@ import oracles
 from hullflow import attract, cantor, kernels, setsys, verify
 from hullflow.dynsys import DiscreteFlow, EndoFunction
 from hullflow.instances import Instance
-from hullflow.setsys import ClosureConvention, GroundSet, SetSystem
+from hullflow.setsys import ClosureConvention, GroundSet, SetSystem, closure_map_of
 from hullflow.verify import (
     CLAIMS,
     PROVED_CLEAN,
@@ -403,6 +403,35 @@ class TestSweep:
         parallel = sweep(theorem, n, mode, jobs=jobs, **kwargs)
         assert parallel.to_payload() == serial.to_payload()
 
+    def test_idempotence_by_translation_matches_composition(self):
+        # up to 4 points a closure table is bytes, composed with itself by
+        # one translation; the list route composes it cell by cell: every
+        # covering family up to n=4, seeded families at n=5 and 6, and
+        # arbitrary byte tables, most of them not idempotent
+        tables = [
+            closure_map_of(n, family, conv)
+            for n in (1, 2, 3, 4)
+            for family in verify._covering_families(n)
+            for conv in (FULL, NONEMPTY)
+        ]
+        assert all(isinstance(cl, bytes) for cl in tables)
+        rnd = random.Random(13)
+        for n in (5, 6):
+            for conv in (FULL, NONEMPTY):
+                tables += [
+                    closure_map_of(n, rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n), conv)
+                    for _ in range(100)
+                ]
+        assert all(isinstance(cl, list) for cl in tables[-400:])
+        arbitrary = [
+            bytes(rnd.randrange(1 << n) for _ in range(1 << n))
+            for n in (1, 2, 3, 4)
+            for _ in range(500)
+        ]
+        composed = [[cl[c] for c in cl] == list(cl) for cl in tables + arbitrary]
+        assert [verify._idempotent(cl) for cl in tables + arbitrary] == composed
+        assert composed.count(False) > 1000
+
     @pytest.mark.parametrize("conv, fails, built", [(FULL, 0, 0), (NONEMPTY, 470, 32)])
     def test_instances_only_for_kept_witnesses(self, monkeypatch, conv, fails, built):
         # a holding verdict builds no Instance, SetSystem or Verdict; of the
@@ -606,19 +635,29 @@ class TestSweep:
             # none per instance: only building the 15 two-generator flows
             # compares their grounds
             (TheoremId.K3_9, 218 * 21, 15),
+            # the commutation premise compares none: the 15 flows, and
+            # free_attractors once per call where the premise holds
+            (TheoremId.B3_2, 218 * 21, 15),
+            (TheoremId.S3_3, 218 * 21, 218 * 21),
+            # both memberships from the system's context compare none
+            (TheoremId.B3_10, 218 * 6, 0),
         ],
     )
     def test_ground_compared_at_most_once_per_instance(
         self, monkeypatch, theorem, instances, compared
     ):
         # comparing the grounds in each membership as well made 20,610
-        # comparisons in an S3_8_all sweep and 13,095 in a K3_9 sweep
+        # comparisons in an S3_8_all sweep and 13,095 in a K3_9 sweep;
+        # is_commutative_cantor's comparison per generator made 6287 in a
+        # B3_2 sweep and 7076 in an S3_3 sweep, and cantor_membership's
+        # made 2616 in a B3_10 sweep
         comparisons = []
         eq = GroundSet.__eq__
         monkeypatch.setattr(GroundSet, "__eq__", lambda a, b: comparisons.append(1) or eq(a, b))
         rep = sweep(theorem, 3, "exhaustive")
         assert rep.instance_count == instances
-        assert 0 < len(comparisons) <= compared
+        assert len(comparisons) <= compared
+        assert (len(comparisons) > 0) == (compared > 0)
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize(
@@ -966,28 +1005,58 @@ class TestWorkerShares:
 
     @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
     def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
-        # the worker indexes the factor tuples of its own ordinals only, and
-        # keeping no witness (cap 0) builds no Instance
-        indexed, built = [], []
-        getitem, init = verify._Product.__getitem__, Instance.__init__
+        # the worker's walk yields the factor tuples of its own ordinals
+        # only, each the one its ordinal indexes, and keeping no witness
+        # (cap 0) builds no Instance
+        walked, built = [], []
+        walk, init = verify._exhaustive_instances, Instance.__init__
 
-        def indexing(space, ordinal):
-            indexed.append(ordinal)
-            return getitem(space, ordinal)
+        def recording(*args):
+            for pair in walk(*args):
+                walked.append(pair)
+                yield pair
 
         def counting(inst, *args, **kwargs):
             built.append(1)
             init(inst, *args, **kwargs)
 
-        monkeypatch.setattr(verify._Product, "__getitem__", indexing)
+        monkeypatch.setattr(verify, "_exhaustive_instances", recording)
         monkeypatch.setattr(Instance, "__init__", counting)
         total, *_ = verify._evaluate(theorem, n, "exhaustive", None, None, FULL, 0, 1, 2)
         size = closed_form_size(SPACE_KINDS[theorem], n)
         share = [o for o in range(size) if o // verify.SHARE_BLOCK % 2 == 1]
         assert 0 < len(share) < size
         assert total == len(share)
-        assert indexed == share
+        assert [ordinal for ordinal, _ in walked] == share
+        space = CLAIMS[theorem].space(n)
+        assert all(values == space[ordinal] for ordinal, values in walked)
         assert built == []
+
+    def test_walk_unranks_once_per_share_block(self, monkeypatch):
+        # each block's first ordinal is unranked, and the walk steps to
+        # the rest: 1010 unrankings in an IDEM_ydwed n=4 sweep, where
+        # unranking every ordinal makes 64,594
+        unranked = []
+        digits = verify._Product._digits
+        monkeypatch.setattr(
+            verify._Product, "_digits",
+            lambda space, ordinal: unranked.append(ordinal) or digits(space, ordinal),
+        )
+        rep = sweep(TheoremId.IDEM_ydwed, 4, "exhaustive")
+        assert rep.instance_count == 64594
+        assert unranked == list(range(0, 64594, verify.SHARE_BLOCK))
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_walk_matches_indexing_across_carries(self, monkeypatch, block):
+        # blocks that end inside, at and across the wraps of the inner
+        # factors of a three-factor space
+        monkeypatch.setattr(verify, "SHARE_BLOCK", block)
+        space = CLAIMS[TheoremId.COVAR].space(3)
+        for jobs in (1, 2, 3):
+            for worker in range(jobs):
+                pairs = list(verify._exhaustive_instances(TheoremId.COVAR, 3, worker, jobs))
+                assert [o for o, _ in pairs] == list(verify._share(len(space), worker, jobs))
+                assert all(values == space[o] for o, values in pairs)
 
     @pytest.mark.parametrize("jobs", [2, 3, 7])
     def test_shares_match_serial_for_every_claim(self, monkeypatch, recording_pool, jobs):
