@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .dynsys import (
@@ -43,9 +43,6 @@ class CoherenceVariant(Enum):
     MONO_MINUS = "mono-"
 
 
-_MONOTONE = {CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS}
-
-
 def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
     """True when every ordered pair (a, b) of masks from the trace has b
     meeting sat(a), the union of the orbit blocks meeting a.  That is the
@@ -58,6 +55,28 @@ def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
     return True
 
 
+#: The most keys each coherence memo keeps.  Every n=3 sweep asks at most
+#: 1,187 distinct questions of either; the keys are tuples of ints, so a
+#: full memo holds no system or flow alive.
+COHERENCE_MEMO = 4096
+
+
+@lru_cache(maxsize=COHERENCE_MEMO)
+def _coherent(blocks: tuple[int, ...], trace: tuple[int, ...]) -> bool:
+    """The conventional criterion, saturation_coherent, kept by (orbit
+    blocks, trace): it reads nothing else of the flow or the covering."""
+    return saturation_coherent(blocks, trace)
+
+
+@lru_cache(maxsize=COHERENCE_MEMO)
+def _weakly_coherent(rooms: tuple[int, ...], trace: tuple[int, ...]) -> bool:
+    """The weak criterion, kept by (pre-rooms, trace): for any two trace
+    sets, the unions of the pre-rooms meeting each of them meet."""
+    # saturate() unites the members of any family that meet a mask
+    unions = [saturate(rooms, a) for a in trace]
+    return all(u & w for u in unions for w in unions)
+
+
 def free_attractors(
     flow: DiscreteFlow,
     covering: SetSystem,
@@ -68,18 +87,23 @@ def free_attractors(
     per variant asked for, in that order: the nonempty invariant sets whose
     trace under the covering passes the variant's coherence criterion.
 
-    Each trace is taken once and decided once for all the variants but the
-    weak one.  The monotone variants share the conventional decision by
-    periodicity on cyclic flows: a witness within one generator period
-    yields infinitely many strictly increasing (or decreasing) witness
-    times.  The weak criterion asks instead that, for any two trace sets,
-    the unions of the pre-rooms meeting each of them meet."""
+    Each trace is taken once, as a sorted tuple, and decided once for all
+    the variants but the weak one.  The monotone variants share the
+    conventional decision by periodicity on cyclic flows: a witness within
+    one generator period yields infinitely many strictly increasing (or
+    decreasing) witness times.  The weak criterion asks instead that, for
+    any two trace sets, the unions of the pre-rooms meeting each of them
+    meet.  Each criterion is a pure function of its key, (orbit blocks,
+    trace) or (pre-rooms, trace), so each key is decided once per process
+    while its memo holds it."""
     if covering.ground != flow.ground:
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
         raise ValueError("relativizing system must cover the flow's ground")
     candidates = flow._invariant
-    if _MONOTONE.intersection(variants) and not flow.is_cyclic:
+    if (
+        CoherenceVariant.MONO_PLUS in variants or CoherenceVariant.MONO_MINUS in variants
+    ) and not flow.is_cyclic:
         raise VariantUnsupportedError(
             "monotone coherence needs integer time; use a cyclic flow"
         )
@@ -89,18 +113,18 @@ def free_attractors(
     if weak:
         # the pre-rooms: the orbits' closures, read off the covering's table
         table = covering.context(conv)._cl
-        rooms = {table[b] for b in blocks}
+        rooms = tuple(sorted({table[b] for b in blocks}))
+    masks = covering.masks
     coherent: list[int] = []
     weakly_coherent: list[int] = []
     for theta in candidates:
-        trace = sorted({m & theta for m in covering.masks} - {0})
-        if conventional and saturation_coherent(blocks, trace):
+        traced = {m & theta for m in masks}
+        traced.discard(0)
+        trace = tuple(sorted(traced))
+        if conventional and _coherent(blocks, trace):
             coherent.append(theta)
-        if weak:
-            # saturate() unites the members of any family that meet a mask
-            unions = [saturate(rooms, a) for a in trace]
-            if all(u & w for u in unions for w in unions):
-                weakly_coherent.append(theta)
+        if weak and _weakly_coherent(rooms, trace):
+            weakly_coherent.append(theta)
     strong = SetSystem(flow.ground, tuple(coherent))
     weakly = SetSystem(flow.ground, tuple(weakly_coherent)) if weak else strong
     return tuple(weakly if v is CoherenceVariant.WEAK else strong for v in variants)

@@ -23,6 +23,7 @@ from .setsys import (
     GroundMismatchError,
     GroundSet,
     SetSystem,
+    _check_enum,
 )
 
 
@@ -56,12 +57,13 @@ class EndoFunction:
 
     def mask_table(self) -> list[int]:
         """The image of every subset, indexed by mask, built once on first
-        use; its callers hold a closure table, so the ground is within the
-        enumeration cap."""
+        use.  Its 2^n cells are built only within the enumeration cap:
+        above it CapExceededError is raised."""
         return self._table
 
     @cached_property
     def _table(self) -> list[int]:
+        _check_enum(self.ground.size)
         return kernels.perm_table(self.image)
 
     def is_bijective(self) -> bool:

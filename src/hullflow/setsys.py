@@ -114,6 +114,12 @@ class SetSystem:
         return reduce(operator.or_, self.masks, 0)
 
     def covers_ground(self) -> bool:
+        return self._covers
+
+    @cached_property
+    def _covers(self) -> bool:
+        # private, as per-layer tracing (sweepbench) replaces public cached
+        # properties with functions
         return reduce(operator.or_, self.masks, 0) == (1 << self.ground.size) - 1
 
     def without_empty(self) -> "SetSystem":

@@ -122,7 +122,8 @@ class Verdict:
 
 
 # Verdicts are frozen, so one serves every holding or skipped instance
-# with the same note.
+# with the same note, and one every failing instance of K3_9 or S3_8 with
+# the same statements (`_chain_fails`, `_explication_fails`).
 
 @functools.cache
 def _holds(note: str = "") -> Verdict:
@@ -599,9 +600,16 @@ def _check_s3_8(
     rec = explication_check(f, sys, conv)
     if rec.agree:
         return _HOLDS
+    return _explication_fails(rec.lhs, rec.rhs_system, rec.rhs_complement)
+
+
+@functools.cache
+def _explication_fails(lhs: bool, rhs_system: bool, rhs_complement: bool) -> Verdict:
+    """S3_8's failing verdict, one per triple of statements, as its note
+    names them and nothing else."""
     return _fails(
-        f"commutative={rec.lhs} two-sided(system)={rec.rhs_system} "
-        f"two-sided(complement)={rec.rhs_complement}"
+        f"commutative={lhs} two-sided(system)={rhs_system} "
+        f"two-sided(complement)={rhs_complement}"
     )
 
 
@@ -615,6 +623,13 @@ def _check_k3_9(
     bits = chain_bits(flow.gens, sys.context(conv))
     if bits == 0 or bits == ALL_STATEMENTS:
         return _HOLDS
+    return _chain_fails(bits)
+
+
+@functools.cache
+def _chain_fails(bits: int) -> Verdict:
+    """K3_9's failing verdict, one per statement bitmask, as its note names
+    the statements and nothing else."""
     return _fails(f"chain statements {PhaseChainRecord.of_bits(bits).statements}")
 
 

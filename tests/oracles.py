@@ -6,8 +6,10 @@ These routines do list it, breadth-first over plain image tuples from the
 identity, and decide coherence by scanning every element.  The library
 decides K3_9's phase chain on the generators; `chain_statements` decides
 it on every listed element, with each hull taken by its own scan of the
-complements.  They use none of the routines they are compared with
-(`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
+complements.  The library keeps each coherence decision in a memo by its
+key; `attractors` takes every trace and decides it afresh by scanning
+every pair of trace sets.  They use none of the routines they are
+compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
 `attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
 so a test that compares the two routes checks one against the other.
 
@@ -124,6 +126,48 @@ def trace_coherent(tables: list[list[int]], trace: Sequence[int]) -> bool:
     return all(any(t[a] & b for t in tables) for a in trace for b in trace)
 
 
+def orbits(gens: Sequence) -> list[int]:
+    """The orbits of the group generated by the point maps `gens`, as
+    masks, ascending: each point's images under every listed element."""
+    elements = group(gens)
+    return sorted({sum({1 << g[x] for g in elements}) for x in range(len(elements[0]))})
+
+
+def _saturation(family: Sequence[int], a: int) -> int:
+    """The union of the members of `family` that meet a."""
+    out = 0
+    for m in family:
+        if m & a:
+            out |= m
+    return out
+
+
+def attractors(
+    n: int, gens: Sequence, members: Sequence[int], convention: str
+) -> tuple[list[int], list[int]]:
+    """The conventional and the weak free attractors, ascending, of the
+    flow of `gens` relative to the covering `members` on n points, with no
+    memo: the nonempty sets every element maps onto themselves, each
+    traced by intersecting it with every member, then a scan of every pair
+    of trace sets.  Conventional: b meets the union of the orbits meeting
+    a.  Weak: the unions of the pre-rooms (the orbits' closures) meeting a
+    and b meet."""
+    elements = group(gens)
+    blocks = orbits(gens)
+    cl = closure_table(n, members, convention)
+    rooms = [cl[b] for b in blocks]
+    conventional, weak = [], []
+    for theta in range(1, 1 << n):
+        if any(image(g, theta) != theta for g in elements):
+            continue
+        trace = [m & theta for m in members if m & theta]
+        if all(b & _saturation(blocks, a) for a in trace for b in trace):
+            conventional.append(theta)
+        if all(_saturation(rooms, a) & _saturation(rooms, b) for a in trace for b in trace):
+            weak.append(theta)
+    return conventional, weak
+
+
 def closure_table(n: int, members: Sequence[int], convention: str) -> list[int]:
     """The closure of every subset, indexed by mask, each by its own scan:
     the intersection of the member complements containing it, the empty
@@ -166,6 +210,18 @@ def _statements(
         *memberships(element, members),
         *memberships(element, [full ^ m for m in members]),
     )
+
+
+def explication(
+    n: int, members: Sequence[int], element: Sequence[int], convention: str
+) -> tuple[bool, bool, bool]:
+    """S3_8's three statements on one point map over the system `members`
+    on n points: commuting with the closure table, both memberships over
+    the system, both over its complement system."""
+    commutes, plus, minus, plus_compl, minus_compl = _statements(
+        element, closure_table(n, members, convention), members, n
+    )
+    return commutes, plus and minus, plus_compl and minus_compl
 
 
 def chain_statements(

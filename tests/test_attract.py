@@ -1,11 +1,14 @@
 """Attractors: free, topological, coherence variants, rooms, transport."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 import oracles
+from hullflow import attract
 from hullflow.attract import (
     CoherenceVariant,
     VariantUnsupportedError,
@@ -26,7 +29,7 @@ from hullflow.setsys import (
     Subset,
     closure_map,
 )
-from hullflow.verify import TheoremId, check_theorem
+from hullflow.verify import TheoremId, check_theorem, sweep
 
 G2 = GroundSet(2)
 G3 = GroundSet(3)
@@ -153,6 +156,128 @@ class TestFreeAttractors:
                     for conv in ClosureConvention:
                         [got] = free_attractors(flow, covering, conv)
                         assert got.masks == expected, (gens, covering, conv)
+
+
+CONVENTIONAL, WEAK = CoherenceVariant.CONVENTIONAL, CoherenceVariant.WEAK
+
+#: The variant tuples asked for: each criterion alone, and every variant
+#: in both orders.
+VARIANT_TUPLES = [
+    (CONVENTIONAL,), (WEAK,), tuple(CoherenceVariant), tuple(reversed(CoherenceVariant)),
+]
+
+
+def _clear_memos():
+    attract._coherent.cache_clear()
+    attract._weakly_coherent.cache_clear()
+
+
+class TestCoherenceMemos:
+    # each criterion is decided once per key while its memo holds it: the
+    # families must be those of the plain definition, whatever the memos
+    # already hold
+
+    @staticmethod
+    def _compare(flow, gens, covering, conv):
+        n = flow.ground.size
+        conventional, weak = oracles.attractors(n, gens, covering.masks, conv.value)
+        for variants in VARIANT_TUPLES:
+            if not flow.is_cyclic and variants != (CONVENTIONAL,) and variants != (WEAK,):
+                with pytest.raises(VariantUnsupportedError):
+                    free_attractors(flow, covering, conv, variants)
+                continue
+            got = free_attractors(flow, covering, conv, variants)
+            want = tuple(tuple(weak if v is WEAK else conventional) for v in variants)
+            assert tuple(f.masks for f in got) == want, (gens, covering, conv, variants)
+
+    def test_families_match_the_plain_definition(self):
+        # every cycle and every generator set of size one or two, every
+        # covering, both conventions, on up to three points
+        for n in (1, 2, 3):
+            ground = GroundSet(n)
+            perms = [Autobolism.of(ground, p) for p in itertools.permutations(range(n))]
+            gensets = [(p,) for p in perms] + list(itertools.combinations(perms, 2))
+            flows = [(DiscreteFlow.cyclic(p), (p,)) for p in perms]
+            flows += [(DiscreteFlow.of_group(gens), gens) for gens in gensets]
+            coverings = [SetSystem(ground, tuple(c)) for c in oracles.coverings(n)]
+            for flow, gens in flows:
+                for covering in coverings:
+                    for conv in ClosureConvention:
+                        self._compare(flow, gens, covering, conv)
+
+    def test_seeded_families_match_the_plain_definition(self):
+        rnd = random.Random(20)
+        for _ in range(300):
+            n = rnd.randint(4, 6)
+            ground = GroundSet(n)
+            gens = []
+            for _ in range(rnd.choice((1, 2))):
+                image = list(range(n))
+                rnd.shuffle(image)
+                gens.append(Autobolism.of(ground, image))
+            cyclic = len(gens) == 1 and rnd.random() < 0.5
+            flow = DiscreteFlow.cyclic(gens[0]) if cyclic else DiscreteFlow.of_group(gens)
+            masks = [m for m in range(1 << n) if rnd.random() < 0.3] + [ground.full_mask]
+            covering = SetSystem(ground, tuple(masks))
+            self._compare(flow, gens, covering, rnd.choice(list(ClosureConvention)))
+
+    def test_chain_sweep_decides_each_key_once(self):
+        # an n=3 CHAIN_karrenk sweep asks 3,706 questions of each criterion:
+        # 581 distinct (orbit blocks, trace) keys and 1,187 distinct
+        # (pre-rooms, trace) keys, all within the fixed bound
+        for memo in (attract._coherent, attract._weakly_coherent):
+            assert memo.cache_info().maxsize == attract.COHERENCE_MEMO == 4096
+        for conv in ClosureConvention:
+            _clear_memos()
+            sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
+            conventional = attract._coherent.cache_info()
+            weak = attract._weakly_coherent.cache_info()
+            assert (conventional.misses, conventional.hits) == (581, 3706 - 581)
+            assert (weak.misses, weak.hits) == (1187, 3706 - 1187)
+
+    def test_seeded_flows_decide_each_key_once(self):
+        # on four to six points, where a trace's sets need not come out of
+        # a set in ascending order: one miss per distinct (orbit blocks,
+        # trace sets) and per distinct (pre-rooms, trace sets)
+        rnd = random.Random(21)
+        _clear_memos()
+        conventional, weak = set(), set()
+        for _ in range(200):
+            n = rnd.randint(4, 6)
+            ground = GroundSet(n)
+            image = list(range(n))
+            rnd.shuffle(image)
+            flow = DiscreteFlow.cyclic(Autobolism.of(ground, image))
+            masks = [m for m in range(1 << n) if rnd.random() < 0.3] + [ground.full_mask]
+            covering = SetSystem(ground, tuple(masks))
+            free_attractors(flow, covering, variants=(CONVENTIONAL, WEAK))
+            blocks = frozenset(oracles.orbits([image]))
+            cl = oracles.closure_table(n, covering.masks, "full")
+            rooms = frozenset(cl[b] for b in blocks)
+            for theta in invariant_sets(flow).masks:
+                trace = frozenset(m & theta for m in covering.masks) - {0}
+                conventional.add((blocks, trace))
+                weak.add((rooms, trace))
+        assert attract._coherent.cache_info().misses == len(conventional)
+        assert attract._weakly_coherent.cache_info().misses == len(weak)
+
+    def test_random_sweep_leaves_the_memos_at_most_full(self):
+        _clear_memos()
+        rep = sweep(TheoremId.CHAIN_karrenk, 4, "random", samples=3000, seed=0)
+        assert rep.instance_count == 3000
+        for memo in (attract._coherent, attract._weakly_coherent):
+            info = memo.cache_info()
+            assert info.misses > info.maxsize >= info.currsize
+
+    def test_memos_keep_no_flow_or_system_alive(self):
+        # the keys are tuples of ints
+        flow = DiscreteFlow.cyclic(Autobolism.of(G3, [1, 0, 2]))
+        covering = SetSystem.of(G3, [[0], [0, 1], [2]])
+        free_attractors(flow, covering, variants=tuple(CoherenceVariant))
+        dropped = [weakref.ref(flow), weakref.ref(covering)]
+        del flow, covering
+        gc.collect()
+        assert [ref() for ref in dropped] == [None, None]
 
 
 class TestTopologicalAttractors:

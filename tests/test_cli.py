@@ -378,6 +378,24 @@ class TestCommands:
             assert (code, out) == (2, "")
             assert err == f"hullflow: error: ground size {n} exceeds enumeration cap 20\n"
 
+    @pytest.mark.parametrize("n", [40, 64])
+    @pytest.mark.parametrize("theorem", ["S3_8_all", "S3_8_bij", "K3_9", "B3_2"])
+    def test_verify_maps_beyond_the_enumeration_cap(self, capsys, tmp_path, theorem, n):
+        # hull commutation reads a map's table of every subset's image,
+        # whose 2^n cells are not built above the cap
+        rotation = list(range(1, n)) + [0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "ground": n,
+            "systems": {"A": [[x] for x in range(n)]},
+            "permutations": {"c": rotation},
+            "flows": {"phi": {"cyclic": "c"}},
+            "functions": {"f": rotation},
+        }))
+        code, out, err = run_cli(capsys, "verify", theorem, "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"hullflow: error: ground size {n} exceeds enumeration cap 20\n"
+
     def test_invariant_topology_of_the_identity(self, capsys, tmp_path):
         # unions of orbit blocks are listed one step per set, up to the
         # 2^20 cap on invariant sets

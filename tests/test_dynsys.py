@@ -20,6 +20,7 @@ from hullflow.dynsys import (
 )
 from hullflow.setsys import (
     DEFAULT_ENUM_CAP,
+    CapExceededError,
     GroundMismatchError,
     GroundSet,
     SetSystem,
@@ -83,6 +84,15 @@ class TestSelfMaps:
             f = EndoFunction.of(GroundSet(n), image)
             for mask in [0, (1 << n) - 1] + [rnd.getrandbits(n) for _ in range(50)]:
                 assert f.apply_mask(mask) == oracles.image(image, mask)
+
+    @pytest.mark.parametrize("n", [DEFAULT_ENUM_CAP + 1, 40, 64])
+    def test_mask_table_above_the_cap_raises(self, n):
+        # 2^n cells are never built beyond the enumeration cap; a subset's
+        # image is still taken point by point
+        f = Autobolism.identity(GroundSet(n))
+        with pytest.raises(CapExceededError, match=f"ground size {n} exceeds enumeration cap"):
+            f.mask_table()
+        assert f.apply_mask(0b101) == 0b101
 
     def test_autobolism_is_an_endofunction(self, rot):
         assert isinstance(rot, EndoFunction)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hullflow import kernels
+from hullflow import kernels, setsys
 from hullflow.setsys import (
     CapExceededError,
     ClosureConvention,
@@ -138,6 +138,14 @@ class TestSetSystem:
             assert dropped() is None
         finally:
             gc.enable()
+
+    def test_coverage_decided_once_per_system(self, monkeypatch):
+        # the claims over a system ask for its coverage on every instance
+        s, gap = system(G3, [0], [1, 2]), system(G3, [0], [1])
+        assert s.covers_ground() and not gap.covers_ground()
+        monkeypatch.setattr(setsys, "reduce", None)
+        assert s.covers_ground() and not gap.covers_ground()
+        assert pickle.loads(pickle.dumps(s)).covers_ground()
 
     def test_copies_make_contexts_of_their_own(self):
         s = system(G3, [0], [0, 1], [2])

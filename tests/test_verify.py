@@ -627,6 +627,38 @@ class TestSweep:
             counts = (rep.hold_count, rep.fail_count, rep.skip_count)
             assert counts == oracles.k3_9_counts(n, conv.value), n
 
+    def test_k3_9_failing_verdicts_name_their_own_statements(self):
+        # one failing verdict serves every instance with the same statement
+        # bitmask, and only those: each of the 1200 witnesses' notes names
+        # the statements the group-listing oracle finds on it
+        rep = sweep(TheoremId.K3_9, 3, "exhaustive", max_counterexamples=1200)
+        assert len(rep.counterexamples) == 1200
+        for cex in rep.counterexamples:
+            doc = cex["instance"]
+            members = [sum(1 << x for x in m) for m in doc["systems"]["A"]]
+            gens = [doc["permutations"][k] for k in sorted(doc["permutations"])]
+            statements = oracles.chain_statements(3, members, gens, "full")
+            assert cex["note"] == f"chain statements {statements}", doc
+        assert len({c["note"] for c in rep.counterexamples}) > 1
+
+    def test_s3_8_failing_verdicts_name_their_own_statements(self):
+        # one failing verdict per (commutative, two-sided over the system,
+        # two-sided over the complement) triple, checked on every witness
+        rep = sweep(TheoremId.S3_8_all, 3, "exhaustive", max_counterexamples=2124)
+        assert len(rep.counterexamples) == rep.fail_count == 2124
+        for cex in rep.counterexamples:
+            doc = cex["instance"]
+            members = [sum(1 << x for x in m) for m in doc["systems"]["A"]]
+            lhs, system, complement = oracles.explication(
+                3, members, doc["functions"]["f"], "full"
+            )
+            note = (
+                f"commutative={lhs} two-sided(system)={system} "
+                f"two-sided(complement)={complement}"
+            )
+            assert cex["note"] == note, doc
+        assert len({c["note"] for c in rep.counterexamples}) > 1
+
     @pytest.mark.parametrize(
         "theorem, instances, compared",
         [
