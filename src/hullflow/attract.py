@@ -55,26 +55,30 @@ def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
     return True
 
 
-#: The most keys each coherence memo keeps.  Every n=3 sweep asks at most
-#: 1,187 distinct questions of either; the keys are tuples of ints, so a
-#: full memo holds no system or flow alive.
-COHERENCE_MEMO = 4096
-
-
-@lru_cache(maxsize=COHERENCE_MEMO)
-def _coherent(blocks: tuple[int, ...], trace: tuple[int, ...]) -> bool:
-    """The conventional criterion, saturation_coherent, kept by (orbit
-    blocks, trace): it reads nothing else of the flow or the covering."""
-    return saturation_coherent(blocks, trace)
-
-
-@lru_cache(maxsize=COHERENCE_MEMO)
-def _weakly_coherent(rooms: tuple[int, ...], trace: tuple[int, ...]) -> bool:
-    """The weak criterion, kept by (pre-rooms, trace): for any two trace
-    sets, the unions of the pre-rooms meeting each of them meet."""
+def _weak(rooms: Sequence[int], trace: Sequence[int]) -> bool:
+    """The weak criterion: for any two trace sets, the unions of the
+    pre-rooms meeting each of them meet."""
     # saturate() unites the members of any family that meet a mask
     unions = [saturate(rooms, a) for a in trace]
     return all(u & w for u in unions for w in unions)
+
+
+#: The most keys each coherence memo keeps.  Every n=3 sweep asks at most
+#: 1,187 distinct questions of either.
+COHERENCE_MEMO = 4096
+
+#: The most points on which the memos are asked.  There a key is at most
+#: about 20 ints below 16 (a trace holds at most 15 masks), so both memos
+#: full hold about 2 MB.  On more points a system may have 2^(n-1)
+#: members and a trace as many masks, so one key would grow with 2^n while
+#: keys rarely repeat: each verdict is decided afresh there.
+MEMO_POINTS = 4
+
+#: The conventional criterion kept by (orbit blocks, trace) and the weak one
+#: by (pre-rooms, trace), both as sorted tuples of ints: each reads nothing
+#: else of the flow or the covering, and a key keeps no system or flow alive.
+_coherent = lru_cache(maxsize=COHERENCE_MEMO)(saturation_coherent)
+_weakly_coherent = lru_cache(maxsize=COHERENCE_MEMO)(_weak)
 
 
 def free_attractors(
@@ -94,8 +98,8 @@ def free_attractors(
     decreasing) witness times.  The weak criterion asks instead that, for
     any two trace sets, the unions of the pre-rooms meeting each of them
     meet.  Each criterion is a pure function of its key, (orbit blocks,
-    trace) or (pre-rooms, trace), so each key is decided once per process
-    while its memo holds it."""
+    trace) or (pre-rooms, trace), so on up to MEMO_POINTS points each key
+    is decided once per process while its memo holds it."""
     if covering.ground != flow.ground:
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
@@ -114,6 +118,10 @@ def free_attractors(
         # the pre-rooms: the orbits' closures, read off the covering's table
         table = covering.context(conv)._cl
         rooms = tuple(sorted({table[b] for b in blocks}))
+    if flow.ground.size <= MEMO_POINTS:
+        coherent_by, weak_by = _coherent, _weakly_coherent
+    else:
+        coherent_by, weak_by = saturation_coherent, _weak
     masks = covering.masks
     coherent: list[int] = []
     weakly_coherent: list[int] = []
@@ -121,9 +129,9 @@ def free_attractors(
         traced = {m & theta for m in masks}
         traced.discard(0)
         trace = tuple(sorted(traced))
-        if conventional and _coherent(blocks, trace):
+        if conventional and coherent_by(blocks, trace):
             coherent.append(theta)
-        if weak and _weakly_coherent(rooms, trace):
+        if weak and weak_by(rooms, trace):
             weakly_coherent.append(theta)
     strong = SetSystem(flow.ground, tuple(coherent))
     weakly = SetSystem(flow.ground, tuple(weakly_coherent)) if weak else strong

@@ -122,8 +122,8 @@ class Verdict:
 
 
 # Verdicts are frozen, so one serves every holding or skipped instance
-# with the same note, and one every failing instance of K3_9 or S3_8 with
-# the same statements (`_chain_fails`, `_explication_fails`).
+# with the same note, and one every failing instance of K3_9 with the same
+# statements (`_chain_fails`).
 
 @functools.cache
 def _holds(note: str = "") -> Verdict:
@@ -600,16 +600,9 @@ def _check_s3_8(
     rec = explication_check(f, sys, conv)
     if rec.agree:
         return _HOLDS
-    return _explication_fails(rec.lhs, rec.rhs_system, rec.rhs_complement)
-
-
-@functools.cache
-def _explication_fails(lhs: bool, rhs_system: bool, rhs_complement: bool) -> Verdict:
-    """S3_8's failing verdict, one per triple of statements, as its note
-    names them and nothing else."""
     return _fails(
-        f"commutative={lhs} two-sided(system)={rhs_system} "
-        f"two-sided(complement)={rhs_complement}"
+        f"commutative={rec.lhs} two-sided(system)={rec.rhs_system} "
+        f"two-sided(complement)={rec.rhs_complement}"
     )
 
 

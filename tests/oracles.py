@@ -6,9 +6,9 @@ These routines do list it, breadth-first over plain image tuples from the
 identity, and decide coherence by scanning every element.  The library
 decides K3_9's phase chain on the generators; `chain_statements` decides
 it on every listed element, with each hull taken by its own scan of the
-complements.  The library keeps each coherence decision in a memo by its
-key; `attractors` takes every trace and decides it afresh by scanning
-every pair of trace sets.  They use none of the routines they are
+complements.  On up to four points the library keeps each coherence
+decision in a memo by its key; `attractors` takes every trace and decides
+it afresh by scanning every pair of trace sets.  They use none of the routines they are
 compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
 `attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
 so a test that compares the two routes checks one against the other.
@@ -210,18 +210,6 @@ def _statements(
         *memberships(element, members),
         *memberships(element, [full ^ m for m in members]),
     )
-
-
-def explication(
-    n: int, members: Sequence[int], element: Sequence[int], convention: str
-) -> tuple[bool, bool, bool]:
-    """S3_8's three statements on one point map over the system `members`
-    on n points: commuting with the closure table, both memberships over
-    the system, both over its complement system."""
-    commutes, plus, minus, plus_compl, minus_compl = _statements(
-        element, closure_table(n, members, convention), members, n
-    )
-    return commutes, plus and minus, plus_compl and minus_compl
 
 
 def chain_statements(

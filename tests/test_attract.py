@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -236,13 +237,14 @@ class TestCoherenceMemos:
             assert (weak.misses, weak.hits) == (1187, 3706 - 1187)
 
     def test_seeded_flows_decide_each_key_once(self):
-        # on four to six points, where a trace's sets need not come out of
-        # a set in ascending order: one miss per distinct (orbit blocks,
-        # trace sets) and per distinct (pre-rooms, trace sets)
+        # on four points, where a trace's sets need not come out of a set in
+        # ascending order: one miss per distinct (orbit blocks, trace sets)
+        # and per distinct (pre-rooms, trace sets); on five and six points
+        # no memo is asked
         rnd = random.Random(21)
         _clear_memos()
         conventional, weak = set(), set()
-        for _ in range(200):
+        for _ in range(300):
             n = rnd.randint(4, 6)
             ground = GroundSet(n)
             image = list(range(n))
@@ -251,6 +253,8 @@ class TestCoherenceMemos:
             masks = [m for m in range(1 << n) if rnd.random() < 0.3] + [ground.full_mask]
             covering = SetSystem(ground, tuple(masks))
             free_attractors(flow, covering, variants=(CONVENTIONAL, WEAK))
+            if n > attract.MEMO_POINTS:
+                continue
             blocks = frozenset(oracles.orbits([image]))
             cl = oracles.closure_table(n, covering.masks, "full")
             rooms = frozenset(cl[b] for b in blocks)
@@ -261,13 +265,52 @@ class TestCoherenceMemos:
         assert attract._coherent.cache_info().misses == len(conventional)
         assert attract._weakly_coherent.cache_info().misses == len(weak)
 
-    def test_random_sweep_leaves_the_memos_at_most_full(self):
+    @staticmethod
+    def _held_by_memos(run) -> int:
+        """The bytes the two memos hold after `run()`: what clearing them
+        frees."""
         _clear_memos()
-        rep = sweep(TheoremId.CHAIN_karrenk, 4, "random", samples=3000, seed=0)
-        assert rep.instance_count == 3000
-        for memo in (attract._coherent, attract._weakly_coherent):
-            info = memo.cache_info()
-            assert info.misses > info.maxsize >= info.currsize
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            _clear_memos()
+            gc.collect()
+            return before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_random_sweep_leaves_the_memos_at_most_full(self):
+        # on four points a key is a few small ints, so both memos full hold
+        # a few MB (2.1 MB measured)
+        infos = []
+
+        def run():
+            rep = sweep(TheoremId.CHAIN_karrenk, 4, "random", samples=3000, seed=0)
+            assert rep.instance_count == 3000
+            infos.extend(m.cache_info() for m in (attract._coherent, attract._weakly_coherent))
+
+        assert attract.MEMO_POINTS == 4
+        assert self._held_by_memos(run) < 4_000_000
+        for info in infos:
+            assert info.misses > info.maxsize == info.currsize
+
+    def test_random_sweep_on_ten_points_keeps_nothing(self):
+        # a system on ten points has about 2^9 members, so a trace may hold
+        # hundreds of masks: such keys rarely repeat and are not kept
+        infos = []
+
+        def run():
+            for theorem in (TheoremId.CHAIN_karrenk, TheoremId.B3_4):
+                rep = sweep(theorem, 10, "random", samples=6, seed=0)
+                assert rep.instance_count == 6
+            infos.extend(m.cache_info() for m in (attract._coherent, attract._weakly_coherent))
+
+        # clearing empty memos frees at most allocator noise
+        assert abs(self._held_by_memos(run)) < 1024
+        assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)] * 2
 
     def test_memos_keep_no_flow_or_system_alive(self):
         # the keys are tuples of ints

@@ -641,24 +641,6 @@ class TestSweep:
             assert cex["note"] == f"chain statements {statements}", doc
         assert len({c["note"] for c in rep.counterexamples}) > 1
 
-    def test_s3_8_failing_verdicts_name_their_own_statements(self):
-        # one failing verdict per (commutative, two-sided over the system,
-        # two-sided over the complement) triple, checked on every witness
-        rep = sweep(TheoremId.S3_8_all, 3, "exhaustive", max_counterexamples=2124)
-        assert len(rep.counterexamples) == rep.fail_count == 2124
-        for cex in rep.counterexamples:
-            doc = cex["instance"]
-            members = [sum(1 << x for x in m) for m in doc["systems"]["A"]]
-            lhs, system, complement = oracles.explication(
-                3, members, doc["functions"]["f"], "full"
-            )
-            note = (
-                f"commutative={lhs} two-sided(system)={system} "
-                f"two-sided(complement)={complement}"
-            )
-            assert cex["note"] == note, doc
-        assert len({c["note"] for c in rep.counterexamples}) > 1
-
     @pytest.mark.parametrize(
         "theorem, instances, compared",
         [
