@@ -104,6 +104,17 @@ def free_attractors(
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
         raise ValueError("relativizing system must cover the flow's ground")
+    return _free_attractors(flow, covering, conv, variants)
+
+
+def _free_attractors(
+    flow: DiscreteFlow,
+    covering: SetSystem,
+    conv: ClosureConvention,
+    variants: Sequence[CoherenceVariant] = (CoherenceVariant.CONVENTIONAL,),
+) -> tuple[SetSystem, ...]:
+    """free_attractors, for a caller that has compared the grounds and
+    checked that the covering covers the ground."""
     candidates = flow._invariant
     if (
         CoherenceVariant.MONO_PLUS in variants or CoherenceVariant.MONO_MINUS in variants
@@ -240,6 +251,6 @@ def room_report(
     if closed.covers_ground():
         # the empty set is never attractive
         attractors = 0 not in rooms.masks and set(rooms.masks) <= set(
-            free_attractors(flow, closed, conv)[0].masks
+            _free_attractors(flow, closed, conv)[0].masks
         )
     return RoomReport(rooms, partition, invariant, attractors)

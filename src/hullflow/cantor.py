@@ -162,6 +162,13 @@ def explication_check(
     grounds are compared once, here."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
+    return _explication(f, system, conv)
+
+
+def _explication(
+    f: EndoFunction, system: SetSystem, conv: ClosureConvention
+) -> ExplicationRecord:
+    """explication_check, for a caller that has compared the grounds."""
     ctx = system.context(conv)
     table = f.mask_table()
     return ExplicationRecord(

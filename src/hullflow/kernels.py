@@ -24,67 +24,31 @@ _BLOCK_PAIRS = tuple(
 _MAX_RUN = 1024
 
 
-#: The cell byte of a packed 16-cell table (see _byte_tables) where no
-#: source contains the subset, and the translation that makes it 0.
-_NO_SOURCE = 0xFF
-_NO_SOURCE_TO_EMPTY = bytes(range(_NO_SOURCE)) + b"\0"
-
-
-@functools.cache
-def _byte_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(LOW, HIGH), built on first use: LOW[b] is the 16-cell closure table
-    of the sources marked by the byte b (members 0-7), HIGH[b] that of the
-    byte b << 8 (members 8-15).  A table is packed into one int, cell z in
-    its byte z, with _NO_SOURCE where no source contains z: as every cell
-    value is at most 15, one AND of two packed tables intersects all 16
-    cells at once.  Each table is the intersection of the table of b
-    without its lowest bit with the one-source table of that bit."""
-    out = []
-    for low in (0, 8):
-        one = [
-            int.from_bytes(bytes(m if m & z == z else _NO_SOURCE for z in range(16)), "little")
-            for m in range(low, low + 8)
-        ]
-        tables = [int.from_bytes(bytes([_NO_SOURCE]) * 16, "little")]
-        for b in range(1, 256):
-            rest = b & (b - 1)
-            tables.append(tables[rest] & one[(b ^ rest).bit_length() - 1])
-        out.append(tuple(tables))
-    return tuple(out)
-
-
-def closure_table(n: int, sources: Iterable[int]) -> Sequence[int]:
+def closure_table(n: int, sources: Iterable[int]) -> list[int]:
     """For every subset z, indexed by mask, the intersection of the
     sources containing z, or 0 when no source does: hull_value(sources, z,
-    1, 1).
+    1, 1), as a list.
 
-    Up to n=4 the sources mark a 16-bit family bitmask, whose table is
-    family_table's bytes.  Above n=4 the table is a list, and one
-    zeta-transform pass per bit (Yates 1937; Bjorklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007) intersects each cell with its superset neighbour
-    across that bit.  That takes O(n 2^n) steps where a scan of the
-    sources per subset takes O(|sources| 2^n).  The passes over bits 0-3
-    run block by block through the fixed pairs of a 16-cell block; each
-    pass over a higher bit folds runs of 16 to _MAX_RUN cells slice-wise.
-    Besides the table, a call holds at most one run's slices, so its
-    memory stays O(2^n).
+    One zeta-transform pass per bit (Yates 1937; Bjorklund, Husfeldt,
+    Kaski and Koivisto, STOC 2007) intersects each cell with its superset
+    neighbour across that bit.  That takes O(n 2^n) steps where a scan of
+    the sources per subset takes O(|sources| 2^n).  The passes over bits
+    0-3 run block by block through the fixed pairs of a 16-cell block (on
+    fewer than 4 points, the pairs inside the 2^n cells); each pass over a
+    higher bit folds runs of 16 to _MAX_RUN cells slice-wise.  Besides the
+    table, a call holds at most one run's slices, so its memory stays
+    O(2^n).
 
     In the transform -1, the identity of intersection, marks a subset
     that no source contains until the end, when it becomes 0."""
     size = 1 << n
-    if n <= 4:
-        family = 0
-        for m in sources:
-            family |= 1 << m
-        if family >> size:
-            raise IndexError(f"a source lies outside the ground of size {n}")
-        return family_table(n, family)
+    pairs = _BLOCK_PAIRS if n >= 4 else [(d, s) for d, s in _BLOCK_PAIRS if s < size]
     t = [-1] * size
     for m in sources:
         t[m] = m
     for base in range(0, size, 16):
         block = t[base : base + 16]
-        for d, s in _BLOCK_PAIRS:
+        for d, s in pairs:
             block[d] &= block[s]
         t[base : base + 16] = block
     for i in range(4, n):
@@ -97,19 +61,6 @@ def closure_table(n: int, sources: Iterable[int]) -> Sequence[int]:
     if -1 in t:
         return [v if v >= 0 else 0 for v in t]
     return t
-
-
-def family_table(n: int, family: int) -> bytes:
-    """closure_table on n <= 4 points of the sources marked by a family
-    bitmask (bit m set when m is a source): the cellwise intersection of
-    the precomputed tables of its two bytes (the table of a family is the
-    cellwise intersection of the tables of any split of it; the method of
-    four Russians: Arlazarov, Dinic, Kronrod and Faradzev, 1970), cut to
-    2^n cells.  The table is the bytes it is built as, one cell a byte:
-    immutable, and indexed and iterated as ints like a list."""
-    low, high = _byte_tables()
-    cells = (low[family & 255] & high[family >> 8]).to_bytes(16, "little")
-    return cells[: 1 << n].translate(_NO_SOURCE_TO_EMPTY)
 
 
 @functools.cache

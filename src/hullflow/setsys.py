@@ -13,7 +13,7 @@ import enum
 import operator
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
@@ -229,8 +229,44 @@ def closure_map(
     return system.context(conv)._cl
 
 
-#: Entry b: the byte b with its eight bits in reverse order.
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+#: The cell byte of a packed table (see _family_tables) where no source
+#: contains the subset, and the translation that makes it 0.
+_NO_SOURCE = 0xFF
+_NO_SOURCE_TO_EMPTY = bytes(range(_NO_SOURCE)) + b"\0"
+
+
+@cache
+def _family_tables(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """(LOW, HIGH) on n <= 4 points, built on first use for each n: LOW[b]
+    is the closure table of the system whose members are the set bits of
+    the byte b (members 0-7), HIGH[b] that of b << 8 (members 8-15, so
+    HIGH holds one table below 4 points).  The complement 2^n - 1 - m of
+    member m is folded in here, so the tables are indexed by the system's
+    own family bitmask.  A table is 2^n bytes, cell z in byte z, with
+    _NO_SOURCE where no complement contains z: as every cell value is at
+    most 15, the ints two tables read as (little-endian) AND to the
+    table of the union of their families.  That is the method of four
+    Russians (Arlazarov, Dinic, Kronrod and Faradzev, 1970): the table of
+    a family is the AND of the tables of its two bytes.  Each table is
+    the AND of the table of b without its lowest bit and the one-member
+    table of that bit."""
+    size = 1 << n
+    full = size - 1
+    out = []
+    for low in (0, 8):
+        one = [
+            int.from_bytes(
+                bytes(full ^ m if (full ^ m) & z == z else _NO_SOURCE for z in range(size)),
+                "little",
+            )
+            for m in range(low, min(low + 8, size))
+        ]
+        tables = [(1 << (8 * size)) - 1]  # the empty family's: no source
+        for b in range(1, 1 << len(one)):
+            rest = b & (b - 1)
+            tables.append(tables[rest] & one[(b ^ rest).bit_length() - 1])
+        out.append(tuple(t.to_bytes(size, "little") for t in tables))
+    return out[0], out[1]
 
 
 def closure_map_of(
@@ -240,20 +276,44 @@ def closure_map_of(
     `family` (bit m set when subset m is a member), for a caller that holds
     the family and no SetSystem.
 
-    The complement of member m is the subset 2^n - 1 - m, so the complement
-    family is the family's bit reversal within its 2^n bits: up to n=4 two
-    byte-reversal lookups, whose table kernels.family_table reads off as
-    `bytes`.  Above n=4 the members are unpacked for kernels.closure_table,
-    whose table is a list."""
+    Up to n=4 the table is the AND of the two tables of _family_tables
+    that the family's low and high byte index, as immutable `bytes`; the
+    complements are folded into those tables.  Above n=4 the complements
+    of the members are unpacked for kernels.closure_table, whose table is
+    a list."""
     full = (1 << n) - 1
     if conv is ClosureConvention.NONEMPTY:
         # the full member's complement is the empty one left out
         family &= ~(1 << full)
     if n <= 4:
-        mirrored = _REVERSED_BYTE[family & 255] << 8 | _REVERSED_BYTE[family >> 8]
-        return kernels.family_table(n, mirrored >> (15 - full))
+        low, high = _family_tables(n)
+        cells = int.from_bytes(low[family & 255], "little") & int.from_bytes(
+            high[family >> 8], "little"
+        )
+        return cells.to_bytes(full + 1, "little").translate(_NO_SOURCE_TO_EMPTY)
     _check_enum(n)
     return kernels.closure_table(n, [full ^ m for m in family_members(family)])
+
+
+def closure_tables_of(
+    n: int, families: Sequence[int], conv: ClosureConvention = ClosureConvention.FULL
+) -> bytes:
+    """closure_map_of of each family bitmask of a run on n <= 4 points,
+    joined in the run's order: 2^n bytes per family.  The LOW tables of
+    the run's families are joined, and so are their HIGH tables, so one
+    AND of the two joins read as ints intersects every cell of the run,
+    and one translation empties the cells that no complement contains."""
+    if n > 4:
+        raise ValueError(f"joined closure tables take at most 4 points, got {n}")
+    if conv is ClosureConvention.NONEMPTY:
+        # the full member's complement is the empty one left out
+        keep = ~(1 << ((1 << n) - 1))
+        families = [family & keep for family in families]
+    low, high = _family_tables(n)
+    lows = int.from_bytes(b"".join([low[family & 255] for family in families]), "little")
+    highs = int.from_bytes(b"".join([high[family >> 8] for family in families]), "little")
+    cells = (lows & highs).to_bytes(len(families) << n, "little")
+    return cells.translate(_NO_SOURCE_TO_EMPTY)
 
 
 def closure_of(

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import Any, Callable, Hashable, Iterator, NamedTuple, Optional
 
 from . import cantor, kernels
@@ -44,7 +44,6 @@ from .cantor import (
     ALL_STATEMENTS,
     PhaseChainRecord,
     chain_bits,
-    explication_check,
     fibration_integrity,
     preserves_unfamily,
 )
@@ -59,6 +58,7 @@ from .setsys import (
     closure_map,
     closure_map_of,
     closure_of,
+    closure_tables_of,
     elementarize,
     family_members,
     family_of,
@@ -190,22 +190,23 @@ class _Product(Sequence):
     def __getitem__(self, ordinal: int) -> tuple:
         return tuple(map(getitem, self.factors, self._digits(ordinal)))
 
-    def run(self, start: int, stop: int) -> Iterator[tuple]:
+    def run(self, start: int, stop: int) -> list[tuple]:
         """Items `start` to `stop` - 1, in order, for 0 <= start < stop <=
         len(self): `start` is unranked once, and each next item steps the
-        last factor, carrying into the factors before it where it wraps."""
+        last factor, carrying into the factors before it where it wraps.
+        The items of each stretch of the last factor are zipped from its
+        values and the other factors' fixed values."""
         digits = self._digits(start)
         *outer, inner = self.factors
         values = list(map(getitem, outer, digits))
         first, left = digits[-1], stop - start
+        out: list[tuple] = []
         while True:
-            head = tuple(values)
             last = min(len(inner), first + left)
-            for value in map(inner.__getitem__, range(first, last)):
-                yield head + (value,)
+            out += zip(*map(itertools.repeat, values), map(inner.__getitem__, range(first, last)))
             left -= last - first
             if not left:
-                return
+                return out
             first, i = 0, len(outer) - 1
             while digits[i] + 1 == len(outer[i]):
                 digits[i] = 0
@@ -407,10 +408,32 @@ def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int
     if family is None:
         return _skip("system does not cover the ground")
     cl = closure_map_of(ground.size, family, conv)
-    if _idempotent(cl):
-        return _HOLDS
+    return _HOLDS if _idempotent(cl) else _not_idempotent(cl)
+
+
+def _not_idempotent(cl: Sequence[int]) -> Verdict:
     z = next(z for z, c in enumerate(cl) if cl[c] != c)
     return _fails(f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}")
+
+
+def _check_idem_block(
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple]
+) -> list[Verdict]:
+    """_check_idem on each tuple of a block, in order.  On up to 4 points,
+    where every family is given, the block's tables come from one
+    closure_tables_of call, and each is translated through itself as
+    _idempotent does; above 4 points, or for a document's system that
+    does not cover the ground, each family takes _check_idem's route."""
+    families = [family for family, in block]
+    n = ground.size
+    if n > 4 or None in families:
+        return [_check_idem(ground, conv, family) for family in families]
+    size = 1 << n
+    tables = closure_tables_of(n, families, conv)
+    return [
+        _HOLDS if cl.translate(cl.ljust(256, b"\0")) == cl else _not_idempotent(cl)
+        for cl in (tables[i : i + size] for i in range(0, len(tables), size))
+    ]
 
 
 def _check_l3_1(
@@ -597,7 +620,7 @@ def _check_s3_8(
 ) -> Verdict:
     if bijective and not f.is_bijective():
         return _skip("not a bijection")
-    rec = explication_check(f, sys, conv)
+    rec = cantor._explication(f, sys, conv)
     if rec.agree:
         return _HOLDS
     return _fails(
@@ -707,7 +730,8 @@ def _put_flow(inst: Instance, flow: DiscreteFlow) -> None:
 def _sample_masks(rnd: random.Random, ground: GroundSet) -> tuple[int, ...]:
     """Each subset independently with probability 1/2, ascending; coverage
     forced by adding the ground when needed."""
-    masks = [m for m in range(1 << ground.size) if rnd.random() < 0.5]
+    draw = rnd.random
+    masks = [m for m in range(1 << ground.size) if draw() < 0.5]
     u = 0
     for m in masks:
         u |= m
@@ -940,9 +964,15 @@ class Claim:
     ground under one convention.  A claim declares it only where its body
     reads a flow through its orbit blocks alone (and whether it is
     cyclic), so the key holds the orbit blocks in place of the flow; an
-    exhaustive sweep then runs the body once per key (`_evaluate`), and
+    exhaustive sweep then runs the body once per key (`check`), and
     `TestOrbitBlockKeys` checks each declaration against the body run on
-    every instance."""
+    every instance.
+
+    A claim may also declare `block_checker(ground, conv, block) ->
+    verdicts`, a body over a whole block of tuples of factor values that
+    pays the interpreter's per-call cost once per block (Boncz, Zukowski
+    and Nes, "MonetDB/X100: Hyper-pipelining query execution", CIDR 2005).
+    Its verdicts must be the checker body's on each tuple, in order."""
 
     checker: Callable[..., Verdict]
     kind: _Space
@@ -952,6 +982,7 @@ class Claim:
     note: str = ""
     read: Optional[Callable[[Instance], tuple]] = None
     key: Optional[Callable[..., Hashable]] = None
+    block_checker: Optional[Callable[..., list[Verdict]]] = None
 
     def space(self, n: int) -> _Product:
         """The exhaustive space on n points: its items are the tuples of
@@ -963,16 +994,39 @@ class Claim:
         """The body's values read out of an instance."""
         return (self.read or self.kind.unpack)(inst)
 
-    def check(self, ground: GroundSet, values: tuple, conv: ClosureConvention) -> Verdict:
-        """Evaluate the claim on one tuple of factor values.  Every sweep
-        and `check_theorem` call goes through here, which gives per-layer
-        tracing (sweepbench) one name to time all checker bodies by."""
-        return self.checker(ground, conv, *values)
+    def check(
+        self,
+        ground: GroundSet,
+        block: Sequence[tuple],
+        conv: ClosureConvention,
+        verdicts: Optional[dict[Hashable, Verdict]] = None,
+    ) -> list[Verdict]:
+        """Evaluate the claim on a block of tuples of factor values: their
+        verdicts, in order.  Every sweep (once per share block) and
+        `check_theorem` (with a block of one) call goes through here, which
+        gives per-layer tracing (sweepbench) one name to time all checker
+        bodies by.  A claim with a block body gets the whole block;
+        otherwise its body is mapped over the block, and where the claim
+        declares a key and the caller passes its memo `verdicts`, once per
+        key: `verdicts` maps each key met to its verdict."""
+        if self.block_checker is not None:
+            return self.block_checker(ground, conv, block)
+        checker = self.checker
+        if self.key is None or verdicts is None:
+            return [checker(ground, conv, *values) for values in block]
+        out = []
+        for values in block:
+            k = self.key(*values)
+            verdict = verdicts.get(k)
+            if verdict is None:
+                verdict = verdicts[k] = checker(ground, conv, *values)
+            out.append(verdict)
+        return out
 
 
 #: Every claim, by id.  Columns: checker body, instance space, exhaustive
 #: ceiling on n, default number of random samples; a key puts the flow's
-#: orbit blocks in its place.
+#: orbit blocks in its place, and IDEM_ydwed checks a block at a time.
 CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.S1_1: Claim(_check_s1_1, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.K1_2: Claim(_check_k1_2, _TOPOLOGIES, 4, 1000, clean=True),
@@ -1009,7 +1063,9 @@ CLAIMS: dict[TheoremId, Claim] = {
         _check_chain, _CYCLES_COVERINGS, 3, 1000,
         key=lambda flow, covering: (flow.orbit_blocks(), flow.is_cyclic, covering),
     ),
-    TheoremId.IDEM_ydwed: Claim(_check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem),
+    TheoremId.IDEM_ydwed: Claim(
+        _check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem, block_checker=_check_idem_block
+    ),
 }
 
 #: Claims whose sweeps are expected to be failure-free; a nonzero failure
@@ -1029,12 +1085,12 @@ def check_theorem(
     if isinstance(instance, dict):
         instance = Instance.from_dict(instance)
     claim = CLAIMS[theorem]
-    verdict = claim.check(instance.ground, claim.unpack(instance), conv)
+    [verdict] = claim.check(instance.ground, [claim.unpack(instance)], conv)
     return _witnessed(verdict, instance, conv) if verdict.status == "fails" else verdict
 
 
 #: A parallel sweep deals the ordinals of the instance stream to its
-#: workers in blocks of this many.
+#: workers in blocks of this many, and `Claim.check` takes a block at once.
 SHARE_BLOCK = 64
 
 
@@ -1046,24 +1102,18 @@ def _share_blocks(size: int, worker: int, jobs: int) -> Iterator[range]:
         yield range(start, min(start + block, size))
 
 
-def _share(size: int, worker: int, jobs: int) -> Iterator[int]:
-    """The ordinals of _share_blocks, ascending."""
-    for block in _share_blocks(size, worker, jobs):
-        yield from block
-
-
 # Sweeps draw every tuple of factor values through these two names, which
 # per-layer tracing (sweepbench) times as instance generation.
 
 def _exhaustive_instances(
     theorem: TheoremId, n: int, worker: int, jobs: int
-) -> Iterator[tuple[int, tuple]]:
-    """One worker's share of the claim's exhaustive space, as (ordinal,
-    factor values) pairs: only the share's tuples are built, each block's
-    as one run of the space, unranked once."""
+) -> Iterator[tuple[range, list[tuple]]]:
+    """One worker's share of the claim's exhaustive space, one (ordinals,
+    factor values) pair per block: only the share's tuples are built, each
+    block's as one run of the space, unranked once."""
     space = CLAIMS[theorem].space(n)
     for block in _share_blocks(len(space), worker, jobs):
-        yield from zip(block, space.run(block.start, block.stop))
+        yield block, space.run(block.start, block.stop)
 
 
 def _random_instance(theorem: TheoremId, n: int, rnd: random.Random) -> tuple:
@@ -1123,9 +1173,11 @@ def _evaluate(
     whose block `ordinal // SHARE_BLOCK` is `worker` modulo `jobs`, and no
     other tuple of factor values is made.  In exhaustive mode the ordinals
     number the claim's space; in random mode ordinal k is drawn from
-    `Random(f"{seed}:{k}")`, for k below `samples`.  The claim's body
-    checks the values themselves; an Instance is built only for a failing
-    verdict whose witness is kept, from that instance's own values.
+    `Random(f"{seed}:{k}")`, for k below `samples`.  Each block's tuples of
+    factor values go to `Claim.check` in one call, which returns their
+    verdicts in order, so the claim's body checks the values themselves;
+    an Instance is built only for a failing verdict whose witness is kept,
+    from that instance's own values.
 
     In exhaustive mode a claim that declares a key (see Claim) is checked
     once per key: a dict local to this call maps each key to its verdict,
@@ -1138,32 +1190,27 @@ def _evaluate(
         share = _exhaustive_instances(theorem, n, worker, jobs)
     else:
         share = (
-            (o, _random_instance(theorem, n, random.Random(f"{seed}:{o}")))
-            for o in _share(samples or 0, worker, jobs)
+            (block, [_random_instance(theorem, n, random.Random(f"{seed}:{o}")) for o in block])
+            for block in _share_blocks(samples or 0, worker, jobs)
         )
     claim = CLAIMS[theorem]
-    key = claim.key if mode == "exhaustive" else None
-    verdicts: dict[Hashable, Verdict] = {}
-    ground = GroundSet(n)
+    verdicts: Optional[dict[Hashable, Verdict]] = {} if mode == "exhaustive" else None
+    ground, status = GroundSet(n), attrgetter("status")
     total = holds = fails = skips = 0
     cexs: list[dict[str, Any]] = []
-    for ordinal, values in share:
-        if key is None:
-            verdict = claim.check(ground, values, conv)
-        else:
-            k = key(*values)
-            verdict = verdicts.get(k)
-            if verdict is None:
-                verdict = verdicts[k] = claim.check(ground, values, conv)
-        total += 1
-        if verdict.status == "holds":
-            holds += 1
-        elif verdict.status == "skipped":
-            skips += 1
-        else:
-            fails += 1
-            if len(cexs) < cap:
-                inst = claim.kind.build(ground, conv, *values)
+    for block, values in share:
+        checked = claim.check(ground, values, conv, verdicts)
+        statuses = list(map(status, checked))
+        total += len(statuses)
+        holds += statuses.count("holds")
+        skips += statuses.count("skipped")
+        failed = statuses.count("fails")
+        fails += failed
+        if not failed or len(cexs) == cap:
+            continue
+        for ordinal, one, verdict in zip(block, values, checked):
+            if verdict.status == "fails" and len(cexs) < cap:
+                inst = claim.kind.build(ground, conv, *one)
                 cexs.append(
                     {
                         "ordinal": ordinal,

@@ -875,6 +875,8 @@ def damaged_documents(draw):
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier damage removed this path
+        if isinstance(parent, str):
+            continue  # an earlier damage put a string in its place
         if delete:
             del parent[path[-1]]
         else:

@@ -69,8 +69,8 @@ class TestUpClosure:
 
 class TestHullTable:
     def test_matches_per_subset_scan(self):
-        # n <= 4 looks the table up, n > 4 runs the 16-cell block passes
-        # and the slice-wise passes over the higher bits
+        # the 16-cell block passes (the pairs inside the table below 4
+        # points) and the slice-wise passes over the higher bits
         families = list(random_families(3, 300))
         rnd = random.Random(5)
         for n in range(1, 10):
@@ -83,9 +83,8 @@ class TestHullTable:
             assert list(kernels.closure_table(n, sources)) == expected, (n, sources)
 
     def test_lookup_matches_per_subset_scan(self):
-        # n <= 4 folds the tables of the family bitmask's two bytes: every
-        # family up to n=3, at n=4 every family with a zero byte (one byte
-        # alone reaches each table of LOW and HIGH) and random ones
+        # the transform on up to 4 points: every family up to n=3, at n=4
+        # every family with a zero byte and random ones
         families = [
             (n, family) for n in range(1, 4) for family in range(1 << (1 << n))
         ]
@@ -102,12 +101,12 @@ class TestHullTable:
             kernels.closure_table(2, [0b100])
 
     def test_import_builds_no_lookup_table(self):
-        # the byte tables and the passes of up_closure are built on first
-        # use, so importing the CLI (the benchmark's setup) pays nothing
-        # for them
+        # the closure byte tables of each n and the passes of up_closure
+        # are built on first use, so importing the CLI (the benchmark's
+        # setup) pays nothing for them
         code = (
-            "import hullflow.cli, hullflow.kernels as k;"
-            "print(k._byte_tables.cache_info().currsize + k._up_passes.cache_info().currsize)"
+            "import hullflow.cli, hullflow.kernels as k, hullflow.setsys as s;"
+            "print(s._family_tables.cache_info().currsize + k._up_passes.cache_info().currsize)"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)

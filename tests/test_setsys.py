@@ -27,6 +27,7 @@ from hullflow.setsys import (
     closure_map,
     closure_map_of,
     closure_of,
+    closure_tables_of,
     complement_system,
     elementarize,
     family_members,
@@ -272,11 +273,36 @@ class TestFamilyRoutes:
         cases += [
             (n, [m for m in range(1 << n) if rnd.random() < 0.5]) for n in (5, 6) for _ in range(20)
         ]
+        expected = {}
         for n, members in cases:
             family = sum(1 << m for m in members)
             for conv in (FULL, NONEMPTY):
                 expect = [scanned_closure(n, members, z, conv) for z in range(1 << n)]
                 assert list(closure_map_of(n, family, conv)) == expect, (n, members, conv)
+                expected.setdefault((n, conv), []).append((family, expect))
+        # up to n=4 the run's tables come joined from one AND: the whole
+        # case list of each n at once, then runs of 0, 1 and 64 families,
+        # some of whose 64 consecutive bitmasks cross a high byte
+        runs = []
+        for n in (1, 2, 3, 4):
+            for conv in (FULL, NONEMPTY):
+                families, tables = zip(*expected[n, conv])
+                joined = closure_tables_of(n, families, conv)
+                assert list(joined) == [c for table in tables for c in table], (n, conv)
+                runs += [(n, conv, families[:0]), (n, conv, families[:1])]
+                runs.append((n, conv, families[-64:]))
+        runs += [
+            (4, conv, range(start, start + 64))
+            for start in (0, 0x100 - 32, 0x8000 - 1, 0xFFFF - 63)
+            for conv in (FULL, NONEMPTY)
+        ]
+        for n, conv, families in runs:
+            expect = [
+                scanned_closure(n, [m for m in range(1 << n) if family >> m & 1], z, conv)
+                for family in families
+                for z in range(1 << n)
+            ]
+            assert list(closure_tables_of(n, families, conv)) == expect, (n, conv, families)
 
     def test_single_subset_matches_table(self):
         cases = [

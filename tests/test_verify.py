@@ -1,6 +1,7 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import importlib.util
 import inspect
@@ -201,8 +202,9 @@ class TestFactorRoundTrip:
 
 
 class TestTwoRoutes:
-    # a sweep hands the checker body the factor values its space indexes;
-    # check_theorem unpacks the same values from an instance
+    # a sweep hands the claim a block of the factor values its space
+    # indexes; check_theorem unpacks the same values from an instance and
+    # hands them over as a block of one
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_sweep_verdicts_match_check_theorem(self, theorem, conv):
@@ -211,10 +213,15 @@ class TestTwoRoutes:
             ground, space = GroundSet(n), claim.space(n)
             counts = {"holds": 0, "fails": 0, "skipped": 0}
             witnesses = []
-            for ordinal, values in verify._exhaustive_instances(theorem, n, 0, 1):
+            checked = [
+                (ordinal, verdict)
+                for block, values in verify._exhaustive_instances(theorem, n, 0, 1)
+                for ordinal, verdict in zip(block, claim.check(ground, values, conv))
+            ]
+            assert [ordinal for ordinal, _ in checked] == list(range(len(space)))
+            for ordinal, verdict in checked:
                 inst = claim.kind.build(ground, conv, *space[ordinal])
                 replay = check_theorem(theorem, inst, conv)
-                verdict = claim.check(ground, values, conv)
                 assert (verdict.status, verdict.note) == (replay.status, replay.note), ordinal
                 counts[replay.status] += 1
                 if replay.status == "fails":
@@ -482,15 +489,16 @@ class TestSweep:
     def test_one_closure_table_per_instance(self, monkeypatch, theorem):
         # the claims on a flow and the hull of a system read their premise
         # and their rooms from one table; S3_3 builds no attractor family
-        # where its commutation premise fails; on up to 4 points every
-        # table is kernels.family_table's
+        # where its commutation premise fails; every table of a system is
+        # setsys.closure_map_of's, and room_report takes the body of
+        # free_attractors
         tables, families = [], []
-        family_table, free_attractors = kernels.family_table, attract.free_attractors
+        closure_map_of, free_attractors = setsys.closure_map_of, attract._free_attractors
         monkeypatch.setattr(
-            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
+            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
         )
         monkeypatch.setattr(
-            attract, "free_attractors", lambda *a: families.append(a) or free_attractors(*a)
+            attract, "_free_attractors", lambda *a: families.append(a) or free_attractors(*a)
         )
         claim = CLAIMS[theorem]
         space = claim.space(2)
@@ -530,6 +538,26 @@ class TestSweep:
         assert rep.instance_count == instances
         assert tables == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_idem_one_joined_table_call_per_share_block(self, monkeypatch, tmp_path, jobs):
+        # the IDEM_ydwed body takes each share block's tables from one
+        # closure_tables_of call and builds no table of one family: 1010
+        # calls for 64,594 families, summed over the workers, which append
+        # to one file
+        log = tmp_path / "calls"
+        for module, name in ((verify, "closure_tables_of"), (verify, "closure_map_of"),
+                             (setsys, "closure_map_of")):
+            def counted(*a, _fn=getattr(module, name), _name=name):
+                with open(log, "a") as out:
+                    out.write(_name + "\n")
+                return _fn(*a)
+
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+        rep = sweep(TheoremId.IDEM_ydwed, 4, "exhaustive", jobs=jobs)
+        assert rep.instance_count == 64594
+        assert log.read_text().splitlines() == ["closure_tables_of"] * 1010
+
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize(
         "theorem, instances",
@@ -546,9 +574,9 @@ class TestSweep:
         # of the factors: at most 218 covering systems at n=3, where one
         # table per instance makes `instances`
         tables = []
-        family_table = kernels.family_table
+        closure_map_of = setsys.closure_map_of
         monkeypatch.setattr(
-            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
+            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
         )
         rep = sweep(theorem, 3, "exhaustive", conv=conv)
         assert rep.instance_count == instances
@@ -644,15 +672,16 @@ class TestSweep:
     @pytest.mark.parametrize(
         "theorem, instances, compared",
         [
-            # one comparison in explication_check, none in its memberships
-            (TheoremId.S3_8_all, 218 * 27, 218 * 27),
+            # the explication record compares none: the grounds of a
+            # sweep's factor values are one
+            (TheoremId.S3_8_all, 218 * 27, 0),
             # none per instance: only building the 15 two-generator flows
             # compares their grounds
             (TheoremId.K3_9, 218 * 21, 15),
-            # the commutation premise compares none: the 15 flows, and
-            # free_attractors once per call where the premise holds
+            # the commutation premise compares none, nor does the room
+            # report's attractor family: only the 15 flows
             (TheoremId.B3_2, 218 * 21, 15),
-            (TheoremId.S3_3, 218 * 21, 218 * 21),
+            (TheoremId.S3_3, 218 * 21, 15),
             # both memberships from the system's context compare none
             (TheoremId.B3_10, 218 * 6, 0),
         ],
@@ -664,7 +693,8 @@ class TestSweep:
         # comparisons in an S3_8_all sweep and 13,095 in a K3_9 sweep;
         # is_commutative_cantor's comparison per generator made 6287 in a
         # B3_2 sweep and 7076 in an S3_3 sweep, and cantor_membership's
-        # made 2616 in a B3_10 sweep
+        # made 2616 in a B3_10 sweep; explication_check's made 5886 in an
+        # S3_8_all sweep, and free_attractors' 789 in an S3_3 sweep
         comparisons = []
         eq = GroundSet.__eq__
         monkeypatch.setattr(GroundSet, "__eq__", lambda a, b: comparisons.append(1) or eq(a, b))
@@ -686,11 +716,7 @@ class TestSweep:
         ],
     )
     def test_body_once_per_orbit_block_key(self, monkeypatch, theorem, n, instances, keys, conv):
-        calls = []
-        check = Claim.check
-        monkeypatch.setattr(
-            Claim, "check", lambda claim, *a: calls.append(a) or check(claim, *a)
-        )
+        calls = count_body_calls(monkeypatch, theorem)
         rep = sweep(theorem, n, "exhaustive", conv=conv)
         assert rep.instance_count == instances
         assert 0 < len(calls) <= keys
@@ -699,11 +725,7 @@ class TestSweep:
         # a random sweep keeps no verdicts, which would keep every drawn
         # system alive: the body runs on every draw, even on two points,
         # where the keys repeat
-        calls = []
-        check = Claim.check
-        monkeypatch.setattr(
-            Claim, "check", lambda claim, *a: calls.append(a) or check(claim, *a)
-        )
+        calls = count_body_calls(monkeypatch, TheoremId.L1_3)
         rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
         assert rep.instance_count == len(calls) == 50
 
@@ -730,9 +752,9 @@ class TestSweep:
         # from the system's context: 218 systems x 27 functions, where
         # building them per instance makes 5886 of each
         tables, complements = [], []
-        family_table, complement_system = kernels.family_table, setsys.complement_system
+        closure_map_of, complement_system = setsys.closure_map_of, setsys.complement_system
         monkeypatch.setattr(
-            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
+            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
         )
         monkeypatch.setattr(
             setsys, "complement_system",
@@ -787,13 +809,13 @@ class TestSweep:
         # the fibration classes are read from the system's context too, and
         # built from its closure table: one table per system
         fibrations, tables = [], []
-        product_fibration, family_table = setsys.product_fibration, kernels.family_table
+        product_fibration, closure_map_of = setsys.product_fibration, setsys.closure_map_of
         monkeypatch.setattr(
             setsys, "product_fibration",
             lambda *a: fibrations.append(a) or product_fibration(*a),
         )
         monkeypatch.setattr(
-            kernels, "family_table", lambda *a: tables.append(a) or family_table(*a)
+            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
         )
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
@@ -853,7 +875,7 @@ class TestOrbitBlockKeys:
         ground = GroundSet(n)
         first = {}
         for values in values_seq:
-            verdict = claim.check(ground, values, conv)
+            [verdict] = claim.check(ground, [values], conv)
             got = (verdict.status, verdict.note, verdict.systems)
             assert got == first.setdefault(claim.key(*values), got), values
         return len(first)
@@ -931,6 +953,17 @@ class TestGeneratorSampler:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def count_body_calls(monkeypatch, theorem):
+    """A list that gets one entry per call of the claim's checker body."""
+    calls = []
+    claim = CLAIMS[theorem]
+    body = claim.checker
+    monkeypatch.setitem(
+        CLAIMS, theorem, dataclasses.replace(claim, checker=lambda *a: calls.append(a) or body(*a))
+    )
+    return calls
 
 
 class RecordingPool:
@@ -1026,9 +1059,10 @@ class TestWorkerShares:
         walk, init = verify._exhaustive_instances, Instance.__init__
 
         def recording(*args):
-            for pair in walk(*args):
-                walked.append(pair)
-                yield pair
+            for block, values in walk(*args):
+                assert len(block) == len(values)
+                walked.extend(zip(block, values))
+                yield block, values
 
         def counting(inst, *args, **kwargs):
             built.append(1)
@@ -1068,8 +1102,12 @@ class TestWorkerShares:
         space = CLAIMS[TheoremId.COVAR].space(3)
         for jobs in (1, 2, 3):
             for worker in range(jobs):
-                pairs = list(verify._exhaustive_instances(TheoremId.COVAR, 3, worker, jobs))
-                assert [o for o, _ in pairs] == list(verify._share(len(space), worker, jobs))
+                blocks = list(verify._exhaustive_instances(TheoremId.COVAR, 3, worker, jobs))
+                assert [b for b, _ in blocks] == list(
+                    verify._share_blocks(len(space), worker, jobs)
+                )
+                pairs = [pair for b, values in blocks for pair in zip(b, values)]
+                assert len(pairs) == sum(len(b) for b, _ in blocks)
                 assert all(values == space[o] for o, values in pairs)
 
     @pytest.mark.parametrize("jobs", [2, 3, 7])
