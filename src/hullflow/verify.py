@@ -421,9 +421,9 @@ def _check_idem_block(
 ) -> list[Verdict]:
     """_check_idem on each tuple of a block, in order.  On up to 4 points,
     where every family is given, the block's tables come from one
-    closure_tables_of call, and each is translated through itself as
-    _idempotent does; above 4 points, or for a document's system that
-    does not cover the ground, each family takes _check_idem's route."""
+    closure_tables_of call, and each goes to _idempotent; above 4 points,
+    or for a document's system that does not cover the ground, each family
+    takes _check_idem's route."""
     families = [family for family, in block]
     n = ground.size
     if n > 4 or None in families:
@@ -431,7 +431,7 @@ def _check_idem_block(
     size = 1 << n
     tables = closure_tables_of(n, families, conv)
     return [
-        _HOLDS if cl.translate(cl.ljust(256, b"\0")) == cl else _not_idempotent(cl)
+        _HOLDS if _idempotent(cl) else _not_idempotent(cl)
         for cl in (tables[i : i + size] for i in range(0, len(tables), size))
     ]
 
@@ -1002,10 +1002,10 @@ class Claim:
         verdicts: Optional[dict[Hashable, Verdict]] = None,
     ) -> list[Verdict]:
         """Evaluate the claim on a block of tuples of factor values: their
-        verdicts, in order.  Every sweep (once per share block) and
-        `check_theorem` (with a block of one) call goes through here, which
-        gives per-layer tracing (sweepbench) one name to time all checker
-        bodies by.  A claim with a block body gets the whole block;
+        verdicts, in order.  Every sweep (once per exhaustive share block,
+        once per random draw) and `check_theorem` (with a block of one)
+        call goes through here, which gives per-layer tracing (sweepbench)
+        one name to time all checker bodies by.  A claim with a block body gets the whole block;
         otherwise its body is mapped over the block, and where the claim
         declares a key and the caller passes its memo `verdicts`, once per
         key: `verdicts` maps each key met to its verdict."""
@@ -1090,7 +1090,8 @@ def check_theorem(
 
 
 #: A parallel sweep deals the ordinals of the instance stream to its
-#: workers in blocks of this many, and `Claim.check` takes a block at once.
+#: workers in blocks of this many, and `Claim.check` takes an exhaustive
+#: block at once.
 SHARE_BLOCK = 64
 
 
@@ -1173,9 +1174,11 @@ def _evaluate(
     whose block `ordinal // SHARE_BLOCK` is `worker` modulo `jobs`, and no
     other tuple of factor values is made.  In exhaustive mode the ordinals
     number the claim's space; in random mode ordinal k is drawn from
-    `Random(f"{seed}:{k}")`, for k below `samples`.  Each block's tuples of
-    factor values go to `Claim.check` in one call, which returns their
-    verdicts in order, so the claim's body checks the values themselves;
+    `Random(f"{seed}:{k}")`, for k below `samples`.  Each exhaustive block's
+    tuples of factor values go to `Claim.check` in one call, and each random
+    draw in a block of one, so no more than one drawn system is alive at a
+    time; `Claim.check` returns the verdicts in order, so the claim's body
+    checks the values themselves;
     an Instance is built only for a failing verdict whose witness is kept,
     from that instance's own values.
 
@@ -1189,9 +1192,12 @@ def _evaluate(
     if mode == "exhaustive":
         share = _exhaustive_instances(theorem, n, worker, jobs)
     else:
+        # one draw per call: a draw on n points holds up to 2^n masks, and
+        # a share block of them kept at once would hold SHARE_BLOCK times that
         share = (
-            (block, [_random_instance(theorem, n, random.Random(f"{seed}:{o}")) for o in block])
+            (range(o, o + 1), [_random_instance(theorem, n, random.Random(f"{seed}:{o}"))])
             for block in _share_blocks(samples or 0, worker, jobs)
+            for o in block
         )
     claim = CLAIMS[theorem]
     verdicts: Optional[dict[Hashable, Verdict]] = {} if mode == "exhaustive" else None

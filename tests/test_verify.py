@@ -489,14 +489,10 @@ class TestSweep:
     def test_one_closure_table_per_instance(self, monkeypatch, theorem):
         # the claims on a flow and the hull of a system read their premise
         # and their rooms from one table; S3_3 builds no attractor family
-        # where its commutation premise fails; every table of a system is
-        # setsys.closure_map_of's, and room_report takes the body of
+        # where its commutation premise fails; room_report takes the body of
         # free_attractors
-        tables, families = [], []
-        closure_map_of, free_attractors = setsys.closure_map_of, attract._free_attractors
-        monkeypatch.setattr(
-            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
-        )
+        tables, families = count_closure_tables(monkeypatch), []
+        free_attractors = attract._free_attractors
         monkeypatch.setattr(
             attract, "_free_attractors", lambda *a: families.append(a) or free_attractors(*a)
         )
@@ -573,11 +569,7 @@ class TestSweep:
         # each system keeps its table in its context, whatever the order
         # of the factors: at most 218 covering systems at n=3, where one
         # table per instance makes `instances`
-        tables = []
-        closure_map_of = setsys.closure_map_of
-        monkeypatch.setattr(
-            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
-        )
+        tables = count_closure_tables(monkeypatch)
         rep = sweep(theorem, 3, "exhaustive", conv=conv)
         assert rep.instance_count == instances
         assert 0 < len(tables) <= 218
@@ -729,6 +721,18 @@ class TestSweep:
         rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
         assert rep.instance_count == len(calls) == 50
 
+    def test_random_sweep_keeps_one_draw_alive(self):
+        # a draw on 12 points holds about 2^11 members, some 75 KB; drawing
+        # a share block of them before checking any keeps about 5 MB
+        tracemalloc.start()
+        try:
+            rep = sweep(TheoremId.L3_1, 12, "random", samples=verify.SHARE_BLOCK, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.instance_count == verify.SHARE_BLOCK
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "theorem, flows",
         [(TheoremId.CHAIN_karrenk, 6), (TheoremId.B3_4, 21)],
@@ -751,11 +755,8 @@ class TestSweep:
         # the explication reads its closure table and complement system
         # from the system's context: 218 systems x 27 functions, where
         # building them per instance makes 5886 of each
-        tables, complements = [], []
-        closure_map_of, complement_system = setsys.closure_map_of, setsys.complement_system
-        monkeypatch.setattr(
-            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
-        )
+        tables, complements = count_closure_tables(monkeypatch), []
+        complement_system = setsys.complement_system
         monkeypatch.setattr(
             setsys, "complement_system",
             lambda *a: complements.append(a) or complement_system(*a),
@@ -808,14 +809,11 @@ class TestSweep:
     def test_b3_7_one_fibration_per_system(self, monkeypatch):
         # the fibration classes are read from the system's context too, and
         # built from its closure table: one table per system
-        fibrations, tables = [], []
-        product_fibration, closure_map_of = setsys.product_fibration, setsys.closure_map_of
+        fibrations, tables = [], count_closure_tables(monkeypatch)
+        product_fibration = setsys.product_fibration
         monkeypatch.setattr(
             setsys, "product_fibration",
             lambda *a: fibrations.append(a) or product_fibration(*a),
-        )
-        monkeypatch.setattr(
-            setsys, "closure_map_of", lambda *a: tables.append(a) or closure_map_of(*a)
         )
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
@@ -953,6 +951,27 @@ class TestGeneratorSampler:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def count_closure_tables(monkeypatch):
+    """A list that gets one entry per closure table of a family on up to 4
+    points, whatever the route: one per `closure_map_of` call and one per
+    family of a `closure_tables_of` run (setsys's names and verify's), and
+    one per `kernels.closure_table` call on up to 4 points (above them
+    `closure_map_of` builds its table through it)."""
+    tables = []
+
+    def wrap(module, name, count):
+        fn = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a: tables.extend([a] * count(*a)) or fn(*a)
+        )
+
+    for module in (setsys, verify):
+        wrap(module, "closure_map_of", lambda *a: 1)
+        wrap(module, "closure_tables_of", lambda n, families, *a: len(families))
+    wrap(kernels, "closure_table", lambda n, sources: int(n <= 4))
+    return tables
 
 
 def count_body_calls(monkeypatch, theorem):
