@@ -170,11 +170,22 @@ def _explication(
 ) -> ExplicationRecord:
     """explication_check, for a caller that has compared the grounds."""
     ctx = system.context(conv)
-    table = f.mask_table()
     return ExplicationRecord(
-        lhs=kernels.commutes_with_closure(table, ctx._cl),
-        rhs_system=all(_memberships(table, ctx._side)),
-        rhs_complement=all(_memberships(table, ctx._compl_side)),
+        *_explication_outcome(f.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
+    )
+
+
+def _explication_outcome(
+    table: Sequence[int], cl: Sequence[int], side: _Side, compl_side: _Side
+) -> tuple[bool, bool, bool]:
+    """The fields of the explication record of the map whose mask-image
+    table is `table`, from a context's closure table `cl` and its two
+    membership sides: hull commutation, then the two-sided memberships
+    over the system and over its complement system."""
+    return (
+        kernels.commutes_with_closure(table, cl),
+        all(_memberships(table, side)),
+        all(_memberships(table, compl_side)),
     )
 
 

@@ -55,16 +55,20 @@ class EndoFunction:
                 out |= 1 << y
         return out
 
-    def mask_table(self) -> list[int]:
+    def mask_table(self) -> Sequence[int]:
         """The image of every subset, indexed by mask, built once on first
-        use.  Its 2^n cells are built only within the enumeration cap:
-        above it CapExceededError is raised."""
+        use.  Up to 4 points it is `bytes`, as a closure table is there
+        (setsys.closure_map_of), so hull commutation composes the two by
+        translation; above 4 points it is a list.  Its 2^n cells are built
+        only within the enumeration cap: above it CapExceededError is
+        raised."""
         return self._table
 
     @cached_property
-    def _table(self) -> list[int]:
+    def _table(self) -> Sequence[int]:
         _check_enum(self.ground.size)
-        return kernels.perm_table(self.image)
+        table = kernels.perm_table(self.image)
+        return bytes(table) if self.ground.size <= 4 else table
 
     def is_bijective(self) -> bool:
         return len(set(self.image)) == self.ground.size

@@ -138,7 +138,13 @@ def pairwise_closed(masks: list[int]) -> tuple[bool, bool]:
 
 def commutes_with_closure(table: Sequence[int], cl: Sequence[int]) -> bool:
     """True when table[cl[z]] == cl[table[z]] for every subset z, where
-    table is the mask-image table of a point map (see perm_table)."""
+    table is the mask-image table of a point map (see perm_table).  When
+    both tables are bytes (up to 4 points), each composition is one
+    translation through the other table padded to 256 entries: cl
+    translated through table is table after cl, and table translated
+    through cl is cl after table.  Lists are compared cell by cell."""
+    if isinstance(table, bytes) and isinstance(cl, bytes):
+        return cl.translate(table.ljust(256, b"\0")) == table.translate(cl.ljust(256, b"\0"))
     for z in range(len(cl)):
         if table[cl[z]] != cl[table[z]]:
             return False

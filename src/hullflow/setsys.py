@@ -86,14 +86,18 @@ class SetSystem:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.masks)))
+        # a tuple of strictly ascending masks, as most callers build, is
+        # canonical already and kept as it is
+        canon = self.masks
+        if type(canon) is not tuple or not all(map(operator.lt, canon, canon[1:])):
+            canon = tuple(sorted(set(canon)))
         # the ends of the sorted members bound them all; the first
         # offender in input order is looked for only on error
         if canon and (canon[0] < 0 or canon[-1] >> self.ground.size):
             full = self.ground.full_mask
             m = next(m for m in self.masks if m & ~full)
             raise ValueError(f"member 0x{m:x} outside ground of size {self.ground.size}")
-        if canon != self.masks:
+        if canon is not self.masks:
             object.__setattr__(self, "masks", canon)
 
     @classmethod

@@ -122,8 +122,9 @@ class Verdict:
 
 
 # Verdicts are frozen, so one serves every holding or skipped instance
-# with the same note, and one every failing instance of K3_9 with the same
-# statements (`_chain_fails`).
+# with the same note, one every failing instance of K3_9 with the same
+# statements (`_chain_fails`), and one every instance of S3_8 with the same
+# explication outcome (`_explication_verdict`).
 
 @functools.cache
 def _holds(note: str = "") -> Verdict:
@@ -195,15 +196,19 @@ class _Product(Sequence):
         len(self): `start` is unranked once, and each next item steps the
         last factor, carrying into the factors before it where it wraps.
         The items of each stretch of the last factor are zipped from its
-        values and the other factors' fixed values."""
+        values, sliced where it is a sliceable sequence and taken one
+        index at a time where it computes them (_Mapped, _Permutations),
+        and the other factors' fixed values."""
         digits = self._digits(start)
         *outer, inner = self.factors
+        sliced = isinstance(inner, (array, list, tuple, range))
         values = list(map(getitem, outer, digits))
         first, left = digits[-1], stop - start
         out: list[tuple] = []
         while True:
             last = min(len(inner), first + left)
-            out += zip(*map(itertools.repeat, values), map(inner.__getitem__, range(first, last)))
+            stretch = inner[first:last] if sliced else map(inner.__getitem__, range(first, last))
+            out += zip(*map(itertools.repeat, values), stretch)
             left -= last - first
             if not left:
                 return out
@@ -392,14 +397,48 @@ def _check_l1_3(
     return _fails(f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else ""))
 
 
-def _idempotent(cl: Sequence[int]) -> bool:
-    """Whether the table `cl` (of a map of subset masks, such as a closure
-    table) composed with itself is `cl`.  A table of bytes (up to 4 points)
-    is translated through itself, padded to the 256 entries of a
-    translation table, in one call; a list is composed cell by cell."""
-    if isinstance(cl, bytes):
-        return cl.translate(cl.ljust(256, b"\0")) == cl
-    return [cl[c] for c in cl] == cl
+@functools.cache
+def _positions(n: int) -> int:
+    """The int whose byte j, in a 256-byte chunk of tables on n <= 4
+    points, is the position j >> n << n of the first cell of the table
+    that holds byte j; built on first use for each n."""
+    return int.from_bytes(bytes(j >> n << n for j in range(256)), "little")
+
+
+def _not_idempotent(run: Sequence[int], n: int) -> list[int]:
+    """The positions, ascending, of the tables in `run` that composed with
+    themselves are not themselves: the tables are maps of the subset masks
+    of n points (such as closure tables), 2^n cells each.
+
+    A run of bytes (n <= 4, such as closure_tables_of's join) is cut into
+    256-byte chunks of 256 >> n tables, the last one padded with zero
+    tables, which are idempotent.  Every cell is below 2^n, so OR-ing
+    each table's position into its cells points each cell into its own
+    table, and one translation of the pointed chunk through the chunk
+    composes every table in it with itself (Lamport, "Multiple byte
+    processing with full-word instructions", CACM 1975).  Only a chunk
+    that differs from its composition is compared table by table.  A list
+    (above 4 points) holds one table, composed cell by cell."""
+    if not isinstance(run, bytes):
+        return [] if [run[c] for c in run] == run else [0]
+    positions, out = _positions(n), []
+    for start in range(0, len(run), 256):
+        chunk = run[start : start + 256].ljust(256, b"\0")
+        composed = (int.from_bytes(chunk, "little") | positions).to_bytes(256, "little")
+        composed = composed.translate(chunk)
+        if composed != chunk:
+            size = 1 << n
+            out += [
+                (start + i) >> n
+                for i in range(0, 256, size)
+                if composed[i : i + size] != chunk[i : i + size]
+            ]
+    return out
+
+
+def _idem_fails(cl: Sequence[int]) -> Verdict:
+    z = next(z for z, c in enumerate(cl) if cl[c] != c)
+    return _fails(f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}")
 
 
 def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int]) -> Verdict:
@@ -408,12 +447,7 @@ def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int
     if family is None:
         return _skip("system does not cover the ground")
     cl = closure_map_of(ground.size, family, conv)
-    return _HOLDS if _idempotent(cl) else _not_idempotent(cl)
-
-
-def _not_idempotent(cl: Sequence[int]) -> Verdict:
-    z = next(z for z, c in enumerate(cl) if cl[c] != c)
-    return _fails(f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}")
+    return _idem_fails(cl) if _not_idempotent(cl, ground.size) else _HOLDS
 
 
 def _check_idem_block(
@@ -421,19 +455,18 @@ def _check_idem_block(
 ) -> list[Verdict]:
     """_check_idem on each tuple of a block, in order.  On up to 4 points,
     where every family is given, the block's tables come from one
-    closure_tables_of call, and each goes to _idempotent; above 4 points,
-    or for a document's system that does not cover the ground, each family
-    takes _check_idem's route."""
+    closure_tables_of call and go to _not_idempotent as one run; above 4
+    points, or for a document's system that does not cover the ground,
+    each family takes _check_idem's route."""
     families = [family for family, in block]
     n = ground.size
     if n > 4 or None in families:
         return [_check_idem(ground, conv, family) for family in families]
-    size = 1 << n
     tables = closure_tables_of(n, families, conv)
-    return [
-        _HOLDS if _idempotent(cl) else _not_idempotent(cl)
-        for cl in (tables[i : i + size] for i in range(0, len(tables), size))
-    ]
+    out = [_HOLDS] * len(families)
+    for i in _not_idempotent(tables, n):
+        out[i] = _idem_fails(tables[i << n : (i + 1) << n])
+    return out
 
 
 def _check_l3_1(
@@ -582,18 +615,23 @@ def _check_chain(
         return _skip("monotone variants need a cyclic flow")
     if not covering.covers_ground():
         return _skip("system does not cover the ground")
-    weak, conventional, plus, minus = (
-        set(family.masks) for family in free_attractors(
-            flow, covering, conv,
-            (CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
-             CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS),
-        )
+    weak, conventional, plus, minus = free_attractors(
+        flow, covering, conv,
+        (CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
+         CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS),
     )
-    if weak >= conventional and conventional >= plus and conventional >= minus:
+    # one set of the conventional family, which the monotone ones are
+    # compared against; a family's masks are ascending and distinct
+    strong = set(conventional.masks)
+    if (
+        strong.issubset(weak.masks)
+        and strong.issuperset(plus.masks)
+        and strong.issuperset(minus.masks)
+    ):
         return _HOLDS
     return _fails(
-        f"weak={sorted(weak)} conventional={sorted(conventional)} "
-        f"mono+={sorted(plus)} mono-={sorted(minus)}"
+        f"weak={list(weak.masks)} conventional={list(conventional.masks)} "
+        f"mono+={list(plus.masks)} mono-={list(minus.masks)}"
     )
 
 
@@ -618,14 +656,46 @@ def _check_s3_8(
     ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction,
     bijective: bool,
 ) -> Verdict:
-    if bijective and not f.is_bijective():
-        return _skip("not a bijection")
-    rec = cantor._explication(f, sys, conv)
-    if rec.agree:
+    [verdict] = _check_s3_8_block(ground, conv, [(sys, f)], bijective)
+    return verdict
+
+
+def _check_s3_8_block(
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], bijective: bool
+) -> list[Verdict]:
+    """S3_8's verdict on each (system, map) of a block, in order: the map's
+    explication record, whose three fields agree when the claim holds.  The
+    closure table and both membership sides are read from the system's
+    context once for each run of tuples that share the system (the inner
+    factor of the space is the map), and the record is never built: its
+    fields are the key of the verdict (_explication_verdict)."""
+    out = []
+    last = None
+    for sys, f in block:
+        if bijective and not f.is_bijective():
+            out.append(_skip("not a bijection"))
+            continue
+        if sys is not last:
+            ctx, last = sys.context(conv), sys
+            cl, side, compl_side = ctx._cl, ctx._side, ctx._compl_side
+        out.append(
+            _explication_verdict(cantor._explication_outcome(f.mask_table(), cl, side, compl_side))
+        )
+    return out
+
+
+@functools.cache
+def _explication_verdict(outcome: tuple[bool, bool, bool]) -> Verdict:
+    """S3_8's verdict, one per explication outcome (hull commutation, then
+    the two-sided memberships over the system and over its complement), as
+    its note names the outcome and nothing else: it holds when the three
+    agree."""
+    lhs, rhs_system, rhs_complement = outcome
+    if lhs == rhs_system == rhs_complement:
         return _HOLDS
     return _fails(
-        f"commutative={rec.lhs} two-sided(system)={rec.rhs_system} "
-        f"two-sided(complement)={rec.rhs_complement}"
+        f"commutative={lhs} two-sided(system)={rhs_system} "
+        f"two-sided(complement)={rhs_complement}"
     )
 
 
@@ -1026,7 +1096,8 @@ class Claim:
 
 #: Every claim, by id.  Columns: checker body, instance space, exhaustive
 #: ceiling on n, default number of random samples; a key puts the flow's
-#: orbit blocks in its place, and IDEM_ydwed checks a block at a time.
+#: orbit blocks in its place, and IDEM_ydwed and S3_8 check a block at a
+#: time.
 CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.S1_1: Claim(_check_s1_1, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.K1_2: Claim(_check_k1_2, _TOPOLOGIES, 4, 1000, clean=True),
@@ -1049,12 +1120,14 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.B3_6: Claim(_check_b3_6, _SYSTEMS, 4, 1000, clean=True),
     TheoremId.B3_7: Claim(_check_b3_7, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
     TheoremId.S3_8_bij: Claim(
-        partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 3, 1000
+        partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 3, 1000,
+        block_checker=partial(_check_s3_8_block, bijective=True),
     ),
     TheoremId.S3_8_all: Claim(
         partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 3, 1000,
         note="documented open question: for non-bijective self-maps the "
         "two-sided memberships and hull commutation can disagree",
+        block_checker=partial(_check_s3_8_block, bijective=False),
     ),
     TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9),
     TheoremId.B3_10: Claim(_check_b3_10, _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from hullflow import kernels
+from hullflow import kernels, setsys
 
 
 def random_families(seed, count):
@@ -128,6 +128,35 @@ class TestHullTable:
         # the list and one int object per cell
         own = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
         assert peak <= 2 * own, (own, peak)
+
+    def test_commutation_by_translation_matches_the_cell_loop(self):
+        # byte tables are composed by two translations, lists cell by cell:
+        # every closure table up to n=3 (every family, both conventions)
+        # with every self-map, and seeded tables and maps at n=4
+        cases = []
+        for n in (1, 2, 3):
+            tables = {
+                setsys.closure_map_of(n, family, conv)
+                for family in range(1 << (1 << n))
+                for conv in setsys.ClosureConvention
+            }
+            maps = [
+                bytes(kernels.perm_table(image))
+                for image in itertools.product(range(n), repeat=n)
+            ]
+            cases += [(table, cl) for cl in sorted(tables) for table in maps]
+        rnd = random.Random(41)
+        for _ in range(2000):
+            family = rnd.getrandbits(16)
+            cl = setsys.closure_map_of(4, family, rnd.choice(list(setsys.ClosureConvention)))
+            cases.append((bytes(kernels.perm_table([rnd.randrange(4) for _ in range(4)])), cl))
+        outcomes = []
+        for table, cl in cases:
+            assert isinstance(table, bytes) and isinstance(cl, bytes)
+            expected = kernels.commutes_with_closure(list(table), list(cl))
+            assert kernels.commutes_with_closure(table, cl) == expected, (list(table), list(cl))
+            outcomes.append(expected)
+        assert 0 < outcomes.count(True) < len(outcomes)
 
     def test_commutes_with_closure_takes_the_point_map(self):
         for n, sources in random_families(4, 100):

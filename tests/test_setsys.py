@@ -124,6 +124,19 @@ class TestSetSystem:
             assert s.masks == tuple(sorted(set(masks)))
             assert s == SetSystem(G3, tuple(reversed(masks)))
 
+    def test_ascending_members_are_kept_and_range_checked(self):
+        # a tuple of strictly ascending members is canonical and kept as it
+        # is; a list, or a tuple with a repeat, is canonicalized; ascending
+        # members are still checked against the ground
+        masks = (0b001, 0b011, 0b110)
+        assert SetSystem(G3, masks).masks is masks
+        assert SetSystem(G3, list(masks)).masks == masks
+        assert SetSystem(G3, (1, 1, 3)).masks == (1, 3)
+        for bad, named in (((-1, 2), -1), ((1, 8), 8), ((0, 3, 1 << 70), 1 << 70)):
+            with pytest.raises(ValueError) as err:
+                SetSystem(G3, bad)
+            assert str(err.value) == f"member 0x{named:x} outside ground of size 3"
+
     def test_system_with_contexts_freed_without_the_cycle_collector(self):
         # a system keeps its hull contexts, which must not keep it: with
         # the cyclic collector off, dropping the system frees it

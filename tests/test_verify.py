@@ -165,6 +165,27 @@ class TestIndexedSpaces:
         build = functools.partial(claim.kind.build, GroundSet(4), FULL)
         assert [build(*values).to_dict() for values in space] == listed
 
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_run_matches_indexing(self, theorem):
+        # a run slices its inner factor where it is a sequence (families,
+        # subsets, flows, functions) and indexes it where it computes its
+        # values (systems); every run of the whole space, and runs that
+        # start before, at and after a wrap of the inner factor and end
+        # past one or more wraps
+        claim = CLAIMS[theorem]
+        rnd = random.Random(theorem.value)
+        for n in range(1, min(3, claim.max_exhaustive_n) + 1):
+            space = claim.space(n)
+            indexed = [space[o] for o in range(len(space))]
+            inner = len(space.factors[-1])
+            assert space.run(0, len(space)) == indexed, n
+            starts = {0, 1, inner - 1, inner, inner + 1, len(space) - inner - 1}
+            starts |= {rnd.randrange(len(space)) for _ in range(8)}
+            for start in sorted(o for o in starts if 0 <= o < len(space)):
+                for length in (1, 2, inner, inner + 1, 2 * inner + 3, verify.SHARE_BLOCK):
+                    stop = min(start + length, len(space))
+                    assert space.run(start, stop) == indexed[start:stop], (n, start, stop)
+
     def test_ordinals_out_of_range(self):
         space = CLAIMS[TheoremId.B3_7].space(2)
         for ordinal in (-1, len(space)):
@@ -412,31 +433,31 @@ class TestSweep:
 
     def test_idempotence_by_translation_matches_composition(self):
         # up to 4 points a closure table is bytes, composed with itself by
-        # one translation; the list route composes it cell by cell: every
-        # covering family up to n=4, seeded families at n=5 and 6, and
-        # arbitrary byte tables, most of them not idempotent
+        # one translation as a run of one table; the list route composes it
+        # cell by cell: every covering family up to n=4, seeded families at
+        # n=5 and 6, and arbitrary byte tables, most of them not idempotent
         tables = [
-            closure_map_of(n, family, conv)
+            (n, closure_map_of(n, family, conv))
             for n in (1, 2, 3, 4)
             for family in verify._covering_families(n)
             for conv in (FULL, NONEMPTY)
         ]
-        assert all(isinstance(cl, bytes) for cl in tables)
+        assert all(isinstance(cl, bytes) for _, cl in tables)
         rnd = random.Random(13)
         for n in (5, 6):
             for conv in (FULL, NONEMPTY):
                 tables += [
-                    closure_map_of(n, rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n), conv)
+                    (n, closure_map_of(n, rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n), conv))
                     for _ in range(100)
                 ]
-        assert all(isinstance(cl, list) for cl in tables[-400:])
-        arbitrary = [
-            bytes(rnd.randrange(1 << n) for _ in range(1 << n))
+        assert all(isinstance(cl, list) for _, cl in tables[-400:])
+        tables += [
+            (n, bytes(rnd.randrange(1 << n) for _ in range(1 << n)))
             for n in (1, 2, 3, 4)
             for _ in range(500)
         ]
-        composed = [[cl[c] for c in cl] == list(cl) for cl in tables + arbitrary]
-        assert [verify._idempotent(cl) for cl in tables + arbitrary] == composed
+        composed = [[cl[c] for c in cl] == list(cl) for _, cl in tables]
+        assert [not verify._not_idempotent(cl, n) for n, cl in tables] == composed
         assert composed.count(False) > 1000
 
     @pytest.mark.parametrize("conv, fails, built", [(FULL, 0, 0), (NONEMPTY, 470, 32)])
@@ -727,6 +748,18 @@ class TestSweep:
         tracemalloc.start()
         try:
             rep = sweep(TheoremId.L3_1, 12, "random", samples=verify.SHARE_BLOCK, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.instance_count == verify.SHARE_BLOCK
+        assert peak < 1 << 20
+
+    def test_random_explication_sweep_keeps_one_draw_alive(self):
+        # each draw reaches the S3_8 block body alone, and on 10 points its
+        # tables are lists, which the translation route never copies
+        tracemalloc.start()
+        try:
+            rep = sweep(TheoremId.S3_8_all, 10, "random", samples=verify.SHARE_BLOCK, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1157,3 +1190,146 @@ class TestInstanceRoundTrip:
         assert again.to_dict() == inst.to_dict()
         assert again.systems["T"] == inst.systems["T"]
         assert again.flows["phi"].generator == inst.flows["phi"].generator
+
+
+def explication_oracle(n, members, image, convention):
+    """S3_8's (status, note) on the system `members` and the point map
+    `image`: hull commutation from each subset's closure, scanned, and its
+    image, taken point by point; the two-sided memberships by pair scans."""
+    full = (1 << n) - 1
+    cl = oracles.closure_table(n, members, convention)
+    outcome = (
+        all(oracles.image(image, cl[z]) == cl[oracles.image(image, z)] for z in range(1 << n)),
+        all(oracles.memberships(image, members)),
+        all(oracles.memberships(image, [full ^ m for m in members])),
+    )
+    if len(set(outcome)) == 1:
+        return "holds", ""
+    return "fails", "commutative={} two-sided(system)={} two-sided(complement)={}".format(
+        *outcome
+    )
+
+
+def composed_failures(run, n):
+    """The positions of the tables of 2^n cells in `run` that differ from
+    themselves composed with themselves, cell by cell."""
+    size = 1 << n
+    tables = [run[i : i + size] for i in range(0, len(run), size)]
+    return [i for i, cl in enumerate(tables) if [cl[c] for c in cl] != list(cl)]
+
+
+def random_idempotent(rnd, n):
+    """An arbitrary idempotent table of 2^n cells, as bytes: each cell maps
+    to one of a random set of cells that map to themselves."""
+    size = 1 << n
+    fixed = rnd.sample(range(size), rnd.randint(1, size))
+    return bytes(z if z in fixed else rnd.choice(fixed) for z in range(size))
+
+
+def random_not_idempotent(rnd, n):
+    """An arbitrary table of 2^n cells, as bytes, that is not idempotent."""
+    while True:
+        cl = bytes(rnd.randrange(1 << n) for _ in range(1 << n))
+        if composed_failures(cl, n):
+            return cl
+
+
+class TestBlockBodies:
+    # the IDEM_ydwed and S3_8 block bodies against the routes they
+    # replaced: composition cell by cell, the per-instance verdict and the
+    # brute-force oracles
+
+    @pytest.mark.parametrize("conv, fails", [(FULL, 0), (NONEMPTY, 470)], ids=["full", "nonempty"])
+    def test_idempotence_by_run_matches_composition(self, conv, fails):
+        # every covering family up to n=4, as one run and as the runs of
+        # the share blocks; the last chunk of most of them is short
+        for n in (1, 2, 3, 4):
+            families = verify._covering_families(n)
+            run = setsys.closure_tables_of(n, families, conv)
+            expected = composed_failures(run, n)
+            assert verify._not_idempotent(run, n) == expected, n
+            block = verify.SHARE_BLOCK
+            by_blocks = [
+                start + i
+                for start in range(0, len(families), block)
+                for i in verify._not_idempotent(
+                    setsys.closure_tables_of(n, families[start : start + block], conv), n
+                )
+            ]
+            assert by_blocks == expected, n
+        assert len(expected) == fails
+
+    def test_one_failing_table_at_each_position(self):
+        # arbitrary idempotent byte tables, two chunks and three tables
+        # long, with one failing table at each position in turn, then with
+        # failing tables at random positions
+        rnd = random.Random(22)
+        for n in (1, 2, 3, 4):
+            count = 2 * (256 >> n) + 3
+            tables = [random_idempotent(rnd, n) for _ in range(count)]
+            assert verify._not_idempotent(b"".join(tables), n) == []
+            for position in range(count):
+                run = tables[:position] + [random_not_idempotent(rnd, n)] + tables[position + 1 :]
+                assert verify._not_idempotent(b"".join(run), n) == [position], (n, position)
+            for _ in range(20):
+                positions = sorted(rnd.sample(range(count), rnd.randint(2, 9)))
+                run = list(tables)
+                for position in positions:
+                    run[position] = random_not_idempotent(rnd, n)
+                assert verify._not_idempotent(b"".join(run), n) == positions, n
+
+    def test_short_last_chunk(self):
+        # runs of 1 to one chunk and two tables, of arbitrary tables, most
+        # of them not idempotent: a padded chunk flags none of its padding
+        rnd = random.Random(23)
+        for n in (1, 2, 3, 4):
+            for count in range(1, (256 >> n) + 3):
+                run = b"".join(
+                    random_idempotent(rnd, n) if rnd.random() < 0.5
+                    else bytes(rnd.randrange(1 << n) for _ in range(1 << n))
+                    for _ in range(count)
+                )
+                assert verify._not_idempotent(run, n) == composed_failures(run, n), (n, count)
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", [TheoremId.S3_8_all, TheoremId.S3_8_bij])
+    def test_explication_block_matches_each_instance(self, theorem, conv):
+        # every instance up to n=3, in the share blocks of a sweep (each
+        # holding runs of several systems) and shuffled, against the
+        # verdict of each instance alone and the oracle
+        claim = CLAIMS[theorem]
+        rnd = random.Random(24)
+        statuses = set()
+        for n in (1, 2, 3):
+            ground = GroundSet(n)
+            for _, block in verify._exhaustive_instances(theorem, n, 0, 1):
+                alone = [claim.checker(ground, conv, *values) for values in block]
+                expected = [(v.status, v.note) for v in alone]
+                assert expected == [
+                    explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block
+                ], n
+                order = rnd.sample(range(len(block)), len(block))
+                for values in (block, [block[i] for i in order]):
+                    verdicts = claim.check(ground, values, conv)
+                    if values is not block:
+                        verdicts = [verdicts[order.index(i)] for i in range(len(block))]
+                    assert [(v.status, v.note) for v in verdicts] == expected, n
+                statuses.update(status for status, _ in expected)
+        assert statuses == {"holds", "fails"}
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", [TheoremId.S3_8_all, TheoremId.S3_8_bij])
+    def test_explication_block_on_random_draws(self, theorem, conv):
+        # drawn systems and maps on 5 to 7 points, where the tables are
+        # lists, two maps to each system, in one block
+        claim = CLAIMS[theorem]
+        for n in (5, 6, 7):
+            rnd = random.Random(f"{theorem.value}:{n}")
+            draws = [claim.kind.draw(n, rnd) for _ in range(12)]
+            block = [(draws[i // 2][0], f) for i, (_, f) in enumerate(draws)]
+            ground = GroundSet(n)
+            verdicts = claim.check(ground, block, conv)
+            alone = [claim.checker(ground, conv, *values) for values in block]
+            expected = [explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block]
+            assert [(v.status, v.note) for v in verdicts] == expected, n
+            assert [(v.status, v.note) for v in alone] == expected, n
