@@ -3,10 +3,12 @@
 A free attractor is a nonempty flow-invariant set whose trace under the
 relativizing system satisfies the coherence criterion: any two nonempty
 trace sets can be brought to meet by some flow time, which orbit saturation
-decides without listing the group.  Weak and monotone variants quantify the
-criterion differently; one pass over the invariant sets builds the family
-of every variant asked for.  Rooms are the images of the orbits under a
-closure table, and the room report ties them to the attractors.
+decides without listing the group.  The conventional family is read off
+the orbit blocks that the covering's members meet, with no trace taken;
+the weak variant traces each invariant set, and the monotone ones share
+the conventional family on cyclic flows.  Rooms are the images of the
+orbits under a closure table, and the room report ties them to the
+attractors.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class CoherenceVariant(Enum):
     MONO_MINUS = "mono-"
 
 
+_WEAK, _CONVENTIONAL = CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL
+
+
 def saturation_coherent(blocks: Sequence[int], trace: Sequence[int]) -> bool:
     """True when every ordered pair (a, b) of masks from the trace has b
     meeting sat(a), the union of the orbit blocks meeting a.  That is the
@@ -63,22 +68,65 @@ def _weak(rooms: Sequence[int], trace: Sequence[int]) -> bool:
     return all(u & w for u in unions for w in unions)
 
 
-#: The most keys each coherence memo keeps.  Every n=3 sweep asks at most
-#: 1,187 distinct questions of either.
+def _weak_by_family(rooms: tuple[int, ...], family: int) -> bool:
+    """_weak on the trace whose nonempty sets are the bits of `family`, a
+    family bitmask (bit a set when a is a trace set); bit 0 is ignored."""
+    return _weak(rooms, [a for a in range(1, family.bit_length()) if family >> a & 1])
+
+
+#: The most keys the weak coherence memo keeps.  Every n=3 sweep asks it
+#: at most 1,187 distinct questions.
 COHERENCE_MEMO = 4096
 
-#: The most points on which the memos are asked.  There a key is at most
-#: about 20 ints below 16 (a trace holds at most 15 masks), so both memos
-#: full hold about 2 MB.  On more points a system may have 2^(n-1)
-#: members and a trace as many masks, so one key would grow with 2^n while
-#: keys rarely repeat: each verdict is decided afresh there.
+#: The most points on which the weak memo is asked.  There a key is the
+#: pre-rooms, at most 4 ints below 16, and the trace's family bitmask,
+#: below 2^16, so the memo full holds about 1 MB.  On more points a
+#: system may have 2^(n-1) members and a trace as many masks, so one key
+#: would grow with 2^n while keys rarely repeat: each verdict is decided
+#: afresh there.
 MEMO_POINTS = 4
 
-#: The conventional criterion kept by (orbit blocks, trace) and the weak one
-#: by (pre-rooms, trace), both as sorted tuples of ints: each reads nothing
-#: else of the flow or the covering, and a key keeps no system or flow alive.
-_coherent = lru_cache(maxsize=COHERENCE_MEMO)(saturation_coherent)
-_weakly_coherent = lru_cache(maxsize=COHERENCE_MEMO)(_weak)
+#: The weak criterion kept by (pre-rooms as a sorted tuple, the trace's
+#: family bitmask): it reads nothing else of the flow or the covering, and
+#: a key keeps no system or flow alive.
+_weakly_coherent = lru_cache(maxsize=COHERENCE_MEMO)(_weak_by_family)
+
+
+def _block_incidence(blocks: Sequence[int], masks: Sequence[int]) -> int:
+    """The block-incidence family of a covering: for each member m, the
+    set of the indices i of the orbit blocks that m meets (bit i for
+    blocks[i]), kept when nonempty, as a family bitmask on 2^k cells for k
+    blocks (bit s set when s is in the family)."""
+    family = 0
+    for m in masks:
+        s, bit = 0, 1
+        for block in blocks:
+            if block & m:
+                s |= bit
+            bit <<= 1
+        family |= 1 << s
+    return family & ~1
+
+
+def _coherent_index_sets(k: int, beta: int) -> tuple[int, ...]:
+    """The nonempty sets S of block indices, below 2^k and ascending, whose
+    traces of the block-incidence family `beta` (_block_incidence), the
+    nonempty b & S for b in `beta`, pairwise intersect (Erdős, Ko and Rado,
+    "Intersection theorems for systems of finite sets", 1961).
+
+    A trace set m & theta of the invariant set theta, the union of the
+    blocks in S, meets the union of the blocks meeting another, m' & theta,
+    exactly when a block in S meets both m and m': so theta is
+    conventionally coherent exactly when S is one of these sets, and its
+    trace is never taken."""
+    members = [s for s in range(1, 1 << k) if beta >> s & 1]
+    out = []
+    for index_set in range(1, 1 << k):
+        cut = {s & index_set for s in members}
+        cut.discard(0)
+        if all(a & b for a in cut for b in cut):
+            out.append(index_set)
+    return tuple(out)
 
 
 def free_attractors(
@@ -91,20 +139,21 @@ def free_attractors(
     per variant asked for, in that order: the nonempty invariant sets whose
     trace under the covering passes the variant's coherence criterion.
 
-    Each trace is taken once, as a sorted tuple, and decided once for all
-    the variants but the weak one.  The monotone variants share the
-    conventional decision by periodicity on cyclic flows: a witness within
-    one generator period yields infinitely many strictly increasing (or
+    The conventional family is read off the covering's block-incidence
+    family (_coherent_index_sets), with no trace taken.  The monotone
+    variants share it by periodicity on cyclic flows: a witness within one
+    generator period yields infinitely many strictly increasing (or
     decreasing) witness times.  The weak criterion asks instead that, for
     any two trace sets, the unions of the pre-rooms meeting each of them
-    meet.  Each criterion is a pure function of its key, (orbit blocks,
-    trace) or (pre-rooms, trace), so on up to MEMO_POINTS points each key
+    meet: each invariant set's trace is taken once, and on up to
+    MEMO_POINTS points, as a family bitmask, each (pre-rooms, trace) key
     is decided once per process while its memo holds it."""
     if covering.ground != flow.ground:
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
         raise ValueError("relativizing system must cover the flow's ground")
-    return _free_attractors(flow, covering, conv, variants)
+    families = _free_attractors(flow, covering, conv, variants)
+    return tuple(SetSystem(flow.ground, family) for family in families)
 
 
 def _free_attractors(
@@ -112,41 +161,56 @@ def _free_attractors(
     covering: SetSystem,
     conv: ClosureConvention,
     variants: Sequence[CoherenceVariant] = (CoherenceVariant.CONVENTIONAL,),
-) -> tuple[SetSystem, ...]:
-    """free_attractors, for a caller that has compared the grounds and
-    checked that the covering covers the ground."""
+    memo: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
+) -> tuple[tuple[int, ...], ...]:
+    """The masks of free_attractors' families, ascending, for a caller that
+    has compared the grounds and checked that the covering covers the
+    ground.  `memo`, where a sweep passes one, keeps the positions of the
+    coherent index sets by (k, block-incidence family) for the sweep."""
+    asks_weak = asks_strong = False
+    for v in variants:
+        if v is _WEAK:
+            asks_weak = True
+        else:
+            asks_strong = True
+            if v is not _CONVENTIONAL and not flow.is_cyclic:
+                raise VariantUnsupportedError(
+                    "monotone coherence needs integer time; use a cyclic flow"
+                )
+    # the invariant sets, listed in the order of their index sets
     candidates = flow._invariant
-    if (
-        CoherenceVariant.MONO_PLUS in variants or CoherenceVariant.MONO_MINUS in variants
-    ) and not flow.is_cyclic:
-        raise VariantUnsupportedError(
-            "monotone coherence needs integer time; use a cyclic flow"
-        )
-    weak = CoherenceVariant.WEAK in variants
-    conventional = any(v is not CoherenceVariant.WEAK for v in variants)
     blocks = flow.orbit_blocks()
-    if weak:
+    masks = covering.masks
+    strong = weak = ()
+    if asks_strong:
+        key = (len(blocks), _block_incidence(blocks, masks))
+        positions = None if memo is None else memo.get(key)
+        if positions is None:
+            positions = tuple(s - 1 for s in _coherent_index_sets(*key))
+            if memo is not None:
+                memo[key] = positions
+        strong = tuple(map(candidates.__getitem__, positions))
+    if asks_weak:
         # the pre-rooms: the orbits' closures, read off the covering's table
         table = covering.context(conv)._cl
         rooms = tuple(sorted({table[b] for b in blocks}))
-    if flow.ground.size <= MEMO_POINTS:
-        coherent_by, weak_by = _coherent, _weakly_coherent
-    else:
-        coherent_by, weak_by = saturation_coherent, _weak
-    masks = covering.masks
-    coherent: list[int] = []
-    weakly_coherent: list[int] = []
-    for theta in candidates:
-        traced = {m & theta for m in masks}
-        traced.discard(0)
-        trace = tuple(sorted(traced))
-        if conventional and coherent_by(blocks, trace):
-            coherent.append(theta)
-        if weak and weak_by(rooms, trace):
-            weakly_coherent.append(theta)
-    strong = SetSystem(flow.ground, tuple(coherent))
-    weakly = SetSystem(flow.ground, tuple(weakly_coherent)) if weak else strong
-    return tuple(weakly if v is CoherenceVariant.WEAK else strong for v in variants)
+        memoized = flow.ground.size <= MEMO_POINTS
+        weakly_coherent: list[int] = []
+        for theta in candidates:
+            if memoized:
+                # the trace as a family bitmask, bit 0 always set
+                family = 1
+                for m in masks:
+                    family |= 1 << (m & theta)
+                coherent = _weakly_coherent(rooms, family)
+            else:
+                traced = {m & theta for m in masks}
+                traced.discard(0)
+                coherent = _weak(rooms, traced)
+            if coherent:
+                weakly_coherent.append(theta)
+        weak = tuple(weakly_coherent)
+    return tuple([weak if v is _WEAK else strong for v in variants])
 
 
 def topological_attractors(
@@ -251,6 +315,6 @@ def room_report(
     if closed.covers_ground():
         # the empty set is never attractive
         attractors = 0 not in rooms.masks and set(rooms.masks) <= set(
-            _free_attractors(flow, closed, conv)[0].masks
+            _free_attractors(flow, closed, conv)[0]
         )
     return RoomReport(rooms, partition, invariant, attractors)

@@ -155,7 +155,11 @@ class DiscreteFlow:
     def _invariant(self) -> tuple[int, ...]:
         """The nonempty unions of orbit blocks, ascending, listed once.
         Each block doubles the unions built so far, so the enumeration
-        takes one step per set."""
+        takes one step per set, and entry S - 1 is the union of the blocks
+        whose indices are the bits of S.  That order is ascending: the
+        blocks are disjoint and ascending, so the highest point of two
+        unions' difference lies in the block of highest index on which
+        their index sets differ."""
         if 1 << len(self._blocks) > INVARIANT_CAP:
             raise CapExceededError(
                 f"2^{len(self._blocks)} invariant sets exceed cap {INVARIANT_CAP}"
@@ -163,7 +167,7 @@ class DiscreteFlow:
         unions = [0]
         for block in self._blocks:
             unions += [u | block for u in unions]
-        return tuple(sorted(unions[1:]))
+        return tuple(unions[1:])
 
 
 def saturate(blocks: Iterable[int], a: int) -> int:

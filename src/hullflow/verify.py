@@ -29,12 +29,13 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from operator import attrgetter, getitem
-from typing import Any, Callable, Hashable, Iterator, NamedTuple, Optional
+from operator import attrgetter, getitem, is_
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import cantor, kernels
 from .attract import (
     CoherenceVariant,
+    _free_attractors,
     free_attractors,
     room_report,
     saturation_coherent,
@@ -43,7 +44,6 @@ from .attract import (
 from .cantor import (
     ALL_STATEMENTS,
     PhaseChainRecord,
-    chain_bits,
     fibration_integrity,
     preserves_unfamily,
 )
@@ -131,7 +131,7 @@ def _holds(note: str = "") -> Verdict:
     return Verdict("holds", note=note)
 
 
-_HOLDS = _holds()
+_HOLDS = _holds("")
 
 
 @functools.cache
@@ -381,12 +381,9 @@ def _check_k1_2(ground: GroundSet, conv: ClosureConvention, t: SetSystem) -> Ver
     return _fails(f"t0={flags.is_t0} discrete={discrete}")
 
 
-def _check_l1_3(
-    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, chi: int
-) -> Verdict:
-    if not chi:
-        return _skip("empty chi")
-    blocks = flow.orbit_blocks()
+def _l1_3_verdict(ground: GroundSet, blocks: tuple[int, ...], chi: int) -> Verdict:
+    """L1_3's verdict on a nonempty chi under a flow with these orbit
+    blocks, which are all of the flow it reads."""
     subsets = [a for a in range(1, chi + 1) if a & chi == a]
     coherent = saturation_coherent(blocks, subsets)
     singles = saturation_coherent(blocks, [1 << x for x in range(ground.size) if chi >> x & 1])
@@ -395,6 +392,32 @@ def _check_l1_3(
     if coherent == is_block:
         return _holds(note)
     return _fails(f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else ""))
+
+
+def _check_l1_3_block(
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+) -> list[Verdict]:
+    """L1_3's verdict on each (flow, chi) of a block, in order.  The
+    orbit blocks are read once for each run of tuples that share a flow
+    (chi is the inner factor of the space).  With a sweep's memo, each
+    orbit partition's row of verdicts, one per nonempty chi and indexed by
+    chi - 1, is decided whole on its first ask and kept by the orbit
+    blocks; without one, each chi is decided alone."""
+    out = []
+    last = None
+    for flow, chi in block:
+        if not chi:
+            out.append(_skip("empty chi"))
+            continue
+        if flow is not last:
+            last, blocks = flow, flow.orbit_blocks()
+            row = None if memo is None else memo.get(blocks)
+            if row is None and memo is not None:
+                row = memo[blocks] = [
+                    _l1_3_verdict(ground, blocks, c) for c in range(1, 1 << ground.size)
+                ]
+        out.append(_l1_3_verdict(ground, blocks, chi) if row is None else row[chi - 1])
+    return out
 
 
 @functools.cache
@@ -451,7 +474,7 @@ def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int
 
 
 def _check_idem_block(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple]
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
     """_check_idem on each tuple of a block, in order.  On up to 4 points,
     where every family is given, the block's tables come from one
@@ -567,12 +590,11 @@ def _check_s3_3(
     )
 
 
-def _check_b3_4(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
-) -> Verdict:
-    if not sys.covers_ground():
-        return _skip("system does not cover the ground")
-    report = room_report(flow, closure_map(sys, conv), conv)
+def _b3_4_verdict(flow: DiscreteFlow, table: Sequence[int], conv: ClosureConvention) -> Verdict:
+    """B3_4's verdict on a covering system, whose closure table is `table`,
+    under the flow: the room report reads the flow only through its orbit
+    blocks."""
+    report = room_report(flow, table, conv)
     if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
     if report.invariant == report.attractors:
@@ -581,6 +603,33 @@ def _check_b3_4(
         f"rooms={report.rooms!r} invariant={report.invariant} "
         f"attractors={report.attractors}"
     )
+
+
+def _check_b3_4_block(
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+) -> list[Verdict]:
+    """B3_4's verdict on each (system, flow) of a block, in order.  Whether
+    the system covers the ground and its closure table are read once for
+    each run of tuples that share the system (the flow is the inner
+    factor), and its row of verdicts, one per orbit partition, is kept by
+    its masks in a sweep's memo or, without one, for the run."""
+    out = []
+    last = None
+    for sys, flow in block:
+        if sys is not last:
+            last, covers = sys, sys.covers_ground()
+            if covers:
+                table = closure_map(sys, conv)
+                row = {} if memo is None else memo.setdefault(sys.masks, {})
+        if not covers:
+            out.append(_skip("system does not cover the ground"))
+            continue
+        blocks = flow.orbit_blocks()
+        verdict = row.get(blocks)
+        if verdict is None:
+            verdict = row[blocks] = _b3_4_verdict(flow, table, conv)
+        out.append(verdict)
+    return out
 
 
 def _check_b2_3d(
@@ -608,31 +657,66 @@ def _check_b2_3d(
     return _HOLDS
 
 
-def _check_chain(
-    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, covering: SetSystem
+#: The variants CHAIN_karrenk compares, in the order of its note.
+_CHAIN_VARIANTS = (
+    CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
+    CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS,
+)
+
+
+def _chain_verdict(
+    flow: DiscreteFlow, covering: SetSystem, conv: ClosureConvention, families: Optional[dict]
 ) -> Verdict:
-    if not flow.is_cyclic:
-        return _skip("monotone variants need a cyclic flow")
-    if not covering.covers_ground():
-        return _skip("system does not cover the ground")
-    weak, conventional, plus, minus = free_attractors(
-        flow, covering, conv,
-        (CoherenceVariant.WEAK, CoherenceVariant.CONVENTIONAL,
-         CoherenceVariant.MONO_PLUS, CoherenceVariant.MONO_MINUS),
+    """CHAIN_karrenk's verdict on a cyclic flow and a covering that covers
+    the ground; `families` is the sweep's memo of conventional families by
+    block-incidence family (attract._free_attractors)."""
+    weak, conventional, plus, minus = _free_attractors(
+        flow, covering, conv, _CHAIN_VARIANTS, families
     )
     # one set of the conventional family, which the monotone ones are
     # compared against; a family's masks are ascending and distinct
-    strong = set(conventional.masks)
-    if (
-        strong.issubset(weak.masks)
-        and strong.issuperset(plus.masks)
-        and strong.issuperset(minus.masks)
-    ):
+    strong = set(conventional)
+    if strong.issubset(weak) and strong.issuperset(plus) and strong.issuperset(minus):
         return _HOLDS
     return _fails(
-        f"weak={list(weak.masks)} conventional={list(conventional.masks)} "
-        f"mono+={list(plus.masks)} mono-={list(minus.masks)}"
+        f"weak={list(weak)} conventional={list(conventional)} "
+        f"mono+={list(plus)} mono-={list(minus)}"
     )
+
+
+#: The key of a sweep's memo under which CHAIN_karrenk keeps its
+#: conventional families by block-incidence family; its rows of verdicts
+#: are kept by orbit blocks, which are tuples.
+_FAMILIES = "families"
+
+
+def _check_chain_block(
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+) -> list[Verdict]:
+    """CHAIN_karrenk's verdict on each (cycle, covering) of a block, in
+    order.  The verdict reads the flow only through its orbit blocks (and
+    whether it is cyclic), so each orbit partition has a row of verdicts,
+    one per covering, read once for each run of tuples that share a flow
+    (the covering is the inner factor): kept by the orbit blocks in a
+    sweep's memo or, without one, for the run."""
+    out = []
+    last = None
+    families = None if memo is None else memo.setdefault(_FAMILIES, {})
+    for flow, covering in block:
+        if flow is not last:
+            last = flow
+            row = {} if memo is None else memo.setdefault(flow.orbit_blocks(), {})
+        if not flow.is_cyclic:
+            out.append(_skip("monotone variants need a cyclic flow"))
+            continue
+        if not covering.covers_ground():
+            out.append(_skip("system does not cover the ground"))
+            continue
+        verdict = row.get(covering.masks)
+        if verdict is None:
+            verdict = row[covering.masks] = _chain_verdict(flow, covering, conv, families)
+        out.append(verdict)
+    return out
 
 
 def _check_b3_6(ground: GroundSet, conv: ClosureConvention, family: int) -> Verdict:
@@ -652,16 +736,9 @@ def _check_b3_7(
     return _fails(f"integrity={integ} preserves_unfamily={pres}")
 
 
-def _check_s3_8(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction,
-    bijective: bool,
-) -> Verdict:
-    [verdict] = _check_s3_8_block(ground, conv, [(sys, f)], bijective)
-    return verdict
-
-
 def _check_s3_8_block(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], bijective: bool
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict],
+    bijective: bool,
 ) -> list[Verdict]:
     """S3_8's verdict on each (system, map) of a block, in order: the map's
     explication record, whose three fields agree when the claim holds.  The
@@ -699,17 +776,33 @@ def _explication_verdict(outcome: tuple[bool, bool, bool]) -> Verdict:
     )
 
 
-def _check_k3_9(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
-) -> Verdict:
-    if not sys.covers_ground():
-        return _skip("system does not cover the ground")
-    # the group's statements, decided on its generators as in
-    # phase_chain_check: the chain holds when they all agree
-    bits = chain_bits(flow.gens, sys.context(conv))
-    if bits == 0 or bits == ALL_STATEMENTS:
-        return _HOLDS
-    return _chain_fails(bits)
+def _check_k3_9_block(
+    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+) -> list[Verdict]:
+    """K3_9's verdict on each (system, flow) of a block, in order: the
+    group's statements, decided on its generators as in phase_chain_check,
+    hold together or fail together.  Whether the system covers the ground,
+    its context and the context's rows of statements are read once for
+    each run of tuples that share the system (the flow is the inner
+    factor); each generator's row is decided on its first ask
+    (cantor._row), and the rows are ANDed here."""
+    out = []
+    last = None
+    for sys, flow in block:
+        if sys is not last:
+            last, covers = sys, sys.covers_ground()
+            if covers:
+                ctx = sys.context(conv)
+                rows = ctx._rows
+        if not covers:
+            out.append(_skip("system does not cover the ground"))
+            continue
+        bits = ALL_STATEMENTS
+        for g in flow.gens:
+            row = rows.get(g.image)
+            bits &= cantor._row(ctx, g) if row is None else row
+        out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
+    return out
 
 
 @functools.cache
@@ -1025,24 +1118,20 @@ class Claim:
     `(ground, conv, *values) -> Verdict`; the kind of its instance space,
     enumerated up to `max_exhaustive_n` points, and the number of random
     samples drawn by default; whether sweeps are expected to be
-    failure-free; the note attached to sweep reports; for the few claims
-    that do not read an instance factor by factor, their own
-    `read(Instance) -> values`; and, where declared, `key(*values)`.
+    failure-free; the note attached to sweep reports; and, for the few
+    claims that do not read an instance factor by factor, their own
+    `read(Instance) -> values`.
 
-    The key is a hashable value such that two tuples of factor values with
-    equal keys get equal verdicts (status, note and named systems) on one
-    ground under one convention.  A claim declares it only where its body
-    reads a flow through its orbit blocks alone (and whether it is
-    cyclic), so the key holds the orbit blocks in place of the flow; an
-    exhaustive sweep then runs the body once per key (`check`), and
-    `TestOrbitBlockKeys` checks each declaration against the body run on
-    every instance.
-
-    A claim may also declare `block_checker(ground, conv, block) ->
+    A claim may also declare `block_checker(ground, conv, block, memo) ->
     verdicts`, a body over a whole block of tuples of factor values that
     pays the interpreter's per-call cost once per block (Boncz, Zukowski
     and Nes, "MonetDB/X100: Hyper-pipelining query execution", CIDR 2005).
-    Its verdicts must be the checker body's on each tuple, in order."""
+    Its verdicts must be the checker body's on each tuple, in order; the
+    checker body of most such claims is the block body on a block of one
+    (`_alone`).  `memo` is a dict that an exhaustive sweep keeps for the
+    whole of one worker's share and hands to every block, and None
+    otherwise: a block body may keep in it what it decided, so that later
+    blocks read it, under keys of its own."""
 
     checker: Callable[..., Verdict]
     kind: _Space
@@ -1051,7 +1140,6 @@ class Claim:
     clean: bool = False
     note: str = ""
     read: Optional[Callable[[Instance], tuple]] = None
-    key: Optional[Callable[..., Hashable]] = None
     block_checker: Optional[Callable[..., list[Verdict]]] = None
 
     def space(self, n: int) -> _Product:
@@ -1069,41 +1157,44 @@ class Claim:
         ground: GroundSet,
         block: Sequence[tuple],
         conv: ClosureConvention,
-        verdicts: Optional[dict[Hashable, Verdict]] = None,
+        memo: Optional[dict] = None,
     ) -> list[Verdict]:
         """Evaluate the claim on a block of tuples of factor values: their
         verdicts, in order.  Every sweep (once per exhaustive share block,
         once per random draw) and `check_theorem` (with a block of one)
         call goes through here, which gives per-layer tracing (sweepbench)
-        one name to time all checker bodies by.  A claim with a block body gets the whole block;
-        otherwise its body is mapped over the block, and where the claim
-        declares a key and the caller passes its memo `verdicts`, once per
-        key: `verdicts` maps each key met to its verdict."""
+        one name to time all checker bodies by.  A claim with a block body
+        gets the whole block and the sweep's `memo`; otherwise its body is
+        mapped over the block."""
         if self.block_checker is not None:
-            return self.block_checker(ground, conv, block)
+            return self.block_checker(ground, conv, block, memo)
         checker = self.checker
-        if self.key is None or verdicts is None:
-            return [checker(ground, conv, *values) for values in block]
-        out = []
-        for values in block:
-            k = self.key(*values)
-            verdict = verdicts.get(k)
-            if verdict is None:
-                verdict = verdicts[k] = checker(ground, conv, *values)
-            out.append(verdict)
-        return out
+        return [checker(ground, conv, *values) for values in block]
 
+
+def _alone(block_checker: Callable[..., list[Verdict]]) -> Callable[..., Verdict]:
+    """The checker body of a block body: the block body on a block of one,
+    with no memo, so `check_theorem` and the sweeps run the same code."""
+
+    def checker(ground: GroundSet, conv: ClosureConvention, *values: Any) -> Verdict:
+        [verdict] = block_checker(ground, conv, [values], None)
+        return verdict
+
+    return checker
+
+
+_S3_8_BIJ = partial(_check_s3_8_block, bijective=True)
+_S3_8_ALL = partial(_check_s3_8_block, bijective=False)
 
 #: Every claim, by id.  Columns: checker body, instance space, exhaustive
-#: ceiling on n, default number of random samples; a key puts the flow's
-#: orbit blocks in its place, and IDEM_ydwed and S3_8 check a block at a
-#: time.
+#: ceiling on n, default number of random samples; the claims with a block
+#: body check a block at a time.
 CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.S1_1: Claim(_check_s1_1, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.K1_2: Claim(_check_k1_2, _TOPOLOGIES, 4, 1000, clean=True),
     TheoremId.L1_3: Claim(
-        _check_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3,
-        key=lambda flow, chi: (flow.orbit_blocks(), chi),
+        _alone(_check_l1_3_block), _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3,
+        block_checker=_check_l1_3_block,
     ),
     TheoremId.S2_2: Claim(_check_s2_2, _TOPOLOGIES_GENSETS, 4, 500, clean=True),
     TheoremId.B2_3d: Claim(
@@ -1114,27 +1205,29 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.B3_2: Claim(_check_b3_2, _SYSTEMS_GENSETS, 3, 500, clean=True),
     TheoremId.S3_3: Claim(_check_s3_3, _SYSTEMS_GENSETS, 3, 1000, clean=True),
     TheoremId.B3_4: Claim(
-        _check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True,
-        key=lambda sys, flow: (sys, flow.orbit_blocks()),
+        _alone(_check_b3_4_block), _SYSTEMS_GENSETS, 3, 1000, clean=True,
+        block_checker=_check_b3_4_block,
     ),
     TheoremId.B3_6: Claim(_check_b3_6, _SYSTEMS, 4, 1000, clean=True),
     TheoremId.B3_7: Claim(_check_b3_7, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
     TheoremId.S3_8_bij: Claim(
-        partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 3, 1000,
-        block_checker=partial(_check_s3_8_block, bijective=True),
+        _alone(_S3_8_BIJ), _SYSTEMS_BIJECTIONS, 3, 1000, block_checker=_S3_8_BIJ,
     ),
     TheoremId.S3_8_all: Claim(
-        partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 3, 1000,
+        _alone(_S3_8_ALL), _SYSTEMS_FUNCTIONS, 3, 1000,
         note="documented open question: for non-bijective self-maps the "
         "two-sided memberships and hull commutation can disagree",
-        block_checker=partial(_check_s3_8_block, bijective=False),
+        block_checker=_S3_8_ALL,
     ),
-    TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9),
+    TheoremId.K3_9: Claim(
+        _alone(_check_k3_9_block), _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9,
+        block_checker=_check_k3_9_block,
+    ),
     TheoremId.B3_10: Claim(_check_b3_10, _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
     TheoremId.COVAR: Claim(_check_covar, _RELABELINGS, 3, 1000, read=_unpack_covar),
     TheoremId.CHAIN_karrenk: Claim(
-        _check_chain, _CYCLES_COVERINGS, 3, 1000,
-        key=lambda flow, covering: (flow.orbit_blocks(), flow.is_cyclic, covering),
+        _alone(_check_chain_block), _CYCLES_COVERINGS, 3, 1000,
+        block_checker=_check_chain_block,
     ),
     TheoremId.IDEM_ydwed: Claim(
         _check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem, block_checker=_check_idem_block
@@ -1255,13 +1348,13 @@ def _evaluate(
     an Instance is built only for a failing verdict whose witness is kept,
     from that instance's own values.
 
-    In exhaustive mode a claim that declares a key (see Claim) is checked
-    once per key: a dict local to this call maps each key to its verdict,
-    so it holds at most one entry per key of the share and dies with the
-    call, and each pool worker keeps its own.  Random mode keeps none, as
-    its draws on many points rarely repeat a key and would keep every
-    drawn system alive.  Returns the share's counts and its first `cap`
-    counterexamples."""
+    In exhaustive mode every block of the share gets one memo, a dict local
+    to this call (see Claim), in which a block body keeps what later
+    blocks ask again, such as a row of verdicts per orbit partition: it
+    dies with the call, and each pool worker keeps its own.  Random mode
+    keeps none, as its draws on many points rarely repeat and would keep
+    every drawn system alive.  Returns the share's counts and its first
+    `cap` counterexamples."""
     if mode == "exhaustive":
         share = _exhaustive_instances(theorem, n, worker, jobs)
     else:
@@ -1273,17 +1366,22 @@ def _evaluate(
             for o in block
         )
     claim = CLAIMS[theorem]
-    verdicts: Optional[dict[Hashable, Verdict]] = {} if mode == "exhaustive" else None
+    memo: Optional[dict] = {} if mode == "exhaustive" else None
     ground, status = GroundSet(n), attrgetter("status")
     total = holds = fails = skips = 0
     cexs: list[dict[str, Any]] = []
     for block, values in share:
-        checked = claim.check(ground, values, conv, verdicts)
+        checked = claim.check(ground, values, conv, memo)
+        total += len(checked)
+        # most verdicts are the one shared _HOLDS: a block of nothing else
+        # is told by identity, and only another block counted by status
+        if all(map(is_, checked, itertools.repeat(_HOLDS))):
+            holds += len(checked)
+            continue
         statuses = list(map(status, checked))
-        total += len(statuses)
-        holds += statuses.count("holds")
-        skips += statuses.count("skipped")
-        failed = statuses.count("fails")
+        skipped, failed = statuses.count("skipped"), statuses.count("fails")
+        holds += len(statuses) - skipped - failed
+        skips += skipped
         fails += failed
         if not failed or len(cexs) == cap:
             continue

@@ -6,9 +6,13 @@ These routines do list it, breadth-first over plain image tuples from the
 identity, and decide coherence by scanning every element.  The library
 decides K3_9's phase chain on the generators; `chain_statements` decides
 it on every listed element, with each hull taken by its own scan of the
-complements.  On up to four points the library keeps each coherence
-decision in a memo by its key; `attractors` takes every trace and decides
-it afresh by scanning every pair of trace sets.  They use none of the routines they are
+complements.  The library reads the conventional attractors off the
+orbit blocks the covering's members meet, keeps the weak verdicts in a
+memo on up to four points, and keeps a row of verdicts per orbit
+partition in a sweep; `attractors` takes every trace and decides it afresh
+by scanning every pair of trace sets, and the per-instance verdicts
+(`l1_3_verdict`, `chain_verdict`, `k3_9_verdict`, `b3_4_verdict`) keep
+nothing.  They use none of the routines they are
 compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
 `attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
 so a test that compares the two routes checks one against the other.
@@ -245,6 +249,104 @@ def k3_9_counts(n: int, convention: str) -> tuple[int, int, int]:
                 fails += 1
     # every system of the space covers the ground, so none is skipped
     return holds, fails, 0
+
+
+def _family_repr(n: int, masks: Sequence[int]) -> str:
+    """A family of masks as the library prints a set system: its distinct
+    members ascending, each as its points in braces."""
+    return "[" + " ".join(
+        "{" + ",".join(str(x) for x in range(n) if m >> x & 1) + "}" for m in sorted(set(masks))
+    ) + "]"
+
+
+def l1_3_verdict(n: int, gens: Sequence, chi: int) -> tuple[str, str]:
+    """L1_3's (status, note) on the group of `gens` and the subset chi:
+    coherence over every pair of nonempty subsets of chi, and over its
+    points alone, by scanning every listed element, against chi being an
+    orbit."""
+    if not chi:
+        return "skipped", "empty chi"
+    tables = mask_tables(group(gens))
+    coherent = coherent_block(tables, chi, False)
+    singles = coherent_block(tables, chi, True)
+    is_block = chi in orbits(gens)
+    note = "" if coherent == singles else "singleton and full-subset checks disagree"
+    if coherent == is_block:
+        return "holds", note
+    return "fails", f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else "")
+
+
+def monotone(n: int, gen: Sequence[int], members: Sequence[int], increasing: bool) -> list[int]:
+    """The monotone free attractors, ascending, of the cyclic flow of the
+    permutation `gen` relative to `members`: the nonempty invariant sets
+    whose trace sets a, b all have a power of `gen` far out in time (in
+    one period from ten periods on, forward or backward) mapping a onto a
+    set meeting b."""
+    p = period(gen)
+    times = range(10 * p, 11 * p) if increasing else range(-11 * p, -10 * p)
+    powers = [power(gen, t) for t in times]
+    out = []
+    for theta in range(1, 1 << n):
+        if image(gen, theta) != theta:
+            continue
+        trace = [m & theta for m in members if m & theta]
+        if all(any(image(g, a) & b for g in powers) for a in trace for b in trace):
+            out.append(theta)
+    return out
+
+
+def chain_verdict(
+    n: int, gen: Sequence[int], members: Sequence[int], convention: str
+) -> tuple[str, str]:
+    """CHAIN_karrenk's (status, note) on the cyclic flow of `gen` and the
+    covering `members`: the weak family holds the conventional one, which
+    holds both monotone ones (`attractors`, `monotone`)."""
+    conventional, weak = attractors(n, [gen], members, convention)
+    plus, minus = monotone(n, gen, members, True), monotone(n, gen, members, False)
+    strong = set(conventional)
+    if strong <= set(weak) and strong >= set(plus) and strong >= set(minus):
+        return "holds", ""
+    return "fails", f"weak={weak} conventional={conventional} mono+={plus} mono-={minus}"
+
+
+def k3_9_verdict(
+    n: int, members: Sequence[int], gens: Sequence, convention: str
+) -> tuple[str, str]:
+    """K3_9's (status, note): the five statements over every listed element
+    of the group (`chain_statements`) hold together or fail together."""
+    statements = chain_statements(n, members, gens, convention)
+    if len(set(statements)) == 1:
+        return "holds", ""
+    return "fails", f"chain statements {statements}"
+
+
+def b3_4_verdict(
+    n: int, members: Sequence[int], gens: Sequence, convention: str
+) -> tuple[str, str]:
+    """B3_4's (status, note) on the system `members` and the group of
+    `gens`: the rooms (the orbits' closures, each by its own scan) are
+    mapped onto themselves by every listed element exactly when they are
+    all nonempty conventional free attractors relative to the closed
+    family (`attractors`); skipped where the closed family does not cover
+    the ground."""
+    full = (1 << n) - 1
+    cl = closure_table(n, members, convention)
+    rooms = sorted({cl[b] for b in orbits(gens)})
+    elements = group(gens)
+    invariant = all(image(g, r) == r for g in elements for r in rooms)
+    closed = sorted(set(cl))
+    union = 0
+    for m in closed:
+        union |= m
+    if union != full:
+        return "skipped", "closed family does not cover the ground; attractor side undefined"
+    conventional, _ = attractors(n, gens, closed, convention)
+    attractive = 0 not in rooms and set(rooms) <= set(conventional)
+    if invariant == attractive:
+        return "holds", ""
+    return "fails", (
+        f"rooms={_family_repr(n, rooms)} invariant={invariant} attractors={attractive}"
+    )
 
 
 def count_preorders(n: int) -> int:

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import oracles
-from hullflow import attract
+from hullflow import attract, verify
 from hullflow.attract import (
     CoherenceVariant,
     VariantUnsupportedError,
@@ -169,17 +169,32 @@ VARIANT_TUPLES = [
 
 
 def _clear_memos():
-    attract._coherent.cache_clear()
     attract._weakly_coherent.cache_clear()
 
 
+def incidence_key(gens, members):
+    """The (k, block-incidence family) of the flow of `gens` and the
+    covering `members`, from the oracle's orbits: for each member, the
+    set of the indices of the orbits it meets, kept when nonempty, as a
+    family bitmask."""
+    blocks = oracles.orbits(gens)
+    family = 0
+    for m in members:
+        indices = sum(1 << i for i, block in enumerate(blocks) if block & m)
+        if indices:
+            family |= 1 << indices
+    return len(blocks), family
+
+
 class TestCoherenceMemos:
-    # each criterion is decided once per key while its memo holds it: the
-    # families must be those of the plain definition, whatever the memos
-    # already hold
+    # the conventional families come from the block-incidence family,
+    # decided once per (k, block-incidence family) in a sweep's memo, and
+    # the weak criterion is decided once per key while its memo holds it:
+    # the families must be those of the plain definition, whatever the
+    # memos already hold
 
     @staticmethod
-    def _compare(flow, gens, covering, conv):
+    def _compare(flow, gens, covering, conv, memo):
         n = flow.ground.size
         conventional, weak = oracles.attractors(n, gens, covering.masks, conv.value)
         for variants in VARIANT_TUPLES:
@@ -187,13 +202,17 @@ class TestCoherenceMemos:
                 with pytest.raises(VariantUnsupportedError):
                     free_attractors(flow, covering, conv, variants)
                 continue
-            got = free_attractors(flow, covering, conv, variants)
             want = tuple(tuple(weak if v is WEAK else conventional) for v in variants)
+            got = free_attractors(flow, covering, conv, variants)
             assert tuple(f.masks for f in got) == want, (gens, covering, conv, variants)
+            # a sweep's memo, shared by every case of the test
+            got = attract._free_attractors(flow, covering, conv, variants, memo)
+            assert got == want, (gens, covering, conv, variants)
 
     def test_families_match_the_plain_definition(self):
         # every cycle and every generator set of size one or two, every
         # covering, both conventions, on up to three points
+        memo = {}
         for n in (1, 2, 3):
             ground = GroundSet(n)
             perms = [Autobolism.of(ground, p) for p in itertools.permutations(range(n))]
@@ -204,10 +223,11 @@ class TestCoherenceMemos:
             for flow, gens in flows:
                 for covering in coverings:
                     for conv in ClosureConvention:
-                        self._compare(flow, gens, covering, conv)
+                        self._compare(flow, gens, covering, conv, memo)
 
     def test_seeded_families_match_the_plain_definition(self):
         rnd = random.Random(20)
+        memo = {}
         for _ in range(300):
             n = rnd.randint(4, 6)
             ground = GroundSet(n)
@@ -220,30 +240,41 @@ class TestCoherenceMemos:
             flow = DiscreteFlow.cyclic(gens[0]) if cyclic else DiscreteFlow.of_group(gens)
             masks = [m for m in range(1 << n) if rnd.random() < 0.3] + [ground.full_mask]
             covering = SetSystem(ground, tuple(masks))
-            self._compare(flow, gens, covering, rnd.choice(list(ClosureConvention)))
+            self._compare(flow, gens, covering, rnd.choice(list(ClosureConvention)), memo)
 
-    def test_chain_sweep_decides_each_key_once(self):
-        # an n=3 CHAIN_karrenk sweep asks 3,706 questions of each criterion:
-        # 581 distinct (orbit blocks, trace) keys and 1,187 distinct
-        # (pre-rooms, trace) keys, all within the fixed bound
-        for memo in (attract._coherent, attract._weakly_coherent):
-            assert memo.cache_info().maxsize == attract.COHERENCE_MEMO == 4096
+    def test_chain_sweep_decides_each_key_once(self, monkeypatch):
+        # an n=3 CHAIN_karrenk sweep decides 1,090 conventional families
+        # (5 orbit partitions x 218 coverings) from 115 distinct (k,
+        # block-incidence family) keys, each once; and it asks 3,706 weak
+        # questions, 1,187 of them distinct (pre-rooms, trace) keys, all
+        # within the weak memo's fixed bound
+        assert attract._weakly_coherent.cache_info().maxsize == attract.COHERENCE_MEMO == 4096
+        keys = []
+        index_sets = attract._coherent_index_sets
+        monkeypatch.setattr(
+            attract, "_coherent_index_sets", lambda *key: keys.append(key) or index_sets(*key)
+        )
+        expected = {
+            incidence_key([p], c)
+            for p in itertools.permutations(range(3))
+            for c in oracles.coverings(3)
+        }
+        assert len(expected) == 115
         for conv in ClosureConvention:
             _clear_memos()
+            del keys[:]
             sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
-            conventional = attract._coherent.cache_info()
+            assert sorted(keys) == sorted(expected)
             weak = attract._weakly_coherent.cache_info()
-            assert (conventional.misses, conventional.hits) == (581, 3706 - 581)
             assert (weak.misses, weak.hits) == (1187, 3706 - 1187)
 
     def test_seeded_flows_decide_each_key_once(self):
         # on four points, where a trace's sets need not come out of a set in
-        # ascending order: one miss per distinct (orbit blocks, trace sets)
-        # and per distinct (pre-rooms, trace sets); on five and six points
-        # no memo is asked
+        # ascending order: one weak miss per distinct (pre-rooms, trace
+        # sets); on five and six points the memo is not asked
         rnd = random.Random(21)
         _clear_memos()
-        conventional, weak = set(), set()
+        weak = set()
         for _ in range(300):
             n = rnd.randint(4, 6)
             ground = GroundSet(n)
@@ -260,14 +291,12 @@ class TestCoherenceMemos:
             rooms = frozenset(cl[b] for b in blocks)
             for theta in invariant_sets(flow).masks:
                 trace = frozenset(m & theta for m in covering.masks) - {0}
-                conventional.add((blocks, trace))
                 weak.add((rooms, trace))
-        assert attract._coherent.cache_info().misses == len(conventional)
         assert attract._weakly_coherent.cache_info().misses == len(weak)
 
     @staticmethod
     def _held_by_memos(run) -> int:
-        """The bytes the two memos hold after `run()`: what clearing them
+        """The bytes the weak memo holds after `run()`: what clearing it
         frees."""
         _clear_memos()
         gc.collect()
@@ -283,34 +312,40 @@ class TestCoherenceMemos:
             tracemalloc.stop()
 
     def test_random_sweep_leaves_the_memos_at_most_full(self):
-        # on four points a key is a few small ints, so both memos full hold
-        # a few MB (2.1 MB measured)
+        # on four points a key is a few small ints, so the weak memo full
+        # holds about 1 MB (0.98 MB measured)
         infos = []
 
         def run():
             rep = sweep(TheoremId.CHAIN_karrenk, 4, "random", samples=3000, seed=0)
             assert rep.instance_count == 3000
-            infos.extend(m.cache_info() for m in (attract._coherent, attract._weakly_coherent))
+            infos.append(attract._weakly_coherent.cache_info())
 
         assert attract.MEMO_POINTS == 4
-        assert self._held_by_memos(run) < 4_000_000
-        for info in infos:
-            assert info.misses > info.maxsize == info.currsize
+        assert self._held_by_memos(run) < 2_000_000
+        [info] = infos
+        assert info.misses > info.maxsize == info.currsize
 
-    def test_random_sweep_on_ten_points_keeps_nothing(self):
+    def test_random_sweep_on_ten_points_keeps_nothing(self, monkeypatch):
         # a system on ten points has about 2^9 members, so a trace may hold
-        # hundreds of masks: such keys rarely repeat and are not kept
-        infos = []
+        # hundreds of masks: such weak keys rarely repeat and are not kept;
+        # and a random sweep hands no memo to the conventional families
+        infos, memos = [], []
+        families = verify._free_attractors
+        monkeypatch.setattr(
+            verify, "_free_attractors", lambda *a: memos.append(a[4]) or families(*a)
+        )
 
         def run():
             for theorem in (TheoremId.CHAIN_karrenk, TheoremId.B3_4):
                 rep = sweep(theorem, 10, "random", samples=6, seed=0)
                 assert rep.instance_count == 6
-            infos.extend(m.cache_info() for m in (attract._coherent, attract._weakly_coherent))
+            infos.append(attract._weakly_coherent.cache_info())
 
-        # clearing empty memos frees at most allocator noise
+        # clearing an empty memo frees at most allocator noise
         assert abs(self._held_by_memos(run)) < 1024
-        assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)] * 2
+        assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)]
+        assert memos and memos == [None] * len(memos)
 
     def test_memos_keep_no_flow_or_system_alive(self):
         # the keys are tuples of ints

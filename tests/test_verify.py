@@ -729,18 +729,30 @@ class TestSweep:
         ],
     )
     def test_body_once_per_orbit_block_key(self, monkeypatch, theorem, n, instances, keys, conv):
-        calls = count_body_calls(monkeypatch, theorem)
+        # the block body decides each (orbit partition, chi), (orbit
+        # partition, covering) or (system, orbit partition) once in the
+        # sweep's memo, whatever share block asks for it: every one of them
+        # occurs in the space, so as many decisions as keys are one each
+        decided = count_decisions(monkeypatch, theorem)
         rep = sweep(theorem, n, "exhaustive", conv=conv)
         assert rep.instance_count == instances
-        assert 0 < len(calls) <= keys
+        assert len(decided) == keys
 
     def test_random_sweep_keeps_no_verdicts(self, monkeypatch):
         # a random sweep keeps no verdicts, which would keep every drawn
-        # system alive: the body runs on every draw, even on two points,
-        # where the keys repeat
-        calls = count_body_calls(monkeypatch, TheoremId.L1_3)
+        # system alive: its block body gets no memo and decides every draw,
+        # even on two points, where the orbit partitions repeat
+        decided = count_decisions(monkeypatch, TheoremId.L1_3)
+        memos = []
+        claim = CLAIMS[TheoremId.L1_3]
+        body = claim.block_checker
+        monkeypatch.setitem(
+            CLAIMS, TheoremId.L1_3,
+            dataclasses.replace(claim, block_checker=lambda *a: memos.append(a[3]) or body(*a)),
+        )
         rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
-        assert rep.instance_count == len(calls) == 50
+        assert rep.instance_count == len(decided) == 50
+        assert memos == [None] * 50
 
     def test_random_sweep_keeps_one_draw_alive(self):
         # a draw on 12 points holds about 2^11 members, some 75 KB; drawing
@@ -890,45 +902,96 @@ class TestSweep:
             sweep(TheoremId.IDEM_ydwed, 21, "random", samples=0)
 
 
-class TestOrbitBlockKeys:
-    # an exhaustive sweep checks a keyed claim once per key; the body run
-    # on every instance, with no memo, must give one verdict per key
-    # group: the same status, note and named systems
-    KEYED = [TheoremId.L1_3, TheoremId.B3_4, TheoremId.CHAIN_karrenk]
+#: The group claims with a block body: L1_3 and CHAIN_karrenk keep a row
+#: of verdicts per orbit partition, B3_4 one per system and orbit
+#: partition, and K3_9 reads a system's context once per run.
+GROUP_BLOCKS = [TheoremId.L1_3, TheoremId.K3_9, TheoremId.CHAIN_karrenk, TheoremId.B3_4]
 
-    def test_keyed_claims(self):
-        assert [t for t, claim in CLAIMS.items() if claim.key is not None] == self.KEYED
+
+@functools.cache
+def l1_3_oracle(n, gens):
+    """L1_3's oracle verdicts on the group of `gens`, by chi: they read no
+    convention."""
+    return {chi: oracles.l1_3_verdict(n, gens, chi) for chi in range(1, 1 << n)}
+
+
+def group_oracle(theorem, n, values, conv):
+    """A group claim's (status, note, systems) on one tuple of its factor
+    values, from the oracle of the claim, which keeps nothing and reads no
+    block-incidence family."""
+    if theorem is TheoremId.L1_3:
+        flow, chi = values
+        return (*l1_3_oracle(n, tuple(g.image for g in flow.gens))[chi], None)
+    if theorem is TheoremId.CHAIN_karrenk:
+        cycle, covering = values
+        return (*oracles.chain_verdict(n, cycle.generator.image, covering.masks, conv.value), None)
+    system, flow = values
+    verdict = oracles.k3_9_verdict if theorem is TheoremId.K3_9 else oracles.b3_4_verdict
+    return (*verdict(n, system.masks, [g.image for g in flow.gens], conv.value), None)
+
+
+class TestOrbitBlockKeys:
+    # the group claims' block bodies keep their rows of verdicts by orbit
+    # blocks, and read a system once per run of tuples that share it: on
+    # every cut of a list of tuples into blocks, in sweep order and
+    # shuffled, with a sweep's memo and without one, their verdicts must
+    # be each tuple's on a block of one and the oracle's
 
     @staticmethod
-    def groups(claim, n, conv, values_seq):
-        """The number of keys among `values_seq`, asserting that each
-        key's instances get one verdict."""
-        ground = GroundSet(n)
-        first = {}
-        for values in values_seq:
-            [verdict] = claim.check(ground, [values], conv)
-            got = (verdict.status, verdict.note, verdict.systems)
-            assert got == first.setdefault(claim.key(*values), got), values
-        return len(first)
+    def check_blocks(theorem, n, conv, tuples, seed):
+        """Check the claim's block body on `tuples` cut into the sweep's
+        share blocks and into short blocks of 2 to 9 tuples, many of which
+        hold a change of flow or system, in the given order and shuffled;
+        returns the verdicts' statuses and how many blocks held a change
+        of the outer factor's value."""
+        claim, ground = CLAIMS[theorem], GroundSet(n)
+        expected = [group_oracle(theorem, n, values, conv) for values in tuples]
+
+        def seen(verdicts):
+            return [(v.status, v.note, v.systems) for v in verdicts]
+
+        assert seen(claim.checker(ground, conv, *values) for values in tuples) == expected
+        rnd = random.Random(seed)
+        order = rnd.sample(range(len(tuples)), len(tuples))
+        crossings = 0
+        for positions in (range(len(tuples)), order):
+            values = [tuples[i] for i in positions]
+            share = list(range(0, len(values), verify.SHARE_BLOCK)) + [len(values)]
+            short = [0]
+            while short[-1] < len(values):
+                short.append(min(short[-1] + rnd.randint(2, 9), len(values)))
+            for cuts in (share, short):
+                blocks = [values[a:b] for a, b in zip(cuts, cuts[1:])]
+                crossings += sum(len({id(one[0]) for one in block}) > 1 for block in blocks)
+                for memo in ({}, None):
+                    verdicts = [
+                        v for block in blocks for v in claim.check(ground, block, conv, memo)
+                    ]
+                    assert seen(verdicts) == [expected[i] for i in positions], (cuts, memo)
+        return {status for status, _, _ in expected}, crossings
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
-    @pytest.mark.parametrize("theorem", KEYED, ids=lambda t: t.value)
+    @pytest.mark.parametrize("theorem", GROUP_BLOCKS, ids=lambda t: t.value)
     def test_every_ordinal_up_to_three_points(self, theorem, conv):
-        claim = CLAIMS[theorem]
+        statuses, crossings = set(), 0
         for n in (1, 2, 3):
-            space = claim.space(n)
-            keys = self.groups(claim, n, conv, space)
-            assert keys <= len(space)
-        assert keys < len(space)
+            space = CLAIMS[theorem].space(n)
+            got, crossed = self.check_blocks(theorem, n, conv, list(space), f"{theorem.value}:{n}")
+            statuses |= got
+            crossings += crossed
+        assert statuses >= {"holds", "fails"}
+        assert crossings > 0
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_l1_3_every_ordinal_at_four_points(self, conv):
-        claim = CLAIMS[TheoremId.L1_3]
-        assert self.groups(claim, 4, conv, claim.space(4)) == 225
+        space = CLAIMS[TheoremId.L1_3].space(4)
+        statuses, crossings = self.check_blocks(TheoremId.L1_3, 4, conv, list(space), "L1_3:4")
+        assert statuses == {"holds", "fails"}
+        assert crossings > 0
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize(
-        "theorem, systems", [(TheoremId.B3_4, 20), (TheoremId.CHAIN_karrenk, 80)],
+        "theorem, systems", [(TheoremId.B3_4, 8), (TheoremId.CHAIN_karrenk, 80)],
         ids=["B3_4", "CHAIN_karrenk"],
     )
     def test_seeded_slices_at_four_points(self, theorem, systems, conv):
@@ -940,8 +1003,10 @@ class TestOrbitBlockKeys:
             range(len(factors[pos])), systems
         )
         factors[pos] = [factors[pos][i] for i in sorted(picked)]
-        instances = math.prod(map(len, factors))
-        assert self.groups(claim, 4, conv, itertools.product(*factors)) < instances
+        tuples = list(itertools.product(*factors))
+        statuses, crossings = self.check_blocks(theorem, 4, conv, tuples, f"{theorem.value}:4")
+        assert "holds" in statuses
+        assert crossings > 0
 
 
 class TestBenchmarkNames:
@@ -1007,15 +1072,24 @@ def count_closure_tables(monkeypatch):
     return tables
 
 
-def count_body_calls(monkeypatch, theorem):
-    """A list that gets one entry per call of the claim's checker body."""
-    calls = []
-    claim = CLAIMS[theorem]
-    body = claim.checker
-    monkeypatch.setitem(
-        CLAIMS, theorem, dataclasses.replace(claim, checker=lambda *a: calls.append(a) or body(*a))
-    )
-    return calls
+#: The function each group claim with a memo decides a verdict by, once per
+#: orbit partition and chi, per orbit partition and covering, or per
+#: system and orbit partition.
+DECISIONS = {
+    TheoremId.L1_3: "_l1_3_verdict",
+    TheoremId.CHAIN_karrenk: "_chain_verdict",
+    TheoremId.B3_4: "_b3_4_verdict",
+}
+
+
+def count_decisions(monkeypatch, theorem):
+    """A list that gets one entry per verdict the claim's block body
+    decides."""
+    decided = []
+    name = DECISIONS[theorem]
+    decide = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *a: decided.append(a) or decide(*a))
+    return decided
 
 
 class RecordingPool:
