@@ -151,42 +151,27 @@ class ExplicationRecord:
     def agree(self) -> bool:
         return self.lhs == self.rhs_system == self.rhs_complement
 
+    @classmethod
+    def of_bits(cls, bits: int) -> "ExplicationRecord":
+        """The record of a map whose chain statements are `bits` (see
+        _statements): hull commutation is statement 0, and each two-sided
+        membership holds when both of its side's statements do."""
+        return cls(bool(bits & 1), bits & 0b110 == 0b110, bits & 0b11000 == 0b11000)
+
 
 def explication_check(
     f: EndoFunction,
     system: SetSystem,
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> ExplicationRecord:
-    """Hull commutation next to the two-sided memberships, reading the
-    closure table and both membership sides of the system's context.  The
-    grounds are compared once, here."""
+    """Hull commutation next to the two-sided memberships, read off the
+    map's chain statements under the system's context.  The grounds are
+    compared once, here."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    return _explication(f, system, conv)
-
-
-def _explication(
-    f: EndoFunction, system: SetSystem, conv: ClosureConvention
-) -> ExplicationRecord:
-    """explication_check, for a caller that has compared the grounds."""
     ctx = system.context(conv)
-    return ExplicationRecord(
-        *_explication_outcome(f.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
-    )
-
-
-def _explication_outcome(
-    table: Sequence[int], cl: Sequence[int], side: _Side, compl_side: _Side
-) -> tuple[bool, bool, bool]:
-    """The fields of the explication record of the map whose mask-image
-    table is `table`, from a context's closure table `cl` and its two
-    membership sides: hull commutation, then the two-sided memberships
-    over the system and over its complement system."""
-    return (
-        kernels.commutes_with_closure(table, cl),
-        all(_memberships(table, side)),
-        all(_memberships(table, compl_side)),
-    )
+    bits = _statements(f.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
+    return ExplicationRecord.of_bits(bits)
 
 
 @dataclass(frozen=True)
@@ -227,33 +212,25 @@ class PhaseChainRecord:
 ALL_STATEMENTS = 0b11111
 
 
+def _statements(table: Sequence[int], cl: Sequence[int], side: _Side, compl_side: _Side) -> int:
+    """The five chain statements on the map whose mask-image table is
+    `table`, as bits (bit i: statement i of PhaseChainRecord), from a
+    context's closure table `cl` and its two membership sides."""
+    plus, minus = _memberships(table, side)
+    plus_compl, minus_compl = _memberships(table, compl_side)
+    return (
+        kernels.commutes_with_closure(table, cl)
+        | plus << 1 | minus << 2 | plus_compl << 3 | minus_compl << 4
+    )
+
+
 def _row(ctx: HullContext, g: EndoFunction) -> int:
-    """The five chain statements on the map g under the context `ctx`, as
-    bits (bit i: statement i of PhaseChainRecord), decided together on
-    first ask and kept in the context by g's image.  Statement 0 is read
-    from is_commutative_cantor's verdict, which the commutation premises
-    decide alone."""
+    """_statements on the map g under the context `ctx`, decided on first
+    ask and kept in the context by g's image."""
     row = ctx._rows.get(g.image)
     if row is None:
-        table = g.mask_table()
-        plus, minus = _memberships(table, ctx._side)
-        plus_compl, minus_compl = _memberships(table, ctx._compl_side)
-        row = ctx._rows[g.image] = (
-            _commutes(ctx, g) | plus << 1 | minus << 2 | plus_compl << 3 | minus_compl << 4
-        )
+        row = ctx._rows[g.image] = _statements(g.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
     return row
-
-
-def chain_bits(gens: Iterable[EndoFunction], ctx: HullContext) -> int:
-    """The chain statements of the group generated by gens under the
-    context `ctx`, as bits: the AND of the generators' rows (see
-    phase_chain_check for why the generators decide the group).  It
-    compares no grounds and checks no coverage: phase_chain_check does, and
-    a sweep's factor values share one ground."""
-    bits = ALL_STATEMENTS
-    for g in gens:
-        bits &= _row(ctx, g)
-    return bits
 
 
 def phase_chain_check(
@@ -272,7 +249,8 @@ def phase_chain_check(
     exactly when it holds for every generator.  A statement depends only on
     the system, the convention and the generator, so each generator image
     is decided once per (system, convention): its row of bits in the
-    system's context, which chain_bits ANDs."""
+    system's context, and the group's bits are the AND of its generators'
+    rows."""
     if not system.covers_ground():
         raise ValueError("the system must cover the ground")
     if not gens:
@@ -280,4 +258,8 @@ def phase_chain_check(
     for g in gens:
         if g.ground != system.ground:
             raise GroundMismatchError(f"{g.ground} vs {system.ground}")
-    return PhaseChainRecord.of_bits(chain_bits(gens, system.context(conv)))
+    ctx = system.context(conv)
+    bits = ALL_STATEMENTS
+    for g in gens:
+        bits &= _row(ctx, g)
+    return PhaseChainRecord.of_bits(bits)

@@ -260,7 +260,9 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.command == "sweep":
         conv = conv_override or ClosureConvention.FULL
         theorem = TheoremId(args.theorem)
-        mode = "exhaustive" if args.exhaustive or args.samples is None else "random"
+        if args.exhaustive and args.samples is not None:
+            raise UsageError("--exhaustive and --samples are mutually exclusive")
+        mode = "exhaustive" if args.samples is None else "random"
         report = sweep(
             theorem,
             args.n,

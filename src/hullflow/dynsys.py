@@ -58,7 +58,7 @@ class EndoFunction:
     def mask_table(self) -> Sequence[int]:
         """The image of every subset, indexed by mask, built once on first
         use.  Up to 4 points it is `bytes`, as a closure table is there
-        (setsys.closure_map_of), so hull commutation composes the two by
+        (setsys.closure_tables_of), so hull commutation composes the two by
         translation; above 4 points it is a list.  Its 2^n cells are built
         only within the enumeration cap: above it CapExceededError is
         raised."""

@@ -159,6 +159,10 @@ class ClosureConvention(enum.Enum):
     FULL = "full"
     NONEMPTY = "nonempty"
 
+    # each member is the one object of its value, so identity hashing keys
+    # it in a dict (SetSystem.context) without Enum.__hash__'s Python call
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class HullKind:
@@ -229,7 +233,7 @@ def closure_map(
     """Closure of every subset of the ground, indexed by mask; closure()
     gives the same value for one subset.  The table is the system's
     context's, built once: callers read it and never change it.  Up to
-    n=4 it is immutable `bytes` (see closure_map_of)."""
+    n=4 it is immutable `bytes` (see closure_tables_of)."""
     return system.context(conv)._cl
 
 
@@ -278,35 +282,27 @@ def closure_map_of(
 ) -> Sequence[int]:
     """closure_map of the system on n points whose family bitmask is
     `family` (bit m set when subset m is a member), for a caller that holds
-    the family and no SetSystem.
-
-    Up to n=4 the table is the AND of the two tables of _family_tables
-    that the family's low and high byte index, as immutable `bytes`; the
-    complements are folded into those tables.  Above n=4 the complements
+    the family and no SetSystem.  Up to n=4 it is closure_tables_of's table
+    of a run of one family, as immutable `bytes`; above n=4 the complements
     of the members are unpacked for kernels.closure_table, whose table is
     a list."""
-    full = (1 << n) - 1
-    if conv is ClosureConvention.NONEMPTY:
-        # the full member's complement is the empty one left out
-        family &= ~(1 << full)
     if n <= 4:
-        low, high = _family_tables(n)
-        cells = int.from_bytes(low[family & 255], "little") & int.from_bytes(
-            high[family >> 8], "little"
-        )
-        return cells.to_bytes(full + 1, "little").translate(_NO_SOURCE_TO_EMPTY)
+        return closure_tables_of(n, (family,), conv)
     _check_enum(n)
-    return kernels.closure_table(n, [full ^ m for m in family_members(family)])
+    return kernels.closure_table(n, _complements(n, family_members(family), conv))
 
 
 def closure_tables_of(
     n: int, families: Sequence[int], conv: ClosureConvention = ClosureConvention.FULL
 ) -> bytes:
-    """closure_map_of of each family bitmask of a run on n <= 4 points,
-    joined in the run's order: 2^n bytes per family.  The LOW tables of
-    the run's families are joined, and so are their HIGH tables, so one
-    AND of the two joins read as ints intersects every cell of the run,
-    and one translation empties the cells that no complement contains."""
+    """The closure tables (closure_map) of the systems on n <= 4 points
+    whose family bitmasks are a run, joined in the run's order: 2^n bytes
+    per family.  A family's table is the AND of the two tables of
+    _family_tables that its low and its high byte index, where the
+    complements are folded in.  The LOW tables of the run's families are
+    joined, and so are their HIGH tables, so one AND of the two joins read
+    as ints intersects every cell of the run, and one translation empties
+    the cells that no complement contains."""
     if n > 4:
         raise ValueError(f"joined closure tables take at most 4 points, got {n}")
     if conv is ClosureConvention.NONEMPTY:

@@ -1,13 +1,14 @@
 """Theorem checkers and the instance-space sweep engine.
 
-Every registered claim has one checker body.  It takes the claim's factor
-values (member masks or systems, generator sets, subset masks, self-maps)
-and returns a Verdict: holds, fails, or skipped when the values are outside
-the claim's domain (for example, an attractor side that is ill-formed
-because the closed family does not cover the ground).  Sweeps pass the body
-the values their instance space indexes or their sampler draws, and build
-an Instance from them only for a failing verdict whose witness they keep;
-`check_theorem` unpacks an Instance into the same values.  Every failing
+Every registered claim has one checker body, which takes a block of tuples
+of the claim's factor values (member masks or systems, generator sets,
+subset masks, self-maps) and returns a Verdict for each, in order: holds,
+fails, or skipped when the values are outside the claim's domain (for
+example, an attractor side that is ill-formed because the closed family
+does not cover the ground).  Sweeps pass the body the values their
+instance space indexes or their sampler draws, and build an Instance from
+them only for a failing verdict whose witness they keep; `check_theorem`
+unpacks an Instance into the same values, a block of one.  Every failing
 verdict handed out carries a replayable witness.  Sweeps aggregate
 verdicts and are byte-reproducible for fixed parameters and seed.
 
@@ -43,6 +44,7 @@ from .attract import (
 )
 from .cantor import (
     ALL_STATEMENTS,
+    ExplicationRecord,
     PhaseChainRecord,
     fibration_integrity,
     preserves_unfamily,
@@ -124,7 +126,7 @@ class Verdict:
 # Verdicts are frozen, so one serves every holding or skipped instance
 # with the same note, one every failing instance of K3_9 with the same
 # statements (`_chain_fails`), and one every instance of S3_8 with the same
-# explication outcome (`_explication_verdict`).
+# statements (`_explication_verdict`).
 
 @functools.cache
 def _holds(note: str = "") -> Verdict:
@@ -354,8 +356,10 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
 
 
 # --------------------------------------------------------------------------
-# checker bodies: `_check_x(ground, conv, *values)`, the values in the
-# order of the factors of the claim's space
+# checker bodies: `_check_x(ground, conv, *values) -> Verdict` on one tuple
+# of values, in the order of the factors of the claim's space, registered
+# through `_each`, or `_check_x(ground, conv, block, memo) -> list[Verdict]`
+# on a block of them (see Claim)
 
 def _check_s1_1(ground: GroundSet, conv: ClosureConvention, t: SetSystem) -> Verdict:
     flags = classify(t, conv)
@@ -394,7 +398,7 @@ def _l1_3_verdict(ground: GroundSet, blocks: tuple[int, ...], chi: int) -> Verdi
     return _fails(f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else ""))
 
 
-def _check_l1_3_block(
+def _check_l1_3(
     ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
     """L1_3's verdict on each (flow, chi) of a block, in order.  The
@@ -464,28 +468,25 @@ def _idem_fails(cl: Sequence[int]) -> Verdict:
     return _fails(f"z={z:#x}: cl(z)={cl[z]:#x} but cl(cl(z))={cl[cl[z]]:#x}")
 
 
-def _check_idem(ground: GroundSet, conv: ClosureConvention, family: Optional[int]) -> Verdict:
-    # None: a system that does not cover the ground, which only a document
-    # holds, as every family a sweep draws covers it
-    if family is None:
-        return _skip("system does not cover the ground")
-    cl = closure_map_of(ground.size, family, conv)
-    return _idem_fails(cl) if _not_idempotent(cl, ground.size) else _HOLDS
-
-
-def _check_idem_block(
+def _check_idem(
     ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
-    """_check_idem on each tuple of a block, in order.  On up to 4 points,
-    where every family is given, the block's tables come from one
-    closure_tables_of call and go to _not_idempotent as one run; above 4
-    points, or for a document's system that does not cover the ground,
-    each family takes _check_idem's route."""
+    """IDEM_ydwed's verdict on each family of a block, in order: whether
+    the family's closure table composed with itself is itself.  On up to 4
+    points the block's tables come from one closure_tables_of call and go
+    to _not_idempotent as one run.  Above 4 points, where only random mode
+    goes, and for a document's system that does not cover the ground
+    (None, as every family a sweep draws covers it), the block is one draw
+    or one document."""
     families = [family for family, in block]
     n = ground.size
     if n > 4 or None in families:
-        return [_check_idem(ground, conv, family) for family in families]
-    tables = closure_tables_of(n, families, conv)
+        [family] = families
+        if family is None:
+            return [_skip("system does not cover the ground")]
+        tables = closure_map_of(n, family, conv)
+    else:
+        tables = closure_tables_of(n, families, conv)
     out = [_HOLDS] * len(families)
     for i in _not_idempotent(tables, n):
         out[i] = _idem_fails(tables[i << n : (i + 1) << n])
@@ -605,7 +606,7 @@ def _b3_4_verdict(flow: DiscreteFlow, table: Sequence[int], conv: ClosureConvent
     )
 
 
-def _check_b3_4_block(
+def _check_b3_4(
     ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
     """B3_4's verdict on each (system, flow) of a block, in order.  Whether
@@ -690,7 +691,7 @@ def _chain_verdict(
 _FAMILIES = "families"
 
 
-def _check_chain_block(
+def _check_chain(
     ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
     """CHAIN_karrenk's verdict on each (cycle, covering) of a block, in
@@ -736,7 +737,7 @@ def _check_b3_7(
     return _fails(f"integrity={integ} preserves_unfamily={pres}")
 
 
-def _check_s3_8_block(
+def _check_s3_8(
     ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict],
     bijective: bool,
 ) -> list[Verdict]:
@@ -744,8 +745,10 @@ def _check_s3_8_block(
     explication record, whose three fields agree when the claim holds.  The
     closure table and both membership sides are read from the system's
     context once for each run of tuples that share the system (the inner
-    factor of the space is the map), and the record is never built: its
-    fields are the key of the verdict (_explication_verdict)."""
+    factor of the space is the map), and the record is built only once per
+    verdict: the map's five chain statements (cantor._statements), from
+    which its fields are read, are the key of the verdict
+    (_explication_verdict)."""
     out = []
     last = None
     for sys, f in block:
@@ -755,28 +758,26 @@ def _check_s3_8_block(
         if sys is not last:
             ctx, last = sys.context(conv), sys
             cl, side, compl_side = ctx._cl, ctx._side, ctx._compl_side
-        out.append(
-            _explication_verdict(cantor._explication_outcome(f.mask_table(), cl, side, compl_side))
-        )
+        out.append(_explication_verdict(cantor._statements(f.mask_table(), cl, side, compl_side)))
     return out
 
 
 @functools.cache
-def _explication_verdict(outcome: tuple[bool, bool, bool]) -> Verdict:
-    """S3_8's verdict, one per explication outcome (hull commutation, then
-    the two-sided memberships over the system and over its complement), as
-    its note names the outcome and nothing else: it holds when the three
-    agree."""
-    lhs, rhs_system, rhs_complement = outcome
-    if lhs == rhs_system == rhs_complement:
+def _explication_verdict(bits: int) -> Verdict:
+    """S3_8's verdict, one per statement bitmask, as its note names the
+    explication record read off the bits (hull commutation, then the
+    two-sided memberships over the system and over its complement) and
+    nothing else: it holds when the three agree."""
+    record = ExplicationRecord.of_bits(bits)
+    if record.agree:
         return _HOLDS
     return _fails(
-        f"commutative={lhs} two-sided(system)={rhs_system} "
-        f"two-sided(complement)={rhs_complement}"
+        f"commutative={record.lhs} two-sided(system)={record.rhs_system} "
+        f"two-sided(complement)={record.rhs_complement}"
     )
 
 
-def _check_k3_9_block(
+def _check_k3_9(
     ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
     """K3_9's verdict on each (system, flow) of a block, in order: the
@@ -1115,32 +1116,30 @@ def _unpack_covar(inst: Instance) -> tuple:
 @dataclass(frozen=True)
 class Claim:
     """Everything the harness knows about one claim: its checker body
-    `(ground, conv, *values) -> Verdict`; the kind of its instance space,
-    enumerated up to `max_exhaustive_n` points, and the number of random
-    samples drawn by default; whether sweeps are expected to be
+    `(ground, conv, block, memo) -> verdicts`; the kind of its instance
+    space, enumerated up to `max_exhaustive_n` points, and the number of
+    random samples drawn by default; whether sweeps are expected to be
     failure-free; the note attached to sweep reports; and, for the few
     claims that do not read an instance factor by factor, their own
     `read(Instance) -> values`.
 
-    A claim may also declare `block_checker(ground, conv, block, memo) ->
-    verdicts`, a body over a whole block of tuples of factor values that
-    pays the interpreter's per-call cost once per block (Boncz, Zukowski
-    and Nes, "MonetDB/X100: Hyper-pipelining query execution", CIDR 2005).
-    Its verdicts must be the checker body's on each tuple, in order; the
-    checker body of most such claims is the block body on a block of one
-    (`_alone`).  `memo` is a dict that an exhaustive sweep keeps for the
-    whole of one worker's share and hands to every block, and None
-    otherwise: a block body may keep in it what it decided, so that later
-    blocks read it, under keys of its own."""
+    The body takes a whole block of tuples of factor values and returns
+    their verdicts in order, so it pays the interpreter's per-call cost
+    once per block (Boncz, Zukowski and Nes, "MonetDB/X100:
+    Hyper-pipelining query execution", CIDR 2005); a claim whose verdict
+    needs nothing from the block's other tuples registers a body on one
+    tuple, mapped over the block (`_each`).  `memo` is a dict that an
+    exhaustive sweep keeps for the whole of one worker's share and hands
+    to every block, and None otherwise: a body may keep in it what it
+    decided, so that later blocks read it, under keys of its own."""
 
-    checker: Callable[..., Verdict]
+    checker: Callable[..., list[Verdict]]
     kind: _Space
     max_exhaustive_n: int
     default_samples: int
     clean: bool = False
     note: str = ""
     read: Optional[Callable[[Instance], tuple]] = None
-    block_checker: Optional[Callable[..., list[Verdict]]] = None
 
     def space(self, n: int) -> _Product:
         """The exhaustive space on n points: its items are the tuples of
@@ -1163,75 +1162,51 @@ class Claim:
         verdicts, in order.  Every sweep (once per exhaustive share block,
         once per random draw) and `check_theorem` (with a block of one)
         call goes through here, which gives per-layer tracing (sweepbench)
-        one name to time all checker bodies by.  A claim with a block body
-        gets the whole block and the sweep's `memo`; otherwise its body is
-        mapped over the block."""
-        if self.block_checker is not None:
-            return self.block_checker(ground, conv, block, memo)
-        checker = self.checker
-        return [checker(ground, conv, *values) for values in block]
+        one name to time all checker bodies by.  The body gets the whole
+        block and the sweep's `memo`."""
+        return self.checker(ground, conv, block, memo)
 
 
-def _alone(block_checker: Callable[..., list[Verdict]]) -> Callable[..., Verdict]:
-    """The checker body of a block body: the block body on a block of one,
-    with no memo, so `check_theorem` and the sweeps run the same code."""
+def _each(body: Callable[..., Verdict]) -> Callable[..., list[Verdict]]:
+    """The checker body that maps `body(ground, conv, *values)`, the
+    verdict on one tuple of factor values, over a block of them."""
 
-    def checker(ground: GroundSet, conv: ClosureConvention, *values: Any) -> Verdict:
-        [verdict] = block_checker(ground, conv, [values], None)
-        return verdict
+    def checker(
+        ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+    ) -> list[Verdict]:
+        return [body(ground, conv, *values) for values in block]
 
     return checker
 
 
-_S3_8_BIJ = partial(_check_s3_8_block, bijective=True)
-_S3_8_ALL = partial(_check_s3_8_block, bijective=False)
-
 #: Every claim, by id.  Columns: checker body, instance space, exhaustive
-#: ceiling on n, default number of random samples; the claims with a block
-#: body check a block at a time.
+#: ceiling on n, default number of random samples.
 CLAIMS: dict[TheoremId, Claim] = {
-    TheoremId.S1_1: Claim(_check_s1_1, _TOPOLOGIES, 4, 1000, clean=True),
-    TheoremId.K1_2: Claim(_check_k1_2, _TOPOLOGIES, 4, 1000, clean=True),
-    TheoremId.L1_3: Claim(
-        _alone(_check_l1_3_block), _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3,
-        block_checker=_check_l1_3_block,
-    ),
-    TheoremId.S2_2: Claim(_check_s2_2, _TOPOLOGIES_GENSETS, 4, 500, clean=True),
+    TheoremId.S1_1: Claim(_each(_check_s1_1), _TOPOLOGIES, 4, 1000, clean=True),
+    TheoremId.K1_2: Claim(_each(_check_k1_2), _TOPOLOGIES, 4, 1000, clean=True),
+    TheoremId.L1_3: Claim(_check_l1_3, _GENSETS_SUBSETS, 4, 2000, clean=True, read=_unpack_l1_3),
+    TheoremId.S2_2: Claim(_each(_check_s2_2), _TOPOLOGIES_GENSETS, 4, 500, clean=True),
     TheoremId.B2_3d: Claim(
-        _check_b2_3d, _CYCLES_POWERSET, 4, 1000,
+        _each(_check_b2_3d), _CYCLES_POWERSET, 4, 1000,
         note="discrete analog of the continuous coincidence statement",
     ),
-    TheoremId.L3_1: Claim(_check_l3_1, _SYSTEMS_SUBSETS, 4, 10000, clean=True),
-    TheoremId.B3_2: Claim(_check_b3_2, _SYSTEMS_GENSETS, 3, 500, clean=True),
-    TheoremId.S3_3: Claim(_check_s3_3, _SYSTEMS_GENSETS, 3, 1000, clean=True),
-    TheoremId.B3_4: Claim(
-        _alone(_check_b3_4_block), _SYSTEMS_GENSETS, 3, 1000, clean=True,
-        block_checker=_check_b3_4_block,
-    ),
-    TheoremId.B3_6: Claim(_check_b3_6, _SYSTEMS, 4, 1000, clean=True),
-    TheoremId.B3_7: Claim(_check_b3_7, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
-    TheoremId.S3_8_bij: Claim(
-        _alone(_S3_8_BIJ), _SYSTEMS_BIJECTIONS, 3, 1000, block_checker=_S3_8_BIJ,
-    ),
+    TheoremId.L3_1: Claim(_each(_check_l3_1), _SYSTEMS_SUBSETS, 4, 10000, clean=True),
+    TheoremId.B3_2: Claim(_each(_check_b3_2), _SYSTEMS_GENSETS, 3, 500, clean=True),
+    TheoremId.S3_3: Claim(_each(_check_s3_3), _SYSTEMS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_4: Claim(_check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_6: Claim(_each(_check_b3_6), _SYSTEMS, 4, 1000, clean=True),
+    TheoremId.B3_7: Claim(_each(_check_b3_7), _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
+    TheoremId.S3_8_bij: Claim(partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 3, 1000),
     TheoremId.S3_8_all: Claim(
-        _alone(_S3_8_ALL), _SYSTEMS_FUNCTIONS, 3, 1000,
+        partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 3, 1000,
         note="documented open question: for non-bijective self-maps the "
         "two-sided memberships and hull commutation can disagree",
-        block_checker=_S3_8_ALL,
     ),
-    TheoremId.K3_9: Claim(
-        _alone(_check_k3_9_block), _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9,
-        block_checker=_check_k3_9_block,
-    ),
-    TheoremId.B3_10: Claim(_check_b3_10, _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
-    TheoremId.COVAR: Claim(_check_covar, _RELABELINGS, 3, 1000, read=_unpack_covar),
-    TheoremId.CHAIN_karrenk: Claim(
-        _alone(_check_chain_block), _CYCLES_COVERINGS, 3, 1000,
-        block_checker=_check_chain_block,
-    ),
-    TheoremId.IDEM_ydwed: Claim(
-        _check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem, block_checker=_check_idem_block
-    ),
+    TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9),
+    TheoremId.B3_10: Claim(_each(_check_b3_10), _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
+    TheoremId.COVAR: Claim(_each(_check_covar), _RELABELINGS, 3, 1000, read=_unpack_covar),
+    TheoremId.CHAIN_karrenk: Claim(_check_chain, _CYCLES_COVERINGS, 3, 1000),
+    TheoremId.IDEM_ydwed: Claim(_check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem),
 }
 
 #: Claims whose sweeps are expected to be failure-free; a nonzero failure

@@ -189,6 +189,13 @@ def closure_table(n: int, members: Sequence[int], convention: str) -> list[int]:
     return table
 
 
+def idempotent(n: int, members: Sequence[int], convention: str) -> bool:
+    """Whether the closure (closure_table, each subset by its own scan)
+    composed with itself, cell by cell, is itself."""
+    cl = closure_table(n, members, convention)
+    return all(cl[cl[z]] == cl[z] for z in range(1 << n))
+
+
 def memberships(element: Sequence[int], members: Sequence[int]) -> tuple[bool, bool]:
     """The plus membership (every nonempty member has a nonempty member
     whose image lies inside it) and the minus membership (every nonempty

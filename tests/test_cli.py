@@ -783,6 +783,15 @@ class TestSweepCommand:
         assert out == ""
         assert err.count("\n") == 1 and f"error: {name} must be at least" in err
 
+    def test_exhaustive_sweep_takes_no_samples(self, capsys):
+        # exhaustive mode draws no samples, so a sample count beside it is
+        # a usage error rather than dropped
+        code, out, err = run_cli(
+            capsys, "sweep", "IDEM_ydwed", "--n", "2", "--exhaustive", "--samples", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "hullflow: error: --exhaustive and --samples are mutually exclusive\n"
+
     def test_internal_error_exit_three(self, capsys, monkeypatch):
         # a bug, unlike bad input, exits 3 with one line and no traceback,
         # so exit 1 keeps meaning only that a clean claim failed

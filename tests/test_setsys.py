@@ -5,6 +5,7 @@ import gc
 import itertools
 import pickle
 import random
+import sys
 import weakref
 
 import pytest
@@ -160,6 +161,23 @@ class TestSetSystem:
         monkeypatch.setattr(setsys, "reduce", None)
         assert s.covers_ground() and not gap.covers_ground()
         assert pickle.loads(pickle.dumps(s)).covers_ground()
+
+    def test_context_lookup_makes_no_python_call(self):
+        # a system's contexts are looked up on every instance of many
+        # claims: once made, one is found by the convention member's
+        # identity hash, with no Python-level call (Enum.__hash__ is one)
+        s = system(G3, [0], [0, 1], [2])
+        made = {conv: s.context(conv) for conv in (FULL, NONEMPTY)}
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                       if event == "call" else None)
+        try:
+            found = {conv: s.context(conv) for conv in (FULL, NONEMPTY)}
+        finally:
+            sys.setprofile(None)
+        assert found == made
+        assert [c for c in calls if c != "<dictcomp>"] == ["context", "context"]
+        assert hash(FULL) == object.__hash__(FULL)
 
     def test_copies_make_contexts_of_their_own(self):
         s = system(G3, [0], [0, 1], [2])

@@ -745,10 +745,10 @@ class TestSweep:
         decided = count_decisions(monkeypatch, TheoremId.L1_3)
         memos = []
         claim = CLAIMS[TheoremId.L1_3]
-        body = claim.block_checker
+        body = claim.checker
         monkeypatch.setitem(
             CLAIMS, TheoremId.L1_3,
-            dataclasses.replace(claim, block_checker=lambda *a: memos.append(a[3]) or body(*a)),
+            dataclasses.replace(claim, checker=lambda *a: memos.append(a[3]) or body(*a)),
         )
         rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
         assert rep.instance_count == len(decided) == 50
@@ -950,7 +950,7 @@ class TestOrbitBlockKeys:
         def seen(verdicts):
             return [(v.status, v.note, v.systems) for v in verdicts]
 
-        assert seen(claim.checker(ground, conv, *values) for values in tuples) == expected
+        assert seen(claim.check(ground, [values], conv)[0] for values in tuples) == expected
         rnd = random.Random(seed)
         order = rnd.sample(range(len(tuples)), len(tuples))
         crossings = 0
@@ -1052,10 +1052,11 @@ class TestGeneratorSampler:
 
 
 def count_closure_tables(monkeypatch):
-    """A list that gets one entry per closure table of a family on up to 4
-    points, whatever the route: one per `closure_map_of` call and one per
-    family of a `closure_tables_of` run (setsys's names and verify's), and
-    one per `kernels.closure_table` call on up to 4 points (above them
+    """A list that gets one entry per closure table of a family, whatever
+    the route: one per family of a `closure_tables_of` run (setsys's names
+    and verify's), through which `closure_map_of` builds its table on up
+    to 4 points; one per `closure_map_of` call above 4 points; and one per
+    `kernels.closure_table` call on up to 4 points (above them
     `closure_map_of` builds its table through it)."""
     tables = []
 
@@ -1066,7 +1067,7 @@ def count_closure_tables(monkeypatch):
         )
 
     for module in (setsys, verify):
-        wrap(module, "closure_map_of", lambda *a: 1)
+        wrap(module, "closure_map_of", lambda n, *a: int(n > 4))
         wrap(module, "closure_tables_of", lambda n, families, *a: len(families))
     wrap(kernels, "closure_table", lambda n, sources: int(n <= 4))
     return tables
@@ -1333,6 +1334,37 @@ class TestBlockBodies:
             assert by_blocks == expected, n
         assert len(expected) == fails
 
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_idempotence_above_four_points_matches_the_oracle(self, n, conv):
+        # above 4 points the body takes each draw's table as a list; the
+        # oracle takes each closure by its own scan and composes the table
+        # cell by cell.  Every one of these draws holds, so the sweeps
+        # cover the holding route only
+        claim, samples = CLAIMS[TheoremId.IDEM_ydwed], 200
+        draws = [claim.kind.draw(n, random.Random(f"1:{o}")) for o in range(samples)]
+        held = sum(
+            oracles.idempotent(n, [m for m in range(1 << n) if family >> m & 1], conv.value)
+            for family, in draws
+        )
+        rep = sweep(TheoremId.IDEM_ydwed, n, "random", samples=samples, seed=1, conv=conv)
+        assert (rep.hold_count, rep.fail_count) == (held, samples - held) == (samples, 0)
+
+    def test_idempotence_fails_on_five_points_only_when_nonempty(self):
+        # the members {4} and the ground: under "full" the empty complement
+        # of the ground keeps cl(0) = 0, under "nonempty" cl(0) is {0,..,3}
+        # while cl({4}) = 0, so cl(cl({4})) != cl({4})
+        doc = {"ground": 5, "systems": {"A": [[4], [0, 1, 2, 3, 4]]}}
+        assert oracles.idempotent(5, [16, 31], "full")
+        assert not oracles.idempotent(5, [16, 31], "nonempty")
+        assert check_theorem(TheoremId.IDEM_ydwed, doc, FULL).status == "holds"
+        verdict = check_theorem(TheoremId.IDEM_ydwed, doc, NONEMPTY)
+        assert (verdict.status, verdict.note) == ("fails", "z=0x10: cl(z)=0x0 but cl(cl(z))=0xf")
+        witness = verdict.witness
+        assert witness["convention"] == "nonempty"
+        replayed = check_theorem(TheoremId.IDEM_ydwed, witness, NONEMPTY)
+        assert (replayed.status, replayed.note) == (verdict.status, verdict.note)
+
     def test_one_failing_table_at_each_position(self):
         # arbitrary idempotent byte tables, two chunks and three tables
         # long, with one failing table at each position in turn, then with
@@ -1377,7 +1409,7 @@ class TestBlockBodies:
         for n in (1, 2, 3):
             ground = GroundSet(n)
             for _, block in verify._exhaustive_instances(theorem, n, 0, 1):
-                alone = [claim.checker(ground, conv, *values) for values in block]
+                alone = [claim.check(ground, [values], conv)[0] for values in block]
                 expected = [(v.status, v.note) for v in alone]
                 assert expected == [
                     explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block
@@ -1403,7 +1435,7 @@ class TestBlockBodies:
             block = [(draws[i // 2][0], f) for i, (_, f) in enumerate(draws)]
             ground = GroundSet(n)
             verdicts = claim.check(ground, block, conv)
-            alone = [claim.checker(ground, conv, *values) for values in block]
+            alone = [claim.check(ground, [values], conv)[0] for values in block]
             expected = [explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block]
             assert [(v.status, v.note) for v in verdicts] == expected, n
             assert [(v.status, v.note) for v in alone] == expected, n
