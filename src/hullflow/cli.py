@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from . import __version__
 from .attract import (
@@ -57,6 +57,15 @@ from .verify import (
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as a UsageError, which `main` reports in one
+    line, where argparse would print its usage block and exit; its
+    subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 def _masks_payload(system: SetSystem) -> list[list[int]]:
@@ -165,7 +174,7 @@ def _report(args: argparse.Namespace, conv: ClosureConvention, result: Any) -> d
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hullflow",
         description="Set-system hulls, invariant topologies, attractors of "
         "permutation flows, and a claim-sweeping harness.",
@@ -378,9 +387,8 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, code = run(args)
     except (UsageError, InstanceError, SizeLimitError, CapExceededError,
             GroundMismatchError, ValueError) as exc:

@@ -22,6 +22,11 @@ class InstanceError(ValueError):
         super().__init__(f"{path}: {message}")
         self.path = path
 
+    def __reduce__(self):
+        # pickled, as a parallel sweep's child sends it, by the two
+        # arguments it was made with: `args` holds only the joined text
+        return type(self), (self.path, str(self)[len(self.path) + 2 :])
+
 
 def parse_convention(name: str, path: str = "convention") -> ClosureConvention:
     try:

@@ -1326,7 +1326,7 @@ def _evaluate(
     In exhaustive mode every block of the share gets one memo, a dict local
     to this call (see Claim), in which a block body keeps what later
     blocks ask again, such as a row of verdicts per orbit partition: it
-    dies with the call, and each pool worker keeps its own.  Random mode
+    dies with the call, and each share keeps its own.  Random mode
     keeps none, as its draws on many points rarely repeat and would keep
     every drawn system alive.  Returns the share's counts and its first
     `cap` counterexamples."""
@@ -1373,6 +1373,64 @@ def _evaluate(
     return total, holds, fails, skips, cexs
 
 
+def _send_share(send: Any, *args: Any) -> None:
+    """A child's body in a parallel sweep: check its share (`_evaluate`)
+    and send `(True, part)` back, or `(False, exception)` where the share
+    raises."""
+    try:
+        reply = (True, _evaluate(*args))
+    except Exception as exc:
+        reply = (False, exc)
+    send.send(reply)
+    send.close()
+
+
+def _parallel_parts(task: tuple, workers: int) -> list[tuple]:
+    """The parts of a sweep dealt to `workers` shares: share 0 checked in
+    this process, and each other share in a child process of its own,
+    which sends its part back over a one-way pipe.  A child's exception
+    is raised here, and so is a child's exit without a part.  Every child
+    is joined before this returns or raises, and terminated first when
+    anything raised."""
+    import multiprocessing
+
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            with send:
+                child = multiprocessing.Process(
+                    target=_send_share, args=(send, *task, w, workers)
+                )
+                child.start()
+            # with this copy of the send end closed, the child holds the
+            # only one: recv sees the end of the pipe if the child dies
+            # without sending, and children started later inherit none
+            children.append((child, recv))
+        parts = [_evaluate(*task, 0, workers)]
+        for w, (child, recv) in enumerate(children, 1):
+            try:
+                ok, part = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"sweep worker {w} exited with code {child.exitcode} "
+                    "without sending its share"
+                ) from None
+            if not ok:
+                raise part
+            parts.append(part)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return parts
+
+
 def sweep(
     theorem: TheoremId,
     n: int,
@@ -1387,8 +1445,9 @@ def sweep(
     """Run one claim over its instance space.  Exhaustive mode enumerates
     the full space (subject to the per-claim ceiling); random mode draws
     seeded samples on at most `DEFAULT_ENUM_CAP` points.  With `jobs` > 1,
-    up to that many worker processes (no more than the CPU count) each
-    check their own share of the ordinals.
+    the ordinals are dealt to up to that many shares (no more than the
+    CPU count): this process checks share 0 itself and starts one child
+    process for each other share.
     Reports are deterministic for fixed parameters, whatever `jobs` is."""
     claim = CLAIMS[theorem]
     if n < 1:
@@ -1423,17 +1482,14 @@ def sweep(
     if workers == 1:
         parts = [_evaluate(*task, 0, 1)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
         if mode == "exhaustive":
-            # built here once, the factor values a process keeps are
-            # inherited by the forked workers
+            # built here once, before the first child starts, the factor
+            # values a process keeps are inherited by the forked children
+            # and used by this process's own share
             for factor in claim.kind.factors:
                 if factor.kept:
                     factor.values(n)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate, *task, w, workers) for w in range(workers)]
-            parts = [f.result() for f in futures]
+        parts = _parallel_parts(task, workers)
     total, holds, fails, skips = (sum(part[i] for part in parts) for i in range(4))
     cexs = sorted((c for part in parts for c in part[4]), key=lambda c: c["ordinal"])
 

@@ -783,6 +783,28 @@ class TestSweepCommand:
         assert out == ""
         assert err.count("\n") == 1 and f"error: {name} must be at least" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["NOPE", "--n", "2"], "argument theorem: invalid choice: 'NOPE'"),
+            (["L3_1", "--n", "two"], "argument --n: invalid int value: 'two'"),
+            (["L3_1"], "the following arguments are required: --n"),
+        ],
+        ids=["unknown-claim", "n-not-an-int", "n-missing"],
+    )
+    def test_parse_errors_exit_two_in_one_line(self, capsys, flags, message):
+        # argparse's own errors are reported like every other usage error,
+        # without its usage block
+        code, out, err = run_cli(capsys, "sweep", *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"hullflow: error: {message}")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hullflow sweep")
+
     def test_exhaustive_sweep_takes_no_samples(self, capsys):
         # exhaustive mode draws no samples, so a sample count beside it is
         # a usage error rather than dropped

@@ -1,6 +1,5 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
-import concurrent.futures
 import dataclasses
 import functools
 import importlib.util
@@ -8,17 +7,20 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import random
+import signal
+import time
 import tracemalloc
 
 import pytest
 
 import oracles
-from hullflow import attract, cantor, kernels, setsys, verify
+from hullflow import attract, cantor, cli, kernels, setsys, verify
 from hullflow.dynsys import DiscreteFlow, EndoFunction
-from hullflow.instances import Instance
+from hullflow.instances import Instance, InstanceError
 from hullflow.setsys import ClosureConvention, GroundSet, SetSystem, closure_map_of
 from hullflow.verify import (
     CLAIMS,
@@ -1093,32 +1095,31 @@ def count_decisions(monkeypatch, theorem):
     return decided
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: runs each task in this process and
-    records the worker count it was asked for."""
+class RecordingProcess:
+    """Stands in for multiprocessing.Process: runs its target in this
+    process when started, and records the arguments of each start."""
 
-    made: list = []
+    started: list = []
 
-    def __init__(self, max_workers):
-        RecordingPool.made.append(max_workers)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        RecordingProcess.started.append(self.args)
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def join(self):
+        pass
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def terminate(self):
+        pass
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    RecordingPool.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return RecordingPool
+def recording_process(monkeypatch):
+    RecordingProcess.started = []
+    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
+    return RecordingProcess
 
 
 class TestWorkerShares:
@@ -1126,25 +1127,29 @@ class TestWorkerShares:
         "cpus, jobs, workers",
         [(2, 5000, 2), (3, 5000, 3), (8, 3, 3), (None, 5000, None), (1, 4, None)],
     )
-    def test_pool_bounded_by_cpu_count(self, monkeypatch, recording_pool, cpus, jobs, workers):
+    def test_pool_bounded_by_cpu_count(self, monkeypatch, recording_process, cpus, jobs, workers):
+        # `workers` shares: the sweeping process checks share 0 and starts
+        # one child for each other share; a serial sweep starts none
         kwargs = dict(samples=300, max_counterexamples=3)
         serial = sweep(TheoremId.S3_8_all, 3, "random", **kwargs)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rep = sweep(TheoremId.S3_8_all, 3, "random", jobs=jobs, **kwargs)
-        assert recording_pool.made == ([] if workers is None else [workers])
+        shares = [args[-2:] for args in recording_process.started]
+        assert shares == [(w, workers) for w in range(1, workers or 1)]
         assert rep.to_payload() == serial.to_payload()
 
     def test_parent_builds_the_cached_factors_before_the_pool(self, monkeypatch):
-        # forked workers inherit the covering families the parent built,
+        # forked children inherit the covering families the parent built,
         # where each would otherwise build them again on every sweep
         cached = []
 
-        class Pool(RecordingPool):
-            def __init__(self, max_workers):
+        class Process(RecordingProcess):
+            def start(self):
                 cached.append(verify._covering_families.cache_info().currsize)
+                super().start()
 
         verify._covering_families.cache_clear()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(multiprocessing, "Process", Process)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         rep = sweep(TheoremId.IDEM_ydwed, 3, "exhaustive", jobs=2)
         assert rep.instance_count == 218
@@ -1152,14 +1157,16 @@ class TestWorkerShares:
 
     def test_parent_builds_no_factors_it_does_not_keep(self, monkeypatch):
         # a process keeps no maps or flows, so building a space's generator
-        # sets, cycles, self-maps or relabelings in the parent would only be
-        # done again by each worker; every one of them is built through
-        # these two constructors (a permutation is a self-map)
+        # sets, cycles, self-maps or relabelings in the parent before its
+        # child starts would only be done again by the child; every one of
+        # them is built through these two constructors (a permutation is a
+        # self-map)
         built = []
 
-        class Pool(RecordingPool):
-            def __init__(self, max_workers):
-                built.append("pool")
+        class Process(RecordingProcess):
+            def start(self):
+                built.append("child")
+                super().start()
 
         for cls in (EndoFunction, DiscreteFlow):
             def counting(obj, *args, _cls=cls, _init=cls.__init__, **kwargs):
@@ -1167,14 +1174,14 @@ class TestWorkerShares:
                 _init(obj, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(multiprocessing, "Process", Process)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for theorem in (TheoremId.L1_3, TheoremId.CHAIN_karrenk, TheoremId.S3_8_all,
                         TheoremId.COVAR):
             del built[:]
             sweep(theorem, 3, "exhaustive", jobs=2)
-            assert built[0] == "pool", theorem
-            # the workers built the maps and flows through the counted route
+            assert built[0] == "child", theorem
+            # the shares built the maps and flows through the counted route
             assert len(built) > 1, theorem
 
     @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
@@ -1238,7 +1245,7 @@ class TestWorkerShares:
                 assert all(values == space[o] for o, values in pairs)
 
     @pytest.mark.parametrize("jobs", [2, 3, 7])
-    def test_shares_match_serial_for_every_claim(self, monkeypatch, recording_pool, jobs):
+    def test_shares_match_serial_for_every_claim(self, monkeypatch, recording_process, jobs):
         # deal single ordinals, so that even the small n=2 spaces reach
         # every worker
         monkeypatch.setattr(verify, "SHARE_BLOCK", 1)
@@ -1249,6 +1256,114 @@ class TestWorkerShares:
                 serial = sweep(theorem, n, mode, **kwargs).to_payload()
                 parallel = sweep(theorem, n, mode, jobs=jobs, **kwargs).to_payload()
                 assert parallel == serial, (theorem, mode)
+
+
+def share_by_worker(monkeypatch, body):
+    """Makes each share of a sweep run `body(worker, evaluate, args)` in
+    place of `_evaluate(*args)`; forked children inherit the patch."""
+    evaluate = verify._evaluate
+    monkeypatch.setattr(verify, "_evaluate", lambda *args: body(args[-2], evaluate, args))
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test still running after a minute, where a sweep waiting on
+    a child that will never send would otherwise hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestChildProcesses:
+    """Parallel sweeps through real child processes."""
+
+    def test_child_shares_match_serial_for_every_claim(self, monkeypatch):
+        # the deal of the stand-in test above, through two children that
+        # inherit the single-ordinal blocks
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for theorem in TheoremId:
+            for n, mode, samples in ((2, "exhaustive", None), (3, "random", 200)):
+                kwargs = dict(samples=samples, seed=5, max_counterexamples=4)
+                serial = sweep(theorem, n, mode, **kwargs).to_payload()
+                parallel = sweep(theorem, n, mode, jobs=3, **kwargs).to_payload()
+                assert parallel == serial, (theorem, mode)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (InstanceError("flows.x", "bad"), 2, "hullflow: error: flows.x: bad\n"),
+            (ZeroDivisionError("boom"), 3, "hullflow: internal error: ZeroDivisionError: boom\n"),
+        ],
+        ids=["library", "bug"],
+    )
+    def test_child_error_raised_by_the_sweep(
+        self, monkeypatch, capsys, deadline, error, code, line
+    ):
+        # the exception a child's share raises crosses the pipe with its
+        # type, so the CLI tells a library error (exit 2) from a bug (3)
+        def body(worker, evaluate, args):
+            if worker == 1:
+                raise error
+            return evaluate(*args)
+
+        share_by_worker(monkeypatch, body)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(type(error)) as caught:
+            sweep(TheoremId.L3_1, 3, "exhaustive", jobs=2)
+        assert str(caught.value) == str(error)
+        assert getattr(caught.value, "path", None) == getattr(error, "path", None)
+        assert multiprocessing.active_children() == []
+        assert cli.main(["sweep", "L3_1", "--n", "3", "--jobs", "2"]) == code
+        assert capsys.readouterr() == ("", line)
+        assert multiprocessing.active_children() == []
+
+    def test_child_exit_without_its_share_is_named(self, monkeypatch, capsys, deadline):
+        # a child that dies before sending ends its pipe, so the sweeping
+        # process reads the end rather than waiting on it
+        def body(worker, evaluate, args):
+            if worker == 2:
+                os._exit(7)
+            return evaluate(*args)
+
+        share_by_worker(monkeypatch, body)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        message = "sweep worker 2 exited with code 7 without sending its share"
+        with pytest.raises(RuntimeError, match=message):
+            sweep(TheoremId.L3_1, 3, "exhaustive", jobs=3)
+        assert multiprocessing.active_children() == []
+        assert cli.main(["sweep", "L3_1", "--n", "3", "--jobs", "3"]) == 3
+        assert capsys.readouterr() == ("", f"hullflow: internal error: RuntimeError: {message}\n")
+        assert multiprocessing.active_children() == []
+
+    def test_share_zero_error_stops_the_children(self, monkeypatch, deadline):
+        # the children would check their shares for two minutes: they are
+        # terminated and joined before the sweeping process's error leaves
+        started = []
+
+        class Process(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def body(worker, evaluate, args):
+            if worker == 0:
+                raise ValueError("share 0 failed")
+            time.sleep(120)
+
+        share_by_worker(monkeypatch, body)
+        monkeypatch.setattr(multiprocessing, "Process", Process)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        with pytest.raises(ValueError, match="share 0 failed"):
+            sweep(TheoremId.L3_1, 3, "exhaustive", jobs=3)
+        assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
+        assert multiprocessing.active_children() == []
 
 
 class TestInstanceRoundTrip:
