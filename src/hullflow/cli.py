@@ -1,6 +1,13 @@
 """Command-line interface: parse a named-object instance, dispatch one
 operation, serialize the report.
 
+`COMMANDS` maps each command to its help line and arguments. A call
+parses in two stages: a top-level parser reads `--convention`, `--format`
+and the command's name, then a parser of that command's arguments alone
+reads the rest. Nothing is built at import or kept between calls, so a
+call pays for two parsers, not one per command. Top-level `--help` lists
+the commands after its options.
+
 Exit codes:
 
 - 0: success, including sweeps that find counterexamples to claims not
@@ -61,8 +68,7 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Raises a parse error as a UsageError, which `main` reports in one
-    line, where argparse would print its usage block and exit; its
-    subparsers are of this class too."""
+    line, where argparse would print its usage block and exit."""
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
@@ -173,91 +179,79 @@ def _report(args: argparse.Namespace, conv: ClosureConvention, result: Any) -> d
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+#: One argument: the name or flags `add_argument` takes, and its keywords.
+_Spec = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _arg(*flags: str, **kwargs: Any) -> _Spec:
+    return flags, kwargs
+
+
+_INSTANCE = _arg("--instance", "-i", help="instance JSON file ('-' for stdin)")
+_SYSTEM = _arg("system")
+_FLOW = _arg("--flow", required=True)
+_THEOREM = _arg("theorem", choices=sorted(t.value for t in TheoremId))
+_MAP_ARGS = (_INSTANCE, _arg("--function", required=True), _arg("--system", required=True))
+
+#: Each command's help line and the arguments its parser takes, in the
+#: order top-level `--help` lists them.
+COMMANDS: dict[str, tuple[str, tuple[_Spec, ...]]] = {
+    "closure": ("hull of a subset, or the closed family", (
+        _INSTANCE, _SYSTEM, _arg("--subset", help="comma-separated indices"),
+        _arg("--family", action="store_true", help="emit the closed family"))),
+    "hull": ("one of the eight hull constructions", (
+        _INSTANCE, _SYSTEM, _arg("--kind", required=True, help="three binary flags, e.g. 111"),
+        _arg("--subset", required=True))),
+    "elementarize": ("selection-intersection blocks", (_INSTANCE, _SYSTEM)),
+    "classify": ("structural flags of a system", (_INSTANCE, _SYSTEM)),
+    "invariant-topology": ("invariant topology of a flow", (
+        _INSTANCE, _FLOW, _arg("--basis-only", action="store_true"))),
+    "orbits": ("orbit partition of a flow", (_INSTANCE, _FLOW)),
+    "attractors": ("free attractors of a flow", (
+        _INSTANCE, _FLOW, _arg("--covering", required=True, help="system name or 'powerset'"),
+        _arg("--variant", choices=sorted(v.value for v in CoherenceVariant),
+             default="conventional"))),
+    "topo-attractors": ("attractors of a set of topologies", (
+        _INSTANCE, _arg("--topologies", required=True, help="comma-separated system names"),
+        _arg("--coherence", default="powerset"), _arg("--cadence", default="powerset"))),
+    "rooms": ("orbit closures and their partition verdict", (
+        _INSTANCE, _FLOW, _arg("--system", required=True))),
+    "cantor-check": ("continuity memberships of a self-map", _MAP_ARGS),
+    "explication": ("commutative continuity vs the two-sided memberships", _MAP_ARGS),
+    "verify": ("evaluate one registered claim on an instance", (_INSTANCE, _THEOREM)),
+    "sweep": ("sweep a claim over its instance space", (
+        _THEOREM, _arg("--n", type=int, required=True), _arg("--exhaustive", action="store_true"),
+        _arg("--samples", type=int), _arg("--seed", type=int, default=0),
+        _arg("--max-counterexamples", type=int, default=32), _arg("--jobs", type=int, default=1))),
+}
+
+
+def parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
+    """Parse in two stages: the top-level options and the command's name,
+    then the rest with a parser of that command's arguments alone."""
+    top = _Parser(
         prog="hullflow",
-        description="Set-system hulls, invariant topologies, attractors of "
-        "permutation flows, and a claim-sweeping harness.",
+        description="Set-system hulls, invariant topologies, attractors of permutation\n"
+        "flows, and a claim-sweeping harness.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<20}{line}" for name, (line, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--convention", choices=("full", "nonempty"), default=None,
-                        help="closure convention (overrides the instance file)")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_instance(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--instance", "-i", help="instance JSON file ('-' for stdin)")
-
-    p = sub.add_parser("closure", help="hull of a subset, or the closed family")
-    with_instance(p)
-    p.add_argument("system")
-    p.add_argument("--subset", help="comma-separated indices")
-    p.add_argument("--family", action="store_true", help="emit the closed family")
-
-    p = sub.add_parser("hull", help="one of the eight hull constructions")
-    with_instance(p)
-    p.add_argument("system")
-    p.add_argument("--kind", required=True, help="three binary flags, e.g. 111")
-    p.add_argument("--subset", required=True)
-
-    p = sub.add_parser("elementarize", help="selection-intersection blocks")
-    with_instance(p)
-    p.add_argument("system")
-
-    p = sub.add_parser("classify", help="structural flags of a system")
-    with_instance(p)
-    p.add_argument("system")
-
-    p = sub.add_parser("invariant-topology", help="invariant topology of a flow")
-    with_instance(p)
-    p.add_argument("--flow", required=True)
-    p.add_argument("--basis-only", action="store_true")
-
-    p = sub.add_parser("orbits", help="orbit partition of a flow")
-    with_instance(p)
-    p.add_argument("--flow", required=True)
-
-    p = sub.add_parser("attractors", help="free attractors of a flow")
-    with_instance(p)
-    p.add_argument("--flow", required=True)
-    p.add_argument("--covering", required=True, help="system name or 'powerset'")
-    p.add_argument("--variant", choices=sorted(v.value for v in CoherenceVariant),
-                   default="conventional")
-
-    p = sub.add_parser("topo-attractors", help="attractors of a set of topologies")
-    with_instance(p)
-    p.add_argument("--topologies", required=True, help="comma-separated system names")
-    p.add_argument("--coherence", default="powerset")
-    p.add_argument("--cadence", default="powerset")
-
-    p = sub.add_parser("rooms", help="orbit closures and their partition verdict")
-    with_instance(p)
-    p.add_argument("--flow", required=True)
-    p.add_argument("--system", required=True)
-
-    p = sub.add_parser("cantor-check", help="continuity memberships of a self-map")
-    with_instance(p)
-    p.add_argument("--function", required=True)
-    p.add_argument("--system", required=True)
-
-    p = sub.add_parser("explication", help="commutative continuity vs the two-sided memberships")
-    with_instance(p)
-    p.add_argument("--function", required=True)
-    p.add_argument("--system", required=True)
-
-    p = sub.add_parser("verify", help="evaluate one registered claim on an instance")
-    with_instance(p)
-    p.add_argument("theorem", choices=sorted(t.value for t in TheoremId))
-
-    p = sub.add_parser("sweep", help="sweep a claim over its instance space")
-    p.add_argument("theorem", choices=sorted(t.value for t in TheoremId))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-counterexamples", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=1)
-
-    return parser
+    top.add_argument("--convention", choices=("full", "nonempty"), default=None,
+                     help="closure convention (overrides the instance file)")
+    top.add_argument("--format", choices=("json", "text"), default="json")
+    # PARSER takes the name and every argument after it, as a subparser would
+    top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS,
+                     metavar="command", help="one of the commands below")
+    args, extras = top.parse_known_args(argv)
+    args.command, *rest = args.command
+    sub = _Parser(prog=f"hullflow {args.command}")
+    for flags, kwargs in COMMANDS[args.command][1]:
+        sub.add_argument(*flags, **kwargs)
+    extras += sub.parse_known_args(rest, args)[1]
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -388,7 +382,7 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_argv(argv)
         report, code = run(args)
     except (UsageError, InstanceError, SizeLimitError, CapExceededError,
             GroundMismatchError, ValueError) as exc:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hullflow import cli
 from hullflow.cli import main
 from hullflow.instances import Instance, InstanceError
 from hullflow.verify import TheoremId
@@ -784,26 +785,35 @@ class TestSweepCommand:
         assert err.count("\n") == 1 and f"error: {name} must be at least" in err
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "argv, message",
         [
-            (["NOPE", "--n", "2"], "argument theorem: invalid choice: 'NOPE'"),
-            (["L3_1", "--n", "two"], "argument --n: invalid int value: 'two'"),
-            (["L3_1"], "the following arguments are required: --n"),
+            (["sweep", "NOPE", "--n", "2"], "argument theorem: invalid choice: 'NOPE'"),
+            (["sweep", "L3_1", "--n", "two"], "argument --n: invalid int value: 'two'\n"),
+            (["sweep", "L3_1"], "the following arguments are required: --n\n"),
+            ([], "the following arguments are required: command\n"),
+            (["nope"], "argument command: invalid choice: 'nope' (choose from 'closure', "
+             "'hull', 'elementarize', 'classify', 'invariant-topology', 'orbits', "
+             "'attractors', 'topo-attractors', 'rooms', 'cantor-check', 'explication', "
+             "'verify', 'sweep')\n"),
+            (["--convention"], "argument --convention: expected one argument\n"),
+            (["--format", "xml", "sweep", "L1_3", "--n", "2"],
+             "argument --format: invalid choice: 'xml' (choose from 'json', 'text')\n"),
+            (["sweep", "L1_3", "--n", "2", "--format", "text"],
+             "unrecognized arguments: --format text\n"),
+            (["--bogus", "sweep", "L1_3", "--n", "2", "-y"],
+             "unrecognized arguments: --bogus -y\n"),
         ],
-        ids=["unknown-claim", "n-not-an-int", "n-missing"],
+        ids=["unknown-claim", "n-not-an-int", "n-missing", "no-command", "unknown-command",
+             "convention-without-value", "unknown-format", "format-after-command",
+             "unknown-flags-both-sides"],
     )
-    def test_parse_errors_exit_two_in_one_line(self, capsys, flags, message):
+    def test_parse_errors_exit_two_in_one_line(self, capsys, argv, message):
         # argparse's own errors are reported like every other usage error,
-        # without its usage block
-        code, out, err = run_cli(capsys, "sweep", *flags)
+        # without its usage block; top-level options go before the command.
+        # A message ending in a newline is the whole line.
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith(f"hullflow: error: {message}")
-
-    def test_help_still_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as caught:
-            main(["sweep", "--help"])
-        assert caught.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: hullflow sweep")
 
     def test_exhaustive_sweep_takes_no_samples(self, capsys):
         # exhaustive mode draws no samples, so a sample count beside it is
@@ -830,6 +840,39 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "B3_7", "--n", "4", "--exhaustive")
         assert code == 2
         assert "capped" in err
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_has_help(self, capsys, command):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: hullflow {command} ")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"])
+        assert caught.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for command, (help_line, _) in cli.COMMANDS.items():
+            assert any(line.split() == [command, *help_line.split()] for line in lines), command
+
+    def test_one_call_builds_only_the_parsers_it_uses(self, monkeypatch):
+        # the top-level parser and the named command's, built afresh on
+        # every call: none is built for the other commands, none is kept
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for _ in range(2):
+            built.clear()
+            main(["sweep", "L1_3", "--n", "2"])
+            assert built == ["hullflow", "hullflow sweep"]
 
 
 #: A document in which every claim and command finds the names it reads.
@@ -928,3 +971,30 @@ def test_damaged_documents_exit_zero_or_two(tmp_path_factory, doc):
             code = main([*argv, "-i", str(path)])
         assert code in (0, 2), (argv, doc, err.getvalue())
         assert err.getvalue().count("\n") == (code == 2), (argv, doc, err.getvalue())
+
+
+#: Words an argv is drawn from: every command and `NOPE`, every claim, every
+#: flag a parser knows and one none does, small and non-numeric values, and
+#: an instance file that does not exist.
+ARGV_WORDS = sorted(
+    {*cli.COMMANDS, "NOPE", *(t.value for t in TheoremId), "--convention", "--format",
+     "-h", "--help", "--bogus", "-1", "0", "1", "2", "two", "--", "full", "text",
+     "no-such-instance.json"}
+    | {flag for _, specs in cli.COMMANDS.values() for flags, _ in specs
+       for flag in flags if flag.startswith("-")}
+)
+
+
+@given(st.lists(st.sampled_from(ARGV_WORDS), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_any_argv_exits_zero_one_or_two(argv):
+    # values stop at 2, so no drawn sweep is larger than n=2 with 2 samples
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and {"-h", "--help"} & set(argv), argv
+            return
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert err.getvalue().count("\n") == (code == 2), (argv, err.getvalue())
