@@ -21,6 +21,8 @@ from .setsys import (
     HullContext,
     SetSystem,
     _Side,
+    family_members,
+    shifted,
 )
 
 
@@ -112,11 +114,12 @@ def preserves_unfamily(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> bool:
     """True when f maps every complement-free subset (no nonempty member of
-    the complement system inside it) to a complement-free subset.  The
-    family does not depend on `conv`; it is kept in the system's context
-    under `conv`, beside the fibration classes."""
-    members = system.context(conv)._unfamily
-    return all(f.apply_mask(q) in members for q in members)
+    the complement system inside it) to a complement-free subset: when
+    the family of images of that family lies inside it.  The family is
+    kept as a family bitmask in the system's context under `conv`, beside
+    the fibration classes; it does not depend on `conv`."""
+    free = system.context(conv)._unfamily
+    return not _images(f.mask_table(), family_members(free)) & ~free
 
 
 def fibration_integrity(
@@ -125,9 +128,12 @@ def fibration_integrity(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> bool:
     """True when mapping every closure-fibration class elementwise through
-    f reproduces the class family exactly."""
-    actual = system.context(conv)._classes
-    return {frozenset(f.apply_mask(z) for z in c) for c in actual} == actual
+    f reproduces the class family exactly: the families of images of the
+    cells of the classes of the system's context under `conv`, shifted as
+    the classes are (setsys.shifted), are the classes again."""
+    classes = system.context(conv)._classes
+    table = f.mask_table()
+    return {shifted(_images(table, cells)) for cells in classes.values()} == classes.keys()
 
 
 def is_trivially_commutative(system: SetSystem) -> bool:

@@ -65,6 +65,8 @@ class Subset:
     def of(cls, ground: GroundSet, elements: Iterable[int]) -> "Subset":
         bits = 0
         for e in elements:
+            if not 0 <= e < ground.size:
+                raise ValueError(f"index {e} outside ground of size {ground.size}")
             bits |= 1 << e
         return cls(ground, bits)
 
@@ -466,68 +468,39 @@ def classify(
     )
 
 
-def un_ov(system: SetSystem) -> SetSystem:
-    """The complement-free subsets: the subsets of the ground containing
-    no nonempty member."""
-    ground = system.ground
-    _check_enum(ground.size)
-    nonempty = [m for m in system.masks if m]
-    un = []
-    for z in range(1 << ground.size):
-        if not any(m & z == m for m in nonempty):
-            un.append(z)
-    return SetSystem(ground, tuple(un))
+def shifted(family: int) -> tuple[int, int]:
+    """A nonempty family bitmask as its least member and the bitmask
+    shifted down by it (bit i set when least + i is a member).  One family
+    gives one pair, and a family of a few close members is a small int
+    however high they lie: unshifted, the family bitmasks of the classes
+    of a closure table on n points take up to 4^n bits together."""
+    least = (family & -family).bit_length() - 1
+    return least, family >> least
 
 
-@dataclass(frozen=True)
-class FibrationClass:
-    key: int            # the common closure value
-    member_masks: tuple[int, ...]
-    core: int           # intersection of the class members
-
-
-@dataclass(frozen=True)
-class FibrationPartition:
-    ground: GroundSet
-    classes: tuple[FibrationClass, ...]
-
-
-def product_fibration(
-    system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
-) -> FibrationPartition:
-    """Partition of the power set by closure value, with per-class cores."""
-    cl = closure_map(system, conv)
-    by_key: dict[int, list[int]] = {}
-    for z in range(1 << system.ground.size):
-        by_key.setdefault(cl[z], []).append(z)
-    classes = tuple(
-        FibrationClass(
-            key=key,
-            member_masks=tuple(sorted(zs)),
-            core=reduce(operator.and_, zs),
-        )
-        for key, zs in sorted(by_key.items())
-    )
-    return FibrationPartition(system.ground, classes)
-
-
-def representation_ok(fib: FibrationPartition, system: SetSystem) -> bool:
-    """Whether the closed-set representation {Q | core : Q in trace of the
-    complement-free family on the class key} reproduces the classes of
-    `system`'s fibration exactly."""
-    un_compl = un_ov(complement_system(system))
-    rep = set()
-    for fc in fib.classes:
-        rep.add(frozenset((q & fc.key) | fc.core for q in un_compl.masks))
-    return rep == {frozenset(fc.member_masks) for fc in fib.classes}
+def fibration_classes(cl: Sequence[int]) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
+    """The fibration of the power set by closure value, read off the
+    closure table `cl`: each class key (a closure value) mapped to the
+    family bitmask of the class's cells, those z whose closure cl[z] is
+    the key, built shifted by the least cell (the first met), and to its
+    core (the AND of its cells)."""
+    classes: dict[int, tuple[int, int]] = {}
+    cores: dict[int, int] = {}
+    for z, key in enumerate(cl):
+        least, cells = classes.get(key, (z, 0))
+        classes[key] = least, cells | 1 << (z - least)
+        cores[key] = cores.get(key, z) & z
+    return classes, cores
 
 
 class HullContext:
     """What the claims over one system read of its hull operator under one
     convention, each built on first use and kept: the closure table
-    (closure_map), the complement system, the fibration classes as sets of
-    masks, and the complement-free subsets (which do not depend on the
-    convention).
+    (closure_map), the complement system, the fibration classes (each
+    class's shifted family bitmask, from fibration_classes, mapped to its
+    cells), and the family bitmask of the complement-free subsets, those
+    outside the complement side's up-closure (which does not depend on
+    the convention).
 
     For Cantor's memberships it keeps both sides, the system's and its
     complement system's: each side's nonempty members, their family
@@ -561,13 +534,16 @@ class HullContext:
         return complement_system(self._system())
 
     @cached_property
-    def _classes(self) -> set[frozenset[int]]:
-        fib = product_fibration(self._system(), self.conv)
-        return {frozenset(fc.member_masks) for fc in fib.classes}
+    def _classes(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        classes, _ = fibration_classes(self._cl)
+        return {
+            (least, cells): tuple(map(least.__add__, family_members(cells)))
+            for least, cells in classes.values()
+        }
 
     @cached_property
-    def _unfamily(self) -> frozenset[int]:
-        return frozenset(un_ov(self._compl).masks)
+    def _unfamily(self) -> int:
+        return ~self._compl_side.up & (1 << (1 << self._system().ground.size)) - 1
 
     @cached_property
     def _side(self) -> "_Side":

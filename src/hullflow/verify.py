@@ -64,10 +64,9 @@ from .setsys import (
     elementarize,
     family_members,
     family_of,
+    fibration_classes,
     is_basis_of,
     is_partition,
-    product_fibration,
-    representation_ok,
 )
 
 
@@ -721,8 +720,24 @@ def _check_chain(
 
 
 def _check_b3_6(ground: GroundSet, conv: ClosureConvention, family: int) -> Verdict:
-    sys = SetSystem(ground, family_members(family))
-    if representation_ok(product_fibration(sys, conv), sys):
+    """B3_6 on the system whose family bitmask is `family`, read off its
+    closure table with no SetSystem built: the complement-free subsets
+    are those outside the up-closure of the nonempty complements, and the
+    claim holds when the families {(q & key) | core : q complement-free},
+    one per fibration class, are the classes.  Each is compared shifted
+    (setsys.shifted) by its least member, its core (q = 0 is always
+    free), so member (q & key) | core is bit q & key & ~core."""
+    n, full = ground.size, ground.full_mask
+    classes, cores = fibration_classes(closure_map_of(n, family, conv))
+    complements = family_of(n, [full ^ m for m in family_members(family) if m != full])
+    free = family_members(~kernels.up_closure(n, complements) & (1 << (1 << n)) - 1)
+    represented = set()
+    for key, core in cores.items():
+        rest, trace = key & ~core, 0
+        for q in free:
+            trace |= 1 << (q & rest)
+        represented.add((core, trace))
+    if represented == set(classes.values()):
         return _HOLDS
     return _fails("closed-set representation does not reproduce the fibration")
 

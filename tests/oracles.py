@@ -12,7 +12,11 @@ memo on up to four points, and keeps a row of verdicts per orbit
 partition in a sweep; `attractors` takes every trace and decides it afresh
 by scanning every pair of trace sets, and the per-instance verdicts
 (`l1_3_verdict`, `chain_verdict`, `k3_9_verdict`, `b3_4_verdict`) keep
-nothing.  They use none of the routines they are
+nothing.  The library reads B3_6's and B3_7's fibration classes and
+complement-free family as family bitmasks, the latter off an up-closure;
+`fibration` groups the subsets by their scanned closure, `free_subsets`
+scans the members for each subset, and `b3_6_verdict` and `b3_7_verdict`
+compare frozensets.  They use none of the routines they are
 compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
 `attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
 so a test that compares the two routes checks one against the other.
@@ -354,6 +358,92 @@ def b3_4_verdict(
     return "fails", (
         f"rooms={_family_repr(n, rooms)} invariant={invariant} attractors={attractive}"
     )
+
+
+def fibration(n: int, members: Sequence[int], convention: str) -> dict[int, list[int]]:
+    """The fibration of the power set by closure value: each closure value
+    (`closure_table`, each subset by its own scan) mapped to the subsets
+    whose closure it is, ascending."""
+    classes: dict[int, list[int]] = {}
+    for z, key in enumerate(closure_table(n, members, convention)):
+        classes.setdefault(key, []).append(z)
+    return classes
+
+
+def core(cells: Sequence[int]) -> int:
+    """The intersection of the masks `cells`, one AND at a time."""
+    out = cells[0]
+    for z in cells:
+        out &= z
+    return out
+
+
+def free_subsets(n: int, masks: Sequence[int]) -> list[int]:
+    """The subsets of an n-set holding no nonempty member of `masks`,
+    ascending, by a scan of the members for each subset."""
+    return [z for z in range(1 << n) if not any(m and m & z == m for m in masks)]
+
+
+def represented(n: int, members: Sequence[int], convention: str) -> bool:
+    """Whether the closed-set representation {(q & key) | core : q free of
+    the complement system}, one set per class of the fibration, gives the
+    classes again, compared as a set of frozensets."""
+    full = (1 << n) - 1
+    free = free_subsets(n, [full ^ m for m in members])
+    classes = fibration(n, members, convention)
+    rep = {frozenset((q & key) | core(cells) for q in free) for key, cells in classes.items()}
+    return rep == {frozenset(cells) for cells in classes.values()}
+
+
+def integrity(n: int, members: Sequence[int], element: Sequence[int], convention: str) -> bool:
+    """Whether the point map `element`, applied to every subset of every
+    class of the fibration, gives the classes again, as frozensets."""
+    classes = {frozenset(cells) for cells in fibration(n, members, convention).values()}
+    return {frozenset(image(element, z) for z in c) for c in classes} == classes
+
+
+def preserves_free(n: int, members: Sequence[int], element: Sequence[int]) -> bool:
+    """Whether the point map `element` maps every subset free of the
+    complement system into that family again."""
+    full = (1 << n) - 1
+    free = free_subsets(n, [full ^ m for m in members])
+    return all(image(element, q) in free for q in free)
+
+
+def b3_6_verdict(n: int, members: Sequence[int], convention: str) -> tuple[str, str]:
+    """B3_6's (status, note) on the system `members`: the closed-set
+    representation gives the fibration (`represented`)."""
+    if represented(n, members, convention):
+        return "holds", ""
+    return "fails", "closed-set representation does not reproduce the fibration"
+
+
+def b3_7_verdict(
+    n: int, members: Sequence[int], element: Sequence[int], convention: str
+) -> tuple[str, str]:
+    """B3_7's (status, note) on the system `members` and the point map
+    `element`: fibration integrity holds exactly when the map preserves
+    the complement-free family."""
+    integ = integrity(n, members, element, convention)
+    pres = preserves_free(n, members, element)
+    if integ == pres:
+        return "holds", ""
+    return "fails", f"integrity={integ} preserves_unfamily={pres}"
+
+
+def fibration_counts(theorem: str, n: int, convention: str) -> tuple[int, int, int]:
+    """The (hold, fail, skip) of `theorem`, B3_6 or B3_7, over its
+    exhaustive space on n points: every covering system, for B3_7 with
+    every self-map."""
+    if theorem == "B3_6":
+        statuses = [b3_6_verdict(n, members, convention)[0] for members in coverings(n)]
+    else:
+        maps = list(itertools.product(range(n), repeat=n))
+        statuses = [
+            b3_7_verdict(n, members, f, convention)[0] for members in coverings(n) for f in maps
+        ]
+    # every system of the space covers the ground, so none is skipped
+    return statuses.count("holds"), statuses.count("fails"), 0
 
 
 def count_preorders(n: int) -> int:

@@ -23,9 +23,9 @@ from hullflow.setsys import (
     SetSystem,
     closure_map,
     complement_system,
-    product_fibration,
-    representation_ok,
+    fibration_classes,
 )
+from hullflow.verify import TheoremId, check_theorem
 
 G2 = GroundSet(2)
 G3 = GroundSet(3)
@@ -367,15 +367,22 @@ class TestPhaseChainOverGenerators:
 
 
 class TestRepresentation:
+    # B3_6's closed-set representation, read off family bitmasks, against
+    # the oracle's frozensets
+
     def test_powerset_representation_holds(self):
-        powerset = SetSystem.powerset(G3)
-        assert representation_ok(product_fibration(powerset), powerset)
+        members = [[x for x in range(3) if m >> x & 1] for m in range(8)]
+        doc = {"ground": 3, "systems": {"A": members}}
+        assert check_theorem(TheoremId.B3_6, doc).status == "holds"
+        assert oracles.represented(3, list(range(8)), "full")
 
     def test_mined_representation_failure(self):
         # the singleton partition already defeats the closed-set
         # representation: the class of the empty hull holds both extremes
         parts = SetSystem.of(G3, [[0], [1], [2]])
-        fib = product_fibration(parts)
-        assert not representation_ok(fib, parts)
-        by_key = {fc.key: fc.member_masks for fc in fib.classes}
-        assert by_key[0] == (0, 0b111)
+        doc = {"ground": 3, "systems": {"A": [[0], [1], [2]]}}
+        assert check_theorem(TheoremId.B3_6, doc).status == "fails"
+        assert not oracles.represented(3, parts.masks, "full")
+        classes, _ = fibration_classes(closure_map(parts))
+        assert classes[0] == (0, 1 << 0 | 1 << 0b111)  # shifted by its least cell, 0
+        assert oracles.fibration(3, parts.masks, "full")[0] == [0, 0b111]

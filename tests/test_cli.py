@@ -802,15 +802,24 @@ class TestSweepCommand:
              "unrecognized arguments: --format text\n"),
             (["--bogus", "sweep", "L1_3", "--n", "2", "-y"],
              "unrecognized arguments: --bogus -y\n"),
+            (["closure", "T", "--subset", "-1", "-i", "-"],
+             "index -1 outside ground of size 3\n"),
+            (["hull", "T", "--kind", "111", "--subset", "-2", "-i", "-"],
+             "index -2 outside ground of size 3\n"),
+            (["closure", "T", "--subset", "5", "-i", "-"],
+             "index 5 outside ground of size 3\n"),
         ],
         ids=["unknown-claim", "n-not-an-int", "n-missing", "no-command", "unknown-command",
              "convention-without-value", "unknown-format", "format-after-command",
-             "unknown-flags-both-sides"],
+             "unknown-flags-both-sides", "subset-index-negative", "hull-subset-index-negative",
+             "subset-index-past-ground"],
     )
-    def test_parse_errors_exit_two_in_one_line(self, capsys, argv, message):
+    def test_parse_errors_exit_two_in_one_line(self, capsys, monkeypatch, argv, message):
         # argparse's own errors are reported like every other usage error,
         # without its usage block; top-level options go before the command.
-        # A message ending in a newline is the whole line.
+        # A message ending in a newline is the whole line.  An instance
+        # read from stdin is T_E2, on 3 points.
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(T_E2)))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith(f"hullflow: error: {message}")

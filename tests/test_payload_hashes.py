@@ -12,7 +12,8 @@ closure sweeps of the benchmark (`IDEM_ydwed` at n=4 under both
 conventions, whose `nonempty` sweep keeps 32 of its 470 failures'
 witnesses, `S3_8_all` at n=3 and `L3_1` at n=8 under both conventions),
 and the systems space above n=4, which only random mode reaches
-(`IDEM_ydwed` at n=6, `B3_6` at n=5).
+(`IDEM_ydwed` at n=6, `B3_6` at n=5), and the fibration claims `B3_6` and
+`B3_7` at n=3 exhaustive under both conventions.
 A deliberate change of payload must update this table and record the old
 and new hashes in CHANGES.md.
 """
@@ -124,6 +125,14 @@ PINNED = [
      "75e22664b2ee9ff8ab9d1863f48226fdb1c7cd35af17382e0db7e8a7855072b4"),
     ("B3_6 --n 5 --samples 50 --seed 3", 1,
      "8a8954ab0d1b15239b741bf9f4c9a41b9cbd859b2c4bde80c8c4dab91cf939e4"),
+    ("B3_6 --n 3 --exhaustive", 1,
+     "a608191ba927435f932ca991c36291aa1a01d6930ec95cb5865dea5bb016f367"),
+    ("--convention nonempty sweep B3_6 --n 3 --exhaustive", 1,
+     "853237ec10550abcbf8a52e8e523ba26dafb9999ea146542cd422f49f00e188e"),
+    ("B3_7 --n 3 --exhaustive", 1,
+     "d4283081b895961c514dc896b9edaae00a05416431ca297e4abd5790d89b7693"),
+    ("--convention nonempty sweep B3_7 --n 3 --exhaustive", 1,
+     "522a5090071f562ca81740f6fa07bbfb6124d596daefba356d0fdd75825bbe88"),
 ]
 
 

@@ -33,14 +33,13 @@ from hullflow.setsys import (
     elementarize,
     family_members,
     family_of,
+    fibration_classes,
     hull,
     is_basis_of,
     is_partition,
-    product_fibration,
-    representation_ok,
-    un_ov,
     union_closure,
 )
+from hullflow.verify import TheoremId, check_theorem
 
 FULL = ClosureConvention.FULL
 NONEMPTY = ClosureConvention.NONEMPTY
@@ -86,6 +85,13 @@ class TestSubset:
     def test_out_of_range_bits(self):
         with pytest.raises(ValueError):
             Subset(G2, 0b100)
+
+    @pytest.mark.parametrize("index", [-1, -2, 3, 5])
+    def test_out_of_range_index(self, index):
+        # worded as the instance parser words it, with no shift attempted
+        with pytest.raises(ValueError) as err:
+            Subset.of(G3, [0, index])
+        assert str(err.value) == f"index {index} outside ground of size 3"
 
     def test_ground_bounds(self):
         with pytest.raises(ValueError):
@@ -525,42 +531,87 @@ class TestTraceLemma:
         assert any(m & hull_empty for m in a.masks)
 
 
+def free_family(s, conv=FULL):
+    """The subsets holding no nonempty member of `s`, ascending, as the
+    library reads them: the complement-free family of the context of the
+    complement system of `s`, whose complement system is `s`."""
+    compl = complement_system(s)  # a context holds its system weakly
+    return family_members(compl.context(conv)._unfamily)
+
+
 class TestUnOv:
+    # the complement-free family (un_ov: the subsets holding no nonempty
+    # member) is read off an up-closure; the oracle scans the members for
+    # each subset
+
     def test_small_example(self):
         a = system(G2, [0], [0, 1])
-        assert un_ov(a) == system(G2, [], [1])
+        assert free_family(a) == tuple(oracles.free_subsets(2, a.masks)) == (0b00, 0b10)
 
     def test_partition_of_powerset(self):
         a = system(G3, [0], [0, 1], [2])
-        un = un_ov(a)
+        free = free_family(a)
+        assert free == tuple(oracles.free_subsets(3, a.masks)) == (0b000, 0b010)
         # the rest of the power set holds some nonempty member
-        rest = set(range(8)) - set(un.masks)
-        assert un == system(G3, [], [1])
+        rest = set(range(8)) - set(free)
         assert all(any(m and m & z == m for m in a.masks) for z in rest)
 
     def test_powerset_un_trivial(self):
-        assert un_ov(SetSystem.powerset(G2)) == system(G2, [])
+        powerset = SetSystem.powerset(G2)
+        assert free_family(powerset) == tuple(oracles.free_subsets(2, powerset.masks)) == (0,)
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_every_family_up_to_three_points(self, conv):
+        # it reads no convention
+        for n in (1, 2, 3):
+            for members in oracles.families(n):
+                s = SetSystem(GroundSet(n), tuple(members))
+                assert free_family(s, conv) == tuple(oracles.free_subsets(n, members))
+
+
+def classes_of(s, conv=FULL):
+    """The fibration of `s` as the library groups its closure table: each
+    class key mapped to its cells, ascending, and its core."""
+    classes, cores = fibration_classes(closure_map(s, conv))
+    return {
+        key: (tuple(least + i for i in family_members(cells)), cores[key])
+        for key, (least, cells) in classes.items()
+    }
+
+
+def oracle_classes(s, conv=FULL):
+    """The same from the oracle, which groups the subsets by their scanned
+    closure."""
+    fibration = oracles.fibration(s.ground.size, s.masks, conv.value)
+    return {key: (tuple(cells), oracles.core(cells)) for key, cells in fibration.items()}
 
 
 class TestProductFibration:
+    # the fibration classes are grouped off the closure table as family
+    # bitmasks with their cores; the oracle groups the subsets by their
+    # scanned closure
+
     def test_powerset_classes_singletons(self):
-        fib = product_fibration(SetSystem.powerset(G2))
-        assert all(fc.member_masks == (fc.key,) for fc in fib.classes)
-        assert representation_ok(fib, SetSystem.powerset(G2))
+        powerset = SetSystem.powerset(G2)
+        classes = classes_of(powerset)
+        assert classes == oracle_classes(powerset)
+        assert all(cells == (key,) for key, (cells, _) in classes.items())
+        assert oracles.represented(2, powerset.masks, "full")
+        doc = {"ground": 2, "systems": {"A": [[], [0], [1], [0, 1]]}}
+        assert check_theorem(TheoremId.B3_6, doc).status == "holds"
 
     def test_small_example(self):
-        fib = product_fibration(system(G2, [0], [0, 1]))
-        by_key = {fc.key: fc.member_masks for fc in fib.classes}
+        a = system(G2, [0], [0, 1])
+        by_key = {key: cells for key, (cells, _) in classes_of(a).items()}
+        assert classes_of(a) == oracle_classes(a)
         assert by_key == {0: (0b00, 0b01, 0b11), 0b10: (0b10,)}
 
-    @given(systems_strategy(3, covering=True))
+    @given(systems_strategy(3, covering=True), st.sampled_from([FULL, NONEMPTY]))
     @settings(max_examples=60)
-    def test_classes_partition_powerset(self, s):
-        fib = product_fibration(s)
-        seen = sorted(z for fc in fib.classes for z in fc.member_masks)
+    def test_classes_partition_powerset(self, s, conv):
+        classes = classes_of(s, conv)
+        assert classes == oracle_classes(s, conv)
+        seen = sorted(z for cells, _ in classes.values() for z in cells)
         assert seen == list(range(8))
-        for fc in fib.classes:
-            core = fc.member_masks[0]
-            for z in fc.member_masks[1:]:
-                core &= z
-            assert core == fc.core
+        for cells, core in classes.values():
+            assert core == oracles.core(cells)

@@ -780,6 +780,20 @@ class TestSweep:
         assert rep.instance_count == verify.SHARE_BLOCK
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("theorem", [TheoremId.B3_6, TheoremId.B3_7], ids=lambda t: t.value)
+    def test_random_fibration_sweep_keeps_its_classes_small(self, theorem):
+        # a draw on 12 points has some 4,000 classes of one cell: shifted
+        # by its least cell each is a one-bit int, where their unshifted
+        # family bitmasks take 2^23 bits together (about 3.2 MB at peak)
+        tracemalloc.start()
+        try:
+            rep = sweep(theorem, 12, "random", samples=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.instance_count == 2
+        assert peak < 5 << 19
+
     @pytest.mark.parametrize(
         "theorem, flows",
         [(TheoremId.CHAIN_karrenk, 6), (TheoremId.B3_4, 21)],
@@ -839,28 +853,26 @@ class TestSweep:
         assert 0 < len(tables) <= maps
 
     def test_b3_7_one_complement_free_family_per_instance(self, monkeypatch):
-        # the complement-free family is read from the system's context: 218
-        # systems x 27 functions, where building it per instance makes 5886
-        families = []
-        un_ov = setsys.un_ov
-
-        def counted(*a):
-            families.append(a)
-            return un_ov(*a)
-
-        monkeypatch.setattr(setsys, "un_ov", counted)
+        # the complement-free family is read off the up-closure of the
+        # system's context's complement side: 218 systems x 27 functions,
+        # where building it per instance makes 5886
+        closures = []
+        up_closure = kernels.up_closure
+        monkeypatch.setattr(
+            kernels, "up_closure", lambda *a: closures.append(a) or up_closure(*a)
+        )
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
-        assert 0 < len(families) <= 218
+        assert 0 < len(closures) <= 218
 
     def test_b3_7_one_fibration_per_system(self, monkeypatch):
         # the fibration classes are read from the system's context too, and
-        # built from its closure table: one table per system
+        # grouped from its closure table: one table per system
         fibrations, tables = [], count_closure_tables(monkeypatch)
-        product_fibration = setsys.product_fibration
+        fibration_classes = setsys.fibration_classes
         monkeypatch.setattr(
-            setsys, "product_fibration",
-            lambda *a: fibrations.append(a) or product_fibration(*a),
+            setsys, "fibration_classes",
+            lambda *a: fibrations.append(a) or fibration_classes(*a),
         )
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
@@ -1009,6 +1021,69 @@ class TestOrbitBlockKeys:
         statuses, crossings = self.check_blocks(theorem, 4, conv, tuples, f"{theorem.value}:4")
         assert "holds" in statuses
         assert crossings > 0
+
+
+class TestFibrationClaims:
+    # B3_6 and B3_7 read the fibration classes and the complement-free
+    # family as family bitmasks, the latter off an up-closure; the oracles
+    # group the subsets by their scanned closure, scan the members for
+    # each subset and compare frozensets
+
+    FIBRATION_CLAIMS = [TheoremId.B3_6, TheoremId.B3_7]
+
+    @staticmethod
+    def oracle(theorem, n, values, conv):
+        if theorem is TheoremId.B3_6:
+            (family,) = values
+            members = [m for m in range(1 << n) if family >> m & 1]
+            return oracles.b3_6_verdict(n, members, conv.value)
+        system, f = values
+        return oracles.b3_7_verdict(n, system.masks, f.image, conv.value)
+
+    def check(self, theorem, n, conv, tuples):
+        """The claim's verdicts on `tuples`, each against the oracle's;
+        returns the oracle's statuses."""
+        got = CLAIMS[theorem].check(GroundSet(n), tuples, conv)
+        expected = [self.oracle(theorem, n, values, conv) for values in tuples]
+        assert [(v.status, v.note) for v in got] == expected
+        return {status for status, _ in expected}
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", FIBRATION_CLAIMS, ids=lambda t: t.value)
+    def test_every_instance_up_to_three_points(self, theorem, conv):
+        statuses = set()
+        for n in (1, 2, 3):
+            statuses |= self.check(theorem, n, conv, list(CLAIMS[theorem].space(n)))
+            rep = sweep(theorem, n, "exhaustive", conv=conv)
+            counts = (rep.hold_count, rep.fail_count, rep.skip_count)
+            assert counts == oracles.fibration_counts(theorem.value, n, conv.value), n
+        assert statuses == {"holds", "fails"}
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_classes_and_cores_of_every_family_up_to_three_points(self, conv):
+        # a class's core taken as its least cell leaves every verdict as it
+        # is (where the representation holds, the AND of a class is its
+        # least cell), so the classes and cores are compared themselves
+        for n in (1, 2, 3):
+            for members in oracles.families(n):
+                # a class is its least cell and its family bitmask shifted
+                # down by that cell
+                fibration = oracles.fibration(n, members, conv.value)
+                expected = (
+                    {
+                        key: (cells[0], family_bitmask(z - cells[0] for z in cells))
+                        for key, cells in fibration.items()
+                    },
+                    {key: oracles.core(cells) for key, cells in fibration.items()},
+                )
+                cl = closure_map_of(n, family_bitmask(members), conv)
+                assert setsys.fibration_classes(cl) == expected, (n, members)
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_b3_6_seeded_sample_at_four_points(self, conv):
+        families = list(CLAIMS[TheoremId.B3_6].space(4))
+        tuples = random.Random(f"B3_6:4:{conv.value}").sample(families, 2000)
+        assert self.check(TheoremId.B3_6, 4, conv, tuples) == {"holds", "fails"}
 
 
 class TestBenchmarkNames:
