@@ -5,12 +5,28 @@ system's hull operator on every subset.  The one-sided memberships ask,
 for every nonempty member, for a nonempty member mapped into it (plus
 side) or contained in its image (minus side); both quantifiers skip the
 empty set on both sides.
+
+Both memberships read a side only through its minimal nonempty members,
+those holding no other nonempty member.  The subsets holding a nonempty
+member form an up-set, fixed by its antichain of minimal elements, and a
+map's image of subsets is monotone (Davey and Priestley, *Introduction to
+Lattices and Order*, 2002).  Every nonempty member M holds a minimal one
+M0, and f(M0) lies inside f(M).  Plus side: if f(M) lies inside a member,
+so does f(M0), and a member holding a minimal member that holds an image
+holds that image too.  Minus side: f(M) holds a member when f(M0) does,
+and a set holds a nonempty member exactly when it holds a minimal one.
+So each membership holds exactly when it holds with both quantifiers
+over the minimal members, and a side's memberships depend on its minimal
+family and the map alone, as hull commutation depends on the closure
+table and the map alone.  An exhaustive sweep decides each once per
+(minimal family, map image) and once per (closure table, map image)
+(_sweep_rows): far fewer than its systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .dynsys import Autobolism, EndoFunction
@@ -89,13 +105,14 @@ def _images(table: Sequence[int], members: Iterable[int]) -> int:
 
 def _membership(images: int, side: _Side, plus: bool) -> bool:
     """cantor_membership on `side` of the map whose images of the side's
-    nonempty members make the family bitmask `images`, for a caller that
-    has compared the grounds.  With N the side's family, a subset holds a
-    member of a family exactly when it lies in that family's up-closure:
-    the plus membership holds when every member of N does so for
-    `images`, and the minus membership when every image does so for N.
-    The image of a nonempty set is nonempty, so neither family holds the
-    empty set."""
+    minimal nonempty members make the family bitmask `images`, for a
+    caller that has compared the grounds; by the module's argument the
+    minimal members answer for all of them.  With N the side's minimal
+    family, a subset holds a member of a family exactly when it lies in
+    that family's up-closure: the plus membership holds when every member
+    of N does so for `images`, and the minus membership when every image
+    does so for N (whose up-closure is the side's).  The image of a
+    nonempty set is nonempty, so neither family holds the empty set."""
     if plus:
         return not side.family & ~kernels.up_closure(side.n, images)
     return not images & ~side.up
@@ -230,12 +247,64 @@ def _statements(table: Sequence[int], cl: Sequence[int], side: _Side, compl_side
     )
 
 
-def _row(ctx: HullContext, g: EndoFunction) -> int:
+class _SweepRows(NamedTuple):
+    """A sweep's rows of Cantor's decisions for one context (_sweep_rows):
+    its closure table and hull commutation by map image, and for each
+    membership side, the side and its plus and minus memberships by map
+    image, as bit 0 and bit 1."""
+
+    cl: Sequence[int]
+    commutes: dict[tuple[int, ...], bool]
+    side: _Side
+    members: dict[tuple[int, ...], int]
+    compl_side: _Side
+    compl_members: dict[tuple[int, ...], int]
+
+
+def _sweep_rows(ctx: HullContext, memo: dict) -> _SweepRows:
+    """The rows that a sweep's `memo` (see verify.Claim) keeps for the
+    context `ctx`, made on first ask: hull commutation under the closure
+    table, and each side's memberships under its minimal family, one key
+    for a system's side and a complement's side alike.  No other code
+    makes these keys.  A closure table is hashable `bytes` on the at most
+    4 points of an exhaustive sweep."""
+    side, compl_side = ctx._side, ctx._compl_side
+    return _SweepRows(
+        ctx._cl, memo.setdefault(("commutes", ctx._cl), {}),
+        side, memo.setdefault(("members", side.family), {}),
+        compl_side, memo.setdefault(("members", compl_side.family), {}),
+    )
+
+
+def _swept_statements(rows: _SweepRows, f: EndoFunction) -> int:
+    """_statements on the map f, read off a sweep's rows and decided into
+    them on a miss."""
+    image = f.image
+    commutes = rows.commutes.get(image)
+    if commutes is None:
+        commutes = rows.commutes[image] = kernels.commutes_with_closure(f.mask_table(), rows.cl)
+    members = rows.members.get(image)
+    if members is None:
+        plus, minus = _memberships(f.mask_table(), rows.side)
+        members = rows.members[image] = plus | minus << 1
+    compl_members = rows.compl_members.get(image)
+    if compl_members is None:
+        plus, minus = _memberships(f.mask_table(), rows.compl_side)
+        compl_members = rows.compl_members[image] = plus | minus << 1
+    return commutes | members << 1 | compl_members << 3
+
+
+def _row(ctx: HullContext, g: EndoFunction, memo: Optional[dict] = None) -> int:
     """_statements on the map g under the context `ctx`, decided on first
-    ask and kept in the context by g's image."""
+    ask and kept in the context by g's image: read off a sweep's `memo`
+    where there is one (_swept_statements)."""
     row = ctx._rows.get(g.image)
     if row is None:
-        row = ctx._rows[g.image] = _statements(g.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
+        row = ctx._rows[g.image] = (
+            _statements(g.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
+            if memo is None
+            else _swept_statements(_sweep_rows(ctx, memo), g)
+        )
     return row
 
 

@@ -88,6 +88,18 @@ def up_closure(n: int, family: int) -> int:
     return family
 
 
+def minimal_members(n: int, up: int) -> int:
+    """The family bitmask of the minimal members of the up-set `up` (a
+    family bitmask closed under supersets, as up_closure gives) on n
+    points.  A subset strictly above a member of `up` lies one point above
+    one, so one shift per point marks every such subset and the rest are
+    the minimal members: the same for a family as for its up-closure."""
+    above = 0
+    for lacking, shift in _up_passes(n):
+        above |= (up & lacking) << shift
+    return up & ~above
+
+
 def hull_value(sources: list[int], q: int, j: int, k: int) -> int:
     """One of the four hull combinations over a fixed source family:
     k=1 gathers source masks containing q, k=0 those contained in q;

@@ -503,9 +503,9 @@ class HullContext:
     the convention).
 
     For Cantor's memberships it keeps both sides, the system's and its
-    complement system's: each side's nonempty members, their family
-    bitmask N and its up-closure, so a map's membership on a side takes
-    one family of images (see cantor._membership).
+    complement system's: each side's minimal nonempty members, their
+    family bitmask and its up-closure, so a map's memberships on a side
+    take the images of those members alone (see cantor).
 
     Per map image it keeps Cantor's verdicts: `_commutes`, whether the map
     commutes with the hull (statement 0 of the phase chain, all that the
@@ -556,9 +556,10 @@ class HullContext:
 
 class _Side(NamedTuple):
     """One side of Cantor's memberships over a system on n points: its
-    nonempty members, their family bitmask and that family's up-closure
-    (every subset holding a nonempty member).  Its family bitmask is
-    folded by family_of, which caps n at DEFAULT_ENUM_CAP."""
+    minimal nonempty members (those holding no other nonempty member),
+    their family bitmask and its up-closure, every subset holding a
+    nonempty member.  The family bitmask of the nonempty members is folded
+    by family_of, which caps n at DEFAULT_ENUM_CAP."""
 
     n: int
     members: tuple[int, ...]
@@ -567,6 +568,6 @@ class _Side(NamedTuple):
 
     @classmethod
     def of(cls, n: int, masks: Sequence[int]) -> "_Side":
-        members = tuple(m for m in masks if m)
-        family = family_of(n, members)
-        return cls(n, members, family, kernels.up_closure(n, family))
+        up = kernels.up_closure(n, family_of(n, masks) & ~1)
+        family = kernels.minimal_members(n, up)
+        return cls(n, family_members(family), family, up)

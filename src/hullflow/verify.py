@@ -758,12 +758,12 @@ def _check_s3_8(
 ) -> list[Verdict]:
     """S3_8's verdict on each (system, map) of a block, in order: the map's
     explication record, whose three fields agree when the claim holds.  The
-    closure table and both membership sides are read from the system's
-    context once for each run of tuples that share the system (the inner
-    factor of the space is the map), and the record is built only once per
-    verdict: the map's five chain statements (cantor._statements), from
-    which its fields are read, are the key of the verdict
-    (_explication_verdict)."""
+    record is read off the map's five chain statements, which key the
+    verdict (_explication_verdict).  With a sweep's memo they are read off
+    its rows (cantor._sweep_rows): hull commutation by closure table and
+    each side's memberships by minimal family, fetched once for each run
+    of tuples that share the system (the inner factor of the space is the
+    map).  Without one, they are evaluated afresh (cantor._statements)."""
     out = []
     last = None
     for sys, f in block:
@@ -772,8 +772,12 @@ def _check_s3_8(
             continue
         if sys is not last:
             ctx, last = sys.context(conv), sys
-            cl, side, compl_side = ctx._cl, ctx._side, ctx._compl_side
-        out.append(_explication_verdict(cantor._statements(f.mask_table(), cl, side, compl_side)))
+            rows = None if memo is None else cantor._sweep_rows(ctx, memo)
+        if rows is None:
+            bits = cantor._statements(f.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
+        else:
+            bits = cantor._swept_statements(rows, f)
+        out.append(_explication_verdict(bits))
     return out
 
 
@@ -801,7 +805,8 @@ def _check_k3_9(
     its context and the context's rows of statements are read once for
     each run of tuples that share the system (the flow is the inner
     factor); each generator's row is decided on its first ask
-    (cantor._row), and the rows are ANDed here."""
+    (cantor._row), from the sweep's memo where there is one, and the rows
+    are ANDed here."""
     out = []
     last = None
     for sys, flow in block:
@@ -816,7 +821,7 @@ def _check_k3_9(
         bits = ALL_STATEMENTS
         for g in flow.gens:
             row = rows.get(g.image)
-            bits &= cantor._row(ctx, g) if row is None else row
+            bits &= cantor._row(ctx, g, memo) if row is None else row
         out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
     return out
 
@@ -1211,13 +1216,13 @@ CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.B3_4: Claim(_check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True),
     TheoremId.B3_6: Claim(_each(_check_b3_6), _SYSTEMS, 4, 1000, clean=True),
     TheoremId.B3_7: Claim(_each(_check_b3_7), _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
-    TheoremId.S3_8_bij: Claim(partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 3, 1000),
+    TheoremId.S3_8_bij: Claim(partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 4, 1000),
     TheoremId.S3_8_all: Claim(
-        partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 3, 1000,
+        partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 4, 1000,
         note="documented open question: for non-bijective self-maps the "
         "two-sided memberships and hull commutation can disagree",
     ),
-    TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 3, 500, read=_unpack_k3_9),
+    TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 4, 500, read=_unpack_k3_9),
     TheoremId.B3_10: Claim(_each(_check_b3_10), _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
     TheoremId.COVAR: Claim(_each(_check_covar), _RELABELINGS, 3, 1000, read=_unpack_covar),
     TheoremId.CHAIN_karrenk: Claim(_check_chain, _CYCLES_COVERINGS, 3, 1000),

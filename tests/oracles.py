@@ -12,12 +12,16 @@ memo on up to four points, and keeps a row of verdicts per orbit
 partition in a sweep; `attractors` takes every trace and decides it afresh
 by scanning every pair of trace sets, and the per-instance verdicts
 (`l1_3_verdict`, `chain_verdict`, `k3_9_verdict`, `b3_4_verdict`) keep
-nothing.  The library reads B3_6's and B3_7's fibration classes and
-complement-free family as family bitmasks, the latter off an up-closure;
-`fibration` groups the subsets by their scanned closure, `free_subsets`
-scans the members for each subset, and `b3_6_verdict` and `b3_7_verdict`
-compare frozensets.  They use none of the routines they are
-compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
+nothing.  The library decides Cantor's memberships on a side's minimal
+members and keeps them in a sweep by minimal family; `memberships`
+compares every pair of nonempty members, `minimal_members` finds the
+minimal ones by a pair scan, and `s3_8_counts` decides every (system,
+map) of S3_8 afresh.  The library reads B3_6's and B3_7's fibration
+classes and complement-free family as family bitmasks, the latter off an
+up-closure; `fibration` groups the subsets by their scanned closure,
+`free_subsets` scans the members for each subset, and `b3_6_verdict` and
+`b3_7_verdict` compare frozensets.  They use none of the routines they
+are compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
 `attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
 so a test that compares the two routes checks one against the other.
 
@@ -212,7 +216,14 @@ def memberships(element: Sequence[int], members: Sequence[int]) -> tuple[bool, b
     return plus, minus
 
 
-def _statements(
+def minimal_members(members: Sequence[int]) -> list[int]:
+    """The nonempty members holding no other nonempty member, ascending,
+    by comparing every pair of distinct nonempty members."""
+    nonempty = sorted({m for m in members if m})
+    return [m for m in nonempty if not any(o != m and o & m == o for o in nonempty)]
+
+
+def map_statements(
     element: Sequence[int], cl: Sequence[int], members: Sequence[int], n: int
 ) -> tuple[bool, ...]:
     """The five phase-chain statements on one point map: commuting with
@@ -235,7 +246,7 @@ def chain_statements(
     quantified over every listed element of the group, not over the
     generators."""
     cl = closure_table(n, members, convention)
-    rows = [_statements(g, cl, members, n) for g in group(gens)]
+    rows = [map_statements(g, cl, members, n) for g in group(gens)]
     return tuple(all(column) for column in zip(*rows))
 
 
@@ -252,13 +263,35 @@ def k3_9_counts(n: int, convention: str) -> tuple[int, int, int]:
         for elements in groups:
             for g in elements:
                 if g not in rows:
-                    rows[g] = _statements(g, cl, members, n)
+                    rows[g] = map_statements(g, cl, members, n)
             statements = {all(column) for column in zip(*(rows[g] for g in elements))}
             if len(statements) == 1:
                 holds += 1
             else:
                 fails += 1
     # every system of the space covers the ground, so none is skipped
+    return holds, fails, 0
+
+
+def s3_8_counts(n: int, convention: str, bijective: bool) -> tuple[int, int, int]:
+    """S3_8's (hold, fail, skip) over every covering system and self-map on
+    n points (only the bijections, when `bijective`): hull commutation
+    against the two-sided memberships over the system and over its
+    complement system, each by the pair scans of `map_statements` over every
+    nonempty member; the claim holds when the three agree."""
+    maps = [
+        f for f in itertools.product(range(n), repeat=n) if not bijective or len(set(f)) == n
+    ]
+    holds = fails = 0
+    for members in coverings(n):
+        cl = closure_table(n, members, convention)
+        for f in maps:
+            commutes, plus, minus, plus_c, minus_c = map_statements(f, cl, members, n)
+            if commutes == (plus and minus) == (plus_c and minus_c):
+                holds += 1
+            else:
+                fails += 1
+    # the space holds the bijections alone when `bijective`, so none is skipped
     return holds, fails, 0
 
 

@@ -1,6 +1,8 @@
 """Cantor-continuity: commutators, memberships, fibration integrity."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -147,6 +149,70 @@ class TestMembershipsAgainstPairScan:
             plus, minus = oracles.memberships(image, sys.masks)
             assert cantor_membership(f, sys, True) == plus
             assert cantor_membership(f, sys, False) == minus
+
+
+def covering_cases():
+    """(n, system, maps): every covering system with every self-map up to
+    3 points, then 300 seeded covering systems on 4 points, each with 12
+    seeded self-maps."""
+    for n in (1, 2, 3):
+        ground = GroundSet(n)
+        maps = [EndoFunction.of(ground, image) for image in itertools.product(range(n), repeat=n)]
+        for members in oracles.coverings(n):
+            yield n, SetSystem(ground, tuple(members)), maps
+    rnd = random.Random(29)
+    ground = GroundSet(4)
+    drawn = 0
+    while drawn < 300:
+        family = rnd.getrandbits(16)
+        members = tuple(m for m in range(16) if family >> m & 1)
+        if functools.reduce(operator.or_, members, 0) != 15:
+            continue
+        drawn += 1
+        maps = [EndoFunction.of(ground, [rnd.randrange(4) for _ in range(4)]) for _ in range(12)]
+        yield 4, SetSystem(ground, members), maps
+
+
+class TestMinimalMembers:
+    # a side keeps its minimal nonempty members, read off its up-closure;
+    # a sweep decides the memberships once per (minimal family, map image)
+    # and hull commutation once per (closure table, map image), so every
+    # system that shares a row reads the verdicts of the first one
+
+    def test_each_side_keeps_its_minimal_members(self):
+        for n, sys, _ in covering_cases():
+            full = sys.ground.full_mask
+            for conv in ClosureConvention:
+                ctx = sys.context(conv)
+                for side, masks in (
+                    (ctx._side, sys.masks), (ctx._compl_side, [full ^ m for m in sys.masks])
+                ):
+                    minimal = oracles.minimal_members(masks)
+                    assert side.members == tuple(minimal), (sys, conv)
+                    assert side.family == sum(1 << m for m in minimal)
+                    above = [z for z in range(1 << n) if any(m & z == m for m in minimal)]
+                    assert side.up == sum(1 << z for z in above)
+
+    @pytest.mark.parametrize("conv", list(ClosureConvention), ids=lambda c: c.value)
+    def test_sweep_rows_match_the_pair_scan_over_every_member(self, conv):
+        # one memo per ground size, as a sweep keeps one per share: a row
+        # decided for one system answers for every later one with the
+        # same closure table or the same minimal family on either side
+        memos = {}
+        shared = 0
+        for n, sys, maps in covering_cases():
+            memo = memos.setdefault(n, {})
+            before = len(memo)
+            rows = cantor._sweep_rows(sys.context(conv), memo)
+            shared += len(memo) < before + 3
+            cl = oracles.closure_table(n, sys.masks, conv.value)
+            for f in maps:
+                bits = cantor._swept_statements(rows, f)
+                expected = oracles.map_statements(f.image, cl, sys.masks, n)
+                assert [bool(bits >> i & 1) for i in range(5)] == list(expected), (
+                    sys, f.image
+                )
+        assert shared > 0
 
 
 class TestPreservesUnfamily:

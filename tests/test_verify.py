@@ -1086,6 +1086,59 @@ class TestFibrationClaims:
         assert self.check(TheoremId.B3_6, 4, conv, tuples) == {"holds", "fails"}
 
 
+class TestCantorRows:
+    # an exhaustive sweep decides hull commutation once per (closure table,
+    # map image) and each side's memberships once per (minimal family, map
+    # image), in its memo; the oracle decides every (system, map) afresh
+    # by pair scans over every nonempty member
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", [TheoremId.S3_8_all, TheoremId.S3_8_bij],
+                             ids=lambda t: t.value)
+    def test_s3_8_counts_match_the_pair_scan_oracle(self, theorem, conv):
+        bijective = theorem is TheoremId.S3_8_bij
+        for n in (1, 2, 3):
+            rep = sweep(theorem, n, "exhaustive", conv=conv)
+            counts = (rep.hold_count, rep.fail_count, rep.skip_count)
+            assert counts == oracles.s3_8_counts(n, conv.value, bijective), n
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "theorem, instances, commutations, memberships",
+        [
+            # 90 closure tables and 19 minimal families, over both sides,
+            # among the 218 coverings at n=3, by 27 self-maps: one
+            # statement row per instance makes 5886 of each
+            (TheoremId.S3_8_all, 218 * 27, 90 * 27, 19 * 27),
+            # the same by 6 bijections
+            (TheoremId.S3_8_bij, 218 * 6, 90 * 6, 19 * 6),
+            # the same by the 6 permutations that generate the 21 groups:
+            # K3_9's rows in each system's context are filled from the memo
+            (TheoremId.K3_9, 218 * 21, 90 * 6, 19 * 6),
+        ],
+        ids=["S3_8_all", "S3_8_bij", "K3_9"],
+    )
+    def test_cantor_decisions_once_per_table_and_minimal_family(
+        self, monkeypatch, theorem, instances, commutations, memberships, conv
+    ):
+        # a side keyed by its whole family, or each side's rows kept
+        # apart, gives the same verdicts and more decisions
+        decided = {"commutes": 0, "members": 0}
+        commutes, members = kernels.commutes_with_closure, cantor._memberships
+
+        def counted(key, decide):
+            def call(*a):
+                decided[key] += 1
+                return decide(*a)
+            return call
+
+        monkeypatch.setattr(kernels, "commutes_with_closure", counted("commutes", commutes))
+        monkeypatch.setattr(cantor, "_memberships", counted("members", members))
+        rep = sweep(theorem, 3, "exhaustive", conv=conv)
+        assert rep.instance_count == instances
+        assert decided == {"commutes": commutations, "members": memberships}
+
+
 class TestBenchmarkNames:
     def test_traced_names_exist(self):
         # sweepbench's tracer times instance generation and the checker
