@@ -18,15 +18,22 @@ and a set holds a nonempty member exactly when it holds a minimal one.
 So each membership holds exactly when it holds with both quantifiers
 over the minimal members, and a side's memberships depend on its minimal
 family and the map alone, as hull commutation depends on the closure
-table and the map alone.  An exhaustive sweep decides each once per
-(minimal family, map image) and once per (closure table, map image)
-(_sweep_rows): far fewer than its systems.
+table and the map alone.
+
+So Cantor's decisions are kept in one store, a sweep's memo (see
+verify.Claim), in two parts fetched apart: hull commutation by (closure
+table, map image) (_hull_row) and each side's plus and minus
+memberships by (minimal family, map image) (_side_row), one key space
+for a system's side and a complement's side alike.  An exhaustive sweep
+decides each once per key, far fewer than its instances; a caller with
+no memo decides them in a row local to the call.  A system's hull
+context keeps what the system is and no verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .dynsys import Autobolism, EndoFunction
@@ -48,50 +55,29 @@ def is_commutative_cantor(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> bool:
     """True when the commutator with the hull operator vanishes on every
-    subset of the ground: statement 0 of the phase chain, decided once per
-    (system, convention, image of f)."""
+    subset of the ground: statement 0 of the phase chain."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    return _commutes(system.context(conv), f)
-
-
-def _commutes(ctx: HullContext, f: EndoFunction) -> bool:
-    """is_commutative_cantor of f under the context `ctx`, kept in it by
-    f's image."""
-    verdict = ctx._commutes.get(f.image)
-    if verdict is None:
-        verdict = ctx._commutes[f.image] = kernels.commutes_with_closure(
-            f.mask_table(), ctx._cl
-        )
-    return verdict
+    return _hull_row(system.context(conv), None).of(f)
 
 
 def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     """Plus side: every nonempty member admits a nonempty member mapped
     into it.  Minus side: every nonempty member admits a nonempty member
-    contained in its image."""
+    contained in its image.  Above DEFAULT_ENUM_CAP points no family
+    bitmask of 2^n bits is built: the nonempty members are mapped point
+    by point and compared pair by pair."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    plus_holds, minus_holds = _system_memberships(f, system, ClosureConvention.FULL)
-    return plus_holds if plus else minus_holds
-
-
-def _system_memberships(
-    f: EndoFunction, system: SetSystem, conv: ClosureConvention
-) -> tuple[bool, bool]:
-    """The plus and the minus membership of f over the system, for a
-    caller that has compared the grounds: from the system's side of its
-    context under `conv` on at most DEFAULT_ENUM_CAP points.  Above the
-    cap no family bitmask of 2^n bits is built: the nonempty members are
-    mapped point by point and compared pair by pair."""
     if system.ground.size <= DEFAULT_ENUM_CAP:
-        return _memberships(f.mask_table(), system.context(conv)._side)
+        side = system.context(ClosureConvention.FULL)._side
+        return bool(_side_row(side, None).of(f) & (1 if plus else 2))
     nonempty = [m for m in system.masks if m]
     images = [f.apply_mask(m) for m in nonempty]
     # a lies inside b exactly when a | b == b
-    plus = all(m in map(m.__or__, images) for m in nonempty)
-    minus = all(img in map(img.__or__, nonempty) for img in images)
-    return plus, minus
+    if plus:
+        return all(m in map(m.__or__, images) for m in nonempty)
+    return all(img in map(img.__or__, nonempty) for img in images)
 
 
 def _images(table: Sequence[int], members: Iterable[int]) -> int:
@@ -103,26 +89,21 @@ def _images(table: Sequence[int], members: Iterable[int]) -> int:
     return family
 
 
-def _membership(images: int, side: _Side, plus: bool) -> bool:
-    """cantor_membership on `side` of the map whose images of the side's
-    minimal nonempty members make the family bitmask `images`, for a
-    caller that has compared the grounds; by the module's argument the
-    minimal members answer for all of them.  With N the side's minimal
-    family, a subset holds a member of a family exactly when it lies in
-    that family's up-closure: the plus membership holds when every member
-    of N does so for `images`, and the minus membership when every image
-    does so for N (whose up-closure is the side's).  The image of a
-    nonempty set is nonempty, so neither family holds the empty set."""
-    if plus:
-        return not side.family & ~kernels.up_closure(side.n, images)
-    return not images & ~side.up
-
-
-def _memberships(table: Sequence[int], side: _Side) -> tuple[bool, bool]:
-    """The plus and the minus membership on `side` of the map whose
-    mask-image table is `table`, from one family of images."""
+def _memberships(table: Sequence[int], side: _Side) -> int:
+    """The plus and the minus membership on `side`, as bit 0 and bit 1, of
+    the map whose mask-image table is `table`, for a caller that has
+    compared the grounds; by the module's argument the images of the
+    side's minimal nonempty members answer for all of them.  With N the
+    side's minimal family and I the family of their images, a subset holds
+    a member of a family exactly when it lies in that family's up-closure:
+    the plus membership holds when every member of N does so for I, and
+    the minus membership when every image does so for N (whose up-closure
+    is the side's).  The image of a nonempty set is nonempty, so neither
+    family holds the empty set."""
     images = _images(table, side.members)
-    return _membership(images, side, True), _membership(images, side, False)
+    plus = not side.family & ~kernels.up_closure(side.n, images)
+    minus = not images & ~side.up
+    return plus | minus << 1
 
 
 def preserves_unfamily(
@@ -177,7 +158,7 @@ class ExplicationRecord:
     @classmethod
     def of_bits(cls, bits: int) -> "ExplicationRecord":
         """The record of a map whose chain statements are `bits` (see
-        _statements): hull commutation is statement 0, and each two-sided
+        _chain_bits): hull commutation is statement 0, and each two-sided
         membership holds when both of its side's statements do."""
         return cls(bool(bits & 1), bits & 0b110 == 0b110, bits & 0b11000 == 0b11000)
 
@@ -192,9 +173,7 @@ def explication_check(
     compared once, here."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    ctx = system.context(conv)
-    bits = _statements(f.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
-    return ExplicationRecord.of_bits(bits)
+    return ExplicationRecord.of_bits(_chain_bits(_chain_rows(system.context(conv), None), f))
 
 
 @dataclass(frozen=True)
@@ -235,77 +214,66 @@ class PhaseChainRecord:
 ALL_STATEMENTS = 0b11111
 
 
-def _statements(table: Sequence[int], cl: Sequence[int], side: _Side, compl_side: _Side) -> int:
-    """The five chain statements on the map whose mask-image table is
-    `table`, as bits (bit i: statement i of PhaseChainRecord), from a
-    context's closure table `cl` and its two membership sides."""
-    plus, minus = _memberships(table, side)
-    plus_compl, minus_compl = _memberships(table, compl_side)
-    return (
-        kernels.commutes_with_closure(table, cl)
-        | plus << 1 | minus << 2 | plus_compl << 3 | minus_compl << 4
-    )
+class _Row(NamedTuple):
+    """One part of Cantor's decisions: what it is decided under (a closure
+    table or a membership side), the function that decides a verdict from
+    a map's mask-image table and `under`, and the verdicts by map image,
+    a sweep's memo's or, where there is none, local to the caller."""
+
+    under: Any
+    decide: Callable[[Sequence[int], Any], int]
+    verdicts: dict[tuple[int, ...], int]
+
+    def of(self, f: EndoFunction) -> int:
+        """The verdict on the map f, read off the row and decided into it
+        on a miss."""
+        verdict = self.verdicts.get(f.image)
+        if verdict is None:
+            verdict = self.verdicts[f.image] = self.decide(f.mask_table(), self.under)
+        return verdict
 
 
-class _SweepRows(NamedTuple):
-    """A sweep's rows of Cantor's decisions for one context (_sweep_rows):
-    its closure table and hull commutation by map image, and for each
-    membership side, the side and its plus and minus memberships by map
-    image, as bit 0 and bit 1."""
-
-    cl: Sequence[int]
-    commutes: dict[tuple[int, ...], bool]
-    side: _Side
-    members: dict[tuple[int, ...], int]
-    compl_side: _Side
-    compl_members: dict[tuple[int, ...], int]
+def _hull_row(ctx: HullContext, memo: Optional[dict]) -> _Row:
+    """Hull commutation under the closure table of `ctx`, kept in `memo`
+    by the table: a `bytes` table, hashable, on the at most 4 points of
+    an exhaustive sweep."""
+    cl = ctx._cl
+    verdicts = {} if memo is None else memo.setdefault(("commutes", cl), {})
+    return _Row(cl, kernels.commutes_with_closure, verdicts)
 
 
-def _sweep_rows(ctx: HullContext, memo: dict) -> _SweepRows:
-    """The rows that a sweep's `memo` (see verify.Claim) keeps for the
-    context `ctx`, made on first ask: hull commutation under the closure
-    table, and each side's memberships under its minimal family, one key
-    for a system's side and a complement's side alike.  No other code
-    makes these keys.  A closure table is hashable `bytes` on the at most
-    4 points of an exhaustive sweep."""
-    side, compl_side = ctx._side, ctx._compl_side
-    return _SweepRows(
-        ctx._cl, memo.setdefault(("commutes", ctx._cl), {}),
-        side, memo.setdefault(("members", side.family), {}),
-        compl_side, memo.setdefault(("members", compl_side.family), {}),
-    )
+def _side_row(side: _Side, memo: Optional[dict]) -> _Row:
+    """The plus and the minus membership on `side`, as bit 0 and bit 1,
+    kept in `memo` by the side's minimal family."""
+    verdicts = {} if memo is None else memo.setdefault(("members", side.family), {})
+    return _Row(side, _memberships, verdicts)
 
 
-def _swept_statements(rows: _SweepRows, f: EndoFunction) -> int:
-    """_statements on the map f, read off a sweep's rows and decided into
-    them on a miss."""
+def _chain_rows(ctx: HullContext, memo: Optional[dict]) -> tuple[_Row, _Row, _Row]:
+    """The rows of the five chain statements under `ctx`: hull
+    commutation, and the memberships over the system and over its
+    complement system."""
+    return _hull_row(ctx, memo), _side_row(ctx._side, memo), _side_row(ctx._compl_side, memo)
+
+
+def _chain_bits(rows: tuple[_Row, _Row, _Row], f: EndoFunction) -> int:
+    """The five chain statements on the map f, as bits (bit i: statement
+    i of PhaseChainRecord), read off a context's rows (_chain_rows)."""
+    commutes, side, compl_side = rows
+    # a sweep finds most maps decided: the verdicts are read in place, and
+    # only a missing one is decided through _Row.of (three calls of it per
+    # map took S3_8 and K3_9 sweeps a fifth longer)
     image = f.image
-    commutes = rows.commutes.get(image)
-    if commutes is None:
-        commutes = rows.commutes[image] = kernels.commutes_with_closure(f.mask_table(), rows.cl)
-    members = rows.members.get(image)
-    if members is None:
-        plus, minus = _memberships(f.mask_table(), rows.side)
-        members = rows.members[image] = plus | minus << 1
-    compl_members = rows.compl_members.get(image)
-    if compl_members is None:
-        plus, minus = _memberships(f.mask_table(), rows.compl_side)
-        compl_members = rows.compl_members[image] = plus | minus << 1
-    return commutes | members << 1 | compl_members << 3
-
-
-def _row(ctx: HullContext, g: EndoFunction, memo: Optional[dict] = None) -> int:
-    """_statements on the map g under the context `ctx`, decided on first
-    ask and kept in the context by g's image: read off a sweep's `memo`
-    where there is one (_swept_statements)."""
-    row = ctx._rows.get(g.image)
-    if row is None:
-        row = ctx._rows[g.image] = (
-            _statements(g.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
-            if memo is None
-            else _swept_statements(_sweep_rows(ctx, memo), g)
-        )
-    return row
+    hull = commutes.verdicts.get(image)
+    if hull is None:
+        hull = commutes.of(f)
+    own = side.verdicts.get(image)
+    if own is None:
+        own = side.of(f)
+    compl = compl_side.verdicts.get(image)
+    if compl is None:
+        compl = compl_side.of(f)
+    return hull | own << 1 | compl << 3
 
 
 def phase_chain_check(
@@ -321,11 +289,9 @@ def phase_chain_check(
     are closed under composition, the identity satisfies all three, and in
     a finite group every element is a product of generators (an inverse is
     a positive power).  So a statement holds for every group element
-    exactly when it holds for every generator.  A statement depends only on
-    the system, the convention and the generator, so each generator image
-    is decided once per (system, convention): its row of bits in the
-    system's context, and the group's bits are the AND of its generators'
-    rows."""
+    exactly when it holds for every generator, and the group's bits are
+    the AND of its generators' bits, each generator image decided once
+    per call."""
     if not system.covers_ground():
         raise ValueError("the system must cover the ground")
     if not gens:
@@ -333,8 +299,8 @@ def phase_chain_check(
     for g in gens:
         if g.ground != system.ground:
             raise GroundMismatchError(f"{g.ground} vs {system.ground}")
-    ctx = system.context(conv)
+    rows = _chain_rows(system.context(conv), None)
     bits = ALL_STATEMENTS
     for g in gens:
-        bits &= _row(ctx, g)
+        bits &= _chain_bits(rows, g)
     return PhaseChainRecord.of_bits(bits)

@@ -494,35 +494,26 @@ def fibration_classes(cl: Sequence[int]) -> tuple[dict[int, tuple[int, int]], di
 
 
 class HullContext:
-    """What the claims over one system read of its hull operator under one
-    convention, each built on first use and kept: the closure table
+    """What one system is under one convention, as the claims over it read
+    it, each part built on first use and kept: the closure table
     (closure_map), the complement system, the fibration classes (each
     class's shifted family bitmask, from fibration_classes, mapped to its
-    cells), and the family bitmask of the complement-free subsets, those
+    cells), the family bitmask of the complement-free subsets, those
     outside the complement side's up-closure (which does not depend on
-    the convention).
+    the convention), and both sides of Cantor's memberships, the system's
+    and its complement system's: each side's minimal nonempty members,
+    their family bitmask and its up-closure, so a map's memberships on a
+    side take the images of those members alone (see cantor).
 
-    For Cantor's memberships it keeps both sides, the system's and its
-    complement system's: each side's minimal nonempty members, their
-    family bitmask and its up-closure, so a map's memberships on a side
-    take the images of those members alone (see cantor).
-
-    Per map image it keeps Cantor's verdicts: `_commutes`, whether the map
-    commutes with the hull (statement 0 of the phase chain, all that the
-    commutation premises of B3_2 and S3_3 read), and `_rows`, all five
-    chain statements as one int, bit i holding statement i, decided
-    together on first ask.  COVAR keeps the conventional free attractors of
-    a flow by its orbit blocks, which are all of the flow they read.  The
-    fields are private, as per-layer tracing (sweepbench) replaces public
-    cached properties with functions."""
+    It keeps no verdict: what a sweep decides is kept in the sweep's memo
+    (verify.Claim), by keys that many systems share.  The fields are
+    private, as per-layer tracing (sweepbench) replaces public cached
+    properties with functions."""
 
     def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
         # held weakly, as the system keeps its contexts: with no cycle
         # between them, dropping the system frees both at once
         self._system, self.conv = weakref.ref(system), conv
-        self._commutes: dict[tuple[int, ...], bool] = {}
-        self._rows: dict[tuple[int, ...], int] = {}
-        self._attractors: dict[tuple[int, ...], SetSystem] = {}
 
     @cached_property
     def _cl(self) -> Sequence[int]:

@@ -355,12 +355,14 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
 
 
 # --------------------------------------------------------------------------
-# checker bodies: `_check_x(ground, conv, *values) -> Verdict` on one tuple
-# of values, in the order of the factors of the claim's space, registered
-# through `_each`, or `_check_x(ground, conv, block, memo) -> list[Verdict]`
-# on a block of them (see Claim)
+# checker bodies: `_check_x(ground, conv, *values, memo) -> Verdict` on one
+# tuple of values, in the order of the factors of the claim's space,
+# registered through `_each`, or `_check_x(ground, conv, block, memo) ->
+# list[Verdict]` on a block of them (see Claim)
 
-def _check_s1_1(ground: GroundSet, conv: ClosureConvention, t: SetSystem) -> Verdict:
+def _check_s1_1(
+    ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: Optional[dict]
+) -> Verdict:
     flags = classify(t, conv)
     if not flags.is_topology:
         return _skip("not a topology")
@@ -372,7 +374,9 @@ def _check_s1_1(ground: GroundSet, conv: ClosureConvention, t: SetSystem) -> Ver
     return _fails(f"self_dual={flags.is_self_dual} partition={part} basis={basis}")
 
 
-def _check_k1_2(ground: GroundSet, conv: ClosureConvention, t: SetSystem) -> Verdict:
+def _check_k1_2(
+    ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: Optional[dict]
+) -> Verdict:
     flags = classify(t, conv)
     if not flags.is_topology:
         return _skip("not a topology")
@@ -493,7 +497,8 @@ def _check_idem(
 
 
 def _check_l3_1(
-    ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ...], b: int
+    ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ...], b: int,
+    memo: Optional[dict],
 ) -> Verdict:
     hullb = closure_of(ground.size, masks, b, conv)
     for m in masks:
@@ -543,7 +548,8 @@ def _closed_partitions(
 
 
 def _check_s2_2(
-    ground: GroundSet, conv: ClosureConvention, t: SetSystem, flow: DiscreteFlow
+    ground: GroundSet, conv: ClosureConvention, t: SetSystem, flow: DiscreteFlow,
+    memo: Optional[dict],
 ) -> Verdict:
     if not classify(t, conv).is_topology:
         return _skip("not a topology")
@@ -552,33 +558,37 @@ def _check_s2_2(
     return _closed_partitions(ground, "T", t, flow, closure_map(t, conv))
 
 
-def _commutes(flow: DiscreteFlow, sys: SetSystem, conv: ClosureConvention) -> bool:
-    """Whether the flow commutes with the hull: whether every generator
-    does, as commuting is closed under composition.  Each generator's
-    verdict is kept in the system's context (is_commutative_cantor's,
-    without its comparison of the grounds, which a sweep's factor values
-    share)."""
-    ctx = sys.context(conv)
-    return all(cantor._commutes(ctx, g) for g in flow.generators())
+def _unmet_premise(
+    conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow, memo: Optional[dict]
+) -> Optional[Verdict]:
+    """The premise step of B3_2 and S3_3: their verdict where the system
+    does not cover the ground or the flow does not commute with the hull,
+    and None where both premises hold.  Commuting is decided on the
+    generators, as it is closed under composition, by the hull row of the
+    system's context (cantor._hull_row)."""
+    if not sys.covers_ground():
+        return _skip("system does not cover the ground")
+    if not all(map(cantor._hull_row(sys.context(conv), memo).of, flow.generators())):
+        return _holds("flow does not commute with the hull; premise not met")
+    return None
 
 
 def _check_b3_2(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow,
+    memo: Optional[dict],
 ) -> Verdict:
-    if not sys.covers_ground():
-        return _skip("system does not cover the ground")
-    if not _commutes(flow, sys, conv):
-        return _holds("flow does not commute with the hull; premise not met")
-    return _closed_partitions(ground, "A", sys, flow, closure_map(sys, conv))
+    return _unmet_premise(conv, sys, flow, memo) or _closed_partitions(
+        ground, "A", sys, flow, closure_map(sys, conv)
+    )
 
 
 def _check_s3_3(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow,
+    memo: Optional[dict],
 ) -> Verdict:
-    if not sys.covers_ground():
-        return _skip("system does not cover the ground")
-    if not _commutes(flow, sys, conv):
-        return _holds("flow does not commute with the hull; premise not met")
+    unmet = _unmet_premise(conv, sys, flow, memo)
+    if unmet:
+        return unmet
     report = room_report(flow, closure_map(sys, conv), conv)
     if report.attractors is None:
         return _skip("closed family does not cover the ground; attractor side undefined")
@@ -633,7 +643,8 @@ def _check_b3_4(
 
 
 def _check_b2_3d(
-    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, covering: SetSystem
+    ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, covering: SetSystem,
+    memo: Optional[dict],
 ) -> Verdict:
     if not flow.is_cyclic:
         return _skip("monotone variants need a cyclic flow")
@@ -719,7 +730,9 @@ def _check_chain(
     return out
 
 
-def _check_b3_6(ground: GroundSet, conv: ClosureConvention, family: int) -> Verdict:
+def _check_b3_6(
+    ground: GroundSet, conv: ClosureConvention, family: int, memo: Optional[dict]
+) -> Verdict:
     """B3_6 on the system whose family bitmask is `family`, read off its
     closure table with no SetSystem built: the complement-free subsets
     are those outside the up-closure of the nonempty complements, and the
@@ -743,7 +756,8 @@ def _check_b3_6(ground: GroundSet, conv: ClosureConvention, family: int) -> Verd
 
 
 def _check_b3_7(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction,
+    memo: Optional[dict],
 ) -> Verdict:
     integ = fibration_integrity(f, sys, conv)
     pres = preserves_unfamily(f, sys, conv)
@@ -759,11 +773,9 @@ def _check_s3_8(
     """S3_8's verdict on each (system, map) of a block, in order: the map's
     explication record, whose three fields agree when the claim holds.  The
     record is read off the map's five chain statements, which key the
-    verdict (_explication_verdict).  With a sweep's memo they are read off
-    its rows (cantor._sweep_rows): hull commutation by closure table and
-    each side's memberships by minimal family, fetched once for each run
-    of tuples that share the system (the inner factor of the space is the
-    map).  Without one, they are evaluated afresh (cantor._statements)."""
+    verdict (_explication_verdict), from the rows of the system's context
+    (cantor._chain_rows), fetched once for each run of tuples that share
+    the system (the inner factor of the space is the map)."""
     out = []
     last = None
     for sys, f in block:
@@ -771,13 +783,8 @@ def _check_s3_8(
             out.append(_skip("not a bijection"))
             continue
         if sys is not last:
-            ctx, last = sys.context(conv), sys
-            rows = None if memo is None else cantor._sweep_rows(ctx, memo)
-        if rows is None:
-            bits = cantor._statements(f.mask_table(), ctx._cl, ctx._side, ctx._compl_side)
-        else:
-            bits = cantor._swept_statements(rows, f)
-        out.append(_explication_verdict(bits))
+            last, rows = sys, cantor._chain_rows(sys.context(conv), memo)
+        out.append(_explication_verdict(cantor._chain_bits(rows, f)))
     return out
 
 
@@ -801,27 +808,23 @@ def _check_k3_9(
 ) -> list[Verdict]:
     """K3_9's verdict on each (system, flow) of a block, in order: the
     group's statements, decided on its generators as in phase_chain_check,
-    hold together or fail together.  Whether the system covers the ground,
-    its context and the context's rows of statements are read once for
+    hold together or fail together.  Whether the system covers the ground
+    and the rows of its context (cantor._chain_rows) are read once for
     each run of tuples that share the system (the flow is the inner
-    factor); each generator's row is decided on its first ask
-    (cantor._row), from the sweep's memo where there is one, and the rows
-    are ANDed here."""
+    factor), and the generators' statements are ANDed here."""
     out = []
     last = None
     for sys, flow in block:
         if sys is not last:
             last, covers = sys, sys.covers_ground()
             if covers:
-                ctx = sys.context(conv)
-                rows = ctx._rows
+                rows = cantor._chain_rows(sys.context(conv), memo)
         if not covers:
             out.append(_skip("system does not cover the ground"))
             continue
         bits = ALL_STATEMENTS
         for g in flow.gens:
-            row = rows.get(g.image)
-            bits &= cantor._row(ctx, g, memo) if row is None else row
+            bits &= cantor._chain_bits(rows, g)
         out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
     return out
 
@@ -834,11 +837,18 @@ def _chain_fails(bits: int) -> Verdict:
 
 
 def _check_b3_10(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction
+    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction,
+    memo: Optional[dict],
 ) -> Verdict:
     if not f.is_bijective():
         return _skip("not a bijection")
-    plus, minus = cantor._system_memberships(f, sys, conv)
+    if ground.size <= DEFAULT_ENUM_CAP:
+        # bit 0 the plus membership, bit 1 the minus one
+        bits = cantor._side_row(sys.context(conv)._side, memo).of(f)
+        plus, minus = bits & 1 == 1, bits > 1
+    else:
+        # no side of 2^n bits: the pair scan
+        plus, minus = (cantor.cantor_membership(f, sys, sign) for sign in (True, False))
     if plus == minus:
         return _HOLDS
     return _fails(f"plus={plus} minus={minus}")
@@ -846,22 +856,21 @@ def _check_b3_10(
 
 def _check_covar(
     ground: GroundSet, conv: ClosureConvention, cycle: DiscreteFlow, sys: SetSystem,
-    relabel: Optional[Autobolism],
+    relabel: Optional[Autobolism], memo: Optional[dict],
 ) -> Verdict:
     """`relabel` is None only where `_unpack_covar` read a system that does
     not cover the ground, which is skipped first."""
     if not sys.covers_ground():
         return _skip("system does not cover the ground")
     moved_flow, moved_sys = transport(cycle, sys, relabel)
-    # the untransported family, kept in the system's context by the orbit
-    # blocks, which are all of the flow that free_attractors reads
-    originals = sys.context(conv)._attractors
-    blocks = cycle.orbit_blocks()
-    if blocks not in originals:
-        [originals[blocks]] = free_attractors(cycle, sys, conv)
-    original = originals[blocks]
+    # the untransported family, kept in a sweep's memo by the system and
+    # the orbit blocks, which are all of the flow that free_attractors reads
+    originals = {} if memo is None else memo
+    key = sys.masks, cycle.orbit_blocks()
+    if key not in originals:
+        [originals[key]] = free_attractors(cycle, sys, conv)
     [moved] = free_attractors(moved_flow, moved_sys, conv)
-    expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in original.masks))
+    expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in originals[key].masks))
     if moved == expected:
         return _HOLDS
     return _fails(f"transported={moved!r} != relabeled originals={expected!r}")
@@ -1148,10 +1157,12 @@ class Claim:
     once per block (Boncz, Zukowski and Nes, "MonetDB/X100:
     Hyper-pipelining query execution", CIDR 2005); a claim whose verdict
     needs nothing from the block's other tuples registers a body on one
-    tuple, mapped over the block (`_each`).  `memo` is a dict that an
-    exhaustive sweep keeps for the whole of one worker's share and hands
-    to every block, and None otherwise: a body may keep in it what it
-    decided, so that later blocks read it, under keys of its own."""
+    tuple, mapped over the block with the memo (`_each`).  `memo` is a
+    dict that an exhaustive sweep keeps for the whole of one worker's
+    share and hands to every block, and None otherwise: a body may keep
+    in it what it decided, so that later blocks read it, under keys of
+    its own.  It is the only store of Cantor's decisions, kept under the
+    keys of cantor's deciders (cantor._hull_row, cantor._side_row)."""
 
     checker: Callable[..., list[Verdict]]
     kind: _Space
@@ -1188,13 +1199,14 @@ class Claim:
 
 
 def _each(body: Callable[..., Verdict]) -> Callable[..., list[Verdict]]:
-    """The checker body that maps `body(ground, conv, *values)`, the
-    verdict on one tuple of factor values, over a block of them."""
+    """The checker body that maps `body(ground, conv, *values, memo)`, the
+    verdict on one tuple of factor values, over a block of them, handing
+    each the sweep's memo."""
 
     def checker(
         ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
     ) -> list[Verdict]:
-        return [body(ground, conv, *values) for values in block]
+        return [body(ground, conv, *values, memo) for values in block]
 
     return checker
 

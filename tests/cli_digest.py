@@ -12,7 +12,9 @@ order of `TheoremId`, under the full and then the nonempty convention,
 swept exhaustively at n=1, 2 and 3 and at random at n=4 (300 samples,
 seed 7), every counterexample kept.  A row's sha256 is taken over
 `code\\0stdout\\0stderr`; the digest is the sha256 of the rows' hex
-sha256s joined by newlines.  pytest does not collect this file.
+sha256s joined by newlines.  pytest does not collect this file;
+`tests/test_payload_hashes.py::test_cli_digest` imports it and pins the
+digest.
 """
 
 from __future__ import annotations

@@ -15,8 +15,11 @@ by scanning every pair of trace sets, and the per-instance verdicts
 nothing.  The library decides Cantor's memberships on a side's minimal
 members and keeps them in a sweep by minimal family; `memberships`
 compares every pair of nonempty members, `minimal_members` finds the
-minimal ones by a pair scan, and `s3_8_counts` decides every (system,
-map) of S3_8 afresh.  The library reads B3_6's and B3_7's fibration
+minimal ones by a pair scan, and `s3_8_counts` and `b3_10_counts`
+decide every (system, map) of S3_8 and B3_10 afresh.  The library decides
+B3_2's and S3_3's commutation premise on the generators, by closure
+table; `commutation_premise_met` lists each group and tests every
+element.  The library reads B3_6's and B3_7's fibration
 classes and complement-free family as family bitmasks, the latter off an
 up-closure; `fibration` groups the subsets by their scanned closure,
 `free_subsets` scans the members for each subset, and `b3_6_verdict` and
@@ -270,6 +273,42 @@ def k3_9_counts(n: int, convention: str) -> tuple[int, int, int]:
             else:
                 fails += 1
     # every system of the space covers the ground, so none is skipped
+    return holds, fails, 0
+
+
+def commutation_premise_met(n: int, convention: str) -> int:
+    """The (system, generator set) pairs on n points, over every covering
+    system and generator set, whose group commutes with the hull: every
+    listed element commutes (`map_statements`' first statement).  Each
+    element's verdict is taken once per system, and each generator set's
+    group is listed once."""
+    groups = [group(gens) for gens in generator_sets(n)]
+    met = 0
+    for members in coverings(n):
+        cl = closure_table(n, members, convention)
+        commutes: dict[tuple[int, ...], bool] = {}
+        for elements in groups:
+            for g in elements:
+                if g not in commutes:
+                    commutes[g] = map_statements(g, cl, members, n)[0]
+            met += all(commutes[g] for g in elements)
+    return met
+
+
+def b3_10_counts(n: int) -> tuple[int, int, int]:
+    """B3_10's (hold, fail, skip) over every covering system and bijection
+    on n points: the plus and the minus membership over the system, each
+    by the pair scan of `memberships`, agree.  Neither reads the hull, so
+    the counts do not depend on the convention."""
+    holds = fails = 0
+    for members in coverings(n):
+        for f in itertools.permutations(range(n)):
+            plus, minus = memberships(f, members)
+            if plus == minus:
+                holds += 1
+            else:
+                fails += 1
+    # the space holds the bijections alone, so none is skipped
     return holds, fails, 0
 
 

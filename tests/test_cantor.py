@@ -113,7 +113,8 @@ def membership_cases():
 class TestMembershipsAgainstPairScan:
     # the memberships from up-closures of family bitmasks, against the
     # pair scan they replaced, on both sides, both signs and under both
-    # conventions: cantor_membership, explication_check and K3_9's rows
+    # conventions: cantor_membership, explication_check, each side's row
+    # and the rows of the five chain statements that K3_9 and S3_8 read
 
     def test_every_route_matches_the_pair_scan(self):
         outcomes = set()
@@ -129,8 +130,11 @@ class TestMembershipsAgainstPairScan:
                 assert (rec.rhs_system, rec.rhs_complement) == (
                     plus and minus, plus_c and minus_c
                 ), (sys, f.image, conv)
-                row = cantor._row(sys.context(conv), f)
-                assert [row >> i & 1 for i in range(1, 5)] == [plus, minus, plus_c, minus_c], (
+                ctx = sys.context(conv)
+                sides = [cantor._side_row(s, None).of(f) for s in (ctx._side, ctx._compl_side)]
+                assert sides == [plus | minus << 1, plus_c | minus_c << 1], (sys, f.image, conv)
+                bits = cantor._chain_bits(cantor._chain_rows(ctx, None), f)
+                assert [bits >> i & 1 for i in range(1, 5)] == [plus, minus, plus_c, minus_c], (
                     sys, f.image, conv
                 )
         # every combination of the four verdicts occurs
@@ -203,11 +207,11 @@ class TestMinimalMembers:
         for n, sys, maps in covering_cases():
             memo = memos.setdefault(n, {})
             before = len(memo)
-            rows = cantor._sweep_rows(sys.context(conv), memo)
+            rows = cantor._chain_rows(sys.context(conv), memo)
             shared += len(memo) < before + 3
             cl = oracles.closure_table(n, sys.masks, conv.value)
             for f in maps:
-                bits = cantor._swept_statements(rows, f)
+                bits = cantor._chain_bits(rows, f)
                 expected = oracles.map_statements(f.image, cl, sys.masks, n)
                 assert [bool(bits >> i & 1) for i in range(5)] == list(expected), (
                     sys, f.image

@@ -597,36 +597,12 @@ class TestSweep:
         assert rep.instance_count == instances
         assert 0 < len(tables) <= 218
 
-    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
-    @pytest.mark.parametrize("theorem", [TheoremId.B3_2, TheoremId.S3_3])
-    def test_commutation_premise_once_per_system_and_permutation(
-        self, monkeypatch, theorem, conv
-    ):
-        # the premise is decided on each generator and kept in the system's
-        # context by its image, as K3_9's first statement: at most 218
-        # systems x 6 permutations, where deciding it per instance makes
-        # 6272 tests; and it is decided alone, without the four
-        # memberships of K3_9's row
-        commutations, memberships = [], []
-        commutes, membership = kernels.commutes_with_closure, cantor._membership
-        monkeypatch.setattr(
-            kernels, "commutes_with_closure",
-            lambda *a: commutations.append(a) or commutes(*a),
-        )
-        monkeypatch.setattr(
-            cantor, "_membership", lambda *a: memberships.append(a) or membership(*a)
-        )
-        rep = sweep(theorem, 3, "exhaustive", conv=conv)
-        assert rep.instance_count == 4578
-        assert 0 < len(commutations) <= 218 * 6
-        assert memberships == []
-
     def test_covar_untransported_family_once_per_cycle_and_system(self, monkeypatch):
         # one transported family per instance, and the untransported one
-        # kept in the system's context by the cycle's orbit blocks: 218
-        # systems x 5 orbit partitions of the 6 cycles at n=3, where
-        # computing it per instance makes 15,696 calls and per (cycle,
-        # system) 9156
+        # kept in the sweep's memo by the system and the cycle's orbit
+        # blocks: 218 systems x 5 orbit partitions of the 6 cycles at n=3,
+        # where computing it per instance makes 15,696 calls and per
+        # (cycle, system) 9156
         families = []
         free_attractors = attract.free_attractors
         monkeypatch.setattr(
@@ -640,14 +616,14 @@ class TestSweep:
 
     def test_chain_statements_decided_once_per_system_and_generator(self, monkeypatch):
         # a chain statement depends only on the system and one generator,
-        # and the generator's row of statements is kept in the system's
-        # context: at most 218 systems x 6 generators x 4 memberships, where
-        # deciding every instance afresh makes 25,872 membership calls and
-        # 6272 commutation tests
+        # and each generator's statements are kept in the sweep's memo: at
+        # most 218 systems x 6 generators x 2 sides, where deciding every
+        # instance afresh makes 12,936 side decisions (both memberships of
+        # one side each) and 6272 commutation tests
         memberships, commutations = [], []
-        membership, commutes = cantor._membership, kernels.commutes_with_closure
+        membership, commutes = cantor._memberships, kernels.commutes_with_closure
         monkeypatch.setattr(
-            cantor, "_membership", lambda *a: memberships.append(a) or membership(*a)
+            cantor, "_memberships", lambda *a: memberships.append(a) or membership(*a)
         )
         monkeypatch.setattr(
             kernels, "commutes_with_closure",
@@ -657,7 +633,7 @@ class TestSweep:
             del memberships[:], commutations[:]
             rep = sweep(TheoremId.K3_9, 3, "exhaustive", conv=conv)
             assert rep.instance_count == 218 * 21
-            assert 0 < len(memberships) <= 218 * 6 * 4
+            assert 0 < len(memberships) <= 218 * 6 * 2
             assert 0 < len(commutations) <= 218 * 6
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
@@ -1112,11 +1088,18 @@ class TestCantorRows:
             (TheoremId.S3_8_all, 218 * 27, 90 * 27, 19 * 27),
             # the same by 6 bijections
             (TheoremId.S3_8_bij, 218 * 6, 90 * 6, 19 * 6),
-            # the same by the 6 permutations that generate the 21 groups:
-            # K3_9's rows in each system's context are filled from the memo
+            # the same by the 6 permutations that generate the 21 groups
             (TheoremId.K3_9, 218 * 21, 90 * 6, 19 * 6),
+            # the premise of B3_2 and S3_3 reads hull commutation alone,
+            # where one test per system and generator makes 218 x 6
+            (TheoremId.B3_2, 218 * 21, 90 * 6, 0),
+            (TheoremId.S3_3, 218 * 21, 90 * 6, 0),
+            # B3_10 reads the system's side alone: 18 minimal families on
+            # that side, by 6 bijections, where one decision per instance
+            # makes 218 x 6
+            (TheoremId.B3_10, 218 * 6, 0, 18 * 6),
         ],
-        ids=["S3_8_all", "S3_8_bij", "K3_9"],
+        ids=["S3_8_all", "S3_8_bij", "K3_9", "B3_2", "S3_3", "B3_10"],
     )
     def test_cantor_decisions_once_per_table_and_minimal_family(
         self, monkeypatch, theorem, instances, commutations, memberships, conv
@@ -1137,6 +1120,36 @@ class TestCantorRows:
         rep = sweep(theorem, 3, "exhaustive", conv=conv)
         assert rep.instance_count == instances
         assert decided == {"commutes": commutations, "members": memberships}
+
+    def test_random_b3_10_builds_no_closure_table(self, monkeypatch):
+        # B3_10 reads the system's membership side, and no closure table,
+        # which takes 2^16 cells on 16 points
+        tables = count_closure_tables(monkeypatch)
+        rep = sweep(TheoremId.B3_10, 16, "random", samples=3, seed=0)
+        assert rep.instance_count == 3
+        assert tables == []
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_b3_10_counts_match_the_pair_scan_oracle(self, conv):
+        for n in (1, 2, 3):
+            rep = sweep(TheoremId.B3_10, n, "exhaustive", conv=conv)
+            counts = (rep.hold_count, rep.fail_count, rep.skip_count)
+            assert counts == oracles.b3_10_counts(n), n
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("theorem", [TheoremId.B3_2, TheoremId.S3_3], ids=lambda t: t.value)
+    def test_premise_met_matches_the_group_listing_oracle(self, theorem, conv):
+        # the instances that get past the commutation premise, whose
+        # verdict is not its note, against the pairs whose listed group
+        # commutes with the hull element by element
+        claim, premise = CLAIMS[theorem], "flow does not commute with the hull; premise not met"
+        for n in (1, 2, 3):
+            ground, memo, met = GroundSet(n), {}, 0
+            for _, block in verify._exhaustive_instances(theorem, n, 0, 1):
+                met += sum(v.note != premise for v in claim.check(ground, block, conv, memo))
+            assert met == oracles.commutation_premise_met(n, conv.value), n
+            if n == 3:
+                assert met == 1170
 
 
 class TestBenchmarkNames:
