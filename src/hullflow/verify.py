@@ -1,16 +1,16 @@
 """Theorem checkers and the instance-space sweep engine.
 
-Every registered claim has one checker body, which takes a block of tuples
+Every registered claim has one checker body, which takes a block of runs
 of the claim's factor values (member masks or systems, generator sets,
-subset masks, self-maps) and returns a Verdict for each, in order: holds,
-fails, or skipped when the values are outside the claim's domain (for
-example, an attractor side that is ill-formed because the closed family
-does not cover the ground).  Sweeps pass the body the values their
-instance space indexes or their sampler draws, and build an Instance from
-them only for a failing verdict whose witness they keep; `check_theorem`
-unpacks an Instance into the same values, a block of one.  Every failing
-verdict handed out carries a replayable witness.  Sweeps aggregate
-verdicts and are byte-reproducible for fixed parameters and seed.
+subset masks, self-maps; see Claim) and returns a Verdict for each, in
+order: holds, fails, or skipped when the values are outside the claim's
+domain (for example, an attractor side that is ill-formed because the
+closed family does not cover the ground).  Sweeps pass the body the runs
+their instance space indexes or the values their sampler draws, and build
+an Instance only for a failing verdict whose witness they keep;
+`check_theorem` unpacks an Instance into the same values, a run of one.
+Every failing verdict handed out carries a replayable witness.  Sweeps
+aggregate verdicts and are byte-reproducible for fixed parameters and seed.
 
 Several registered claims are falsified by small instances; the sweep
 engine reports such counterexamples rather than suppressing them.  See the
@@ -192,24 +192,24 @@ class _Product(Sequence):
     def __getitem__(self, ordinal: int) -> tuple:
         return tuple(map(getitem, self.factors, self._digits(ordinal)))
 
-    def run(self, start: int, stop: int) -> list[tuple]:
+    def run(self, start: int, stop: int) -> list[tuple[tuple, Sequence]]:
         """Items `start` to `stop` - 1, in order, for 0 <= start < stop <=
-        len(self): `start` is unranked once, and each next item steps the
-        last factor, carrying into the factors before it where it wraps.
-        The items of each stretch of the last factor are zipped from its
-        values, sliced where it is a sliceable sequence and taken one
-        index at a time where it computes them (_Mapped, _Permutations),
-        and the other factors' fixed values."""
+        len(self), as runs `(outer, inner)`: `outer` the tuple of the
+        other factors' values and `inner` the stretch of the last factor's
+        values under them, sliced where the factor is a sliceable sequence
+        and listed one index at a time where it computes them (_Mapped,
+        _Permutations).  `start` is unranked once, and each next run steps
+        the factors before the last, carrying where they wrap."""
         digits = self._digits(start)
         *outer, inner = self.factors
         sliced = isinstance(inner, (array, list, tuple, range))
         values = list(map(getitem, outer, digits))
         first, left = digits[-1], stop - start
-        out: list[tuple] = []
+        out: list[tuple[tuple, Sequence]] = []
         while True:
             last = min(len(inner), first + left)
-            stretch = inner[first:last] if sliced else map(inner.__getitem__, range(first, last))
-            out += zip(*map(itertools.repeat, values), stretch)
+            stretch = inner[first:last] if sliced else [inner[i] for i in range(first, last)]
+            out.append((tuple(values), stretch))
             left -= last - first
             if not left:
                 return out
@@ -357,8 +357,8 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
 # --------------------------------------------------------------------------
 # checker bodies: `_check_x(ground, conv, *values, memo) -> Verdict` on one
 # tuple of values, in the order of the factors of the claim's space,
-# registered through `_each`, or `_check_x(ground, conv, block, memo) ->
-# list[Verdict]` on a block of them (see Claim)
+# registered through `_each`, or `_check_x(ground, conv, runs, memo) ->
+# list[Verdict]` on a block of runs of them (see Claim)
 
 def _check_s1_1(
     ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: Optional[dict]
@@ -402,28 +402,27 @@ def _l1_3_verdict(ground: GroundSet, blocks: tuple[int, ...], chi: int) -> Verdi
 
 
 def _check_l1_3(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
-    """L1_3's verdict on each (flow, chi) of a block, in order.  The
-    orbit blocks are read once for each run of tuples that share a flow
-    (chi is the inner factor of the space).  With a sweep's memo, each
-    orbit partition's row of verdicts, one per nonempty chi and indexed by
-    chi - 1, is decided whole on its first ask and kept by the orbit
-    blocks; without one, each chi is decided alone."""
+    """L1_3's verdict on each (flow, chi) of a block of runs, in order.
+    With a sweep's memo, each orbit partition's row of verdicts, indexed
+    by chi, is decided whole on its first ask and kept by the orbit blocks,
+    and a run's verdicts are read off the row; without one, each chi is
+    decided alone, and an empty one (a document's, whose flow is None) is
+    skipped."""
     out = []
-    last = None
-    for flow, chi in block:
-        if not chi:
-            out.append(_skip("empty chi"))
+    empty = _skip("empty chi")
+    for (flow,), chis in runs:
+        if memo is None:
+            out += [_l1_3_verdict(ground, flow.orbit_blocks(), c) if c else empty for c in chis]
             continue
-        if flow is not last:
-            last, blocks = flow, flow.orbit_blocks()
-            row = None if memo is None else memo.get(blocks)
-            if row is None and memo is not None:
-                row = memo[blocks] = [
-                    _l1_3_verdict(ground, blocks, c) for c in range(1, 1 << ground.size)
-                ]
-        out.append(_l1_3_verdict(ground, blocks, chi) if row is None else row[chi - 1])
+        blocks = flow.orbit_blocks()
+        row = memo.get(blocks)
+        if row is None:
+            row = memo[blocks] = [empty] + [
+                _l1_3_verdict(ground, blocks, c) for c in range(1, 1 << ground.size)
+            ]
+        out += map(row.__getitem__, chis)
     return out
 
 
@@ -472,27 +471,30 @@ def _idem_fails(cl: Sequence[int]) -> Verdict:
 
 
 def _check_idem(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
-    """IDEM_ydwed's verdict on each family of a block, in order: whether
-    the family's closure table composed with itself is itself.  On up to 4
-    points the block's tables come from one closure_tables_of call and go
-    to _not_idempotent as one run.  Above 4 points, where only random mode
-    goes, and for a document's system that does not cover the ground
-    (None, as every family a sweep draws covers it), the block is one draw
+    """IDEM_ydwed's verdict on each family of a block of runs, in order:
+    whether the family's closure table composed with itself is itself.  On
+    up to 4 points a run's tables (a share block's: one slice of the
+    covering families) come from one closure_tables_of call and go to
+    _not_idempotent as one run of bytes.  Above 4 points, where only random
+    mode goes, and for a document's system that does not cover the ground
+    (None, as every family a sweep draws covers it), the run is one draw
     or one document."""
-    families = [family for family, in block]
-    n = ground.size
-    if n > 4 or None in families:
-        [family] = families
-        if family is None:
-            return [_skip("system does not cover the ground")]
-        tables = closure_map_of(n, family, conv)
-    else:
-        tables = closure_tables_of(n, families, conv)
-    out = [_HOLDS] * len(families)
-    for i in _not_idempotent(tables, n):
-        out[i] = _idem_fails(tables[i << n : (i + 1) << n])
+    n, out = ground.size, []
+    for _, families in runs:
+        if n > 4 or families[0] is None:
+            [family] = families
+            if family is None:
+                out.append(_skip("system does not cover the ground"))
+                continue
+            tables = closure_map_of(n, family, conv)
+        else:
+            tables = closure_tables_of(n, families, conv)
+        verdicts = [_HOLDS] * len(families)
+        for i in _not_idempotent(tables, n):
+            verdicts[i] = _idem_fails(tables[i << n : (i + 1) << n])
+        out += verdicts
     return out
 
 
@@ -616,29 +618,26 @@ def _b3_4_verdict(flow: DiscreteFlow, table: Sequence[int], conv: ClosureConvent
 
 
 def _check_b3_4(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
-    """B3_4's verdict on each (system, flow) of a block, in order.  Whether
-    the system covers the ground and its closure table are read once for
-    each run of tuples that share the system (the flow is the inner
-    factor), and its row of verdicts, one per orbit partition, is kept by
-    its masks in a sweep's memo or, without one, for the run."""
+    """B3_4's verdict on each (system, flow) of a block of runs, in order
+    (the flow is the inner factor).  Whether the system covers the ground
+    and its closure table are read once per run, and its row of verdicts,
+    one per orbit partition, is kept by its masks in a sweep's memo or,
+    without one, for the run."""
     out = []
-    last = None
-    for sys, flow in block:
-        if sys is not last:
-            last, covers = sys, sys.covers_ground()
-            if covers:
-                table = closure_map(sys, conv)
-                row = {} if memo is None else memo.setdefault(sys.masks, {})
-        if not covers:
-            out.append(_skip("system does not cover the ground"))
+    for (sys,), flows in runs:
+        if not sys.covers_ground():
+            out += [_skip("system does not cover the ground")] * len(flows)
             continue
-        blocks = flow.orbit_blocks()
-        verdict = row.get(blocks)
-        if verdict is None:
-            verdict = row[blocks] = _b3_4_verdict(flow, table, conv)
-        out.append(verdict)
+        table = closure_map(sys, conv)
+        row = {} if memo is None else memo.setdefault(sys.masks, {})
+        for flow in flows:
+            blocks = flow.orbit_blocks()
+            verdict = row.get(blocks)
+            if verdict is None:
+                verdict = row[blocks] = _b3_4_verdict(flow, table, conv)
+            out.append(verdict)
     return out
 
 
@@ -702,31 +701,29 @@ _FAMILIES = "families"
 
 
 def _check_chain(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
-    """CHAIN_karrenk's verdict on each (cycle, covering) of a block, in
-    order.  The verdict reads the flow only through its orbit blocks (and
-    whether it is cyclic), so each orbit partition has a row of verdicts,
-    one per covering, read once for each run of tuples that share a flow
-    (the covering is the inner factor): kept by the orbit blocks in a
-    sweep's memo or, without one, for the run."""
+    """CHAIN_karrenk's verdict on each (cycle, covering) of a block of
+    runs, in order (the covering is the inner factor).  The verdict reads
+    the flow only through its orbit blocks (and whether it is cyclic), so
+    each orbit partition has a row of verdicts, one per covering, read
+    once per run: kept by the orbit blocks in a sweep's memo or, without
+    one, for the run."""
     out = []
-    last = None
     families = None if memo is None else memo.setdefault(_FAMILIES, {})
-    for flow, covering in block:
-        if flow is not last:
-            last = flow
-            row = {} if memo is None else memo.setdefault(flow.orbit_blocks(), {})
+    for (flow,), coverings in runs:
         if not flow.is_cyclic:
-            out.append(_skip("monotone variants need a cyclic flow"))
+            out += [_skip("monotone variants need a cyclic flow")] * len(coverings)
             continue
-        if not covering.covers_ground():
-            out.append(_skip("system does not cover the ground"))
-            continue
-        verdict = row.get(covering.masks)
-        if verdict is None:
-            verdict = row[covering.masks] = _chain_verdict(flow, covering, conv, families)
-        out.append(verdict)
+        row = {} if memo is None else memo.setdefault(flow.orbit_blocks(), {})
+        for covering in coverings:
+            if not covering.covers_ground():
+                out.append(_skip("system does not cover the ground"))
+                continue
+            verdict = row.get(covering.masks)
+            if verdict is None:
+                verdict = row[covering.masks] = _chain_verdict(flow, covering, conv, families)
+            out.append(verdict)
     return out
 
 
@@ -767,24 +764,24 @@ def _check_b3_7(
 
 
 def _check_s3_8(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict],
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict],
     bijective: bool,
 ) -> list[Verdict]:
-    """S3_8's verdict on each (system, map) of a block, in order: the map's
-    explication record, whose three fields agree when the claim holds.  The
-    record is read off the map's five chain statements, which key the
-    verdict (_explication_verdict), from the rows of the system's context
-    (cantor._chain_rows), fetched once for each run of tuples that share
-    the system (the inner factor of the space is the map)."""
+    """S3_8's verdict on each (system, map) of a block of runs, in order:
+    the map's explication record, whose three fields agree when the claim
+    holds.  The record is read off the map's five chain statements, which
+    key the verdict (_explication_verdict), from the rows of the system's
+    context (cantor._chain_rows), fetched at the run's first map."""
     out = []
-    last = None
-    for sys, f in block:
-        if bijective and not f.is_bijective():
-            out.append(_skip("not a bijection"))
-            continue
-        if sys is not last:
-            last, rows = sys, cantor._chain_rows(sys.context(conv), memo)
-        out.append(_explication_verdict(cantor._chain_bits(rows, f)))
+    for (sys,), maps in runs:
+        rows = None
+        for f in maps:
+            if bijective and not f.is_bijective():
+                out.append(_skip("not a bijection"))
+                continue
+            if rows is None:
+                rows = cantor._chain_rows(sys.context(conv), memo)
+            out.append(_explication_verdict(cantor._chain_bits(rows, f)))
     return out
 
 
@@ -804,28 +801,25 @@ def _explication_verdict(bits: int) -> Verdict:
 
 
 def _check_k3_9(
-    ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
-    """K3_9's verdict on each (system, flow) of a block, in order: the
-    group's statements, decided on its generators as in phase_chain_check,
-    hold together or fail together.  Whether the system covers the ground
-    and the rows of its context (cantor._chain_rows) are read once for
-    each run of tuples that share the system (the flow is the inner
-    factor), and the generators' statements are ANDed here."""
+    """K3_9's verdict on each (system, flow) of a block of runs, in order
+    (the flow is the inner factor): the group's statements, decided on its
+    generators as in phase_chain_check, hold together or fail together.
+    Whether the system covers the ground and the rows of its context
+    (cantor._chain_rows) are read once per run, and the generators'
+    statements are ANDed here."""
     out = []
-    last = None
-    for sys, flow in block:
-        if sys is not last:
-            last, covers = sys, sys.covers_ground()
-            if covers:
-                rows = cantor._chain_rows(sys.context(conv), memo)
-        if not covers:
-            out.append(_skip("system does not cover the ground"))
+    for (sys,), flows in runs:
+        if not sys.covers_ground():
+            out += [_skip("system does not cover the ground")] * len(flows)
             continue
-        bits = ALL_STATEMENTS
-        for g in flow.gens:
-            bits &= cantor._chain_bits(rows, g)
-        out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
+        rows = cantor._chain_rows(sys.context(conv), memo)
+        for flow in flows:
+            bits = ALL_STATEMENTS
+            for g in flow.gens:
+                bits &= cantor._chain_bits(rows, g)
+            out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
     return out
 
 
@@ -970,26 +964,26 @@ class _Factor(NamedTuple):
     """One kind of factor value: `values(n)`, its values on n points in
     enumeration order; `draw(rnd, ground)`, one value drawn from `rnd`;
     `put(inst, value)`, which names the value in a witness; `read(inst)`,
-    which reads it back out of a document; whether a process keeps the
-    values (the covering families or the topologies), so that a parallel
-    sweep builds them before it forks; and whether the value is a map or a
-    flow acting on the systems, which a document is read for after them."""
+    which reads it back out of a document; whether the value is a map or
+    a flow acting on the systems, which a document is read for after
+    them; and for such a factor `count(n)`, its number of values, none
+    built.  A process keeps the covering families and the topologies."""
 
     values: Callable[[int], Sequence]
     draw: Callable[[random.Random, GroundSet], Any]
     put: Callable[[Instance, Any], None]
     read: Callable[[Instance], Any]
-    kept: bool = False
     acts: bool = False
+    count: Optional[Callable[[int], int]] = None
 
 
 def _system_factor(
     name: str, values: Callable[[int], Sequence], draw: Callable[..., SetSystem]
 ) -> _Factor:
-    """Set systems, named `name` in a witness, whose values a process keeps."""
+    """Set systems, named `name` in a witness."""
     return _Factor(
         values, draw, lambda inst, sys: inst.systems.update({name: sys}),
-        partial(_get_system, name=name), kept=True,
+        partial(_get_system, name=name),
     )
 
 
@@ -1014,7 +1008,6 @@ _FAMILY = _Factor(
     lambda rnd, ground: family_of(ground.size, _sample_masks(rnd, ground)),
     lambda inst, family: inst.systems.update(A=SetSystem(inst.ground, family_members(family))),
     lambda inst: family_of(inst.ground.size, _get_system(inst, "A").masks),
-    kept=True,
 )
 #: A covering system A as its member masks.
 _MEMBERS = _Factor(
@@ -1022,7 +1015,6 @@ _MEMBERS = _Factor(
     _sample_masks,
     lambda inst, masks: inst.systems.update(A=SetSystem(inst.ground, masks)),
     lambda inst: _get_system(inst, "A").masks,
-    kept=True,
 )
 _SUBSET = _subset_factor("B", 0)
 _CHI = _subset_factor("chi", 1)
@@ -1031,31 +1023,34 @@ _GENSET = _Factor(
     lambda rnd, ground: DiscreteFlow.of_group(
         [Autobolism(ground, p) for p in _sample_genset(rnd, ground.size)]
     ),
-    _put_flow, _get_flow, acts=True,
+    _put_flow, _get_flow, acts=True, count=lambda n: math.comb(math.factorial(n) + 1, 2),
 )
 _CYCLE = _GENSET._replace(
-    values=_cycles, draw=lambda rnd, ground: DiscreteFlow.cyclic(_sample_perm(rnd, ground))
+    values=_cycles, draw=lambda rnd, ground: DiscreteFlow.cyclic(_sample_perm(rnd, ground)),
+    count=math.factorial,
 )
 #: The covering Z of CHAIN_karrenk.
 _COVERING = _system_factor("Z", _systems_of, _sample_system)
 #: The covering Z of B2_3d: exhaustive mode sweeps the power set alone,
 #: while random mode draws arbitrary coverings, so the two modes test
 #: different claims.
-_POWERSET = _COVERING._replace(values=lambda n: [SetSystem.powerset(GroundSet(n))], kept=False)
+_POWERSET = _COVERING._replace(values=lambda n: [SetSystem.powerset(GroundSet(n))])
 _SELF_MAP = _Factor(
     _functions,
     lambda rnd, ground: EndoFunction(
         ground, tuple(rnd.randrange(ground.size) for _ in range(ground.size))
     ),
-    lambda inst, f: inst.functions.update(f=f), _get_function, acts=True,
+    lambda inst, f: inst.functions.update(f=f), _get_function, acts=True, count=lambda n: n**n,
 )
 _BIJECTION = _SELF_MAP._replace(
     values=partial(_functions, bijective=True),
     draw=lambda rnd, ground: EndoFunction(ground, _sample_perm(rnd, ground).image),
+    count=math.factorial,
 )
 _RELABELING = _Factor(
     lambda n: _autobolisms(GroundSet(n)), _sample_perm,
     lambda inst, rel: inst.permutations.update(f=rel), _get_relabeling, acts=True,
+    count=math.factorial,
 )
 
 
@@ -1070,6 +1065,10 @@ class _Space(NamedTuple):
 
     factors: tuple[_Factor, ...]
     order: Optional[tuple[int, ...]] = None
+
+    def size(self, n: int) -> int:
+        """The number of tuples on n points, counted with no map or flow built."""
+        return math.prod(f.count(n) if f.count else len(f.values(n)) for f in self.factors)
 
     def build(self, ground: GroundSet, conv: ClosureConvention, *values: Any) -> Instance:
         """The Instance of one tuple of factor values."""
@@ -1145,24 +1144,27 @@ def _unpack_covar(inst: Instance) -> tuple:
 @dataclass(frozen=True)
 class Claim:
     """Everything the harness knows about one claim: its checker body
-    `(ground, conv, block, memo) -> verdicts`; the kind of its instance
+    `(ground, conv, runs, memo) -> verdicts`; the kind of its instance
     space, enumerated up to `max_exhaustive_n` points, and the number of
     random samples drawn by default; whether sweeps are expected to be
     failure-free; the note attached to sweep reports; and, for the few
     claims that do not read an instance factor by factor, their own
     `read(Instance) -> values`.
 
-    The body takes a whole block of tuples of factor values and returns
-    their verdicts in order, so it pays the interpreter's per-call cost
-    once per block (Boncz, Zukowski and Nes, "MonetDB/X100:
-    Hyper-pipelining query execution", CIDR 2005); a claim whose verdict
-    needs nothing from the block's other tuples registers a body on one
-    tuple, mapped over the block with the memo (`_each`).  `memo` is a
-    dict that an exhaustive sweep keeps for the whole of one worker's
-    share and hands to every block, and None otherwise: a body may keep
-    in it what it decided, so that later blocks read it, under keys of
-    its own.  It is the only store of Cantor's decisions, kept under the
-    keys of cantor's deciders (cantor._hull_row, cantor._side_row)."""
+    The body takes a whole block of runs `(outer, inner)`: `outer` the
+    values of every factor but the last, and `inner` a stretch of the
+    last factor's values under them (`_Product.run`).  It returns their
+    verdicts in order, paying the interpreter's per-call cost once per
+    block and its setup for the outer values once per run, with no tuple
+    built per instance (Boncz, Zukowski and Nes, "MonetDB/X100", CIDR
+    2005; Abadi, Madden and Hachem, "Column-stores vs. row-stores", SIGMOD
+    2008).  A claim whose verdict needs nothing from the rest of its run
+    registers a body on one tuple, mapped over the runs (`_each`).  `memo`
+    is a dict that an exhaustive sweep keeps for the whole of one worker's
+    share and hands to every block, and None otherwise: a body may keep in
+    it what it decided, so that later blocks read it, under keys of its
+    own.  It is the only store of Cantor's decisions, kept under the keys
+    of cantor's deciders (cantor._hull_row, cantor._side_row)."""
 
     checker: Callable[..., list[Verdict]]
     kind: _Space
@@ -1185,30 +1187,35 @@ class Claim:
     def check(
         self,
         ground: GroundSet,
-        block: Sequence[tuple],
+        runs: Sequence[tuple],
         conv: ClosureConvention,
         memo: Optional[dict] = None,
     ) -> list[Verdict]:
-        """Evaluate the claim on a block of tuples of factor values: their
+        """Evaluate the claim on a block of runs of factor values: their
         verdicts, in order.  Every sweep (once per exhaustive share block,
-        once per random draw) and `check_theorem` (with a block of one)
-        call goes through here, which gives per-layer tracing (sweepbench)
-        one name to time all checker bodies by.  The body gets the whole
-        block and the sweep's `memo`."""
-        return self.checker(ground, conv, block, memo)
+        once per random draw) and `check_theorem` (with a run of one) call
+        goes through here, which gives per-layer tracing (sweepbench) one
+        name to time all checker bodies by.  The body gets the whole block
+        and the sweep's `memo`."""
+        return self.checker(ground, conv, runs, memo)
 
 
 def _each(body: Callable[..., Verdict]) -> Callable[..., list[Verdict]]:
-    """The checker body that maps `body(ground, conv, *values, memo)`, the
-    verdict on one tuple of factor values, over a block of them, handing
-    each the sweep's memo."""
+    """The checker body that maps `body(ground, conv, *outer, v, memo)`,
+    the verdict on one tuple of factor values, over each value `v` of
+    each run's inner stretch, handing each the sweep's memo."""
 
     def checker(
-        ground: GroundSet, conv: ClosureConvention, block: Sequence[tuple], memo: Optional[dict]
+        ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
     ) -> list[Verdict]:
-        return [body(ground, conv, *values, memo) for values in block]
+        return [body(ground, conv, *outer, v, memo) for outer, inner in runs for v in inner]
 
     return checker
+
+
+def _one_run(values: tuple) -> list[tuple[tuple, tuple]]:
+    """The block of one run that holds one tuple of factor values."""
+    return [(values[:-1], values[-1:])]
 
 
 #: Every claim, by id.  Columns: checker body, instance space, exhaustive
@@ -1258,14 +1265,14 @@ def check_theorem(
     if isinstance(instance, dict):
         instance = Instance.from_dict(instance)
     claim = CLAIMS[theorem]
-    [verdict] = claim.check(instance.ground, [claim.unpack(instance)], conv)
+    [verdict] = claim.check(instance.ground, _one_run(claim.unpack(instance)), conv)
     return _witnessed(verdict, instance, conv) if verdict.status == "fails" else verdict
 
 
 #: A parallel sweep deals the ordinals of the instance stream to its
 #: workers in blocks of this many, and `Claim.check` takes an exhaustive
-#: block at once.
-SHARE_BLOCK = 64
+#: block's runs at once; timed against 64, 128 and 512 (CHANGES.md).
+SHARE_BLOCK = 256
 
 
 def _share_blocks(size: int, worker: int, jobs: int) -> Iterator[range]:
@@ -1283,8 +1290,8 @@ def _exhaustive_instances(
     theorem: TheoremId, n: int, worker: int, jobs: int
 ) -> Iterator[tuple[range, list[tuple]]]:
     """One worker's share of the claim's exhaustive space, one (ordinals,
-    factor values) pair per block: only the share's tuples are built, each
-    block's as one run of the space, unranked once."""
+    runs) pair per block: only the share's factor values are taken, each
+    block's as the runs of the space from one unranking (_Product.run)."""
     space = CLAIMS[theorem].space(n)
     for block in _share_blocks(len(space), worker, jobs):
         yield block, space.run(block.start, block.stop)
@@ -1348,12 +1355,11 @@ def _evaluate(
     other tuple of factor values is made.  In exhaustive mode the ordinals
     number the claim's space; in random mode ordinal k is drawn from
     `Random(f"{seed}:{k}")`, for k below `samples`.  Each exhaustive block's
-    tuples of factor values go to `Claim.check` in one call, and each random
-    draw in a block of one, so no more than one drawn system is alive at a
+    runs of factor values go to `Claim.check` in one call, and each random
+    draw as a run of one, so no more than one drawn system is alive at a
     time; `Claim.check` returns the verdicts in order, so the claim's body
-    checks the values themselves;
-    an Instance is built only for a failing verdict whose witness is kept,
-    from that instance's own values.
+    checks the values themselves.  A tuple of factor values is built, and
+    an Instance of it, only for a failing verdict whose witness is kept.
 
     In exhaustive mode every block of the share gets one memo, a dict local
     to this call (see Claim), in which a block body keeps what later
@@ -1368,7 +1374,7 @@ def _evaluate(
         # one draw per call: a draw on n points holds up to 2^n masks, and
         # a share block of them kept at once would hold SHARE_BLOCK times that
         share = (
-            (range(o, o + 1), [_random_instance(theorem, n, random.Random(f"{seed}:{o}"))])
+            (range(o, o + 1), _one_run(_random_instance(theorem, n, random.Random(f"{seed}:{o}"))))
             for block in _share_blocks(samples or 0, worker, jobs)
             for o in block
         )
@@ -1377,8 +1383,8 @@ def _evaluate(
     ground, status = GroundSet(n), attrgetter("status")
     total = holds = fails = skips = 0
     cexs: list[dict[str, Any]] = []
-    for block, values in share:
-        checked = claim.check(ground, values, conv, memo)
+    for block, runs in share:
+        checked = claim.check(ground, runs, conv, memo)
         total += len(checked)
         # most verdicts are the one shared _HOLDS: a block of nothing else
         # is told by identity, and only another block counted by status
@@ -1392,16 +1398,14 @@ def _evaluate(
         fails += failed
         if not failed or len(cexs) == cap:
             continue
-        for ordinal, one, verdict in zip(block, values, checked):
-            if verdict.status == "fails" and len(cexs) < cap:
-                inst = claim.kind.build(ground, conv, *one)
-                cexs.append(
-                    {
-                        "ordinal": ordinal,
-                        "instance": _witnessed(verdict, inst, conv).witness,
-                        "note": verdict.note,
-                    }
-                )
+        ordinals, verdicts = iter(block), iter(checked)
+        for outer, inner in runs:
+            for v, ordinal, verdict in zip(inner, ordinals, verdicts):
+                if verdict.status == "fails" and len(cexs) < cap:
+                    inst = _witnessed(verdict, claim.kind.build(ground, conv, *outer, v), conv)
+                    cexs.append(
+                        {"ordinal": ordinal, "instance": inst.witness, "note": verdict.note}
+                    )
     return total, holds, fails, skips, cexs
 
 
@@ -1511,17 +1515,13 @@ def sweep(
 
     task = (theorem, n, mode, used_seed, used_samples, conv, max_counterexamples)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        parts = [_evaluate(*task, 0, 1)]
-    else:
-        if mode == "exhaustive":
-            # built here once, before the first child starts, the factor
-            # values a process keeps are inherited by the forked children
-            # and used by this process's own share
-            for factor in claim.kind.factors:
-                if factor.kept:
-                    factor.values(n)
-        parts = _parallel_parts(task, workers)
+    if workers > 1:
+        # no more shares than blocks of ordinals: no child for an empty
+        # share.  Counting the space builds the values a process keeps,
+        # once, before the first child starts, for every share to use
+        count = claim.kind.size(n) if mode == "exhaustive" else used_samples
+        workers = min(workers, -(-count // SHARE_BLOCK))
+    parts = [_evaluate(*task, 0, 1)] if workers <= 1 else _parallel_parts(task, workers)
     total, holds, fails, skips = (sum(part[i] for part in parts) for i in range(4))
     cexs = sorted((c for part in parts for c in part[4]), key=lambda c: c["ordinal"])
 

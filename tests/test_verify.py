@@ -1,5 +1,6 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
+import array
 import dataclasses
 import functools
 import importlib.util
@@ -169,24 +170,40 @@ class TestIndexedSpaces:
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_run_matches_indexing(self, theorem):
-        # a run slices its inner factor where it is a sequence (families,
-        # subsets, flows, functions) and indexes it where it computes its
-        # values (systems); every run of the whole space, and runs that
-        # start before, at and after a wrap of the inner factor and end
-        # past one or more wraps
+        # a cut of the space is handed out as runs: one value of the outer
+        # factors each, and a contiguous stretch of the inner factor under
+        # it, sliced where the factor is a sequence (families, subsets,
+        # flows, functions) and indexed where it computes its values
+        # (systems).  The runs of the whole space, and of cuts that start
+        # before, at and after a wrap of the inner factor and end past one
+        # or more wraps, flatten to the indexed items; every run but the
+        # first starts the inner factor, and every run but the last ends it
         claim = CLAIMS[theorem]
         rnd = random.Random(theorem.value)
         for n in range(1, min(3, claim.max_exhaustive_n) + 1):
             space = claim.space(n)
+            assert claim.kind.size(n) == len(space), n
             indexed = [space[o] for o in range(len(space))]
-            inner = len(space.factors[-1])
-            assert space.run(0, len(space)) == indexed, n
+            *outer_factors, factor = space.factors
+            inner = len(factor)
             starts = {0, 1, inner - 1, inner, inner + 1, len(space) - inner - 1}
             starts |= {rnd.randrange(len(space)) for _ in range(8)}
-            for start in sorted(o for o in starts if 0 <= o < len(space)):
-                for length in (1, 2, inner, inner + 1, 2 * inner + 3, verify.SHARE_BLOCK):
-                    stop = min(start + length, len(space))
-                    assert space.run(start, stop) == indexed[start:stop], (n, start, stop)
+            cuts = [(0, len(space))] + [
+                (start, min(start + length, len(space)))
+                for start in sorted(o for o in starts if 0 <= o < len(space))
+                for length in (1, 2, inner, inner + 1, 2 * inner + 3, verify.SHARE_BLOCK)
+            ]
+            for start, stop in cuts:
+                runs = space.run(start, stop)
+                for i, (outer, stretch) in enumerate(runs):
+                    assert isinstance(outer, tuple) and len(outer) == len(outer_factors)
+                    if isinstance(factor, (array.array, list, tuple, range)):
+                        assert type(stretch) is type(factor)
+                    first = start % inner if i == 0 else 0
+                    assert list(stretch) == [factor[d] for d in range(first, first + len(stretch))]
+                    assert i == len(runs) - 1 or first + len(stretch) == inner
+                flat = [(*outer, v) for outer, stretch in runs for v in stretch]
+                assert flat == indexed[start:stop], (n, start, stop)
 
     def test_ordinals_out_of_range(self):
         space = CLAIMS[TheoremId.B3_7].space(2)
@@ -225,9 +242,9 @@ class TestFactorRoundTrip:
 
 
 class TestTwoRoutes:
-    # a sweep hands the claim a block of the factor values its space
-    # indexes; check_theorem unpacks the same values from an instance and
-    # hands them over as a block of one
+    # a sweep hands the claim a block of runs of the factor values its
+    # space indexes; check_theorem unpacks the same values from an instance
+    # and hands them over as a run of one
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_sweep_verdicts_match_check_theorem(self, theorem, conv):
@@ -238,8 +255,8 @@ class TestTwoRoutes:
             witnesses = []
             checked = [
                 (ordinal, verdict)
-                for block, values in verify._exhaustive_instances(theorem, n, 0, 1)
-                for ordinal, verdict in zip(block, claim.check(ground, values, conv))
+                for block, runs in verify._exhaustive_instances(theorem, n, 0, 1)
+                for ordinal, verdict in zip(block, claim.check(ground, runs, conv))
             ]
             assert [ordinal for ordinal, _ in checked] == list(range(len(space)))
             for ordinal, verdict in checked:
@@ -423,8 +440,10 @@ class TestSweep:
     )
     def test_jobs_match_serial_past_the_cap(self, monkeypatch, theorem, n, mode, samples, jobs):
         # more failures than the cap, and the first 40 spread over more than
-        # one block of ordinals, so the merge must sort the workers' witnesses
-        # by ordinal before cutting; `jobs` CPUs give `jobs` workers
+        # one block of ordinals (of 64, so that 300 samples make 5), so the
+        # merge must sort the workers' witnesses by ordinal before cutting;
+        # `jobs` CPUs give `jobs` workers
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         kwargs = dict(samples=samples, seed=3, max_counterexamples=40)
         serial = sweep(theorem, n, mode, **kwargs)
         assert serial.fail_count > 40
@@ -560,9 +579,9 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_idem_one_joined_table_call_per_share_block(self, monkeypatch, tmp_path, jobs):
         # the IDEM_ydwed body takes each share block's tables from one
-        # closure_tables_of call and builds no table of one family: 1010
-        # calls for 64,594 families, summed over the workers, which append
-        # to one file
+        # closure_tables_of call on its run and builds no table of one
+        # family: one call per block of 64,594 families (253 at blocks of
+        # 256), summed over the workers, which append to one file
         log = tmp_path / "calls"
         for module, name in ((verify, "closure_tables_of"), (verify, "closure_map_of"),
                              (setsys, "closure_map_of")):
@@ -575,7 +594,8 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: jobs)
         rep = sweep(TheoremId.IDEM_ydwed, 4, "exhaustive", jobs=jobs)
         assert rep.instance_count == 64594
-        assert log.read_text().splitlines() == ["closure_tables_of"] * 1010
+        blocks = -(-64594 // verify.SHARE_BLOCK)
+        assert log.read_text().splitlines() == ["closure_tables_of"] * blocks
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize(
@@ -922,40 +942,48 @@ def group_oracle(theorem, n, values, conv):
 
 class TestOrbitBlockKeys:
     # the group claims' block bodies keep their rows of verdicts by orbit
-    # blocks, and read a system once per run of tuples that share it: on
-    # every cut of a list of tuples into blocks, in sweep order and
-    # shuffled, with a sweep's memo and without one, their verdicts must
-    # be each tuple's on a block of one and the oracle's
+    # blocks, and read a system once per run: on every cut of a space
+    # into blocks of runs, in enumeration order, and on its tuples
+    # shuffled as runs of one, with a sweep's memo and without one, their
+    # verdicts must be each tuple's on a run of one and the oracle's
 
     @staticmethod
-    def check_blocks(theorem, n, conv, tuples, seed):
-        """Check the claim's block body on `tuples` cut into the sweep's
-        share blocks and into short blocks of 2 to 9 tuples, many of which
-        hold a change of flow or system, in the given order and shuffled;
-        returns the verdicts' statuses and how many blocks held a change
-        of the outer factor's value."""
+    def check_blocks(theorem, n, conv, space, seed):
+        """Check the claim's block body on the runs of `space`, a product
+        of the claim's factors, cut into the sweep's share blocks and into
+        short blocks of 2 to 9 tuples, many of which hold a change of flow
+        or system; then on its tuples shuffled, as runs of one, cut the
+        same ways.  Returns the verdicts' statuses and how many blocks held
+        more than one value of the outer factor."""
         claim, ground = CLAIMS[theorem], GroundSet(n)
+        tuples = list(space)
         expected = [group_oracle(theorem, n, values, conv) for values in tuples]
 
         def seen(verdicts):
             return [(v.status, v.note, v.systems) for v in verdicts]
 
-        assert seen(claim.check(ground, [values], conv)[0] for values in tuples) == expected
+        alone = (claim.check(ground, verify._one_run(values), conv)[0] for values in tuples)
+        assert seen(alone) == expected
         rnd = random.Random(seed)
         order = rnd.sample(range(len(tuples)), len(tuples))
         crossings = 0
         for positions in (range(len(tuples)), order):
-            values = [tuples[i] for i in positions]
-            share = list(range(0, len(values), verify.SHARE_BLOCK)) + [len(values)]
+            share = list(range(0, len(tuples), verify.SHARE_BLOCK)) + [len(tuples)]
             short = [0]
-            while short[-1] < len(values):
-                short.append(min(short[-1] + rnd.randint(2, 9), len(values)))
+            while short[-1] < len(tuples):
+                short.append(min(short[-1] + rnd.randint(2, 9), len(tuples)))
             for cuts in (share, short):
-                blocks = [values[a:b] for a, b in zip(cuts, cuts[1:])]
-                crossings += sum(len({id(one[0]) for one in block}) > 1 for block in blocks)
+                if positions is order:
+                    blocks = [
+                        [run for i in order[a:b] for run in verify._one_run(tuples[i])]
+                        for a, b in zip(cuts, cuts[1:])
+                    ]
+                else:
+                    blocks = [space.run(a, b) for a, b in zip(cuts, cuts[1:])]
+                crossings += sum(len({id(outer[0]) for outer, _ in runs}) > 1 for runs in blocks)
                 for memo in ({}, None):
                     verdicts = [
-                        v for block in blocks for v in claim.check(ground, block, conv, memo)
+                        v for runs in blocks for v in claim.check(ground, runs, conv, memo)
                     ]
                     assert seen(verdicts) == [expected[i] for i in positions], (cuts, memo)
         return {status for status, _, _ in expected}, crossings
@@ -966,7 +994,7 @@ class TestOrbitBlockKeys:
         statuses, crossings = set(), 0
         for n in (1, 2, 3):
             space = CLAIMS[theorem].space(n)
-            got, crossed = self.check_blocks(theorem, n, conv, list(space), f"{theorem.value}:{n}")
+            got, crossed = self.check_blocks(theorem, n, conv, space, f"{theorem.value}:{n}")
             statuses |= got
             crossings += crossed
         assert statuses >= {"holds", "fails"}
@@ -975,7 +1003,7 @@ class TestOrbitBlockKeys:
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_l1_3_every_ordinal_at_four_points(self, conv):
         space = CLAIMS[TheoremId.L1_3].space(4)
-        statuses, crossings = self.check_blocks(TheoremId.L1_3, 4, conv, list(space), "L1_3:4")
+        statuses, crossings = self.check_blocks(TheoremId.L1_3, 4, conv, space, "L1_3:4")
         assert statuses == {"holds", "fails"}
         assert crossings > 0
 
@@ -988,13 +1016,13 @@ class TestOrbitBlockKeys:
         # every flow of the space against a seeded sample of its systems
         claim = CLAIMS[theorem]
         factors = [list(f.values(4)) if f.acts else f.values(4) for f in claim.kind.factors]
-        [pos] = [i for i, f in enumerate(claim.kind.factors) if f.kept]
+        [pos] = [i for i, f in enumerate(claim.kind.factors) if not f.acts]
         picked = random.Random(f"{theorem.value}:{conv.value}").sample(
             range(len(factors[pos])), systems
         )
         factors[pos] = [factors[pos][i] for i in sorted(picked)]
-        tuples = list(itertools.product(*factors))
-        statuses, crossings = self.check_blocks(theorem, 4, conv, tuples, f"{theorem.value}:4")
+        space = verify._Product(*factors)
+        statuses, crossings = self.check_blocks(theorem, 4, conv, space, f"{theorem.value}:4")
         assert "holds" in statuses
         assert crossings > 0
 
@@ -1016,11 +1044,13 @@ class TestFibrationClaims:
         system, f = values
         return oracles.b3_7_verdict(n, system.masks, f.image, conv.value)
 
-    def check(self, theorem, n, conv, tuples):
-        """The claim's verdicts on `tuples`, each against the oracle's;
-        returns the oracle's statuses."""
-        got = CLAIMS[theorem].check(GroundSet(n), tuples, conv)
-        expected = [self.oracle(theorem, n, values, conv) for values in tuples]
+    def check(self, theorem, n, conv, runs):
+        """The claim's verdicts on a block of runs, each against the
+        oracle's; returns the oracle's statuses."""
+        got = CLAIMS[theorem].check(GroundSet(n), runs, conv)
+        expected = [
+            self.oracle(theorem, n, (*outer, v), conv) for outer, inner in runs for v in inner
+        ]
         assert [(v.status, v.note) for v in got] == expected
         return {status for status, _ in expected}
 
@@ -1029,7 +1059,8 @@ class TestFibrationClaims:
     def test_every_instance_up_to_three_points(self, theorem, conv):
         statuses = set()
         for n in (1, 2, 3):
-            statuses |= self.check(theorem, n, conv, list(CLAIMS[theorem].space(n)))
+            space = CLAIMS[theorem].space(n)
+            statuses |= self.check(theorem, n, conv, space.run(0, len(space)))
             rep = sweep(theorem, n, "exhaustive", conv=conv)
             counts = (rep.hold_count, rep.fail_count, rep.skip_count)
             assert counts == oracles.fibration_counts(theorem.value, n, conv.value), n
@@ -1057,9 +1088,9 @@ class TestFibrationClaims:
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_b3_6_seeded_sample_at_four_points(self, conv):
-        families = list(CLAIMS[TheoremId.B3_6].space(4))
-        tuples = random.Random(f"B3_6:4:{conv.value}").sample(families, 2000)
-        assert self.check(TheoremId.B3_6, 4, conv, tuples) == {"holds", "fails"}
+        families = verify._covering_families(4)
+        picked = random.Random(f"B3_6:4:{conv.value}").sample(families, 2000)
+        assert self.check(TheoremId.B3_6, 4, conv, [((), picked)]) == {"holds", "fails"}
 
 
 class TestCantorRows:
@@ -1145,8 +1176,8 @@ class TestCantorRows:
         claim, premise = CLAIMS[theorem], "flow does not commute with the hull; premise not met"
         for n in (1, 2, 3):
             ground, memo, met = GroundSet(n), {}, 0
-            for _, block in verify._exhaustive_instances(theorem, n, 0, 1):
-                met += sum(v.note != premise for v in claim.check(ground, block, conv, memo))
+            for _, runs in verify._exhaustive_instances(theorem, n, 0, 1):
+                met += sum(v.note != premise for v in claim.check(ground, runs, conv, memo))
             assert met == oracles.commutation_premise_met(n, conv.value), n
             if n == 3:
                 assert met == 1170
@@ -1192,6 +1223,11 @@ class TestGeneratorSampler:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def flatten(runs):
+    """The tuples of factor values a block of runs holds, in order."""
+    return [(*outer, v) for outer, inner in runs for v in inner]
 
 
 def count_closure_tables(monkeypatch):
@@ -1270,7 +1306,9 @@ class TestWorkerShares:
     )
     def test_pool_bounded_by_cpu_count(self, monkeypatch, recording_process, cpus, jobs, workers):
         # `workers` shares: the sweeping process checks share 0 and starts
-        # one child for each other share; a serial sweep starts none
+        # one child for each other share; a serial sweep starts none.  300
+        # samples fill 5 blocks of 64, more than any share count here
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         kwargs = dict(samples=300, max_counterexamples=3)
         serial = sweep(TheoremId.S3_8_all, 3, "random", **kwargs)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -1279,9 +1317,34 @@ class TestWorkerShares:
         assert shares == [(w, workers) for w in range(1, workers or 1)]
         assert rep.to_payload() == serial.to_payload()
 
+    @pytest.mark.parametrize("block", [None, 147, 146, 49])
+    def test_no_child_for_an_empty_share(self, monkeypatch, recording_process, block):
+        # L1_3 at n=3 has 147 ordinals: a sweep deals them to no more
+        # shares than they fill blocks, so where one block holds them all
+        # (as one of the default size does) --jobs 2 and 3 start no child,
+        # whose share would hold no ordinal; random mode counts its 147
+        # samples the same way.  None is the default block
+        if block is not None:
+            monkeypatch.setattr(verify, "SHARE_BLOCK", block)
+        shares = -(-147 // verify.SHARE_BLOCK)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for mode, samples in (("exhaustive", None), ("random", 147)):
+            kwargs = dict(samples=samples, seed=2, max_counterexamples=3)
+            serial = sweep(TheoremId.L1_3, 3, mode, **kwargs)
+            assert serial.instance_count == 147
+            for jobs in (2, 3):
+                recording_process.started.clear()
+                rep = sweep(TheoremId.L1_3, 3, mode, jobs=jobs, **kwargs)
+                workers = min(jobs, shares)
+                started = [args[-2:] for args in recording_process.started]
+                assert started == [(w, workers) for w in range(1, workers)], (mode, jobs)
+                assert rep.to_payload() == serial.to_payload()
+
     def test_parent_builds_the_cached_factors_before_the_pool(self, monkeypatch):
         # forked children inherit the covering families the parent built,
-        # where each would otherwise build them again on every sweep
+        # where each would otherwise build them again on every sweep; the
+        # 218 systems at n=3 fill 4 blocks of 64
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         cached = []
 
         class Process(RecordingProcess):
@@ -1301,7 +1364,10 @@ class TestWorkerShares:
         # sets, cycles, self-maps or relabelings in the parent before its
         # child starts would only be done again by the child; every one of
         # them is built through these two constructors (a permutation is a
-        # self-map)
+        # self-map).  Counting a space's tuples, to deal them to no more
+        # shares than blocks, builds none of them either; blocks of 64 give
+        # every space here a second share
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         built = []
 
         class Process(RecordingProcess):
@@ -1329,15 +1395,18 @@ class TestWorkerShares:
     def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
         # the worker's walk yields the factor tuples of its own ordinals
         # only, each the one its ordinal indexes, and keeping no witness
-        # (cap 0) builds no Instance
+        # (cap 0) builds no Instance; blocks of 64 give worker 1 of 2 a
+        # share of these spaces
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         walked, built = [], []
         walk, init = verify._exhaustive_instances, Instance.__init__
 
         def recording(*args):
-            for block, values in walk(*args):
+            for block, runs in walk(*args):
+                values = flatten(runs)
                 assert len(block) == len(values)
                 walked.extend(zip(block, values))
-                yield block, values
+                yield block, runs
 
         def counting(inst, *args, **kwargs):
             built.append(1)
@@ -1381,7 +1450,7 @@ class TestWorkerShares:
                 assert [b for b, _ in blocks] == list(
                     verify._share_blocks(len(space), worker, jobs)
                 )
-                pairs = [pair for b, values in blocks for pair in zip(b, values)]
+                pairs = [pair for b, runs in blocks for pair in zip(b, flatten(runs))]
                 assert len(pairs) == sum(len(b) for b, _ in blocks)
                 assert all(values == space[o] for o, values in pairs)
 
@@ -1425,15 +1494,18 @@ class TestChildProcesses:
 
     def test_child_shares_match_serial_for_every_claim(self, monkeypatch):
         # the deal of the stand-in test above, through two children that
-        # inherit the single-ordinal blocks
-        monkeypatch.setattr(verify, "SHARE_BLOCK", 1)
+        # inherit the blocks: of single ordinals; of 5, which split the
+        # runs of an outer value between processes; and of the default
+        # size, which deals the n=2 spaces to share 0 alone
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        for theorem in TheoremId:
-            for n, mode, samples in ((2, "exhaustive", None), (3, "random", 200)):
-                kwargs = dict(samples=samples, seed=5, max_counterexamples=4)
-                serial = sweep(theorem, n, mode, **kwargs).to_payload()
-                parallel = sweep(theorem, n, mode, jobs=3, **kwargs).to_payload()
-                assert parallel == serial, (theorem, mode)
+        for block in (1, 5, verify.SHARE_BLOCK):
+            monkeypatch.setattr(verify, "SHARE_BLOCK", block)
+            for theorem in TheoremId:
+                for n, mode, samples in ((2, "exhaustive", None), (3, "random", 200)):
+                    kwargs = dict(samples=samples, seed=5, max_counterexamples=4)
+                    serial = sweep(theorem, n, mode, **kwargs).to_payload()
+                    parallel = sweep(theorem, n, mode, jobs=3, **kwargs).to_payload()
+                    assert parallel == serial, (block, theorem, mode)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
@@ -1657,23 +1729,25 @@ class TestBlockBodies:
     @pytest.mark.parametrize("theorem", [TheoremId.S3_8_all, TheoremId.S3_8_bij])
     def test_explication_block_matches_each_instance(self, theorem, conv):
         # every instance up to n=3, in the share blocks of a sweep (each
-        # holding runs of several systems) and shuffled, against the
-        # verdict of each instance alone and the oracle
+        # holding runs of several systems) and shuffled as runs of one,
+        # against the verdict of each instance alone and the oracle
         claim = CLAIMS[theorem]
         rnd = random.Random(24)
         statuses = set()
         for n in (1, 2, 3):
             ground = GroundSet(n)
-            for _, block in verify._exhaustive_instances(theorem, n, 0, 1):
-                alone = [claim.check(ground, [values], conv)[0] for values in block]
+            for _, runs in verify._exhaustive_instances(theorem, n, 0, 1):
+                block = flatten(runs)
+                alone = [claim.check(ground, verify._one_run(values), conv)[0] for values in block]
                 expected = [(v.status, v.note) for v in alone]
                 assert expected == [
                     explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block
                 ], n
                 order = rnd.sample(range(len(block)), len(block))
-                for values in (block, [block[i] for i in order]):
+                shuffled = [run for i in order for run in verify._one_run(block[i])]
+                for values in (runs, shuffled):
                     verdicts = claim.check(ground, values, conv)
-                    if values is not block:
+                    if values is shuffled:
                         verdicts = [verdicts[order.index(i)] for i in range(len(block))]
                     assert [(v.status, v.note) for v in verdicts] == expected, n
                 statuses.update(status for status, _ in expected)
@@ -1683,15 +1757,16 @@ class TestBlockBodies:
     @pytest.mark.parametrize("theorem", [TheoremId.S3_8_all, TheoremId.S3_8_bij])
     def test_explication_block_on_random_draws(self, theorem, conv):
         # drawn systems and maps on 5 to 7 points, where the tables are
-        # lists, two maps to each system, in one block
+        # lists, two maps to each system, in one block of runs of two
         claim = CLAIMS[theorem]
         for n in (5, 6, 7):
             rnd = random.Random(f"{theorem.value}:{n}")
             draws = [claim.kind.draw(n, rnd) for _ in range(12)]
-            block = [(draws[i // 2][0], f) for i, (_, f) in enumerate(draws)]
+            runs = [((draws[i][0],), [draws[i][1], draws[i + 1][1]]) for i in range(0, 12, 2)]
+            block = flatten(runs)
             ground = GroundSet(n)
-            verdicts = claim.check(ground, block, conv)
-            alone = [claim.check(ground, [values], conv)[0] for values in block]
+            verdicts = claim.check(ground, runs, conv)
+            alone = [claim.check(ground, verify._one_run(values), conv)[0] for values in block]
             expected = [explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block]
             assert [(v.status, v.note) for v in verdicts] == expected, n
             assert [(v.status, v.note) for v in alone] == expected, n
