@@ -152,21 +152,26 @@ def free_attractors(
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
         raise ValueError("relativizing system must cover the flow's ground")
-    families = _free_attractors(flow, covering, conv, variants)
+    # the weak criterion alone reads the covering's closure table
+    table = closure_map(covering, conv) if _WEAK in variants else None
+    families = _free_attractors(flow, covering.masks, table, variants)
     return tuple(SetSystem(flow.ground, family) for family in families)
 
 
 def _free_attractors(
     flow: DiscreteFlow,
-    covering: SetSystem,
-    conv: ClosureConvention,
+    masks: Sequence[int],
+    table: Optional[Sequence[int]],
     variants: Sequence[CoherenceVariant] = (CoherenceVariant.CONVENTIONAL,),
     memo: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """The masks of free_attractors' families, ascending, for a caller that
-    has compared the grounds and checked that the covering covers the
-    ground.  `memo`, where a sweep passes one, keeps the positions of the
-    coherent index sets by (k, block-incidence family) for the sweep."""
+    """The masks of free_attractors' families, ascending, on the covering
+    whose members are `masks` and whose closure table is `table`, which
+    only the weak variant reads (None where it is not asked), for a
+    caller that has compared the grounds and checked that the covering
+    covers the ground.  `memo`, where a sweep passes one, keeps the
+    positions of the coherent index sets by (k, block-incidence family)
+    for the sweep."""
     asks_weak = asks_strong = False
     for v in variants:
         if v is _WEAK:
@@ -180,7 +185,6 @@ def _free_attractors(
     # the invariant sets, listed in the order of their index sets
     candidates = flow._invariant
     blocks = flow.orbit_blocks()
-    masks = covering.masks
     strong = weak = ()
     if asks_strong:
         key = (len(blocks), _block_incidence(blocks, masks))
@@ -192,7 +196,6 @@ def _free_attractors(
         strong = tuple(map(candidates.__getitem__, positions))
     if asks_weak:
         # the pre-rooms: the orbits' closures, read off the covering's table
-        table = covering.context(conv)._cl
         rooms = tuple(sorted({table[b] for b in blocks}))
         memoized = flow.ground.size <= MEMO_POINTS
         weakly_coherent: list[int] = []
@@ -300,11 +303,10 @@ class RoomReport:
     attractors: Optional[bool]
 
 
-def room_report(
-    flow: DiscreteFlow, table: Sequence[int], conv: ClosureConvention = ClosureConvention.FULL
-) -> RoomReport:
+def room_report(flow: DiscreteFlow, table: Sequence[int]) -> RoomReport:
     """The room report of the flow under a closure table, such as the
-    closure_map of a covering system; no other table is built."""
+    closure_map of a covering system; no other table is built, as the
+    attractor side is the conventional family, which reads none."""
     rooms, partition = _rooms(flow, table)
     # a set is mapped onto itself by every generator exactly when it is a
     # union of orbit blocks
@@ -315,6 +317,6 @@ def room_report(
     if closed.covers_ground():
         # the empty set is never attractive
         attractors = 0 not in rooms.masks and set(rooms.masks) <= set(
-            _free_attractors(flow, closed, conv)[0]
+            _free_attractors(flow, closed.masks, None)[0]
         )
     return RoomReport(rooms, partition, invariant, attractors)

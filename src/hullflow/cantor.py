@@ -26,8 +26,10 @@ table, map image) (_hull_row) and each side's plus and minus
 memberships by (minimal family, map image) (_side_row), one key space
 for a system's side and a complement's side alike.  An exhaustive sweep
 decides each once per key, far fewer than its instances; a caller with
-no memo decides them in a row local to the call.  A system's hull
-context keeps what the system is and no verdict.
+no memo decides them in a row local to the call.  What the rows are
+decided under, the closure table and the two sides, is computed from
+the system's family bitmask by whoever holds it: a sweep's checker body
+once per system, a public function here once per call.
 """
 
 from __future__ import annotations
@@ -41,12 +43,54 @@ from .setsys import (
     DEFAULT_ENUM_CAP,
     ClosureConvention,
     GroundMismatchError,
-    HullContext,
     SetSystem,
-    _Side,
+    closure_map,
+    complement_family,
     family_members,
+    family_of,
+    fibration_classes,
     shifted,
 )
+
+
+class _Side(NamedTuple):
+    """One side of Cantor's memberships over a system on n points, made
+    from the family bitmask of its members: its minimal nonempty members
+    (those holding no other nonempty member), their family bitmask and its
+    up-closure, every subset holding a nonempty member."""
+
+    n: int
+    members: tuple[int, ...]
+    family: int
+    up: int
+
+    @classmethod
+    def of(cls, n: int, family: int) -> "_Side":
+        up = kernels.up_closure(n, family & ~1)
+        minimal = kernels.minimal_members(n, up)
+        return cls(n, family_members(minimal), minimal, up)
+
+
+def _sides(n: int, family: int) -> tuple[_Side, _Side]:
+    """The sides of the system of `family` and of its complement system."""
+    return _Side.of(n, family), _Side.of(n, complement_family(n, family))
+
+
+def _free_family(n: int, family: int) -> int:
+    """The family bitmask of the subsets holding no nonempty complement of
+    a member of `family` (a system on n points): outside the up-closure of
+    the complement family."""
+    return ~kernels.up_closure(n, complement_family(n, family) & ~1) & (1 << (1 << n)) - 1
+
+
+def _classes(cl: Sequence[int]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The fibration classes of the closure table `cl`, each one's shifted
+    family bitmask (setsys.fibration_classes) mapped to its cells."""
+    classes, _ = fibration_classes(cl)
+    return {
+        (least, cells): tuple(map(least.__add__, family_members(cells)))
+        for least, cells in classes.values()
+    }
 
 
 def is_commutative_cantor(
@@ -58,7 +102,7 @@ def is_commutative_cantor(
     subset of the ground: statement 0 of the phase chain."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    return _hull_row(system.context(conv), None).of(f)
+    return _hull_row(closure_map(system, conv), None).of(f)
 
 
 def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
@@ -69,8 +113,9 @@ def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     by point and compared pair by pair."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    if system.ground.size <= DEFAULT_ENUM_CAP:
-        side = system.context(ClosureConvention.FULL)._side
+    n = system.ground.size
+    if n <= DEFAULT_ENUM_CAP:
+        side = _Side.of(n, family_of(n, system.masks))
         return bool(_side_row(side, None).of(f) & (1 if plus else 2))
     nonempty = [m for m in system.masks if m]
     images = [f.apply_mask(m) for m in nonempty]
@@ -113,11 +158,16 @@ def preserves_unfamily(
 ) -> bool:
     """True when f maps every complement-free subset (no nonempty member of
     the complement system inside it) to a complement-free subset: when
-    the family of images of that family lies inside it.  The family is
-    kept as a family bitmask in the system's context under `conv`, beside
-    the fibration classes; it does not depend on `conv`."""
-    free = system.context(conv)._unfamily
-    return not _images(f.mask_table(), family_members(free)) & ~free
+    the family of images of that family lies inside it.  The family does
+    not depend on `conv`."""
+    n = system.ground.size
+    return _preserves(f.mask_table(), _free_family(n, family_of(n, system.masks)))
+
+
+def _preserves(table: Sequence[int], free: int) -> bool:
+    """preserves_unfamily on the free family `free`, of the map whose
+    mask-image table is `table`."""
+    return not _images(table, family_members(free)) & ~free
 
 
 def fibration_integrity(
@@ -127,10 +177,14 @@ def fibration_integrity(
 ) -> bool:
     """True when mapping every closure-fibration class elementwise through
     f reproduces the class family exactly: the families of images of the
-    cells of the classes of the system's context under `conv`, shifted as
-    the classes are (setsys.shifted), are the classes again."""
-    classes = system.context(conv)._classes
-    table = f.mask_table()
+    cells of the classes of the system's closure table under `conv`,
+    shifted as the classes are (setsys.shifted), are the classes again."""
+    return _integrity(f.mask_table(), _classes(closure_map(system, conv)))
+
+
+def _integrity(table: Sequence[int], classes: dict[tuple[int, int], tuple[int, ...]]) -> bool:
+    """fibration_integrity on the classes `classes` (_classes), of the map
+    whose mask-image table is `table`."""
     return {shifted(_images(table, cells)) for cells in classes.values()} == classes.keys()
 
 
@@ -169,11 +223,10 @@ def explication_check(
     conv: ClosureConvention = ClosureConvention.FULL,
 ) -> ExplicationRecord:
     """Hull commutation next to the two-sided memberships, read off the
-    map's chain statements under the system's context.  The grounds are
-    compared once, here."""
+    map's chain statements.  The grounds are compared once, here."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    return ExplicationRecord.of_bits(_chain_bits(_chain_rows(system.context(conv), None), f))
+    return ExplicationRecord.of_bits(_chain_bits(_system_rows(system, conv), f))
 
 
 @dataclass(frozen=True)
@@ -233,11 +286,10 @@ class _Row(NamedTuple):
         return verdict
 
 
-def _hull_row(ctx: HullContext, memo: Optional[dict]) -> _Row:
-    """Hull commutation under the closure table of `ctx`, kept in `memo`
-    by the table: a `bytes` table, hashable, on the at most 4 points of
-    an exhaustive sweep."""
-    cl = ctx._cl
+def _hull_row(cl: Sequence[int], memo: Optional[dict]) -> _Row:
+    """Hull commutation under the closure table `cl`, kept in `memo` by
+    the table: a `bytes` table, hashable, on the at most 4 points of an
+    exhaustive sweep."""
     verdicts = {} if memo is None else memo.setdefault(("commutes", cl), {})
     return _Row(cl, kernels.commutes_with_closure, verdicts)
 
@@ -249,16 +301,25 @@ def _side_row(side: _Side, memo: Optional[dict]) -> _Row:
     return _Row(side, _memberships, verdicts)
 
 
-def _chain_rows(ctx: HullContext, memo: Optional[dict]) -> tuple[_Row, _Row, _Row]:
-    """The rows of the five chain statements under `ctx`: hull
-    commutation, and the memberships over the system and over its
-    complement system."""
-    return _hull_row(ctx, memo), _side_row(ctx._side, memo), _side_row(ctx._compl_side, memo)
+def _chain_rows(
+    cl: Sequence[int], sides: tuple[_Side, _Side], memo: Optional[dict]
+) -> tuple[_Row, _Row, _Row]:
+    """The rows of the five chain statements under a system whose closure
+    table is `cl` and whose sides are `sides` (_sides): hull commutation,
+    and the memberships over the system and over its complement system."""
+    side, compl_side = sides
+    return _hull_row(cl, memo), _side_row(side, memo), _side_row(compl_side, memo)
+
+
+def _system_rows(system: SetSystem, conv: ClosureConvention) -> tuple[_Row, _Row, _Row]:
+    """_chain_rows of `system` under `conv`, in rows local to the call."""
+    n = system.ground.size
+    return _chain_rows(closure_map(system, conv), _sides(n, family_of(n, system.masks)), None)
 
 
 def _chain_bits(rows: tuple[_Row, _Row, _Row], f: EndoFunction) -> int:
     """The five chain statements on the map f, as bits (bit i: statement
-    i of PhaseChainRecord), read off a context's rows (_chain_rows)."""
+    i of PhaseChainRecord), read off a system's rows (_chain_rows)."""
     commutes, side, compl_side = rows
     # a sweep finds most maps decided: the verdicts are read in place, and
     # only a missing one is decided through _Row.of (three calls of it per
@@ -299,7 +360,7 @@ def phase_chain_check(
     for g in gens:
         if g.ground != system.ground:
             raise GroundMismatchError(f"{g.ground} vs {system.ground}")
-    rows = _chain_rows(system.context(conv), None)
+    rows = _system_rows(system, conv)
     bits = ALL_STATEMENTS
     for g in gens:
         bits &= _chain_bits(rows, g)

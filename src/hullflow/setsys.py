@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import operator
-import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache, reduce
+from typing import Iterable, Sequence
 
 from . import kernels
 
@@ -120,34 +119,10 @@ class SetSystem:
         return reduce(operator.or_, self.masks, 0)
 
     def covers_ground(self) -> bool:
-        return self._covers
-
-    @cached_property
-    def _covers(self) -> bool:
-        # private, as per-layer tracing (sweepbench) replaces public cached
-        # properties with functions
-        return reduce(operator.or_, self.masks, 0) == (1 << self.ground.size) - 1
+        return self.union_mask() == self.ground.full_mask
 
     def without_empty(self) -> "SetSystem":
         return SetSystem(self.ground, tuple(m for m in self.masks if m))
-
-    def context(self, conv: "ClosureConvention") -> "HullContext":
-        """The system's hull context under `conv`, made on first ask and
-        kept with the system, so every claim over it reads one closure
-        table whatever order a space visits it in."""
-        contexts = self._contexts
-        ctx = contexts.get(conv)
-        if ctx is None:
-            ctx = contexts[conv] = HullContext(self, conv)
-        return ctx
-
-    @cached_property
-    def _contexts(self) -> dict["ClosureConvention", "HullContext"]:
-        return {}
-
-    def __getstate__(self) -> dict:
-        # a context holds its system weakly, so a copy makes its own
-        return {k: v for k, v in vars(self).items() if k != "_contexts"}
 
     def __repr__(self) -> str:
         return "[" + " ".join(repr(s) for s in self.members) + "]"
@@ -160,10 +135,6 @@ class ClosureConvention(enum.Enum):
 
     FULL = "full"
     NONEMPTY = "nonempty"
-
-    # each member is the one object of its value, so identity hashing keys
-    # it in a dict (SetSystem.context) without Enum.__hash__'s Python call
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -192,12 +163,6 @@ def complement_system(system: SetSystem) -> SetSystem:
     return SetSystem(system.ground, tuple(full ^ m for m in system.masks))
 
 
-def _hull_sources(system: SetSystem, l: int, conv: ClosureConvention) -> Sequence[int]:
-    if l == 0:
-        return system.masks
-    return _complements(system.ground.size, system.masks, conv)
-
-
 def _complements(n: int, masks: Sequence[int], conv: ClosureConvention) -> list[int]:
     """The complements of the members, the empty one left out under
     NONEMPTY."""
@@ -217,7 +182,7 @@ def hull(
     matters only when the complement system is the source (l = 1)."""
     if q.ground != system.ground:
         raise GroundMismatchError(f"{q.ground} vs {system.ground}")
-    sources = _hull_sources(system, kind.l, conv)
+    sources = _complements(system.ground.size, system.masks, conv) if kind.l else system.masks
     return Subset(system.ground, kernels.hull_value(sources, q.bits, kind.j, kind.k))
 
 
@@ -233,10 +198,11 @@ def closure_map(
     system: SetSystem, conv: ClosureConvention = ClosureConvention.FULL
 ) -> Sequence[int]:
     """Closure of every subset of the ground, indexed by mask; closure()
-    gives the same value for one subset.  The table is the system's
-    context's, built once: callers read it and never change it.  Up to
-    n=4 it is immutable `bytes` (see closure_tables_of)."""
-    return system.context(conv)._cl
+    gives the same value for one subset.  Built from the system's family
+    bitmask on each call (closure_map_of): a caller that reads it often
+    keeps it.  Up to n=4 it is immutable `bytes` (see closure_tables_of)."""
+    n = system.ground.size
+    return closure_map_of(n, family_of(n, system.masks), conv)
 
 
 #: The cell byte of a packed table (see _family_tables) where no source
@@ -337,6 +303,14 @@ def family_of(n: int, masks: Iterable[int]) -> int:
         digits[m] = 49  # ord("1")
     digits.reverse()
     return int(digits, 2)
+
+
+def complement_family(n: int, family: int) -> int:
+    """The family bitmask of the ground-complements of the members of the
+    system on n points whose family bitmask is `family`: the complement of
+    member m is 2^n - 1 - m, so it is `family`'s 2^n binary digits in
+    reverse order."""
+    return int(format(family, f"0{1 << n}b")[::-1], 2)
 
 
 def _byte_members(low: int) -> tuple[tuple[int, ...], ...]:
@@ -491,74 +465,3 @@ def fibration_classes(cl: Sequence[int]) -> tuple[dict[int, tuple[int, int]], di
         classes[key] = least, cells | 1 << (z - least)
         cores[key] = cores.get(key, z) & z
     return classes, cores
-
-
-class HullContext:
-    """What one system is under one convention, as the claims over it read
-    it, each part built on first use and kept: the closure table
-    (closure_map), the complement system, the fibration classes (each
-    class's shifted family bitmask, from fibration_classes, mapped to its
-    cells), the family bitmask of the complement-free subsets, those
-    outside the complement side's up-closure (which does not depend on
-    the convention), and both sides of Cantor's memberships, the system's
-    and its complement system's: each side's minimal nonempty members,
-    their family bitmask and its up-closure, so a map's memberships on a
-    side take the images of those members alone (see cantor).
-
-    It keeps no verdict: what a sweep decides is kept in the sweep's memo
-    (verify.Claim), by keys that many systems share.  The fields are
-    private, as per-layer tracing (sweepbench) replaces public cached
-    properties with functions."""
-
-    def __init__(self, system: SetSystem, conv: ClosureConvention) -> None:
-        # held weakly, as the system keeps its contexts: with no cycle
-        # between them, dropping the system frees both at once
-        self._system, self.conv = weakref.ref(system), conv
-
-    @cached_property
-    def _cl(self) -> Sequence[int]:
-        n = self._system().ground.size
-        return closure_map_of(n, family_of(n, self._system().masks), self.conv)
-
-    @cached_property
-    def _compl(self) -> SetSystem:
-        return complement_system(self._system())
-
-    @cached_property
-    def _classes(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        classes, _ = fibration_classes(self._cl)
-        return {
-            (least, cells): tuple(map(least.__add__, family_members(cells)))
-            for least, cells in classes.values()
-        }
-
-    @cached_property
-    def _unfamily(self) -> int:
-        return ~self._compl_side.up & (1 << (1 << self._system().ground.size)) - 1
-
-    @cached_property
-    def _side(self) -> "_Side":
-        return _Side.of(self._system().ground.size, self._system().masks)
-
-    @cached_property
-    def _compl_side(self) -> "_Side":
-        return _Side.of(self._system().ground.size, self._compl.masks)
-
-
-class _Side(NamedTuple):
-    """One side of Cantor's memberships over a system on n points: its
-    minimal nonempty members (those holding no other nonempty member),
-    their family bitmask and its up-closure, every subset holding a
-    nonempty member.  The family bitmask of the nonempty members is folded
-    by family_of, which caps n at DEFAULT_ENUM_CAP."""
-
-    n: int
-    members: tuple[int, ...]
-    family: int
-    up: int
-
-    @classmethod
-    def of(cls, n: int, masks: Sequence[int]) -> "_Side":
-        up = kernels.up_closure(n, family_of(n, masks) & ~1)
-        family = kernels.minimal_members(n, up)
-        return cls(n, family_members(family), family, up)

@@ -1,14 +1,15 @@
 """Theorem checkers and the instance-space sweep engine.
 
 Every registered claim has one checker body, which takes a block of runs
-of the claim's factor values (member masks or systems, generator sets,
-subset masks, self-maps; see Claim) and returns a Verdict for each, in
-order: holds, fails, or skipped when the values are outside the claim's
-domain (for example, an attractor side that is ill-formed because the
-closed family does not cover the ground).  Sweeps pass the body the runs
-their instance space indexes or the values their sampler draws, and build
-an Instance only for a failing verdict whose witness they keep;
-`check_theorem` unpacks an Instance into the same values, a run of one.
+of the claim's factor values (family bitmasks, member masks or systems,
+generator sets, subset masks, self-maps; see Claim) and returns a Verdict
+for each, in order: holds, fails, or skipped when the values are outside
+the claim's domain (for example, an attractor side that is ill-formed
+because the closed family does not cover the ground).  Sweeps pass the
+body the runs their instance space indexes or the values their sampler
+draws, and build an Instance only for a failing verdict whose witness
+they keep; `check_theorem` unpacks an Instance into the same values, a
+run of one.
 Every failing verdict handed out carries a replayable witness.  Sweeps
 aggregate verdicts and are byte-reproducible for fixed parameters and seed.
 
@@ -42,13 +43,7 @@ from .attract import (
     saturation_coherent,
     transport,
 )
-from .cantor import (
-    ALL_STATEMENTS,
-    ExplicationRecord,
-    PhaseChainRecord,
-    fibration_integrity,
-    preserves_unfamily,
-)
+from .cantor import ALL_STATEMENTS, ExplicationRecord, PhaseChainRecord
 from .dynsys import Autobolism, DiscreteFlow, EndoFunction, invariant_sets, orbit_partition
 from .instances import Instance, InstanceError
 from .setsys import (
@@ -282,21 +277,6 @@ def _covering_families(n: int) -> array:
     return array("H", families)
 
 
-def _families(ground: GroundSet) -> Callable[[int], SetSystem]:
-    """Family bitmask -> set system on `ground`.  It keeps the last 256
-    systems it built: every covering family at n <= 3, so a space whose
-    family is its innermost factor builds each system once, and at n=4 the
-    family that the next ordinals of a space mostly ask for again."""
-    return functools.lru_cache(maxsize=256)(
-        lambda family: SetSystem(ground, family_members(family))
-    )
-
-
-def _systems_of(n: int) -> _Mapped:
-    """The covering systems on n points, each built when indexed."""
-    return _Mapped(_families(GroundSet(n)), _covering_families(n))
-
-
 def enum_topologies(n: int) -> Iterator[SetSystem]:
     """All labeled topologies: families containing the empty set and the
     ground, closed under pairwise union and intersection."""
@@ -359,6 +339,33 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
 # tuple of values, in the order of the factors of the claim's space,
 # registered through `_each`, or `_check_x(ground, conv, runs, memo) ->
 # list[Verdict]` on a block of runs of them (see Claim)
+
+def _on_systems(
+    read: Callable[[int, Any, ClosureConvention], Any], run: Callable[..., list[Verdict]]
+) -> Callable[..., list[Verdict]]:
+    """The block body of a claim whose outer factor is a system (a family
+    bitmask or members): `run(ground, system, read(n, system, conv),
+    inner, memo)` gives a run's verdicts.  A system read as None (_COVER)
+    is skipped.  A share block may cut a system's run, which goes on in
+    the next block, so a sweep's memo keeps the last system's reading
+    under "last": one reading per system."""
+
+    def checker(
+        ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+    ) -> list[Verdict]:
+        n, out, kept = ground.size, [], {} if memo is None else memo
+        for (system,), inner in runs:
+            if system is None:
+                out += [_skip("system does not cover the ground")] * len(inner)
+                continue
+            last = kept.get("last")
+            if last is None or last[0] != system:
+                last = kept["last"] = system, read(n, system, conv)
+            out += run(ground, system, last[1], inner, memo)
+        return out
+
+    return checker
+
 
 def _check_s1_1(
     ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: Optional[dict]
@@ -530,12 +537,13 @@ def _invariant_partitions(flow: DiscreteFlow) -> Iterator[list[int]]:
 
 
 def _closed_partitions(
-    ground: GroundSet, name: str, sys: SetSystem, flow: DiscreteFlow, cl: list[int]
+    ground: GroundSet, name: str, members: Sequence[int], flow: DiscreteFlow,
+    cl: Sequence[int],
 ) -> Verdict:
-    """Holds when the closure under `sys`, whose table is `cl`, of every
-    invariant partition of the flow is again an invariant partition; the
-    failing witness keeps `sys` under its own name and adds the partition
-    as `P`."""
+    """Holds when the closure under the system of `members`, whose table
+    is `cl`, of every invariant partition of the flow is again an
+    invariant partition; the failing witness keeps the system under
+    `name` and adds the partition as `P`."""
     invariant = set(invariant_sets(flow).masks) | {0}
     for part in _invariant_partitions(flow):
         closed = sorted({cl[p] for p in part})
@@ -544,7 +552,8 @@ def _closed_partitions(
         ):
             return _fails(
                 f"closures {closed} are not an invariant partition",
-                systems={name: sys, "P": SetSystem(ground, tuple(part))},
+                systems={name: SetSystem(ground, tuple(members)),
+                         "P": SetSystem(ground, tuple(part))},
             )
     return _HOLDS
 
@@ -553,91 +562,72 @@ def _check_s2_2(
     ground: GroundSet, conv: ClosureConvention, t: SetSystem, flow: DiscreteFlow,
     memo: Optional[dict],
 ) -> Verdict:
-    if not classify(t, conv).is_topology:
+    """S2_2 on a topology and a flow.  Whether `t` is a topology and its
+    closure table are read once per document, and once per topology in a
+    sweep, whose memo keeps both by its masks."""
+    known = {} if memo is None else memo
+    if t.masks not in known:
+        known[t.masks] = classify(t, conv).is_topology, closure_map(t, conv)
+    is_topology, cl = known[t.masks]
+    if not is_topology:
         return _skip("not a topology")
     if not _continuous(flow, t):
         return _holds("flow not continuous; premise not met")
-    return _closed_partitions(ground, "T", t, flow, closure_map(t, conv))
+    return _closed_partitions(ground, "T", t.masks, flow, cl)
 
 
-def _unmet_premise(
-    conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow, memo: Optional[dict]
-) -> Optional[Verdict]:
-    """The premise step of B3_2 and S3_3: their verdict where the system
-    does not cover the ground or the flow does not commute with the hull,
-    and None where both premises hold.  Commuting is decided on the
-    generators, as it is closed under composition, by the hull row of the
-    system's context (cantor._hull_row)."""
-    if not sys.covers_ground():
-        return _skip("system does not cover the ground")
-    if not all(map(cantor._hull_row(sys.context(conv), memo).of, flow.generators())):
-        return _holds("flow does not commute with the hull; premise not met")
-    return None
-
-
-def _check_b3_2(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow,
-    memo: Optional[dict],
-) -> Verdict:
-    return _unmet_premise(conv, sys, flow, memo) or _closed_partitions(
-        ground, "A", sys, flow, closure_map(sys, conv)
-    )
-
-
-def _check_s3_3(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, flow: DiscreteFlow,
-    memo: Optional[dict],
-) -> Verdict:
-    unmet = _unmet_premise(conv, sys, flow, memo)
-    if unmet:
-        return unmet
-    report = room_report(flow, closure_map(sys, conv), conv)
-    if report.attractors is None:
-        return _skip("closed family does not cover the ground; attractor side undefined")
-    if report.partition and report.attractors:
-        return _HOLDS
-    return _fails(
-        f"rooms={report.rooms!r} partition={report.partition} "
-        f"attractors={report.attractors}"
-    )
-
-
-def _b3_4_verdict(flow: DiscreteFlow, table: Sequence[int], conv: ClosureConvention) -> Verdict:
-    """B3_4's verdict on a covering system, whose closure table is `table`,
-    under the flow: the room report reads the flow only through its orbit
-    blocks."""
-    report = room_report(flow, table, conv)
-    if report.attractors is None:
-        return _skip("closed family does not cover the ground; attractor side undefined")
-    if report.invariant == report.attractors:
-        return _HOLDS
-    return _fails(
-        f"rooms={report.rooms!r} invariant={report.invariant} "
-        f"attractors={report.attractors}"
-    )
-
-
-def _check_b3_4(
-    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+def _premised(
+    ground: GroundSet, family: int, cl: Sequence[int], flows: Sequence[DiscreteFlow],
+    memo: Optional[dict], rooms: bool,
 ) -> list[Verdict]:
-    """B3_4's verdict on each (system, flow) of a block of runs, in order
-    (the flow is the inner factor).  Whether the system covers the ground
-    and its closure table are read once per run, and its row of verdicts,
-    one per orbit partition, is kept by its masks in a sweep's memo or,
-    without one, for the run."""
+    """The verdicts of B3_2 (or of S3_3, with `rooms`) on a run of flows
+    under a system whose closure table is `cl`.  Commuting with the hull,
+    their premise, is closed under composition, so it is decided on the
+    generators by the table's hull row (cantor._hull_row)."""
+    commutes, out = cantor._hull_row(cl, memo).of, []
+    for flow in flows:
+        if not all(map(commutes, flow.generators())):
+            out.append(_holds("flow does not commute with the hull; premise not met"))
+        elif rooms:
+            out.append(_room_verdict(flow, cl, False))
+        else:
+            out.append(_closed_partitions(ground, "A", family_members(family), flow, cl))
+    return out
+
+
+def _room_verdict(flow: DiscreteFlow, table: Sequence[int], b3_4: bool) -> Verdict:
+    """The verdict of S3_3 (the rooms partition the ground and are
+    attractors) or of B3_4 (the rooms are invariant exactly when they are
+    attractors) under the closure table `table` and the flow, whose room
+    report reads the flow only through its orbit blocks."""
+    report = room_report(flow, table)
+    if report.attractors is None:
+        return _skip("closed family does not cover the ground; attractor side undefined")
+    if b3_4:
+        holds, named = report.invariant == report.attractors, f"invariant={report.invariant}"
+    else:
+        holds = report.partition and report.attractors
+        named = f"partition={report.partition}"
+    if holds:
+        return _HOLDS
+    return _fails(f"rooms={report.rooms!r} {named} attractors={report.attractors}")
+
+
+def _b3_4_run(
+    ground: GroundSet, family: int, table: Sequence[int], flows: Sequence[DiscreteFlow],
+    memo: Optional[dict],
+) -> list[Verdict]:
+    """B3_4's verdicts on a run of flows under the closure table `table`,
+    all its verdict reads of the system: a row of them, one per orbit
+    partition, is kept by the table in a sweep's memo or for the run."""
+    row = {} if memo is None else memo.setdefault(table, {})
     out = []
-    for (sys,), flows in runs:
-        if not sys.covers_ground():
-            out += [_skip("system does not cover the ground")] * len(flows)
-            continue
-        table = closure_map(sys, conv)
-        row = {} if memo is None else memo.setdefault(sys.masks, {})
-        for flow in flows:
-            blocks = flow.orbit_blocks()
-            verdict = row.get(blocks)
-            if verdict is None:
-                verdict = row[blocks] = _b3_4_verdict(flow, table, conv)
-            out.append(verdict)
+    for flow in flows:
+        blocks = flow.orbit_blocks()
+        verdict = row.get(blocks)
+        if verdict is None:
+            verdict = row[blocks] = _room_verdict(flow, table, True)
+        out.append(verdict)
     return out
 
 
@@ -675,13 +665,14 @@ _CHAIN_VARIANTS = (
 
 
 def _chain_verdict(
-    flow: DiscreteFlow, covering: SetSystem, conv: ClosureConvention, families: Optional[dict]
+    flow: DiscreteFlow, members: Sequence[int], table: Sequence[int], families: Optional[dict]
 ) -> Verdict:
-    """CHAIN_karrenk's verdict on a cyclic flow and a covering that covers
-    the ground; `families` is the sweep's memo of conventional families by
-    block-incidence family (attract._free_attractors)."""
+    """CHAIN_karrenk's verdict on a cyclic flow and the covering of
+    `members`, whose closure table is `table`; `families` is the sweep's
+    memo of conventional families by block-incidence family
+    (attract._free_attractors)."""
     weak, conventional, plus, minus = _free_attractors(
-        flow, covering, conv, _CHAIN_VARIANTS, families
+        flow, members, table, _CHAIN_VARIANTS, families
     )
     # one set of the conventional family, which the monotone ones are
     # compared against; a family's masks are ascending and distinct
@@ -694,35 +685,36 @@ def _chain_verdict(
     )
 
 
-#: The key of a sweep's memo under which CHAIN_karrenk keeps its
-#: conventional families by block-incidence family; its rows of verdicts
-#: are kept by orbit blocks, which are tuples.
-_FAMILIES = "families"
-
-
 def _check_chain(
     ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
 ) -> list[Verdict]:
     """CHAIN_karrenk's verdict on each (cycle, covering) of a block of
-    runs, in order (the covering is the inner factor).  The verdict reads
-    the flow only through its orbit blocks (and whether it is cyclic), so
-    each orbit partition has a row of verdicts, one per covering, read
-    once per run: kept by the orbit blocks in a sweep's memo or, without
-    one, for the run."""
-    out = []
-    families = None if memo is None else memo.setdefault(_FAMILIES, {})
+    runs, in order (the covering, a family bitmask or None (_COVER), is the
+    inner factor).  The verdict reads the flow only through its orbit
+    blocks (and whether it is cyclic), so each orbit partition has a row
+    of verdicts by covering, kept by the orbit blocks in a sweep's memo
+    or for the run.  The memo also keeps the conventional families by
+    block-incidence family, and each covering's closure table."""
+    n, out = ground.size, []
+    families = None if memo is None else memo.setdefault("families", {})
+    tables = {} if memo is None else memo.setdefault("tables", {})
     for (flow,), coverings in runs:
         if not flow.is_cyclic:
             out += [_skip("monotone variants need a cyclic flow")] * len(coverings)
             continue
         row = {} if memo is None else memo.setdefault(flow.orbit_blocks(), {})
-        for covering in coverings:
-            if not covering.covers_ground():
+        for family in coverings:
+            if family is None:
                 out.append(_skip("system does not cover the ground"))
                 continue
-            verdict = row.get(covering.masks)
+            verdict = row.get(family)
             if verdict is None:
-                verdict = row[covering.masks] = _chain_verdict(flow, covering, conv, families)
+                table = tables.get(family)
+                if table is None:
+                    table = tables[family] = closure_map_of(n, family, conv)
+                verdict = row[family] = _chain_verdict(
+                    flow, family_members(family), table, families
+                )
             out.append(verdict)
     return out
 
@@ -732,15 +724,14 @@ def _check_b3_6(
 ) -> Verdict:
     """B3_6 on the system whose family bitmask is `family`, read off its
     closure table with no SetSystem built: the complement-free subsets
-    are those outside the up-closure of the nonempty complements, and the
-    claim holds when the families {(q & key) | core : q complement-free},
-    one per fibration class, are the classes.  Each is compared shifted
-    (setsys.shifted) by its least member, its core (q = 0 is always
-    free), so member (q & key) | core is bit q & key & ~core."""
-    n, full = ground.size, ground.full_mask
+    (cantor._free_family) are those outside the up-closure of the nonempty
+    complements, and the claim holds when the families {(q & key) | core :
+    q complement-free}, one per fibration class, are the classes.  Each is
+    compared shifted (setsys.shifted) by its least member, its core (q = 0
+    is always free), so member (q & key) | core is bit q & key & ~core."""
+    n = ground.size
     classes, cores = fibration_classes(closure_map_of(n, family, conv))
-    complements = family_of(n, [full ^ m for m in family_members(family) if m != full])
-    free = family_members(~kernels.up_closure(n, complements) & (1 << (1 << n)) - 1)
+    free = family_members(cantor._free_family(n, family))
     represented = set()
     for key, core in cores.items():
         rest, trace = key & ~core, 0
@@ -752,37 +743,46 @@ def _check_b3_6(
     return _fails("closed-set representation does not reproduce the fibration")
 
 
-def _check_b3_7(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction,
+def _fibration(n: int, family: int, conv: ClosureConvention) -> tuple:
+    """B3_7's reading of a system: its fibration classes and free family."""
+    return cantor._classes(closure_map_of(n, family, conv)), cantor._free_family(n, family)
+
+
+def _b3_7_run(
+    ground: GroundSet, family: int, parts: tuple, maps: Sequence[EndoFunction],
     memo: Optional[dict],
-) -> Verdict:
-    integ = fibration_integrity(f, sys, conv)
-    pres = preserves_unfamily(f, sys, conv)
-    if integ == pres:
-        return _HOLDS
-    return _fails(f"integrity={integ} preserves_unfamily={pres}")
-
-
-def _check_s3_8(
-    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict],
-    bijective: bool,
 ) -> list[Verdict]:
-    """S3_8's verdict on each (system, map) of a block of runs, in order:
-    the map's explication record, whose three fields agree when the claim
-    holds.  The record is read off the map's five chain statements, which
-    key the verdict (_explication_verdict), from the rows of the system's
-    context (cantor._chain_rows), fetched at the run's first map."""
+    """B3_7's verdicts on a run of maps: fibration integrity against the
+    preservation of the complement-free family."""
+    classes, free = parts
     out = []
-    for (sys,), maps in runs:
-        rows = None
-        for f in maps:
-            if bijective and not f.is_bijective():
-                out.append(_skip("not a bijection"))
-                continue
-            if rows is None:
-                rows = cantor._chain_rows(sys.context(conv), memo)
-            out.append(_explication_verdict(cantor._chain_bits(rows, f)))
+    for f in maps:
+        table = f.mask_table()
+        integ, pres = cantor._integrity(table, classes), cantor._preserves(table, free)
+        out.append(_HOLDS if integ == pres else _fails(
+            f"integrity={integ} preserves_unfamily={pres}"
+        ))
     return out
+
+
+def _chain_parts(n: int, family: int, conv: ClosureConvention) -> tuple:
+    """S3_8's and K3_9's reading of a system: its closure table and sides,
+    under which its chain statements' rows are fetched (cantor._chain_rows)."""
+    return closure_map_of(n, family, conv), cantor._sides(n, family)
+
+
+def _s3_8_run(
+    ground: GroundSet, family: int, parts: tuple, maps: Sequence[EndoFunction],
+    memo: Optional[dict], bijective: bool,
+) -> list[Verdict]:
+    """S3_8's verdicts on a run of maps, keyed by the map's five chain
+    statements (_explication_verdict)."""
+    rows = cantor._chain_rows(*parts, memo)
+    return [
+        _skip("not a bijection") if bijective and not f.is_bijective()
+        else _explication_verdict(cantor._chain_bits(rows, f))
+        for f in maps
+    ]
 
 
 @functools.cache
@@ -800,26 +800,19 @@ def _explication_verdict(bits: int) -> Verdict:
     )
 
 
-def _check_k3_9(
-    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+def _k3_9_run(
+    ground: GroundSet, family: int, parts: tuple, flows: Sequence[DiscreteFlow],
+    memo: Optional[dict],
 ) -> list[Verdict]:
-    """K3_9's verdict on each (system, flow) of a block of runs, in order
-    (the flow is the inner factor): the group's statements, decided on its
-    generators as in phase_chain_check, hold together or fail together.
-    Whether the system covers the ground and the rows of its context
-    (cantor._chain_rows) are read once per run, and the generators'
-    statements are ANDed here."""
-    out = []
-    for (sys,), flows in runs:
-        if not sys.covers_ground():
-            out += [_skip("system does not cover the ground")] * len(flows)
-            continue
-        rows = cantor._chain_rows(sys.context(conv), memo)
-        for flow in flows:
-            bits = ALL_STATEMENTS
-            for g in flow.gens:
-                bits &= cantor._chain_bits(rows, g)
-            out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
+    """K3_9's verdicts on a run of flows: the group's statements, decided
+    on its generators as in phase_chain_check, hold together or fail
+    together.  The generators' statements are ANDed here."""
+    rows, out = cantor._chain_rows(*parts, memo), []
+    for flow in flows:
+        bits = ALL_STATEMENTS
+        for g in flow.gens:
+            bits &= cantor._chain_bits(rows, g)
+        out.append(_HOLDS if bits == 0 or bits == ALL_STATEMENTS else _chain_fails(bits))
     return out
 
 
@@ -830,41 +823,63 @@ def _chain_fails(bits: int) -> Verdict:
     return _fails(f"chain statements {PhaseChainRecord.of_bits(bits).statements}")
 
 
-def _check_b3_10(
-    ground: GroundSet, conv: ClosureConvention, sys: SetSystem, f: EndoFunction,
+def _side(n: int, masks: Sequence[int], conv: ClosureConvention) -> Any:
+    """B3_10's reading of a system: its side, or None above DEFAULT_ENUM_CAP
+    points, where no side of 2^n bits is built."""
+    return cantor._Side.of(n, family_of(n, masks)) if n <= DEFAULT_ENUM_CAP else None
+
+
+def _b3_10_run(
+    ground: GroundSet, masks: tuple[int, ...], side: Any, maps: Sequence[EndoFunction],
     memo: Optional[dict],
-) -> Verdict:
-    if not f.is_bijective():
-        return _skip("not a bijection")
-    if ground.size <= DEFAULT_ENUM_CAP:
-        # bit 0 the plus membership, bit 1 the minus one
-        bits = cantor._side_row(sys.context(conv)._side, memo).of(f)
-        plus, minus = bits & 1 == 1, bits > 1
-    else:
-        # no side of 2^n bits: the pair scan
-        plus, minus = (cantor.cantor_membership(f, sys, sign) for sign in (True, False))
-    if plus == minus:
-        return _HOLDS
-    return _fails(f"plus={plus} minus={minus}")
+) -> list[Verdict]:
+    """B3_10's verdicts on a run of bijections under the system of
+    `masks`: its plus and its minus membership, from the side's row
+    (cantor._side_row) or, with no side, cantor_membership's pair scan."""
+    out = []
+    for f in maps:
+        if not f.is_bijective():
+            out.append(_skip("not a bijection"))
+            continue
+        if side is None:
+            sys = SetSystem(ground, masks)
+            plus, minus = (cantor.cantor_membership(f, sys, sign) for sign in (True, False))
+        else:
+            # bit 0 the plus membership, bit 1 the minus one
+            bits = cantor._side_row(side, memo).of(f)
+            plus, minus = bits & 1 == 1, bits > 1
+        out.append(_HOLDS if plus == minus else _fails(f"plus={plus} minus={minus}"))
+    return out
+
+
+_check_b3_2 = _on_systems(closure_map_of, partial(_premised, rooms=False))
+_check_s3_3 = _on_systems(closure_map_of, partial(_premised, rooms=True))
+_check_b3_4 = _on_systems(closure_map_of, _b3_4_run)
+_check_b3_7 = _on_systems(_fibration, _b3_7_run)
+_check_s3_8_bij = _on_systems(_chain_parts, partial(_s3_8_run, bijective=True))
+_check_s3_8_all = _on_systems(_chain_parts, partial(_s3_8_run, bijective=False))
+_check_k3_9 = _on_systems(_chain_parts, _k3_9_run)
+_check_b3_10 = _on_systems(_side, _b3_10_run)
 
 
 def _check_covar(
-    ground: GroundSet, conv: ClosureConvention, cycle: DiscreteFlow, sys: SetSystem,
-    relabel: Optional[Autobolism], memo: Optional[dict],
+    ground: GroundSet, conv: ClosureConvention, cycle: DiscreteFlow,
+    masks: Optional[tuple[int, ...]], relabel: Optional[Autobolism], memo: Optional[dict],
 ) -> Verdict:
-    """`relabel` is None only where `_unpack_covar` read a system that does
-    not cover the ground, which is skipped first."""
-    if not sys.covers_ground():
+    """`masks` and `relabel` are None only where `_unpack_covar` read a
+    system that does not cover the ground, which is skipped first."""
+    if masks is None:
         return _skip("system does not cover the ground")
-    moved_flow, moved_sys = transport(cycle, sys, relabel)
-    # the untransported family, kept in a sweep's memo by the system and
-    # the orbit blocks, which are all of the flow that free_attractors reads
+    # the system and its untransported family, kept in a sweep's memo by
+    # its members and the orbit blocks, all of the flow free_attractors reads
     originals = {} if memo is None else memo
-    key = sys.masks, cycle.orbit_blocks()
+    key = masks, cycle.orbit_blocks()
     if key not in originals:
-        [originals[key]] = free_attractors(cycle, sys, conv)
-    [moved] = free_attractors(moved_flow, moved_sys, conv)
-    expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in originals[key].masks))
+        sys = SetSystem(ground, masks)
+        originals[key] = sys, *free_attractors(cycle, sys, conv)
+    sys, original = originals[key]
+    [moved] = free_attractors(*transport(cycle, sys, relabel), conv)
+    expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in original.masks))
     if moved == expected:
         return _HOLDS
     return _fails(f"transported={moved!r} != relabeled originals={expected!r}")
@@ -998,17 +1013,33 @@ def _subset_factor(name: str, least: int) -> _Factor:
     )
 
 
+def _family_factor(name: str, covering: bool) -> _Factor:
+    """Set systems as family bitmasks (bit m set when subset m is a
+    member), named `name` in a witness.  Where `covering`, a document's
+    system that does not cover the ground reads as None, for its body to
+    skip, before its members are folded (which above the cap raises)."""
+
+    def read(inst: Instance) -> Optional[int]:
+        sys = _get_system(inst, name)
+        skipped = covering and not sys.covers_ground()
+        return None if skipped else family_of(inst.ground.size, sys.masks)
+
+    return _Factor(
+        _covering_families,
+        lambda rnd, ground: family_of(ground.size, _sample_masks(rnd, ground)),
+        lambda inst, family: inst.systems.update(
+            {name: SetSystem(inst.ground, family_members(family))}
+        ),
+        read,
+    )
+
+
 _TOPOLOGY = _system_factor("T", _topology_list, _sample_topology)
-#: A covering system A.
-_SYSTEM = _system_factor("A", _systems_of, _sample_system)
-#: A covering system A as its family bitmask: the bodies on it unpack the
-#: members only where they need them.
-_FAMILY = _Factor(
-    _covering_families,
-    lambda rnd, ground: family_of(ground.size, _sample_masks(rnd, ground)),
-    lambda inst, family: inst.systems.update(A=SetSystem(inst.ground, family_members(family))),
-    lambda inst: family_of(inst.ground.size, _get_system(inst, "A").masks),
-)
+#: A covering system A as its family bitmask, read from any document.
+_FAMILY = _family_factor("A", covering=False)
+#: The same, read as None from a document whose system does not cover the
+#: ground.
+_COVER = _family_factor("A", covering=True)
 #: A covering system A as its member masks.
 _MEMBERS = _Factor(
     lambda n: _Mapped(family_members, _covering_families(n)),
@@ -1030,11 +1061,13 @@ _CYCLE = _GENSET._replace(
     count=math.factorial,
 )
 #: The covering Z of CHAIN_karrenk.
-_COVERING = _system_factor("Z", _systems_of, _sample_system)
+_COVER_Z = _family_factor("Z", covering=True)
 #: The covering Z of B2_3d: exhaustive mode sweeps the power set alone,
 #: while random mode draws arbitrary coverings, so the two modes test
 #: different claims.
-_POWERSET = _COVERING._replace(values=lambda n: [SetSystem.powerset(GroundSet(n))])
+_POWERSET = _system_factor(
+    "Z", lambda n: [SetSystem.powerset(GroundSet(n))], _sample_system
+)
 _SELF_MAP = _Factor(
     _functions,
     lambda rnd, ground: EndoFunction(
@@ -1096,24 +1129,20 @@ class _Space(NamedTuple):
 
 _TOPOLOGIES = _Space((_TOPOLOGY,))
 _SYSTEMS = _Space((_FAMILY,))
+_COVERS = _Space((_COVER,))
 _SYSTEMS_SUBSETS = _Space((_MEMBERS, _SUBSET))
 _GENSETS_SUBSETS = _Space((_GENSET, _CHI), order=(1, 0))
 _TOPOLOGIES_GENSETS = _Space((_TOPOLOGY, _GENSET))
-_SYSTEMS_GENSETS = _Space((_SYSTEM, _GENSET), order=(1, 0))
+_COVERS_GENSETS = _Space((_COVER, _GENSET), order=(1, 0))
 _CYCLES_POWERSET = _Space((_CYCLE, _POWERSET))
-_CYCLES_COVERINGS = _Space((_CYCLE, _COVERING))
-_SYSTEMS_FUNCTIONS = _Space((_SYSTEM, _SELF_MAP), order=(1, 0))
-_SYSTEMS_BIJECTIONS = _Space((_SYSTEM, _BIJECTION), order=(1, 0))
-_RELABELINGS = _Space((_CYCLE, _SYSTEM, _RELABELING), order=(1, 0, 2))
+_CYCLES_COVERS = _Space((_CYCLE, _COVER_Z))
+_SYSTEMS_FUNCTIONS = _Space((_FAMILY, _SELF_MAP), order=(1, 0))
+_SYSTEMS_BIJECTIONS = _Space((_FAMILY, _BIJECTION), order=(1, 0))
+_MEMBERS_BIJECTIONS = _Space((_MEMBERS, _BIJECTION), order=(1, 0))
+_RELABELINGS = _Space((_CYCLE, _MEMBERS, _RELABELING), order=(1, 0, 2))
 
 
 # the claims whose documents are not read factor by factor
-
-def _unpack_idem(inst: Instance) -> tuple:
-    # a system that does not cover the ground is skipped before its members
-    # are folded, which above the enumeration cap raises
-    return (_FAMILY.read(inst) if _SYSTEM.read(inst).covers_ground() else None,)
-
 
 def _unpack_l1_3(inst: Instance) -> tuple:
     chi = _CHI.read(inst)
@@ -1122,20 +1151,22 @@ def _unpack_l1_3(inst: Instance) -> tuple:
 
 
 def _unpack_k3_9(inst: Instance) -> tuple:
-    sys = _SYSTEM.read(inst)
+    family = _COVER.read(inst)
     perms = inst.permutations
     if not perms:
         raise InstanceError("permutations", "missing")
     # the chain reads the permutations, in the order of their names, and no
     # flow
-    return sys, DiscreteFlow.of_group([perms[k] for k in sorted(perms)])
+    return family, DiscreteFlow.of_group([perms[k] for k in sorted(perms)])
 
 
 def _unpack_covar(inst: Instance) -> tuple:
-    sys, cycle = _SYSTEM.read(inst), _CYCLE.read(inst)
-    # a system that does not cover the ground is skipped before its
-    # relabeling is looked for
-    return cycle, sys, (_RELABELING.read(inst) if sys.covers_ground() else None)
+    sys, cycle = _get_system(inst, "A"), _CYCLE.read(inst)
+    # a system that does not cover the ground is read as None, and skipped
+    # before its relabeling is looked for
+    if not sys.covers_ground():
+        return cycle, None, None
+    return cycle, sys.masks, _RELABELING.read(inst)
 
 
 # --------------------------------------------------------------------------
@@ -1159,12 +1190,14 @@ class Claim:
     built per instance (Boncz, Zukowski and Nes, "MonetDB/X100", CIDR
     2005; Abadi, Madden and Hachem, "Column-stores vs. row-stores", SIGMOD
     2008).  A claim whose verdict needs nothing from the rest of its run
-    registers a body on one tuple, mapped over the runs (`_each`).  `memo`
-    is a dict that an exhaustive sweep keeps for the whole of one worker's
-    share and hands to every block, and None otherwise: a body may keep in
-    it what it decided, so that later blocks read it, under keys of its
-    own.  It is the only store of Cantor's decisions, kept under the keys
-    of cantor's deciders (cantor._hull_row, cantor._side_row)."""
+    registers a body on one tuple, mapped over the runs (`_each`); one
+    whose outer factor is a system reads what it needs of each system
+    once, from its family bitmask or members (`_on_systems`).  `memo` is a
+    dict that an exhaustive sweep keeps for one worker's share and hands
+    to every block, and None otherwise: a body may keep in it, under keys
+    of its own, what it decided or read, so that later blocks read it.  It
+    is the only store of Cantor's decisions (cantor._hull_row,
+    cantor._side_row); no system object keeps anything."""
 
     checker: Callable[..., list[Verdict]]
     kind: _Space
@@ -1192,11 +1225,11 @@ class Claim:
         memo: Optional[dict] = None,
     ) -> list[Verdict]:
         """Evaluate the claim on a block of runs of factor values: their
-        verdicts, in order.  Every sweep (once per exhaustive share block,
-        once per random draw) and `check_theorem` (with a run of one) call
-        goes through here, which gives per-layer tracing (sweepbench) one
-        name to time all checker bodies by.  The body gets the whole block
-        and the sweep's `memo`."""
+        verdicts, in order, from the body given the whole block and the
+        sweep's `memo`.  Every sweep (once per exhaustive share block, once
+        per random draw) and `check_theorem` (a run of one) calls it, which
+        gives per-layer tracing (sweepbench) one name to time all checker
+        bodies by."""
         return self.checker(ground, conv, runs, memo)
 
 
@@ -1230,22 +1263,22 @@ CLAIMS: dict[TheoremId, Claim] = {
         note="discrete analog of the continuous coincidence statement",
     ),
     TheoremId.L3_1: Claim(_each(_check_l3_1), _SYSTEMS_SUBSETS, 4, 10000, clean=True),
-    TheoremId.B3_2: Claim(_each(_check_b3_2), _SYSTEMS_GENSETS, 3, 500, clean=True),
-    TheoremId.S3_3: Claim(_each(_check_s3_3), _SYSTEMS_GENSETS, 3, 1000, clean=True),
-    TheoremId.B3_4: Claim(_check_b3_4, _SYSTEMS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_2: Claim(_check_b3_2, _COVERS_GENSETS, 3, 500, clean=True),
+    TheoremId.S3_3: Claim(_check_s3_3, _COVERS_GENSETS, 3, 1000, clean=True),
+    TheoremId.B3_4: Claim(_check_b3_4, _COVERS_GENSETS, 4, 1000, clean=True),
     TheoremId.B3_6: Claim(_each(_check_b3_6), _SYSTEMS, 4, 1000, clean=True),
-    TheoremId.B3_7: Claim(_each(_check_b3_7), _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
-    TheoremId.S3_8_bij: Claim(partial(_check_s3_8, bijective=True), _SYSTEMS_BIJECTIONS, 4, 1000),
+    TheoremId.B3_7: Claim(_check_b3_7, _SYSTEMS_FUNCTIONS, 3, 1000, clean=True),
+    TheoremId.S3_8_bij: Claim(_check_s3_8_bij, _SYSTEMS_BIJECTIONS, 4, 1000),
     TheoremId.S3_8_all: Claim(
-        partial(_check_s3_8, bijective=False), _SYSTEMS_FUNCTIONS, 4, 1000,
+        _check_s3_8_all, _SYSTEMS_FUNCTIONS, 4, 1000,
         note="documented open question: for non-bijective self-maps the "
         "two-sided memberships and hull commutation can disagree",
     ),
-    TheoremId.K3_9: Claim(_check_k3_9, _SYSTEMS_GENSETS, 4, 500, read=_unpack_k3_9),
-    TheoremId.B3_10: Claim(_each(_check_b3_10), _SYSTEMS_BIJECTIONS, 3, 1000, clean=True),
+    TheoremId.K3_9: Claim(_check_k3_9, _COVERS_GENSETS, 4, 500, read=_unpack_k3_9),
+    TheoremId.B3_10: Claim(_check_b3_10, _MEMBERS_BIJECTIONS, 4, 1000, clean=True),
     TheoremId.COVAR: Claim(_each(_check_covar), _RELABELINGS, 3, 1000, read=_unpack_covar),
-    TheoremId.CHAIN_karrenk: Claim(_check_chain, _CYCLES_COVERINGS, 3, 1000),
-    TheoremId.IDEM_ydwed: Claim(_check_idem, _SYSTEMS, 4, 1000, read=_unpack_idem),
+    TheoremId.CHAIN_karrenk: Claim(_check_chain, _CYCLES_COVERS, 3, 1000),
+    TheoremId.IDEM_ydwed: Claim(_check_idem, _COVERS, 4, 1000),
 }
 
 #: Claims whose sweeps are expected to be failure-free; a nonzero failure

@@ -205,8 +205,10 @@ class TestCoherenceMemos:
             want = tuple(tuple(weak if v is WEAK else conventional) for v in variants)
             got = free_attractors(flow, covering, conv, variants)
             assert tuple(f.masks for f in got) == want, (gens, covering, conv, variants)
-            # a sweep's memo, shared by every case of the test
-            got = attract._free_attractors(flow, covering, conv, variants, memo)
+            # a sweep's memo, shared by every case of the test, and the
+            # covering's members and closure table
+            table = closure_map(covering, conv)
+            got = attract._free_attractors(flow, covering.masks, table, variants, memo)
             assert got == want, (gens, covering, conv, variants)
 
     def test_families_match_the_plain_definition(self):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from hullflow import cantor
+from hullflow import cantor, setsys, verify
 from hullflow.cantor import (
     cantor_membership,
     explication_check,
@@ -24,7 +24,9 @@ from hullflow.setsys import (
     GroundSet,
     SetSystem,
     closure_map,
+    closure_map_of,
     complement_system,
+    family_of,
     fibration_classes,
 )
 from hullflow.verify import TheoremId, check_theorem
@@ -130,10 +132,11 @@ class TestMembershipsAgainstPairScan:
                 assert (rec.rhs_system, rec.rhs_complement) == (
                     plus and minus, plus_c and minus_c
                 ), (sys, f.image, conv)
-                ctx = sys.context(conv)
-                sides = [cantor._side_row(s, None).of(f) for s in (ctx._side, ctx._compl_side)]
-                assert sides == [plus | minus << 1, plus_c | minus_c << 1], (sys, f.image, conv)
-                bits = cantor._chain_bits(cantor._chain_rows(ctx, None), f)
+                sides = cantor._sides(sys.ground.size, family_of(sys.ground.size, sys.masks))
+                got = [cantor._side_row(s, None).of(f) for s in sides]
+                assert got == [plus | minus << 1, plus_c | minus_c << 1], (sys, f.image, conv)
+                rows = cantor._chain_rows(closure_map(sys, conv), sides, None)
+                bits = cantor._chain_bits(rows, f)
                 assert [bits >> i & 1 for i in range(1, 5)] == [plus, minus, plus_c, minus_c], (
                     sys, f.image, conv
                 )
@@ -177,6 +180,47 @@ def covering_cases():
         yield 4, SetSystem(ground, members), maps
 
 
+def covering_families():
+    """(n, family bitmask, members) of every covering system up to 3
+    points, then of 2,000 seeded covering systems on 4 points."""
+    for n in (1, 2, 3):
+        for family in verify._covering_families(n):
+            yield n, family, [m for m in range(1 << n) if family >> m & 1]
+    for family in random.Random(31).sample(verify._covering_families(4), 2000):
+        yield 4, family, [m for m in range(16) if family >> m & 1]
+
+
+class TestFamilyParts:
+    # what the checker bodies read of a system, computed from its family
+    # bitmask alone, against the oracles' scans of its members: the
+    # closure table, both sides' minimal members and up-closures, the
+    # complement family (the family's bits reversed), the complement-free
+    # family and the fibration classes
+
+    def test_parts_match_the_oracles(self):
+        for n, family, members in covering_families():
+            full = (1 << n) - 1
+            complements = [full ^ m for m in members]
+            assert setsys.complement_family(n, family) == sum(1 << m for m in complements)
+            for side, masks in zip(cantor._sides(n, family), (members, complements)):
+                minimal = oracles.minimal_members(masks)
+                assert (side.members, side.family) == (
+                    tuple(minimal), sum(1 << m for m in minimal)
+                ), (n, members)
+                above = [z for z in range(1 << n) if any(m and m & z == m for m in masks)]
+                assert side.up == sum(1 << z for z in above), (n, members)
+            free = oracles.free_subsets(n, complements)
+            assert cantor._free_family(n, family) == sum(1 << z for z in free), (n, members)
+            for conv in ClosureConvention:
+                cl = closure_map_of(n, family, conv)
+                assert list(cl) == oracles.closure_table(n, members, conv.value), (n, members)
+                fibration = oracles.fibration(n, members, conv.value)
+                assert cantor._classes(cl) == {
+                    setsys.shifted(sum(1 << z for z in cells)): tuple(cells)
+                    for cells in fibration.values()
+                }, (n, members, conv)
+
+
 class TestMinimalMembers:
     # a side keeps its minimal nonempty members, read off its up-closure;
     # a sweep decides the memberships once per (minimal family, map image)
@@ -184,18 +228,17 @@ class TestMinimalMembers:
     # system that shares a row reads the verdicts of the first one
 
     def test_each_side_keeps_its_minimal_members(self):
+        # both sides come from the system's family bitmask, the
+        # complement's as its bits reversed; a side reads no convention
         for n, sys, _ in covering_cases():
             full = sys.ground.full_mask
-            for conv in ClosureConvention:
-                ctx = sys.context(conv)
-                for side, masks in (
-                    (ctx._side, sys.masks), (ctx._compl_side, [full ^ m for m in sys.masks])
-                ):
-                    minimal = oracles.minimal_members(masks)
-                    assert side.members == tuple(minimal), (sys, conv)
-                    assert side.family == sum(1 << m for m in minimal)
-                    above = [z for z in range(1 << n) if any(m & z == m for m in minimal)]
-                    assert side.up == sum(1 << z for z in above)
+            sides = cantor._sides(n, family_of(n, sys.masks))
+            for side, masks in zip(sides, (sys.masks, [full ^ m for m in sys.masks])):
+                minimal = oracles.minimal_members(masks)
+                assert side.members == tuple(minimal), sys
+                assert side.family == sum(1 << m for m in minimal)
+                above = [z for z in range(1 << n) if any(m & z == m for m in minimal)]
+                assert side.up == sum(1 << z for z in above)
 
     @pytest.mark.parametrize("conv", list(ClosureConvention), ids=lambda c: c.value)
     def test_sweep_rows_match_the_pair_scan_over_every_member(self, conv):
@@ -207,7 +250,8 @@ class TestMinimalMembers:
         for n, sys, maps in covering_cases():
             memo = memos.setdefault(n, {})
             before = len(memo)
-            rows = cantor._chain_rows(sys.context(conv), memo)
+            sides = cantor._sides(n, family_of(n, sys.masks))
+            rows = cantor._chain_rows(closure_map(sys, conv), sides, memo)
             shared += len(memo) < before + 3
             cl = oracles.closure_table(n, sys.masks, conv.value)
             for f in maps:
@@ -272,9 +316,9 @@ class TestExplication:
         "order", [tuple(ClosureConvention), tuple(reversed(ClosureConvention))]
     )
     def test_one_system_under_each_convention_gets_its_own_table(self, monkeypatch, order):
-        # the context is kept per (system, convention): the same system
-        # checked under one convention and then the other builds a second
-        # closure table, whose empty-set cell differs on this system
+        # nothing is kept with the system: each check builds the closure
+        # table under its own convention, and the two tables' empty-set
+        # cells differ on this system
         from hullflow import setsys
 
         a2 = SetSystem(A2.ground, A2.masks)  # an object no other check has read
@@ -287,7 +331,7 @@ class TestExplication:
         f = endo(G2, 0, 0)
         for conv in order:
             assert explication_check(f, a2, conv) == explication_check(f, a2, conv)
-        assert built == list(order)
+        assert built == [conv for conv in order for _ in range(2)]
         assert closure_map(a2, order[0]) != closure_map(a2, order[1])
 
     def test_function_on_another_ground(self):
@@ -389,12 +433,12 @@ class TestPhaseChainOverGenerators:
         "order", [tuple(ClosureConvention), tuple(reversed(ClosureConvention))]
     )
     def test_one_system_under_each_convention_in_turn(self, monkeypatch, order):
-        # verdicts are kept per (system, convention): one system object
-        # checked under one convention and then the other gets a closure
-        # table of its own.  On a covering system the two conventions differ
-        # only at the empty set, and no statement of the chain tells them
-        # apart, so the oracle alone cannot see a table reused across them;
-        # the tables built can.
+        # nothing is kept with a system: one system object checked under
+        # one convention and then the other gets a closure table under each
+        # convention, one per check.  On a covering system the two
+        # conventions differ only at the empty set, and no statement of the
+        # chain tells them apart, so the oracle alone cannot see a table
+        # reused across them; the tables built can.
         from hullflow import setsys
 
         built = []
@@ -415,7 +459,8 @@ class TestPhaseChainOverGenerators:
                         sys, conv, g,
                     )
         assert built == [
-            (setsys.family_of(3, sys.masks), conv) for sys in systems for conv in order
+            (setsys.family_of(3, sys.masks), conv)
+            for sys in systems for conv in order for _ in perms
         ]
         assert any(closure_map(sys, order[0]) != closure_map(sys, order[1]) for sys in systems)
 

@@ -1,19 +1,15 @@
 """Set-system algebra: hulls, elementarization, classification, fibration."""
 
-import copy
-import gc
 import itertools
 import pickle
 import random
-import sys
-import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hullflow import kernels, setsys
+from hullflow import cantor, kernels, setsys
 from hullflow.setsys import (
     CapExceededError,
     ClosureConvention,
@@ -144,54 +140,10 @@ class TestSetSystem:
                 SetSystem(G3, bad)
             assert str(err.value) == f"member 0x{named:x} outside ground of size 3"
 
-    def test_system_with_contexts_freed_without_the_cycle_collector(self):
-        # a system keeps its hull contexts, which must not keep it: with
-        # the cyclic collector off, dropping the system frees it
-        gc.disable()
-        try:
-            s = system(G3, [0], [0, 1], [2])
-            for conv in (FULL, NONEMPTY):
-                closure_map(s, conv)
-                assert s.context(conv)._system() is s
-                assert s.context(conv)._compl == complement_system(s)
-            dropped = weakref.ref(s)
-            del s
-            assert dropped() is None
-        finally:
-            gc.enable()
-
-    def test_coverage_decided_once_per_system(self, monkeypatch):
-        # the claims over a system ask for its coverage on every instance
+    def test_covers_ground(self):
         s, gap = system(G3, [0], [1, 2]), system(G3, [0], [1])
         assert s.covers_ground() and not gap.covers_ground()
-        monkeypatch.setattr(setsys, "reduce", None)
-        assert s.covers_ground() and not gap.covers_ground()
         assert pickle.loads(pickle.dumps(s)).covers_ground()
-
-    def test_context_lookup_makes_no_python_call(self):
-        # a system's contexts are looked up on every instance of many
-        # claims: once made, one is found by the convention member's
-        # identity hash, with no Python-level call (Enum.__hash__ is one)
-        s = system(G3, [0], [0, 1], [2])
-        made = {conv: s.context(conv) for conv in (FULL, NONEMPTY)}
-        calls = []
-        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
-                       if event == "call" else None)
-        try:
-            found = {conv: s.context(conv) for conv in (FULL, NONEMPTY)}
-        finally:
-            sys.setprofile(None)
-        assert found == made
-        assert [c for c in calls if c != "<dictcomp>"] == ["context", "context"]
-        assert hash(FULL) == object.__hash__(FULL)
-
-    def test_copies_make_contexts_of_their_own(self):
-        s = system(G3, [0], [0, 1], [2])
-        closure_map(s, FULL)
-        for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-            assert copied == s
-            assert copied.context(FULL)._system() is copied
-            assert closure_map(copied, FULL) == closure_map(s, FULL)
 
 
 class TestComplement:
@@ -533,10 +485,11 @@ class TestTraceLemma:
 
 def free_family(s, conv=FULL):
     """The subsets holding no nonempty member of `s`, ascending, as the
-    library reads them: the complement-free family of the context of the
-    complement system of `s`, whose complement system is `s`."""
-    compl = complement_system(s)  # a context holds its system weakly
-    return family_members(compl.context(conv)._unfamily)
+    library reads them: the complement-free family of the complement
+    system of `s`, whose complement system is `s`.  It reads no
+    convention."""
+    n = s.ground.size
+    return family_members(cantor._free_family(n, family_of(n, complement_system(s).masks)))
 
 
 class TestUnOv:

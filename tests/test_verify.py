@@ -609,9 +609,12 @@ class TestSweep:
         ],
     )
     def test_one_closure_table_per_system(self, monkeypatch, theorem, instances, conv):
-        # each system keeps its table in its context, whatever the order
-        # of the factors: at most 218 covering systems at n=3, where one
-        # table per instance makes `instances`
+        # a table is built once per system, whatever the order of the
+        # factors: where the system is the outer factor, a run cut by a
+        # share block goes on with the table the memo kept for it, and
+        # CHAIN_karrenk keeps each covering's table in the memo; at most 218
+        # covering systems at n=3, where one table per instance makes
+        # `instances`
         tables = count_closure_tables(monkeypatch)
         rep = sweep(theorem, 3, "exhaustive", conv=conv)
         assert rep.instance_count == instances
@@ -693,7 +696,7 @@ class TestSweep:
             # report's attractor family: only the 15 flows
             (TheoremId.B3_2, 218 * 21, 15),
             (TheoremId.S3_3, 218 * 21, 15),
-            # both memberships from the system's context compare none
+            # both memberships from the system's side compare none
             (TheoremId.B3_10, 218 * 6, 0),
         ],
     )
@@ -722,15 +725,17 @@ class TestSweep:
             (TheoremId.L1_3, 4, 4500, 225),
             # 5 orbit partitions of the 6 cycles x 218 coverings
             (TheoremId.CHAIN_karrenk, 3, 1308, 5 * 218),
-            # 5 orbit partitions of the 21 generator sets x 218 systems
-            (TheoremId.B3_4, 3, 4578, 218 * 5),
+            # 5 orbit partitions of the 21 generator sets x the 90 closure
+            # tables of the 218 systems
+            (TheoremId.B3_4, 3, 4578, 90 * 5),
         ],
     )
     def test_body_once_per_orbit_block_key(self, monkeypatch, theorem, n, instances, keys, conv):
         # the block body decides each (orbit partition, chi), (orbit
-        # partition, covering) or (system, orbit partition) once in the
-        # sweep's memo, whatever share block asks for it: every one of them
-        # occurs in the space, so as many decisions as keys are one each
+        # partition, covering) or (closure table, orbit partition) once in
+        # the sweep's memo, whatever share block asks for it: every one of
+        # them occurs in the space, so as many decisions as keys are one
+        # each
         decided = count_decisions(monkeypatch, theorem)
         rep = sweep(theorem, n, "exhaustive", conv=conv)
         assert rep.instance_count == instances
@@ -753,27 +758,33 @@ class TestSweep:
         assert memos == [None] * 50
 
     def test_random_sweep_keeps_one_draw_alive(self):
-        # a draw on 12 points holds about 2^11 members, some 75 KB; drawing
-        # a share block of them before checking any keeps about 5 MB
+        # a draw on 12 points holds about 2^11 members, some 75 KB.  13
+        # draws are the fewest that a sweep drawing its share block whole
+        # before checking any keeps above 1 MB (1.05 MB for 13, 0.98 MB for
+        # 12); checked one at a time they peak at 0.2 MB
         tracemalloc.start()
         try:
-            rep = sweep(TheoremId.L3_1, 12, "random", samples=verify.SHARE_BLOCK, seed=0)
+            rep = sweep(TheoremId.L3_1, 12, "random", samples=13, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.instance_count == verify.SHARE_BLOCK
+        assert rep.instance_count == 13
         assert peak < 1 << 20
 
     def test_random_explication_sweep_keeps_one_draw_alive(self):
         # each draw reaches the S3_8 block body alone, and on 10 points its
-        # tables are lists, which the translation route never copies
+        # tables are lists, which the translation route never copies.  A
+        # draw's map keeps its table of 2^10 images, so 35 draws are the
+        # fewest that a sweep drawing its share block whole keeps above 1
+        # MB (1.03 MB for 35, 0.998 MB for 34); checked one at a time they
+        # peak at 0.09 MB
         tracemalloc.start()
         try:
-            rep = sweep(TheoremId.S3_8_all, 10, "random", samples=verify.SHARE_BLOCK, seed=0)
+            rep = sweep(TheoremId.S3_8_all, 10, "random", samples=35, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.instance_count == verify.SHARE_BLOCK
+        assert rep.instance_count == 35
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("theorem", [TheoremId.B3_6, TheoremId.B3_7], ids=lambda t: t.value)
@@ -809,14 +820,14 @@ class TestSweep:
             assert 0 < len(listed) <= flows
 
     def test_one_closure_table_and_complement_per_explication_system(self, monkeypatch):
-        # the explication reads its closure table and complement system
-        # from the system's context: 218 systems x 27 functions, where
-        # building them per instance makes 5886 of each
+        # the explication reads its closure table and its complement side,
+        # from the complement family, once per system: 218 systems x 27
+        # functions, where building them per instance makes 5886 of each
         tables, complements = count_closure_tables(monkeypatch), []
-        complement_system = setsys.complement_system
+        complement_family = cantor.complement_family
         monkeypatch.setattr(
-            setsys, "complement_system",
-            lambda *a: complements.append(a) or complement_system(*a),
+            cantor, "complement_family",
+            lambda *a: complements.append(a) or complement_family(*a),
         )
         rep = sweep(TheoremId.S3_8_all, 3, "exhaustive")
         assert rep.instance_count == 218 * 27
@@ -850,8 +861,8 @@ class TestSweep:
 
     def test_b3_7_one_complement_free_family_per_instance(self, monkeypatch):
         # the complement-free family is read off the up-closure of the
-        # system's context's complement side: 218 systems x 27 functions,
-        # where building it per instance makes 5886
+        # system's complement family, once per system: 218 systems x 27
+        # functions, where building it per instance makes 5886
         closures = []
         up_closure = kernels.up_closure
         monkeypatch.setattr(
@@ -862,12 +873,12 @@ class TestSweep:
         assert 0 < len(closures) <= 218
 
     def test_b3_7_one_fibration_per_system(self, monkeypatch):
-        # the fibration classes are read from the system's context too, and
-        # grouped from its closure table: one table per system
+        # the fibration classes are read once per system too, and grouped
+        # from its closure table: one table per system
         fibrations, tables = [], count_closure_tables(monkeypatch)
-        fibration_classes = setsys.fibration_classes
+        fibration_classes = cantor.fibration_classes
         monkeypatch.setattr(
-            setsys, "fibration_classes",
+            cantor, "fibration_classes",
             lambda *a: fibrations.append(a) or fibration_classes(*a),
         )
         rep = sweep(TheoremId.B3_7, 3, "exhaustive")
@@ -913,8 +924,8 @@ class TestSweep:
 
 
 #: The group claims with a block body: L1_3 and CHAIN_karrenk keep a row
-#: of verdicts per orbit partition, B3_4 one per system and orbit
-#: partition, and K3_9 reads a system's context once per run.
+#: of verdicts per orbit partition, B3_4 one per closure table and orbit
+#: partition, and K3_9 reads a system's rows once per run.
 GROUP_BLOCKS = [TheoremId.L1_3, TheoremId.K3_9, TheoremId.CHAIN_karrenk, TheoremId.B3_4]
 
 
@@ -934,10 +945,12 @@ def group_oracle(theorem, n, values, conv):
         return (*l1_3_oracle(n, tuple(g.image for g in flow.gens))[chi], None)
     if theorem is TheoremId.CHAIN_karrenk:
         cycle, covering = values
-        return (*oracles.chain_verdict(n, cycle.generator.image, covering.masks, conv.value), None)
+        members = setsys.family_members(covering)
+        return (*oracles.chain_verdict(n, cycle.generator.image, members, conv.value), None)
     system, flow = values
     verdict = oracles.k3_9_verdict if theorem is TheoremId.K3_9 else oracles.b3_4_verdict
-    return (*verdict(n, system.masks, [g.image for g in flow.gens], conv.value), None)
+    members = setsys.family_members(system)
+    return (*verdict(n, members, [g.image for g in flow.gens], conv.value), None)
 
 
 class TestOrbitBlockKeys:
@@ -1027,6 +1040,36 @@ class TestOrbitBlockKeys:
         assert crossings > 0
 
 
+class TestHullOnlyClaims:
+    # B3_2, S3_3, B3_4 and IDEM_ydwed read a covering system only through
+    # its closure table.  Decided with no memo, which could share a row
+    # between systems, every instance up to n=3 that shares (closure table,
+    # the rest of the instance) with another gets the same status and
+    # note, so a body that starts to read the members fails here
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "theorem",
+        [TheoremId.B3_2, TheoremId.S3_3, TheoremId.B3_4, TheoremId.IDEM_ydwed],
+        ids=lambda t: t.value,
+    )
+    def test_one_status_per_table_and_rest(self, theorem, conv):
+        claim, shared = CLAIMS[theorem], 0
+        for n in (1, 2, 3):
+            ground, space = GroundSet(n), claim.space(n)
+            verdicts = claim.check(ground, space.run(0, len(space)), conv)
+            tables, seen = {}, {}
+            for (family, *rest), verdict in zip(space, verdicts):
+                if family not in tables:
+                    members = setsys.family_members(family)
+                    tables[family] = tuple(oracles.closure_table(n, members, conv.value))
+                key = tables[family], tuple(tuple(g.image for g in flow.gens) for flow in rest)
+                seen.setdefault(key, set()).add((verdict.status, verdict.note))
+            assert all(len(outcomes) == 1 for outcomes in seen.values()), n
+            shared += len(seen) < len(space)
+        assert shared
+
+
 class TestFibrationClaims:
     # B3_6 and B3_7 read the fibration classes and the complement-free
     # family as family bitmasks, the latter off an up-closure; the oracles
@@ -1041,8 +1084,8 @@ class TestFibrationClaims:
             (family,) = values
             members = [m for m in range(1 << n) if family >> m & 1]
             return oracles.b3_6_verdict(n, members, conv.value)
-        system, f = values
-        return oracles.b3_7_verdict(n, system.masks, f.image, conv.value)
+        family, f = values
+        return oracles.b3_7_verdict(n, setsys.family_members(family), f.image, conv.value)
 
     def check(self, theorem, n, conv, runs):
         """The claim's verdicts on a block of runs, each against the
@@ -1258,7 +1301,7 @@ def count_closure_tables(monkeypatch):
 DECISIONS = {
     TheoremId.L1_3: "_l1_3_verdict",
     TheoremId.CHAIN_karrenk: "_chain_verdict",
-    TheoremId.B3_4: "_b3_4_verdict",
+    TheoremId.B3_4: "_room_verdict",
 }
 
 
@@ -1741,7 +1784,8 @@ class TestBlockBodies:
                 alone = [claim.check(ground, verify._one_run(values), conv)[0] for values in block]
                 expected = [(v.status, v.note) for v in alone]
                 assert expected == [
-                    explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block
+                    explication_oracle(n, setsys.family_members(family), f.image, conv.value)
+                    for family, f in block
                 ], n
                 order = rnd.sample(range(len(block)), len(block))
                 shuffled = [run for i in order for run in verify._one_run(block[i])]
@@ -1767,6 +1811,9 @@ class TestBlockBodies:
             ground = GroundSet(n)
             verdicts = claim.check(ground, runs, conv)
             alone = [claim.check(ground, verify._one_run(values), conv)[0] for values in block]
-            expected = [explication_oracle(n, sys.masks, f.image, conv.value) for sys, f in block]
+            expected = [
+                explication_oracle(n, setsys.family_members(family), f.image, conv.value)
+                for family, f in block
+            ]
             assert [(v.status, v.note) for v in verdicts] == expected, n
             assert [(v.status, v.note) for v in alone] == expected, n
