@@ -154,7 +154,7 @@ def free_attractors(
         raise ValueError("relativizing system must cover the flow's ground")
     # the weak criterion alone reads the covering's closure table
     table = closure_map(covering, conv) if _WEAK in variants else None
-    families = _free_attractors(flow, covering.masks, table, variants)
+    families = _free_attractors(flow, covering.masks, table, variants, {})
     return tuple(SetSystem(flow.ground, family) for family in families)
 
 
@@ -162,16 +162,16 @@ def _free_attractors(
     flow: DiscreteFlow,
     masks: Sequence[int],
     table: Optional[Sequence[int]],
-    variants: Sequence[CoherenceVariant] = (CoherenceVariant.CONVENTIONAL,),
-    memo: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
+    variants: Sequence[CoherenceVariant],
+    memo: dict[tuple[int, int], tuple[int, ...]],
 ) -> tuple[tuple[int, ...], ...]:
     """The masks of free_attractors' families, ascending, on the covering
     whose members are `masks` and whose closure table is `table`, which
     only the weak variant reads (None where it is not asked), for a
     caller that has compared the grounds and checked that the covering
-    covers the ground.  `memo`, where a sweep passes one, keeps the
-    positions of the coherent index sets by (k, block-incidence family)
-    for the sweep."""
+    covers the ground.  `memo` keeps the positions of the coherent index
+    sets by (k, block-incidence family) for as long as its caller keeps
+    it: a sweep's share, a draw or a call."""
     asks_weak = asks_strong = False
     for v in variants:
         if v is _WEAK:
@@ -188,11 +188,9 @@ def _free_attractors(
     strong = weak = ()
     if asks_strong:
         key = (len(blocks), _block_incidence(blocks, masks))
-        positions = None if memo is None else memo.get(key)
+        positions = memo.get(key)
         if positions is None:
-            positions = tuple(s - 1 for s in _coherent_index_sets(*key))
-            if memo is not None:
-                memo[key] = positions
+            positions = memo[key] = tuple(s - 1 for s in _coherent_index_sets(*key))
         strong = tuple(map(candidates.__getitem__, positions))
     if asks_weak:
         # the pre-rooms: the orbits' closures, read off the covering's table
@@ -317,6 +315,6 @@ def room_report(flow: DiscreteFlow, table: Sequence[int]) -> RoomReport:
     if closed.covers_ground():
         # the empty set is never attractive
         attractors = 0 not in rooms.masks and set(rooms.masks) <= set(
-            _free_attractors(flow, closed.masks, None)[0]
+            _free_attractors(flow, closed.masks, None, (_CONVENTIONAL,), {})[0]
         )
     return RoomReport(rooms, partition, invariant, attractors)

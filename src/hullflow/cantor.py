@@ -20,22 +20,23 @@ over the minimal members, and a side's memberships depend on its minimal
 family and the map alone, as hull commutation depends on the closure
 table and the map alone.
 
-So Cantor's decisions are kept in one store, a sweep's memo (see
-verify.Claim), in two parts fetched apart: hull commutation by (closure
-table, map image) (_hull_row) and each side's plus and minus
-memberships by (minimal family, map image) (_side_row), one key space
-for a system's side and a complement's side alike.  An exhaustive sweep
-decides each once per key, far fewer than its instances; a caller with
-no memo decides them in a row local to the call.  What the rows are
-decided under, the closure table and the two sides, is computed from
-the system's family bitmask by whoever holds it: a sweep's checker body
-once per system, a public function here once per call.
+So Cantor's decisions are kept in one store, the memo every checker body
+call gets (see verify.Claim), in two parts fetched apart: hull
+commutation by (closure table, map image) (_hull_row) and each side's
+plus and minus memberships by (minimal family, map image) (_side_row),
+one key space for a system's side and a complement's side alike.  A memo
+lives for a share, a draw or a document: an exhaustive sweep decides
+each key once per share, far fewer than its instances, and a public
+function here hands its rows a memo of the call's own.  What the rows
+are decided under, the closure table and the two sides, is computed
+from the system's family bitmask by whoever holds it: a sweep's checker
+body once per system, a public function here once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .dynsys import Autobolism, EndoFunction
@@ -102,7 +103,7 @@ def is_commutative_cantor(
     subset of the ground: statement 0 of the phase chain."""
     if f.ground != system.ground:
         raise GroundMismatchError(f"{f.ground} vs {system.ground}")
-    return _hull_row(closure_map(system, conv), None).of(f)
+    return _hull_row(closure_map(system, conv), {}).of(f)
 
 
 def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
@@ -116,7 +117,7 @@ def cantor_membership(f: EndoFunction, system: SetSystem, plus: bool) -> bool:
     n = system.ground.size
     if n <= DEFAULT_ENUM_CAP:
         side = _Side.of(n, family_of(n, system.masks))
-        return bool(_side_row(side, None).of(f) & (1 if plus else 2))
+        return bool(_side_row(side, {}).of(f) & (1 if plus else 2))
     nonempty = [m for m in system.masks if m]
     images = [f.apply_mask(m) for m in nonempty]
     # a lies inside b exactly when a | b == b
@@ -271,7 +272,7 @@ class _Row(NamedTuple):
     """One part of Cantor's decisions: what it is decided under (a closure
     table or a membership side), the function that decides a verdict from
     a map's mask-image table and `under`, and the verdicts by map image,
-    a sweep's memo's or, where there is none, local to the caller."""
+    kept in the memo of a share, a draw or a document."""
 
     under: Any
     decide: Callable[[Sequence[int], Any], int]
@@ -286,23 +287,23 @@ class _Row(NamedTuple):
         return verdict
 
 
-def _hull_row(cl: Sequence[int], memo: Optional[dict]) -> _Row:
+def _hull_row(cl: Sequence[int], memo: dict) -> _Row:
     """Hull commutation under the closure table `cl`, kept in `memo` by
-    the table: a `bytes` table, hashable, on the at most 4 points of an
-    exhaustive sweep."""
-    verdicts = {} if memo is None else memo.setdefault(("commutes", cl), {})
+    the table, which is hashable: `bytes` up to 4 points, a tuple above
+    (setsys.closure_map_of)."""
+    verdicts = memo.setdefault(("commutes", cl), {})
     return _Row(cl, kernels.commutes_with_closure, verdicts)
 
 
-def _side_row(side: _Side, memo: Optional[dict]) -> _Row:
+def _side_row(side: _Side, memo: dict) -> _Row:
     """The plus and the minus membership on `side`, as bit 0 and bit 1,
     kept in `memo` by the side's minimal family."""
-    verdicts = {} if memo is None else memo.setdefault(("members", side.family), {})
+    verdicts = memo.setdefault(("members", side.family), {})
     return _Row(side, _memberships, verdicts)
 
 
 def _chain_rows(
-    cl: Sequence[int], sides: tuple[_Side, _Side], memo: Optional[dict]
+    cl: Sequence[int], sides: tuple[_Side, _Side], memo: dict
 ) -> tuple[_Row, _Row, _Row]:
     """The rows of the five chain statements under a system whose closure
     table is `cl` and whose sides are `sides` (_sides): hull commutation,
@@ -312,9 +313,9 @@ def _chain_rows(
 
 
 def _system_rows(system: SetSystem, conv: ClosureConvention) -> tuple[_Row, _Row, _Row]:
-    """_chain_rows of `system` under `conv`, in rows local to the call."""
+    """_chain_rows of `system` under `conv`, in a memo of the call's own."""
     n = system.ground.size
-    return _chain_rows(closure_map(system, conv), _sides(n, family_of(n, system.masks)), None)
+    return _chain_rows(closure_map(system, conv), _sides(n, family_of(n, system.masks)), {})
 
 
 def _chain_bits(rows: tuple[_Row, _Row, _Row], f: EndoFunction) -> int:

@@ -186,13 +186,9 @@ def orbit_partition(flow: DiscreteFlow) -> SetSystem:
     return SetSystem(flow.ground, flow.orbit_blocks())
 
 
-def invariant_sets(flow: DiscreteFlow, cap: int = INVARIANT_CAP) -> SetSystem:
+def invariant_sets(flow: DiscreteFlow) -> SetSystem:
     """All nonempty unions of orbit blocks (the nonempty invariant sets),
-    listed once per flow; at most `cap` of them, and never more than
-    INVARIANT_CAP."""
-    blocks = flow.orbit_blocks()
-    if 1 << len(blocks) > cap:
-        raise CapExceededError(f"2^{len(blocks)} invariant sets exceed cap {cap}")
+    listed once per flow; at most INVARIANT_CAP of them."""
     return SetSystem(flow.ground, flow._invariant)
 
 

@@ -29,9 +29,9 @@ class GroundMismatchError(ValueError):
     """Operands live on different ground sets."""
 
 
-def _check_enum(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
-    if n > cap:
-        raise CapExceededError(f"ground size {n} exceeds enumeration cap {cap}")
+def _check_enum(n: int) -> None:
+    if n > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"ground size {n} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
 
 
 @dataclass(frozen=True, order=True)
@@ -157,12 +157,6 @@ class HullKind:
 CLOSURE_KIND = HullKind(1, 1, 1)
 
 
-def complement_system(system: SetSystem) -> SetSystem:
-    """The family of ground-complements of the members."""
-    full = system.ground.full_mask
-    return SetSystem(system.ground, tuple(full ^ m for m in system.masks))
-
-
 def _complements(n: int, masks: Sequence[int], conv: ClosureConvention) -> list[int]:
     """The complements of the members, the empty one left out under
     NONEMPTY."""
@@ -200,7 +194,8 @@ def closure_map(
     """Closure of every subset of the ground, indexed by mask; closure()
     gives the same value for one subset.  Built from the system's family
     bitmask on each call (closure_map_of): a caller that reads it often
-    keeps it.  Up to n=4 it is immutable `bytes` (see closure_tables_of)."""
+    keeps it.  Up to n=4 it is immutable `bytes` (see closure_tables_of),
+    and a tuple above."""
     n = system.ground.size
     return closure_map_of(n, family_of(n, system.masks), conv)
 
@@ -253,11 +248,12 @@ def closure_map_of(
     the family and no SetSystem.  Up to n=4 it is closure_tables_of's table
     of a run of one family, as immutable `bytes`; above n=4 the complements
     of the members are unpacked for kernels.closure_table, whose table is
-    a list."""
+    kept as a tuple.  Either is hashable, so a checker body's memo keys
+    rows of verdicts by the table."""
     if n <= 4:
         return closure_tables_of(n, (family,), conv)
     _check_enum(n)
-    return kernels.closure_table(n, _complements(n, family_members(family), conv))
+    return tuple(kernels.closure_table(n, _complements(n, family_members(family), conv)))
 
 
 def closure_tables_of(

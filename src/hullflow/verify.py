@@ -347,20 +347,20 @@ def _on_systems(
     bitmask or members): `run(ground, system, read(n, system, conv),
     inner, memo)` gives a run's verdicts.  A system read as None (_COVER)
     is skipped.  A share block may cut a system's run, which goes on in
-    the next block, so a sweep's memo keeps the last system's reading
-    under "last": one reading per system."""
+    the next block, so the memo keeps the last system's reading under
+    "last": one reading per system."""
 
     def checker(
-        ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+        ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: dict
     ) -> list[Verdict]:
-        n, out, kept = ground.size, [], {} if memo is None else memo
+        n, out = ground.size, []
         for (system,), inner in runs:
             if system is None:
                 out += [_skip("system does not cover the ground")] * len(inner)
                 continue
-            last = kept.get("last")
+            last = memo.get("last")
             if last is None or last[0] != system:
-                last = kept["last"] = system, read(n, system, conv)
+                last = memo["last"] = system, read(n, system, conv)
             out += run(ground, system, last[1], inner, memo)
         return out
 
@@ -368,7 +368,7 @@ def _on_systems(
 
 
 def _check_s1_1(
-    ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: dict
 ) -> Verdict:
     flags = classify(t, conv)
     if not flags.is_topology:
@@ -382,7 +382,7 @@ def _check_s1_1(
 
 
 def _check_k1_2(
-    ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, t: SetSystem, memo: dict
 ) -> Verdict:
     flags = classify(t, conv)
     if not flags.is_topology:
@@ -409,27 +409,25 @@ def _l1_3_verdict(ground: GroundSet, blocks: tuple[int, ...], chi: int) -> Verdi
 
 
 def _check_l1_3(
-    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: dict
 ) -> list[Verdict]:
     """L1_3's verdict on each (flow, chi) of a block of runs, in order.
-    With a sweep's memo, each orbit partition's row of verdicts, indexed
-    by chi, is decided whole on its first ask and kept by the orbit blocks,
-    and a run's verdicts are read off the row; without one, each chi is
-    decided alone, and an empty one (a document's, whose flow is None) is
-    skipped."""
+    Each orbit partition has a row of verdicts by chi, kept in the memo by
+    the orbit blocks: it holds the empty chi's skip at first, and each chi
+    asked is decided into it once, so a draw on many points decides only
+    its own chi.  A document's empty chi comes with no flow (None), whose
+    row is asked for that chi alone."""
     out = []
-    empty = _skip("empty chi")
     for (flow,), chis in runs:
-        if memo is None:
-            out += [_l1_3_verdict(ground, flow.orbit_blocks(), c) if c else empty for c in chis]
-            continue
-        blocks = flow.orbit_blocks()
+        blocks = None if flow is None else flow.orbit_blocks()
         row = memo.get(blocks)
         if row is None:
-            row = memo[blocks] = [empty] + [
-                _l1_3_verdict(ground, blocks, c) for c in range(1, 1 << ground.size)
-            ]
-        out += map(row.__getitem__, chis)
+            row = memo[blocks] = {0: _skip("empty chi")}
+        for chi in chis:
+            verdict = row.get(chi)
+            if verdict is None:
+                verdict = row[chi] = _l1_3_verdict(ground, blocks, chi)
+            out.append(verdict)
     return out
 
 
@@ -453,10 +451,11 @@ def _not_idempotent(run: Sequence[int], n: int) -> list[int]:
     table, and one translation of the pointed chunk through the chunk
     composes every table in it with itself (Lamport, "Multiple byte
     processing with full-word instructions", CACM 1975).  Only a chunk
-    that differs from its composition is compared table by table.  A list
-    (above 4 points) holds one table, composed cell by cell."""
+    that differs from its composition is compared table by table.  A tuple
+    (above 4 points) holds one table, compared cell by cell with its
+    composition."""
     if not isinstance(run, bytes):
-        return [] if [run[c] for c in run] == run else [0]
+        return [] if [run[c] for c in run] == list(run) else [0]
     positions, out = _positions(n), []
     for start in range(0, len(run), 256):
         chunk = run[start : start + 256].ljust(256, b"\0")
@@ -478,7 +477,7 @@ def _idem_fails(cl: Sequence[int]) -> Verdict:
 
 
 def _check_idem(
-    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: dict
 ) -> list[Verdict]:
     """IDEM_ydwed's verdict on each family of a block of runs, in order:
     whether the family's closure table composed with itself is itself.  On
@@ -507,7 +506,7 @@ def _check_idem(
 
 def _check_l3_1(
     ground: GroundSet, conv: ClosureConvention, masks: tuple[int, ...], b: int,
-    memo: Optional[dict],
+    memo: dict,
 ) -> Verdict:
     hullb = closure_of(ground.size, masks, b, conv)
     for m in masks:
@@ -560,15 +559,14 @@ def _closed_partitions(
 
 def _check_s2_2(
     ground: GroundSet, conv: ClosureConvention, t: SetSystem, flow: DiscreteFlow,
-    memo: Optional[dict],
+    memo: dict,
 ) -> Verdict:
     """S2_2 on a topology and a flow.  Whether `t` is a topology and its
-    closure table are read once per document, and once per topology in a
-    sweep, whose memo keeps both by its masks."""
-    known = {} if memo is None else memo
-    if t.masks not in known:
-        known[t.masks] = classify(t, conv).is_topology, closure_map(t, conv)
-    is_topology, cl = known[t.masks]
+    closure table are read once per topology, kept in the memo by its
+    masks."""
+    if t.masks not in memo:
+        memo[t.masks] = classify(t, conv).is_topology, closure_map(t, conv)
+    is_topology, cl = memo[t.masks]
     if not is_topology:
         return _skip("not a topology")
     if not _continuous(flow, t):
@@ -578,7 +576,7 @@ def _check_s2_2(
 
 def _premised(
     ground: GroundSet, family: int, cl: Sequence[int], flows: Sequence[DiscreteFlow],
-    memo: Optional[dict], rooms: bool,
+    memo: dict, rooms: bool,
 ) -> list[Verdict]:
     """The verdicts of B3_2 (or of S3_3, with `rooms`) on a run of flows
     under a system whose closure table is `cl`.  Commuting with the hull,
@@ -615,12 +613,12 @@ def _room_verdict(flow: DiscreteFlow, table: Sequence[int], b3_4: bool) -> Verdi
 
 def _b3_4_run(
     ground: GroundSet, family: int, table: Sequence[int], flows: Sequence[DiscreteFlow],
-    memo: Optional[dict],
+    memo: dict,
 ) -> list[Verdict]:
     """B3_4's verdicts on a run of flows under the closure table `table`,
     all its verdict reads of the system: a row of them, one per orbit
-    partition, is kept by the table in a sweep's memo or for the run."""
-    row = {} if memo is None else memo.setdefault(table, {})
+    partition, is kept in the memo by the table."""
+    row = memo.setdefault(table, {})
     out = []
     for flow in flows:
         blocks = flow.orbit_blocks()
@@ -633,7 +631,7 @@ def _b3_4_run(
 
 def _check_b2_3d(
     ground: GroundSet, conv: ClosureConvention, flow: DiscreteFlow, covering: SetSystem,
-    memo: Optional[dict],
+    memo: dict,
 ) -> Verdict:
     if not flow.is_cyclic:
         return _skip("monotone variants need a cyclic flow")
@@ -665,11 +663,11 @@ _CHAIN_VARIANTS = (
 
 
 def _chain_verdict(
-    flow: DiscreteFlow, members: Sequence[int], table: Sequence[int], families: Optional[dict]
+    flow: DiscreteFlow, members: Sequence[int], table: Sequence[int], families: dict
 ) -> Verdict:
     """CHAIN_karrenk's verdict on a cyclic flow and the covering of
-    `members`, whose closure table is `table`; `families` is the sweep's
-    memo of conventional families by block-incidence family
+    `members`, whose closure table is `table`; `families` is the memo's
+    store of conventional families by block-incidence family
     (attract._free_attractors)."""
     weak, conventional, plus, minus = _free_attractors(
         flow, members, table, _CHAIN_VARIANTS, families
@@ -686,23 +684,23 @@ def _chain_verdict(
 
 
 def _check_chain(
-    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: dict
 ) -> list[Verdict]:
     """CHAIN_karrenk's verdict on each (cycle, covering) of a block of
     runs, in order (the covering, a family bitmask or None (_COVER), is the
     inner factor).  The verdict reads the flow only through its orbit
     blocks (and whether it is cyclic), so each orbit partition has a row
-    of verdicts by covering, kept by the orbit blocks in a sweep's memo
-    or for the run.  The memo also keeps the conventional families by
-    block-incidence family, and each covering's closure table."""
+    of verdicts by covering, kept in the memo by the orbit blocks.  The
+    memo also keeps the conventional families by block-incidence family,
+    and each covering's closure table."""
     n, out = ground.size, []
-    families = None if memo is None else memo.setdefault("families", {})
-    tables = {} if memo is None else memo.setdefault("tables", {})
+    families = memo.setdefault("families", {})
+    tables = memo.setdefault("tables", {})
     for (flow,), coverings in runs:
         if not flow.is_cyclic:
             out += [_skip("monotone variants need a cyclic flow")] * len(coverings)
             continue
-        row = {} if memo is None else memo.setdefault(flow.orbit_blocks(), {})
+        row = memo.setdefault(flow.orbit_blocks(), {})
         for family in coverings:
             if family is None:
                 out.append(_skip("system does not cover the ground"))
@@ -720,7 +718,7 @@ def _check_chain(
 
 
 def _check_b3_6(
-    ground: GroundSet, conv: ClosureConvention, family: int, memo: Optional[dict]
+    ground: GroundSet, conv: ClosureConvention, family: int, memo: dict
 ) -> Verdict:
     """B3_6 on the system whose family bitmask is `family`, read off its
     closure table with no SetSystem built: the complement-free subsets
@@ -750,7 +748,7 @@ def _fibration(n: int, family: int, conv: ClosureConvention) -> tuple:
 
 def _b3_7_run(
     ground: GroundSet, family: int, parts: tuple, maps: Sequence[EndoFunction],
-    memo: Optional[dict],
+    memo: dict,
 ) -> list[Verdict]:
     """B3_7's verdicts on a run of maps: fibration integrity against the
     preservation of the complement-free family."""
@@ -773,7 +771,7 @@ def _chain_parts(n: int, family: int, conv: ClosureConvention) -> tuple:
 
 def _s3_8_run(
     ground: GroundSet, family: int, parts: tuple, maps: Sequence[EndoFunction],
-    memo: Optional[dict], bijective: bool,
+    memo: dict, bijective: bool,
 ) -> list[Verdict]:
     """S3_8's verdicts on a run of maps, keyed by the map's five chain
     statements (_explication_verdict)."""
@@ -802,7 +800,7 @@ def _explication_verdict(bits: int) -> Verdict:
 
 def _k3_9_run(
     ground: GroundSet, family: int, parts: tuple, flows: Sequence[DiscreteFlow],
-    memo: Optional[dict],
+    memo: dict,
 ) -> list[Verdict]:
     """K3_9's verdicts on a run of flows: the group's statements, decided
     on its generators as in phase_chain_check, hold together or fail
@@ -831,7 +829,7 @@ def _side(n: int, masks: Sequence[int], conv: ClosureConvention) -> Any:
 
 def _b3_10_run(
     ground: GroundSet, masks: tuple[int, ...], side: Any, maps: Sequence[EndoFunction],
-    memo: Optional[dict],
+    memo: dict,
 ) -> list[Verdict]:
     """B3_10's verdicts on a run of bijections under the system of
     `masks`: its plus and its minus membership, from the side's row
@@ -864,20 +862,19 @@ _check_b3_10 = _on_systems(_side, _b3_10_run)
 
 def _check_covar(
     ground: GroundSet, conv: ClosureConvention, cycle: DiscreteFlow,
-    masks: Optional[tuple[int, ...]], relabel: Optional[Autobolism], memo: Optional[dict],
+    masks: Optional[tuple[int, ...]], relabel: Optional[Autobolism], memo: dict,
 ) -> Verdict:
     """`masks` and `relabel` are None only where `_unpack_covar` read a
     system that does not cover the ground, which is skipped first."""
     if masks is None:
         return _skip("system does not cover the ground")
-    # the system and its untransported family, kept in a sweep's memo by
-    # its members and the orbit blocks, all of the flow free_attractors reads
-    originals = {} if memo is None else memo
+    # the system and its untransported family, kept in the memo by its
+    # members and the orbit blocks, all of the flow free_attractors reads
     key = masks, cycle.orbit_blocks()
-    if key not in originals:
+    if key not in memo:
         sys = SetSystem(ground, masks)
-        originals[key] = sys, *free_attractors(cycle, sys, conv)
-    sys, original = originals[key]
+        memo[key] = sys, *free_attractors(cycle, sys, conv)
+    sys, original = memo[key]
     [moved] = free_attractors(*transport(cycle, sys, relabel), conv)
     expected = SetSystem(ground, tuple(relabel.apply_mask(m) for m in original.masks))
     if moved == expected:
@@ -1192,12 +1189,13 @@ class Claim:
     2008).  A claim whose verdict needs nothing from the rest of its run
     registers a body on one tuple, mapped over the runs (`_each`); one
     whose outer factor is a system reads what it needs of each system
-    once, from its family bitmask or members (`_on_systems`).  `memo` is a
-    dict that an exhaustive sweep keeps for one worker's share and hands
-    to every block, and None otherwise: a body may keep in it, under keys
-    of its own, what it decided or read, so that later blocks read it.  It
-    is the only store of Cantor's decisions (cantor._hull_row,
-    cantor._side_row); no system object keeps anything."""
+    once, from its family bitmask or members (`_on_systems`).  Every body
+    call gets a memo, a dict that lives for a worker's share of an
+    exhaustive sweep, for a random draw or for a document (`_evaluate`,
+    `check_theorem`): a body keeps in it, under keys of its own, what it
+    decided or read, so that later blocks read it.  It is the only store
+    of Cantor's decisions (cantor._hull_row, cantor._side_row); no system
+    object keeps anything."""
 
     checker: Callable[..., list[Verdict]]
     kind: _Space
@@ -1222,11 +1220,11 @@ class Claim:
         ground: GroundSet,
         runs: Sequence[tuple],
         conv: ClosureConvention,
-        memo: Optional[dict] = None,
+        memo: dict,
     ) -> list[Verdict]:
         """Evaluate the claim on a block of runs of factor values: their
-        verdicts, in order, from the body given the whole block and the
-        sweep's `memo`.  Every sweep (once per exhaustive share block, once
+        verdicts, in order, from the body given the whole block and
+        `memo`.  Every sweep (once per exhaustive share block, once
         per random draw) and `check_theorem` (a run of one) calls it, which
         gives per-layer tracing (sweepbench) one name to time all checker
         bodies by."""
@@ -1236,10 +1234,10 @@ class Claim:
 def _each(body: Callable[..., Verdict]) -> Callable[..., list[Verdict]]:
     """The checker body that maps `body(ground, conv, *outer, v, memo)`,
     the verdict on one tuple of factor values, over each value `v` of
-    each run's inner stretch, handing each the sweep's memo."""
+    each run's inner stretch, handing each the memo."""
 
     def checker(
-        ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: Optional[dict]
+        ground: GroundSet, conv: ClosureConvention, runs: Sequence[tuple], memo: dict
     ) -> list[Verdict]:
         return [body(ground, conv, *outer, v, memo) for outer, inner in runs for v in inner]
 
@@ -1298,7 +1296,7 @@ def check_theorem(
     if isinstance(instance, dict):
         instance = Instance.from_dict(instance)
     claim = CLAIMS[theorem]
-    [verdict] = claim.check(instance.ground, _one_run(claim.unpack(instance)), conv)
+    [verdict] = claim.check(instance.ground, _one_run(claim.unpack(instance)), conv, {})
     return _witnessed(verdict, instance, conv) if verdict.status == "fails" else verdict
 
 
@@ -1394,13 +1392,14 @@ def _evaluate(
     checks the values themselves.  A tuple of factor values is built, and
     an Instance of it, only for a failing verdict whose witness is kept.
 
-    In exhaustive mode every block of the share gets one memo, a dict local
-    to this call (see Claim), in which a block body keeps what later
-    blocks ask again, such as a row of verdicts per orbit partition: it
-    dies with the call, and each share keeps its own.  Random mode
-    keeps none, as its draws on many points rarely repeat and would keep
-    every drawn system alive.  Returns the share's counts and its first
-    `cap` counterexamples."""
+    Each body call gets a memo (see Claim).  In exhaustive mode every block
+    of the share gets one, a dict local to this call, in which a block
+    body keeps what later blocks ask again, such as a row of verdicts per
+    orbit partition: it dies with the call, and each share keeps its own.
+    In random mode each draw gets a fresh one, as draws on many points
+    rarely repeat and a memo kept across them would keep every drawn
+    system alive.  Returns the share's counts and its first `cap`
+    counterexamples."""
     if mode == "exhaustive":
         share = _exhaustive_instances(theorem, n, worker, jobs)
     else:
@@ -1411,13 +1410,12 @@ def _evaluate(
             for block in _share_blocks(samples or 0, worker, jobs)
             for o in block
         )
-    claim = CLAIMS[theorem]
-    memo: Optional[dict] = {} if mode == "exhaustive" else None
+    claim, memo = CLAIMS[theorem], {}
     ground, status = GroundSet(n), attrgetter("status")
     total = holds = fails = skips = 0
     cexs: list[dict[str, Any]] = []
     for block, runs in share:
-        checked = claim.check(ground, runs, conv, memo)
+        checked = claim.check(ground, runs, conv, memo if mode == "exhaustive" else {})
         total += len(checked)
         # most verdicts are the one shared _HOLDS: a block of nothing else
         # is told by identity, and only another block counted by status

@@ -331,12 +331,17 @@ class TestCoherenceMemos:
     def test_random_sweep_on_ten_points_keeps_nothing(self, monkeypatch):
         # a system on ten points has about 2^9 members, so a trace may hold
         # hundreds of masks: such weak keys rarely repeat and are not kept;
-        # and a random sweep hands no memo to the conventional families
-        infos, memos = [], []
+        # and a random sweep hands the conventional families a memo of each
+        # draw's own, empty on entry
+        infos, memos, sizes = [], [], []
         families = verify._free_attractors
-        monkeypatch.setattr(
-            verify, "_free_attractors", lambda *a: memos.append(a[4]) or families(*a)
-        )
+
+        def counted(*a):
+            memos.append(a[4])
+            sizes.append(len(a[4]))
+            return families(*a)
+
+        monkeypatch.setattr(verify, "_free_attractors", counted)
 
         def run():
             for theorem in (TheoremId.CHAIN_karrenk, TheoremId.B3_4):
@@ -347,7 +352,9 @@ class TestCoherenceMemos:
         # clearing an empty memo frees at most allocator noise
         assert abs(self._held_by_memos(run)) < 1024
         assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)]
-        assert memos and memos == [None] * len(memos)
+        # every memo is kept alive here, so distinct ids are distinct dicts
+        assert memos and sizes == [0] * len(memos)
+        assert len({id(memo) for memo in memos}) == len(memos)
 
     def test_memos_keep_no_flow_or_system_alive(self):
         # the keys are tuples of ints

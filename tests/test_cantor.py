@@ -25,7 +25,6 @@ from hullflow.setsys import (
     SetSystem,
     closure_map,
     closure_map_of,
-    complement_system,
     family_of,
     fibration_classes,
 )
@@ -133,9 +132,9 @@ class TestMembershipsAgainstPairScan:
                     plus and minus, plus_c and minus_c
                 ), (sys, f.image, conv)
                 sides = cantor._sides(sys.ground.size, family_of(sys.ground.size, sys.masks))
-                got = [cantor._side_row(s, None).of(f) for s in sides]
+                got = [cantor._side_row(s, {}).of(f) for s in sides]
                 assert got == [plus | minus << 1, plus_c | minus_c << 1], (sys, f.image, conv)
-                rows = cantor._chain_rows(closure_map(sys, conv), sides, None)
+                rows = cantor._chain_rows(closure_map(sys, conv), sides, {})
                 bits = cantor._chain_bits(rows, f)
                 assert [bits >> i & 1 for i in range(1, 5)] == [plus, minus, plus_c, minus_c], (
                     sys, f.image, conv
@@ -343,7 +342,7 @@ class TestExplication:
     def test_constant_zero_confirmed_by_direct_enumeration(self):
         # independent confirmation over all four subsets
         c0 = endo(G2, 0, 0)
-        compl = complement_system(A2).masks
+        compl = [G2.full_mask ^ m for m in A2.masks]
         disagreement = False
         for z in range(4):
             fam = [m for m in compl if m & z == z]

@@ -213,6 +213,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"]["status"] == "holds"
 
+    def test_verify_empty_chi_without_flows(self, capsys, tmp_path):
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"ground": 3, "systems": {"chi": [[]]}}))
+        code, out, _ = run_cli(capsys, "verify", "L1_3", "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "note": "empty chi", "status": "skipped", "witness": None
+        }
+
     def test_convention_flag_recorded(self, capsys, instance_file):
         code, out, _ = run_cli(
             capsys, "--convention", "nonempty", "classify", "T", "-i", instance_file

@@ -25,7 +25,7 @@ from hullflow.setsys import (
     closure_map_of,
     closure_of,
     closure_tables_of,
-    complement_system,
+    complement_family,
     elementarize,
     family_members,
     family_of,
@@ -146,19 +146,6 @@ class TestSetSystem:
         assert pickle.loads(pickle.dumps(s)).covers_ground()
 
 
-class TestComplement:
-    def test_elementwise(self):
-        assert complement_system(system(G2, [0], [0, 1])) == system(G2, [1], [])
-
-    def test_self_dual_fixture(self, t_selfdual):
-        assert complement_system(t_selfdual) == t_selfdual
-
-    @given(systems_strategy(3, covering=True))
-    @settings(max_examples=60)
-    def test_involution_on_covering(self, s):
-        assert complement_system(complement_system(s)) == s
-
-
 class TestHull:
     def test_closure_smallest_closed_superset(self, t_selfdual):
         assert closure(t_selfdual, sub(G3, 1)) == sub(G3, 1, 2)
@@ -178,7 +165,7 @@ class TestHull:
     def test_eight_kinds_consistent_with_direct_formula(self, t_selfdual):
         # cross-check every kind against a set-comprehension oracle
         masks = t_selfdual.masks
-        compl = complement_system(t_selfdual).masks
+        compl = family_members(complement_family(3, family_of(3, t_selfdual.masks)))
         for j in (0, 1):
             for k in (0, 1):
                 for l in (0, 1):
@@ -489,7 +476,7 @@ def free_family(s, conv=FULL):
     system of `s`, whose complement system is `s`.  It reads no
     convention."""
     n = s.ground.size
-    return family_members(cantor._free_family(n, family_of(n, complement_system(s).masks)))
+    return family_members(cantor._free_family(n, complement_family(n, family_of(n, s.masks))))
 
 
 class TestUnOv:

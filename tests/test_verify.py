@@ -243,8 +243,9 @@ class TestFactorRoundTrip:
 
 class TestTwoRoutes:
     # a sweep hands the claim a block of runs of the factor values its
-    # space indexes; check_theorem unpacks the same values from an instance
-    # and hands them over as a run of one
+    # space indexes, with its share's memo; check_theorem unpacks the same
+    # values from an instance and hands them over as a run of one, with a
+    # memo of its own
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_sweep_verdicts_match_check_theorem(self, theorem, conv):
@@ -252,11 +253,11 @@ class TestTwoRoutes:
         for n in (1, 2):
             ground, space = GroundSet(n), claim.space(n)
             counts = {"holds": 0, "fails": 0, "skipped": 0}
-            witnesses = []
+            witnesses, memo = [], {}
             checked = [
                 (ordinal, verdict)
                 for block, runs in verify._exhaustive_instances(theorem, n, 0, 1)
-                for ordinal, verdict in zip(block, claim.check(ground, runs, conv))
+                for ordinal, verdict in zip(block, claim.check(ground, runs, conv, memo))
             ]
             assert [ordinal for ordinal, _ in checked] == list(range(len(space)))
             for ordinal, verdict in checked:
@@ -318,6 +319,13 @@ class TestCheckTheorem:
             "systems": {"chi": [[0, 1]]},
         }
         assert check_theorem(TheoremId.L1_3, inst).status == "holds"
+
+    def test_l1_3_empty_chi_without_flows_is_skipped(self):
+        # an empty chi is skipped before the flow is read, so a document
+        # with no flows gets a row with no orbit blocks, asked for that chi
+        inst = {"ground": 3, "systems": {"chi": [[]]}}
+        verdict = check_theorem(TheoremId.L1_3, inst)
+        assert (verdict.status, verdict.note) == ("skipped", "empty chi")
 
     def test_s3_3_mined_counterexample(self):
         inst = {
@@ -454,9 +462,10 @@ class TestSweep:
 
     def test_idempotence_by_translation_matches_composition(self):
         # up to 4 points a closure table is bytes, composed with itself by
-        # one translation as a run of one table; the list route composes it
-        # cell by cell: every covering family up to n=4, seeded families at
-        # n=5 and 6, and arbitrary byte tables, most of them not idempotent
+        # one translation as a run of one table; above 4 points it is a
+        # tuple, compared cell by cell with its composition: every covering
+        # family up to n=4, seeded families at n=5 and 6, and arbitrary byte
+        # and tuple tables, most of them not idempotent
         tables = [
             (n, closure_map_of(n, family, conv))
             for n in (1, 2, 3, 4)
@@ -471,11 +480,16 @@ class TestSweep:
                     (n, closure_map_of(n, rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n), conv))
                     for _ in range(100)
                 ]
-        assert all(isinstance(cl, list) for _, cl in tables[-400:])
+        assert all(isinstance(cl, tuple) for _, cl in tables[-400:])
         tables += [
             (n, bytes(rnd.randrange(1 << n) for _ in range(1 << n)))
             for n in (1, 2, 3, 4)
             for _ in range(500)
+        ]
+        tables += [
+            (n, tuple(rnd.randrange(1 << n) for _ in range(1 << n)))
+            for n in (5, 6)
+            for _ in range(50)
         ]
         composed = [[cl[c] for c in cl] == list(cl) for _, cl in tables]
         assert [not verify._not_idempotent(cl, n) for n, cl in tables] == composed
@@ -742,20 +756,26 @@ class TestSweep:
         assert len(decided) == keys
 
     def test_random_sweep_keeps_no_verdicts(self, monkeypatch):
-        # a random sweep keeps no verdicts, which would keep every drawn
-        # system alive: its block body gets no memo and decides every draw,
-        # even on two points, where the orbit partitions repeat
+        # a random sweep keeps no verdicts across draws, which would keep
+        # every drawn system alive: each draw's block body gets a memo of
+        # its own, empty on entry, and decides its draw, even on two points,
+        # where the orbit partitions repeat
         decided = count_decisions(monkeypatch, TheoremId.L1_3)
-        memos = []
+        memos, sizes = [], []
         claim = CLAIMS[TheoremId.L1_3]
         body = claim.checker
-        monkeypatch.setitem(
-            CLAIMS, TheoremId.L1_3,
-            dataclasses.replace(claim, checker=lambda *a: memos.append(a[3]) or body(*a)),
-        )
+
+        def checker(*a):
+            memos.append(a[3])
+            sizes.append(len(a[3]))
+            return body(*a)
+
+        monkeypatch.setitem(CLAIMS, TheoremId.L1_3, dataclasses.replace(claim, checker=checker))
         rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
         assert rep.instance_count == len(decided) == 50
-        assert memos == [None] * 50
+        # every memo is kept alive here, so distinct ids are distinct dicts
+        assert sizes == [0] * 50
+        assert len({id(memo) for memo in memos}) == 50
 
     def test_random_sweep_keeps_one_draw_alive(self):
         # a draw on 12 points holds about 2^11 members, some 75 KB.  13
@@ -957,8 +977,9 @@ class TestOrbitBlockKeys:
     # the group claims' block bodies keep their rows of verdicts by orbit
     # blocks, and read a system once per run: on every cut of a space
     # into blocks of runs, in enumeration order, and on its tuples
-    # shuffled as runs of one, with a sweep's memo and without one, their
-    # verdicts must be each tuple's on a run of one and the oracle's
+    # shuffled as runs of one, with one memo for every block, as a share
+    # keeps, and with a fresh one per block, their verdicts must be each
+    # tuple's on a run of one and the oracle's
 
     @staticmethod
     def check_blocks(theorem, n, conv, space, seed):
@@ -975,7 +996,7 @@ class TestOrbitBlockKeys:
         def seen(verdicts):
             return [(v.status, v.note, v.systems) for v in verdicts]
 
-        alone = (claim.check(ground, verify._one_run(values), conv)[0] for values in tuples)
+        alone = (claim.check(ground, verify._one_run(values), conv, {})[0] for values in tuples)
         assert seen(alone) == expected
         rnd = random.Random(seed)
         order = rnd.sample(range(len(tuples)), len(tuples))
@@ -994,11 +1015,14 @@ class TestOrbitBlockKeys:
                 else:
                     blocks = [space.run(a, b) for a, b in zip(cuts, cuts[1:])]
                 crossings += sum(len({id(outer[0]) for outer, _ in runs}) > 1 for runs in blocks)
-                for memo in ({}, None):
+                for fresh in (False, True):
+                    memo = {}
                     verdicts = [
-                        v for runs in blocks for v in claim.check(ground, runs, conv, memo)
+                        v
+                        for runs in blocks
+                        for v in claim.check(ground, runs, conv, {} if fresh else memo)
                     ]
-                    assert seen(verdicts) == [expected[i] for i in positions], (cuts, memo)
+                    assert seen(verdicts) == [expected[i] for i in positions], (cuts, fresh)
         return {status for status, _, _ in expected}, crossings
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
@@ -1042,10 +1066,11 @@ class TestOrbitBlockKeys:
 
 class TestHullOnlyClaims:
     # B3_2, S3_3, B3_4 and IDEM_ydwed read a covering system only through
-    # its closure table.  Decided with no memo, which could share a row
-    # between systems, every instance up to n=3 that shares (closure table,
-    # the rest of the instance) with another gets the same status and
-    # note, so a body that starts to read the members fails here
+    # its closure table.  Decided with a fresh memo per system, so that no
+    # row is shared between systems, every instance up to n=3 that shares
+    # (closure table, the rest of the instance) with another gets the same
+    # status and note, so a body that starts to read the members fails
+    # here
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize(
@@ -1057,7 +1082,9 @@ class TestHullOnlyClaims:
         claim, shared = CLAIMS[theorem], 0
         for n in (1, 2, 3):
             ground, space = GroundSet(n), claim.space(n)
-            verdicts = claim.check(ground, space.run(0, len(space)), conv)
+            verdicts = [
+                v for run in space.run(0, len(space)) for v in claim.check(ground, [run], conv, {})
+            ]
             tables, seen = {}, {}
             for (family, *rest), verdict in zip(space, verdicts):
                 if family not in tables:
@@ -1090,7 +1117,7 @@ class TestFibrationClaims:
     def check(self, theorem, n, conv, runs):
         """The claim's verdicts on a block of runs, each against the
         oracle's; returns the oracle's statuses."""
-        got = CLAIMS[theorem].check(GroundSet(n), runs, conv)
+        got = CLAIMS[theorem].check(GroundSet(n), runs, conv, {})
         expected = [
             self.oracle(theorem, n, (*outer, v), conv) for outer, inner in runs for v in inner
         ]
@@ -1781,7 +1808,9 @@ class TestBlockBodies:
             ground = GroundSet(n)
             for _, runs in verify._exhaustive_instances(theorem, n, 0, 1):
                 block = flatten(runs)
-                alone = [claim.check(ground, verify._one_run(values), conv)[0] for values in block]
+                alone = [
+                    claim.check(ground, verify._one_run(values), conv, {})[0] for values in block
+                ]
                 expected = [(v.status, v.note) for v in alone]
                 assert expected == [
                     explication_oracle(n, setsys.family_members(family), f.image, conv.value)
@@ -1790,7 +1819,7 @@ class TestBlockBodies:
                 order = rnd.sample(range(len(block)), len(block))
                 shuffled = [run for i in order for run in verify._one_run(block[i])]
                 for values in (runs, shuffled):
-                    verdicts = claim.check(ground, values, conv)
+                    verdicts = claim.check(ground, values, conv, {})
                     if values is shuffled:
                         verdicts = [verdicts[order.index(i)] for i in range(len(block))]
                     assert [(v.status, v.note) for v in verdicts] == expected, n
@@ -1801,7 +1830,7 @@ class TestBlockBodies:
     @pytest.mark.parametrize("theorem", [TheoremId.S3_8_all, TheoremId.S3_8_bij])
     def test_explication_block_on_random_draws(self, theorem, conv):
         # drawn systems and maps on 5 to 7 points, where the tables are
-        # lists, two maps to each system, in one block of runs of two
+        # tuples, two maps to each system, in one block of runs of two
         claim = CLAIMS[theorem]
         for n in (5, 6, 7):
             rnd = random.Random(f"{theorem.value}:{n}")
@@ -1809,8 +1838,10 @@ class TestBlockBodies:
             runs = [((draws[i][0],), [draws[i][1], draws[i + 1][1]]) for i in range(0, 12, 2)]
             block = flatten(runs)
             ground = GroundSet(n)
-            verdicts = claim.check(ground, runs, conv)
-            alone = [claim.check(ground, verify._one_run(values), conv)[0] for values in block]
+            verdicts = claim.check(ground, runs, conv, {})
+            alone = [
+                claim.check(ground, verify._one_run(values), conv, {})[0] for values in block
+            ]
             expected = [
                 explication_oracle(n, setsys.family_members(family), f.image, conv.value)
                 for family, f in block
