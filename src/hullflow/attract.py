@@ -13,7 +13,6 @@ attractors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
@@ -27,8 +26,10 @@ from .dynsys import (
 )
 from .setsys import (
     ClosureConvention,
+    Frozen,
     GroundMismatchError,
     SetSystem,
+    _set,
     closure_map,
     is_partition,
 )
@@ -287,18 +288,22 @@ def transport(
     return new, moved
 
 
-@dataclass(frozen=True)
-class RoomReport:
+class RoomReport(Frozen):
     """The rooms of a flow under a closure table, whether they partition
     the ground, whether they are flow-invariant, and whether they are all
     free attractors relative to the table's closed family (None when that
     family fails to cover the ground, which makes the attractor side
     ill-formed)."""
 
-    rooms: SetSystem
-    partition: bool
-    invariant: bool
-    attractors: Optional[bool]
+    __slots__ = _fields = ("rooms", "partition", "invariant", "attractors")
+
+    def __init__(
+        self, rooms: SetSystem, partition: bool, invariant: bool, attractors: Optional[bool]
+    ) -> None:
+        _set(self, "rooms", rooms)
+        _set(self, "partition", partition)
+        _set(self, "invariant", invariant)
+        _set(self, "attractors", attractors)
 
 
 def room_report(flow: DiscreteFlow, table: Sequence[int]) -> RoomReport:

@@ -35,7 +35,6 @@ body once per system, a public function here once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import kernels
@@ -43,8 +42,10 @@ from .dynsys import Autobolism, EndoFunction
 from .setsys import (
     DEFAULT_ENUM_CAP,
     ClosureConvention,
+    Frozen,
     GroundMismatchError,
     SetSystem,
+    _set,
     closure_map,
     complement_family,
     family_members,
@@ -197,14 +198,16 @@ def is_trivially_commutative(system: SetSystem) -> bool:
     return all(full ^ (1 << x) in members for x in range(system.ground.size))
 
 
-@dataclass(frozen=True)
-class ExplicationRecord:
+class ExplicationRecord(Frozen):
     """Commutative Cantor-continuity next to the two-sided memberships over
     the system and over its complement system."""
 
-    lhs: bool
-    rhs_system: bool
-    rhs_complement: bool
+    __slots__ = _fields = ("lhs", "rhs_system", "rhs_complement")
+
+    def __init__(self, lhs: bool, rhs_system: bool, rhs_complement: bool) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs_system", rhs_system)
+        _set(self, "rhs_complement", rhs_complement)
 
     @property
     def agree(self) -> bool:
@@ -230,28 +233,29 @@ def explication_check(
     return ExplicationRecord.of_bits(_chain_bits(_system_rows(system, conv), f))
 
 
-@dataclass(frozen=True)
-class PhaseChainRecord:
+class PhaseChainRecord(Frozen):
     """The five statements of the phase-flow continuity chain for the
     generated group: all-element commutativity, the plus and minus
     memberships over the system, and both memberships over the complement
     system.  The chain holds when all five agree."""
 
-    commutes: bool
-    plus_system: bool
-    minus_system: bool
-    plus_complement: bool
-    minus_complement: bool
+    __slots__ = _fields = (
+        "commutes", "plus_system", "minus_system", "plus_complement", "minus_complement",
+    )
+
+    def __init__(
+        self, commutes: bool, plus_system: bool, minus_system: bool,
+        plus_complement: bool, minus_complement: bool,
+    ) -> None:
+        _set(self, "commutes", commutes)
+        _set(self, "plus_system", plus_system)
+        _set(self, "minus_system", minus_system)
+        _set(self, "plus_complement", plus_complement)
+        _set(self, "minus_complement", minus_complement)
 
     @property
     def statements(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (
-            self.commutes,
-            self.plus_system,
-            self.minus_system,
-            self.plus_complement,
-            self.minus_complement,
-        )
+        return self._values()
 
     @property
     def chain_holds(self) -> bool:

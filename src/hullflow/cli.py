@@ -21,7 +21,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Any, NoReturn, Optional
@@ -315,7 +314,8 @@ def run(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
     if args.command == "classify":
         system = _named_system(inst, args.system)
-        return _report(args, conv, dataclasses.asdict(classify(system, conv))), 0
+        flags = classify(system, conv)
+        return _report(args, conv, dict(zip(flags._fields, flags._values()))), 0
 
     if args.command == "invariant-topology":
         flow = _named_flow(inst, args.flow)

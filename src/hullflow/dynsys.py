@@ -12,7 +12,6 @@ no group is ever listed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -20,25 +19,27 @@ from . import kernels
 from .setsys import (
     DEFAULT_ENUM_CAP,
     CapExceededError,
+    Frozen,
     GroundMismatchError,
     GroundSet,
     SetSystem,
     _check_enum,
+    _set,
 )
 
 
-@dataclass(frozen=True, order=True)
-class EndoFunction:
+class EndoFunction(Frozen):
     """A (not necessarily bijective) self-map of the ground set; image[i]
-    is where i goes."""
+    is where i goes.  It keeps its mask table in its `__dict__`."""
 
-    ground: GroundSet
-    image: tuple[int, ...]
+    _fields = ("ground", "image")
 
-    def __post_init__(self) -> None:
-        n = self.ground.size
-        if len(self.image) != n or any(not 0 <= v < n for v in self.image):
-            raise ValueError(f"not a self-map of 0..{n - 1}: {self.image}")
+    def __init__(self, ground: GroundSet, image: tuple[int, ...]) -> None:
+        n = ground.size
+        if len(image) != n or any(not 0 <= v < n for v in image):
+            raise ValueError(f"not a self-map of 0..{n - 1}: {image}")
+        _set(self, "ground", ground)
+        _set(self, "image", image)
 
     @classmethod
     def of(cls, ground: GroundSet, image: Sequence[int]) -> "EndoFunction":
@@ -75,11 +76,14 @@ class EndoFunction:
 
 
 class Autobolism(EndoFunction):
-    """A permutation of the ground set: the self-map it is."""
+    """A permutation of the ground set: the self-map it is.  It never
+    equals an EndoFunction, as records of two classes never do."""
 
-    def __post_init__(self) -> None:
-        if sorted(self.image) != list(range(self.ground.size)):
-            raise ValueError(f"not a permutation of 0..{self.ground.size - 1}: {self.image}")
+    def __init__(self, ground: GroundSet, image: tuple[int, ...]) -> None:
+        if sorted(image) != list(range(ground.size)):
+            raise ValueError(f"not a permutation of 0..{ground.size - 1}: {image}")
+        _set(self, "ground", ground)
+        _set(self, "image", image)
 
     @classmethod
     def identity(cls, ground: GroundSet) -> "Autobolism":
@@ -114,16 +118,22 @@ def _common_ground(gens: Sequence[Autobolism]) -> GroundSet:
     return ground
 
 
-@dataclass(frozen=True)
-class DiscreteFlow:
+class DiscreteFlow(Frozen):
     """Either the cyclic flow of one generator (integer time) or the
     permutation group generated by a list of generators (group time).
 
-    Only the generators are stored; orbits come from them alone."""
+    Only the generators are stored; orbits come from them alone.  The
+    flow keeps its orbit blocks and invariant sets, once listed, in its
+    `__dict__`."""
 
-    ground: GroundSet
-    gens: tuple[Autobolism, ...]
-    is_cyclic: bool = False
+    _fields = ("ground", "gens", "is_cyclic")
+
+    def __init__(
+        self, ground: GroundSet, gens: tuple[Autobolism, ...], is_cyclic: bool = False
+    ) -> None:
+        _set(self, "ground", ground)
+        _set(self, "gens", gens)
+        _set(self, "is_cyclic", is_cyclic)
 
     @classmethod
     def cyclic(cls, generator: Autobolism) -> "DiscreteFlow":

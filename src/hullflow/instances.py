@@ -9,11 +9,10 @@ reports the offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .dynsys import Autobolism, DiscreteFlow, EndoFunction
-from .setsys import ClosureConvention, GroundSet, SetSystem
+from .setsys import ClosureConvention, GroundSet, Record, SetSystem
 
 class InstanceError(ValueError):
     """Malformed instance text: carries the offending field path."""
@@ -35,14 +34,29 @@ def parse_convention(name: str, path: str = "convention") -> ClosureConvention:
         raise InstanceError(path, f"unknown convention {name!r} (full|nonempty)") from None
 
 
-@dataclass
-class Instance:
-    ground: GroundSet
-    convention: ClosureConvention = ClosureConvention.FULL
-    systems: dict[str, SetSystem] = field(default_factory=dict)
-    permutations: dict[str, Autobolism] = field(default_factory=dict)
-    functions: dict[str, EndoFunction] = field(default_factory=dict)
-    flows: dict[str, DiscreteFlow] = field(default_factory=dict)
+class Instance(Record):
+    """A ground set, a convention and named objects, one dict per section
+    (a new empty one for each section not given); compared by value."""
+
+    __slots__ = _fields = (
+        "ground", "convention", "systems", "permutations", "functions", "flows",
+    )
+
+    def __init__(
+        self,
+        ground: GroundSet,
+        convention: ClosureConvention = ClosureConvention.FULL,
+        systems: Optional[dict[str, SetSystem]] = None,
+        permutations: Optional[dict[str, Autobolism]] = None,
+        functions: Optional[dict[str, EndoFunction]] = None,
+        flows: Optional[dict[str, DiscreteFlow]] = None,
+    ) -> None:
+        self.ground = ground
+        self.convention = convention
+        self.systems = {} if systems is None else systems
+        self.permutations = {} if permutations is None else permutations
+        self.functions = {} if functions is None else functions
+        self.flows = {} if flows is None else flows
 
     def names(self) -> list[str]:
         out: list[str] = []

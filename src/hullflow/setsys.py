@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Iterable, Sequence
 
@@ -34,31 +33,82 @@ def _check_enum(n: int) -> None:
         raise CapExceededError(f"ground size {n} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
 
 
-@dataclass(frozen=True, order=True)
-class GroundSet:
+#: How a Frozen record's constructor sets its fields.
+_set = object.__setattr__
+
+
+class Record:
+    """A record of the fields named in `_fields`, its constructor's
+    parameters in order: printed as `Name(field=value, ...)`, equal to a
+    record of the same class whose `_key()` (its fields, unless the class
+    leaves some out) is equal, pickled as a call of its constructor, and
+    referenced weakly (tests check that no cache keeps a system alive).
+    These methods are written out, not generated when the library is
+    imported, which every launch would pay for."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Frozen(Record):
+    """A record whose fields its constructor sets once, with `_set`, and
+    that is hashed as its `_key()`.  Assigning or deleting an attribute
+    raises AttributeError: frozen records are shared, and used as keys."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(Frozen):
     """The carrier {0, ..., size-1}."""
 
-    size: int
+    __slots__ = _fields = ("size",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.size <= MAX_GROUND:
-            raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {self.size}")
+    def __init__(self, size: int) -> None:
+        if not 1 <= size <= MAX_GROUND:
+            raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {size}")
+        _set(self, "size", size)
 
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
 
-@dataclass(frozen=True, order=True)
-class Subset:
+class Subset(Frozen):
     """A subset of a ground set, stored as a bit vector."""
 
-    ground: GroundSet
-    bits: int
+    __slots__ = _fields = ("ground", "bits")
 
-    def __post_init__(self) -> None:
-        if self.bits & ~self.ground.full_mask:
-            raise ValueError(f"bits 0x{self.bits:x} outside ground of size {self.ground.size}")
+    def __init__(self, ground: GroundSet, bits: int) -> None:
+        if bits & ~ground.full_mask:
+            raise ValueError(f"bits 0x{bits:x} outside ground of size {ground.size}")
+        _set(self, "ground", ground)
+        _set(self, "bits", bits)
 
     @classmethod
     def of(cls, ground: GroundSet, elements: Iterable[int]) -> "Subset":
@@ -79,27 +129,24 @@ class Subset:
         return "{" + ",".join(map(str, self.indices())) + "}"
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(Frozen):
     """A duplicate-free family of subsets in canonical ascending order."""
 
-    ground: GroundSet
-    masks: tuple[int, ...]
+    __slots__ = _fields = ("ground", "masks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ground: GroundSet, masks: Iterable[int]) -> None:
         # a tuple of strictly ascending masks, as most callers build, is
         # canonical already and kept as it is
-        canon = self.masks
+        canon = masks
         if type(canon) is not tuple or not all(map(operator.lt, canon, canon[1:])):
             canon = tuple(sorted(set(canon)))
         # the ends of the sorted members bound them all; the first
         # offender in input order is looked for only on error
-        if canon and (canon[0] < 0 or canon[-1] >> self.ground.size):
-            full = self.ground.full_mask
-            m = next(m for m in self.masks if m & ~full)
-            raise ValueError(f"member 0x{m:x} outside ground of size {self.ground.size}")
-        if canon is not self.masks:
-            object.__setattr__(self, "masks", canon)
+        if canon and (canon[0] < 0 or canon[-1] >> ground.size):
+            m = next(m for m in masks if m & ~ground.full_mask)
+            raise ValueError(f"member 0x{m:x} outside ground of size {ground.size}")
+        _set(self, "ground", ground)
+        _set(self, "masks", canon)
 
     @classmethod
     def of(cls, ground: GroundSet, families: Iterable[Iterable[int]]) -> "SetSystem":
@@ -137,21 +184,21 @@ class ClosureConvention(enum.Enum):
     NONEMPTY = "nonempty"
 
 
-@dataclass(frozen=True)
-class HullKind:
+class HullKind(Frozen):
     """Binary triple (j, k, l) selecting one of the eight hull constructions:
     j: 0 = unite the gathered family, 1 = intersect it;
     k: 0 = gather members contained in the argument, 1 = members containing it;
     l: 0 = gather from the system itself, 1 = from its complement system.
     """
 
-    j: int
-    k: int
-    l: int
+    __slots__ = _fields = ("j", "k", "l")
 
-    def __post_init__(self) -> None:
-        if any(flag not in (0, 1) for flag in (self.j, self.k, self.l)):
+    def __init__(self, j: int, k: int, l: int) -> None:
+        if any(flag not in (0, 1) for flag in (j, k, l)):
             raise ValueError("hull flags must be 0 or 1")
+        _set(self, "j", j)
+        _set(self, "k", k)
+        _set(self, "l", l)
 
 
 CLOSURE_KIND = HullKind(1, 1, 1)
@@ -384,15 +431,25 @@ def is_partition(masks: Iterable[int], full: int) -> bool:
     return seen == full
 
 
-@dataclass(frozen=True)
-class SystemFlags:
-    covers_ground: bool
-    is_topology: bool
-    is_self_dual: bool
-    is_complete: bool
-    is_quasitopology: bool
-    is_partition: bool
-    is_t0: bool
+class SystemFlags(Frozen):
+    """The structural flags of a system (classify)."""
+
+    __slots__ = _fields = (
+        "covers_ground", "is_topology", "is_self_dual", "is_complete",
+        "is_quasitopology", "is_partition", "is_t0",
+    )
+
+    def __init__(
+        self, covers_ground: bool, is_topology: bool, is_self_dual: bool, is_complete: bool,
+        is_quasitopology: bool, is_partition: bool, is_t0: bool,
+    ) -> None:
+        _set(self, "covers_ground", covers_ground)
+        _set(self, "is_topology", is_topology)
+        _set(self, "is_self_dual", is_self_dual)
+        _set(self, "is_complete", is_complete)
+        _set(self, "is_quasitopology", is_quasitopology)
+        _set(self, "is_partition", is_partition)
+        _set(self, "is_t0", is_t0)
 
 
 def classify(

@@ -28,7 +28,6 @@ import random
 import time
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 from operator import attrgetter, getitem, is_
@@ -49,8 +48,10 @@ from .instances import Instance, InstanceError
 from .setsys import (
     DEFAULT_ENUM_CAP,
     ClosureConvention,
+    Frozen,
     GroundSet,
     SetSystem,
+    _set,
     classify,
     closure_map,
     closure_map_of,
@@ -91,24 +92,36 @@ class TheoremId(Enum):
     IDEM_ydwed = "IDEM_ydwed"        # idempotence of the hull operator
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """A claim's verdict on one instance.  A checker body returns a failing
     verdict without its instance; `check_theorem` and the sweep attach the
     witness (`_witnessed`), so every failing verdict they hand out has
-    one."""
+    one.
 
-    status: str  # "holds" | "fails" | "skipped"
-    instance: Optional[Instance] = None  # the failing instance
-    note: str = ""
-    #: The witness's systems, where a failing body names them: the witness
-    #: then holds these systems, the checked instance's permutations and
-    #: flows, and the convention checked under.
-    systems: Optional[dict[str, SetSystem]] = field(default=None, compare=False)
+    `status` is "holds", "fails" or "skipped", and `instance` the failing
+    instance.  `systems` are the witness's systems, where a failing body
+    names them: the witness then holds these systems, the checked
+    instance's permutations and flows, and the convention checked under.
+    They are left out of comparison."""
 
-    def __post_init__(self) -> None:
-        if self.status not in ("holds", "fails", "skipped"):
-            raise ValueError(f"bad status {self.status!r}")
+    __slots__ = _fields = ("status", "instance", "note", "systems")
+
+    def __init__(
+        self,
+        status: str,
+        instance: Optional[Instance] = None,
+        note: str = "",
+        systems: Optional[dict[str, SetSystem]] = None,
+    ) -> None:
+        if status not in ("holds", "fails", "skipped"):
+            raise ValueError(f"bad status {status!r}")
+        _set(self, "status", status)
+        _set(self, "instance", instance)
+        _set(self, "note", note)
+        _set(self, "systems", systems)
+
+    def _key(self) -> tuple:
+        return self.status, self.instance, self.note
 
     @property
     def witness(self) -> Optional[dict[str, Any]]:
@@ -150,7 +163,9 @@ def _witnessed(verdict: Verdict, inst: Instance, conv: ClosureConvention) -> Ver
             permutations=dict(inst.permutations), flows=dict(inst.flows),
         )
     elif inst.convention is not conv:
-        inst = replace(inst, convention=conv)
+        inst = Instance(
+            inst.ground, conv, inst.systems, inst.permutations, inst.functions, inst.flows
+        )
     return Verdict("fails", inst, verdict.note)
 
 
@@ -397,15 +412,15 @@ def _check_k1_2(
 
 def _l1_3_verdict(ground: GroundSet, blocks: tuple[int, ...], chi: int) -> Verdict:
     """L1_3's verdict on a nonempty chi under a flow with these orbit
-    blocks, which are all of the flow it reads."""
-    subsets = [a for a in range(1, chi + 1) if a & chi == a]
-    coherent = saturation_coherent(blocks, subsets)
-    singles = saturation_coherent(blocks, [1 << x for x in range(ground.size) if chi >> x & 1])
+    blocks, which are all of the flow it reads.  Coherence is decided over
+    the points of chi: over them, and over all nonempty subsets of chi
+    alike, it holds exactly when chi lies inside one orbit block
+    (tests/oracles.py decides it both ways)."""
+    coherent = saturation_coherent(blocks, [1 << x for x in range(ground.size) if chi >> x & 1])
     is_block = chi in blocks
-    note = "" if coherent == singles else "singleton and full-subset checks disagree"
     if coherent == is_block:
-        return _holds(note)
-    return _fails(f"coherent={coherent} orbit_block={is_block}" + ("; " + note if note else ""))
+        return _HOLDS
+    return _fails(f"coherent={coherent} orbit_block={is_block}")
 
 
 def _check_l1_3(
@@ -1169,8 +1184,7 @@ def _unpack_covar(inst: Instance) -> tuple:
 # --------------------------------------------------------------------------
 # the claim registry
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Frozen):
     """Everything the harness knows about one claim: its checker body
     `(ground, conv, runs, memo) -> verdicts`; the kind of its instance
     space, enumerated up to `max_exhaustive_n` points, and the number of
@@ -1197,13 +1211,27 @@ class Claim:
     of Cantor's decisions (cantor._hull_row, cantor._side_row); no system
     object keeps anything."""
 
-    checker: Callable[..., list[Verdict]]
-    kind: _Space
-    max_exhaustive_n: int
-    default_samples: int
-    clean: bool = False
-    note: str = ""
-    read: Optional[Callable[[Instance], tuple]] = None
+    __slots__ = _fields = (
+        "checker", "kind", "max_exhaustive_n", "default_samples", "clean", "note", "read",
+    )
+
+    def __init__(
+        self,
+        checker: Callable[..., list[Verdict]],
+        kind: _Space,
+        max_exhaustive_n: int,
+        default_samples: int,
+        clean: bool = False,
+        note: str = "",
+        read: Optional[Callable[[Instance], tuple]] = None,
+    ) -> None:
+        _set(self, "checker", checker)
+        _set(self, "kind", kind)
+        _set(self, "max_exhaustive_n", max_exhaustive_n)
+        _set(self, "default_samples", default_samples)
+        _set(self, "clean", clean)
+        _set(self, "note", note)
+        _set(self, "read", read)
 
     def space(self, n: int) -> _Product:
         """The exhaustive space on n points: its items are the tuples of
@@ -1336,20 +1364,45 @@ def _random_instance(theorem: TheoremId, n: int, rnd: random.Random) -> tuple:
 # --------------------------------------------------------------------------
 # sweeping
 
-@dataclass(frozen=True)
-class SweepReport:
-    theorem: TheoremId
-    n: int
-    mode: str  # "exhaustive" | "random"
-    convention: ClosureConvention
-    seed: Optional[int]
-    samples: Optional[int]
-    instance_count: int
-    hold_count: int
-    fail_count: int
-    skip_count: int
-    counterexamples: tuple[dict[str, Any], ...]
-    elapsed: float = field(compare=False, default=0.0)
+class SweepReport(Frozen):
+    """What a sweep of one claim established, `mode` "exhaustive" or
+    "random"; the elapsed time is left out of comparison."""
+
+    __slots__ = _fields = (
+        "theorem", "n", "mode", "convention", "seed", "samples", "instance_count",
+        "hold_count", "fail_count", "skip_count", "counterexamples", "elapsed",
+    )
+
+    def __init__(
+        self,
+        theorem: TheoremId,
+        n: int,
+        mode: str,
+        convention: ClosureConvention,
+        seed: Optional[int],
+        samples: Optional[int],
+        instance_count: int,
+        hold_count: int,
+        fail_count: int,
+        skip_count: int,
+        counterexamples: tuple[dict[str, Any], ...],
+        elapsed: float = 0.0,
+    ) -> None:
+        _set(self, "theorem", theorem)
+        _set(self, "n", n)
+        _set(self, "mode", mode)
+        _set(self, "convention", convention)
+        _set(self, "seed", seed)
+        _set(self, "samples", samples)
+        _set(self, "instance_count", instance_count)
+        _set(self, "hold_count", hold_count)
+        _set(self, "fail_count", fail_count)
+        _set(self, "skip_count", skip_count)
+        _set(self, "counterexamples", counterexamples)
+        _set(self, "elapsed", elapsed)
+
+    def _key(self) -> tuple:
+        return self._values()[:-1]
 
     def to_payload(self) -> dict[str, Any]:
         """Canonical payload; deliberately excludes the elapsed time so

@@ -107,6 +107,11 @@ class TestCommands:
         assert report["result"]["is_self_dual"] is True
         assert report["result"]["is_t0"] is False
         assert report["convention"] == "full"
+        # every flag, and no other key, in the report's sorted key order
+        assert list(report["result"]) == [
+            "covers_ground", "is_complete", "is_partition", "is_quasitopology",
+            "is_self_dual", "is_t0", "is_topology",
+        ]
 
     def test_attractors_powerset(self, capsys, instance_file):
         code, out, _ = run_cli(

@@ -1,7 +1,6 @@
 """Sweep engine: enumeration, checkers, determinism, witness replay."""
 
 import array
-import dataclasses
 import functools
 import importlib.util
 import inspect
@@ -770,7 +769,11 @@ class TestSweep:
             sizes.append(len(a[3]))
             return body(*a)
 
-        monkeypatch.setitem(CLAIMS, TheoremId.L1_3, dataclasses.replace(claim, checker=checker))
+        patched = Claim(
+            checker, claim.kind, claim.max_exhaustive_n, claim.default_samples,
+            claim.clean, claim.note, claim.read,
+        )
+        monkeypatch.setitem(CLAIMS, TheoremId.L1_3, patched)
         rep = sweep(TheoremId.L1_3, 2, "random", samples=50, seed=3)
         assert rep.instance_count == len(decided) == 50
         # every memo is kept alive here, so distinct ids are distinct dicts
