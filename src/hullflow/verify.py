@@ -991,17 +991,15 @@ class _Factor(NamedTuple):
     """One kind of factor value: `values(n)`, its values on n points in
     enumeration order; `draw(rnd, ground)`, one value drawn from `rnd`;
     `put(inst, value)`, which names the value in a witness; `read(inst)`,
-    which reads it back out of a document; whether the value is a map or
-    a flow acting on the systems, which a document is read for after
-    them; and for such a factor `count(n)`, its number of values, none
-    built.  A process keeps the covering families and the topologies."""
+    which reads it back out of a document; and whether the value is a map
+    or a flow acting on the systems, which a document is read for after
+    them.  A process keeps the covering families and the topologies."""
 
     values: Callable[[int], Sequence]
     draw: Callable[[random.Random, GroundSet], Any]
     put: Callable[[Instance, Any], None]
     read: Callable[[Instance], Any]
     acts: bool = False
-    count: Optional[Callable[[int], int]] = None
 
 
 def _system_factor(
@@ -1066,11 +1064,10 @@ _GENSET = _Factor(
     lambda rnd, ground: DiscreteFlow.of_group(
         [Autobolism(ground, p) for p in _sample_genset(rnd, ground.size)]
     ),
-    _put_flow, _get_flow, acts=True, count=lambda n: math.comb(math.factorial(n) + 1, 2),
+    _put_flow, _get_flow, acts=True,
 )
 _CYCLE = _GENSET._replace(
-    values=_cycles, draw=lambda rnd, ground: DiscreteFlow.cyclic(_sample_perm(rnd, ground)),
-    count=math.factorial,
+    values=_cycles, draw=lambda rnd, ground: DiscreteFlow.cyclic(_sample_perm(rnd, ground))
 )
 #: The covering Z of CHAIN_karrenk.
 _COVER_Z = _family_factor("Z", covering=True)
@@ -1085,17 +1082,15 @@ _SELF_MAP = _Factor(
     lambda rnd, ground: EndoFunction(
         ground, tuple(rnd.randrange(ground.size) for _ in range(ground.size))
     ),
-    lambda inst, f: inst.functions.update(f=f), _get_function, acts=True, count=lambda n: n**n,
+    lambda inst, f: inst.functions.update(f=f), _get_function, acts=True,
 )
 _BIJECTION = _SELF_MAP._replace(
     values=partial(_functions, bijective=True),
-    draw=lambda rnd, ground: EndoFunction(ground, _sample_perm(rnd, ground).image),
-    count=math.factorial,
+    draw=lambda rnd, ground: EndoFunction(ground, _sample_perm(rnd, ground).image)
 )
 _RELABELING = _Factor(
     lambda n: _autobolisms(GroundSet(n)), _sample_perm,
     lambda inst, rel: inst.permutations.update(f=rel), _get_relabeling, acts=True,
-    count=math.factorial,
 )
 
 
@@ -1110,10 +1105,6 @@ class _Space(NamedTuple):
 
     factors: tuple[_Factor, ...]
     order: Optional[tuple[int, ...]] = None
-
-    def size(self, n: int) -> int:
-        """The number of tuples on n points, counted with no map or flow built."""
-        return math.prod(f.count(n) if f.count else len(f.values(n)) for f in self.factors)
 
     def build(self, ground: GroundSet, conv: ClosureConvention, *values: Any) -> Instance:
         """The Instance of one tuple of factor values."""
@@ -1334,25 +1325,34 @@ def check_theorem(
 SHARE_BLOCK = 256
 
 
-def _share_blocks(size: int, worker: int, jobs: int) -> Iterator[range]:
+def _share_blocks(
+    size: int, worker: int, jobs: int, first: int = 0, hand_off: Optional[Callable] = None
+) -> Iterator[range]:
     """The blocks of ordinals below `size`, `ordinal // SHARE_BLOCK` alike
-    in each, whose number is `worker` modulo `jobs`, ascending."""
-    block = SHARE_BLOCK
-    for start in range(worker * block, size, jobs * block):
-        yield range(start, min(start + block, size))
+    in each, from block `first` on, whose number less `first` is `worker`
+    modulo `jobs`, ascending.  `hand_off(k, blocks)`, given with share 0 of
+    1, is asked once the caller is done with block k - 1, for 0 < k <
+    blocks; where it hands blocks k on to w > 1 shares, it returns w, and
+    this one goes on as share 0."""
+    blocks, k = -(-size // SHARE_BLOCK), first + worker
+    while k < blocks:
+        yield range(k * SHARE_BLOCK, min((k + 1) * SHARE_BLOCK, size))
+        k += jobs
+        if hand_off and k < blocks and (shares := hand_off(k, blocks)) > 1:
+            jobs, hand_off = shares, None
 
 
 # Sweeps draw every tuple of factor values through these two names, which
 # per-layer tracing (sweepbench) times as instance generation.
 
 def _exhaustive_instances(
-    theorem: TheoremId, n: int, worker: int, jobs: int
+    theorem: TheoremId, n: int, *deal: Any
 ) -> Iterator[tuple[range, list[tuple]]]:
-    """One worker's share of the claim's exhaustive space, one (ordinals,
-    runs) pair per block: only the share's factor values are taken, each
-    block's as the runs of the space from one unranking (_Product.run)."""
+    """One (ordinals, runs) pair per block of `_share_blocks(size, *deal)`
+    of the claim's exhaustive space: only the share's factor values are
+    taken, each block's as the runs of the space from one unranking."""
     space = CLAIMS[theorem].space(n)
-    for block in _share_blocks(len(space), worker, jobs):
+    for block in _share_blocks(len(space), *deal):
         yield block, space.run(block.start, block.stop)
 
 
@@ -1431,19 +1431,20 @@ def _evaluate(
     samples: Optional[int],
     conv: ClosureConvention,
     cap: int,
-    worker: int,
-    jobs: int,
+    *deal: Any,
 ) -> tuple[int, int, int, int, list[dict[str, Any]]]:
-    """Check one worker's share of the claim's instance stream: the ordinals
-    whose block `ordinal // SHARE_BLOCK` is `worker` modulo `jobs`, and no
-    other tuple of factor values is made.  In exhaustive mode the ordinals
-    number the claim's space; in random mode ordinal k is drawn from
-    `Random(f"{seed}:{k}")`, for k below `samples`.  Each exhaustive block's
-    runs of factor values go to `Claim.check` in one call, and each random
-    draw as a run of one, so no more than one drawn system is alive at a
-    time; `Claim.check` returns the verdicts in order, so the claim's body
-    checks the values themselves.  A tuple of factor values is built, and
-    an Instance of it, only for a failing verdict whose witness is kept.
+    """Check one worker's share of the claim's instance stream, the ordinals
+    of the blocks `_share_blocks(size, *deal)` deals it, and make no other
+    tuple of factor values.  The sweeping process of a parallel sweep hands
+    off within this call, and keeps one memo throughout.  In exhaustive
+    mode the ordinals number the claim's space; in random mode ordinal k
+    is drawn from `Random(f"{seed}:{k}")`, for k below `samples`.  Each
+    exhaustive block's runs of factor values go to `Claim.check` in one
+    call, and each random draw as a run of one, so no more than one drawn
+    system is alive at a time; `Claim.check` returns the verdicts in
+    order, so the claim's body checks the values themselves.  A tuple of
+    factor values is built, and an Instance of it, only for a failing
+    verdict whose witness is kept.
 
     Each body call gets a memo (see Claim).  In exhaustive mode every block
     of the share gets one, a dict local to this call, in which a block
@@ -1454,13 +1455,13 @@ def _evaluate(
     system alive.  Returns the share's counts and its first `cap`
     counterexamples."""
     if mode == "exhaustive":
-        share = _exhaustive_instances(theorem, n, worker, jobs)
+        share = _exhaustive_instances(theorem, n, *deal)
     else:
         # one draw per call: a draw on n points holds up to 2^n masks, and
         # a share block of them kept at once would hold SHARE_BLOCK times that
         share = (
             (range(o, o + 1), _one_run(_random_instance(theorem, n, random.Random(f"{seed}:{o}"))))
-            for block in _share_blocks(samples or 0, worker, jobs)
+            for block in _share_blocks(samples or 0, *deal)
             for o in block
         )
     claim, memo = CLAIMS[theorem], {}
@@ -1505,29 +1506,53 @@ def _send_share(send: Any, *args: Any) -> None:
     send.close()
 
 
-def _parallel_parts(task: tuple, workers: int) -> list[tuple]:
-    """The parts of a sweep dealt to `workers` shares: share 0 checked in
-    this process, and each other share in a child process of its own,
-    which sends its part back over a one-way pipe.  A child's exception
-    is raised here, and so is a child's exit without a part.  Every child
-    is joined before this returns or raises, and terminated first when
-    anything raised."""
-    import multiprocessing
+#: What one child process of a parallel sweep costs, in seconds, measured
+#: from its start to its join with an empty share (CHANGES.md).
+FORK_S = 0.003
 
+
+def _parallel_parts(task: tuple, workers: int) -> list[tuple]:
+    """The parts of a sweep that this process starts alone and hands off to
+    w shares after block k - 1, where the sweep has run for FORK_S and the
+    rest, at the pace of blocks 1 to k - 1, exceeds w * FORK_S, w the most
+    shares, up to `workers` and to the blocks left, for which it does
+    (Acar, Charguéraud and Rainey, "Oracle scheduling", OOPSLA 2011; Acar
+    et al., "Heartbeat scheduling", PLDI 2018).  Block 0 warms the memo
+    and sets no pace.  This process goes on as share 0, and a child
+    process checks each other share and sends its part back over a one-way
+    pipe.  A child's exception is raised here, and so is a child's exit
+    without a part.  Every child is joined before this returns or raises,
+    and terminated first when anything raised."""
     children = []
-    try:
-        for w in range(1, workers):
+    start = warm = time.perf_counter()
+
+    def hand_off(k: int, blocks: int) -> int:
+        nonlocal warm
+        now = time.perf_counter()
+        if k == 1:
+            warm = now
+            return 1
+        rest = (now - warm) / (k - 1) * (blocks - k)
+        shares = next((w for w in range(min(workers, blocks - k), 1, -1) if w * FORK_S < rest), 1)
+        if shares == 1 or now - start < FORK_S:
+            return 1
+        import multiprocessing
+
+        for w in range(1, shares):
             recv, send = multiprocessing.Pipe(duplex=False)
             with send:
                 child = multiprocessing.Process(
-                    target=_send_share, args=(send, *task, w, workers)
+                    target=_send_share, args=(send, *task, w, shares, k)
                 )
                 child.start()
             # with this copy of the send end closed, the child holds the
             # only one: recv sees the end of the pipe if the child dies
             # without sending, and children started later inherit none
             children.append((child, recv))
-        parts = [_evaluate(*task, 0, workers)]
+        return shares
+
+    try:
+        parts = [_evaluate(*task, 0, 1, 0, hand_off)]
         for w, (child, recv) in enumerate(children, 1):
             try:
                 ok, part = recv.recv()
@@ -1565,9 +1590,9 @@ def sweep(
     """Run one claim over its instance space.  Exhaustive mode enumerates
     the full space (subject to the per-claim ceiling); random mode draws
     seeded samples on at most `DEFAULT_ENUM_CAP` points.  With `jobs` > 1,
-    the ordinals are dealt to up to that many shares (no more than the
-    CPU count): this process checks share 0 itself and starts one child
-    process for each other share.
+    this process starts alone, and hands the rest to up to that many shares
+    (no more than the CPU count) where its pace says the rest outlasts a
+    child process for each share but its own (`_parallel_parts`).
     Reports are deterministic for fixed parameters, whatever `jobs` is."""
     claim = CLAIMS[theorem]
     if n < 1:
@@ -1599,12 +1624,6 @@ def sweep(
 
     task = (theorem, n, mode, used_seed, used_samples, conv, max_counterexamples)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        # no more shares than blocks of ordinals: no child for an empty
-        # share.  Counting the space builds the values a process keeps,
-        # once, before the first child starts, for every share to use
-        count = claim.kind.size(n) if mode == "exhaustive" else used_samples
-        workers = min(workers, -(-count // SHARE_BLOCK))
     parts = [_evaluate(*task, 0, 1)] if workers <= 1 else _parallel_parts(task, workers)
     total, holds, fails, skips = (sum(part[i] for part in parts) for i in range(4))
     cexs = sorted((c for part in parts for c in part[4]), key=lambda c: c["ordinal"])

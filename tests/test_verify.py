@@ -14,6 +14,7 @@ import random
 import signal
 import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -181,7 +182,6 @@ class TestIndexedSpaces:
         rnd = random.Random(theorem.value)
         for n in range(1, min(3, claim.max_exhaustive_n) + 1):
             space = claim.space(n)
-            assert claim.kind.size(n) == len(space), n
             indexed = [space[o] for o in range(len(space))]
             *outer_factors, factor = space.factors
             inner = len(factor)
@@ -445,11 +445,13 @@ class TestSweep:
             (TheoremId.S3_8_all, 3, "random", 300),
         ],
     )
-    def test_jobs_match_serial_past_the_cap(self, monkeypatch, theorem, n, mode, samples, jobs):
+    def test_jobs_match_serial_past_the_cap(
+        self, monkeypatch, hand_off_early, theorem, n, mode, samples, jobs
+    ):
         # more failures than the cap, and the first 40 spread over more than
         # one block of ordinals (of 64, so that 300 samples make 5), so the
         # merge must sort the workers' witnesses by ordinal before cutting;
-        # `jobs` CPUs give `jobs` workers
+        # `jobs` CPUs give `jobs` workers after block 1
         monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         kwargs = dict(samples=samples, seed=3, max_counterexamples=40)
         serial = sweep(theorem, n, mode, **kwargs)
@@ -513,7 +515,7 @@ class TestSweep:
         if not fails:
             assert made == {Instance: 0, SetSystem: 0, Verdict: 0}
 
-    def test_parallel_parent_serializes_no_instance(self, monkeypatch):
+    def test_parallel_parent_serializes_no_instance(self, monkeypatch, hand_off_early):
         calls = []
         to_dict = Instance.to_dict
 
@@ -590,7 +592,9 @@ class TestSweep:
         assert tables == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_idem_one_joined_table_call_per_share_block(self, monkeypatch, tmp_path, jobs):
+    def test_idem_one_joined_table_call_per_share_block(
+        self, monkeypatch, hand_off_early, tmp_path, jobs
+    ):
         # the IDEM_ydwed body takes each share block's tables from one
         # closure_tables_of call on its run and builds no table of one
         # family: one call per block of 64,594 families (253 at blocks of
@@ -1372,6 +1376,75 @@ def recording_process(monkeypatch):
     return RecordingProcess
 
 
+def deals(started):
+    """The (worker, shares, first block) of each child started, from its
+    arguments `(send, *task, worker, shares, first)`."""
+    return [args[-3:] for args in started]
+
+
+@pytest.fixture
+def hand_off_early(monkeypatch):
+    """Makes a parallel sweep hand off at its first eligible boundary, the
+    end of block 1, the first block whose cost sets the pace: at a FORK_S
+    of 0 a rest of any length outweighs the children."""
+    monkeypatch.setattr(verify, "FORK_S", 0)
+
+
+def clock_by_blocks(monkeypatch, cost):
+    """Stands in for verify's clock: it reads 0 until the first checker
+    body call, and each call moves it on by `cost(i)`, i the call's index.
+    An exhaustive sweep calls the body once per block."""
+    now, calls = [0.0], itertools.count()
+    check = Claim.check
+
+    def timed(claim, *args):
+        now[0] += cost(next(calls))
+        return check(claim, *args)
+
+    monkeypatch.setattr(Claim, "check", timed)
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+
+def force_hand_off(monkeypatch, k):
+    """Makes a parallel sweep hand off after block k - 1 whatever its pace
+    (k < 0 counts from the end of the space's blocks), to as many shares as
+    it has workers, and check every share in this process.  Returns a list
+    that gets the parts of each such sweep: the sweeping process's first,
+    then each child share's."""
+    swept = []
+
+    def parallel_parts(task, workers):
+        dealt = []
+
+        def hand_off(at, blocks):
+            if at != k % blocks:
+                return 1
+            dealt.append(at)
+            return workers
+
+        parts = [verify._evaluate(*task, 0, 1, 0, hand_off)]
+        parts += [verify._evaluate(*task, w, workers, *dealt) for w in range(1, workers) if dealt]
+        swept.append(parts)
+        return parts
+
+    monkeypatch.setattr(verify, "_parallel_parts", parallel_parts)
+    return swept
+
+
+def failing_everywhere(monkeypatch, theorem):
+    """Registers in place of the claim one that fails every instance of
+    the same space, so that a sweep's counterexamples, up to its cap, name
+    the ordinals it checked."""
+    claim = CLAIMS[theorem]
+    fails = verify._fails("stand-in")
+    patched = Claim(
+        verify._each(lambda *values: fails), claim.kind, claim.max_exhaustive_n,
+        claim.default_samples, read=claim.read,
+    )
+    monkeypatch.setitem(CLAIMS, theorem, patched)
+
+
+@pytest.mark.usefixtures("hand_off_early")
 class TestWorkerShares:
     @pytest.mark.parametrize(
         "cpus, jobs, workers",
@@ -1380,26 +1453,28 @@ class TestWorkerShares:
     def test_pool_bounded_by_cpu_count(self, monkeypatch, recording_process, cpus, jobs, workers):
         # `workers` shares: the sweeping process checks share 0 and starts
         # one child for each other share; a serial sweep starts none.  300
-        # samples fill 5 blocks of 64, more than any share count here
+        # samples fill 5 blocks of 64: the hand-off after block 1 deals 3,
+        # as many as any share count here
         monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
         kwargs = dict(samples=300, max_counterexamples=3)
         serial = sweep(TheoremId.S3_8_all, 3, "random", **kwargs)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rep = sweep(TheoremId.S3_8_all, 3, "random", jobs=jobs, **kwargs)
-        shares = [args[-2:] for args in recording_process.started]
-        assert shares == [(w, workers) for w in range(1, workers or 1)]
+        assert deals(recording_process.started) == [(w, workers, 2) for w in range(1, workers or 1)]
         assert rep.to_payload() == serial.to_payload()
 
-    @pytest.mark.parametrize("block", [None, 147, 146, 49])
+    @pytest.mark.parametrize("block", [None, 147, 146, 49, 37, 21])
     def test_no_child_for_an_empty_share(self, monkeypatch, recording_process, block):
-        # L1_3 at n=3 has 147 ordinals: a sweep deals them to no more
-        # shares than they fill blocks, so where one block holds them all
-        # (as one of the default size does) --jobs 2 and 3 start no child,
-        # whose share would hold no ordinal; random mode counts its 147
-        # samples the same way.  None is the default block
+        # L1_3 at n=3 has 147 ordinals.  A sweep hands off after block 1
+        # (hand_off_early) and deals the blocks left to no more shares than
+        # they fill, so that no child gets an empty share: none where one,
+        # two or three blocks hold them all (one of the default size does),
+        # one child for --jobs 2 and 3 alike where four do (blocks of 37),
+        # and jobs - 1 where seven do; random mode deals its 147 samples
+        # the same way.  None is the default block
         if block is not None:
             monkeypatch.setattr(verify, "SHARE_BLOCK", block)
-        shares = -(-147 // verify.SHARE_BLOCK)
+        left = -(-147 // verify.SHARE_BLOCK) - 2
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for mode, samples in (("exhaustive", None), ("random", 147)):
             kwargs = dict(samples=samples, seed=2, max_counterexamples=3)
@@ -1408,10 +1483,135 @@ class TestWorkerShares:
             for jobs in (2, 3):
                 recording_process.started.clear()
                 rep = sweep(TheoremId.L1_3, 3, mode, jobs=jobs, **kwargs)
-                workers = min(jobs, shares)
-                started = [args[-2:] for args in recording_process.started]
-                assert started == [(w, workers) for w in range(1, workers)], (mode, jobs)
+                workers = min(jobs, left)
+                started = deals(recording_process.started)
+                assert started == [(w, workers, 2) for w in range(1, workers)], (mode, jobs)
                 assert rep.to_payload() == serial.to_payload()
+
+    @pytest.mark.parametrize("fork_s, started", [(0, [(1, 2, 2)]), (math.inf, [])])
+    def test_hand_off_after_block_one_or_never(
+        self, monkeypatch, recording_process, fork_s, started
+    ):
+        # at a FORK_S of 0 a sweep hands off after block 1, whose cost is
+        # the first to set a pace; at an infinite one it never does, though
+        # every block takes an hour
+        monkeypatch.setattr(verify, "FORK_S", fork_s)
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        clock_by_blocks(monkeypatch, lambda i: 3600.0)
+        for mode, samples in (("exhaustive", None), ("random", 218)):
+            serial = sweep(TheoremId.IDEM_ydwed, 3, mode, samples=samples)
+            recording_process.started.clear()
+            rep = sweep(TheoremId.IDEM_ydwed, 3, mode, samples=samples, jobs=2)
+            assert deals(recording_process.started) == started, mode
+            assert rep.to_payload() == serial.to_payload()
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("k", [1, 2, -1], ids=["1", "2", "last"])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_hand_off_partitions_the_ordinals(self, monkeypatch, mode, k, jobs):
+        # L1_3's 147 ordinals (or samples) in 10 blocks of 16: after a
+        # hand-off at boundary k, the sweeping process has checked blocks 0
+        # to k - 1 and goes on with share 0 of the blocks from k on, and
+        # child share w checks the blocks k + w, k + w + jobs, ...: every
+        # ordinal is checked once.  At the last boundary, one block is left
+        # for share 0 and none for the others
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+        failing_everywhere(monkeypatch, TheoremId.L1_3)
+        swept = force_hand_off(monkeypatch, k)
+        samples = 147 if mode == "random" else None
+        rep = sweep(TheoremId.L1_3, 3, mode, samples=samples, max_counterexamples=147, jobs=jobs)
+        assert [c["ordinal"] for c in rep.counterexamples] == list(range(147))
+        [parts] = swept
+        first = k % 10
+        checked = [[c["ordinal"] for c in part[4]] for part in parts]
+        assert [part[0] for part in parts] == list(map(len, checked))
+        assert checked[0] == [
+            o for o in range(147) if o // 16 < first or (o // 16 - first) % jobs == 0
+        ]
+        for w, share in enumerate(checked[1:], 1):
+            assert share == [o for o in range(147) if o // 16 >= first and (o // 16 - first) % jobs == w]
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("k", [1, 2, -1], ids=["1", "2", "last"])
+    def test_hand_off_matches_serial_for_every_claim(self, monkeypatch, conv, k):
+        # every claim's exhaustive payload on up to 3 points, in blocks of
+        # 5, with a hand-off to 2 shares forced at boundary k: every space
+        # of more blocks than k is handed off
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        swept = force_hand_off(monkeypatch, k)
+        for theorem in TheoremId:
+            for n in range(1, 4):
+                kwargs = dict(conv=conv, max_counterexamples=4)
+                serial = sweep(theorem, n, **kwargs).to_payload()
+                assert sweep(theorem, n, jobs=2, **kwargs).to_payload() == serial, (theorem, n)
+                blocks = -(-len(CLAIMS[theorem].space(n)) // 5)
+                assert len(swept[-1]) == (2 if k % blocks else 1), (theorem, n)
+
+    def test_a_slow_first_block_sets_no_pace(self, monkeypatch, recording_process):
+        # L1_3 at n=4 fills 18 blocks.  Its first block, which warms the
+        # memo, takes 8 FORK_S, and each later one FORK_S / 16: the rest
+        # measured after block 1 is one FORK_S, which two shares would not
+        # outweigh.  Paced by block 0, it would be 128 FORK_S
+        monkeypatch.setattr(verify, "FORK_S", 1.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = sweep(TheoremId.L1_3, 4)
+        clock_by_blocks(monkeypatch, lambda i: 8.0 if i == 0 else 1 / 16)
+        rep = sweep(TheoremId.L1_3, 4, jobs=2)
+        assert recording_process.started == []
+        assert rep.to_payload() == serial.to_payload()
+
+    @pytest.mark.parametrize(
+        "cost, jobs, started",
+        [
+            # the sweep has run for FORK_S after block 1, and the 16 blocks
+            # left take 8 FORK_S: as many shares as workers
+            (1 / 2, 5, [(1, 5, 2), (2, 5, 2), (3, 5, 2), (4, 5, 2)]),
+            (1 / 2, 2, [(1, 2, 2)]),
+            # it has run for FORK_S after block 3, and the 14 left take 3.5
+            (1 / 4, 5, [(1, 3, 4), (2, 3, 4)]),
+            # after block 7, the 10 left take 1.25 FORK_S, and less later
+            (1 / 8, 5, []),
+        ],
+    )
+    def test_children_as_the_rest_outweighs(
+        self, monkeypatch, recording_process, cost, jobs, started
+    ):
+        # w - 1 children for the most shares w, up to the workers, whose
+        # w * FORK_S the rest exceeds, once the sweep has run for FORK_S;
+        # each block of L1_3 n=4's 18 costs `cost` FORK_S
+        monkeypatch.setattr(verify, "FORK_S", 1.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+        serial = sweep(TheoremId.L1_3, 4)
+        clock_by_blocks(monkeypatch, lambda i: cost)
+        rep = sweep(TheoremId.L1_3, 4, jobs=jobs)
+        assert deals(recording_process.started) == started
+        assert rep.to_payload() == serial.to_payload()
+
+    def test_sweeping_process_keeps_its_memo_across_the_hand_off(self, monkeypatch, deadline):
+        # the blocks the sweeping process checks after the hand-off read
+        # the verdicts decided before it from the same memo: the process
+        # decides none twice.  Its first two blocks meet all 15 orbit
+        # partitions on 4 points, each under all 15 chi.  Its child, a real
+        # process, counts in a copy of the list
+        decided = count_decisions(monkeypatch, TheoremId.L1_3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = []
+
+        class Process(multiprocessing.Process):
+            def start(self):
+                started.append(decided[:])
+                super().start()
+
+        monkeypatch.setattr(multiprocessing, "Process", Process)
+        serial = sweep(TheoremId.L1_3, 4)
+        del decided[:]
+        assert sweep(TheoremId.L1_3, 4, jobs=2).to_payload() == serial.to_payload()
+        [before] = started
+        keys = [(blocks, chi) for _, blocks, chi in decided]
+        assert len(before) == len(keys) == len(set(keys)) == 15 * 15
 
     def test_parent_builds_the_cached_factors_before_the_pool(self, monkeypatch):
         # forked children inherit the covering families the parent built,
@@ -1432,21 +1632,24 @@ class TestWorkerShares:
         assert rep.instance_count == 218
         assert cached == [1]
 
-    def test_parent_builds_no_factors_it_does_not_keep(self, monkeypatch):
-        # a process keeps no maps or flows, so building a space's generator
-        # sets, cycles, self-maps or relabelings in the parent before its
-        # child starts would only be done again by the child; every one of
-        # them is built through these two constructors (a permutation is a
-        # self-map).  Counting a space's tuples, to deal them to no more
-        # shares than blocks, builds none of them either; blocks of 64 give
-        # every space here a second share
-        monkeypatch.setattr(verify, "SHARE_BLOCK", 64)
+    def test_child_builds_maps_and_flows_only_for_its_share(self, monkeypatch):
+        # a process keeps no maps or flows: each builds its space's
+        # generator sets, cycles, self-maps or relabelings, every one of
+        # them through these two constructors (a permutation is a
+        # self-map), and a body may build more per instance (COVAR).  The
+        # sweeping process builds its space and checks its first blocks
+        # before the child starts; the child builds a space of its own and
+        # what its share's ordinals need, so that the two build what a
+        # serial sweep builds and one space more.  Blocks of 16 give every
+        # space here a child
+        monkeypatch.setattr(verify, "SHARE_BLOCK", 16)
         built = []
 
         class Process(RecordingProcess):
             def start(self):
                 built.append("child")
                 super().start()
+                built.append("sent")
 
         for cls in (EndoFunction, DiscreteFlow):
             def counting(obj, *args, _cls=cls, _init=cls.__init__, **kwargs):
@@ -1459,10 +1662,16 @@ class TestWorkerShares:
         for theorem in (TheoremId.L1_3, TheoremId.CHAIN_karrenk, TheoremId.S3_8_all,
                         TheoremId.COVAR):
             del built[:]
+            CLAIMS[theorem].space(3)
+            space = len(built)
+            del built[:]
+            sweep(theorem, 3, "exhaustive")
+            serial = len(built)
+            del built[:]
             sweep(theorem, 3, "exhaustive", jobs=2)
-            assert built[0] == "child", theorem
-            # the shares built the maps and flows through the counted route
-            assert len(built) > 1, theorem
+            start, sent = built.index("child"), built.index("sent")
+            assert start >= space and sent - start - 1 >= space, theorem
+            assert len(built) - 2 == serial + space, theorem
 
     @pytest.mark.parametrize("theorem, n", [(TheoremId.L1_3, 3), (TheoremId.IDEM_ydwed, 3)])
     def test_worker_builds_only_its_share(self, monkeypatch, theorem, n):
@@ -1543,9 +1752,11 @@ class TestWorkerShares:
 
 def share_by_worker(monkeypatch, body):
     """Makes each share of a sweep run `body(worker, evaluate, args)` in
-    place of `_evaluate(*args)`; forked children inherit the patch."""
+    place of `_evaluate(*args)`, the worker the argument after the sweep's
+    seven (share 0 that of the sweeping process, called before any hand-off);
+    forked children inherit the patch."""
     evaluate = verify._evaluate
-    monkeypatch.setattr(verify, "_evaluate", lambda *args: body(args[-2], evaluate, args))
+    monkeypatch.setattr(verify, "_evaluate", lambda *args: body(args[7], evaluate, args))
 
 
 @pytest.fixture
@@ -1562,6 +1773,7 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.usefixtures("hand_off_early")
 class TestChildProcesses:
     """Parallel sweeps through real child processes."""
 
@@ -1630,7 +1842,8 @@ class TestChildProcesses:
 
     def test_share_zero_error_stops_the_children(self, monkeypatch, deadline):
         # the children would check their shares for two minutes: they are
-        # terminated and joined before the sweeping process's error leaves
+        # terminated and joined before the error of the sweeping process,
+        # raised by its first block after the hand-off, leaves
         started = []
 
         class Process(multiprocessing.Process):
@@ -1640,10 +1853,18 @@ class TestChildProcesses:
 
         def body(worker, evaluate, args):
             if worker == 0:
-                raise ValueError("share 0 failed")
+                return evaluate(*args)
             time.sleep(120)
 
+        check = Claim.check
+
+        def failing(claim, *args):
+            if started:
+                raise ValueError("share 0 failed")
+            return check(claim, *args)
+
         share_by_worker(monkeypatch, body)
+        monkeypatch.setattr(Claim, "check", failing)
         monkeypatch.setattr(multiprocessing, "Process", Process)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with pytest.raises(ValueError, match="share 0 failed"):
