@@ -64,16 +64,30 @@ def closure_table(n: int, sources: Iterable[int]) -> list[int]:
 
 
 @functools.cache
+def holding_families(n: int) -> tuple[int, ...]:
+    """Entry x: the family bitmask of the subsets of n points that hold x
+    (bit m set when m >> x & 1), built on first use for each n.  Bit x of
+    m repeats every 2^(x+1) subsets, 2^x clear and then 2^x set, so each
+    family is that block doubled until it spans the 2^n subsets: O(2^n)
+    bits of shifts and ORs per point."""
+    size, out = 1 << n, []
+    for x in range(n):
+        width = 1 << x
+        family, period = ((1 << width) - 1) << width, width << 1
+        while period < size:
+            family |= family << period
+            period <<= 1
+        out.append(family)
+    return tuple(out)
+
+
+@functools.cache
 def _up_passes(n: int) -> tuple[tuple[int, int], ...]:
     """The passes of up_closure on n points, built on first use for each
     n: for each point j, the family bitmask of the subsets lacking j and
-    the shift 2^j that adds j to each of them.  The subsets lacking j are
-    the runs of 2^j subsets that repeat every 2^(j+1), so the bitmask is
-    the run repeated by one division."""
-    every = (1 << (1 << n)) - 1
-    return tuple(
-        (every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1), 1 << j) for j in range(n)
-    )
+    the shift 2^j that adds j to each of them.  Shifted down by 2^j, the
+    subsets holding j are those lacking it."""
+    return tuple((h >> (1 << j), 1 << j) for j, h in enumerate(holding_families(n)))
 
 
 def up_closure(n: int, family: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import operator
 from functools import cache, reduce
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -327,13 +328,49 @@ def closure_tables_of(
     return cells.translate(_NO_SOURCE_TO_EMPTY)
 
 
+class MeetingFamilies(dict):
+    """The family bitmask of the subsets of n points that meet q, by q:
+    the union of the kernels.holding_families of q's points, worked out on
+    q's first lookup and kept, so that a caller asking for the same
+    subsets again (a sweep's hulls and traces) reads them back."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, q: int) -> int:
+        out = 0
+        for x, holders in enumerate(kernels.holding_families(self.n)):
+            if q >> x & 1:
+                out |= holders
+        self[q] = out
+        return out
+
+
 def closure_of(
-    n: int, masks: Sequence[int], q: int, conv: ClosureConvention = ClosureConvention.FULL
+    meets: MeetingFamilies, family: int, q: int,
+    conv: ClosureConvention = ClosureConvention.FULL,
 ) -> int:
-    """closure() of the subset q under the system on n points whose members
-    are `masks`, for a caller that holds the members and no SetSystem: one
-    scan of the complements, where closure_map builds all 2^n cells."""
-    return kernels.hull_value(_complements(n, masks, conv), q, 1, 1)
+    """closure() of the subset q under the system on `meets.n` points whose
+    family bitmask is `family`, for a caller that holds the family and no
+    SetSystem, where closure_map builds all 2^n cells.  The complements
+    containing q are those of the members disjoint from q, so their
+    intersection is the ground less the points that some of them hold;
+    the empty set when there is none (under NONEMPTY the full member,
+    whose complement is left out, is not counted)."""
+    full = (1 << meets.n) - 1
+    if conv is ClosureConvention.NONEMPTY:
+        family &= ~(1 << full)
+    disjoint = family & ~meets[q]
+    if not disjoint:
+        return 0
+    out = full
+    for x, holders in enumerate(kernels.holding_families(meets.n)):
+        if disjoint & holders:
+            out ^= 1 << x
+    return out
 
 
 def family_of(n: int, masks: Iterable[int]) -> int:
@@ -369,13 +406,18 @@ def _byte_members(low: int) -> tuple[tuple[int, ...], ...]:
 _BYTE_MEMBERS = (_byte_members(0), _byte_members(8))
 
 
+#: A binary digit of bin() as a flag for itertools.compress.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def family_members(family: int) -> tuple[int, ...]:
     """The member masks of a family bitmask, ascending: up to n=4 two
-    lookups by byte, above it read off the binary digits in O(2^n)."""
+    lookups by byte, above it the positions compressed out of its binary
+    digits, least significant first, in O(2^n)."""
     if family >> 16 == 0:
         low, high = _BYTE_MEMBERS
         return low[family & 255] + high[family >> 8]
-    return tuple(m for m, digit in enumerate(reversed(bin(family))) if digit == "1")
+    return tuple(compress(count(), bin(family)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
 
 def closed_family(

@@ -23,10 +23,13 @@ element.  The library reads B3_6's and B3_7's fibration
 classes and complement-free family as family bitmasks, the latter off an
 up-closure; `fibration` groups the subsets by their scanned closure,
 `free_subsets` scans the members for each subset, and `b3_6_verdict` and
-`b3_7_verdict` compare frozensets.  They use none of the routines they
-are compared with (`dynsys.saturate`, `DiscreteFlow.orbit_blocks`,
-`attract.saturation_coherent`, `cantor`, the closure tables, the kernels),
-so a test that compares the two routes checks one against the other.
+`b3_7_verdict` compare frozensets.  The library takes L3_1's hull and
+failing members off family bitmasks, and draws a random system's coins
+from one `getrandbits` call; `l3_1_verdict` scans the complements and the
+members, and `sample_members` asks `random()` once per subset.  They use
+none of the routines they are compared with (`dynsys.saturate`,
+`DiscreteFlow.orbit_blocks`, `attract.saturation_coherent`, `cantor`, the
+closure tables, the kernels), so a test that compares the two routes checks one against the other.
 
 The library builds the instance of any ordinal of a space from its
 mixed-radix digits.  `instance_space` lists a whole space instead, with
@@ -183,21 +186,51 @@ def attractors(
     return conventional, weak
 
 
-def closure_table(n: int, members: Sequence[int], convention: str) -> list[int]:
-    """The closure of every subset, indexed by mask, each by its own scan:
-    the intersection of the member complements containing it, the empty
-    set when none does.  Under "nonempty" the empty complement (of the
-    full member) is left out."""
+def closure(n: int, members: Sequence[int], convention: str, z: int) -> int:
+    """The closure of the subset z by one scan of the member complements:
+    the intersection of those containing z, the empty set when none does.
+    Under "nonempty" the empty complement (of the full member) is left
+    out."""
     full = (1 << n) - 1
     sources = [full ^ m for m in members if convention == "full" or m != full]
-    table = []
-    for z in range(1 << n):
-        above = [c for c in sources if z & c == z]
-        cl = above[0] if above else 0
-        for c in above:
-            cl &= c
-        table.append(cl)
-    return table
+    above = [c for c in sources if z & c == z]
+    cl = above[0] if above else 0
+    for c in above:
+        cl &= c
+    return cl
+
+
+def closure_table(n: int, members: Sequence[int], convention: str) -> list[int]:
+    """The closure of every subset, indexed by mask, each by its own scan
+    (`closure`)."""
+    return [closure(n, members, convention, z) for z in range(1 << n)]
+
+
+def l3_1_verdict(n: int, members: Sequence[int], b: int, convention: str) -> tuple[str, str]:
+    """L3_1's (status, note) on the system of `members` and the subset B:
+    the hull of B by its own scan of the complements (`closure`), then
+    each member's trace on the hull, in ascending order, the first that
+    is nonempty and disjoint from B failing."""
+    hull = closure(n, members, convention, b)
+    for m in sorted(members):
+        trace = m & hull
+        if trace and not trace & b:
+            return "fails", f"member {m:#x} traces to {trace:#x}, disjoint from B"
+    return "holds", ""
+
+
+def sample_members(rnd: random.Random, n: int) -> list[int]:
+    """A random covering system's member masks, ascending: each subset by
+    its own `rnd.random() < 0.5`, and the ground added when the union of
+    those drawn misses a point."""
+    full = (1 << n) - 1
+    members = [m for m in range(1 << n) if rnd.random() < 0.5]
+    union = 0
+    for m in members:
+        union |= m
+    if union != full:
+        members.append(full)
+    return members
 
 
 def idempotent(n: int, members: Sequence[int], convention: str) -> bool:

@@ -393,6 +393,16 @@ class TestCommands:
             assert (code, out) == (2, "")
             assert err == f"hullflow: error: ground size {n} exceeds enumeration cap 20\n"
 
+    @pytest.mark.parametrize("n", [21, 64])
+    def test_verify_l3_1_beyond_the_enumeration_cap(self, capsys, tmp_path, n):
+        # L3_1 reads its system as a family bitmask of 2^n bits, which is
+        # not built above the cap, covering or not
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"ground": n, "systems": {"A": [[0, 1]], "B": [[0]]}}))
+        code, out, err = run_cli(capsys, "verify", "L3_1", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"hullflow: error: ground size {n} exceeds enumeration cap 20\n"
+
     @pytest.mark.parametrize("n", [40, 64])
     @pytest.mark.parametrize("theorem", ["S3_8_all", "S3_8_bij", "K3_9", "B3_2"])
     def test_verify_maps_beyond_the_enumeration_cap(self, capsys, tmp_path, theorem, n):

@@ -16,6 +16,7 @@ from hullflow.setsys import (
     GroundMismatchError,
     GroundSet,
     HullKind,
+    MeetingFamilies,
     SetSystem,
     Subset,
     classify,
@@ -281,6 +282,8 @@ class TestFamilyRoutes:
             assert list(closure_tables_of(n, families, conv)) == expect, (n, conv, families)
 
     def test_single_subset_matches_table(self):
+        # B = 0 is among the cases, and so is a B that every member meets,
+        # whose hull is empty where none is disjoint from it
         cases = [
             (n, members, b)
             for n in (1, 2, 3)
@@ -292,10 +295,26 @@ class TestFamilyRoutes:
             n = rnd.randint(5, 8)
             members = [m for m in range(1 << n) if rnd.random() < 0.5]
             cases.append((n, members, rnd.randrange(1 << n)))
+        meets = {n: MeetingFamilies(n) for n in range(1, 9)}
+        none_disjoint = 0
         for n, members, b in cases:
             sys = SetSystem(GroundSet(n), tuple(members))
+            family = family_of(n, sys.masks)
+            none_disjoint += all(m & b for m in members)
             for conv in (FULL, NONEMPTY):
-                assert closure_of(n, sys.masks, b, conv) == closure_map(sys, conv)[b], (sys, b)
+                cell = closure_of(meets[n], family, b, conv)
+                assert cell == closure_map(sys, conv)[b], (sys, b)
+        assert none_disjoint
+
+    def test_holding_and_meeting_families(self):
+        for n in range(1, 11):
+            holders = kernels.holding_families(n)
+            assert holders == tuple(
+                sum(1 << m for m in range(1 << n) if m >> x & 1) for x in range(n)
+            )
+            meets = MeetingFamilies(n)
+            for q in random.Random(n).sample(range(1 << n), min(1 << n, 40)):
+                assert meets[q] == sum(1 << m for m in range(1 << n) if m & q), (n, q)
 
 
 class TestClosedFamily:

@@ -575,7 +575,7 @@ class TestSweep:
         [
             # the table comes from the family bitmask
             (TheoremId.IDEM_ydwed, 4, {}, 64594),
-            # the hull of B is one cell, taken from the complements
+            # the hull of B is one cell, taken from the family bitmask
             (TheoremId.L3_1, 8, dict(mode="random", samples=500, seed=0), 500),
         ],
     )
@@ -785,17 +785,20 @@ class TestSweep:
         assert len({id(memo) for memo in memos}) == 50
 
     def test_random_sweep_keeps_one_draw_alive(self):
-        # a draw on 12 points holds about 2^11 members, some 75 KB.  13
-        # draws are the fewest that a sweep drawing its share block whole
-        # before checking any keeps above 1 MB (1.05 MB for 13, 0.98 MB for
-        # 12); checked one at a time they peak at 0.2 MB
+        # a B3_10 draw on 12 points holds about 2^11 member masks and a
+        # map, some 0.22 MB kept.  5 draws are the fewest that a sweep
+        # drawing its share block whole before checking any keeps above 1
+        # MB (1.10 MB for 5, 0.88 MB for 4; 1.31 MB for the 6 drawn here);
+        # checked one at a time they peak at 0.3 MB.  (An L3_1 draw is a
+        # family bitmask of 512 bytes, which no share block lifts above 1
+        # MB.)
         tracemalloc.start()
         try:
-            rep = sweep(TheoremId.L3_1, 12, "random", samples=13, seed=0)
+            rep = sweep(TheoremId.B3_10, 12, "random", samples=6, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.instance_count == 13
+        assert rep.instance_count == 6
         assert peak < 1 << 20
 
     def test_random_explication_sweep_keeps_one_draw_alive(self):
@@ -1102,6 +1105,91 @@ class TestHullOnlyClaims:
             assert all(len(outcomes) == 1 for outcomes in seen.values()), n
             shared += len(seen) < len(space)
         assert shared
+
+
+class TestL3_1Body:
+    # L3_1's body takes the hull of B and the failing members off family
+    # bitmasks; the oracle scans the complements for the hull, then the
+    # members.  Under NONEMPTY some instances fail (37 of 1,744 at n=3), so
+    # the failing branch and its note are compared too
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_matches_the_scans(self, conv):
+        claim, failed = CLAIMS[TheoremId.L3_1], 0
+        for n in (1, 2, 3):
+            # the whole exhaustive space in one block, with one memo, as a
+            # sweep's share
+            space = claim.space(n)
+            verdicts = claim.check(GroundSet(n), space.run(0, len(space)), conv, {})
+            for (family, b), verdict in zip(space, verdicts):
+                expected = oracles.l3_1_verdict(n, setsys.family_members(family), b, conv.value)
+                assert (verdict.status, verdict.note) == expected, (n, family, b)
+                failed += expected[0] == "fails"
+        for n in (6, 8):
+            rnd = random.Random(f"L3_1:{n}")
+            for _ in range(2000):
+                members, b = oracles.sample_members(rnd, n), rnd.randrange(1 << n)
+                run = (family_bitmask(members),), (b,)
+                [verdict] = claim.check(GroundSet(n), [run], conv, {})
+                expected = oracles.l3_1_verdict(n, members, b, conv.value)
+                assert (verdict.status, verdict.note) == expected, (n, members, b)
+        assert (failed > 0) == (conv is NONEMPTY)
+
+    def test_documents_of_any_family(self):
+        # a document's system need not cover the ground
+        for n, conv in itertools.product((1, 2, 3), (FULL, NONEMPTY)):
+            for members in oracles.families(n):
+                for b in range(1 << n):
+                    inst = oracles._doc(n, conv.value, {"A": members, "B": [b]})
+                    verdict = check_theorem(TheoremId.L3_1, inst, conv)
+                    expected = oracles.l3_1_verdict(n, members, b, conv.value)
+                    assert (verdict.status, verdict.note) == expected, (members, b)
+
+
+class TestSystemDraws:
+    # a random system's coins are read from one getrandbits call, which
+    # CPython fills with the Mersenne Twister words that random() reads two
+    # at a time; the oracle asks random() once per subset.  The state after
+    # a draw must match too, as the draws that follow (B, generators, maps)
+    # read on from it
+
+    def test_draws_match_one_random_call_per_subset(self):
+        forced = 0
+        for n in range(1, 11):
+            ground = GroundSet(n)
+            for seed in range(300):
+                expected, coins = random.Random(f"{seed}:{n}"), random.Random(f"{seed}:{n}")
+                members = oracles.sample_members(expected, n)
+                # the draws whose ground was added to cover
+                forced += members != [m for m in range(1 << n) if coins.random() < 0.5]
+                for factor, value in (
+                    (verify._MEMBERS, tuple(members)), (verify._FAMILY, family_bitmask(members))
+                ):
+                    rnd = random.Random(f"{seed}:{n}")
+                    assert factor.draw(rnd, ground) == value, (n, seed)
+                    assert rnd.getstate() == expected.getstate(), (n, seed)
+        assert forced
+
+    def test_l3_1_draw_tosses_no_coin_per_subset(self, monkeypatch):
+        # the system is drawn as one family bitmask, and its members are
+        # never listed
+        calls = []
+
+        class Counted(random.Random):
+            def random(self):
+                calls.append("random")
+                return super().random()
+
+            # keeps randrange on getrandbits, as a subclass that overrides
+            # random() alone would move it onto random()
+            def getrandbits(self, k):
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        monkeypatch.setattr(verify, "family_members", lambda family: calls.append("members"))
+        rep = sweep(TheoremId.L3_1, 8, "random", samples=50, seed=0)
+        assert rep.instance_count == 50
+        assert calls == []
 
 
 class TestFibrationClaims:
