@@ -5,17 +5,21 @@ relativizing system satisfies the coherence criterion: any two nonempty
 trace sets can be brought to meet by some flow time, which orbit saturation
 decides without listing the group.  The conventional family is read off
 the orbit blocks that the covering's members meet, with no trace taken;
-the weak variant traces each invariant set, and the monotone ones share
-the conventional family on cyclic flows.  Rooms are the images of the
-orbits under a closure table, and the room report ties them to the
-attractors.
+the monotone ones share it on cyclic flows, as the very same tuple.  The
+weak variant traces each invariant set it is asked about (_weak_test), on
+up to MEMO_POINTS points by two lookups in a table of n.  CHAIN_karrenk's
+body relies on the monotone families being the conventional one: its
+verdict holds exactly when every conventional member is weakly coherent,
+so it asks the weak criterion about those alone, and takes the whole
+weak family only for a failing note.  Rooms are the images of the orbits
+under a closure table, and the room report ties them to the attractors.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from functools import cache, lru_cache, reduce
+from typing import Callable, Optional, Sequence
 
 from .dynsys import (
     Autobolism,
@@ -76,7 +80,7 @@ def _weak_by_family(rooms: tuple[int, ...], family: int) -> bool:
 
 
 #: The most keys the weak coherence memo keeps.  Every n=3 sweep asks it
-#: at most 1,187 distinct questions.
+#: at most 910 distinct questions (CHAIN_karrenk's).
 COHERENCE_MEMO = 4096
 
 #: The most points on which the weak memo is asked.  There a key is the
@@ -91,6 +95,61 @@ MEMO_POINTS = 4
 #: family bitmask): it reads nothing else of the flow or the covering, and
 #: a key keeps no system or flow alive.
 _weakly_coherent = lru_cache(maxsize=COHERENCE_MEMO)(_weak_by_family)
+
+
+@cache
+def _trace_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(LOW, HIGH) on n <= MEMO_POINTS points, built on first use for each
+    n: LOW[theta][b] is the trace on theta, as a family bitmask (bit
+    m & theta set for each member m), of the system whose members are the
+    set bits of b, members 0-7 (2^(2^n) values of b below 3 points), and
+    HIGH[theta][b] that of b << 8, members 8-15 (so HIGH[theta] is (0,)
+    below 4 points).  The trace of a family is the OR of the traces of
+    its two bytes, so an invariant set's trace is two lookups, not a pass
+    over the members.  Each row is built by doubling, as in
+    setsys._family_tables: the traces of the b with member m are those of
+    the b without it, each with bit m & theta."""
+    size = 1 << n
+    out = []
+    for low in (0, 8):
+        rows = []
+        for theta in range(size):
+            row = [0]
+            for m in range(low, min(low + 8, size)):
+                bit = 1 << (m & theta)
+                row += [trace | bit for trace in row]
+            rows.append(tuple(row))
+        out.append(tuple(rows))
+    return out[0], out[1]
+
+
+def _weak_test(
+    flow: DiscreteFlow, masks: Sequence[int], table: Sequence[int]
+) -> Callable[[int], bool]:
+    """The weak criterion on the flow's invariant sets relative to the
+    covering whose members are `masks` and whose closure table is
+    `table`, as a predicate on an invariant set: for any two of its trace
+    sets, the unions of the pre-rooms (the orbits' closures) meeting each
+    of them meet.  On up to MEMO_POINTS points the trace is read off
+    _trace_tables by the covering's family bitmask, and each (pre-rooms,
+    trace) key is decided once per process while its memo holds it;
+    above, each trace is taken member by member and decided afresh."""
+    rooms = tuple(sorted({table[b] for b in flow.orbit_blocks()}))
+    n = flow.ground.size
+    if n > MEMO_POINTS:
+        def coherent(theta: int) -> bool:
+            traced = {m & theta for m in masks}
+            traced.discard(0)
+            return _weak(rooms, traced)
+
+        return coherent
+    low, high = _trace_tables(n)
+    family = 0
+    for m in masks:
+        family |= 1 << m
+    lo, hi = family & 255, family >> 8
+    # bit 0 is set in every key, as the criterion ignores it
+    return lambda theta: _weakly_coherent(rooms, low[theta][lo] | high[theta][hi] | 1)
 
 
 def _block_incidence(blocks: Sequence[int], masks: Sequence[int]) -> int:
@@ -146,9 +205,9 @@ def free_attractors(
     generator period yields infinitely many strictly increasing (or
     decreasing) witness times.  The weak criterion asks instead that, for
     any two trace sets, the unions of the pre-rooms meeting each of them
-    meet: each invariant set's trace is taken once, and on up to
-    MEMO_POINTS points, as a family bitmask, each (pre-rooms, trace) key
-    is decided once per process while its memo holds it."""
+    meet (_weak_test): each invariant set's trace is taken once, and on up
+    to MEMO_POINTS points each (pre-rooms, trace) key is decided once per
+    process while its memo holds it."""
     if covering.ground != flow.ground:
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
@@ -186,32 +245,17 @@ def _free_attractors(
     # the invariant sets, listed in the order of their index sets
     candidates = flow._invariant
     blocks = flow.orbit_blocks()
-    strong = weak = ()
+    strong: tuple[int, ...] = ()
     if asks_strong:
         key = (len(blocks), _block_incidence(blocks, masks))
         positions = memo.get(key)
         if positions is None:
             positions = memo[key] = tuple(s - 1 for s in _coherent_index_sets(*key))
         strong = tuple(map(candidates.__getitem__, positions))
-    if asks_weak:
-        # the pre-rooms: the orbits' closures, read off the covering's table
-        rooms = tuple(sorted({table[b] for b in blocks}))
-        memoized = flow.ground.size <= MEMO_POINTS
-        weakly_coherent: list[int] = []
-        for theta in candidates:
-            if memoized:
-                # the trace as a family bitmask, bit 0 always set
-                family = 1
-                for m in masks:
-                    family |= 1 << (m & theta)
-                coherent = _weakly_coherent(rooms, family)
-            else:
-                traced = {m & theta for m in masks}
-                traced.discard(0)
-                coherent = _weak(rooms, traced)
-            if coherent:
-                weakly_coherent.append(theta)
-        weak = tuple(weakly_coherent)
+    if not asks_weak:
+        # the monotone families are the conventional one, this very tuple
+        return (strong,) * len(variants)
+    weak = tuple(filter(_weak_test(flow, masks, table), candidates))
     return tuple([weak if v is _WEAK else strong for v in variants])
 
 

@@ -676,6 +676,31 @@ class TestSweep:
             assert 0 < len(memberships) <= 218 * 6 * 2
             assert 0 < len(commutations) <= 218 * 6
 
+    def test_k3_9_reads_each_generator_once_per_run(self, monkeypatch):
+        # a run's statements are read off the system's rows once per
+        # distinct generator image, not once per generator of each of its
+        # 21 flows; a share block may cut a system's run, and each part
+        # reads its own
+        read = []
+        chain_bits = cantor._chain_bits
+        monkeypatch.setattr(
+            cantor, "_chain_bits", lambda rows, f: read.append(f.image) or chain_bits(rows, f)
+        )
+        expected = sum(
+            len({g.image for flow in flows for g in flow.gens})
+            for _, runs in verify._exhaustive_instances(TheoremId.K3_9, 3, 0, 1)
+            for (system,), flows in runs
+            if system is not None
+        )
+        # at least 6 per system, and fewer than one per generator of the
+        # 6 + 15 generator sets
+        assert 218 * 6 <= expected < 218 * 36
+        for conv in (FULL, NONEMPTY):
+            del read[:]
+            rep = sweep(TheoremId.K3_9, 3, "exhaustive", conv=conv)
+            assert rep.instance_count == 218 * 21
+            assert len(read) == expected
+
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_k3_9_counts_match_the_group_listing_oracle(self, conv):
         # the sweep ANDs the generators' rows of statements; the oracle
@@ -1072,6 +1097,69 @@ class TestOrbitBlockKeys:
         statuses, crossings = self.check_blocks(theorem, 4, conv, space, f"{theorem.value}:4")
         assert "holds" in statuses
         assert crossings > 0
+
+
+class TestChainDecisions:
+    # CHAIN_karrenk's monotone families are its conventional one, so its
+    # verdict holds exactly when every conventional member is weakly
+    # coherent: a holding decision asks the weak criterion about those
+    # members alone, and a failing one goes on to the whole weak family,
+    # once, for its note
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_only_a_failing_decision_takes_the_whole_weak_family(self, monkeypatch, conv):
+        asked, decisions = [], []
+        weak_test, decide = verify._weak_test, verify._chain_verdict
+
+        def counted_test(*a):
+            coherent = weak_test(*a)
+            return lambda theta: asked.append(theta) or coherent(theta)
+
+        def counted_decide(*a):
+            before = len(asked)
+            verdict = decide(*a)
+            decisions.append((a, verdict, asked[before:]))
+            return verdict
+
+        monkeypatch.setattr(verify, "_weak_test", counted_test)
+        monkeypatch.setattr(verify, "_chain_verdict", counted_decide)
+        rep = sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
+        assert (rep.hold_count, rep.fail_count) == (894, 414)
+        assert len(decisions) == 1090
+        variants = (attract.CoherenceVariant.CONVENTIONAL, attract.CoherenceVariant.WEAK)
+        failing = 0
+        for (flow, members, table, _), verdict, thetas in decisions:
+            conventional, weak = attract._free_attractors(flow, members, table, variants, {})
+            if verdict.status == "holds":
+                assert thetas == list(conventional)
+                continue
+            failing += 1
+            # the conventional members up to the first that is not weakly
+            # coherent, then every invariant set once
+            first = next(i for i, theta in enumerate(conventional) if theta not in weak)
+            assert thetas == [*conventional[:first + 1], *flow._invariant]
+        assert failing == 305
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_draws_above_the_memo_points_match_the_oracle(self, monkeypatch, n, conv):
+        # above MEMO_POINTS a trace is taken member by member: no trace
+        # table is built and the weak memo is not asked
+        tables = []
+        monkeypatch.setattr(attract, "_trace_tables", tables.append)
+        attract._weakly_coherent.cache_clear()
+        claim, ground, statuses = CLAIMS[TheoremId.CHAIN_karrenk], GroundSet(n), set()
+        for k in range(60):
+            values = verify._random_instance(
+                TheoremId.CHAIN_karrenk, n, random.Random(f"{n}:{k}")
+            )
+            [verdict] = claim.check(ground, verify._one_run(values), conv, {})
+            seen = (verdict.status, verdict.note, verdict.systems)
+            assert seen == group_oracle(TheoremId.CHAIN_karrenk, n, values, conv), values
+            statuses.add(verdict.status)
+        assert statuses == {"holds", "fails"}
+        assert tables == []
+        assert attract._weakly_coherent.cache_info().currsize == 0
 
 
 class TestHullOnlyClaims:
