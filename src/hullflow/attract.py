@@ -9,10 +9,13 @@ the monotone ones share it on cyclic flows, as the very same tuple.  The
 weak variant traces each invariant set it is asked about (_weak_test), on
 up to MEMO_POINTS points by two lookups in a table of n.  CHAIN_karrenk's
 body relies on the monotone families being the conventional one: its
-verdict holds exactly when every conventional member is weakly coherent,
-so it asks the weak criterion about those alone, and takes the whole
-weak family only for a failing note.  Rooms are the images of the orbits
-under a closure table, and the room report ties them to the attractors.
+verdict holds exactly when every conventional member is weakly coherent.
+That is a theorem where no orbit block's pre-room is empty, as a nonempty
+pre-room contains its block, so the body builds no family there; it asks
+the weak criterion about the conventional members only where a pre-room
+is empty, and takes the whole weak family only for a failing note.  Rooms
+are the images of the orbits under a closure table, and the room report
+ties them to the attractors.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def _weak_by_family(rooms: tuple[int, ...], family: int) -> bool:
 
 
 #: The most keys the weak coherence memo keeps.  Every n=3 sweep asks it
-#: at most 910 distinct questions (CHAIN_karrenk's).
+#: at most 412 distinct questions (CHAIN_karrenk's).
 COHERENCE_MEMO = 4096
 
 #: The most points on which the weak memo is asked.  There a key is the

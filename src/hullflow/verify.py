@@ -690,18 +690,28 @@ _CHAIN_VARIANTS = (CoherenceVariant.CONVENTIONAL,)
 
 
 def _chain_verdict(
-    flow: DiscreteFlow, members: Sequence[int], table: Sequence[int], families: dict
+    flow: DiscreteFlow, family: int, table: Sequence[int], families: dict
 ) -> Verdict:
-    """CHAIN_karrenk's verdict on a cyclic flow and the covering of
-    `members`, whose closure table is `table`; `families` is the memo's
-    store of conventional families by block-incidence family
+    """CHAIN_karrenk's verdict on a cyclic flow and the covering whose
+    family bitmask is `family` and closure table `table`; `families` is the
+    memo's store of conventional families by block-incidence family
     (attract._free_attractors).  The claim is weak >= conventional >=
-    mono+, mono-.  This body relies on the monotone families being the
-    conventional one, as they are on a cyclic flow by periodicity, where
-    _free_attractors returns the same tuple for all three: so the verdict
-    holds exactly when every conventional member is weakly coherent
-    (attract._weak_test), and only a failing note takes the whole weak
-    family, naming the conventional one for both monotone families."""
+    mono+, mono-, and the monotone families are the conventional one on a
+    cyclic flow (the very tuple _free_attractors returns for all three):
+    so it holds exactly when every conventional member is weakly coherent.
+    It does when no orbit block's pre-room is empty.  A cell of a closure
+    table is the intersection of the sources holding its subset, or 0
+    where none does, so a nonempty pre-room table[B] contains B, under
+    either convention and on any n.  Two trace sets a, a' of a
+    conventional member meet a common block B, so both unions of the
+    pre-rooms meeting a and meeting a' hold table[B], and meet.  Where a
+    pre-room is empty (every such verdict checked failed; that is not
+    proved) the conventional members are tested (attract._weak_test), and
+    only a failing note takes the whole weak family, naming the
+    conventional one for both monotone families."""
+    if all(map(table.__getitem__, flow.orbit_blocks())):
+        return _HOLDS
+    members = family_members(family)
     [conventional] = _free_attractors(flow, members, table, _CHAIN_VARIANTS, families)
     coherent = _weak_test(flow, members, table)
     if all(map(coherent, conventional)):
@@ -719,7 +729,8 @@ def _check_chain(
     blocks (and whether it is cyclic), so each orbit partition has a row
     of verdicts by covering, kept in the memo by the orbit blocks.  The
     memo also keeps the conventional families by block-incidence family,
-    and each covering's closure table."""
+    and each covering's closure table, whose pre-rooms decide a verdict
+    before the covering's members are listed (_chain_verdict)."""
     n, out = ground.size, []
     families = memo.setdefault("families", {})
     tables = memo.setdefault("tables", {})
@@ -737,9 +748,7 @@ def _check_chain(
                 table = tables.get(family)
                 if table is None:
                     table = tables[family] = closure_map_of(n, family, conv)
-                verdict = row[family] = _chain_verdict(
-                    flow, family_members(family), table, families
-                )
+                verdict = row[family] = _chain_verdict(flow, family, table, families)
             out.append(verdict)
     return out
 

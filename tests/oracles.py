@@ -91,7 +91,7 @@ def power(element: Sequence[int], t: int) -> tuple[int, ...]:
         t = -t
     out = tuple(range(len(step)))
     for _ in range(t):
-        out = tuple(step[i] for i in out)
+        out = tuple(map(step.__getitem__, out))
     return out
 
 
@@ -172,16 +172,17 @@ def attractors(
     and b meet."""
     elements = group(gens)
     blocks = orbits(gens)
-    cl = closure_table(n, members, convention)
-    rooms = [cl[b] for b in blocks]
+    rooms = [closure(n, members, convention, b) for b in blocks]
     conventional, weak = [], []
     for theta in range(1, 1 << n):
         if any(image(g, theta) != theta for g in elements):
             continue
-        trace = [m & theta for m in members if m & theta]
-        if all(b & _saturation(blocks, a) for a in trace for b in trace):
+        trace = {m & theta for m in members} - {0}
+        sats = [_saturation(blocks, a) for a in trace]
+        if all(b & sat for sat in sats for b in trace):
             conventional.append(theta)
-        if all(_saturation(rooms, a) & _saturation(rooms, b) for a in trace for b in trace):
+        unions = [_saturation(rooms, a) for a in trace]
+        if all(u & w for u in unions for w in unions):
             weak.append(theta)
     return conventional, weak
 
@@ -397,16 +398,29 @@ def monotone(n: int, gen: Sequence[int], members: Sequence[int], increasing: boo
     permutation `gen` relative to `members`: the nonempty invariant sets
     whose trace sets a, b all have a power of `gen` far out in time (in
     one period from ten periods on, forward or backward) mapping a onto a
-    set meeting b."""
+    set meeting b: b meets the union of a's images under those powers.
+    The window's first power is taken by explicit compositions (`power`),
+    and each next one by one more composition with `gen`."""
     p = period(gen)
-    times = range(10 * p, 11 * p) if increasing else range(-11 * p, -10 * p)
-    powers = [power(gen, t) for t in times]
+    powers = [power(gen, 10 * p if increasing else -11 * p)]
+    for _ in range(p - 1):
+        powers.append(tuple(map(gen.__getitem__, powers[-1])))
+    # the images of each point under those powers: a's images are the
+    # union of its points'
+    images = [sum({1 << g[x] for g in powers}) for x in range(n)]
     out = []
     for theta in range(1, 1 << n):
         if image(gen, theta) != theta:
             continue
-        trace = [m & theta for m in members if m & theta]
-        if all(any(image(g, a) & b for g in powers) for a in trace for b in trace):
+        trace = {m & theta for m in members} - {0}
+        reached = []
+        for a in trace:
+            union = 0
+            for x in range(n):
+                if a >> x & 1:
+                    union |= images[x]
+            reached.append(union)
+        if all(b & r for r in reached for b in trace):
             out.append(theta)
     return out
 

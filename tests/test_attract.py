@@ -245,33 +245,34 @@ class TestCoherenceMemos:
             self._compare(flow, gens, covering, rnd.choice(list(ClosureConvention)), memo)
 
     def test_chain_sweep_decides_each_key_once(self, monkeypatch):
-        # an n=3 CHAIN_karrenk sweep decides 1,090 conventional families
-        # (5 orbit partitions x 218 coverings) from 115 distinct (k,
-        # block-incidence family) keys, each once; and it asks 3,251 weak
-        # questions, 910 of them distinct (pre-rooms, trace) keys, all
-        # within the weak memo's fixed bound: a holding decision asks only
-        # about the conventional members, and the 305 failing ones about
-        # every invariant set (where the whole weak family asked 3,706
-        # questions, 1,187 distinct)
+        # an n=3 CHAIN_karrenk sweep decides 1,090 verdicts (5 orbit
+        # partitions x 218 coverings).  785 have no empty pre-room and hold
+        # with no family built; the other 305 build their conventional
+        # families from the 29 distinct (k, block-incidence family) keys
+        # of the (cycle, covering) pairs with an empty pre-room (115 over
+        # all pairs), each once.  They ask 1,226 weak questions, 412 of
+        # them distinct (pre-rooms, trace) keys, all within the weak
+        # memo's fixed bound
         assert attract._weakly_coherent.cache_info().maxsize == attract.COHERENCE_MEMO == 4096
         keys = []
         index_sets = attract._coherent_index_sets
         monkeypatch.setattr(
             attract, "_coherent_index_sets", lambda *key: keys.append(key) or index_sets(*key)
         )
-        expected = {
-            incidence_key([p], c)
-            for p in itertools.permutations(range(3))
-            for c in oracles.coverings(3)
-        }
-        assert len(expected) == 115
         for conv in ClosureConvention:
+            expected = {
+                incidence_key([p], c)
+                for p in itertools.permutations(range(3))
+                for c in oracles.coverings(3)
+                if 0 in [oracles.closure(3, c, conv.value, b) for b in oracles.orbits([p])]
+            }
+            assert len(expected) == 29
             _clear_memos()
             del keys[:]
             sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
             assert sorted(keys) == sorted(expected)
             weak = attract._weakly_coherent.cache_info()
-            assert (weak.misses, weak.hits) == (910, 3251 - 910)
+            assert (weak.misses, weak.hits) == (412, 1226 - 412)
 
     def test_seeded_flows_decide_each_key_once(self):
         # on four points, where a trace's sets need not come out of a set in
@@ -318,13 +319,14 @@ class TestCoherenceMemos:
 
     def test_random_sweep_leaves_the_memos_at_most_full(self):
         # on four points a key is a few small ints, so the weak memo full
-        # holds about 1 MB (0.98 MB measured); 5,000 draws ask it 4,989
-        # distinct questions, more than it keeps
+        # holds about 1 MB (0.98 MB measured); 15,000 draws ask it 4,706
+        # distinct questions, more than it keeps, from the draws with an
+        # empty pre-room
         infos = []
 
         def run():
-            rep = sweep(TheoremId.CHAIN_karrenk, 4, "random", samples=5000, seed=0)
-            assert rep.instance_count == 5000
+            rep = sweep(TheoremId.CHAIN_karrenk, 4, "random", samples=15000, seed=0)
+            assert rep.instance_count == 15000
             infos.append(attract._weakly_coherent.cache_info())
 
         assert attract.MEMO_POINTS == 4

@@ -1102,43 +1102,108 @@ class TestOrbitBlockKeys:
 class TestChainDecisions:
     # CHAIN_karrenk's monotone families are its conventional one, so its
     # verdict holds exactly when every conventional member is weakly
-    # coherent: a holding decision asks the weak criterion about those
-    # members alone, and a failing one goes on to the whole weak family,
-    # once, for its note
+    # coherent.  Where no orbit block has an empty pre-room that holds by
+    # theorem, and the decision builds no family; a decision with an empty
+    # pre-room asks the weak criterion about the conventional members, and
+    # a failing one goes on to the whole weak family, once, for its note
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_only_a_failing_decision_takes_the_whole_weak_family(self, monkeypatch, conv):
-        asked, decisions = [], []
-        weak_test, decide = verify._weak_test, verify._chain_verdict
+        asked, built, listed, decisions = [], [], [], []
+        weak_test, families = verify._weak_test, verify._free_attractors
+        members_of, decide = verify.family_members, verify._chain_verdict
 
         def counted_test(*a):
             coherent = weak_test(*a)
             return lambda theta: asked.append(theta) or coherent(theta)
 
         def counted_decide(*a):
-            before = len(asked)
+            before = len(asked), len(built), len(listed)
             verdict = decide(*a)
-            decisions.append((a, verdict, asked[before:]))
+            calls = len(built) - before[1], len(listed) - before[2]
+            decisions.append((a, verdict, asked[before[0]:], calls))
             return verdict
 
         monkeypatch.setattr(verify, "_weak_test", counted_test)
+        monkeypatch.setattr(verify, "_free_attractors", lambda *a: built.append(a) or families(*a))
+        monkeypatch.setattr(verify, "family_members", lambda f: listed.append(f) or members_of(f))
         monkeypatch.setattr(verify, "_chain_verdict", counted_decide)
         rep = sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
         assert (rep.hold_count, rep.fail_count) == (894, 414)
         assert len(decisions) == 1090
         variants = (attract.CoherenceVariant.CONVENTIONAL, attract.CoherenceVariant.WEAK)
-        failing = 0
-        for (flow, members, table, _), verdict, thetas in decisions:
-            conventional, weak = attract._free_attractors(flow, members, table, variants, {})
-            if verdict.status == "holds":
-                assert thetas == list(conventional)
+        shortcut = failing = 0
+        for (flow, family, table, _), verdict, thetas, calls in decisions:
+            if all(table[b] for b in flow.orbit_blocks()):
+                # no family built, no weak question, no member listed
+                assert (verdict, thetas, calls) == (verify._HOLDS, [], (0, 0))
+                shortcut += 1
                 continue
+            # an empty pre-room: one family built, and at n=3 each such
+            # decision fails, having asked about the conventional members up
+            # to the first that is not weakly coherent, then every invariant
+            # set once
+            assert (calls, verdict.status) == ((1, 1), "fails")
             failing += 1
-            # the conventional members up to the first that is not weakly
-            # coherent, then every invariant set once
+            members = setsys.family_members(family)
+            conventional, weak = attract._free_attractors(flow, members, table, variants, {})
             first = next(i for i, theta in enumerate(conventional) if theta not in weak)
             assert thetas == [*conventional[:first + 1], *flow._invariant]
-        assert failing == 305
+        assert (shortcut, failing) == (785, 305)
+
+    @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
+    def test_pre_rooms_route_each_decision_as_the_oracle_holds(self, monkeypatch, conv):
+        # every (cycle, covering) on up to three points, in one block with
+        # one memo as a sweep's share, and 2,000 draws each on four to
+        # seven points.  The oracle builds every family by its definition,
+        # and holds only where its weak family contains its conventional
+        # one: it must hold wherever no orbit block has an empty pre-room
+        # (each closure by its own scan), and exactly those decisions take
+        # the shortcut, which builds no conventional family
+        routes, built = [], []
+        decide, families = verify._chain_verdict, verify._free_attractors
+
+        def routed(flow, family, *rest):
+            before = len(built)
+            verdict = decide(flow, family, *rest)
+            routes.append((flow.generator.image, family, len(built) > before))
+            return verdict
+
+        monkeypatch.setattr(verify, "_chain_verdict", routed)
+        monkeypatch.setattr(verify, "_free_attractors", lambda *a: built.append(a) or families(*a))
+        claim, taken = CLAIMS[TheoremId.CHAIN_karrenk], {}
+
+        def pre_rooms(n, gen, members):
+            return [oracles.closure(n, members, conv.value, b) for b in oracles.orbits([gen])]
+
+        for n in range(1, 8):
+            ground = GroundSet(n)
+            if n <= 3:
+                space = claim.space(n)
+                cases = list(space)
+                verdicts = claim.check(ground, space.run(0, len(space)), conv, {})
+            else:
+                draws = (random.Random(f"{n}:{k}") for k in range(2000))
+                cases = [verify._random_instance(TheoremId.CHAIN_karrenk, n, r) for r in draws]
+                runs = [verify._one_run(values) for values in cases]
+                verdicts = [v for run in runs for v in claim.check(ground, run, conv, {})]
+            for (cycle, covering), verdict in zip(cases, verdicts):
+                if covering is None:
+                    assert verdict.status == "skipped"
+                    continue
+                gen, members = cycle.generator.image, setsys.family_members(covering)
+                expected = oracles.chain_verdict(n, gen, members, conv.value)
+                assert (verdict.status, verdict.note) == expected, (n, gen, covering)
+                if 0 not in pre_rooms(n, gen, members):
+                    assert expected == ("holds", ""), (n, gen, covering)
+            for gen, family, full_route in routes:
+                rooms = pre_rooms(n, gen, setsys.family_members(family))
+                assert full_route == (0 in rooms), (n, gen, family)
+            taken[n] = sum(full_route for *_, full_route in routes), len(routes)
+            del routes[:]
+        # (decisions by the full route, decisions): both branches reached
+        assert taken[3] == (305, 1090)
+        assert all(0 < full < decided for full, decided in map(taken.get, (4, 5, 6, 7)))
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize("n", [5, 6])
