@@ -5,23 +5,21 @@ relativizing system satisfies the coherence criterion: any two nonempty
 trace sets can be brought to meet by some flow time, which orbit saturation
 decides without listing the group.  The conventional family is read off
 the orbit blocks that the covering's members meet, with no trace taken;
-the monotone ones share it on cyclic flows, as the very same tuple.  The
-weak variant traces each invariant set it is asked about (_weak_test), on
-up to MEMO_POINTS points by two lookups in a table of n.  CHAIN_karrenk's
-body relies on the monotone families being the conventional one: its
-verdict holds exactly when every conventional member is weakly coherent.
-That is a theorem where no orbit block's pre-room is empty, as a nonempty
-pre-room contains its block, so the body builds no family there; it asks
-the weak criterion about the conventional members only where a pre-room
-is empty, and takes the whole weak family only for a failing note.  Rooms
-are the images of the orbits under a closure table, and the room report
-ties them to the attractors.
+the monotone ones share it on cyclic flows.  The weak variant traces each
+invariant set it is asked about member by member (_weak_test).
+CHAIN_karrenk's body relies on the monotone families being the
+conventional one: its verdict holds exactly when the weak family contains
+the conventional one.  That is a theorem where no orbit block's pre-room
+is empty, as a nonempty pre-room contains its block, so the body builds
+no family there; where a pre-room is empty it lists the weak family once
+and compares the two.  Rooms are the images of the orbits under a closure
+table, and the room report ties them to the attractors.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 from .dynsys import (
@@ -100,32 +98,6 @@ MEMO_POINTS = 4
 _weakly_coherent = lru_cache(maxsize=COHERENCE_MEMO)(_weak_by_family)
 
 
-@cache
-def _trace_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(LOW, HIGH) on n <= MEMO_POINTS points, built on first use for each
-    n: LOW[theta][b] is the trace on theta, as a family bitmask (bit
-    m & theta set for each member m), of the system whose members are the
-    set bits of b, members 0-7 (2^(2^n) values of b below 3 points), and
-    HIGH[theta][b] that of b << 8, members 8-15 (so HIGH[theta] is (0,)
-    below 4 points).  The trace of a family is the OR of the traces of
-    its two bytes, so an invariant set's trace is two lookups, not a pass
-    over the members.  Each row is built by doubling, as in
-    setsys._family_tables: the traces of the b with member m are those of
-    the b without it, each with bit m & theta."""
-    size = 1 << n
-    out = []
-    for low in (0, 8):
-        rows = []
-        for theta in range(size):
-            row = [0]
-            for m in range(low, min(low + 8, size)):
-                bit = 1 << (m & theta)
-                row += [trace | bit for trace in row]
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return out[0], out[1]
-
-
 def _weak_test(
     flow: DiscreteFlow, masks: Sequence[int], table: Sequence[int]
 ) -> Callable[[int], bool]:
@@ -133,26 +105,27 @@ def _weak_test(
     covering whose members are `masks` and whose closure table is
     `table`, as a predicate on an invariant set: for any two of its trace
     sets, the unions of the pre-rooms (the orbits' closures) meeting each
-    of them meet.  On up to MEMO_POINTS points the trace is read off
-    _trace_tables by the covering's family bitmask, and each (pre-rooms,
-    trace) key is decided once per process while its memo holds it;
-    above, each trace is taken member by member and decided afresh."""
+    of them meet.  The trace is taken member by member.  On up to
+    MEMO_POINTS points it is a family bitmask, and each (pre-rooms, trace)
+    key is decided once per process while its memo holds it; above, it
+    is a set, decided afresh."""
     rooms = tuple(sorted({table[b] for b in flow.orbit_blocks()}))
-    n = flow.ground.size
-    if n > MEMO_POINTS:
+    if flow.ground.size > MEMO_POINTS:
         def coherent(theta: int) -> bool:
             traced = {m & theta for m in masks}
             traced.discard(0)
             return _weak(rooms, traced)
 
         return coherent
-    low, high = _trace_tables(n)
-    family = 0
-    for m in masks:
-        family |= 1 << m
-    lo, hi = family & 255, family >> 8
-    # bit 0 is set in every key, as the criterion ignores it
-    return lambda theta: _weakly_coherent(rooms, low[theta][lo] | high[theta][hi] | 1)
+
+    def coherent_by_family(theta: int) -> bool:
+        # bit 0 is set in every key, as the criterion ignores it
+        family = 1
+        for m in masks:
+            family |= 1 << (m & theta)
+        return _weakly_coherent(rooms, family)
+
+    return coherent_by_family
 
 
 def _block_incidence(blocks: Sequence[int], masks: Sequence[int]) -> int:
@@ -210,56 +183,42 @@ def free_attractors(
     any two trace sets, the unions of the pre-rooms meeting each of them
     meet (_weak_test): each invariant set's trace is taken once, and on up
     to MEMO_POINTS points each (pre-rooms, trace) key is decided once per
-    process while its memo holds it."""
+    process while its memo holds it.  The grounds, the covering and the
+    variants are checked before any family is built."""
     if covering.ground != flow.ground:
         raise GroundMismatchError(f"{covering.ground} vs {flow.ground}")
     if not covering.covers_ground():
         raise ValueError("relativizing system must cover the flow's ground")
-    # the weak criterion alone reads the covering's closure table
-    table = closure_map(covering, conv) if _WEAK in variants else None
-    families = _free_attractors(flow, covering.masks, table, variants, {})
-    return tuple(SetSystem(flow.ground, family) for family in families)
-
-
-def _free_attractors(
-    flow: DiscreteFlow,
-    masks: Sequence[int],
-    table: Optional[Sequence[int]],
-    variants: Sequence[CoherenceVariant],
-    memo: dict[tuple[int, int], tuple[int, ...]],
-) -> tuple[tuple[int, ...], ...]:
-    """The masks of free_attractors' families, ascending, on the covering
-    whose members are `masks` and whose closure table is `table`, which
-    only the weak variant reads (None where it is not asked), for a
-    caller that has compared the grounds and checked that the covering
-    covers the ground.  `memo` keeps the positions of the coherent index
-    sets by (k, block-incidence family) for as long as its caller keeps
-    it: a sweep's share, a draw or a call."""
-    asks_weak = asks_strong = False
-    for v in variants:
-        if v is _WEAK:
-            asks_weak = True
-        else:
-            asks_strong = True
-            if v is not _CONVENTIONAL and not flow.is_cyclic:
-                raise VariantUnsupportedError(
-                    "monotone coherence needs integer time; use a cyclic flow"
-                )
-    # the invariant sets, listed in the order of their index sets
-    candidates = flow._invariant
-    blocks = flow.orbit_blocks()
+    if not flow.is_cyclic and any(v is not _WEAK and v is not _CONVENTIONAL for v in variants):
+        raise VariantUnsupportedError("monotone coherence needs integer time; use a cyclic flow")
+    masks = covering.masks
     strong: tuple[int, ...] = ()
-    if asks_strong:
-        key = (len(blocks), _block_incidence(blocks, masks))
-        positions = memo.get(key)
-        if positions is None:
-            positions = memo[key] = tuple(s - 1 for s in _coherent_index_sets(*key))
-        strong = tuple(map(candidates.__getitem__, positions))
-    if not asks_weak:
-        # the monotone families are the conventional one, this very tuple
-        return (strong,) * len(variants)
-    weak = tuple(filter(_weak_test(flow, masks, table), candidates))
-    return tuple([weak if v is _WEAK else strong for v in variants])
+    weak = strong
+    if any(v is not _WEAK for v in variants):
+        strong = _conventional(flow, masks, {})
+    if _WEAK in variants:
+        # the weak criterion alone reads the covering's closure table
+        weak = tuple(filter(_weak_test(flow, masks, closure_map(covering, conv)), flow._invariant))
+    # the monotone families are the conventional one
+    return tuple(SetSystem(flow.ground, weak if v is _WEAK else strong) for v in variants)
+
+
+def _conventional(
+    flow: DiscreteFlow, masks: Sequence[int], memo: dict[tuple[int, int], tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The masks of the conventional free attractors, ascending, relative
+    to the covering whose members are `masks`, for a caller that has
+    compared the grounds and checked that the covering covers the ground.
+    `memo` keeps the positions of the coherent index sets by (k,
+    block-incidence family) for as long as its caller keeps it: a sweep's
+    share, a draw or a call."""
+    blocks = flow.orbit_blocks()
+    key = (len(blocks), _block_incidence(blocks, masks))
+    positions = memo.get(key)
+    if positions is None:
+        positions = memo[key] = tuple(s - 1 for s in _coherent_index_sets(*key))
+    # the invariant sets, listed in the order of their index sets
+    return tuple(map(flow._invariant.__getitem__, positions))
 
 
 def topological_attractors(
@@ -367,6 +326,6 @@ def room_report(flow: DiscreteFlow, table: Sequence[int]) -> RoomReport:
     if closed.covers_ground():
         # the empty set is never attractive
         attractors = 0 not in rooms.masks and set(rooms.masks) <= set(
-            _free_attractors(flow, closed.masks, None, (_CONVENTIONAL,), {})[0]
+            _conventional(flow, closed.masks, {})
         )
     return RoomReport(rooms, partition, invariant, attractors)

@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional
 from . import cantor, kernels
 from .attract import (
     CoherenceVariant,
-    _free_attractors,
+    _conventional,
     _weak_test,
     free_attractors,
     room_report,
@@ -683,40 +683,33 @@ def _check_b2_3d(
     return _HOLDS
 
 
-#: The variants CHAIN_karrenk asks attract._free_attractors for: the
-#: conventional one alone, as the monotone ones are that very family and
-#: the weak criterion is asked set by set (attract._weak_test).
-_CHAIN_VARIANTS = (CoherenceVariant.CONVENTIONAL,)
-
-
 def _chain_verdict(
     flow: DiscreteFlow, family: int, table: Sequence[int], families: dict
 ) -> Verdict:
     """CHAIN_karrenk's verdict on a cyclic flow and the covering whose
     family bitmask is `family` and closure table `table`; `families` is the
     memo's store of conventional families by block-incidence family
-    (attract._free_attractors).  The claim is weak >= conventional >=
-    mono+, mono-, and the monotone families are the conventional one on a
-    cyclic flow (the very tuple _free_attractors returns for all three):
-    so it holds exactly when every conventional member is weakly coherent.
-    It does when no orbit block's pre-room is empty.  A cell of a closure
-    table is the intersection of the sources holding its subset, or 0
-    where none does, so a nonempty pre-room table[B] contains B, under
-    either convention and on any n.  Two trace sets a, a' of a
-    conventional member meet a common block B, so both unions of the
-    pre-rooms meeting a and meeting a' hold table[B], and meet.  Where a
-    pre-room is empty (every such verdict checked failed; that is not
-    proved) the conventional members are tested (attract._weak_test), and
-    only a failing note takes the whole weak family, naming the
-    conventional one for both monotone families."""
+    (attract._conventional).  The claim is weak >= conventional >= mono+,
+    mono-, and the monotone families are the conventional one on a cyclic
+    flow: so it holds exactly when the weak family contains the
+    conventional one.  It does when no orbit block's pre-room is empty.  A
+    cell of a closure table is the intersection of the sources holding
+    its subset, or 0 where none does, so a nonempty pre-room table[B]
+    contains B, under either convention and on any n.  Two trace sets a,
+    a' of a conventional member meet a common block B, so both unions of
+    the pre-rooms meeting a and meeting a' hold table[B], and meet.  Where
+    a pre-room is empty (every such verdict checked failed; that is not
+    proved) the weak family is listed once (attract._weak_test) and
+    compared with the conventional one, which a failing note names for
+    both monotone families."""
     if all(map(table.__getitem__, flow.orbit_blocks())):
         return _HOLDS
     members = family_members(family)
-    [conventional] = _free_attractors(flow, members, table, _CHAIN_VARIANTS, families)
-    coherent = _weak_test(flow, members, table)
-    if all(map(coherent, conventional)):
+    conventional = _conventional(flow, members, families)
+    weak = list(filter(_weak_test(flow, members, table), flow._invariant))
+    if set(conventional) <= set(weak):
         return _HOLDS
-    weak, strong = list(filter(coherent, flow._invariant)), str(list(conventional))
+    strong = str(list(conventional))
     return _fails(f"weak={weak} conventional={strong} mono+={strong} mono-={strong}")
 
 

@@ -25,6 +25,7 @@ from hullflow.dynsys import Autobolism, DiscreteFlow, invariant_sets
 from hullflow.instances import Instance
 from hullflow.setsys import (
     ClosureConvention,
+    GroundMismatchError,
     GroundSet,
     SetSystem,
     Subset,
@@ -207,8 +208,12 @@ class TestCoherenceMemos:
             assert tuple(f.masks for f in got) == want, (gens, covering, conv, variants)
             # a sweep's memo, shared by every case of the test, and the
             # covering's members and closure table
-            table = closure_map(covering, conv)
-            got = attract._free_attractors(flow, covering.masks, table, variants, memo)
+            coherent = attract._weak_test(flow, covering.masks, closure_map(covering, conv))
+            got = tuple(
+                tuple(filter(coherent, flow._invariant)) if v is WEAK
+                else attract._conventional(flow, covering.masks, memo)
+                for v in variants
+            )
             assert got == want, (gens, covering, conv, variants)
 
     def test_families_match_the_plain_definition(self):
@@ -250,9 +255,9 @@ class TestCoherenceMemos:
         # with no family built; the other 305 build their conventional
         # families from the 29 distinct (k, block-incidence family) keys
         # of the (cycle, covering) pairs with an empty pre-room (115 over
-        # all pairs), each once.  They ask 1,226 weak questions, 412 of
-        # them distinct (pre-rooms, trace) keys, all within the weak
-        # memo's fixed bound
+        # all pairs), each once, and ask the weak criterion about every
+        # invariant set once: 797 weak questions, 412 of them distinct
+        # (pre-rooms, trace) keys, all within the weak memo's fixed bound
         assert attract._weakly_coherent.cache_info().maxsize == attract.COHERENCE_MEMO == 4096
         keys = []
         index_sets = attract._coherent_index_sets
@@ -272,7 +277,7 @@ class TestCoherenceMemos:
             sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
             assert sorted(keys) == sorted(expected)
             weak = attract._weakly_coherent.cache_info()
-            assert (weak.misses, weak.hits) == (412, 1226 - 412)
+            assert (weak.misses, weak.hits) == (412, 797 - 412)
 
     def test_seeded_flows_decide_each_key_once(self):
         # on four points, where a trace's sets need not come out of a set in
@@ -340,14 +345,14 @@ class TestCoherenceMemos:
         # and a random sweep hands the conventional families a memo of each
         # draw's own, empty on entry
         infos, memos, sizes = [], [], []
-        families = verify._free_attractors
+        families = verify._conventional
 
         def counted(*a):
-            memos.append(a[4])
-            sizes.append(len(a[4]))
+            memos.append(a[2])
+            sizes.append(len(a[2]))
             return families(*a)
 
-        monkeypatch.setattr(verify, "_free_attractors", counted)
+        monkeypatch.setattr(verify, "_conventional", counted)
 
         def run():
             for theorem in (TheoremId.CHAIN_karrenk, TheoremId.B3_4):
@@ -361,36 +366,6 @@ class TestCoherenceMemos:
         # every memo is kept alive here, so distinct ids are distinct dicts
         assert memos and sizes == [0] * len(memos)
         assert len({id(memo) for memo in memos}) == len(memos)
-
-    @staticmethod
-    def _traced(family, theta):
-        """The trace on theta of the system whose family bitmask is
-        `family`, as a family bitmask, member by member."""
-        out = 0
-        for m in range(family.bit_length()):
-            if family >> m & 1:
-                out |= 1 << (m & theta)
-        return out
-
-    def test_trace_tables_match_the_member_loop(self):
-        # every (theta, family) up to three points, where a family fits
-        # in the low byte, and 2,000 seeded families on four points, each
-        # against every theta
-        for n in (1, 2, 3):
-            low, high = attract._trace_tables(n)
-            assert len(low) == len(high) == 1 << n
-            assert all(row == (0,) for row in high)
-            for theta in range(1 << n):
-                assert len(low[theta]) == 1 << (1 << n)
-                for family in range(1 << (1 << n)):
-                    assert low[theta][family] == self._traced(family, theta), (n, theta)
-        low, high = attract._trace_tables(4)
-        rnd = random.Random(22)
-        for _ in range(2000):
-            family = rnd.getrandbits(16)
-            for theta in range(16):
-                got = low[theta][family & 255] | high[theta][family >> 8]
-                assert got == self._traced(family, theta), (family, theta)
 
     def test_memos_keep_no_flow_or_system_alive(self):
         # the keys are tuples of ints
@@ -506,6 +481,26 @@ class TestCoherenceVariants:
             free_attractors(
                 flow, SetSystem.powerset(G3), variants=(CoherenceVariant.MONO_PLUS,)
             )
+
+    def test_errors_come_in_order_before_any_family(self, monkeypatch):
+        # a ground mismatch, then a covering that misses a point, then a
+        # monotone variant on a group flow, each raised before a family
+        # or a closure table is built
+        built = []
+        for name in ("_conventional", "_weak_test", "closure_map"):
+            monkeypatch.setattr(attract, name, lambda *a, name=name: built.append(name))
+        flow = DiscreteFlow.of_group([Autobolism.of(G3, [1, 0, 2])])
+        variants = (WEAK, CoherenceVariant.MONO_PLUS)
+        cases = [
+            (SetSystem.of(GroundSet(2), [[0]]), GroundMismatchError),
+            (SetSystem.of(G3, [[0]]), ValueError),
+            (SetSystem.powerset(G3), VariantUnsupportedError),
+        ]
+        for covering, error in cases:
+            with pytest.raises(ValueError) as raised:
+                free_attractors(flow, covering, variants=variants)
+            assert type(raised.value) is error
+        assert built == []
 
     def test_inclusion_chain_on_powerset(self):
         # weak >= conventional = mono on the power-set covering

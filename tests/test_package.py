@@ -67,6 +67,29 @@ def test_absolute_imports_are_standard_library():
     assert not outside, outside
 
 
+def test_top_level_imports_are_read():
+    # every name a module-level import binds is read in that module
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    unread = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert not unread, unread
+
+
 def test_no_public_cached_property():
     # sweepbench's per-layer tracer replaces the public non-data
     # descriptors of the library's classes with plain functions, so a

@@ -546,12 +546,12 @@ class TestSweep:
     def test_one_closure_table_per_instance(self, monkeypatch, theorem):
         # the claims on a flow and the hull of a system read their premise
         # and their rooms from one table; S3_3 builds no attractor family
-        # where its commutation premise fails; room_report takes the body of
-        # free_attractors
+        # where its commutation premise fails; room_report takes the
+        # conventional family that free_attractors reads
         tables, families = count_closure_tables(monkeypatch), []
-        free_attractors = attract._free_attractors
+        conventional = attract._conventional
         monkeypatch.setattr(
-            attract, "_free_attractors", lambda *a: families.append(a) or free_attractors(*a)
+            attract, "_conventional", lambda *a: families.append(a) or conventional(*a)
         )
         claim = CLAIMS[theorem]
         space = claim.space(2)
@@ -1101,55 +1101,79 @@ class TestOrbitBlockKeys:
 
 class TestChainDecisions:
     # CHAIN_karrenk's monotone families are its conventional one, so its
-    # verdict holds exactly when every conventional member is weakly
-    # coherent.  Where no orbit block has an empty pre-room that holds by
+    # verdict holds exactly when the weak family contains the conventional
+    # one.  Where no orbit block has an empty pre-room that holds by
     # theorem, and the decision builds no family; a decision with an empty
-    # pre-room asks the weak criterion about the conventional members, and
-    # a failing one goes on to the whole weak family, once, for its note
+    # pre-room builds its conventional family and lists the weak family
+    # once, asking the weak criterion about every invariant set in order
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_only_a_failing_decision_takes_the_whole_weak_family(self, monkeypatch, conv):
-        asked, built, listed, decisions = [], [], [], []
-        weak_test, families = verify._weak_test, verify._free_attractors
+        asked, tests, built, listed, decisions = [], [], [], [], []
+        weak_test, families = verify._weak_test, verify._conventional
         members_of, decide = verify.family_members, verify._chain_verdict
 
         def counted_test(*a):
+            tests.append(a)
             coherent = weak_test(*a)
             return lambda theta: asked.append(theta) or coherent(theta)
 
         def counted_decide(*a):
-            before = len(asked), len(built), len(listed)
+            before = len(asked), len(tests), len(built), len(listed)
             verdict = decide(*a)
-            calls = len(built) - before[1], len(listed) - before[2]
+            calls = len(tests) - before[1], len(built) - before[2], len(listed) - before[3]
             decisions.append((a, verdict, asked[before[0]:], calls))
             return verdict
 
         monkeypatch.setattr(verify, "_weak_test", counted_test)
-        monkeypatch.setattr(verify, "_free_attractors", lambda *a: built.append(a) or families(*a))
+        monkeypatch.setattr(verify, "_conventional", lambda *a: built.append(a) or families(*a))
         monkeypatch.setattr(verify, "family_members", lambda f: listed.append(f) or members_of(f))
         monkeypatch.setattr(verify, "_chain_verdict", counted_decide)
         rep = sweep(TheoremId.CHAIN_karrenk, 3, "exhaustive", conv=conv)
         assert (rep.hold_count, rep.fail_count) == (894, 414)
         assert len(decisions) == 1090
-        variants = (attract.CoherenceVariant.CONVENTIONAL, attract.CoherenceVariant.WEAK)
         shortcut = failing = 0
         for (flow, family, table, _), verdict, thetas, calls in decisions:
             if all(table[b] for b in flow.orbit_blocks()):
                 # no family built, no weak question, no member listed
-                assert (verdict, thetas, calls) == (verify._HOLDS, [], (0, 0))
+                assert (verdict, thetas, calls) == (verify._HOLDS, [], (0, 0, 0))
                 shortcut += 1
                 continue
-            # an empty pre-room: one family built, and at n=3 each such
-            # decision fails, having asked about the conventional members up
-            # to the first that is not weakly coherent, then every invariant
-            # set once
-            assert (calls, verdict.status) == ((1, 1), "fails")
+            # an empty pre-room: one weak test, one family built and one
+            # member list, and at n=3 each such decision fails, having
+            # asked about every invariant set once, in order
+            assert (calls, verdict.status) == ((1, 1, 1), "fails")
+            assert thetas == list(flow._invariant)
             failing += 1
-            members = setsys.family_members(family)
-            conventional, weak = attract._free_attractors(flow, members, table, variants, {})
-            first = next(i for i, theta in enumerate(conventional) if theta not in weak)
-            assert thetas == [*conventional[:first + 1], *flow._invariant]
         assert (shortcut, failing) == (785, 305)
+
+    def test_verdicts_do_not_depend_on_the_convention(self):
+        # every (cycle, covering) on up to three points, in one block with
+        # one memo per convention, and 500 seeded draws on four points:
+        # each status and note is the same under both conventions, and
+        # both holds and fails occur
+        claim, statuses = CLAIMS[TheoremId.CHAIN_karrenk], set()
+
+        def decided(ground, runs, conv):
+            return [(v.status, v.note) for v in verify._check_chain(ground, conv, runs, {})]
+
+        for n in (1, 2, 3):
+            ground, space = GroundSet(n), claim.space(n)
+            runs = list(space.run(0, len(space)))
+            full = decided(ground, runs, FULL)
+            assert full == decided(ground, runs, NONEMPTY), n
+            statuses.update(status for status, _ in full)
+        assert statuses == {"holds", "fails"}
+        ground, statuses = GroundSet(4), set()
+        for k in range(500):
+            values = verify._random_instance(
+                TheoremId.CHAIN_karrenk, 4, random.Random(f"conv:{k}")
+            )
+            run = verify._one_run(values)
+            [full] = decided(ground, run, FULL)
+            assert [full] == decided(ground, run, NONEMPTY), values
+            statuses.add(full[0])
+        assert {"holds", "fails"} <= statuses
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     def test_pre_rooms_route_each_decision_as_the_oracle_holds(self, monkeypatch, conv):
@@ -1161,7 +1185,7 @@ class TestChainDecisions:
         # (each closure by its own scan), and exactly those decisions take
         # the shortcut, which builds no conventional family
         routes, built = [], []
-        decide, families = verify._chain_verdict, verify._free_attractors
+        decide, families = verify._chain_verdict, verify._conventional
 
         def routed(flow, family, *rest):
             before = len(built)
@@ -1170,7 +1194,7 @@ class TestChainDecisions:
             return verdict
 
         monkeypatch.setattr(verify, "_chain_verdict", routed)
-        monkeypatch.setattr(verify, "_free_attractors", lambda *a: built.append(a) or families(*a))
+        monkeypatch.setattr(verify, "_conventional", lambda *a: built.append(a) or families(*a))
         claim, taken = CLAIMS[TheoremId.CHAIN_karrenk], {}
 
         def pre_rooms(n, gen, members):
@@ -1207,11 +1231,9 @@ class TestChainDecisions:
 
     @pytest.mark.parametrize("conv", [FULL, NONEMPTY], ids=lambda c: c.value)
     @pytest.mark.parametrize("n", [5, 6])
-    def test_random_draws_above_the_memo_points_match_the_oracle(self, monkeypatch, n, conv):
-        # above MEMO_POINTS a trace is taken member by member: no trace
-        # table is built and the weak memo is not asked
-        tables = []
-        monkeypatch.setattr(attract, "_trace_tables", tables.append)
+    def test_random_draws_above_the_memo_points_match_the_oracle(self, n, conv):
+        # above MEMO_POINTS a trace is a set, decided afresh: the weak memo
+        # is not asked
         attract._weakly_coherent.cache_clear()
         claim, ground, statuses = CLAIMS[TheoremId.CHAIN_karrenk], GroundSet(n), set()
         for k in range(60):
@@ -1223,7 +1245,6 @@ class TestChainDecisions:
             assert seen == group_oracle(TheoremId.CHAIN_karrenk, n, values, conv), values
             statuses.add(verdict.status)
         assert statuses == {"holds", "fails"}
-        assert tables == []
         assert attract._weakly_coherent.cache_info().currsize == 0
 
 
